@@ -226,15 +226,10 @@ pub struct SinkPolicy {
 
 /// Declared reduction-safe sinks. `stats` and the per-source delivery
 /// counters merge by addition; `effects` / `delivered_log` are append
-/// logs the commit phase drains or that only ever grow; the auditor
-/// and mutation seams are diagnostic instrumentation the parallel
-/// engine runs serialized.
+/// logs the commit phase drains or that only ever grow; `hooks` (the
+/// auditor and mutation seam) is diagnostic instrumentation the
+/// parallel engine runs serialized.
 pub const SINKS: &[SinkPolicy] = &[
-    SinkPolicy {
-        name: "auditor",
-        allow_compound: false,
-        methods: SinkMethods::Any,
-    },
     SinkPolicy {
         name: "delivered_log",
         allow_compound: false,
@@ -256,17 +251,12 @@ pub const SINKS: &[SinkPolicy] = &[
         methods: SinkMethods::Only(&["push"]),
     },
     SinkPolicy {
-        name: "link_phits",
-        allow_compound: true,
-        methods: SinkMethods::Only(&[]),
-    },
-    SinkPolicy {
-        name: "mutation",
-        allow_compound: true,
+        name: "hooks",
+        allow_compound: false,
         methods: SinkMethods::Any,
     },
     SinkPolicy {
-        name: "mutation_ticks",
+        name: "link_phits",
         allow_compound: true,
         methods: SinkMethods::Only(&[]),
     },

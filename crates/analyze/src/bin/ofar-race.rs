@@ -40,7 +40,7 @@ fn parse_args() -> Result<Args, String> {
         root: PathBuf::from("."),
         emit: None,
         verify: None,
-        full: std::env::var("OFAR_FULL").is_ok_and(|v| v == "1"),
+        full: ofar_core::env::flag("OFAR_FULL"),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {

@@ -32,7 +32,7 @@
 //! parallelization contract itself.
 
 use crate::json;
-use ofar_engine::{diff_snapshots, Network, Policy, ShardSchedule, SimConfig};
+use ofar_engine::{diff_snapshots, Hooks, Network, NoHooks, Policy, ShardSchedule, SimConfig};
 use ofar_routing::MechanismKind;
 use ofar_topology::Dragonfly;
 use ofar_traffic::{Bernoulli, TrafficGen, TrafficSpec};
@@ -111,7 +111,7 @@ pub enum CertifyOutcome {
 }
 
 /// Per-cycle traffic injection, called once before each `step`.
-pub type InjectFn<P> = Box<dyn FnMut(&mut Network<P>, u64)>;
+pub type InjectFn<P, H = NoHooks> = Box<dyn FnMut(&mut Network<P, H>, u64)>;
 
 /// Execute the phase contract under permuted shard orders.
 ///
@@ -124,7 +124,7 @@ pub type InjectFn<P> = Box<dyn FnMut(&mut Network<P>, u64)>;
 /// identity run at every `epoch` boundary over `cycles` cycles;
 /// `Ok(Diverges(_))` with the first divergent cycle otherwise. `Err` is
 /// reserved for internal snapshot-codec failures.
-pub fn certify<P, B>(
+pub fn certify<P, H, B>(
     mut build: B,
     schedules: &[ShardSchedule],
     cycles: u64,
@@ -132,7 +132,8 @@ pub fn certify<P, B>(
 ) -> Result<CertifyOutcome, String>
 where
     P: Policy,
-    B: FnMut() -> (Network<P>, InjectFn<P>),
+    H: Hooks,
+    B: FnMut() -> (Network<P, H>, InjectFn<P, H>),
 {
     assert!(epoch > 0, "epoch must be positive");
     // Reference trace: identity schedule, snapshot at every boundary.
@@ -181,10 +182,16 @@ where
 /// (known byte-identical), then step both in lockstep comparing every
 /// end-of-cycle snapshot, returning the first divergent cycle in
 /// `lo..=hi` with the diff refined to a named field.
-fn bisect<P, B>(build: &mut B, sched: ShardSchedule, lo: u64, hi: u64) -> Result<Divergence, String>
+fn bisect<P, H, B>(
+    build: &mut B,
+    sched: ShardSchedule,
+    lo: u64,
+    hi: u64,
+) -> Result<Divergence, String>
 where
     P: Policy,
-    B: FnMut() -> (Network<P>, InjectFn<P>),
+    H: Hooks,
+    B: FnMut() -> (Network<P, H>, InjectFn<P, H>),
 {
     let (mut ident, mut inj_i) = build();
     let (mut adv, mut inj_a) = build();

@@ -8,8 +8,7 @@
 use ofar_core::prelude::*;
 
 fn main() {
-    let scale = Scale::from_env();
-    ofar_bench::announce("ablation_patience", &scale);
+    let scale = ofar_bench::announce("ablation_patience");
     let cfg = scale.cfg();
     let h = scale.h;
     let spec = TrafficSpec::adversarial(h);

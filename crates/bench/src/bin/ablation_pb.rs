@@ -5,8 +5,7 @@
 use ofar_core::prelude::*;
 
 fn main() {
-    let scale = Scale::from_env();
-    ofar_bench::announce("ablation_pb", &scale);
+    let scale = ofar_bench::announce("ablation_pb");
     let cfg = scale.cfg();
     let h = scale.h;
 

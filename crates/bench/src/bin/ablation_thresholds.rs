@@ -8,8 +8,7 @@
 use ofar_core::prelude::*;
 
 fn main() {
-    let scale = Scale::from_env();
-    ofar_bench::announce("ablation_thresholds", &scale);
+    let scale = ofar_bench::announce("ablation_thresholds");
     let cfg = scale.cfg();
     let h = scale.h;
 

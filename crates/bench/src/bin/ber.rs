@@ -36,8 +36,7 @@ fn outcome(p: &BerPoint) -> String {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    ofar_bench::announce("ber", &scale);
+    let scale = ofar_bench::announce("ber");
     let cfg = scale.cfg();
     let h = scale.h;
 

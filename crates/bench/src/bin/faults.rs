@@ -34,8 +34,7 @@ fn outcome(p: &DegradationPoint) -> String {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    ofar_bench::announce("faults", &scale);
+    let scale = ofar_bench::announce("faults");
     let cfg = scale.cfg();
     let h = scale.h;
 

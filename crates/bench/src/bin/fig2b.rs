@@ -1,7 +1,6 @@
 //! Regenerates Fig. 2b: Valiant saturation throughput vs ADV offset.
 
 fn main() {
-    let scale = ofar_core::Scale::from_env();
-    ofar_bench::announce("fig2b", &scale);
+    let scale = ofar_bench::announce("fig2b");
     ofar_bench::emit(&ofar_core::experiments::fig2b(&scale));
 }

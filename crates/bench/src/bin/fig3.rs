@@ -1,7 +1,6 @@
 //! Regenerates Fig3 of the paper (see ofar_core::experiments::fig3).
 
 fn main() {
-    let scale = ofar_core::Scale::from_env();
-    ofar_bench::announce("fig3", &scale);
+    let scale = ofar_bench::announce("fig3");
     ofar_bench::emit(&ofar_core::experiments::fig3(&scale));
 }

@@ -1,7 +1,6 @@
 //! Regenerates Fig4 of the paper (see ofar_core::experiments::fig4).
 
 fn main() {
-    let scale = ofar_core::Scale::from_env();
-    ofar_bench::announce("fig4", &scale);
+    let scale = ofar_bench::announce("fig4");
     ofar_bench::emit(&ofar_core::experiments::fig4(&scale));
 }

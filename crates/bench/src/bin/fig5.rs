@@ -1,7 +1,6 @@
 //! Regenerates Fig5 of the paper (see ofar_core::experiments::fig5).
 
 fn main() {
-    let scale = ofar_core::Scale::from_env();
-    ofar_bench::announce("fig5", &scale);
+    let scale = ofar_bench::announce("fig5");
     ofar_bench::emit(&ofar_core::experiments::fig5(&scale));
 }

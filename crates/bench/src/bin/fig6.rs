@@ -1,7 +1,6 @@
 //! Regenerates Fig6 of the paper (see ofar_core::experiments::fig6).
 
 fn main() {
-    let scale = ofar_core::Scale::from_env();
-    ofar_bench::announce("fig6", &scale);
+    let scale = ofar_bench::announce("fig6");
     ofar_bench::emit(&ofar_core::experiments::fig6(&scale));
 }

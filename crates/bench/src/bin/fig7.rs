@@ -1,7 +1,6 @@
 //! Regenerates Fig7 of the paper (see ofar_core::experiments::fig7).
 
 fn main() {
-    let scale = ofar_core::Scale::from_env();
-    ofar_bench::announce("fig7", &scale);
+    let scale = ofar_bench::announce("fig7");
     ofar_bench::emit(&ofar_core::experiments::fig7(&scale));
 }

@@ -1,7 +1,6 @@
 //! Regenerates Fig8 of the paper (see ofar_core::experiments::fig8).
 
 fn main() {
-    let scale = ofar_core::Scale::from_env();
-    ofar_bench::announce("fig8", &scale);
+    let scale = ofar_bench::announce("fig8");
     ofar_bench::emit(&ofar_core::experiments::fig8(&scale));
 }

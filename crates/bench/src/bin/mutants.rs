@@ -12,7 +12,9 @@
 //! * **zero** otherwise — survivors outside the covered set are
 //!   expected and printed as the known-gap list (DESIGN.md §11).
 
+use ofar_bench::env_or_exit;
 use ofar_core::engine::SimConfig;
+use ofar_core::env;
 use ofar_mutate::{covered, KillMatrix, MutationOp};
 use std::process::ExitCode;
 
@@ -20,20 +22,9 @@ use std::process::ExitCode;
 const MIN_KILLED_OPS: usize = 20;
 
 fn main() -> ExitCode {
-    let h = match std::env::var("OFAR_H") {
-        Ok(v) => v.parse().expect("OFAR_H must be an integer"),
-        Err(_) => {
-            if std::env::var("OFAR_FULL").is_ok_and(|v| v == "1") {
-                4
-            } else {
-                2
-            }
-        }
-    };
-    let seed: u64 = std::env::var("OFAR_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0xAD0B5);
+    let full = if env::flag("OFAR_FULL") { 4 } else { 2 };
+    let h = env_or_exit(env::parsed("OFAR_H")).unwrap_or(full);
+    let seed: u64 = env_or_exit(env::parsed("OFAR_SEED")).unwrap_or(0xAD0B5);
     let cfg = SimConfig::paper(h);
     eprintln!(
         "[mutants] h={h} ({} nodes), {} operators, {} (operator x mechanism) pairs, seed={seed}",

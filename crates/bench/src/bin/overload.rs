@@ -39,8 +39,7 @@ fn outcome(p: &OverloadPoint) -> String {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    ofar_bench::announce("overload", &scale);
+    let scale = ofar_bench::announce("overload");
     let cfg = scale.cfg();
     let h = scale.h;
     let opts = OverloadOpts {

@@ -9,8 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let scale = Scale::from_env();
-    ofar_bench::announce("rings", &scale);
+    let scale = ofar_bench::announce("rings");
     let topo = Dragonfly::balanced(scale.h);
     let all = HamiltonianRing::embed_disjoint(&topo, scale.h);
     assert!(HamiltonianRing::pairwise_edge_disjoint(&topo, &all));

@@ -30,7 +30,7 @@ fn main() {
     }
     println!("{bounds}");
 
-    let scale = ofar_core::Scale::from_env();
+    let scale = ofar_bench::scale();
     let p = DragonflyParams::balanced(scale.h);
     let mut conc = Table::new(
         format!(

@@ -39,8 +39,7 @@ fn cell(result: &Result<Certificate, VerifyError>) -> Vec<String> {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    ofar_bench::announce("verify", &scale);
+    let scale = ofar_bench::announce("verify");
     let h = scale.h;
     let headers = [
         "mechanism",

@@ -13,15 +13,33 @@
 //! * `OFAR_H=<n>` — override `h` explicitly;
 //! * `OFAR_CSV=<dir>` — additionally write each table as CSV.
 //!
-//! The `benches/` directory holds the criterion wrappers: each prints the
-//! quick-scale series of its figure and then times a representative
-//! simulation slice so `cargo bench` yields both data and performance.
+//! A switch is on iff it is exactly `1`, and a value that does not parse
+//! stops the binary with exit status 2 (see [`ofar_core::env`]).
+//!
+//! Host-time measurement lives in `benchmark/` (`ofar-perf`), not here.
 
+use ofar_core::env::{self, EnvError};
 use ofar_core::{Scale, Table};
 use std::io::Write;
+use std::path::PathBuf;
 
-/// Print the scale banner for a figure binary.
-pub fn announce(figure: &str, scale: &Scale) {
+/// Unwrap an environment read, or report the offending variable and
+/// exit with status 2.
+pub fn env_or_exit<T>(read: Result<T, EnvError>) -> T {
+    read.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The scale the environment asks for (see the crate docs).
+pub fn scale() -> Scale {
+    env_or_exit(Scale::from_env())
+}
+
+/// [`scale`], with the scale banner of a figure binary printed.
+pub fn announce(figure: &str) -> Scale {
+    let scale = scale();
     eprintln!(
         "[{figure}] h={} ({} nodes), warmup={} measure={} cycles, seed={}",
         scale.h,
@@ -30,18 +48,19 @@ pub fn announce(figure: &str, scale: &Scale) {
         scale.steady.measure,
         scale.seed,
     );
+    scale
 }
 
 /// Print a table; if `OFAR_CSV` is set, also write `<dir>/<slug>.csv`.
 pub fn emit(table: &Table) {
     println!("{table}");
-    if let Ok(dir) = std::env::var("OFAR_CSV") {
+    if let Some(dir) = env_or_exit(env::parsed::<PathBuf>("OFAR_CSV")) {
         let slug: String = table
             .title
             .chars()
             .map(|c| if c.is_alphanumeric() { c } else { '_' })
             .collect();
-        let path = std::path::Path::new(&dir).join(format!("{slug}.csv"));
+        let path = dir.join(format!("{slug}.csv"));
         if let Err(e) = std::fs::create_dir_all(&dir)
             .and_then(|_| std::fs::File::create(&path))
             .and_then(|mut f| f.write_all(table.to_csv().as_bytes()))

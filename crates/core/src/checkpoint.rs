@@ -22,6 +22,7 @@ use ofar_engine::{
 use ofar_traffic::{Bernoulli, TrafficGen, TrafficSpec};
 use std::path::PathBuf;
 
+use crate::env::{self, EnvError};
 use crate::run::SteadyOpts;
 use ofar_routing::MechanismKind;
 
@@ -66,20 +67,12 @@ impl CheckpointPolicy {
     }
 
     /// Read `OFAR_CHECKPOINT_EVERY` / `OFAR_CHECKPOINT_DIR` from the
-    /// environment. Unset, empty or unparsable `EVERY` disables
-    /// checkpointing.
-    pub fn from_env() -> Self {
-        let interval = std::env::var("OFAR_CHECKPOINT_EVERY")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&e| e > 0);
-        let dir = std::env::var("OFAR_CHECKPOINT_DIR")
-            .unwrap_or_else(|_| "results/checkpoints".to_string());
-        Self {
-            interval,
-            dir: dir.into(),
-            keep: 2,
-        }
+    /// environment (see [`crate::env`]). An unset or zero `EVERY`
+    /// disables checkpointing; one that is not an integer is an error.
+    pub fn from_env() -> Result<Self, EnvError> {
+        let every = env::parsed("OFAR_CHECKPOINT_EVERY")?.unwrap_or(0);
+        let dir = env::parsed("OFAR_CHECKPOINT_DIR")?.unwrap_or_else(|| Self::disabled().dir);
+        Ok(Self::every(every, dir))
     }
 
     /// Whether checkpointing is active.

@@ -6,6 +6,7 @@
 //! `h = 4` network in minutes; `Scale::paper()` (or `OFAR_FULL=1`) uses
 //! the paper's `h = 6`, 5,256-node network and full run lengths.
 
+use crate::env::{self, EnvError};
 use crate::run::{burst_comparison, load_sweep, transient, SteadyOpts, TransientOpts};
 use crate::table::{f1, f4, Table};
 use crate::theory;
@@ -96,20 +97,20 @@ impl Scale {
         }
     }
 
-    /// Read the scale from `OFAR_QUICK`, `OFAR_FULL` and `OFAR_H`
-    /// environment variables.
-    pub fn from_env() -> Self {
-        let mut s = if std::env::var_os("OFAR_FULL").is_some() {
+    /// Read the scale from the `OFAR_QUICK=1` / `OFAR_FULL=1` switches
+    /// and the `OFAR_H` override (see [`crate::env`]).
+    pub fn from_env() -> Result<Self, EnvError> {
+        let mut s = if env::flag("OFAR_FULL") {
             Self::paper()
-        } else if std::env::var_os("OFAR_QUICK").is_some() {
+        } else if env::flag("OFAR_QUICK") {
             Self::quick()
         } else {
             Self::default_bench()
         };
-        if let Ok(h) = std::env::var("OFAR_H") {
-            s.h = h.parse().expect("OFAR_H must be an integer ≥ 2");
+        if let Some(h) = env::parsed("OFAR_H")? {
+            s.h = h;
         }
-        s
+        Ok(s)
     }
 
     /// Base simulator configuration at this scale.

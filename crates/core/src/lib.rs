@@ -25,12 +25,14 @@
 //!
 //! Every runner refuses to start a configuration that the static
 //! channel-dependency-graph verifier ([`verify`]) does not certify as
-//! deadlock-free; build with the `audit` feature to additionally police
-//! the engine's conservation laws at runtime.
+//! deadlock-free; build with the `audit` feature to make the packaged
+//! runners carry the engine's `Auditor` hook, which additionally polices
+//! the conservation laws at runtime.
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod env;
 pub mod experiments;
 pub mod faults;
 pub mod overload;

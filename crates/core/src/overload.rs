@@ -22,9 +22,10 @@
 //! topology, nonzero drain) distinctly from true routing livelock.
 
 use crate::run::{
-    derive_watchdog, diagnose_stall, ensure_certified, p99_of, steady_state, StallKind, SteadyOpts,
+    derive_watchdog, diagnose_stall, ensure_certified, instrumented, p99_of, steady_state,
+    StallKind, SteadyOpts,
 };
-use ofar_engine::{jain_index, source_histogram, Network, SimConfig, Stats};
+use ofar_engine::{jain_index, source_histogram, SimConfig, Stats};
 use ofar_routing::MechanismKind;
 use ofar_traffic::{Bernoulli, TrafficGen, TrafficSpec};
 use rayon::prelude::*;
@@ -133,9 +134,7 @@ pub fn overload_point(
     // injection-port limit (and `Bernoulli`'s own precondition).
     let offered = (opts.factor * saturation).min(cfg.packet_size as f64);
 
-    let mut net = Network::new(cfg, kind.build(&cfg, seed));
-    #[cfg(feature = "audit")]
-    net.enable_audit();
+    let mut net = instrumented(cfg, kind.build(&cfg, seed));
     net.enable_delivery_log();
     let topo = *net.fabric().topo();
     let mut gen = TrafficGen::new(&topo, spec.clone(), seed.wrapping_add(1));

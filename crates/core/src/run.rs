@@ -2,8 +2,10 @@
 //! (§VI of the paper).
 
 use crate::checkpoint::CheckpointPolicy;
+use crate::env;
 use ofar_engine::{
-    AuditReport, FaultPlan, Network, Policy, SimConfig, SnapshotError, Stats, StatsWindow,
+    AuditReport, Fabric, FaultPlan, Hooks, Network, Policy, SimConfig, SnapshotError, Stats,
+    StatsWindow,
 };
 use ofar_routing::MechanismKind;
 use ofar_topology::{NodeId, RouterId};
@@ -66,8 +68,7 @@ pub struct SteadyPoint {
 /// markedly more expensive on first use — an opt-in for CI and paranoid
 /// runs.
 pub(crate) fn ensure_certified(cfg: &SimConfig, kind: MechanismKind) {
-    let conformance = std::env::var("OFAR_CONFORMANCE").is_ok_and(|v| v == "1");
-    if conformance {
+    if env::flag("OFAR_CONFORMANCE") {
         if let Err(e) = ofar_verify::conformance_cached(cfg, kind) {
             panic!(
                 "refusing to start non-conformant configuration for {}: {e}",
@@ -103,6 +104,11 @@ pub fn steady_state(
 /// [`steady_state`] with explicit mechanism tunables — OFAR thresholds
 /// and patience, PB broadcast parameters — for the ablation studies
 /// (§V's "selection of this policy was empirical").
+///
+/// # Panics
+/// Like a refused configuration, a malformed `OFAR_CHECKPOINT_*`
+/// variable (see [`CheckpointPolicy::from_env`]) stops the run before it
+/// starts.
 #[allow(clippy::too_many_arguments)]
 pub fn steady_state_tuned(
     cfg: SimConfig,
@@ -123,7 +129,7 @@ pub fn steady_state_tuned(
         seed,
         ofar,
         pb,
-        &CheckpointPolicy::from_env(),
+        &CheckpointPolicy::from_env().unwrap_or_else(|e| panic!("{e}")),
     )
 }
 
@@ -556,9 +562,7 @@ pub fn burst_faulted(
 ) -> BurstResult {
     let cfg = kind.adapt_config(cfg);
     ensure_certified(&cfg, kind);
-    let mut net = Network::new(cfg, kind.build(&cfg, seed));
-    #[cfg(feature = "audit")]
-    net.enable_audit();
+    let mut net = instrumented(cfg, kind.build(&cfg, seed));
     net.set_fault_plan(plan);
     burst_net(&mut net, spec, packets_per_node, seed, run)
 }
@@ -567,12 +571,13 @@ pub fn burst_faulted(
 /// through a burst and diagnose stalls, without the certification gate
 /// or the mechanism registry. This is the entry point for the mutation
 /// harness, which must run *deliberately defective* policies (and
-/// engine-level fault seams) that [`burst`] refuses by construction —
-/// the caller keeps the network afterwards, e.g. to pull an audit
-/// report. Watchdog semantics, stall diagnosis and the result shape are
-/// identical to [`burst_faulted`], which delegates here.
-pub fn burst_net<P: Policy>(
-    net: &mut Network<P>,
+/// engine-level fault seams, through the network's [`Hooks`]) that
+/// [`burst`] refuses by construction. Watchdog semantics, stall
+/// diagnosis and the result shape are identical to [`burst_faulted`],
+/// which delegates here; [`BurstResult::audit`] is whatever the
+/// network's hooks recorded (`None` for [`ofar_engine::NoHooks`]).
+pub fn burst_net<P: Policy, H: Hooks>(
+    net: &mut Network<P, H>,
     spec: &TrafficSpec,
     packets_per_node: usize,
     seed: u64,
@@ -621,7 +626,7 @@ pub fn burst_net<P: Policy>(
                 per_source_delivered: net.per_source_delivered().to_vec(),
                 stall: Some(stall),
                 stats: net.stats().clone(),
-                audit: final_audit(net),
+                audit: net.take_audit_report(),
             };
         }
     }
@@ -635,7 +640,7 @@ pub fn burst_net<P: Policy>(
         per_source_delivered: net.per_source_delivered().to_vec(),
         stall: None,
         stats: net.stats().clone(),
-        audit: final_audit(net),
+        audit: net.take_audit_report(),
     }
 }
 
@@ -646,14 +651,12 @@ pub fn burst_net<P: Policy>(
 /// to watch the network's final cycles with per-cycle tracing.
 /// Best-effort: a dump failure never turns a diagnosed stall into a
 /// crash.
-fn postmortem_dump<P: Policy>(net: &Network<P>, stall: &StallKind) {
-    let Ok(dir) = std::env::var("OFAR_POSTMORTEM_DIR") else {
-        return;
+fn postmortem_dump<P: Policy, H: Hooks>(net: &Network<P, H>, stall: &StallKind) {
+    let dir = match env::parsed::<std::path::PathBuf>("OFAR_POSTMORTEM_DIR") {
+        Ok(Some(dir)) if !dir.as_os_str().is_empty() => dir,
+        Ok(_) => return,
+        Err(e) => return eprintln!("warning: {e}; no post-mortem dump written"),
     };
-    if dir.is_empty() {
-        return;
-    }
-    let dir = std::path::PathBuf::from(dir);
     let base = format!("stall-{}", net.now());
     let snap = net.save_snapshot();
     if ofar_engine::write_atomic(&dir.join(format!("{base}.snap")), &snap).is_err() {
@@ -727,9 +730,7 @@ pub fn replay_snapshot(path: &Path, cycles: u64) -> Result<ReplayReport, Snapsho
         .ok_or(SnapshotError::Malformed("unknown mechanism name"))?;
     let cfg = header.config;
     ensure_certified(&cfg, kind);
-    let mut net = Network::new(cfg, kind.build(&cfg, cfg.seed));
-    #[cfg(feature = "audit")]
-    net.enable_audit();
+    let mut net = instrumented(cfg, kind.build(&cfg, cfg.seed));
     net.restore_snapshot(&bytes)?;
     let start_cycle = net.now();
     let mut trace = Vec::with_capacity(cycles.min(1 << 20) as usize);
@@ -759,7 +760,7 @@ pub fn replay_snapshot(path: &Path, cycles: u64) -> Result<ReplayReport, Snapsho
         trace,
         stats: net.stats().clone(),
         drained: net.drained(),
-        audit: final_audit(&mut net),
+        audit: net.take_audit_report(),
     })
 }
 
@@ -774,16 +775,19 @@ pub(crate) fn p99_of(log: Vec<(u64, u32)>) -> f64 {
     lat[(lat.len() - 1) * 99 / 100] as f64
 }
 
-/// Take the burst's audit report (includes a forced final deep pass).
+/// The hooks the packaged runners ([`burst`], [`replay_snapshot`],
+/// [`crate::overload_point`]) build their networks with: the engine's
+/// runtime auditor in `audit` builds, nothing otherwise. The one place
+/// a cargo feature selects engine instrumentation — everything below it
+/// is generic over [`Hooks`].
 #[cfg(feature = "audit")]
-fn final_audit<P: Policy>(net: &mut Network<P>) -> Option<AuditReport> {
-    net.take_audit_report()
-}
-
-/// Without the `audit` feature there is nothing to report.
+type RunHooks = ofar_engine::Auditor;
 #[cfg(not(feature = "audit"))]
-fn final_audit<P: Policy>(_net: &mut Network<P>) -> Option<AuditReport> {
-    None
+type RunHooks = ofar_engine::NoHooks;
+
+/// A network carrying [`RunHooks`].
+pub(crate) fn instrumented<P: Policy>(cfg: SimConfig, policy: P) -> Network<P, RunHooks> {
+    Network::with_hooks(Fabric::new(cfg), policy, RunHooks::default())
 }
 
 /// Classify a fired watchdog. Partition wins (it explains the others and
@@ -792,8 +796,8 @@ fn final_audit<P: Policy>(_net: &mut Network<P>) -> Option<AuditReport> {
 /// alive but the link layer burned `retx_since` retries since the last
 /// delivery, so the allocator's silence is a symptom, not the disease.
 /// Otherwise a silent allocator means deadlock and a busy one livelock.
-pub(crate) fn diagnose_stall<P: Policy>(
-    net: &Network<P>,
+pub(crate) fn diagnose_stall<P: Policy, H: Hooks>(
+    net: &Network<P, H>,
     watchdog: u64,
     no_grant: bool,
     retx_since: u64,

@@ -9,11 +9,12 @@
 //! campaign can finish and report *every* anomaly with its router, port,
 //! VC and cycle.
 //!
-//! The types here are always compiled (they appear in public result
-//! structs); the hooks inside [`crate::network::Network`] only exist
-//! under the `audit` cargo feature, and even then auditing is off until
-//! `Network::enable_audit` is called. Two tiers keep
-//! the cost low:
+//! The checks are wired through the engine's [`Hooks`] seam: a network
+//! built with an [`Auditor`] as its hook
+//! ([`Network::with_hooks`](crate::Network::with_hooks)) records, a
+//! plain [`Network::new`](crate::Network::new) one carries the
+//! zero-sized [`NoHooks`](crate::NoHooks) and only debug-asserts. Two
+//! tiers keep the cost of an audited run low:
 //!
 //! * **fast checks** mirror the local `debug_assert!`s (credit overflow,
 //!   ring-membership transitions, dead-port grants, injection VC range)
@@ -22,6 +23,7 @@
 //!   conservation, occupancy ≤ capacity, escape-ring bubble) every
 //!   `deep_interval` cycles.
 
+use crate::hooks::Hooks;
 use std::fmt;
 
 /// One violated invariant, with everything needed to localize it.
@@ -416,15 +418,22 @@ impl AuditReport {
         self.violations.len() as u64 + self.dropped
     }
 
-    fn merge(&mut self, other: AuditReport) {
-        self.checks += other.checks;
-        self.dropped += other.dropped;
-        for v in other.violations {
-            if self.violations.len() < MAX_STORED {
-                self.violations.push(v);
-            } else {
-                self.dropped += 1;
-            }
+    /// Record a violation (counts as one check).
+    fn record(&mut self, v: AuditViolation) {
+        self.checks += 1;
+        if self.violations.len() < MAX_STORED {
+            self.violations.push(v);
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    /// Fold in one deep pass: `checks` invariants evaluated, of which
+    /// `violations` failed.
+    pub(crate) fn deep(&mut self, checks: u64, violations: Vec<AuditViolation>) {
+        self.checks += checks - violations.len() as u64;
+        for v in violations {
+            self.record(v);
         }
     }
 }
@@ -450,8 +459,8 @@ impl fmt::Display for AuditReport {
     }
 }
 
-/// The auditor the network carries when auditing is enabled: accumulates
-/// a report and decides when the deep (whole-network) checks run.
+/// The recording [`Hooks`]: accumulates a report and decides when the
+/// deep (whole-network) checks run.
 #[derive(Clone, Debug)]
 pub struct Auditor {
     report: AuditReport,
@@ -477,43 +486,35 @@ impl Auditor {
             deep_interval: interval,
         }
     }
+}
 
-    /// Whether the deep checks are due this cycle.
+impl Hooks for Auditor {
     #[inline]
-    pub fn deep_due(&self, cycle: u64) -> bool {
+    fn check(
+        &mut self,
+        ok: impl FnOnce() -> bool,
+        violation: impl FnOnce() -> AuditViolation,
+    ) -> bool {
+        let ok = ok();
+        if ok {
+            self.report.checks += 1;
+        } else {
+            self.report.record(violation());
+        }
+        ok
+    }
+
+    #[inline]
+    fn deep_due(&self, cycle: u64) -> bool {
         self.deep_interval != 0 && cycle.is_multiple_of(self.deep_interval)
     }
 
-    /// Count `n` passed-or-failed checks.
-    #[inline]
-    pub fn count(&mut self, n: u64) {
-        self.report.checks += n;
+    fn deep_report(&mut self, checks: u64, violations: Vec<AuditViolation>) {
+        self.report.deep(checks, violations);
     }
 
-    /// Record a violation (counts as one check).
-    pub fn record(&mut self, v: AuditViolation) {
-        self.report.checks += 1;
-        if self.report.violations.len() < MAX_STORED {
-            self.report.violations.push(v);
-        } else {
-            self.report.dropped += 1;
-        }
-    }
-
-    /// The report so far.
-    #[inline]
-    pub fn report(&self) -> &AuditReport {
-        &self.report
-    }
-
-    /// Take the report, resetting the accumulator.
-    pub fn take_report(&mut self) -> AuditReport {
-        std::mem::take(&mut self.report)
-    }
-
-    /// Fold another report into this one (e.g. from a drained phase).
-    pub fn absorb(&mut self, other: AuditReport) {
-        self.report.merge(other);
+    fn take_report(&mut self) -> Option<AuditReport> {
+        Some(std::mem::take(&mut self.report))
     }
 }
 
@@ -531,19 +532,22 @@ mod tests {
     fn report_caps_stored_violations() {
         let mut a = Auditor::new();
         for cycle in 0..(MAX_STORED as u64 + 10) {
-            a.record(AuditViolation::DeadPortGrant {
-                cycle,
-                router: 0,
-                port: 0,
-            });
+            a.check(
+                || false,
+                || AuditViolation::DeadPortGrant {
+                    cycle,
+                    router: 0,
+                    port: 0,
+                },
+            );
         }
-        let r = a.take_report();
+        let r = a.take_report().expect("an auditor always reports");
         assert_eq!(r.violations.len(), MAX_STORED);
         assert_eq!(r.dropped, 10);
         assert_eq!(r.total_violations(), MAX_STORED as u64 + 10);
         assert!(!r.is_clean());
         // taking resets
-        assert!(a.report().is_clean());
+        assert!(a.take_report().is_some_and(|r| r.is_clean()));
     }
 
     #[test]

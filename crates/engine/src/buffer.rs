@@ -80,11 +80,10 @@ impl VcFifo {
         self.q.push_back(pkt);
     }
 
-    /// [`Self::push`] without the flow-control assertion, for runs with
-    /// an engine mutation seam armed: a seeded credit defect makes
-    /// overflow an *expected* consequence that the runtime auditor — not
-    /// a panic — must detect and report.
-    #[cfg(feature = "mutate")]
+    /// [`Self::push`] without the flow-control assertion, for networks
+    /// whose hook answers [`crate::Hooks::tolerates_overflow`]: a seeded
+    /// credit defect makes overflow an *expected* consequence that the
+    /// runtime auditor — not a panic — must detect and report.
     #[inline]
     pub(crate) fn push_overflowing(&mut self, pkt: Packet, phits: u32) {
         self.occupancy += phits;

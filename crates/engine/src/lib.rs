@@ -20,8 +20,9 @@
 //! [`policy::Policy`] trait (see the `ofar-routing` crate for MIN,
 //! Valiant, Piggybacking, PAR, OFAR and OFAR-L).
 //!
-//! Under the `audit` cargo feature the engine can also police its own
-//! invariants at runtime — see the [`audit`] module.
+//! The engine can also police its own invariants at runtime: build the
+//! network with an [`Auditor`] as its [`Hooks`] parameter
+//! ([`Network::with_hooks`]) — see the [`hooks`] and [`audit`] modules.
 
 #![warn(missing_docs)]
 
@@ -30,8 +31,8 @@ pub mod buffer;
 pub mod config;
 pub mod fabric;
 pub mod fault;
+pub mod hooks;
 pub mod llr;
-#[cfg(feature = "mutate")]
 pub mod mutation;
 pub mod network;
 pub mod packet;
@@ -46,8 +47,8 @@ pub use audit::{AuditReport, AuditViolation, Auditor};
 pub use config::{ConfigError, RingMode, SimConfig};
 pub use fabric::{EscapeOut, Fabric, InDesc, OutLink, PortKind};
 pub use fault::{random_global_links, FaultEvent, FaultKind, FaultPlan, FaultState};
+pub use hooks::{Hooks, NoHooks};
 pub use llr::{crc32, Fate, Llr, RxVerdict};
-#[cfg(feature = "mutate")]
 pub use mutation::EngineMutation;
 pub use network::Network;
 pub use packet::{

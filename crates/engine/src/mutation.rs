@@ -1,24 +1,27 @@
-//! Flow-control fault seams for mutation testing (`feature = "mutate"`).
+//! The catalog of seeded flow-control defects for mutation testing.
 //!
 //! The mutation harness (`crates/mutate`) must be able to seed the exact
-//! class of defect the runtime auditor ([`crate::audit`]) claims to
-//! catch: credit-accounting skew and bubble flow-control erosion. Those
-//! defects live *inside* the engine's credit loop, so they cannot be
-//! expressed as a wrapper around a [`crate::Policy`] — instead the
-//! engine exposes, behind the `mutate` cargo feature, a small set of
-//! runtime-selectable faults injected at the two seams that matter:
+//! class of defect the runtime auditor ([`crate::audit`]) and the
+//! commutativity certifier (`ofar-race`) claim to catch: credit-
+//! accounting skew, bubble flow-control erosion, throttle bypass and
+//! shard-schedule leaks. Those defects live *inside* the engine's credit
+//! loop, so they cannot be expressed as a wrapper around a
+//! [`crate::Policy`]. They enter through the perturbation half of the
+//! [`Hooks`](crate::Hooks) seam instead — six points in `Network::step`
+//! (credit landing, arrival push, ring-entry eligibility, the injection
+//! throttle, the credit return and the effects commit) whose defaults
+//! are the correct engine.
 //!
-//! * the **credit-landing loop** in `deliver_events`, where returned
-//!   credits are added back to an output VC counter, and
-//! * the **bubble condition** in grant eligibility, where ring entry
-//!   requires space for two packets downstream (§IV-C).
-//!
-//! The seams are compiled out entirely without the feature; with it but
-//! with no mutation installed, each costs one `Option` check per credit
-//! event. Production builds never enable `mutate`.
+//! This module is only the catalog: each [`EngineMutation`] answers
+//! those six questions as pure functions. The hook that installs one on
+//! a network, counts its credit ticks and pairs it with an
+//! [`Auditor`](crate::Auditor) is `ofar_mutate::Mutated`; nothing in
+//! this crate ever constructs it, and a `Network<P>` built by
+//! [`Network::new`](crate::Network::new) cannot carry a mutation at all
+//! — its hook type is the zero-sized [`NoHooks`](crate::NoHooks).
 
-/// A seeded engine-level defect, installed via
-/// [`crate::Network::set_engine_mutation`].
+/// A seeded engine-level defect, installed on a network by the
+/// `ofar_mutate::Mutated` hook.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EngineMutation {
     /// Drop every `period`-th returned credit: the downstream buffer
@@ -80,25 +83,25 @@ impl EngineMutation {
     /// Apply this mutation to one landing credit event `(vc, phits)`,
     /// the `tick`-th credit event since the mutation was installed, on a
     /// port with `vcs` virtual channels. Returns the (possibly skewed)
-    /// `(vc, phits)` to actually land; `phits == 0` means the credit is
+    /// `(vc, phits)` to actually land; `None` means the credit is
     /// dropped.
-    pub(crate) fn skew_credit(self, vc: u8, phits: u32, tick: u64, vcs: usize) -> (u8, u32) {
+    pub fn skew_credit(self, vc: u8, phits: u32, tick: u64, vcs: usize) -> Option<(u8, u32)> {
         let hit = |period: u32| period > 0 && tick.is_multiple_of(u64::from(period.max(1)));
         match self {
-            EngineMutation::CreditLeak { period } if hit(period) => (vc, 0),
-            EngineMutation::CreditDouble { period } if hit(period) => (vc, phits * 2),
+            EngineMutation::CreditLeak { period } if hit(period) => None,
+            EngineMutation::CreditDouble { period } if hit(period) => Some((vc, phits * 2)),
             EngineMutation::EscapeVcSkew { period } if hit(period) && vcs > 1 => {
                 // lint:allow(P002, vc count bounded by config well below 256)
-                (((vc as usize + 1) % vcs) as u8, phits)
+                Some((((vc as usize + 1) % vcs) as u8, phits))
             }
-            _ => (vc, phits),
+            _ => Some((vc, phits)),
         }
     }
 
     /// The downstream space (in phits) required to grant a ring-entry
     /// request under this mutation, given the unmutated requirement of
     /// `2 * size` (the §IV-C bubble).
-    pub(crate) fn ring_need(self, size: u32) -> u32 {
+    pub fn ring_need(self, size: u32) -> u32 {
         match self {
             EngineMutation::RingBubbleSkip => size,
             _ => 2 * size,
@@ -106,19 +109,19 @@ impl EngineMutation {
     }
 
     /// Whether the congestion-management injection gate is bypassed.
-    pub(crate) fn bypass_throttle(self) -> bool {
+    pub fn bypass_throttle(self) -> bool {
         matches!(self, EngineMutation::ThrottleBypass)
     }
 
     /// Whether returned credits land on the upstream router directly
     /// from the parallel `route` phase (the reintroduced foreign write).
-    pub(crate) fn instant_credits(self) -> bool {
+    pub fn instant_credits(self) -> bool {
         matches!(self, EngineMutation::CreditInstant)
     }
 
     /// Whether `commit_effects` folds the ledger's push order into an
     /// engine counter (the order-sensitive fold).
-    pub(crate) fn folds_effect_order(self) -> bool {
+    pub fn folds_effect_order(self) -> bool {
         matches!(self, EngineMutation::EffectOrderFold)
     }
 
@@ -143,16 +146,16 @@ mod tests {
     #[test]
     fn skew_credit_hits_only_on_period() {
         let m = EngineMutation::CreditLeak { period: 3 };
-        assert_eq!(m.skew_credit(1, 4, 1, 2), (1, 4));
-        assert_eq!(m.skew_credit(1, 4, 2, 2), (1, 4));
-        assert_eq!(m.skew_credit(1, 4, 3, 2), (1, 0));
+        assert_eq!(m.skew_credit(1, 4, 1, 2), Some((1, 4)));
+        assert_eq!(m.skew_credit(1, 4, 2, 2), Some((1, 4)));
+        assert_eq!(m.skew_credit(1, 4, 3, 2), None);
         let d = EngineMutation::CreditDouble { period: 1 };
-        assert_eq!(d.skew_credit(0, 4, 7, 1), (0, 8));
+        assert_eq!(d.skew_credit(0, 4, 7, 1), Some((0, 8)));
         let s = EngineMutation::EscapeVcSkew { period: 1 };
-        assert_eq!(s.skew_credit(1, 4, 7, 3), (2, 4));
-        assert_eq!(s.skew_credit(2, 4, 7, 3), (0, 4));
+        assert_eq!(s.skew_credit(1, 4, 7, 3), Some((2, 4)));
+        assert_eq!(s.skew_credit(2, 4, 7, 3), Some((0, 4)));
         // single-VC ports cannot skew
-        assert_eq!(s.skew_credit(0, 4, 7, 1), (0, 4));
+        assert_eq!(s.skew_credit(0, 4, 7, 1), Some((0, 4)));
     }
 
     #[test]
@@ -173,7 +176,7 @@ mod tests {
             EngineMutation::CreditInstant,
             EngineMutation::EffectOrderFold,
         ] {
-            assert_eq!(m.skew_credit(1, 4, 3, 2), (1, 4));
+            assert_eq!(m.skew_credit(1, 4, 3, 2), Some((1, 4)));
             assert_eq!(m.ring_need(8), 16);
             assert!(!m.bypass_throttle());
         }
@@ -186,7 +189,7 @@ mod tests {
         // The bypass must not perturb the credit or bubble seams.
         assert_eq!(
             EngineMutation::ThrottleBypass.skew_credit(1, 4, 3, 2),
-            (1, 4)
+            Some((1, 4))
         );
         assert_eq!(EngineMutation::ThrottleBypass.ring_need(8), 16);
     }

@@ -10,9 +10,11 @@
 //! * routing decisions taken at the head of each input VC and revisited
 //!   every cycle until the packet is granted.
 
+use crate::audit::{AuditReport, AuditViolation};
 use crate::config::SimConfig;
 use crate::fabric::{Fabric, PortKind};
 use crate::fault::{FaultKind, FaultPlan, FaultState};
+use crate::hooks::{Hooks, NoHooks};
 use crate::llr::{Fate, Llr, RxVerdict};
 use crate::packet::{
     Packet, Request, RequestKind, FLAG_GLOBAL_MISROUTED, FLAG_LOCAL_MISROUTED, FLAG_ON_RING,
@@ -62,10 +64,9 @@ enum Effect {
     },
 }
 
-/// Mixing key of one ledger entry for the `EffectOrderFold` mutation
-/// seam: identifies the effect's target so the fold distinguishes
-/// ledger *orders*, not payloads.
-#[cfg(feature = "mutate")]
+/// Mixing key of one ledger entry for [`Hooks::folds_effect_order`]:
+/// identifies the effect's target so the fold distinguishes ledger
+/// *orders*, not payloads.
 fn effect_order_key(e: &Effect) -> u64 {
     let (tag, router, port, salt) = match e {
         Effect::Arrival {
@@ -84,8 +85,9 @@ fn effect_order_key(e: &Effect) -> u64 {
     (tag << 48) | (u64::from(router) << 24) | (u64::from(port) << 8) | (salt & 0xFF)
 }
 
-/// A network simulation bound to one routing [`Policy`].
-pub struct Network<P: Policy> {
+/// A network simulation bound to one routing [`Policy`] and one set of
+/// [`Hooks`] — [`NoHooks`] unless built through [`Self::with_hooks`].
+pub struct Network<P: Policy, H: Hooks = NoHooks> {
     fab: Fabric,
     routers: Vec<RouterStore>,
     policy: P,
@@ -130,17 +132,11 @@ pub struct Network<P: Policy> {
     /// Shard iteration order of the node-sharded `inject` phase; empty =
     /// identity. Same snapshot-blindness argument as `order_routers`.
     order_nodes: Vec<u32>, // lint:allow(S001, schedule is a harness knob; snapshots are schedule-blind by construction)
-    /// Runtime invariant auditor; `None` until [`Self::enable_audit`].
-    #[cfg(feature = "audit")]
-    auditor: Option<crate::audit::Auditor>, // lint:allow(S001, cfg-gated diagnostic harness; deliberately outside simulation snapshots)
-    /// Seeded flow-control defect (mutation testing only); `None` until
-    /// [`Self::set_engine_mutation`].
-    #[cfg(feature = "mutate")]
-    mutation: Option<crate::mutation::EngineMutation>,
-    /// Credit events seen since the mutation was installed (periodic
-    /// mutations key off this).
-    #[cfg(feature = "mutate")]
-    mutation_ticks: u64, // lint:allow(S001, cfg-gated diagnostic harness; deliberately outside simulation snapshots)
+    /// The instrumentation seam (see [`crate::hooks`]): invariant
+    /// observation and mutation-testing perturbation, zero-sized and
+    /// inert for [`NoHooks`]. Diagnostic harness state, deliberately
+    /// outside simulation snapshots.
+    hooks: H,
     // reusable scratch
     effects: Vec<Effect>,
     /// Deliveries completed this cycle, pushed in route-phase shard
@@ -284,6 +280,17 @@ impl<P: Policy> Network<P> {
     /// Build a network over a pre-built [`Fabric`] (e.g. with one of the
     /// alternative disjoint escape rings of §VII).
     pub fn with_fabric(fab: Fabric, policy: P) -> Self {
+        Self::with_hooks(fab, policy, NoHooks)
+    }
+}
+
+impl<P: Policy, H: Hooks> Network<P, H> {
+    /// Build an instrumented network: `hooks` observes (and, for the
+    /// mutation harness, perturbs) every cycle — see [`crate::hooks`].
+    /// Like [`std::collections::HashMap::with_hasher`] next to `new`,
+    /// this is the only constructor that names the second type
+    /// parameter; everything else infers [`NoHooks`].
+    pub fn with_hooks(fab: Fabric, policy: P, hooks: H) -> Self {
         assert!(
             !policy.needs_ring() || fab.escape(RouterId::new(0)).is_some(),
             "{} requires an escape ring (SimConfig::ring)",
@@ -328,12 +335,7 @@ impl<P: Policy> Network<P> {
             delivered_per_src: vec![0; nodes],
             order_routers: Vec::new(),
             order_nodes: Vec::new(),
-            #[cfg(feature = "audit")]
-            auditor: None,
-            #[cfg(feature = "mutate")]
-            mutation: None,
-            #[cfg(feature = "mutate")]
-            mutation_ticks: 0,
+            hooks,
             effects: Vec::with_capacity(256),
             delivered_now: Vec::new(),
             reqs: Vec::with_capacity(n_in * 4),
@@ -565,64 +567,14 @@ impl<P: Policy> Network<P> {
         all
     }
 
-    // ----- mutation-testing fault seams (feature `mutate`) --------------
-
-    /// Install (or clear) a seeded flow-control defect. See
-    /// [`crate::mutation::EngineMutation`] for the catalog; used only by
-    /// the mutation-testing harness to measure auditor coverage.
-    #[cfg(feature = "mutate")]
-    pub fn set_engine_mutation(&mut self, mutation: Option<crate::mutation::EngineMutation>) {
-        self.mutation = mutation;
-        self.mutation_ticks = 0;
-    }
-
-    /// Downstream space a ring-entry grant must see: the §IV-C bubble
-    /// (two packets), unless a seeded mutation erodes it.
-    fn ring_entry_need(&self, size: u32) -> u32 {
-        #[cfg(feature = "mutate")]
-        if let Some(m) = self.mutation {
-            return m.ring_need(size);
-        }
-        2 * size
-    }
-
-    // ----- runtime invariant auditing (feature `audit`) -----------------
-
-    /// Start auditing runtime invariants with the default deep-check
-    /// cadence. The fast checks mirror the hot-path `debug_assert!`s
-    /// (credit overflow, ring-membership transitions, dead-port grants,
-    /// injection VC range); the deep checks walk the whole network
-    /// (phit/credit conservation, occupancy bounds, ring bubble) every
-    /// [`crate::audit::Auditor::DEFAULT_DEEP_INTERVAL`] cycles.
-    #[cfg(feature = "audit")]
-    pub fn enable_audit(&mut self) {
-        self.auditor = Some(crate::audit::Auditor::new());
-    }
-
-    /// [`Self::enable_audit`] with an explicit deep-check interval
-    /// (0 disables the deep checks, 1 runs them every cycle).
-    #[cfg(feature = "audit")]
-    pub fn enable_audit_with_interval(&mut self, interval: u64) {
-        self.auditor = Some(crate::audit::Auditor::with_deep_interval(interval));
-    }
-
-    /// The audit report accumulated so far, if auditing is enabled.
-    #[cfg(feature = "audit")]
-    pub fn audit_report(&self) -> Option<&crate::audit::AuditReport> {
-        self.auditor.as_ref().map(crate::audit::Auditor::report)
-    }
-
-    /// Run the deep checks right now (regardless of cadence) and take
-    /// the accumulated report, resetting the auditor.
-    #[cfg(feature = "audit")]
-    pub fn take_audit_report(&mut self) -> Option<crate::audit::AuditReport> {
-        if self.auditor.is_some() {
-            let now = self.now;
-            self.deep_audit(now);
-        }
-        self.auditor
-            .as_mut()
-            .map(crate::audit::Auditor::take_report)
+    /// The hooks' accumulated report plus a final deep pass run right
+    /// now (regardless of cadence), resetting the accumulator; `None`
+    /// when the hooks record nothing ([`NoHooks`]).
+    pub fn take_audit_report(&mut self) -> Option<AuditReport> {
+        let mut report = self.hooks.take_report()?;
+        let (checks, violations) = self.deep_audit(self.now);
+        report.deep(checks, violations);
+        Some(report)
     }
 
     // ----- fault injection (§VII) ---------------------------------------
@@ -916,9 +868,9 @@ impl<P: Policy> Network<P> {
         // ofar-lint: phase(effect_commit, commit)
         self.commit_effects();
         // ofar-lint: phase(audit, commit)
-        #[cfg(feature = "audit")]
-        if self.auditor.as_ref().is_some_and(|a| a.deep_due(now)) {
-            self.deep_audit(now);
+        if self.hooks.deep_due(now) {
+            let (checks, violations) = self.deep_audit(now);
+            self.hooks.deep_report(checks, violations);
         }
         // ofar-lint: phase(policy_end, commit)
         let snap = NetSnapshot::new(&self.fab, now, &self.routers, &self.faults);
@@ -947,12 +899,7 @@ impl<P: Policy> Network<P> {
         let stats = &mut self.stats;
         let cm = &mut self.cm;
         let effects = &mut self.effects;
-        #[cfg(feature = "audit")]
-        let auditor = &mut self.auditor;
-        #[cfg(feature = "mutate")]
-        let mutation = self.mutation;
-        #[cfg(feature = "mutate")]
-        let mutation_ticks = &mut self.mutation_ticks;
+        let hooks = &mut self.hooks;
         let order = &self.order_routers;
         for i in 0..self.routers.len() {
             // Empty order = identity (release fast path): shard i is
@@ -1029,37 +976,29 @@ impl<P: Policy> Network<P> {
                     }
                     // Arrival-side mirror of the credit mechanism: flow
                     // control must have reserved this space upstream.
-                    #[cfg(feature = "audit")]
-                    if let Some(a) = auditor.as_mut() {
-                        let fifo = &input.vcs[vc as usize];
-                        if fifo.fits(size) {
-                            a.count(1);
-                        } else {
-                            a.record(crate::audit::AuditViolation::BufferOverflow {
-                                cycle: now,
-                                router: ridx as u32,
-                                port: port as u16,
-                                vc,
-                                occupancy: fifo.occupancy(),
-                                capacity: fifo.capacity(),
-                            });
-                        }
-                    }
-                    #[cfg(feature = "mutate")]
-                    if mutation.is_some() {
+                    let fifo = &mut input.vcs[vc as usize];
+                    hooks.check(
+                        || fifo.fits(size),
+                        || AuditViolation::BufferOverflow {
+                            cycle: now,
+                            router: ridx as u32,
+                            port: port as u16,
+                            vc,
+                            occupancy: fifo.occupancy(),
+                            capacity: fifo.capacity(),
+                        },
+                    );
+                    if hooks.tolerates_overflow() {
                         // A seeded credit defect may legitimately
-                        // oversubscribe the buffer; the auditor above
+                        // oversubscribe the buffer; the check above
                         // recorded it, so land the packet anyway.
-                        input.vcs[vc as usize].push_overflowing(pkt, size);
+                        fifo.push_overflowing(pkt, size);
                     } else {
-                        input.vcs[vc as usize].push(pkt, size);
+                        fifo.push(pkt, size);
                     }
-                    #[cfg(not(feature = "mutate"))]
-                    input.vcs[vc as usize].push(pkt, size);
                 }
             }
-            #[cfg_attr(not(feature = "audit"), allow(clippy::unused_enumerate_index))]
-            for (_port, output) in router.outputs.iter_mut().enumerate() {
+            for (port, output) in router.outputs.iter_mut().enumerate() {
                 while let Some(&(at, vc, phits)) = output.credit_events.front() {
                     if at > now {
                         break;
@@ -1069,45 +1008,29 @@ impl<P: Policy> Network<P> {
                     // drop, double or re-VC this landing so the auditor's
                     // conservation checks can be exercised against real
                     // in-engine defects.
-                    #[cfg(feature = "mutate")]
-                    let (vc, phits) = match mutation {
-                        Some(m) => {
-                            *mutation_ticks += 1;
-                            m.skew_credit(vc, phits, *mutation_ticks, output.credits.len())
-                        }
-                        None => (vc, phits),
-                    };
-                    #[cfg(feature = "mutate")]
-                    if phits == 0 {
+                    let Some((vc, phits)) = hooks.skew_credit(vc, phits, output.credits.len())
+                    else {
                         continue; // the seeded leak: credit never lands
-                    }
+                    };
                     let cap = output.capacity[vc as usize];
                     let c = &mut output.credits[vc as usize];
                     *c += phits;
                     if let Some(cm) = cm.as_mut() {
                         cm.free[ridx] += u64::from(phits);
                     }
-                    #[cfg(feature = "mutate")]
-                    debug_assert!(mutation.is_some() || *c <= cap, "credit overflow");
-                    #[cfg(not(feature = "mutate"))]
-                    debug_assert!(*c <= cap, "credit overflow");
-                    // Release form of the assert above: a counter past
-                    // the downstream capacity means a double credit.
-                    #[cfg(feature = "audit")]
-                    if let Some(a) = auditor.as_mut() {
-                        if *c <= cap {
-                            a.count(1);
-                        } else {
-                            a.record(crate::audit::AuditViolation::CreditOverflow {
-                                cycle: now,
-                                router: ridx as u32,
-                                port: _port as u16,
-                                vc,
-                                credits: *c,
-                                capacity: cap,
-                            });
-                        }
-                    }
+                    // A counter past the downstream capacity means a
+                    // double credit.
+                    hooks.check(
+                        || *c <= cap,
+                        || AuditViolation::CreditOverflow {
+                            cycle: now,
+                            router: ridx as u32,
+                            port: port as u16,
+                            vc,
+                            credits: *c,
+                            capacity: cap,
+                        },
+                    );
                 }
             }
         }
@@ -1125,10 +1048,7 @@ impl<P: Policy> Network<P> {
     fn inject(&mut self, now: u64) {
         let size = self.fab.cfg().packet_size as u32;
         let p = self.fab.cfg().params.p;
-        #[cfg(feature = "mutate")]
-        let bypass = self.mutation.is_some_and(|m| m.bypass_throttle());
-        #[cfg(not(feature = "mutate"))]
-        let bypass = false;
+        let bypass = self.hooks.bypass_throttle();
         let need = size * CM_TOKEN_SCALE;
         for i in 0..self.src_q.len() {
             let node = if self.order_nodes.is_empty() {
@@ -1151,22 +1071,19 @@ impl<P: Policy> Network<P> {
             let view = RouterView::new(&self.fab, router, now, &store.outputs, &self.faults);
             let pkt = self.src_q[node].front_mut().unwrap();
             let vc = self.policy.on_inject(&view, pkt);
-            debug_assert!(vc < store.inputs[port].vcs.len());
-            // Release form of the assert above: an out-of-range pick
-            // would corrupt an unrelated VC, so it is also skipped.
-            #[cfg(feature = "audit")]
-            if let Some(a) = self.auditor.as_mut() {
-                if vc < store.inputs[port].vcs.len() {
-                    a.count(1);
-                } else {
-                    a.record(crate::audit::AuditViolation::InjectionVcRange {
-                        cycle: now,
-                        node: node as u32,
-                        vc,
-                        vcs: store.inputs[port].vcs.len(),
-                    });
-                    continue;
-                }
+            // An out-of-range pick would index past the injection
+            // buffer, so a recording hook skips the injection as well.
+            let vcs = store.inputs[port].vcs.len();
+            if !self.hooks.check(
+                || vc < vcs,
+                || AuditViolation::InjectionVcRange {
+                    cycle: now,
+                    node: node as u32,
+                    vc,
+                    vcs,
+                },
+            ) {
+                continue;
             }
             if store.inputs[port].vcs[vc].fits(size) {
                 let pkt = self.src_q[node].pop_front().unwrap();
@@ -1282,7 +1199,7 @@ impl<P: Policy> Network<P> {
     // lint:allow(P002, port/vc/candidate indices bounded by fabric radix and VC count) lint:allow(R003, policy.route mutates per-mechanism state only; serialized per worker replica in the parallel plan)
     fn route_and_allocate(&mut self, ridx: usize, now: u64) {
         let size = self.fab.cfg().packet_size as u32;
-        let ring_need = self.ring_entry_need(size);
+        let ring_need = self.hooks.ring_entry_need(size);
         let router = RouterId::from(ridx);
 
         // --- collect one request per head-of-VC packet ---
@@ -1397,8 +1314,6 @@ impl<P: Policy> Network<P> {
         // --- execute grants ---
         for gi in 0..self.grants.len() {
             let (in_port, vc, req) = self.grants[gi];
-            #[cfg(feature = "audit")]
-            self.audit_grant(ridx, in_port as usize, vc as usize, req, now);
             self.execute_grant(ridx, in_port as usize, vc as usize, req, now);
         }
     }
@@ -1413,9 +1328,7 @@ impl<P: Policy> Network<P> {
     /// the submission order either way.
     fn commit_effects(&mut self) {
         let llr = &mut self.llr;
-        #[cfg(feature = "mutate")]
-        let fold = self.mutation.is_some_and(|m| m.folds_effect_order());
-        #[cfg(feature = "mutate")]
+        let fold = self.hooks.folds_effect_order();
         let mut fold_acc = 0u64;
         for e in self.effects.drain(..) {
             // Seeded race defect (`EngineMutation::EffectOrderFold`): a
@@ -1423,11 +1336,10 @@ impl<P: Policy> Network<P> {
             // applied per-queue state stays correct; only the folded
             // value — later mixed into a serialized counter — leaks the
             // shard schedule into the snapshot. This is the defect
-            // class R006 forbids statically (waived here as a cfg-gated
-            // seam) and `ofar-race` must kill dynamically.
-            #[cfg(feature = "mutate")]
+            // class R006 forbids statically (waived here as a hook-
+            // gated seam) and `ofar-race` must kill dynamically.
             if fold {
-                // lint:allow(R006, cfg-gated mutation seam; the order-sensitive fold is the seeded defect the race certifier must catch)
+                // lint:allow(R006, hook-gated mutation seam; the order-sensitive fold is the seeded defect the race certifier must catch)
                 fold_acc = fold_acc.wrapping_mul(31).wrapping_add(effect_order_key(&e));
             }
             match e {
@@ -1476,7 +1388,6 @@ impl<P: Policy> Network<P> {
                 }
             }
         }
-        #[cfg(feature = "mutate")]
         if fold {
             // Mix the order fold into a snapshot-covered counter so the
             // ledger order becomes externally observable state.
@@ -1514,66 +1425,13 @@ impl<P: Policy> Network<P> {
         out.credits[req.out_vc as usize] >= need
     }
 
-    /// Pre-grant audit: the release form of `execute_grant`'s ring-
-    /// membership `debug_assert!`s, plus the no-grant-to-dead-port rule.
-    /// Reads only — runs before the grant mutates anything.
-    #[cfg(feature = "audit")]
-    // lint:allow(P001, auditor presence checked at fn entry) lint:allow(P002, audit record fields bounded by fabric dimensions)
-    fn audit_grant(&mut self, ridx: usize, in_port: usize, vc: usize, req: Request, now: u64) {
-        use crate::audit::AuditViolation;
-        if self.auditor.is_none() {
-            return;
-        }
-        let head = self.routers[ridx].inputs[in_port].vcs[vc]
-            .head()
-            .map(|p| (p.id, p.on_ring()));
-        let Some((packet, on_ring)) = head else {
-            return;
-        };
-        let link_up = self.faults.link_up(ridx, req.out_port as usize);
-        let a = self.auditor.as_mut().expect("checked above");
-        if link_up {
-            a.count(1);
-        } else {
-            // Dead outputs are filtered at request collection, so this
-            // firing means a liveness change raced past the filter.
-            a.record(AuditViolation::DeadPortGrant {
-                cycle: now,
-                router: ridx as u32,
-                port: req.out_port,
-            });
-        }
-        let expected = match req.kind {
-            RequestKind::RingEnter => Some(("enter", false)),
-            RequestKind::RingAdvance => Some(("advance", true)),
-            RequestKind::RingExit => Some(("exit", true)),
-            _ => None,
-        };
-        if let Some((transition, want_on_ring)) = expected {
-            if on_ring == want_on_ring {
-                a.count(1);
-            } else {
-                a.record(AuditViolation::RingMembership {
-                    cycle: now,
-                    router: ridx as u32,
-                    transition,
-                    packet,
-                    on_ring,
-                });
-            }
-        }
-    }
-
-    /// The whole-network conservation checks (cadenced by the auditor's
-    /// deep interval): phit conservation, per-link credit conservation,
-    /// occupancy bounds and the escape-ring bubble invariant.
-    #[cfg(feature = "audit")]
-    // lint:allow(H001, audit-only sweep; runs at audit intervals and off in release measurement runs) lint:allow(P002, audit record fields bounded by fabric dimensions) lint:allow(P001, auditor presence checked at fn entry)
-    fn deep_audit(&mut self, now: u64) {
-        use crate::audit::AuditViolation;
-        if self.auditor.is_none() {
-            return;
-        }
+    /// The whole-network conservation checks (cadenced by
+    /// [`Hooks::deep_due`]): phit conservation, per-link credit
+    /// conservation, occupancy bounds and the escape-ring bubble
+    /// invariant. Returns the number of invariants evaluated and the
+    /// ones that failed.
+    // lint:allow(H001, audit-only sweep; runs at audit intervals and never under NoHooks) lint:allow(P002, audit record fields bounded by fabric dimensions)
+    fn deep_audit(&self, now: u64) -> (u64, Vec<AuditViolation>) {
         let size = self.fab.cfg().packet_size as u64;
         let mut checks = 0u64;
         let mut viols: Vec<AuditViolation> = Vec::new();
@@ -1752,23 +1610,7 @@ impl<P: Policy> Network<P> {
             }
         }
 
-        let a = self.auditor.as_mut().expect("checked above");
-        a.count(checks - viols.len() as u64);
-        for v in viols {
-            a.record(v);
-        }
-    }
-
-    /// Whether the credit return travels through the effects ledger
-    /// (always, unless the `CreditInstant` race seam is installed).
-    #[inline]
-    fn credit_deferred(&self) -> bool {
-        #[cfg(feature = "mutate")]
-        {
-            !self.mutation.is_some_and(|m| m.instant_credits())
-        }
-        #[cfg(not(feature = "mutate"))]
-        true
+        (checks, viols)
     }
 
     /// The `CreditInstant` seam body: add the returned phits to the
@@ -1776,7 +1618,6 @@ impl<P: Policy> Network<P> {
     /// no ledger). Deliberately a defect — the §IV-style credit loop is
     /// what the commutativity certifier must prove schedule-blind, and
     /// this write is visible to any shard scheduled after the caller.
-    #[cfg(feature = "mutate")]
     fn land_credit_instantly(&mut self, router: u32, port: u16, vc: u8, phits: u32) {
         let out = &mut self.routers[router as usize].outputs[port as usize];
         out.credits[vc as usize] += phits;
@@ -1789,7 +1630,19 @@ impl<P: Policy> Network<P> {
     fn execute_grant(&mut self, ridx: usize, in_port: usize, vc: usize, req: Request, now: u64) {
         let size = self.fab.cfg().packet_size as u32;
         let router = RouterId::from(ridx);
-        let deferred = self.credit_deferred();
+        // The credit return travels through the effects ledger — always,
+        // unless the `CreditInstant` race seam is installed.
+        let deferred = !self.hooks.instant_credits();
+        // Dead outputs are filtered at request collection, so this
+        // firing means a liveness change raced past the filter.
+        self.hooks.check(
+            || self.faults.link_up(ridx, req.out_port as usize),
+            || AuditViolation::DeadPortGrant {
+                cycle: now,
+                router: ridx as u32,
+                port: req.out_port,
+            },
+        );
         let store = &mut self.routers[ridx];
         let mut pkt = store.inputs[in_port].vcs[vc].pop(size);
         pkt.wait = 0; // the head-blocked counter restarts at the next hop
@@ -1816,8 +1669,18 @@ impl<P: Policy> Network<P> {
             });
         }
 
-        // Header-flag and ring bookkeeping (§IV-A, §IV-C).
+        // Header-flag and ring bookkeeping (§IV-A, §IV-C). A ring
+        // transition must find the packet in the matching membership
+        // state: off the ring to enter, on it to advance or exit.
         let was_on_ring = pkt.on_ring();
+        let packet = pkt.id;
+        let membership = |transition| AuditViolation::RingMembership {
+            cycle: now,
+            router: ridx as u32,
+            transition,
+            packet,
+            on_ring: was_on_ring,
+        };
         match req.kind {
             RequestKind::Minimal | RequestKind::Eject => {}
             RequestKind::MisrouteLocal => {
@@ -1829,40 +1692,36 @@ impl<P: Policy> Network<P> {
                 self.stats.global_misroutes += 1;
             }
             RequestKind::RingEnter => {
-                debug_assert!(!was_on_ring);
+                self.hooks.check(|| !was_on_ring, || membership("enter"));
                 // §IV-C bubble, re-checked per grant: every ring entry
                 // must see two packets of downstream room. The deep
                 // `BubbleLost` check only notices once the whole ring
                 // has wedged; this fast check catches the first eroded
                 // admission. Credits are still undecremented here.
-                #[cfg(feature = "audit")]
-                if let Some(a) = self.auditor.as_mut() {
-                    let credits = store.outputs[req.out_port as usize].credits[req.out_vc as usize];
-                    if credits < 2 * size {
-                        a.record(crate::audit::AuditViolation::RingEnterNoBubble {
-                            cycle: now,
-                            router: ridx as u32,
-                            port: req.out_port,
-                            vc: req.out_vc,
-                            credits,
-                            required: 2 * size,
-                        });
-                    } else {
-                        a.count(1);
-                    }
-                }
+                let credits = || store.outputs[req.out_port as usize].credits[req.out_vc as usize];
+                self.hooks.check(
+                    || credits() >= 2 * size,
+                    || AuditViolation::RingEnterNoBubble {
+                        cycle: now,
+                        router: ridx as u32,
+                        port: req.out_port,
+                        vc: req.out_vc,
+                        credits: credits(),
+                        required: 2 * size,
+                    },
+                );
                 pkt.set(FLAG_ON_RING);
                 self.stats.ring_entries += 1;
             }
             RequestKind::RingAdvance => {
-                debug_assert!(was_on_ring);
+                self.hooks.check(|| was_on_ring, || membership("advance"));
                 self.stats.ring_advances += 1;
             }
             RequestKind::RingExit => {
                 // `ring_exits_left` may already be 0 for an *emergency*
                 // exit from a ring that died under the packet (§VII);
                 // normal exits are budgeted by the policy.
-                debug_assert!(was_on_ring);
+                self.hooks.check(|| was_on_ring, || membership("exit"));
                 pkt.clear(FLAG_ON_RING);
                 pkt.ring_exits_left = pkt.ring_exits_left.saturating_sub(1);
                 self.stats.ring_exits += 1;
@@ -1917,22 +1776,16 @@ impl<P: Policy> Network<P> {
                 // second ejection of one id means the protocol leaked.
                 if let Some(llr) = self.llr.as_mut() {
                     // lint:allow(R001, mark_delivered touches the global exactly-once dedup set; keyed by packet id and mergeable as set union)
-                    if llr.mark_delivered(pkt.id) {
-                        self.stats.duplicate_deliveries += 1;
-                        #[cfg(feature = "audit")]
-                        if let Some(a) = self.auditor.as_mut() {
-                            a.record(crate::audit::AuditViolation::DuplicateDelivery {
-                                cycle: now,
-                                router: ridx as u32,
-                                packet: pkt.id,
-                            });
-                        }
-                    } else {
-                        #[cfg(feature = "audit")]
-                        if let Some(a) = self.auditor.as_mut() {
-                            a.count(1);
-                        }
-                    }
+                    let duplicate = llr.mark_delivered(pkt.id);
+                    self.stats.duplicate_deliveries += u64::from(duplicate);
+                    self.hooks.check(
+                        || !duplicate,
+                        || AuditViolation::DuplicateDelivery {
+                            cycle: now,
+                            router: ridx as u32,
+                            packet: pkt.id,
+                        },
+                    );
                 }
             }
             RequestKind::RingEnter | RequestKind::RingAdvance => {
@@ -1968,7 +1821,6 @@ impl<P: Policy> Network<P> {
         // instead of riding the ledger. Whether the upstream router's
         // own allocation turn this cycle sees it depends on the shard
         // schedule — the divergence `ofar-race` exists to catch.
-        #[cfg(feature = "mutate")]
         if desc.up_router != u32::MAX && !deferred {
             self.land_credit_instantly(desc.up_router, desc.up_port, vc as u8, size);
         }
@@ -2214,7 +2066,7 @@ use crate::snapshot::{self, decode_packet, encode_packet, Dec, Enc, SnapshotErro
 /// beyond any real run, far below an allocation bomb.
 const SNAP_QUEUE_BOUND: usize = 1 << 24;
 
-impl<P: Policy> Network<P> {
+impl<P: Policy, H: Hooks> Network<P, H> {
     /// Serialize the complete live state into a self-describing snapshot
     /// (see [`crate::snapshot`] for the format). Must be called at a
     /// step boundary — between [`Self::step`] calls — where the

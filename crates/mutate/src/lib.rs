@@ -20,16 +20,19 @@
 //!
 //! Entry points: [`KillMatrix::run`] for the whole matrix,
 //! [`run_mutant`] for one pair, [`MutantPolicy`] to build a single
-//! defective policy for ad-hoc experiments.
+//! defective policy and [`Mutated`] a single defective engine for
+//! ad-hoc experiments.
 
 #![warn(missing_docs)]
 
+mod hook;
 mod lint_oracle;
 mod matrix;
 mod mutant;
 mod operator;
 mod oracle;
 
+pub use hook::Mutated;
 pub use matrix::{covered, pairs, KillMatrix, MECHANISMS};
 pub use mutant::MutantPolicy;
 pub use operator::{MutationOp, OpCategory};

@@ -15,8 +15,9 @@
 //! * [`OpCategory::Config`] — the `SimConfig` is skewed past a proof
 //!   precondition (ring depth, ring presence, ladder width);
 //! * [`OpCategory::Engine`] — the engine's own flow control is mutated
-//!   behind the `cfg(feature = "mutate")` seam
-//!   ([`ofar_engine::EngineMutation`]);
+//!   through its hook seam: the network is built with a
+//!   [`crate::Mutated`] hook carrying one
+//!   [`ofar_engine::EngineMutation`];
 //! * [`OpCategory::Source`] — the engine's *source text* is mutated and
 //!   re-analyzed: a phase-discipline break the single-threaded engine
 //!   still simulates correctly, observable only to the static lint

@@ -31,10 +31,10 @@
 //! *all* the detectors a defect trips, not just the first.
 
 use crate::operator::{MutationOp, OpCategory};
-use crate::MutantPolicy;
+use crate::{MutantPolicy, Mutated};
 use ofar_analyze::race::{self, CertifyOutcome, InjectFn, RaceConfig, Witness};
 use ofar_core::{burst_net, RunConfig, StallKind};
-use ofar_engine::{EngineMutation, Network, Policy, RingMode, SimConfig};
+use ofar_engine::{Auditor, EngineMutation, Fabric, Hooks, Network, Policy, RingMode, SimConfig};
 use ofar_routing::{ClassEdge, ClassId, DependencyDecl, EdgeWhy, MechanismDeps, MechanismKind};
 use ofar_topology::Dragonfly;
 use ofar_traffic::{Bernoulli, TrafficGen, TrafficSpec};
@@ -188,10 +188,20 @@ fn mutate_decl(op: MutationOp, decl: &MechanismDeps) -> MechanismDeps {
     decl
 }
 
-/// Run the two dynamic oracles: an audited adversarial burst over a
-/// caller-prepared network. Returns `(audit, watchdog)` verdicts.
-fn dynamic_verdicts<P: Policy>(net: &mut Network<P>, seed: u64) -> (OracleVerdict, OracleVerdict) {
-    net.enable_audit_with_interval(AUDIT_INTERVAL);
+/// A network whose hooks are the runtime auditor at the harness's deep
+/// cadence — the host of every mutant whose defect is not in the engine.
+fn audited<P: Policy>(cfg: SimConfig, policy: P) -> Network<P, Auditor> {
+    let hooks = Auditor::with_deep_interval(AUDIT_INTERVAL);
+    Network::with_hooks(Fabric::new(cfg), policy, hooks)
+}
+
+/// Run the two dynamic oracles: an adversarial burst over a
+/// caller-prepared network with auditing hooks. Returns
+/// `(audit, watchdog)` verdicts.
+fn dynamic_verdicts<P: Policy, H: Hooks>(
+    net: &mut Network<P, H>,
+    seed: u64,
+) -> (OracleVerdict, OracleVerdict) {
     let result = burst_net(
         net,
         &TrafficSpec::adversarial(1),
@@ -199,14 +209,7 @@ fn dynamic_verdicts<P: Policy>(net: &mut Network<P>, seed: u64) -> (OracleVerdic
         seed,
         RunConfig::default(),
     );
-    // `burst_net` only attaches the report when `ofar-core` itself is
-    // built with auditing; this harness enables the *engine* auditor
-    // directly, so pull the report off the network.
-    let report = result
-        .audit
-        .or_else(|| net.take_audit_report())
-        .unwrap_or_default();
-    let audit = audit_verdict(report);
+    let audit = audit_verdict(result.audit.unwrap_or_default());
     let watchdog = match result.stall {
         None => OracleVerdict::Pass,
         Some(stall) => OracleVerdict::Fail {
@@ -240,8 +243,10 @@ fn audit_verdict(report: ofar_engine::AuditReport) -> OracleVerdict {
 /// with the deep auditor enabled, and a per-window delivery-rate
 /// watchdog instead of the burst runner's zero-drain triggers. Returns
 /// `(audit, rate-watchdog)` verdicts.
-fn overload_verdicts<P: Policy>(net: &mut Network<P>, seed: u64) -> (OracleVerdict, OracleVerdict) {
-    net.enable_audit_with_interval(AUDIT_INTERVAL);
+fn overload_verdicts<P: Policy, H: Hooks>(
+    net: &mut Network<P, H>,
+    seed: u64,
+) -> (OracleVerdict, OracleVerdict) {
     let topo = *net.fabric().topo();
     let mut gen = TrafficGen::new(&topo, TrafficSpec::adversarial(1), seed.wrapping_add(1));
     let mut bern = Bernoulli::new(
@@ -298,11 +303,10 @@ fn overload_verdicts<P: Policy>(net: &mut Network<P>, seed: u64) -> (OracleVerdi
 /// (closed-loop, seed-invariant up to destination choice) and the entry
 /// count makes it checkable. The run then continues to
 /// [`OVERLOAD_CYCLES`] so the deep auditor sweeps the drain as well.
-fn wave_admission_verdicts<P: Policy>(
-    net: &mut Network<P>,
+fn wave_admission_verdicts<P: Policy, H: Hooks>(
+    net: &mut Network<P, H>,
     seed: u64,
 ) -> (OracleVerdict, OracleVerdict) {
-    net.enable_audit_with_interval(AUDIT_INTERVAL);
     let topo = *net.fabric().topo();
     let mut gen = TrafficGen::new(&topo, TrafficSpec::adversarial(1), seed.wrapping_add(1));
     for node in 0..net.num_nodes() {
@@ -355,12 +359,13 @@ fn race_verdict(op: MutationOp, kind: MechanismKind, cfg: &SimConfig, seed: u64)
     let topo = Dragonfly::new(cfg.params);
     let mutation = engine_mutation(op);
     let build = move || {
-        let mut net = Network::new(cfg, kind.build(&cfg, rc.seed));
-        net.set_engine_mutation(Some(mutation));
+        // Deep checks off: only the snapshots are compared here.
+        let hooks = Mutated::new(mutation, 0);
+        let net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, rc.seed), hooks);
         let mut gen = TrafficGen::new(&topo, TrafficSpec::adversarial(1), rc.seed + 1);
         let mut bern = Bernoulli::new(0.7, cfg.packet_size, rc.seed + 2);
         let nodes = net.num_nodes();
-        let inject: InjectFn<ofar_routing::Mechanism> = Box::new(move |net, _cycle| {
+        let inject: InjectFn<ofar_routing::Mechanism, Mutated> = Box::new(move |net, _cycle| {
             bern.cycle(nodes, |src| {
                 let dst = gen.destination(src);
                 net.generate(src, dst);
@@ -467,7 +472,7 @@ pub fn run_mutant(
                     },
                 };
             verdicts.push((OracleKind::Conformance, conf));
-            let mut net = Network::new(cfg, MutantPolicy::new(op, kind, &cfg, seed));
+            let mut net = audited(cfg, MutantPolicy::new(op, kind, &cfg, seed));
             let (audit, watchdog) = if op == MutationOp::RingAdmitAlways {
                 // Guard-off OFAR is deadlock-free (the bubble holds), so
                 // the closed-loop burst cannot kill it; the wave
@@ -536,8 +541,8 @@ pub fn run_mutant(
             } else {
                 kind.build(&cfg, seed)
             };
-            let mut net = Network::new(cfg, policy);
-            net.set_engine_mutation(Some(engine_mutation(op)));
+            let hooks = Mutated::new(engine_mutation(op), AUDIT_INTERVAL);
+            let mut net = Network::with_hooks(Fabric::new(cfg), policy, hooks);
             // The token law only has something to say while buckets run
             // dry, which a drained burst stops exercising after a few
             // hundred cycles — the throttle seam gets the sustained
@@ -643,7 +648,7 @@ mod tests {
             }),
             None,
         );
-        let mut net = Network::new(cfg, twin);
+        let mut net = audited(cfg, twin);
         let (audit, watchdog) = wave_admission_verdicts(&mut net, 7);
         assert!(matches!(audit, OracleVerdict::Pass), "audit: {audit:?}");
         assert!(

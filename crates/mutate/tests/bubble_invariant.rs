@@ -12,13 +12,14 @@
 //! is the only relief valve for a blocked head).
 
 use ofar_core::{burst_net, RunConfig};
-use ofar_engine::{AuditViolation, EngineMutation, Network, SimConfig};
+use ofar_engine::{AuditViolation, Auditor, EngineMutation, Fabric, Hooks, Network, SimConfig};
+use ofar_mutate::Mutated;
 use ofar_routing::{MechanismKind, MisrouteThreshold, OfarConfig};
 use ofar_traffic::TrafficSpec;
 
 /// OFAR with the ring as the only relief valve, over the
-/// mechanism-adapted paper config at h=2.
-fn ring_hostile_net(mutation: Option<EngineMutation>) -> Network<impl ofar_engine::Policy> {
+/// mechanism-adapted paper config at h=2, instrumented with `hooks`.
+fn ring_hostile_net<H: Hooks>(hooks: H) -> Network<impl ofar_engine::Policy, H> {
     let kind = MechanismKind::Ofar;
     let cfg = kind.adapt_config(SimConfig::paper(2));
     let policy = kind.build_tuned(
@@ -34,15 +35,12 @@ fn ring_hostile_net(mutation: Option<EngineMutation>) -> Network<impl ofar_engin
         }),
         None,
     );
-    let mut net = Network::new(cfg, policy);
-    net.set_engine_mutation(mutation);
-    net.enable_audit_with_interval(8);
-    net
+    Network::with_hooks(Fabric::new(cfg), policy, hooks)
 }
 
 #[test]
 fn eroded_bubble_is_caught_at_the_first_bad_admission() {
-    let mut net = ring_hostile_net(Some(EngineMutation::RingBubbleSkip));
+    let mut net = ring_hostile_net(Mutated::new(EngineMutation::RingBubbleSkip, 8));
     let result = burst_net(
         &mut net,
         &TrafficSpec::adversarial(1),
@@ -54,12 +52,7 @@ fn eroded_bubble_is_caught_at_the_first_bad_admission() {
         result.stats.ring_entries > 0,
         "workload must exercise the ring for the seam to matter"
     );
-    // When `ofar-core/audit` is on, `burst_net` already drained the
-    // report into the result; otherwise it is still in the network.
-    let report = result
-        .audit
-        .or_else(|| net.take_audit_report())
-        .expect("audit armed");
+    let report = result.audit.expect("audit armed");
     assert!(!report.is_clean(), "eroded admissions must be reported");
     let v = report
         .violations
@@ -78,7 +71,7 @@ fn eroded_bubble_is_caught_at_the_first_bad_admission() {
 
 #[test]
 fn healthy_engine_enters_the_ring_without_violations() {
-    let mut net = ring_hostile_net(None);
+    let mut net = ring_hostile_net(Auditor::with_deep_interval(8));
     let result = burst_net(
         &mut net,
         &TrafficSpec::adversarial(1),
@@ -90,10 +83,7 @@ fn healthy_engine_enters_the_ring_without_violations() {
         result.stats.ring_entries > 0,
         "the hostile tuning must still drive real ring entries"
     );
-    let report = result
-        .audit
-        .or_else(|| net.take_audit_report())
-        .expect("audit armed");
+    let report = result.audit.expect("audit armed");
     assert!(
         report.is_clean(),
         "unmutated flow control must pass the per-grant check: {report}"

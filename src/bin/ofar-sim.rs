@@ -22,19 +22,67 @@
 //!
 //! A nonzero `--ber` enables the link-level retransmission layer
 //! (DESIGN §9); burst mode then also reports the retry counters.
+//!
+//! The command line fails closed: a token that is not one of the flags
+//! above (or the value of one), or a flag given twice, exits with
+//! status 2 naming the token — a misspelled flag must not silently
+//! simulate the default.
 
 use ofar::prelude::*;
 use std::process::exit;
 
-struct Args(Vec<String>);
+/// The documented flags and whether each takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--mech", true),
+    ("--pattern", true),
+    ("--load", true),
+    ("--h", true),
+    ("--warmup", true),
+    ("--measure", true),
+    ("--ring", true),
+    ("--rings", true),
+    ("--seed", true),
+    ("--ber", true),
+    ("--burst", true),
+    ("--conformance", false),
+    ("--replay", true),
+    ("--cycles", true),
+];
+
+/// The command line as `(flag, value)` pairs, validated against
+/// [`FLAGS`] before anything is looked up.
+struct Args(Vec<(&'static str, Option<String>)>);
 
 impl Args {
+    fn parse_argv(argv: Vec<String>) -> Result<Self, String> {
+        let mut pairs: Vec<(&'static str, Option<String>)> = Vec::new();
+        let mut it = argv.into_iter();
+        while let Some(tok) = it.next() {
+            let Some(&(flag, takes_value)) = FLAGS.iter().find(|(f, _)| *f == tok) else {
+                return Err(format!("unknown flag {tok}"));
+            };
+            if pairs.iter().any(|(f, _)| *f == flag) {
+                return Err(format!("flag {tok} given more than once"));
+            }
+            let value = if takes_value {
+                Some(it.next().ok_or(format!("flag {tok} needs a value"))?)
+            } else {
+                None
+            };
+            pairs.push((flag, value));
+        }
+        Ok(Self(pairs))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(f, _)| *f == flag)
+    }
+
     fn get(&self, flag: &str) -> Option<&str> {
         self.0
             .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
+            .find(|(f, _)| *f == flag)
+            .and_then(|(_, v)| v.as_deref())
     }
 
     fn parse<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
@@ -63,7 +111,10 @@ fn main() {
         );
         return;
     }
-    let args = Args(argv);
+    let args = Args::parse_argv(argv).unwrap_or_else(|e| {
+        eprintln!("{e} (see --help)");
+        exit(2);
+    });
 
     if let Some(path) = args.get("--replay") {
         let cycles: u64 = args.parse("--cycles", 2_000);
@@ -133,7 +184,7 @@ fn main() {
     }
     let cfg = kind.adapt_config(cfg);
 
-    if args.0.iter().any(|a| a == "--conformance") {
+    if args.has("--conformance") {
         match conformance(&cfg, kind) {
             Ok(rep) => {
                 println!("{rep}");

@@ -37,6 +37,47 @@ fn same_seed_same_history() {
     }
 }
 
+/// Hooks are invisible: an audited run observes the same simulation an
+/// uninstrumented one executes — byte-identical snapshots, equal
+/// counters — for every mechanism under saturating adversarial traffic.
+#[test]
+fn hooks_are_invisible_to_the_simulation() {
+    use ofar::engine::{Auditor, Fabric, Hooks, NoHooks};
+    fn run<H: Hooks>(kind: MechanismKind, hooks: H) -> (Vec<u8>, Vec<u64>, bool) {
+        let seed = 41;
+        let cfg = kind.adapt_config(SimConfig::paper(2).with_seed(seed));
+        let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, seed), hooks);
+        let topo = Dragonfly::new(cfg.params);
+        let mut gen = TrafficGen::new(&topo, TrafficSpec::adversarial(1), seed + 1);
+        let mut bern = Bernoulli::new(0.7, cfg.packet_size, seed + 2);
+        let nodes = net.num_nodes();
+        for _ in 0..400 {
+            bern.cycle(nodes, |src| {
+                let dst = gen.destination(src);
+                net.generate(src, dst);
+            });
+            net.step();
+        }
+        let snapshot = net.save_snapshot();
+        let counters = net.stats().counters().to_vec();
+        (snapshot, counters, net.take_audit_report().is_some())
+    }
+    for kind in MechanismKind::paper_set() {
+        let (plain_snap, plain_stats, plain_reported) = run(kind, NoHooks);
+        let (audit_snap, audit_stats, audit_reported) = run(kind, Auditor::with_deep_interval(16));
+        assert!(!plain_reported && audit_reported, "{kind}: wrong hooks ran");
+        assert!(plain_stats.iter().any(|&c| c > 0), "{kind}: nothing ran");
+        assert_eq!(
+            plain_stats, audit_stats,
+            "{kind}: auditing changed counters"
+        );
+        assert!(
+            plain_snap == audit_snap,
+            "{kind}: auditing changed the state"
+        );
+    }
+}
+
 #[test]
 fn different_seeds_different_histories() {
     // Not a strict requirement packet-for-packet, but identical full

@@ -226,12 +226,30 @@ fn truncation_is_rejected_at_every_length() {
     h.drive(200);
     let bytes = h.net.save_snapshot();
     let mut victim = Harness::new(MechanismKind::Ofar, 5, 0.0, false);
-    for cut in 0..bytes.len() {
+    let pristine = victim.net.save_snapshot();
+    // Every cut re-checksums the prefix, so trying all of them is
+    // quadratic in the file size while almost all take the same
+    // whole-file-checksum exit. Sample by structure instead: every cut
+    // through the headers and the first payloads, every cut around each
+    // boundary the frame parser looks at (section header, payload start
+    // and end, trailer), and a prime stride over the rest.
+    let mut edges = vec![16, bytes.len() - 4];
+    let mut pos = 16;
+    while pos < bytes.len() - 4 {
+        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
+        edges.extend([pos, pos + 9, pos + 9 + len]);
+        pos += 9 + len;
+    }
+    assert_eq!(edges.len(), 2 + 3 * 3, "three sections expected");
+    let cuts = (0..bytes.len())
+        .filter(|&cut| cut < 4096 || cut % 997 == 0 || edges.iter().any(|&e| cut.abs_diff(e) <= 9));
+    for cut in cuts {
         assert!(
             victim.net.restore_snapshot(&bytes[..cut]).is_err(),
             "truncation to {cut} bytes accepted"
         );
     }
+    assert_eq!(victim.net.save_snapshot(), pristine, "victim was touched");
 }
 
 #[test]
