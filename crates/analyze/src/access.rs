@@ -169,14 +169,24 @@ const ROUTER_ROOTS: &[&str] = &[
     "cap_sum",
     "inv",
     "router_last_grant",
+    // The occupancy index: `port_pkts` is `[router × n_in]`, so its
+    // bracket names the router too.
+    "router_pkts",
+    "port_pkts",
 ];
 
-/// Fields indexed per NIC/source node.
-const NODE_ROOTS: &[&str] = &["src_q", "inj_busy", "tokens"];
+/// Fields indexed per NIC/source node. `src_pending` is a bitset: node
+/// shards are blocks of 64, so a shard owns whole words.
+const NODE_ROOTS: &[&str] = &["src_q", "inj_busy", "tokens", "src_pending"];
 
-/// Fields holding per-directed-link state. `llr` exposes no direct
-/// bracket: the shard id comes from the terminal method's arguments.
-const LINK_ROOTS: &[&str] = &["llr"];
+/// Fields holding per-directed-link state. They expose no direct
+/// bracket: the shard id comes from the terminal method's arguments —
+/// `llr`'s replay/rx state by `(router, port)`, and the timing `wheel`
+/// by the target of the event filed. Filing an event for another
+/// router's port from a `parallel` phase is therefore a cross-shard
+/// write (R001); the engine files from the serial `effect_commit` phase
+/// and drains from the serial `deliver` phase.
+const LINK_ROOTS: &[&str] = &["llr", "wheel"];
 
 /// Router-interior fields: their own brackets select ports/VCs inside
 /// one shard, so they inherit the index of the path that reached the
@@ -187,8 +197,6 @@ const ROUTER_INTRA: &[&str] = &[
     "vcs",
     "credits",
     "capacity",
-    "arrivals",
-    "credit_events",
     "busy_until",
     "vc_served_at",
     "in_served_at",
@@ -898,21 +906,21 @@ mod tests {
 
     #[test]
     fn foreign_write_by_naming_convention() {
-        let a = one("self.routers[up_r].outputs[up_p].credit_events.push_back(x);");
+        let a = one("self.routers[up_r].outputs[up_p].credits[v] += x;");
         assert_eq!(a.index, Index::Foreign);
         assert!(a.write);
-        assert_eq!(a.field, "credit_events");
+        assert_eq!(a.field, "credits");
     }
 
     #[test]
     fn sweep_alias_from_enumerate() {
         let a = accesses(
             "for (ridx, router) in self.routers.iter_mut().enumerate() \
-             { router.inputs[p].arrivals.pop_front(); }",
+             { router.inputs[p].vcs[v].pop(s); }",
         );
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].index, Index::Sweep);
-        assert_eq!(a[0].field, "arrivals");
+        assert_eq!(a[0].field, "vcs");
         assert!(a[0].write);
     }
 
@@ -925,6 +933,34 @@ mod tests {
         assert!(home[0].write);
         let foreign = accesses("let llr = &mut self.llr; llr.push_back(up_r, up_p);");
         assert_eq!(foreign[0].index, Index::Foreign);
+    }
+
+    /// The timing wheel is link-sharded by the target of the event: the
+    /// engine's own filing (from a commit phase) and the hoisted-credit
+    /// mutant (from `route`) are both foreign writes — the phase rules
+    /// accept the first and reject the second.
+    #[test]
+    fn wheel_filing_takes_index_from_the_event_target() {
+        let a = one(
+            "self.wheel.file_credit(at, Credit { router: desc.up_router, port: desc.up_port, \
+             vc, phits });",
+        );
+        assert_eq!(a.field, "wheel");
+        assert_eq!(a.class, Class::Sharded(Axis::Link));
+        assert_eq!(a.index, Index::Foreign);
+    }
+
+    #[test]
+    fn occupancy_index_is_sharded_with_its_structures() {
+        let r = one("self.occ.port_pkts[ridx * n_in + port] += 1;");
+        assert_eq!(r.field, "port_pkts");
+        assert_eq!(r.class, Class::Sharded(Axis::Router));
+        assert_eq!(r.index, Index::Home);
+        let f = one("self.occ.router_pkts[link.dst_router as usize] += 1;");
+        assert_eq!(f.index, Index::Foreign);
+        let n = one("self.occ.src_pending[node / 64] &= !(1 << (node % 64));");
+        assert_eq!(n.class, Class::Sharded(Axis::Node));
+        assert_eq!(n.index, Index::Home);
     }
 
     #[test]

@@ -780,7 +780,7 @@ mod tests {
                     self.route(now);
                 }
                 fn route(&mut self, now: u64) {
-                    self.routers[desc.up_router as usize].outputs[p].credit_events.push_back(x);
+                    self.routers[desc.up_router as usize].outputs[p].credits[v] += x;
                 }
             }
         "#);

@@ -1,6 +1,6 @@
 //! The schedule-adversarial commutativity certifier (`ofar-race`).
 //!
-//! The R-family static rules prove the three `parallel`-marked phases of
+//! The R-family static rules prove the two `parallel`-marked phases of
 //! `Network::step` free of cross-shard writes *syntactically*, and the
 //! parallelization contract (`results/phase-contract.json`) records that
 //! claim. This module closes the loop **dynamically**: it executes the
@@ -351,7 +351,9 @@ impl Witness {
     /// Build a witness from a raw divergence: attribute the phase,
     /// extract the shard, and cross-reference the contract waivers.
     /// Divergences in the parallel phases correspond to the R001–R003
-    /// defect class; divergences surfacing at commit time (serialized
+    /// defect class — and so do those landing in `deliver`, which is
+    /// serial itself but applies what an earlier cycle's `route` phase
+    /// filed; divergences surfacing at commit time (serialized
     /// accumulators) to R006.
     pub fn from_divergence(
         mechanism: &str,

@@ -70,13 +70,13 @@ proptest! {
         let (idx, row) = (fresh(raw, 'a'), fresh(raw, 'b'));
         let body = format!(
             "for ({idx}, {row}) in self.routers.iter_mut().enumerate() \
-             {{ {row}.inputs[p].arrivals.pop_front(); }}"
+             {{ {row}.inputs[p].vcs[v].pop(s); }}"
         );
         let got: Vec<_> = accesses(&body).iter().map(shape).collect();
         prop_assert_eq!(
             got,
             vec![(
-                "arrivals".to_string(),
+                "vcs".to_string(),
                 Class::Sharded(Axis::Router),
                 Index::Sweep,
                 Op::Method,
@@ -135,7 +135,7 @@ proptest! {
             format!("self.routers[{name}].outputs[p].credits[v] -= s;"),
             format!("self.src_q[{name}].pop_front();"),
             format!("self.free[{name} + 1] += x;"),
-            format!("let q = &mut self.routers[{name}]; q.inputs[p].arrivals.pop_front();"),
+            format!("let q = &mut self.routers[{name}]; q.inputs[p].vcs[v].pop(s);"),
         ] {
             let got = accesses(&body);
             prop_assert_eq!(got.len(), 1, "one access in {}: {:?}", body, got);
@@ -160,7 +160,7 @@ proptest! {
     fn foreign_prefix_dominates(raw in 0u64..u64::MAX) {
         let suffix = format!("{raw:x}");
         let one = accesses(&format!(
-            "self.routers[up_{suffix}].outputs[p].credit_events.push_back(x);"
+            "self.routers[up_{suffix}].outputs[p].credits[v] += x;"
         ));
         prop_assert_eq!(one.len(), 1);
         prop_assert_eq!(one[0].index, Index::Foreign);

@@ -1,0 +1,94 @@
+//! Per-phase rows of the perf ledger (ROADMAP 1a): host µs per
+//! `Network::step`, split over the nine declared phases by a
+//! [`PhaseTimer`] hook, for OFAR and MIN at three operating points —
+//! UN at 0.1 (nearly idle), UN at 0.5 (the knee) and a closed ADV+1
+//! burst (saturated). Timing, so read it on a quiet machine; the
+//! simulated columns (cycles, delivered) repeat exactly.
+
+use ofar_bench::PhaseTimer;
+use ofar_core::engine::Phase;
+use ofar_core::prelude::*;
+use ofar_core::Table;
+
+/// Drive one operating point and return (measured cycles, delivered
+/// packets, the timer).
+fn measure(scale: &Scale, kind: MechanismKind, point: Option<f64>) -> (u64, u64, PhaseTimer) {
+    let cfg = kind.adapt_config(scale.cfg());
+    let fab = ofar_core::engine::Fabric::new(cfg);
+    let mut net = Network::with_hooks(fab, kind.build(&cfg, scale.seed), PhaseTimer::default());
+    let topo = *net.fabric().topo();
+    let nodes = net.num_nodes();
+    let Some(load) = point else {
+        // Closed burst: every node enqueues its packets at cycle 0.
+        let mut gen = TrafficGen::new(&topo, TrafficSpec::adversarial(1), scale.seed + 1);
+        for _ in 0..scale.burst_packets {
+            for n in 0..nodes {
+                let src = NodeId::from(n);
+                net.generate(src, gen.destination(src));
+            }
+        }
+        while !net.drained() {
+            net.step();
+            net.hooks_mut().stop();
+        }
+        let delivered = net.stats().delivered_packets;
+        return (net.now(), delivered, std::mem::take(net.hooks_mut()));
+    };
+    let mut gen = TrafficGen::new(&topo, TrafficSpec::uniform(), scale.seed + 1);
+    let mut bern = Bernoulli::new(load, cfg.packet_size, scale.seed + 2);
+    let mut delivered_at_warmup = 0;
+    for cycle in 0..scale.steady.warmup + scale.steady.measure {
+        if cycle == scale.steady.warmup {
+            *net.hooks_mut() = PhaseTimer::default(); // warm-up is not measured
+            delivered_at_warmup = net.stats().delivered_packets;
+        }
+        bern.cycle(nodes, |src| {
+            let dst = gen.destination(src);
+            net.generate(src, dst);
+        });
+        net.step();
+        net.hooks_mut().stop();
+    }
+    let delivered = net.stats().delivered_packets - delivered_at_warmup;
+    (
+        scale.steady.measure,
+        delivered,
+        std::mem::take(net.hooks_mut()),
+    )
+}
+
+fn main() {
+    let scale = ofar_bench::announce("phases");
+    let mut header = vec!["mechanism", "operating point", "cycles", "delivered"];
+    header.extend(Phase::ALL.map(Phase::name));
+    header.push("total");
+    let mut t = Table::new(
+        format!(
+            "Host time per Network::step by phase, µs (h={}, {} routers)",
+            scale.h,
+            scale.cfg().params.routers()
+        ),
+        &header,
+    );
+    for kind in [MechanismKind::Ofar, MechanismKind::Min] {
+        for (label, point) in [
+            ("UN 0.1", Some(0.1)),
+            ("UN 0.5", Some(0.5)),
+            ("ADV+1 burst", None),
+        ] {
+            let (cycles, delivered, timer) = measure(&scale, kind, point);
+            let us = |d: std::time::Duration| d.as_secs_f64() * 1e6 / cycles as f64;
+            let mut row = vec![
+                kind.name().to_string(),
+                label.to_string(),
+                cycles.to_string(),
+                delivered.to_string(),
+            ];
+            row.extend(Phase::ALL.map(|p| format!("{:.1}", us(timer.spent(p)))));
+            let total: std::time::Duration = Phase::ALL.iter().map(|&p| timer.spent(p)).sum();
+            row.push(format!("{:.1}", us(total)));
+            t.push(row);
+        }
+    }
+    ofar_bench::emit(&t);
+}

@@ -18,10 +18,47 @@
 //!
 //! Host-time measurement lives in `benchmark/` (`ofar-perf`), not here.
 
+use ofar_core::engine::{Hooks, Phase};
 use ofar_core::env::{self, EnvError};
 use ofar_core::{Scale, Table};
 use std::io::Write;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
+
+/// [`Hooks`] that attribute host time to the nine phases of
+/// `Network::step` (the per-phase rows of the perf ledger): each
+/// [`Hooks::phase`] call closes the previous phase's span and opens the
+/// next. The driver calls [`Self::stop`] after every `step`, so the time
+/// it spends generating traffic is not charged to `policy_end`.
+#[derive(Debug, Default)]
+pub struct PhaseTimer {
+    open: Option<(Phase, Instant)>,
+    spent: [Duration; Phase::ALL.len()],
+}
+
+impl PhaseTimer {
+    /// Close the open span, if any.
+    pub fn stop(&mut self) {
+        if let Some((phase, since)) = self.open.take() {
+            self.spent[phase as usize] += since.elapsed();
+        }
+    }
+
+    /// Host time attributed to `phase` so far.
+    pub fn spent(&self, phase: Phase) -> Duration {
+        self.spent[phase as usize]
+    }
+}
+
+impl Hooks for PhaseTimer {
+    #[inline]
+    fn phase(&mut self, phase: Phase) {
+        let now = Instant::now();
+        if let Some((prev, since)) = self.open.replace((phase, now)) {
+            self.spent[prev as usize] += now - since;
+        }
+    }
+}
 
 /// Unwrap an environment read, or report the offending variable and
 /// exit with status 2.

@@ -35,6 +35,7 @@ pub mod checkpoint;
 pub mod env;
 pub mod experiments;
 pub mod faults;
+pub mod golden;
 pub mod overload;
 pub mod run;
 pub mod store;

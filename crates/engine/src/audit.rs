@@ -236,6 +236,15 @@ pub enum AuditViolation {
         /// The freshly-scanned free-credit sum.
         actual: u64,
     },
+    /// The occupancy index (buffered-packet counts per router and port,
+    /// pending-source set) disagrees with a recount of the FIFOs and
+    /// source queues: a push or pop bypassed the index, and the `route`
+    /// or `inject` phase is skipping work it should do (or probing
+    /// structures it should skip).
+    OccupancyDrift {
+        /// Cycle of the deep check.
+        cycle: u64,
+    },
 }
 
 impl fmt::Display for AuditViolation {
@@ -384,6 +393,11 @@ impl fmt::Display for AuditViolation {
                 f,
                 "cycle {cycle}: congestion sensor drift at R{router}: tracked \
                  free credits {tracked} != scanned {actual}"
+            ),
+            Self::OccupancyDrift { cycle } => write!(
+                f,
+                "cycle {cycle}: occupancy index differs from a recount of the \
+                 VC FIFOs and source queues"
             ),
         }
     }

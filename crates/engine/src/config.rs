@@ -91,7 +91,21 @@ pub enum ConfigError {
     /// throttle block injection outright (starvation), and a floor above
     /// 1 is not a floor.
     CmMinRateOutOfRange,
+    /// A link latency outside `1..=`[`MAX_LINK_LATENCY`]: what a grant
+    /// sends must land in a later cycle than the one that produced it,
+    /// and the engine's timing wheel has one slot per cycle of the
+    /// largest latency.
+    LinkLatencyOutOfRange {
+        /// Which latency (`lat_local`, `lat_global`).
+        name: &'static str,
+        /// Configured latency in cycles.
+        latency: u64,
+    },
 }
+
+/// Largest accepted link latency in cycles (the paper's global links
+/// take 100).
+pub const MAX_LINK_LATENCY: u64 = 1 << 16;
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -153,6 +167,10 @@ impl fmt::Display for ConfigError {
             Self::CmMinRateOutOfRange => write!(
                 f,
                 "cm_min_rate must lie in (0, 1] (a zero floor starves injection)"
+            ),
+            Self::LinkLatencyOutOfRange { name, latency } => write!(
+                f,
+                "{name} ({latency} cycles) must lie in 1..={MAX_LINK_LATENCY}"
             ),
         }
     }
@@ -366,6 +384,14 @@ impl SimConfig {
         if self.alloc_iters == 0 {
             return Err(ConfigError::ZeroAllocIters);
         }
+        for (name, latency) in [
+            ("lat_local", self.lat_local),
+            ("lat_global", self.lat_global),
+        ] {
+            if !(1..=MAX_LINK_LATENCY).contains(&latency) {
+                return Err(ConfigError::LinkLatencyOutOfRange { name, latency });
+            }
+        }
         if self.ring != RingMode::None {
             if self.escape_rings == 0 {
                 return Err(ConfigError::NoEscapeRing);
@@ -450,6 +476,26 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("buf_local"));
+    }
+
+    #[test]
+    fn validation_rejects_link_latencies_the_wheel_cannot_hold() {
+        for (lat_local, lat_global, name) in [
+            (0, 100, "lat_local"),
+            (10, 0, "lat_global"),
+            (10, MAX_LINK_LATENCY + 1, "lat_global"),
+        ] {
+            let mut c = SimConfig::paper(2);
+            (c.lat_local, c.lat_global) = (lat_local, lat_global);
+            let err = c.validate().unwrap_err();
+            assert!(
+                matches!(err, ConfigError::LinkLatencyOutOfRange { name: n, .. } if n == name),
+                "{err}"
+            );
+        }
+        let mut c = SimConfig::paper(2);
+        (c.lat_local, c.lat_global) = (1, MAX_LINK_LATENCY);
+        c.validate().unwrap();
     }
 
     #[test]

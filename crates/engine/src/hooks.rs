@@ -17,15 +17,74 @@
 //!   a failed check becomes a recorded
 //!   [`AuditViolation`] instead of an abort, and the whole-network deep
 //!   checks run on its cadence.
-//! * `ofar_mutate::Mutated` overrides everything: it owns an `Auditor`
+//! * `ofar_mutate::Mutated` overrides both halves: it owns an `Auditor`
 //!   for the observation half and answers the six perturbation points
 //!   from one seeded [`EngineMutation`](crate::mutation::EngineMutation).
+//! * `ofar_bench::PhaseTimer` overrides only [`Hooks::phase`], the call
+//!   at each of the nine phase markers of `step`, to attribute host time
+//!   to phases (the wall clock is banned from this crate, so the timer
+//!   lives with the bench binaries).
 //!
 //! Hook state is instrumentation, never simulation state: it is outside
 //! snapshots, and a `NoHooks` run and an `Auditor` run of the same seed
 //! are byte-identical (the root `tests/determinism.rs` pins this).
 
 use crate::audit::{AuditReport, AuditViolation};
+
+/// The nine declared phases of [`Network::step`](crate::Network::step),
+/// in execution order — one per `ofar-lint: phase(…)` marker.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Phase {
+    /// Scheduled fault transitions.
+    FaultApply,
+    /// Link events landing this cycle.
+    Deliver,
+    /// LLR acks, timeouts and retransmissions.
+    LlrTimers,
+    /// Congestion-management sensing and bucket refill.
+    CmSense,
+    /// Source queues into injection buffers.
+    Inject,
+    /// Routing, allocation and grant execution.
+    Route,
+    /// The cycle's deferred cross-router effects.
+    EffectCommit,
+    /// The hooks' whole-network deep checks.
+    Audit,
+    /// `Policy::end_cycle`.
+    PolicyEnd,
+}
+
+impl Phase {
+    /// Every phase, in execution order.
+    pub const ALL: [Phase; 9] = [
+        Phase::FaultApply,
+        Phase::Deliver,
+        Phase::LlrTimers,
+        Phase::CmSense,
+        Phase::Inject,
+        Phase::Route,
+        Phase::EffectCommit,
+        Phase::Audit,
+        Phase::PolicyEnd,
+    ];
+
+    /// The name the phase's `ofar-lint` marker (and the phase contract)
+    /// uses.
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::FaultApply => "fault_apply",
+            Phase::Deliver => "deliver",
+            Phase::LlrTimers => "llr_timers",
+            Phase::CmSense => "cm_sense",
+            Phase::Inject => "inject",
+            Phase::Route => "route",
+            Phase::EffectCommit => "effect_commit",
+            Phase::Audit => "audit",
+            Phase::PolicyEnd => "policy_end",
+        }
+    }
+}
 
 /// Observation and perturbation points of [`Network::step`](crate::Network::step).
 ///
@@ -53,6 +112,11 @@ pub trait Hooks {
         debug_assert!(ok(), "{}", violation());
         true
     }
+
+    /// `phase` of the current step is about to start (the previous one
+    /// has ended) — the per-phase ledger's timer hangs here.
+    #[inline]
+    fn phase(&mut self, _phase: Phase) {}
 
     /// Whether the whole-network deep checks should run at the end of
     /// `cycle`.

@@ -35,6 +35,7 @@ pub mod hooks;
 pub mod llr;
 pub mod mutation;
 pub mod network;
+mod occupancy;
 pub mod packet;
 pub mod policy;
 pub mod probe;
@@ -42,12 +43,13 @@ pub mod router;
 pub mod schedule;
 pub mod snapshot;
 pub mod stats;
+mod wheel;
 
 pub use audit::{AuditReport, AuditViolation, Auditor};
 pub use config::{ConfigError, RingMode, SimConfig};
 pub use fabric::{EscapeOut, Fabric, InDesc, OutLink, PortKind};
 pub use fault::{random_global_links, FaultEvent, FaultKind, FaultPlan, FaultState};
-pub use hooks::{Hooks, NoHooks};
+pub use hooks::{Hooks, NoHooks, Phase};
 pub use llr::{crc32, Fate, Llr, RxVerdict};
 pub use mutation::EngineMutation;
 pub use network::Network;

@@ -14,8 +14,9 @@ use crate::audit::{AuditReport, AuditViolation};
 use crate::config::SimConfig;
 use crate::fabric::{Fabric, PortKind};
 use crate::fault::{FaultKind, FaultPlan, FaultState};
-use crate::hooks::{Hooks, NoHooks};
+use crate::hooks::{Hooks, NoHooks, Phase};
 use crate::llr::{Fate, Llr, RxVerdict};
+use crate::occupancy::Occupancy;
 use crate::packet::{
     Packet, Request, RequestKind, FLAG_GLOBAL_MISROUTED, FLAG_LOCAL_MISROUTED, FLAG_ON_RING,
 };
@@ -23,28 +24,16 @@ use crate::policy::{InputCtx, NetSnapshot, Policy, RouterView};
 use crate::router::RouterStore;
 use crate::schedule::ShardSchedule;
 use crate::stats::Stats;
+use crate::wheel::{Arrival, Backlog, Credit, Wheel};
 use ofar_topology::{NodeId, RouterId};
 use std::collections::VecDeque;
 
 /// Deferred cross-router side effects of a grant.
 enum Effect {
-    /// Packet arrives at (`router`, `port`) VC `vc` at cycle `at`.
-    Arrival {
-        router: u32,
-        port: u16,
-        vc: u8,
-        at: u64,
-        pkt: Packet,
-    },
-    /// `phits` credits return to output (`router`, `port`) VC `vc` at
-    /// cycle `at`.
-    Credit {
-        router: u32,
-        port: u16,
-        vc: u8,
-        phits: u32,
-        at: u64,
-    },
+    /// `arrival` lands at cycle `at`.
+    Arrival { at: u64, arrival: Arrival },
+    /// `credit` lands at cycle `at`.
+    Credit { at: u64, credit: Credit },
     /// LLR wire transfer lands on the receive side of input
     /// (`router`, `port`): sequence number and the CRC the wire saw.
     Wire {
@@ -69,12 +58,8 @@ enum Effect {
 /// *orders*, not payloads.
 fn effect_order_key(e: &Effect) -> u64 {
     let (tag, router, port, salt) = match e {
-        Effect::Arrival {
-            router, port, vc, ..
-        } => (1u64, *router, *port, u64::from(*vc)),
-        Effect::Credit {
-            router, port, vc, ..
-        } => (2, *router, *port, u64::from(*vc)),
+        Effect::Arrival { arrival: a, .. } => (1u64, a.router, a.port, u64::from(a.vc)),
+        Effect::Credit { credit: c, .. } => (2, c.router, c.port, u64::from(c.vc)),
         Effect::Wire {
             router, port, seq, ..
         } => (3, *router, *port, u64::from(*seq)),
@@ -98,6 +83,12 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     src_q: Vec<VecDeque<Packet>>,
     /// Node→injection-buffer transfer is serialized at 1 phit/cycle.
     inj_busy: Vec<u64>,
+    /// Every packet and credit in flight on a link, filed under its
+    /// landing cycle (see [`crate::wheel`]).
+    wheel: Wheel,
+    /// Where the buffered packets and waiting sources are (see
+    /// [`crate::occupancy`]); derived from `routers` and `src_q`.
+    occ: Occupancy,
     stats: Stats,
     /// Optional per-delivery log: (generation cycle, latency).
     delivered_log: Option<Vec<(u64, u32)>>,
@@ -123,8 +114,8 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     /// Packets delivered per source node (Jain fairness / per-source
     /// histograms; one counter bump per delivery, always on).
     delivered_per_src: Vec<u64>,
-    /// Shard iteration order of the router-sharded parallel phases
-    /// (`deliver`, `route`); empty = identity, the release fast path.
+    /// Shard iteration order of the router-sharded parallel `route`
+    /// phase; empty = identity, the release fast path.
     /// A harness knob ([`Self::set_shard_schedule`]): simulation state
     /// must be schedule-blind, which is exactly what `ofar-race`
     /// certifies, so the order is deliberately outside snapshots.
@@ -316,6 +307,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             stats.cm_tokens_granted = cm.tokens.iter().map(|&t| u64::from(t)).sum();
         }
         Self {
+            wheel: Wheel::new(&fab, 0),
+            occ: Occupancy::empty(nr, n_in, nodes),
             routers,
             policy,
             now: 0,
@@ -469,9 +462,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.link_phits = Some(vec![0; self.routers.len() * self.fab.n_out()]);
     }
 
-    /// Install a shard iteration schedule for the three `parallel`
-    /// phases of [`Self::step`] (`deliver`/`route` over routers,
-    /// `inject` over nodes). The commutativity certifier (`ofar-race`)
+    /// Install a shard iteration schedule for the two `parallel`
+    /// phases of [`Self::step`] (`route` over routers, `inject` over
+    /// nodes). The commutativity certifier (`ofar-race`)
     /// runs adversarial schedules against [`ShardSchedule::Identity`]
     /// and byte-compares snapshots; a divergence falsifies the
     /// parallelization contract. Identity (the default) materializes to
@@ -510,9 +503,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             return;
         }
         assert!(
-            self.routers
-                .iter()
-                .all(|r| r.inputs.iter().all(|i| i.arrivals.is_empty())),
+            self.wheel.arrivals().next().is_none(),
             "LLR must be enabled before packets are on the wire"
         );
         self.llr = Some(Llr::new(&self.fab, self.fab.cfg().seed));
@@ -565,6 +556,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         all.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
         all.truncate(k);
         all
+    }
+
+    /// The instrumentation this network was built with (e.g. to read a
+    /// phase timer out after a run).
+    #[inline]
+    pub fn hooks_mut(&mut self) -> &mut H {
+        &mut self.hooks
     }
 
     /// The hooks' accumulated report plus a final deep pass run right
@@ -666,6 +664,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     fn llr_flush_dead_links(&mut self) {
         let size = self.fab.cfg().packet_size as u32;
         let topo = *self.fab.topo();
+        let n_in = self.fab.n_in();
         for ridx in 0..self.routers.len() {
             let rid = RouterId::from(ridx);
             for port in 0..self.fab.n_out() {
@@ -702,6 +701,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     // The credit held since first transmission reserves
                     // this space, so the push cannot overflow.
                     dst.inputs[link.dst_port as usize].vcs[e.out_vc as usize].push(pkt, size);
+                    self.occ.router_pkts[link.dst_router as usize] += 1;
+                    self.occ.port_pkts[link.dst_router as usize * n_in + link.dst_port as usize] +=
+                        1;
                 }
             }
         }
@@ -712,10 +714,11 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// reports.
     pub fn stalled_routers(&self, window: u64) -> Vec<RouterId> {
         let horizon = self.now.saturating_sub(window);
-        self.routers
+        self.occ
+            .router_pkts
             .iter()
             .enumerate()
-            .filter(|(r, store)| store.buffered_phits() > 0 && self.router_last_grant[*r] < horizon)
+            .filter(|(r, &pkts)| pkts > 0 && self.router_last_grant[*r] < horizon)
             .map(|(r, _)| RouterId::from(r))
             .collect()
     }
@@ -747,12 +750,12 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                         check(at, pkt);
                     }
                 }
-                // In-flight packets land at this router regardless of
-                // faults, so they are judged from here.
-                for (_, _, pkt) in &input.arrivals {
-                    check(at, pkt);
-                }
             }
+        }
+        // In-flight packets land at their link's far end regardless of
+        // faults, so they are judged from there.
+        for (_, a) in self.wheel.arrivals() {
+            check(RouterId::new(a.router), &a.pkt);
         }
         pairs.sort();
         pairs.dedup();
@@ -815,6 +818,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.next_id += 1;
         self.stats.generated_packets += 1;
         self.src_q[src.idx()].push_back(pkt);
+        self.occ.src_pending[src.idx() / 64] |= 1 << (src.idx() % 64);
     }
 
     /// Advance the simulation by one cycle.
@@ -828,6 +832,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// serially and is where cross-router effects apply.
     pub fn step(&mut self) {
         // ofar-lint: phase(fault_apply, commit)
+        self.hooks.phase(Phase::FaultApply);
         // Apply scheduled fault transitions due at (or before) this
         // cycle, in plan order — before arrivals so the cycle already
         // sees the new liveness.
@@ -839,13 +844,18 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             self.plan_cursor += 1;
             self.apply_fault(kind);
         }
-        // ofar-lint: phase(deliver, parallel)
+        // ofar-lint: phase(deliver, commit)
+        // Serial: draining the wheel's bucket is O(events landing), and
+        // those land on arbitrary routers.
+        self.hooks.phase(Phase::Deliver);
         self.deliver_events(now);
         // ofar-lint: phase(llr_timers, commit)
+        self.hooks.phase(Phase::LlrTimers);
         if self.llr.is_some() {
             self.llr_phase(now);
         }
         // ofar-lint: phase(cm_sense, commit)
+        self.hooks.phase(Phase::CmSense);
         // CM sensing and refill sweep every router's estimator and
         // every NIC's bucket from one loop — inherently cross-shard, so
         // it runs as its own commit phase rather than inside the
@@ -855,24 +865,32 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             self.cm_sense_and_refill();
         }
         // ofar-lint: phase(inject, parallel)
+        self.hooks.phase(Phase::Inject);
         self.inject(now);
         // ofar-lint: phase(route, parallel)
+        self.hooks.phase(Phase::Route);
         for i in 0..self.routers.len() {
             let r = if self.order_routers.is_empty() {
                 i
             } else {
                 self.order_routers[i] as usize
             };
-            self.route_and_allocate(r, now);
+            // A router with nothing buffered has no head to route.
+            if self.occ.router_pkts[r] != 0 {
+                self.route_and_allocate(r, now);
+            }
         }
         // ofar-lint: phase(effect_commit, commit)
+        self.hooks.phase(Phase::EffectCommit);
         self.commit_effects();
         // ofar-lint: phase(audit, commit)
+        self.hooks.phase(Phase::Audit);
         if self.hooks.deep_due(now) {
             let (checks, violations) = self.deep_audit(now);
             self.hooks.deep_report(checks, violations);
         }
         // ofar-lint: phase(policy_end, commit)
+        self.hooks.phase(Phase::PolicyEnd);
         let snap = NetSnapshot::new(&self.fab, now, &self.routers, &self.faults);
         self.policy.end_cycle(&snap);
         self.now = now + 1;
@@ -887,152 +905,119 @@ impl<P: Policy, H: Hooks> Network<P, H> {
 
     // ----- cycle phases --------------------------------------------------
 
-    /// Phase 1: land packets and credits whose link traversal completes.
-    /// Landing at a new group clears the per-group local-misroute flag
-    /// and retires a reached Valiant intermediate (§IV-A).
-    // lint:allow(P002, router/port indices bounded by fabric radix; packet_size bounded by config) lint:allow(P001, pop follows a successful front peek in the same iteration)
+    /// Phase 1: land the packets and credits whose link traversal
+    /// completes this cycle — exactly the wheel's bucket for `now`, in
+    /// submission order (they commute: see [`crate::wheel`]). Landing at
+    /// a new group clears the per-group local-misroute flag and retires
+    /// a reached Valiant intermediate (§IV-A).
+    // lint:allow(P002, router/port indices bounded by fabric radix; packet_size bounded by config)
     fn deliver_events(&mut self, now: u64) {
         let size = self.fab.cfg().packet_size as u32;
         let topo = *self.fab.topo();
         let fab = &self.fab;
+        let n_in = fab.n_in();
         let llr = &mut self.llr;
         let stats = &mut self.stats;
         let cm = &mut self.cm;
         let effects = &mut self.effects;
         let hooks = &mut self.hooks;
-        let order = &self.order_routers;
-        for i in 0..self.routers.len() {
-            // Empty order = identity (release fast path): shard i is
-            // router i. Under an adversarial schedule the shard index is
-            // resolved through the permutation; the body is unchanged.
-            let ridx = if order.is_empty() {
-                i
-            } else {
-                order[i] as usize
-            };
-            let router = &mut self.routers[ridx];
+        let occ = &mut self.occ;
+        let due = self.wheel.due(now);
+        for arrival in due.arrivals.drain(..) {
+            let (ridx, port, vc) = (arrival.router as usize, arrival.port as usize, arrival.vc);
+            let mut pkt = arrival.pkt;
+            // Link-level CRC/sequence check: a corrupted transfer is
+            // discarded and nacked, a duplicate discarded and re-acked,
+            // a good one accepted and acked. Acks ride the credit-return
+            // path (same latency, never lost) and land at
+            // `now + latency >= now + 1`, so they travel through the
+            // effects ledger like every other cross-router effect.
+            if let Some(l) = llr.as_mut() {
+                let desc = fab.in_desc(RouterId::from(ridx), port);
+                if desc.up_router != u32::MAX {
+                    let (verdict, seq) = l.receive(ridx, port, &pkt);
+                    match verdict {
+                        RxVerdict::Accept => {}
+                        RxVerdict::CrcDrop => stats.llr_crc_drops += 1,
+                        RxVerdict::Duplicate => stats.llr_dup_drops += 1,
+                    }
+                    // A duplicate is re-acked: the sender may have
+                    // timed out before the first ack landed.
+                    effects.push(Effect::Ack {
+                        router: desc.up_router,
+                        port: desc.up_port,
+                        seq,
+                        ok: verdict != RxVerdict::CrcDrop,
+                        at: now + u64::from(desc.latency),
+                    });
+                    if verdict != RxVerdict::Accept {
+                        continue;
+                    }
+                }
+            }
             let g = topo.group_of(RouterId::from(ridx));
-            for (port, input) in router.inputs.iter_mut().enumerate() {
-                while let Some(&(at, vc, _)) = input.arrivals.front() {
-                    if at > now {
-                        break;
-                    }
-                    let (_, _, mut pkt) = input.arrivals.pop_front().unwrap();
-                    // Link-level CRC/sequence check: a corrupted transfer
-                    // is discarded and nacked, a duplicate discarded and
-                    // re-acked, a good one accepted and acked. Acks ride
-                    // the credit-return path (same latency, never lost)
-                    // and land at `now + latency >= now + 1`, so routing
-                    // them through the commit phase instead of writing
-                    // the upstream router's ack queue here changes
-                    // nothing the sender can observe this cycle.
-                    if let Some(l) = llr.as_mut() {
-                        let desc = fab.in_desc(RouterId::from(ridx), port);
-                        if desc.up_router != u32::MAX {
-                            let (verdict, seq) = l.receive(ridx, port, &pkt);
-                            let at = now + u64::from(desc.latency);
-                            let (router, port) = (desc.up_router, desc.up_port);
-                            match verdict {
-                                RxVerdict::Accept => effects.push(Effect::Ack {
-                                    router,
-                                    port,
-                                    seq,
-                                    ok: true,
-                                    at,
-                                }),
-                                RxVerdict::CrcDrop => {
-                                    stats.llr_crc_drops += 1;
-                                    effects.push(Effect::Ack {
-                                        router,
-                                        port,
-                                        seq,
-                                        ok: false,
-                                        at,
-                                    });
-                                    continue;
-                                }
-                                RxVerdict::Duplicate => {
-                                    stats.llr_dup_drops += 1;
-                                    // Re-ack: the sender may have timed
-                                    // out before the first ack landed.
-                                    effects.push(Effect::Ack {
-                                        router,
-                                        port,
-                                        seq,
-                                        ok: true,
-                                        at,
-                                    });
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    if pkt.cur_group != g {
-                        pkt.cur_group = g;
-                        pkt.clear(FLAG_LOCAL_MISROUTED);
-                        if pkt.intermediate == Some(g) {
-                            pkt.intermediate = None;
-                        }
-                    }
-                    // Arrival-side mirror of the credit mechanism: flow
-                    // control must have reserved this space upstream.
-                    let fifo = &mut input.vcs[vc as usize];
-                    hooks.check(
-                        || fifo.fits(size),
-                        || AuditViolation::BufferOverflow {
-                            cycle: now,
-                            router: ridx as u32,
-                            port: port as u16,
-                            vc,
-                            occupancy: fifo.occupancy(),
-                            capacity: fifo.capacity(),
-                        },
-                    );
-                    if hooks.tolerates_overflow() {
-                        // A seeded credit defect may legitimately
-                        // oversubscribe the buffer; the check above
-                        // recorded it, so land the packet anyway.
-                        fifo.push_overflowing(pkt, size);
-                    } else {
-                        fifo.push(pkt, size);
-                    }
+            if pkt.cur_group != g {
+                pkt.cur_group = g;
+                pkt.clear(FLAG_LOCAL_MISROUTED);
+                if pkt.intermediate == Some(g) {
+                    pkt.intermediate = None;
                 }
             }
-            for (port, output) in router.outputs.iter_mut().enumerate() {
-                while let Some(&(at, vc, phits)) = output.credit_events.front() {
-                    if at > now {
-                        break;
-                    }
-                    output.credit_events.pop_front();
-                    // Seeded credit-accounting skew (mutation testing):
-                    // drop, double or re-VC this landing so the auditor's
-                    // conservation checks can be exercised against real
-                    // in-engine defects.
-                    let Some((vc, phits)) = hooks.skew_credit(vc, phits, output.credits.len())
-                    else {
-                        continue; // the seeded leak: credit never lands
-                    };
-                    let cap = output.capacity[vc as usize];
-                    let c = &mut output.credits[vc as usize];
-                    *c += phits;
-                    if let Some(cm) = cm.as_mut() {
-                        cm.free[ridx] += u64::from(phits);
-                    }
-                    // A counter past the downstream capacity means a
-                    // double credit.
-                    hooks.check(
-                        || *c <= cap,
-                        || AuditViolation::CreditOverflow {
-                            cycle: now,
-                            router: ridx as u32,
-                            port: port as u16,
-                            vc,
-                            credits: *c,
-                            capacity: cap,
-                        },
-                    );
-                }
+            // Arrival-side mirror of the credit mechanism: flow control
+            // must have reserved this space upstream.
+            let fifo = &mut self.routers[ridx].inputs[port].vcs[vc as usize];
+            hooks.check(
+                || fifo.fits(size),
+                || AuditViolation::BufferOverflow {
+                    cycle: now,
+                    router: ridx as u32,
+                    port: port as u16,
+                    vc,
+                    occupancy: fifo.occupancy(),
+                    capacity: fifo.capacity(),
+                },
+            );
+            if hooks.tolerates_overflow() {
+                // A seeded credit defect may legitimately oversubscribe
+                // the buffer; the check above recorded it, so land the
+                // packet anyway.
+                fifo.push_overflowing(pkt, size);
+            } else {
+                fifo.push(pkt, size);
             }
+            occ.router_pkts[ridx] += 1;
+            occ.port_pkts[ridx * n_in + port] += 1;
+        }
+        for credit in due.credits.drain(..) {
+            let (ridx, port) = (credit.router as usize, credit.port as usize);
+            let output = &mut self.routers[ridx].outputs[port];
+            // Seeded credit-accounting skew (mutation testing): drop,
+            // double or re-VC this landing so the auditor's conservation
+            // checks can be exercised against real in-engine defects.
+            let Some((vc, phits)) =
+                hooks.skew_credit(credit.vc, credit.phits, output.credits.len())
+            else {
+                continue; // the seeded leak: credit never lands
+            };
+            let cap = output.capacity[vc as usize];
+            let c = &mut output.credits[vc as usize];
+            *c += phits;
+            if let Some(cm) = cm.as_mut() {
+                cm.free[ridx] += u64::from(phits);
+            }
+            // A counter past the downstream capacity means a double
+            // credit.
+            hooks.check(
+                || *c <= cap,
+                || AuditViolation::CreditOverflow {
+                    cycle: now,
+                    router: ridx as u32,
+                    port: port as u16,
+                    vc,
+                    credits: *c,
+                    capacity: cap,
+                },
+            );
         }
     }
 
@@ -1044,61 +1029,81 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// preceding `cm_sense` commit phase) holds a packet's worth of
     /// tokens. Throttling delays `on_inject` only — packets already in
     /// the fabric are never slowed, so the CDG certificate is untouched.
-    // lint:allow(P002, node index and packet size bounded by fabric dimensions) lint:allow(P001, source queue verified non-empty by the loop guard) lint:allow(R003, on_inject mutates per-mechanism policy state; the parallel plan gives each worker its own policy replica merged at commit)
     fn inject(&mut self, now: u64) {
+        if self.order_nodes.is_empty() {
+            // Identity schedule: the set bits in ascending order are the
+            // nodes the full scan would not have skipped as empty.
+            for w in 0..self.occ.src_pending.len() {
+                let mut bits = self.occ.src_pending[w];
+                while bits != 0 {
+                    let node = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.inject_node(node, now);
+                }
+            }
+        } else {
+            for i in 0..self.order_nodes.len() {
+                let node = self.order_nodes[i] as usize;
+                if self.occ.src_pending[node / 64] >> (node % 64) & 1 != 0 {
+                    self.inject_node(node, now);
+                }
+            }
+        }
+    }
+
+    /// [`Self::inject`] for one node whose source queue is non-empty.
+    // lint:allow(P002, node index and packet size bounded by fabric dimensions) lint:allow(P001, source queue non-empty by the pending-source index) lint:allow(R003, on_inject mutates per-mechanism policy state; the parallel plan gives each worker its own policy replica merged at commit)
+    fn inject_node(&mut self, node: usize, now: u64) {
+        if self.inj_busy[node] > now {
+            return;
+        }
         let size = self.fab.cfg().packet_size as u32;
         let p = self.fab.cfg().params.p;
-        let bypass = self.hooks.bypass_throttle();
         let need = size * CM_TOKEN_SCALE;
-        for i in 0..self.src_q.len() {
-            let node = if self.order_nodes.is_empty() {
-                i
-            } else {
-                self.order_nodes[i] as usize
-            };
-            if self.inj_busy[node] > now || self.src_q[node].is_empty() {
-                continue;
+        if let Some(cm) = self.cm.as_ref() {
+            if cm.tokens[node] < need && !self.hooks.bypass_throttle() {
+                self.stats.cm_throttle_deferrals += 1;
+                return;
             }
-            if let Some(cm) = self.cm.as_ref() {
-                if cm.tokens[node] < need && !bypass {
-                    self.stats.cm_throttle_deferrals += 1;
-                    continue;
-                }
+        }
+        let router = RouterId::from(node / p);
+        let port = self.fab.inj_in(node % p);
+        let store = &mut self.routers[router.idx()];
+        let view = RouterView::new(&self.fab, router, now, &store.outputs, &self.faults);
+        let pkt = self.src_q[node].front_mut().unwrap();
+        let vc = self.policy.on_inject(&view, pkt);
+        // An out-of-range pick would index past the injection buffer,
+        // so a recording hook skips the injection as well.
+        let vcs = store.inputs[port].vcs.len();
+        if !self.hooks.check(
+            || vc < vcs,
+            || AuditViolation::InjectionVcRange {
+                cycle: now,
+                node: node as u32,
+                vc,
+                vcs,
+            },
+        ) {
+            return;
+        }
+        if store.inputs[port].vcs[vc].fits(size) {
+            let pkt = self.src_q[node].pop_front().unwrap();
+            if self.src_q[node].is_empty() {
+                self.occ.src_pending[node / 64] &= !(1 << (node % 64));
             }
-            let router = RouterId::from(node / p);
-            let port = self.fab.inj_in(node % p);
-            let store = &mut self.routers[router.idx()];
-            let view = RouterView::new(&self.fab, router, now, &store.outputs, &self.faults);
-            let pkt = self.src_q[node].front_mut().unwrap();
-            let vc = self.policy.on_inject(&view, pkt);
-            // An out-of-range pick would index past the injection
-            // buffer, so a recording hook skips the injection as well.
-            let vcs = store.inputs[port].vcs.len();
-            if !self.hooks.check(
-                || vc < vcs,
-                || AuditViolation::InjectionVcRange {
-                    cycle: now,
-                    node: node as u32,
-                    vc,
-                    vcs,
-                },
-            ) {
-                continue;
-            }
-            if store.inputs[port].vcs[vc].fits(size) {
-                let pkt = self.src_q[node].pop_front().unwrap();
-                store.inputs[port].vcs[vc].push(pkt, size);
-                self.inj_busy[node] = now + u64::from(size);
-                self.stats.injected_packets += 1;
-                if let Some(cm) = self.cm.as_mut() {
-                    // `saturating_sub` + full-price accounting: the gate
-                    // above guarantees `tokens >= need`, so the two agree
-                    // — unless the `ThrottleBypass` mutation skipped the
-                    // gate, in which case granted − consumed drifts below
-                    // the summed levels and `ThrottleTokenLaw` fires.
-                    cm.tokens[node] = cm.tokens[node].saturating_sub(need);
-                    self.stats.cm_tokens_consumed += u64::from(need);
-                }
+            store.inputs[port].vcs[vc].push(pkt, size);
+            self.occ.router_pkts[router.idx()] += 1;
+            self.occ.port_pkts[router.idx() * self.fab.n_in() + port] += 1;
+            self.inj_busy[node] = now + u64::from(size);
+            self.stats.injected_packets += 1;
+            if let Some(cm) = self.cm.as_mut() {
+                // `saturating_sub` + full-price accounting: the gate
+                // above guarantees `tokens >= need`, so the two agree —
+                // unless the `ThrottleBypass` mutation skipped the gate,
+                // in which case granted − consumed drifts below the
+                // summed levels and `ThrottleTokenLaw` fires.
+                cm.tokens[node] = cm.tokens[node].saturating_sub(need);
+                self.stats.cm_tokens_consumed += u64::from(need);
             }
         }
     }
@@ -1208,9 +1213,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             let store = &mut self.routers[ridx];
             let (inputs, outputs) = (&mut store.inputs, &store.outputs);
             let view = RouterView::new(&self.fab, router, now, outputs, &self.faults);
+            let occupied = &self.occ.port_pkts[ridx * inputs.len()..][..inputs.len()];
             for (port, input) in inputs.iter_mut().enumerate() {
-                if input.busy_until > now {
-                    continue; // crossbar input still streaming a packet
+                if occupied[port] == 0 || input.busy_until > now {
+                    continue; // nothing buffered, or still streaming a packet
                 }
                 let desc = self.fab.in_desc(router, port);
                 let base_vcs = match desc.kind {
@@ -1319,13 +1325,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     }
 
     /// Commit phase: apply the cycle's deferred cross-router effects in
-    /// submission order — packet arrivals, credit returns and (LLR
-    /// only) wire transfers and acks. Every target queue has exactly
-    /// one upstream writer and at most one entry lands per cycle, all
-    /// stamped `at >= now + 1`, so applying them here instead of inside
-    /// each router's allocation turn is observationally identical: no
-    /// phase of the current cycle reads them, and per-queue order is
-    /// the submission order either way.
+    /// submission order — packet arrivals and credit returns are filed
+    /// into the timing wheel under their landing cycle, (LLR only) wire
+    /// transfers and acks into the link layer's queues. Every target
+    /// has exactly one upstream writer and at most one entry lands per
+    /// cycle, all stamped `at >= now + 1`, so applying them here instead
+    /// of inside each router's allocation turn is observationally
+    /// identical: no phase of the current cycle reads them.
     fn commit_effects(&mut self) {
         let llr = &mut self.llr;
         let fold = self.hooks.folds_effect_order();
@@ -1343,28 +1349,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 fold_acc = fold_acc.wrapping_mul(31).wrapping_add(effect_order_key(&e));
             }
             match e {
-                Effect::Arrival {
-                    router,
-                    port,
-                    vc,
-                    at,
-                    pkt,
-                } => {
-                    let q = &mut self.routers[router as usize].inputs[port as usize].arrivals;
-                    debug_assert!(q.back().is_none_or(|&(t, _, _)| t <= at));
-                    q.push_back((at, vc, pkt));
-                }
-                Effect::Credit {
-                    router,
-                    port,
-                    vc,
-                    phits,
-                    at,
-                } => {
-                    let q = &mut self.routers[router as usize].outputs[port as usize].credit_events;
-                    debug_assert!(q.back().is_none_or(|&(t, _, _)| t <= at));
-                    q.push_back((at, vc, phits));
-                }
+                Effect::Arrival { at, arrival } => self.wheel.file_arrival(at, arrival),
+                Effect::Credit { at, credit } => self.wheel.file_credit(at, credit),
                 Effect::Wire {
                     router,
                     port,
@@ -1452,15 +1438,14 @@ impl<P: Policy, H: Hooks> Network<P, H> {
 
         // Credit conservation per (link, VC) — the non-fatal form of
         // `check_credit_conservation` — and occupancy ≤ capacity.
+        let backlog = self.link_backlog();
         for ridx in 0..self.routers.len() {
             let router = RouterId::from(ridx);
             for port in 0..self.fab.n_out() {
-                let link = self.fab.out_link(router, port);
-                if link.kind == PortKind::Node {
+                if self.fab.out_link(router, port).kind == PortKind::Node {
                     continue;
                 }
                 let out = &self.routers[ridx].outputs[port];
-                let din = &self.routers[link.dst_router as usize].inputs[link.dst_port as usize];
                 // Replay-buffer occupancy must respect the window the
                 // allocator gates grants on.
                 if let Some(l) = &self.llr {
@@ -1478,37 +1463,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 }
                 for vcn in 0..out.credits.len() {
                     checks += 1;
-                    // Mirrors `check_credit_conservation`: under LLR the
-                    // reserved space is the undelivered replay entries,
-                    // not the phantom copies in flight.
-                    let reserved = match &self.llr {
-                        Some(l) => {
-                            l.undelivered(
-                                ridx,
-                                port,
-                                link.dst_router as usize,
-                                link.dst_port as usize,
-                            )
-                            .filter(|e| e.out_vc as usize == vcn)
-                            .count() as u32
-                                * size as u32
-                        }
-                        None => {
-                            din.arrivals
-                                .iter()
-                                .filter(|&&(_, v, _)| v as usize == vcn)
-                                .count() as u32
-                                * size as u32
-                        }
-                    };
-                    let inflight_credits: u32 = out
-                        .credit_events
-                        .iter()
-                        .filter(|&&(_, v, _)| v as usize == vcn)
-                        .map(|&(_, _, p)| p)
-                        .sum();
-                    let sum =
-                        out.credits[vcn] + din.vcs[vcn].occupancy() + reserved + inflight_credits;
+                    let sum = self.credit_sum(&backlog, ridx, port, vcn);
                     if sum != out.capacity[vcn] {
                         viols.push(AuditViolation::CreditLeak {
                             cycle: now,
@@ -1553,8 +1508,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 let out = &self.routers[ridx].outputs[esc.out_port as usize];
                 for lane in esc.base_vc..esc.base_vc + esc.num_vcs {
                     free += u64::from(out.credits[lane as usize]);
-                    free += out
-                        .credit_events
+                    free += backlog
+                        .credits(ridx, esc.out_port as usize)
                         .iter()
                         .filter(|&&(_, v, _)| v == lane)
                         .map(|&(_, _, p)| u64::from(p))
@@ -1610,7 +1565,58 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             }
         }
 
+        // The occupancy index against a recount: drift means a FIFO or
+        // source queue changed through a path that does not update it.
+        checks += 1;
+        if self.occ != Occupancy::recount(&self.routers, &self.src_q) {
+            viols.push(AuditViolation::OccupancyDrift { cycle: now });
+        }
+
         (checks, viols)
+    }
+
+    /// The links' contents as one time-ordered pipeline per port: the
+    /// shape the snapshot stores and the conservation laws are stated
+    /// in.
+    fn link_backlog(&self) -> Backlog {
+        self.wheel
+            .backlog(self.routers.len(), self.fab.n_in(), self.fab.n_out())
+    }
+
+    /// Left-hand side of the credit-conservation law for VC `vc` of the
+    /// link out of (`ridx`, `port`): sender credits, receiver occupancy,
+    /// space reserved by packets in flight and credits in flight, summed.
+    /// Must equal the downstream buffer capacity. Under LLR the in-flight
+    /// term is the undelivered replay entries: a credit taken at first
+    /// transmission stays reserved across drops, corruptions and retries
+    /// until the receiver accepts the packet into its buffer (the copies
+    /// on the wire are phantoms).
+    // lint:allow(P002, packet_size is validated at config build and fits u32)
+    fn credit_sum(&self, backlog: &Backlog, ridx: usize, port: usize, vc: usize) -> u32 {
+        let size = self.fab.cfg().packet_size as u32;
+        let link = self.fab.out_link(RouterId::from(ridx), port);
+        let (dst_router, dst_port) = (link.dst_router as usize, link.dst_port as usize);
+        let reserved = match &self.llr {
+            Some(l) => l
+                .undelivered(ridx, port, dst_router, dst_port)
+                .filter(|e| e.out_vc as usize == vc)
+                .count(),
+            None => backlog
+                .arrivals(dst_router, dst_port)
+                .iter()
+                .filter(|&&(_, v, _)| v as usize == vc)
+                .count(),
+        };
+        let inflight_credits: u32 = backlog
+            .credits(ridx, port)
+            .iter()
+            .filter(|&&(_, v, _)| v as usize == vc)
+            .map(|&(_, _, p)| p)
+            .sum();
+        self.routers[ridx].outputs[port].credits[vc]
+            + self.routers[dst_router].inputs[dst_port].vcs[vc].occupancy()
+            + reserved as u32 * size
+            + inflight_credits
     }
 
     /// The `CreditInstant` seam body: add the returned phits to the
@@ -1645,6 +1651,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         );
         let store = &mut self.routers[ridx];
         let mut pkt = store.inputs[in_port].vcs[vc].pop(size);
+        self.occ.router_pkts[ridx] -= 1;
+        self.occ.port_pkts[ridx * self.fab.n_in() + in_port] -= 1;
         pkt.wait = 0; // the head-blocked counter restarts at the next hop
         store.inputs[in_port].busy_until = now + u64::from(size);
         store.inputs[in_port].vc_served_at[vc] = now + 1; // LRS stamp (0 = never)
@@ -1661,11 +1669,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         let desc = *self.fab.in_desc(router, in_port);
         if desc.up_router != u32::MAX && deferred {
             self.effects.push(Effect::Credit {
-                router: desc.up_router,
-                port: desc.up_port,
-                vc: vc as u8,
-                phits: size,
                 at: now + u64::from(desc.latency),
+                credit: Credit {
+                    router: desc.up_router,
+                    port: desc.up_port,
+                    vc: vc as u8,
+                    phits: size,
+                },
             });
         }
 
@@ -1871,11 +1881,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             });
         }
         self.effects.push(Effect::Arrival {
-            router: link.dst_router,
-            port: link.dst_port,
-            vc: req.out_vc,
             at: now + u64::from(link.latency),
-            pkt,
+            arrival: Arrival {
+                router: link.dst_router,
+                port: link.dst_port,
+                vc: req.out_vc,
+                pkt,
+            },
         });
     }
 
@@ -1955,11 +1967,15 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     seq,
                     wire_crc,
                 );
-                let at = now + u64::from(link.latency);
-                let q = &mut self.routers[link.dst_router as usize].inputs[link.dst_port as usize]
-                    .arrivals;
-                debug_assert!(q.back().is_none_or(|&(t, _, _)| t <= at));
-                q.push_back((at, out_vc, pkt));
+                self.wheel.file_arrival(
+                    now + u64::from(link.latency),
+                    Arrival {
+                        router: link.dst_router,
+                        port: link.dst_port,
+                        vc: out_vc,
+                        pkt,
+                    },
+                );
             }
         }
         for (a, b) in escalate {
@@ -1990,63 +2006,34 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             // vanish). Accepted packets are counted by FIFO occupancy.
             return src + buffered + llr.undelivered_phits(&self.fab, size);
         }
-        let inflight: u64 = self
-            .routers
-            .iter()
-            .map(|r| r.inflight_phits(size as usize))
-            .sum();
-        src + buffered + inflight
+        src + buffered + self.wheel.arrivals().count() as u64 * size
+    }
+
+    /// Assert that the occupancy index (`engine::occupancy`) equals
+    /// a recount of the VC FIFOs and source queues. Called from tests;
+    /// O(network).
+    pub fn check_occupancy_index(&self) {
+        assert!(
+            self.occ == Occupancy::recount(&self.routers, &self.src_q),
+            "occupancy index drifted from the FIFOs and source queues"
+        );
     }
 
     /// Assert credit consistency: for every link, sender credits plus
     /// receiver occupancy plus in-flight packets and in-flight credits
     /// must equal the buffer capacity. Called from tests; O(network).
     pub fn check_credit_conservation(&self) {
-        let size = self.fab.cfg().packet_size as u32;
+        let backlog = self.link_backlog();
         for ridx in 0..self.routers.len() {
             let router = RouterId::from(ridx);
             for port in 0..self.fab.n_out() {
-                let link = self.fab.out_link(router, port);
-                if link.kind == PortKind::Node {
+                if self.fab.out_link(router, port).kind == PortKind::Node {
                     continue;
                 }
                 let out = &self.routers[ridx].outputs[port];
-                let din = &self.routers[link.dst_router as usize].inputs[link.dst_port as usize];
                 for vc in 0..out.credits.len() {
-                    // Under LLR the in-flight-packet term is replaced by
-                    // the undelivered replay entries: a credit taken at
-                    // first transmission stays reserved across drops,
-                    // corruptions and retries until the receiver accepts
-                    // the packet into its buffer.
-                    let reserved = match &self.llr {
-                        Some(l) => {
-                            l.undelivered(
-                                ridx,
-                                port,
-                                link.dst_router as usize,
-                                link.dst_port as usize,
-                            )
-                            .filter(|e| e.out_vc as usize == vc)
-                            .count() as u32
-                                * size
-                        }
-                        None => {
-                            din.arrivals
-                                .iter()
-                                .filter(|&&(_, v, _)| v as usize == vc)
-                                .count() as u32
-                                * size
-                        }
-                    };
-                    let inflight_credits: u32 = out
-                        .credit_events
-                        .iter()
-                        .filter(|&&(_, v, _)| v as usize == vc)
-                        .map(|&(_, _, p)| p)
-                        .sum();
-                    let occ = din.vcs[vc].occupancy();
                     assert_eq!(
-                        out.credits[vc] + occ + reserved + inflight_credits,
+                        self.credit_sum(&backlog, ridx, port, vc),
                         out.capacity[vc],
                         "credit leak on {router} out {port} vc {vc}"
                     );
@@ -2171,31 +2158,36 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 }
             }
         }
-        for store in &self.routers {
-            for input in &store.inputs {
+        // The format stores each link's pipeline with its port; the
+        // wheel is gathered back into that shape.
+        let backlog = self.link_backlog();
+        for (ridx, store) in self.routers.iter().enumerate() {
+            for (port, input) in store.inputs.iter().enumerate() {
                 for fifo in &input.vcs {
                     e.usize(fifo.len());
                     for p in fifo.iter() {
                         encode_packet(e, p);
                     }
                 }
-                e.usize(input.arrivals.len());
-                for &(at, vc, pkt) in &input.arrivals {
-                    e.u64(at);
-                    e.u8(vc);
-                    encode_packet(e, &pkt);
+                let arrivals = backlog.arrivals(ridx, port);
+                e.usize(arrivals.len());
+                for (at, vc, pkt) in arrivals {
+                    e.u64(*at);
+                    e.u8(*vc);
+                    encode_packet(e, pkt);
                 }
                 e.u64(input.busy_until);
                 for &t in &input.vc_served_at {
                     e.u64(t);
                 }
             }
-            for output in &store.outputs {
+            for (port, output) in store.outputs.iter().enumerate() {
                 for &c in &output.credits {
                     e.u32(c);
                 }
-                e.usize(output.credit_events.len());
-                for &(at, vc, phits) in &output.credit_events {
+                let credits = backlog.credits(ridx, port);
+                e.usize(credits.len());
+                for &(at, vc, phits) in credits {
                     e.u64(at);
                     e.u8(vc);
                     e.u32(phits);
@@ -2309,9 +2301,19 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         };
         let size = self.fab.cfg().packet_size as u32;
         let mut routers = Vec::with_capacity(nr);
+        // Link pipelines are scattered into a wheel whose next drained
+        // cycle is the snapshot's `now`. A stamp is only accepted where
+        // the live engine could have put it: not in the past, within the
+        // largest link latency, strictly after its port's previous one —
+        // anything else would land in the wrong slot.
+        let mut wheel = Wheel::new(&self.fab, now);
+        let horizon = wheel.max_latency();
+        let stamp_ok = |at: u64, prev: Option<u64>| {
+            at >= now && at - now <= horizon && prev.is_none_or(|p| at > p)
+        };
         for r in 0..nr {
             let mut store = RouterStore::new(&self.fab, RouterId::from(r));
-            for input in &mut store.inputs {
+            for (port, input) in store.inputs.iter_mut().enumerate() {
                 for fifo in &mut input.vcs {
                     let n = d.len(SNAP_QUEUE_BOUND, "VC buffer size")?;
                     for _ in 0..n {
@@ -2323,6 +2325,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     }
                 }
                 let n = d.len(SNAP_QUEUE_BOUND, "arrival pipeline size")?;
+                let mut prev = None;
                 for _ in 0..n {
                     let at = d.u64()?;
                     let vc = d.u8()?;
@@ -2330,14 +2333,26 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     if vc as usize >= input.vcs.len() {
                         return malformed("arrival targets a VC out of range");
                     }
-                    input.arrivals.push_back((at, vc, pkt));
+                    if !stamp_ok(at, prev) {
+                        return malformed("arrival stamp outside the link pipeline");
+                    }
+                    prev = Some(at);
+                    wheel.file_arrival(
+                        at,
+                        Arrival {
+                            router: r as u32,
+                            port: port as u16,
+                            vc,
+                            pkt,
+                        },
+                    );
                 }
                 input.busy_until = d.u64()?;
                 for t in &mut input.vc_served_at {
                     *t = d.u64()?;
                 }
             }
-            for output in &mut store.outputs {
+            for (port, output) in store.outputs.iter_mut().enumerate() {
                 for vc in 0..output.credits.len() {
                     let c = d.u32()?;
                     if c > output.capacity[vc] {
@@ -2346,6 +2361,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     output.credits[vc] = c;
                 }
                 let n = d.len(SNAP_QUEUE_BOUND, "credit pipeline size")?;
+                let mut prev = None;
                 for _ in 0..n {
                     let at = d.u64()?;
                     let vc = d.u8()?;
@@ -2353,7 +2369,19 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     if vc as usize >= output.capacity.len() {
                         return malformed("credit event targets a VC out of range");
                     }
-                    output.credit_events.push_back((at, vc, phits));
+                    if !stamp_ok(at, prev) {
+                        return malformed("credit stamp outside the link pipeline");
+                    }
+                    prev = Some(at);
+                    wheel.file_credit(
+                        at,
+                        Credit {
+                            router: r as u32,
+                            port: port as u16,
+                            vc,
+                            phits,
+                        },
+                    );
                 }
                 output.busy_until = d.u64()?;
                 for t in &mut output.in_served_at {
@@ -2426,6 +2454,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             delivered_log,
             link_phits,
             routers,
+            wheel,
             llr,
             cm,
             delivered_per_src,
@@ -2607,6 +2636,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.plan = s.plan;
         self.faults = s.faults;
         self.stats = s.stats;
+        // The occupancy index is derived state: recount it from the
+        // decoded FIFOs and queues rather than carrying it in the file.
+        self.occ = Occupancy::recount(&s.routers, &s.src_q);
+        self.wheel = s.wheel;
         self.src_q = s.src_q;
         self.inj_busy = s.inj_busy;
         self.router_last_grant = s.router_last_grant;
@@ -2650,6 +2683,7 @@ struct DecodedState {
     delivered_log: Option<Vec<(u64, u32)>>,
     link_phits: Option<Vec<u64>>,
     routers: Vec<RouterStore>,
+    wheel: Wheel,
     llr: Option<Llr>,
     cm: Option<CmState>,
     delivered_per_src: Vec<u64>,

@@ -1,0 +1,65 @@
+//! The occupancy index: where the buffered packets and the waiting
+//! sources are, as flat arrays the `route` and `inject` phases probe
+//! instead of walking every port's FIFOs and every node's queue.
+//!
+//! Below the knee almost every router-cycle and port-cycle has nothing
+//! to do; OFAR decides from the *local* state of the router a packet is
+//! at (§IV), so a router with nothing buffered has no routing work, and
+//! a node with an empty source queue nothing to inject.
+//!
+//! The index is derived state: `Network` updates it next to each of the
+//! places a [`VcFifo`](crate::buffer::VcFifo) is pushed or popped and a
+//! source queue fills or empties, [`Occupancy::recount`] rebuilds it
+//! from those structures (construction, snapshot restore), and the deep
+//! audit checks the two agree. It is therefore outside snapshots.
+
+use crate::packet::Packet;
+use crate::router::RouterStore;
+use std::collections::VecDeque;
+
+/// Buffered-packet counts per router and per input port, and the set of
+/// nodes with a non-empty source queue.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Occupancy {
+    /// Packets buffered in the input VCs of each router.
+    pub router_pkts: Vec<u32>,
+    /// Packets buffered per input port, `[router × n_in]`.
+    pub port_pkts: Vec<u32>,
+    /// Bit `node % 64` of word `node / 64` is set iff `node`'s source
+    /// queue is non-empty.
+    pub src_pending: Vec<u64>,
+}
+
+impl Occupancy {
+    /// The index of an empty network of `routers` routers with `n_in`
+    /// input ports each and `nodes` nodes.
+    pub fn empty(routers: usize, n_in: usize, nodes: usize) -> Self {
+        Self {
+            router_pkts: vec![0; routers],
+            port_pkts: vec![0; routers * n_in],
+            src_pending: vec![0; nodes.div_ceil(64)],
+        }
+    }
+
+    /// Count `routers`' FIFOs and `src_q`'s queues.
+    // lint:allow(H001, construction, restore and audit only; never on the per-cycle path under NoHooks) lint:allow(P002, a FIFO holds at most capacity/packet_size packets)
+    pub fn recount(routers: &[RouterStore], src_q: &[VecDeque<Packet>]) -> Self {
+        let mut src_pending = vec![0u64; src_q.len().div_ceil(64)];
+        for (node, q) in src_q.iter().enumerate() {
+            if !q.is_empty() {
+                src_pending[node / 64] |= 1 << (node % 64);
+            }
+        }
+        let port_pkts: Vec<u32> = routers
+            .iter()
+            .flat_map(|store| &store.inputs)
+            .map(|input| input.vcs.iter().map(|fifo| fifo.len() as u32).sum())
+            .collect();
+        let n_in = routers.first().map_or(1, |store| store.inputs.len());
+        Self {
+            router_pkts: port_pkts.chunks(n_in).map(|c| c.iter().sum()).collect(),
+            port_pkts,
+            src_pending,
+        }
+    }
+}

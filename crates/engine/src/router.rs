@@ -3,18 +3,15 @@
 
 use crate::buffer::VcFifo;
 use crate::fabric::Fabric;
-use crate::packet::Packet;
 use ofar_topology::RouterId;
-use std::collections::VecDeque;
 
-/// An input port: its VC FIFOs, the in-flight arrival pipeline of the
-/// attached link, and crossbar-side busy/arbitration state.
+/// An input port: its VC FIFOs and crossbar-side busy/arbitration
+/// state. (Packets in flight on the attached link live in the
+/// network-wide timing wheel, `engine::wheel`.)
 #[derive(Debug)]
 pub struct InputPort {
     /// Virtual-channel FIFOs.
     pub vcs: Vec<VcFifo>,
-    /// In-flight packets on the incoming link, ordered by arrival cycle.
-    pub arrivals: VecDeque<(u64, u8, Packet)>,
     /// The crossbar input is occupied (transferring a packet) until this
     /// cycle (exclusive).
     pub busy_until: u64,
@@ -31,7 +28,6 @@ impl InputPort {
             .collect();
         Self {
             vcs,
-            arrivals: VecDeque::new(),
             busy_until: 0,
             vc_served_at: vec![0; nvc],
         }
@@ -43,8 +39,9 @@ impl InputPort {
     }
 }
 
-/// An output port: downstream credit state, the credit-return pipeline,
-/// and crossbar-side busy/arbitration state.
+/// An output port: downstream credit state and crossbar-side
+/// busy/arbitration state. (Credits in flight back to it live in the
+/// network-wide timing wheel, `engine::wheel`.)
 #[derive(Debug)]
 pub struct OutputPort {
     /// Available downstream space per VC, in phits. Ejection ports have
@@ -53,8 +50,6 @@ pub struct OutputPort {
     /// Per-VC capacity of the downstream buffer, in phits (mirror of the
     /// credit ceiling, kept here so occupancy estimates are O(1)).
     pub capacity: Vec<u32>,
-    /// Credits in flight back to this port, ordered by arrival cycle.
-    pub credit_events: VecDeque<(u64, u8, u32)>,
     /// The output link is transmitting until this cycle (exclusive).
     pub busy_until: u64,
     /// Least-recently-served stamps per input port for the output
@@ -77,7 +72,6 @@ impl OutputPort {
         Self {
             credits,
             capacity,
-            credit_events: VecDeque::new(),
             busy_until: 0,
             in_served_at: vec![0; fab.n_in()],
         }
@@ -121,14 +115,6 @@ impl RouterStore {
     /// crossbar are accounted at their source buffer until popped).
     pub fn buffered_phits(&self) -> u64 {
         self.inputs.iter().map(|i| u64::from(i.occupancy())).sum()
-    }
-
-    /// Phits in flight on the incoming links of this router.
-    pub fn inflight_phits(&self, packet_size: usize) -> u64 {
-        self.inputs
-            .iter()
-            .map(|i| (i.arrivals.len() * packet_size) as u64)
-            .sum()
     }
 }
 

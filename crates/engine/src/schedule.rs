@@ -1,9 +1,12 @@
 //! Shard iteration schedules for the `parallel`-marked phases.
 //!
 //! The parallelization contract (`results/phase-contract.json`) claims
-//! the three parallel phases of [`Network::step`](crate::Network::step)
-//! — `deliver`, `inject`, `route` — touch disjoint per-shard state, so
-//! the iteration order of their shard loops must be unobservable. This
+//! the two parallel phases of [`Network::step`](crate::Network::step)
+//! — `inject` and `route` — touch disjoint per-shard state, so the
+//! iteration order of their shard loops must be unobservable. (The
+//! `route` order also permutes the order in which link events are filed
+//! into the timing wheel, and with it the order the serial `deliver`
+//! phase applies them a link latency later.) This
 //! module makes that claim *executable*: a [`ShardSchedule`] materializes
 //! a permutation of the shard indices, the engine walks the loops in
 //! that order, and the `ofar-race` certifier byte-compares snapshots
@@ -11,9 +14,9 @@
 //! empty order vector, which the engine treats as the plain `0..n` loop
 //! — the release path pays one `is_empty` branch per loop, nothing else.
 
-/// Iteration order of the per-shard loops in the three `parallel`
-/// phases of `Network::step` (`deliver` and `route` iterate routers,
-/// `inject` iterates nodes).
+/// Iteration order of the per-shard loops in the two `parallel`
+/// phases of `Network::step` (`route` iterates routers, `inject`
+/// iterates nodes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardSchedule {
     /// Natural order `0..n` — the default and the release fast path.

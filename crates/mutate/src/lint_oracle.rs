@@ -7,10 +7,11 @@
 //! every dynamic oracle because the single-threaded engine simulates
 //! them identically. The seeded transform moves the credit return
 //! across the phase boundary: the deferred `Effect::Credit` push in
-//! `execute_grant` (parallel `route` phase, applied by
-//! `commit_effects` in the serial commit phase) becomes a direct write
-//! into the *upstream* router's credit queue — exactly the cross-shard
-//! write the checked-in parallelization contract forbids. The oracle
+//! `execute_grant` (parallel `route` phase, filed into the timing wheel
+//! by `commit_effects` in the serial commit phase) becomes a direct
+//! filing of the *upstream* router's credit into the wheel from the
+//! route phase — exactly the cross-shard write the checked-in
+//! parallelization contract forbids. The oracle
 //! re-runs `ofar-analyze` over the mutated workspace text and the
 //! mutant is killed when an open R-family finding lands in the mutated
 //! file.
@@ -32,21 +33,29 @@ const TARGET: &str = "crates/engine/src/network.rs";
 /// The deferred credit push in `execute_grant`, byte-exact with the
 /// pristine source.
 const CREDIT_PUSH: &str = "            self.effects.push(Effect::Credit {
-                router: desc.up_router,
-                port: desc.up_port,
-                vc: vc as u8,
-                phits: size,
                 at: now + u64::from(desc.latency),
+                credit: Credit {
+                    router: desc.up_router,
+                    port: desc.up_port,
+                    vc: vc as u8,
+                    phits: size,
+                },
             });";
 
-/// The hoisted replacement: a direct foreign-shard write from the
-/// parallel phase. Still a valid program with identical single-threaded
-/// behavior (the ready-at stamp travels in the queue entry), which is
-/// the point — only the analyzer can object.
-const CREDIT_HOIST: &str = "            self.routers[desc.up_router as usize].outputs
-                [desc.up_port as usize]
-                .credit_events
-                .push_back((now + u64::from(desc.latency), vc as u8, size));";
+/// The hoisted replacement: the credit is filed into the wheel, for a
+/// foreign router's port, straight from the parallel phase. Still a
+/// valid program with identical single-threaded behavior (the landing
+/// cycle picks the slot either way), which is the point — only the
+/// analyzer can object.
+const CREDIT_HOIST: &str = "            self.wheel.file_credit(
+                now + u64::from(desc.latency),
+                Credit {
+                    router: desc.up_router,
+                    port: desc.up_port,
+                    vc: vc as u8,
+                    phits: size,
+                },
+            );";
 
 /// Run the phase-discipline analyzer against the workspace with `op`'s
 /// textual transform applied to the engine source. Kills are open

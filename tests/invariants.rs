@@ -3,6 +3,7 @@
 //! destroy phits, and the credit ledger of every link must balance.
 
 use ofar::prelude::*;
+use proptest::prelude::*;
 
 fn drive(
     kind: MechanismKind,
@@ -31,6 +32,7 @@ fn drive(
 }
 
 fn assert_conservation(net: &Network<Mechanism>) {
+    net.check_occupancy_index();
     let size = net.cfg().packet_size as u64;
     let s = net.stats();
     assert_eq!(
@@ -142,5 +144,74 @@ fn draining_returns_every_packet() {
         assert_eq!(net.stats().delivered_packets, generated);
         assert_eq!(net.phits_in_system(), 0);
         net.check_credit_conservation();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(18))]
+
+    /// The timing wheel and the occupancy index are relocated/derived
+    /// state: at any cycle of any run the index equals a recount, the
+    /// conservation laws hold over the wheel's contents, a snapshot
+    /// restored into a fresh network re-encodes to the same bytes, and
+    /// every packet is delivered exactly once. A third of the cases run
+    /// over lossy links (BER 1e-3, so LLR retransmits refile arrivals)
+    /// with a flapping global link (so dead-link flushes land packets
+    /// outside the deliver phase).
+    #[test]
+    fn wheel_and_index_agree_with_the_structures_they_summarize(
+        mech in 0usize..5,
+        load_pct in 5u32..=60,
+        seed in 1u64..10_000,
+        cycles in 50u64..1_200,
+        variant in 0u32..3,
+    ) {
+        let kind = MechanismKind::paper_set()[mech];
+        let lossy = variant == 0;
+        let mut cfg = SimConfig::paper(2).with_seed(seed);
+        if lossy {
+            cfg.ber = 1e-3;
+        }
+        let cfg = kind.adapt_config(cfg);
+        let build = || Network::new(cfg, kind.build(&cfg, seed));
+        let mut net = build();
+        let topo = Dragonfly::new(cfg.params);
+        if lossy {
+            let r0 = RouterId::new(0);
+            let far = topo.global_neighbor(r0, 0).0;
+            net.set_fault_plan(FaultPlan::new().flap_link(r0, far, 40, 60, 150, 4));
+        }
+        let mut gen = TrafficGen::new(&topo, TrafficSpec::uniform(), seed + 1);
+        let mut bern = Bernoulli::new(f64::from(load_pct) / 100.0, cfg.packet_size, seed + 2);
+        let nodes = net.num_nodes();
+        for _ in 0..cycles {
+            bern.cycle(nodes, |src| {
+                let dst = gen.destination(src);
+                net.generate(src, dst);
+            });
+            net.step();
+        }
+        prop_assert_eq!(net.llr_enabled(), lossy);
+        assert_conservation(&net);
+
+        let bytes = net.save_snapshot();
+        let mut fresh = build();
+        fresh.restore_snapshot(&bytes).expect("own snapshot restores");
+        assert_conservation(&fresh);
+        prop_assert!(fresh.save_snapshot() == bytes, "restore then save changed the bytes");
+
+        // Drain the restored copy: it must finish what the original
+        // started, delivering everything once.
+        let generated = fresh.stats().generated_packets;
+        let mut guard = 0;
+        while !fresh.drained() {
+            fresh.step();
+            guard += 1;
+            prop_assert!(guard < 200_000, "{} failed to drain", kind);
+        }
+        prop_assert_eq!(fresh.stats().delivered_packets, generated);
+        prop_assert_eq!(fresh.stats().duplicate_deliveries, 0);
+        prop_assert_eq!(fresh.phits_in_system(), 0);
+        assert_conservation(&fresh);
     }
 }

@@ -311,30 +311,34 @@ fn garbage_and_empty_files_are_refused() {
 // (`ofar-race`) byte-compares epoch snapshots with.
 // ---------------------------------------------------------------------
 
-/// Flip one bit of byte 0 in the `idx`-th section's payload (0 =
-/// config, 1 = policy, 2 = state) and re-seal the section and file
-/// checksums, so the corrupted frame still *parses* — the divergence is
-/// visible only to the diff, exactly like a schedule-dependent state
-/// difference between two valid runs.
-fn flip_bit_in_section(bytes: &[u8], idx: usize) -> Vec<u8> {
+/// Apply `edit` to the payload of the `idx`-th section (0 = config,
+/// 1 = policy, 2 = state) and re-seal the section and file checksums,
+/// so the edited frame still *parses*: the change is visible only to
+/// whoever reads the payload — the diff, or the STATE decoder's own
+/// validation.
+fn edit_section(bytes: &[u8], idx: usize, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
     let mut out = bytes.to_vec();
     let mut pos = 16;
-    for i in 0..=idx {
+    for _ in 0..idx {
         let len = u32::from_le_bytes(out[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        if i == idx {
-            let payload = pos + 9;
-            assert!(len > 0, "section {idx} is empty");
-            out[payload] ^= 1;
-            let crc = crc32(&out[payload..payload + len]);
-            out[pos + 5..pos + 9].copy_from_slice(&crc.to_le_bytes());
-            break;
-        }
         pos += 9 + len;
     }
+    let len = u32::from_le_bytes(out[pos + 1..pos + 5].try_into().unwrap()) as usize;
+    let payload = pos + 9;
+    assert!(len > 0, "section {idx} is empty");
+    edit(&mut out[payload..payload + len]);
+    let crc = crc32(&out[payload..payload + len]);
+    out[pos + 5..pos + 9].copy_from_slice(&crc.to_le_bytes());
     let body = out.len() - 4;
     let fixed = crc32(&out[..body]);
     out[body..].copy_from_slice(&fixed.to_le_bytes());
     out
+}
+
+/// Flip one bit of byte 0 in the `idx`-th section's payload — exactly
+/// like a schedule-dependent state difference between two valid runs.
+fn flip_bit_in_section(bytes: &[u8], idx: usize) -> Vec<u8> {
+    edit_section(bytes, idx, |payload| payload[0] ^= 1)
 }
 
 #[test]
@@ -393,4 +397,85 @@ fn named_diff_resolves_a_state_flip_to_its_field() {
         .expect("policy flip must surface");
     assert_eq!(d.section, "policy");
     assert!(field.contains("offset 0"), "field: {field}");
+}
+
+// ---------------------------------------------------------------------
+// Link-event stamps: the engine files every restored arrival and credit
+// into the timing-wheel slot of its landing cycle, so a stamp the live
+// engine could not have produced must be refused, not filed.
+// ---------------------------------------------------------------------
+
+/// Offset, inside the STATE payload, of the first link pipeline whose
+/// field label ends with `suffix` (`.arrivals` / `.credit_events`) and
+/// that holds at least `min` entries. The pipeline starts with its
+/// `u64` entry count; entries follow, each led by its `u64` stamp.
+fn find_pipeline(net: &Network<Mechanism>, state: &[u8], suffix: &str, min: u64) -> usize {
+    // Every pipeline is at least its 8-byte count long, so a stride of
+    // 8 cannot step over one.
+    for probe in (0..state.len()).step_by(8) {
+        let label = net.locate_state_field(state, probe);
+        if !label.ends_with(suffix) {
+            continue;
+        }
+        let mut start = probe;
+        while start > 0 && net.locate_state_field(state, start - 1) == label {
+            start -= 1;
+        }
+        if u64::from_le_bytes(state[start..start + 8].try_into().unwrap()) >= min {
+            return start;
+        }
+    }
+    panic!("no {suffix} pipeline with {min} entries in this snapshot");
+}
+
+#[test]
+fn impossible_event_stamps_are_refused() {
+    let mut h = Harness::new(MechanismKind::Ofar, 9, 0.0, false);
+    h.drive(300);
+    let now = h.net.now();
+    let clean = h.net.save_snapshot();
+    let mut payload = Vec::new();
+    let resealed = edit_section(&clean, 2, |p| payload = p.to_vec());
+    assert_eq!(
+        resealed, clean,
+        "an identity edit re-seals to the same bytes"
+    );
+
+    let arrivals = find_pipeline(&h.net, &payload, ".arrivals", 1);
+    // One entry of a credit pipeline: stamp u64, vc u8, phits u32.
+    let credits = find_pipeline(&h.net, &payload, ".credit_events", 2);
+    let put = |at: usize, v: u64| {
+        edit_section(&clean, 2, |p| {
+            p[at..at + 8].copy_from_slice(&v.to_le_bytes())
+        })
+    };
+    let first_credit = u64::from_le_bytes(payload[credits + 8..credits + 16].try_into().unwrap());
+    let cases = [
+        ("a stamp in the past", put(arrivals + 8, now - 1)),
+        (
+            "a stamp beyond the largest link latency",
+            put(arrivals + 8, now + h.net.cfg().lat_global + 1),
+        ),
+        (
+            "a stamp not after its predecessor",
+            put(credits + 8 + 13, first_credit),
+        ),
+    ];
+
+    let mut victim = Harness::new(MechanismKind::Ofar, 9, 0.0, false);
+    victim.drive(100);
+    let pristine = victim.net.save_snapshot();
+    for (what, bytes) in cases {
+        match victim.net.restore_snapshot(&bytes) {
+            Err(SnapshotError::Malformed(_)) => {}
+            other => panic!("{what}: expected Malformed, got {other:?}"),
+        }
+        assert_eq!(
+            victim.net.save_snapshot(),
+            pristine,
+            "{what}: victim touched"
+        );
+    }
+    // The unedited file still restores.
+    victim.net.restore_snapshot(&clean).unwrap();
 }
