@@ -95,8 +95,8 @@ pub struct Divergence {
     pub cycle: u64,
     /// Diverging snapshot section (`config`, `policy` or `state`).
     pub section: String,
-    /// Diverging field, resolved by the snapshot schema walker (for the
-    /// `state` section) or an opaque byte offset (for `policy`).
+    /// Diverging field, named by the STATE decoder (for the `state`
+    /// section) or an opaque byte offset (for `policy`).
     pub field: String,
 }
 

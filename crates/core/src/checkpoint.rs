@@ -15,6 +15,7 @@
 //! [`CheckpointPolicy::every`] — see
 //! [`crate::run::steady_state_checkpointed`].
 
+use ofar_engine::snapshot::{Dec, Enc};
 use ofar_engine::{
     config_fingerprint, crc32, write_atomic, Network, Policy, SimConfig, SnapshotError, Stats,
     STATS_COUNTERS,
@@ -117,20 +118,19 @@ impl CheckpointPolicy {
     /// Remove all but the newest [`CheckpointPolicy::keep`] checkpoints
     /// of run `key` (best-effort).
     fn prune(&self, key: u32) {
-        let mut files = self.list(key);
-        files.sort_by_key(|&(cycle, _)| std::cmp::Reverse(cycle)); // newest first
-        for (_, path) in files.into_iter().skip(self.keep) {
+        for (_, path) in self.list(key).into_iter().skip(self.keep) {
             std::fs::remove_file(path).ok();
         }
     }
 
-    /// `(cycle, path)` of every file named like a checkpoint of `key`.
+    /// `(cycle, path)` of every file named like a checkpoint of `key`,
+    /// newest first.
     fn list(&self, key: u32) -> Vec<(u64, PathBuf)> {
         let prefix = format!("ckpt-{key:08x}-");
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return Vec::new();
         };
-        entries
+        let mut files: Vec<_> = entries
             .flatten()
             .filter_map(|e| {
                 let name = e.file_name().into_string().ok()?;
@@ -138,7 +138,9 @@ impl CheckpointPolicy {
                 let cycle = u64::from_str_radix(hex, 16).ok()?;
                 Some((cycle, e.path()))
             })
-            .collect()
+            .collect();
+        files.sort_by_key(|&(cycle, _)| std::cmp::Reverse(cycle));
+        files
     }
 
     /// Load the newest checkpoint of run `key` that decodes and
@@ -148,9 +150,7 @@ impl CheckpointPolicy {
         if !self.enabled() {
             return None;
         }
-        let mut files = self.list(key);
-        files.sort_by_key(|&(cycle, _)| std::cmp::Reverse(cycle)); // newest first
-        files.into_iter().find_map(|(_, path)| {
+        self.list(key).into_iter().find_map(|(_, path)| {
             let bytes = std::fs::read(path).ok()?;
             decode(&bytes, key)
         })
@@ -216,26 +216,6 @@ pub fn run_key(
     )
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(b: &[u8], o: &mut usize) -> Option<u32> {
-    let s = b.get(*o..*o + 4)?;
-    *o += 4;
-    Some(u32::from_le_bytes(s.try_into().unwrap()))
-}
-
-fn get_u64(b: &[u8], o: &mut usize) -> Option<u64> {
-    let s = b.get(*o..*o + 8)?;
-    *o += 8;
-    Some(u64::from_le_bytes(s.try_into().unwrap()))
-}
-
 /// Serialize a checkpoint: magic, version, run key, cycle, optional
 /// stats baseline, both RNG streams, the nested engine snapshot, and a
 /// whole-file CRC-32 trailer.
@@ -247,65 +227,48 @@ fn encode(
     bern_rng: [u64; 4],
     snap: &[u8],
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(snap.len() + 64 + STATS_COUNTERS * 8);
-    out.extend_from_slice(&CKPT_MAGIC);
-    put_u32(&mut out, CKPT_VERSION);
-    put_u32(&mut out, key);
-    put_u64(&mut out, cycle);
+    let mut e = Enc(Vec::with_capacity(snap.len() + 64 + STATS_COUNTERS * 8));
+    e.bytes(&CKPT_MAGIC);
+    e.u32(CKPT_VERSION);
+    e.u32(key);
+    e.u64(cycle);
     match start {
-        None => out.push(0),
+        None => e.u8(0),
         Some(s) => {
-            out.push(1);
-            for c in s.counters() {
-                put_u64(&mut out, c);
-            }
+            e.u8(1);
+            e.u64s(&s.counters());
         }
     }
-    for w in gen_rng.iter().chain(bern_rng.iter()) {
-        put_u64(&mut out, *w);
-    }
-    put_u32(
-        &mut out,
-        u32::try_from(snap.len()).expect("snapshot over 4 GiB"),
-    );
-    out.extend_from_slice(snap);
-    let trailer = crc32(&out);
-    put_u32(&mut out, trailer);
-    out
+    e.u64s(&gen_rng);
+    e.u64s(&bern_rng);
+    e.u32(u32::try_from(snap.len()).expect("snapshot over 4 GiB"));
+    e.bytes(snap);
+    e.u32(crc32(&e.0));
+    e.0
 }
 
 /// Parse and validate a checkpoint file. Any defect — bad checksum,
 /// magic, version, key mismatch, short or oversized payload — yields
 /// `None`: a corrupt checkpoint is treated as absent, never trusted.
 fn decode(bytes: &[u8], expect_key: u32) -> Option<Checkpoint> {
-    if bytes.len() < CKPT_MAGIC.len() + 4 {
+    let (body, trailer) = bytes.split_at(bytes.len().checked_sub(4)?);
+    if crc32(body) != Dec::new(trailer).u32().ok()? {
         return None;
     }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    if crc32(body) != u32::from_le_bytes(trailer.try_into().unwrap()) {
+    let d = &mut Dec::new(body);
+    if d.bytes(CKPT_MAGIC.len()).ok()? != CKPT_MAGIC
+        || d.u32().ok()? != CKPT_VERSION
+        || d.u32().ok()? != expect_key
+    {
         return None;
     }
-    if body.get(..CKPT_MAGIC.len())? != CKPT_MAGIC {
-        return None;
-    }
-    let mut o = CKPT_MAGIC.len();
-    if get_u32(body, &mut o)? != CKPT_VERSION {
-        return None;
-    }
-    if get_u32(body, &mut o)? != expect_key {
-        return None;
-    }
-    let cycle = get_u64(body, &mut o)?;
-    let start = match *body.get(o)? {
-        0 => {
-            o += 1;
-            None
-        }
+    let cycle = d.u64().ok()?;
+    let start = match d.u8().ok()? {
+        0 => None,
         1 => {
-            o += 1;
             let mut counters = [0u64; STATS_COUNTERS];
-            for c in counters.iter_mut() {
-                *c = get_u64(body, &mut o)?;
+            for c in &mut counters {
+                *c = d.u64().ok()?;
             }
             let mut s = Stats::default();
             s.set_counters(&counters);
@@ -313,25 +276,20 @@ fn decode(bytes: &[u8], expect_key: u32) -> Option<Checkpoint> {
         }
         _ => return None,
     };
-    let mut gen_rng = [0u64; 4];
-    for w in gen_rng.iter_mut() {
-        *w = get_u64(body, &mut o)?;
+    let mut rngs = [[0u64; 4]; 2];
+    for w in rngs.iter_mut().flatten() {
+        *w = d.u64().ok()?;
     }
-    let mut bern_rng = [0u64; 4];
-    for w in bern_rng.iter_mut() {
-        *w = get_u64(body, &mut o)?;
-    }
-    let snap_len = get_u32(body, &mut o)? as usize;
-    if snap_len > CKPT_SNAP_BOUND || body.len() - o != snap_len {
+    let snap_len = d.u32().ok()? as usize;
+    if snap_len > CKPT_SNAP_BOUND || d.remaining() != snap_len {
         return None;
     }
-    let snap = body[o..].to_vec();
     Some(Checkpoint {
         cycle,
         start,
-        gen_rng,
-        bern_rng,
-        snap,
+        gen_rng: rngs[0],
+        bern_rng: rngs[1],
+        snap: d.bytes(snap_len).ok()?.to_vec(),
     })
 }
 
@@ -357,6 +315,31 @@ mod tests {
         // warmup-phase checkpoint has no baseline
         let bytes2 = encode(0xAB, 10, None, [1, 2, 3, 4], [5, 6, 7, 8], &snap);
         assert!(decode(&bytes2, 0xAB).unwrap().start.is_none());
+    }
+
+    /// Format pin: the envelope bytes of a fixed checkpoint, with and
+    /// without a stats baseline. `CKPT_VERSION` is 1; a codec refactor
+    /// must leave length and CRC-32 exactly as they are.
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        let mut start = Stats::default();
+        let mut counters = start.counters();
+        for (i, c) in counters.iter_mut().enumerate() {
+            *c = 1_000_003 * (i as u64 + 1);
+        }
+        start.set_counters(&counters);
+        let snap: Vec<u8> = (0..=255u8).collect();
+        let gen = [0x0123_4567_89AB_CDEF, 2, 3, u64::MAX];
+        let bern = [5, 6, 0xFEDC_BA98_7654_3210, 8];
+        let with = encode(0xDEAD_BEEF, 123_456_789, Some(&start), gen, bern, &snap);
+        let without = encode(0xDEAD_BEEF, 50, None, gen, bern, &snap);
+        // The CRC of a whole sealed file is the CRC-32 residue whatever
+        // the content, so the pin is over the body the trailer seals.
+        let pin = |file: &[u8]| (file.len(), crc32(&file[..file.len() - 4]));
+        assert_eq!(pin(&with), (593, 4_000_599_024));
+        assert_eq!(pin(&without), (353, 856_590_853));
+        let ck = decode(&with, 0xDEAD_BEEF).unwrap();
+        assert_eq!(ck.start.unwrap().counters(), counters);
     }
 
     #[test]

@@ -657,7 +657,10 @@ fn postmortem_dump<P: Policy, H: Hooks>(net: &Network<P, H>, stall: &StallKind) 
         Ok(_) => return,
         Err(e) => return eprintln!("warning: {e}; no post-mortem dump written"),
     };
-    let base = format!("stall-{}", net.now());
+    // Fingerprint first: sweep points that stall on the same cycle are
+    // different machines or mechanisms, and must not share a name.
+    let fp = ofar_engine::config_fingerprint(net.cfg(), net.policy().name());
+    let base = format!("stall-{fp:08x}-{}", net.now());
     let snap = net.save_snapshot();
     if ofar_engine::write_atomic(&dir.join(format!("{base}.snap")), &snap).is_err() {
         return;

@@ -22,7 +22,6 @@ use ofar_engine::{config_fingerprint, crc32, SimConfig};
 use ofar_routing::MechanismKind;
 use ofar_traffic::TrafficSpec;
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// A directory of completed experiment points: `MANIFEST` plus
@@ -103,16 +102,10 @@ impl ResultStore {
     }
 }
 
-/// Write `content` to `path` through a sibling temporary file and an
-/// atomic rename, so a crash never leaves a torn file at the final name.
+/// [`ofar_engine::write_atomic`] for text: a crash never leaves a torn
+/// file at the final name.
 pub fn write_atomic_text(path: &Path, content: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(content.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    ofar_engine::write_atomic(path, content.as_bytes())
 }
 
 /// Canonical key of one sweep point: every input that affects the

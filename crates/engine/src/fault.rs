@@ -437,10 +437,6 @@ impl FaultState {
 
 use crate::snapshot::{Dec, Enc, SnapshotError};
 
-/// Decode-time cap on fault-set sizes: generous for any real plan,
-/// tight enough to refuse an allocation bomb in a corrupt file.
-const SNAP_FAULT_BOUND: usize = 1 << 20;
-
 fn encode_pair(e: &mut Enc, (a, b): (RouterId, RouterId)) {
     e.u32(a.0);
     e.u32(b.0);
@@ -450,65 +446,39 @@ fn decode_pair(d: &mut Dec<'_>) -> Result<(RouterId, RouterId), SnapshotError> {
     Ok((RouterId::new(d.u32()?), RouterId::new(d.u32()?)))
 }
 
+/// A fault kind travels as its tag, then the one or two routers it
+/// names, then (tag 6) the BER in ppm.
 fn encode_kind(e: &mut Enc, kind: FaultKind) {
-    match kind {
-        FaultKind::FailLink(a, b) => {
-            e.u8(0);
-            encode_pair(e, (a, b));
-        }
-        FaultKind::RestoreLink(a, b) => {
-            e.u8(1);
-            encode_pair(e, (a, b));
-        }
-        FaultKind::FailRouter(r) => {
-            e.u8(2);
-            e.u32(r.0);
-        }
-        FaultKind::RestoreRouter(r) => {
-            e.u8(3);
-            e.u32(r.0);
-        }
-        FaultKind::CorruptPhit(a, b) => {
-            e.u8(4);
-            encode_pair(e, (a, b));
-        }
-        FaultKind::DropPhit(a, b) => {
-            e.u8(5);
-            encode_pair(e, (a, b));
-        }
-        FaultKind::SetLinkBer(a, b, ppm) => {
-            e.u8(6);
-            encode_pair(e, (a, b));
-            e.u32(ppm);
-        }
+    let (tag, a, b, ppm) = match kind {
+        FaultKind::FailLink(a, b) => (0, a, Some(b), None),
+        FaultKind::RestoreLink(a, b) => (1, a, Some(b), None),
+        FaultKind::FailRouter(r) => (2, r, None, None),
+        FaultKind::RestoreRouter(r) => (3, r, None, None),
+        FaultKind::CorruptPhit(a, b) => (4, a, Some(b), None),
+        FaultKind::DropPhit(a, b) => (5, a, Some(b), None),
+        FaultKind::SetLinkBer(a, b, ppm) => (6, a, Some(b), Some(ppm)),
+    };
+    e.u8(tag);
+    e.u32(a.0);
+    if let Some(b) = b {
+        e.u32(b.0);
+    }
+    if let Some(ppm) = ppm {
+        e.u32(ppm);
     }
 }
 
 fn decode_kind(d: &mut Dec<'_>) -> Result<FaultKind, SnapshotError> {
+    let router = |d: &mut Dec<'_>| d.u32().map(RouterId::new);
+    // Arguments are read left to right, in wire order.
     Ok(match d.u8()? {
-        0 => {
-            let (a, b) = decode_pair(d)?;
-            FaultKind::FailLink(a, b)
-        }
-        1 => {
-            let (a, b) = decode_pair(d)?;
-            FaultKind::RestoreLink(a, b)
-        }
-        2 => FaultKind::FailRouter(RouterId::new(d.u32()?)),
-        3 => FaultKind::RestoreRouter(RouterId::new(d.u32()?)),
-        4 => {
-            let (a, b) = decode_pair(d)?;
-            FaultKind::CorruptPhit(a, b)
-        }
-        5 => {
-            let (a, b) = decode_pair(d)?;
-            FaultKind::DropPhit(a, b)
-        }
-        6 => {
-            let (a, b) = decode_pair(d)?;
-            let ppm = d.u32()?;
-            FaultKind::SetLinkBer(a, b, ppm)
-        }
+        0 => FaultKind::FailLink(router(d)?, router(d)?),
+        1 => FaultKind::RestoreLink(router(d)?, router(d)?),
+        2 => FaultKind::FailRouter(router(d)?),
+        3 => FaultKind::RestoreRouter(router(d)?),
+        4 => FaultKind::CorruptPhit(router(d)?, router(d)?),
+        5 => FaultKind::DropPhit(router(d)?, router(d)?),
+        6 => FaultKind::SetLinkBer(router(d)?, router(d)?, d.u32()?),
         _ => return Err(SnapshotError::Malformed("unknown fault kind")),
     })
 }
@@ -525,7 +495,7 @@ impl FaultPlan {
 
     /// Rebuild a schedule written by [`FaultPlan::snap_encode`].
     pub(crate) fn snap_decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        let n = d.len(SNAP_FAULT_BOUND, "fault plan size")?;
+        let n = d.len(13, "fault plan size")?;
         let mut events = Vec::with_capacity(n);
         for _ in 0..n {
             let at = d.u64()?;
@@ -569,16 +539,16 @@ impl FaultState {
     /// re-deriving port and ring liveness from the restored sets.
     pub(crate) fn snap_decode(d: &mut Dec<'_>, fab: &Fabric) -> Result<Self, SnapshotError> {
         let mut state = Self::new(fab);
-        let n_links = d.len(SNAP_FAULT_BOUND, "failed-link set size")?;
+        let n_links = d.len(8, "failed-link set size")?;
         for _ in 0..n_links {
             state.failed_links.insert(decode_pair(d)?);
         }
-        let n_routers = d.len(SNAP_FAULT_BOUND, "failed-router set size")?;
+        let n_routers = d.len(4, "failed-router set size")?;
         for _ in 0..n_routers {
             state.failed_routers.insert(RouterId::new(d.u32()?));
         }
         for map_idx in 0..3 {
-            let n = d.len(SNAP_FAULT_BOUND, "transient fault map size")?;
+            let n = d.len(12, "transient fault map size")?;
             for _ in 0..n {
                 let k = decode_pair(d)?;
                 let v = d.u32()?;
@@ -616,6 +586,44 @@ mod tests {
 
     fn fab() -> Fabric {
         Fabric::new(SimConfig::paper(2))
+    }
+
+    #[test]
+    fn every_fault_kind_keeps_its_wire_image() {
+        let (a, b) = (RouterId::new(3), RouterId::new(0x0102_0304));
+        let kinds = [
+            FaultKind::FailLink(a, b),
+            FaultKind::RestoreLink(a, b),
+            FaultKind::FailRouter(a),
+            FaultKind::RestoreRouter(b),
+            FaultKind::CorruptPhit(a, b),
+            FaultKind::DropPhit(a, b),
+            FaultKind::SetLinkBer(a, b, 77),
+        ];
+        let mut e = Enc::default();
+        for kind in kinds {
+            encode_kind(&mut e, kind);
+        }
+        let want = [
+            &[0, 3, 0, 0, 0, 4, 3, 2, 1][..],
+            &[1, 3, 0, 0, 0, 4, 3, 2, 1],
+            &[2, 3, 0, 0, 0],
+            &[3, 4, 3, 2, 1],
+            &[4, 3, 0, 0, 0, 4, 3, 2, 1],
+            &[5, 3, 0, 0, 0, 4, 3, 2, 1],
+            &[6, 3, 0, 0, 0, 4, 3, 2, 1, 77, 0, 0, 0],
+        ]
+        .concat();
+        assert_eq!(e.0, want);
+        let mut d = Dec::new(&want);
+        for kind in kinds {
+            assert_eq!(decode_kind(&mut d), Ok(kind));
+        }
+        assert!(d.is_empty());
+        assert_eq!(
+            decode_kind(&mut Dec::new(&[7, 0, 0, 0, 0])),
+            Err(SnapshotError::Malformed("unknown fault kind"))
+        );
     }
 
     #[test]

@@ -543,11 +543,7 @@ impl Llr {
 // Checkpoint codec (see crate::snapshot)
 // ---------------------------------------------------------------------
 
-use crate::snapshot::{decode_packet, encode_packet, Dec, Enc, SnapshotError};
-
-/// Decode-time sanity cap on in-flight queues (acks, wire metadata):
-/// far above anything a real run produces, far below an allocation bomb.
-const SNAP_QUEUE_BOUND: usize = 1 << 20;
+use crate::snapshot::{decode_packet, encode_packet, Dec, Enc, SnapshotError, PACKET_MIN_BYTES};
 
 impl Llr {
     /// Append the complete link-layer state: every replay buffer, ack in
@@ -589,13 +585,9 @@ impl Llr {
             }
         }
         e.usize(self.retx_per_link.len());
-        for &c in &self.retx_per_link {
-            e.u64(c);
-        }
+        e.u64s(&self.retx_per_link);
         e.usize(self.delivered_ids.len());
-        for &w in &self.delivered_ids {
-            e.u64(w);
-        }
+        e.u64s(&self.delivered_ids);
     }
 
     /// Rebuild the link-layer state written by [`Llr::snap_encode`],
@@ -609,34 +601,34 @@ impl Llr {
             return Err(SnapshotError::Malformed("LLR dimensions disagree"));
         }
         let rng = d.u64()?;
-        let ntx = d.len(nr * n_out, "LLR tx count")?;
+        let ntx = d.len(20, "LLR tx count")?;
         if ntx != nr * n_out {
             return Err(SnapshotError::Malformed("LLR tx count disagrees"));
         }
         let mut tx = Vec::with_capacity(ntx);
         for _ in 0..ntx {
             let next_seq = d.u32()?;
-            let n_entries = d.len(window, "LLR replay buffer overflows its window")?;
+            let n_entries = d.len(22 + PACKET_MIN_BYTES, "LLR replay buffer size")?;
+            if n_entries > window {
+                return Err(SnapshotError::Malformed(
+                    "LLR replay buffer overflows its window",
+                ));
+            }
             let mut entries = VecDeque::with_capacity(n_entries);
             for _ in 0..n_entries {
-                let seq = d.u32()?;
-                let out_vc = d.u8()?;
-                let retries = d.u32()?;
-                let sent_at = d.u64()?;
-                let lost = d.u8()? != 0;
-                let pkt = decode_packet(d)?;
-                let crc = d.u32()?;
+                // Fields in wire order (a struct literal evaluates in
+                // the order written).
                 entries.push_back(LlrEntry {
-                    seq,
-                    out_vc,
-                    retries,
-                    sent_at,
-                    lost,
-                    pkt,
-                    crc,
+                    seq: d.u32()?,
+                    out_vc: d.u8()?,
+                    retries: d.u32()?,
+                    sent_at: d.u64()?,
+                    lost: d.u8()? != 0,
+                    pkt: decode_packet(d)?,
+                    crc: d.u32()?,
                 });
             }
-            let n_acks = d.len(SNAP_QUEUE_BOUND, "LLR ack queue")?;
+            let n_acks = d.len(13, "LLR ack queue")?;
             let mut acks = VecDeque::with_capacity(n_acks);
             for _ in 0..n_acks {
                 let at = d.u64()?;
@@ -650,7 +642,7 @@ impl Llr {
                 acks,
             });
         }
-        let nrx = d.len(nr * n_in, "LLR rx count")?;
+        let nrx = d.len(20, "LLR rx count")?;
         if nrx != nr * n_in {
             return Err(SnapshotError::Malformed("LLR rx count disagrees"));
         }
@@ -658,7 +650,7 @@ impl Llr {
         for _ in 0..nrx {
             let base = d.u32()?;
             let mask = d.u64()?;
-            let n_wire = d.len(SNAP_QUEUE_BOUND, "LLR wire queue")?;
+            let n_wire = d.len(8, "LLR wire queue")?;
             let mut wire = VecDeque::with_capacity(n_wire);
             for _ in 0..n_wire {
                 let seq = d.u32()?;
@@ -667,19 +659,13 @@ impl Llr {
             }
             rx.push(RxLink { base, mask, wire });
         }
-        let n_retx = d.len(nr * n_out, "LLR retx counters")?;
+        let n_retx = d.len(8, "LLR retx counters")?;
         if n_retx != nr * n_out {
             return Err(SnapshotError::Malformed("LLR retx counter count disagrees"));
         }
-        let mut retx_per_link = Vec::with_capacity(n_retx);
-        for _ in 0..n_retx {
-            retx_per_link.push(d.u64()?);
-        }
-        let n_ids = d.len(SNAP_QUEUE_BOUND, "LLR delivered-id bitmap")?;
-        let mut delivered_ids = Vec::with_capacity(n_ids);
-        for _ in 0..n_ids {
-            delivered_ids.push(d.u64()?);
-        }
+        let retx_per_link = d.u64s(n_retx)?;
+        let n_ids = d.len(8, "LLR delivered-id bitmap")?;
+        let delivered_ids = d.u64s(n_ids)?;
         Ok(Self {
             n_out,
             n_in,

@@ -2043,651 +2043,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Checkpoint/restart (see crate::snapshot for the file format)
-// ---------------------------------------------------------------------
-
-use crate::snapshot::{self, decode_packet, encode_packet, Dec, Enc, SnapshotError};
-
-/// Decode-time cap on per-node source queues and the delivery log: far
-/// beyond any real run, far below an allocation bomb.
-const SNAP_QUEUE_BOUND: usize = 1 << 24;
-
-impl<P: Policy, H: Hooks> Network<P, H> {
-    /// Serialize the complete live state into a self-describing snapshot
-    /// (see [`crate::snapshot`] for the format). Must be called at a
-    /// step boundary — between [`Self::step`] calls — where the
-    /// allocator's per-cycle scratch state is empty by construction.
-    ///
-    /// The returned bytes embed the configuration and mechanism name, so
-    /// [`crate::snapshot::peek_header`] plus [`Self::restore_snapshot`]
-    /// rebuild an identical network from the bytes alone. Restore is
-    /// bit-exact: the resumed run produces the same statistics and
-    /// delivery stream as an uninterrupted one.
-    pub fn save_snapshot(&self) -> Vec<u8> {
-        let config = snapshot::encode_config(self.fab.cfg(), self.policy.name());
-        let mut policy = Vec::new();
-        self.policy.save_state(&mut policy);
-        let mut e = Enc::default();
-        self.encode_state(&mut e);
-        snapshot::frame(&config, &policy, &e.buf)
-    }
-
-    /// Restore a snapshot produced by [`Self::save_snapshot`] into this
-    /// network. The network must have been built with the same
-    /// configuration and mechanism (checked via the config fingerprint
-    /// before anything is touched). On any error the network is left
-    /// exactly as it was — decoding happens into temporaries and is
-    /// committed only once the whole file has validated.
-    pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let frame = snapshot::parse_frame(bytes)?;
-        let own_config = snapshot::encode_config(self.fab.cfg(), self.policy.name());
-        let expected = crate::llr::crc32(&own_config);
-        if frame.fingerprint != expected || frame.config != own_config.as_slice() {
-            // Name the more specific cause when only the mechanism
-            // differs under an otherwise identical configuration.
-            let (_, mech) = snapshot::decode_config(frame.config)?;
-            if mech != self.policy.name() {
-                return Err(SnapshotError::MechanismMismatch {
-                    expected: self.policy.name().to_string(),
-                    found: mech,
-                });
-            }
-            return Err(SnapshotError::ConfigMismatch {
-                expected,
-                found: frame.fingerprint,
-            });
-        }
-        let mut d = Dec::new(frame.state);
-        let decoded = self.decode_state(&mut d)?;
-        if !d.is_empty() {
-            return Err(SnapshotError::Malformed("trailing bytes in STATE"));
-        }
-        self.policy
-            .load_state(frame.policy)
-            .map_err(SnapshotError::Policy)?;
-        self.commit_state(decoded);
-        Ok(())
-    }
-
-    fn encode_state(&self, e: &mut Enc) {
-        // Snapshots are taken at cycle boundaries, where the per-cycle
-        // delivery buffer has already been drained into `delivered_log`
-        // by `commit_effects` — it carries no state of its own.
-        debug_assert!(self.delivered_now.is_empty());
-        e.u64(self.now);
-        e.u64(self.next_id);
-        e.u8(u8::from(self.faults_ever));
-        e.usize(self.plan_cursor);
-        self.plan.snap_encode(e);
-        self.faults.snap_encode(e);
-        for c in self.stats_counters() {
-            e.u64(c);
-        }
-        e.usize(self.src_q.len());
-        for q in &self.src_q {
-            e.usize(q.len());
-            for p in q {
-                encode_packet(e, p);
-            }
-        }
-        for &b in &self.inj_busy {
-            e.u64(b);
-        }
-        for &g in &self.router_last_grant {
-            e.u64(g);
-        }
-        match &self.delivered_log {
-            None => e.u8(0),
-            Some(log) => {
-                e.u8(1);
-                e.usize(log.len());
-                for &(at, lat) in log {
-                    e.u64(at);
-                    e.u32(lat);
-                }
-            }
-        }
-        match &self.link_phits {
-            None => e.u8(0),
-            Some(counts) => {
-                e.u8(1);
-                e.usize(counts.len());
-                for &c in counts {
-                    e.u64(c);
-                }
-            }
-        }
-        // The format stores each link's pipeline with its port; the
-        // wheel is gathered back into that shape.
-        let backlog = self.link_backlog();
-        for (ridx, store) in self.routers.iter().enumerate() {
-            for (port, input) in store.inputs.iter().enumerate() {
-                for fifo in &input.vcs {
-                    e.usize(fifo.len());
-                    for p in fifo.iter() {
-                        encode_packet(e, p);
-                    }
-                }
-                let arrivals = backlog.arrivals(ridx, port);
-                e.usize(arrivals.len());
-                for (at, vc, pkt) in arrivals {
-                    e.u64(*at);
-                    e.u8(*vc);
-                    encode_packet(e, pkt);
-                }
-                e.u64(input.busy_until);
-                for &t in &input.vc_served_at {
-                    e.u64(t);
-                }
-            }
-            for (port, output) in store.outputs.iter().enumerate() {
-                for &c in &output.credits {
-                    e.u32(c);
-                }
-                let credits = backlog.credits(ridx, port);
-                e.usize(credits.len());
-                for &(at, vc, phits) in credits {
-                    e.u64(at);
-                    e.u8(vc);
-                    e.u32(phits);
-                }
-                e.u64(output.busy_until);
-                for &t in &output.in_served_at {
-                    e.u64(t);
-                }
-            }
-        }
-        match &self.llr {
-            None => e.u8(0),
-            Some(llr) => {
-                e.u8(1);
-                llr.snap_encode(e);
-            }
-        }
-        // CM + fairness state (format v2). The presence tag must agree
-        // with cfg.cm_enabled — it is written anyway so a corrupted file
-        // fails closed instead of desynchronizing the stream.
-        match &self.cm {
-            None => e.u8(0),
-            Some(cm) => {
-                e.u8(1);
-                for &t in &cm.tokens {
-                    e.u32(t);
-                }
-                for &c in &cm.cong {
-                    e.u32(c);
-                }
-                for &t in &cm.throttled {
-                    e.u8(u8::from(t));
-                }
-            }
-        }
-        for &dps in &self.delivered_per_src {
-            e.u64(dps);
-        }
-    }
-
-    /// Decode the STATE section into temporaries without touching
-    /// `self`; [`Self::commit_state`] applies them only after the whole
-    /// section validated.
-    fn decode_state(&self, d: &mut Dec<'_>) -> Result<DecodedState, SnapshotError> {
-        let malformed = |what| Err(SnapshotError::Malformed(what));
-        let now = d.u64()?;
-        let next_id = d.u64()?;
-        let faults_ever = d.u8()? != 0;
-        let plan_cursor = d.usize()?;
-        let plan = FaultPlan::snap_decode(d)?;
-        if plan_cursor > plan.events().len() {
-            return malformed("plan cursor past the end of the plan");
-        }
-        let faults = FaultState::snap_decode(d, &self.fab)?;
-        let mut stats = Stats::default();
-        let mut counters = [0u64; STATS_COUNTERS];
-        for c in &mut counters {
-            *c = d.u64()?;
-        }
-        stats.set_counters(&counters);
-        let nodes = self.src_q.len();
-        if d.len(nodes, "source-queue count")? != nodes {
-            return malformed("source-queue count disagrees");
-        }
-        let mut src_q = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            let n = d.len(SNAP_QUEUE_BOUND, "source queue size")?;
-            let mut q = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                q.push_back(decode_packet(d)?);
-            }
-            src_q.push(q);
-        }
-        let mut inj_busy = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            inj_busy.push(d.u64()?);
-        }
-        let nr = self.routers.len();
-        let mut router_last_grant = Vec::with_capacity(nr);
-        for _ in 0..nr {
-            router_last_grant.push(d.u64()?);
-        }
-        let delivered_log = match d.u8()? {
-            0 => None,
-            1 => {
-                let n = d.len(SNAP_QUEUE_BOUND, "delivery log size")?;
-                let mut log = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let at = d.u64()?;
-                    let lat = d.u32()?;
-                    log.push((at, lat));
-                }
-                Some(log)
-            }
-            _ => return malformed("bad Option tag for delivery log"),
-        };
-        let link_phits = match d.u8()? {
-            0 => None,
-            1 => {
-                let want = nr * self.fab.n_out();
-                if d.len(want, "link phit counter count")? != want {
-                    return malformed("link phit counter count disagrees");
-                }
-                let mut counts = Vec::with_capacity(want);
-                for _ in 0..want {
-                    counts.push(d.u64()?);
-                }
-                Some(counts)
-            }
-            _ => return malformed("bad Option tag for link counters"),
-        };
-        let size = self.fab.cfg().packet_size as u32;
-        let mut routers = Vec::with_capacity(nr);
-        // Link pipelines are scattered into a wheel whose next drained
-        // cycle is the snapshot's `now`. A stamp is only accepted where
-        // the live engine could have put it: not in the past, within the
-        // largest link latency, strictly after its port's previous one —
-        // anything else would land in the wrong slot.
-        let mut wheel = Wheel::new(&self.fab, now);
-        let horizon = wheel.max_latency();
-        let stamp_ok = |at: u64, prev: Option<u64>| {
-            at >= now && at - now <= horizon && prev.is_none_or(|p| at > p)
-        };
-        for r in 0..nr {
-            let mut store = RouterStore::new(&self.fab, RouterId::from(r));
-            for (port, input) in store.inputs.iter_mut().enumerate() {
-                for fifo in &mut input.vcs {
-                    let n = d.len(SNAP_QUEUE_BOUND, "VC buffer size")?;
-                    for _ in 0..n {
-                        let pkt = decode_packet(d)?;
-                        if !fifo.fits(size) {
-                            return malformed("VC buffer overflows its capacity");
-                        }
-                        fifo.push(pkt, size);
-                    }
-                }
-                let n = d.len(SNAP_QUEUE_BOUND, "arrival pipeline size")?;
-                let mut prev = None;
-                for _ in 0..n {
-                    let at = d.u64()?;
-                    let vc = d.u8()?;
-                    let pkt = decode_packet(d)?;
-                    if vc as usize >= input.vcs.len() {
-                        return malformed("arrival targets a VC out of range");
-                    }
-                    if !stamp_ok(at, prev) {
-                        return malformed("arrival stamp outside the link pipeline");
-                    }
-                    prev = Some(at);
-                    wheel.file_arrival(
-                        at,
-                        Arrival {
-                            router: r as u32,
-                            port: port as u16,
-                            vc,
-                            pkt,
-                        },
-                    );
-                }
-                input.busy_until = d.u64()?;
-                for t in &mut input.vc_served_at {
-                    *t = d.u64()?;
-                }
-            }
-            for (port, output) in store.outputs.iter_mut().enumerate() {
-                for vc in 0..output.credits.len() {
-                    let c = d.u32()?;
-                    if c > output.capacity[vc] {
-                        return malformed("credits exceed downstream capacity");
-                    }
-                    output.credits[vc] = c;
-                }
-                let n = d.len(SNAP_QUEUE_BOUND, "credit pipeline size")?;
-                let mut prev = None;
-                for _ in 0..n {
-                    let at = d.u64()?;
-                    let vc = d.u8()?;
-                    let phits = d.u32()?;
-                    if vc as usize >= output.capacity.len() {
-                        return malformed("credit event targets a VC out of range");
-                    }
-                    if !stamp_ok(at, prev) {
-                        return malformed("credit stamp outside the link pipeline");
-                    }
-                    prev = Some(at);
-                    wheel.file_credit(
-                        at,
-                        Credit {
-                            router: r as u32,
-                            port: port as u16,
-                            vc,
-                            phits,
-                        },
-                    );
-                }
-                output.busy_until = d.u64()?;
-                for t in &mut output.in_served_at {
-                    *t = d.u64()?;
-                }
-            }
-            routers.push(store);
-        }
-        let llr = match d.u8()? {
-            0 => None,
-            1 => Some(Llr::snap_decode(d, &self.fab)?),
-            _ => return malformed("bad Option tag for LLR"),
-        };
-        let cm = match d.u8()? {
-            0 => {
-                if self.fab.cfg().cm_enabled {
-                    return malformed("CM state missing for a cm_enabled config");
-                }
-                None
-            }
-            1 => {
-                if !self.fab.cfg().cm_enabled {
-                    return malformed("CM state present for a cm-disabled config");
-                }
-                let mut cm = CmState::new(self.fab.cfg(), nodes, nr);
-                for t in &mut cm.tokens {
-                    let v = d.u32()?;
-                    if v > cm.cap {
-                        return malformed("bucket level exceeds its capacity");
-                    }
-                    *t = v;
-                }
-                for c in &mut cm.cong {
-                    let v = d.u32()?;
-                    if v > CM_CONG_ONE {
-                        return malformed("congestion estimate above 1.0");
-                    }
-                    *c = v;
-                }
-                for t in &mut cm.throttled {
-                    *t = match d.u8()? {
-                        0 => false,
-                        1 => true,
-                        _ => return malformed("bad throttled flag"),
-                    };
-                }
-                // The incremental credit sums are derived state:
-                // recompute them from the just-decoded router credits
-                // rather than trusting (or carrying) them in the file.
-                cm.rebuild_free(&routers);
-                Some(cm)
-            }
-            _ => return malformed("bad Option tag for CM state"),
-        };
-        let mut delivered_per_src = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            delivered_per_src.push(d.u64()?);
-        }
-        Ok(DecodedState {
-            now,
-            next_id,
-            faults_ever,
-            plan_cursor,
-            plan,
-            faults,
-            stats,
-            src_q,
-            inj_busy,
-            router_last_grant,
-            delivered_log,
-            link_phits,
-            routers,
-            wheel,
-            llr,
-            cm,
-            delivered_per_src,
-        })
-    }
-
-    /// Map a byte offset inside a STATE section payload to the field
-    /// whose encoding covers it, shard indices spelled out
-    /// (`"router[7].output[2].credits[1]"`). The commutativity
-    /// certifier uses this to turn a byte-level snapshot divergence
-    /// ([`snapshot::diff_snapshots`]) into a structured witness. Only
-    /// called on divergence, so clarity beats speed.
-    pub fn locate_state_field(&self, state: &[u8], offset: usize) -> String {
-        self.walk_state_to(state, offset)
-            .unwrap_or_else(|e| format!("unmappable offset {offset}: {e}"))
-    }
-
-    /// Walk the STATE schema (mirroring [`Self::decode_state`]) until
-    /// the decoder's position passes `offset`, returning the label of
-    /// the field being decoded at that moment.
-    fn walk_state_to(&self, state: &[u8], offset: usize) -> Result<String, SnapshotError> {
-        let d = &mut Dec::new(state);
-        macro_rules! field {
-            ($decode:expr, $($label:tt)*) => {{
-                $decode;
-                if d.pos() > offset {
-                    return Ok(format!($($label)*));
-                }
-            }};
-        }
-        field!(d.u64()?, "now");
-        field!(d.u64()?, "next_id");
-        field!(d.u8()?, "faults_ever");
-        field!(d.usize()?, "plan_cursor");
-        field!(FaultPlan::snap_decode(d)?, "fault plan");
-        field!(FaultState::snap_decode(d, &self.fab)?, "fault state");
-        for name in Stats::counter_names() {
-            field!(d.u64()?, "stats.{name}");
-        }
-        let nodes = self.src_q.len();
-        field!(d.usize()?, "source-queue count");
-        for node in 0..nodes {
-            let n = d.len(SNAP_QUEUE_BOUND, "source queue size")?;
-            field!(
-                for _ in 0..n {
-                    decode_packet(d)?;
-                },
-                "src_q[{node}]"
-            );
-        }
-        for node in 0..nodes {
-            field!(d.u64()?, "inj_busy[{node}]");
-        }
-        let nr = self.routers.len();
-        for r in 0..nr {
-            field!(d.u64()?, "router_last_grant[{r}]");
-        }
-        field!(
-            if d.u8()? == 1 {
-                let n = d.len(SNAP_QUEUE_BOUND, "delivery log size")?;
-                for _ in 0..n {
-                    d.u64()?;
-                    d.u32()?;
-                }
-            },
-            "delivered_log"
-        );
-        field!(
-            if d.u8()? == 1 {
-                let n = d.len(nr * self.fab.n_out(), "link phit counter count")?;
-                for _ in 0..n {
-                    d.u64()?;
-                }
-            },
-            "link_phits"
-        );
-        for r in 0..nr {
-            // A fresh store of router `r`'s shape gives the per-port/VC
-            // loop bounds the stream itself does not carry.
-            let store = RouterStore::new(&self.fab, RouterId::from(r));
-            for (pi, input) in store.inputs.iter().enumerate() {
-                for vi in 0..input.vcs.len() {
-                    let n = d.len(SNAP_QUEUE_BOUND, "VC buffer size")?;
-                    field!(
-                        for _ in 0..n {
-                            decode_packet(d)?;
-                        },
-                        "router[{r}].input[{pi}].vc[{vi}].fifo"
-                    );
-                }
-                let n = d.len(SNAP_QUEUE_BOUND, "arrival pipeline size")?;
-                field!(
-                    for _ in 0..n {
-                        d.u64()?;
-                        d.u8()?;
-                        decode_packet(d)?;
-                    },
-                    "router[{r}].input[{pi}].arrivals"
-                );
-                field!(d.u64()?, "router[{r}].input[{pi}].busy_until");
-                for vi in 0..input.vc_served_at.len() {
-                    field!(d.u64()?, "router[{r}].input[{pi}].vc_served_at[{vi}]");
-                }
-            }
-            for (po, output) in store.outputs.iter().enumerate() {
-                for vi in 0..output.credits.len() {
-                    field!(d.u32()?, "router[{r}].output[{po}].credits[{vi}]");
-                }
-                let n = d.len(SNAP_QUEUE_BOUND, "credit pipeline size")?;
-                field!(
-                    for _ in 0..n {
-                        d.u64()?;
-                        d.u8()?;
-                        d.u32()?;
-                    },
-                    "router[{r}].output[{po}].credit_events"
-                );
-                field!(d.u64()?, "router[{r}].output[{po}].busy_until");
-                for ii in 0..output.in_served_at.len() {
-                    field!(d.u64()?, "router[{r}].output[{po}].in_served_at[{ii}]");
-                }
-            }
-        }
-        field!(
-            if d.u8()? == 1 {
-                Llr::snap_decode(d, &self.fab)?;
-            },
-            "llr"
-        );
-        let cm_present = d.u8()?;
-        if d.pos() > offset {
-            return Ok("cm presence tag".to_string());
-        }
-        if cm_present == 1 {
-            for node in 0..nodes {
-                field!(d.u32()?, "cm.tokens[{node}]");
-            }
-            for r in 0..nr {
-                field!(d.u32()?, "cm.cong[{r}]");
-            }
-            for r in 0..nr {
-                field!(d.u8()?, "cm.throttled[{r}]");
-            }
-        }
-        for node in 0..nodes {
-            field!(d.u64()?, "delivered_per_src[{node}]");
-        }
-        Ok("past the end of STATE".to_string())
-    }
-
-    /// Section-level diff of two snapshot files
-    /// ([`snapshot::diff_snapshots`]), with a STATE divergence refined
-    /// to a labeled field path via [`Self::locate_state_field`].
-    /// `Ok(None)` means byte-identical sections.
-    pub fn diff_snapshots_named(
-        &self,
-        a: &[u8],
-        b: &[u8],
-    ) -> Result<Option<(snapshot::SectionDiff, String)>, SnapshotError> {
-        let Some(d) = snapshot::diff_snapshots(a, b)? else {
-            return Ok(None);
-        };
-        let detail = match d.section {
-            "state" => {
-                let frame = snapshot::parse_frame(a)?;
-                self.locate_state_field(frame.state, d.offset)
-            }
-            "policy" => format!("opaque policy bytes, offset {}", d.offset),
-            _ => format!("section bytes, offset {}", d.offset),
-        };
-        Ok(Some((d, detail)))
-    }
-
-    fn commit_state(&mut self, s: DecodedState) {
-        self.now = s.now;
-        self.next_id = s.next_id;
-        self.faults_ever = s.faults_ever;
-        self.plan_cursor = s.plan_cursor;
-        self.plan = s.plan;
-        self.faults = s.faults;
-        self.stats = s.stats;
-        // The occupancy index is derived state: recount it from the
-        // decoded FIFOs and queues rather than carrying it in the file.
-        self.occ = Occupancy::recount(&s.routers, &s.src_q);
-        self.wheel = s.wheel;
-        self.src_q = s.src_q;
-        self.inj_busy = s.inj_busy;
-        self.router_last_grant = s.router_last_grant;
-        self.delivered_log = s.delivered_log;
-        self.link_phits = s.link_phits;
-        self.routers = s.routers;
-        self.llr = s.llr;
-        self.cm = s.cm;
-        self.delivered_per_src = s.delivered_per_src;
-        // Per-cycle scratch is empty at every step boundary; clear it so
-        // a restore into a mid-turn network cannot leak stale requests.
-        self.effects.clear();
-        self.delivered_now.clear();
-        self.reqs.clear();
-        self.grants.clear();
-    }
-
-    /// The engine counters as a fixed-order array (the STATE section's
-    /// stats layout; order is part of the format).
-    fn stats_counters(&self) -> [u64; STATS_COUNTERS] {
-        self.stats.counters()
-    }
-}
-
-/// Number of `u64` counters in [`Stats`] (format constant).
-const STATS_COUNTERS: usize = crate::stats::STATS_COUNTERS;
-
-/// Fully decoded STATE section, held apart from the network until the
-/// whole snapshot has validated.
-struct DecodedState {
-    now: u64,
-    next_id: u64,
-    faults_ever: bool,
-    plan_cursor: usize,
-    plan: FaultPlan,
-    faults: FaultState,
-    stats: Stats,
-    src_q: Vec<VecDeque<Packet>>,
-    inj_busy: Vec<u64>,
-    router_last_grant: Vec<u64>,
-    delivered_log: Option<Vec<(u64, u32)>>,
-    link_phits: Option<Vec<u64>>,
-    routers: Vec<RouterStore>,
-    wheel: Wheel,
-    llr: Option<Llr>,
-    cm: Option<CmState>,
-    delivered_per_src: Vec<u64>,
-}
+// Checkpoint/restart: the STATE section codec (see crate::snapshot for
+// the file format).
+mod state;
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,563 @@
+//! Checkpoint/restart: the STATE section of a snapshot (see
+//! [`crate::snapshot`] for the file format).
+//!
+//! The section's layout is written down twice and no more:
+//! `encode_state` writes it, `decode_state` reads it — and names each
+//! field as it goes, so the offset → field map of the snapshot differ
+//! ([`Network::locate_state_field`]) is the same traversal, not a copy.
+
+use super::{CmState, Network, CM_CONG_ONE};
+use crate::fault::{FaultPlan, FaultState};
+use crate::hooks::Hooks;
+use crate::llr::Llr;
+use crate::occupancy::Occupancy;
+use crate::packet::Packet;
+use crate::policy::Policy;
+use crate::router::RouterStore;
+use crate::snapshot::{
+    self, decode_packet, encode_packet, Dec, Enc, SnapshotError, PACKET_MIN_BYTES,
+};
+use crate::stats::{Stats, STATS_COUNTERS};
+use crate::wheel::{Arrival, Credit, Wheel};
+use ofar_topology::RouterId;
+use std::collections::VecDeque;
+
+/// What `decode_state` announces each field to, right after consuming
+/// its bytes. Restoring announces to `()`, which compiles to nothing —
+/// that instance of the decoder carries no labels; locating a field
+/// announces to a [`Probe`].
+trait Labels {
+    fn field(&mut self, d: &mut Dec<'_>, label: impl FnOnce() -> String);
+}
+
+impl Labels for () {
+    #[inline(always)]
+    fn field(&mut self, _: &mut Dec<'_>, _: impl FnOnce() -> String) {}
+}
+
+/// Keeps the first field that ends past byte `offset` — the one covering
+/// it — and ends the cursor there, so the decoder stops at its next read.
+struct Probe {
+    offset: usize,
+    found: Option<String>,
+}
+
+impl Labels for Probe {
+    fn field(&mut self, d: &mut Dec<'_>, label: impl FnOnce() -> String) {
+        if self.found.is_none() && d.pos() > self.offset {
+            self.found = Some(label());
+            d.end();
+        }
+    }
+}
+
+impl<P: Policy, H: Hooks> Network<P, H> {
+    /// Serialize the complete live state into a self-describing snapshot
+    /// (see [`crate::snapshot`] for the format). Must be called at a
+    /// step boundary — between [`Self::step`] calls — where the
+    /// allocator's per-cycle scratch state is empty by construction.
+    ///
+    /// The returned bytes embed the configuration and mechanism name, so
+    /// [`crate::snapshot::peek_header`] plus [`Self::restore_snapshot`]
+    /// rebuild an identical network from the bytes alone. Restore is
+    /// bit-exact: the resumed run produces the same statistics and
+    /// delivery stream as an uninterrupted one.
+    pub fn save_snapshot(&self) -> Vec<u8> {
+        let config = snapshot::encode_config(self.fab.cfg(), self.policy.name());
+        let mut policy = Vec::new();
+        self.policy.save_state(&mut policy);
+        let mut e = Enc::default();
+        self.encode_state(&mut e);
+        snapshot::frame(&config, &policy, &e.0)
+    }
+
+    /// Restore a snapshot produced by [`Self::save_snapshot`] into this
+    /// network. The network must have been built with the same
+    /// configuration and mechanism (checked via the config fingerprint
+    /// before anything is touched). On any error the network is left
+    /// exactly as it was — decoding happens into temporaries and is
+    /// committed only once the whole file has validated.
+    pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let frame = snapshot::parse_frame(bytes)?;
+        let own_config = snapshot::encode_config(self.fab.cfg(), self.policy.name());
+        let expected = crate::llr::crc32(&own_config);
+        if frame.fingerprint != expected || frame.config != own_config.as_slice() {
+            // Name the more specific cause when only the mechanism
+            // differs under an otherwise identical configuration.
+            let (_, mech) = snapshot::decode_config(frame.config)?;
+            if mech != self.policy.name() {
+                return Err(SnapshotError::MechanismMismatch {
+                    expected: self.policy.name().to_string(),
+                    found: mech,
+                });
+            }
+            return Err(SnapshotError::ConfigMismatch {
+                expected,
+                found: frame.fingerprint,
+            });
+        }
+        let mut d = Dec::new(frame.state);
+        let decoded = self.decode_state(&mut d, &mut ())?;
+        if !d.is_empty() {
+            return Err(SnapshotError::Malformed("trailing bytes in STATE"));
+        }
+        self.policy
+            .load_state(frame.policy)
+            .map_err(SnapshotError::Policy)?;
+        self.commit_state(decoded);
+        Ok(())
+    }
+
+    fn encode_state(&self, e: &mut Enc) {
+        // Snapshots are taken at cycle boundaries, where the per-cycle
+        // delivery buffer has already been drained into `delivered_log`
+        // by `commit_effects` — it carries no state of its own.
+        debug_assert!(self.delivered_now.is_empty());
+        e.u64(self.now);
+        e.u64(self.next_id);
+        e.u8(u8::from(self.faults_ever));
+        e.usize(self.plan_cursor);
+        self.plan.snap_encode(e);
+        self.faults.snap_encode(e);
+        e.u64s(&self.stats.counters());
+        e.usize(self.src_q.len());
+        for q in &self.src_q {
+            e.usize(q.len());
+            for p in q {
+                encode_packet(e, p);
+            }
+        }
+        e.u64s(&self.inj_busy);
+        e.u64s(&self.router_last_grant);
+        match &self.delivered_log {
+            None => e.u8(0),
+            Some(log) => {
+                e.u8(1);
+                e.usize(log.len());
+                for &(at, lat) in log {
+                    e.u64(at);
+                    e.u32(lat);
+                }
+            }
+        }
+        match &self.link_phits {
+            None => e.u8(0),
+            Some(counts) => {
+                e.u8(1);
+                e.usize(counts.len());
+                e.u64s(counts);
+            }
+        }
+        // The format stores each link's pipeline with its port; the
+        // wheel is gathered back into that shape.
+        let backlog = self.link_backlog();
+        for (ridx, store) in self.routers.iter().enumerate() {
+            for (port, input) in store.inputs.iter().enumerate() {
+                for fifo in &input.vcs {
+                    e.usize(fifo.len());
+                    for p in fifo.iter() {
+                        encode_packet(e, p);
+                    }
+                }
+                let arrivals = backlog.arrivals(ridx, port);
+                e.usize(arrivals.len());
+                for (at, vc, pkt) in arrivals {
+                    e.u64(*at);
+                    e.u8(*vc);
+                    encode_packet(e, pkt);
+                }
+                e.u64(input.busy_until);
+                e.u64s(&input.vc_served_at);
+            }
+            for (port, output) in store.outputs.iter().enumerate() {
+                e.u32s(&output.credits);
+                let credits = backlog.credits(ridx, port);
+                e.usize(credits.len());
+                for &(at, vc, phits) in credits {
+                    e.u64(at);
+                    e.u8(vc);
+                    e.u32(phits);
+                }
+                e.u64(output.busy_until);
+                e.u64s(&output.in_served_at);
+            }
+        }
+        match &self.llr {
+            None => e.u8(0),
+            Some(llr) => {
+                e.u8(1);
+                llr.snap_encode(e);
+            }
+        }
+        // CM + fairness state (format v2). The presence tag must agree
+        // with cfg.cm_enabled — it is written anyway so a corrupted file
+        // fails closed instead of desynchronizing the stream.
+        match &self.cm {
+            None => e.u8(0),
+            Some(cm) => {
+                e.u8(1);
+                e.u32s(&cm.tokens);
+                e.u32s(&cm.cong);
+                for &t in &cm.throttled {
+                    e.u8(u8::from(t));
+                }
+            }
+        }
+        e.u64s(&self.delivered_per_src);
+    }
+
+    /// Decode the STATE section into temporaries without touching
+    /// `self`; [`Self::commit_state`] applies them only after the whole
+    /// section validated. Every field is announced to `l` right after its
+    /// bytes are consumed, shard indices spelled out: the labels are what
+    /// [`Self::locate_state_field`] answers with.
+    fn decode_state<L: Labels>(
+        &self,
+        d: &mut Dec<'_>,
+        l: &mut L,
+    ) -> Result<DecodedState, SnapshotError> {
+        let malformed = |what| Err(SnapshotError::Malformed(what));
+        // A per-shard vector of words, each announced as `name[i]`.
+        let words = |d: &mut Dec<'_>, l: &mut L, n: usize, name: &str| {
+            let mut words = Vec::with_capacity(n);
+            for i in 0..n {
+                words.push(d.u64()?);
+                l.field(d, || format!("{name}[{i}]"));
+            }
+            Ok::<_, SnapshotError>(words)
+        };
+        let now = d.u64()?;
+        l.field(d, || "now".into());
+        let next_id = d.u64()?;
+        l.field(d, || "next_id".into());
+        let faults_ever = d.u8()? != 0;
+        l.field(d, || "faults_ever".into());
+        let plan_cursor = d.usize()?;
+        l.field(d, || "plan_cursor".into());
+        let plan = FaultPlan::snap_decode(d)?;
+        l.field(d, || "fault plan".into());
+        if plan_cursor > plan.events().len() {
+            return malformed("plan cursor past the end of the plan");
+        }
+        let faults = FaultState::snap_decode(d, &self.fab)?;
+        l.field(d, || "fault state".into());
+        let mut stats = Stats::default();
+        let mut counters = [0u64; STATS_COUNTERS];
+        for (c, name) in counters.iter_mut().zip(Stats::counter_names()) {
+            *c = d.u64()?;
+            l.field(d, || format!("stats.{name}"));
+        }
+        stats.set_counters(&counters);
+        let nodes = self.src_q.len();
+        let n_queues = d.len(8, "source-queue count")?;
+        l.field(d, || "source-queue count".into());
+        if n_queues != nodes {
+            return malformed("source-queue count disagrees");
+        }
+        let mut src_q = Vec::with_capacity(nodes);
+        for node in 0..nodes {
+            let n = d.len(PACKET_MIN_BYTES, "source queue size")?;
+            let mut q = VecDeque::with_capacity(n);
+            for _ in 0..n {
+                q.push_back(decode_packet(d)?);
+            }
+            l.field(d, || format!("src_q[{node}]"));
+            src_q.push(q);
+        }
+        let inj_busy = words(d, l, nodes, "inj_busy")?;
+        let nr = self.routers.len();
+        let router_last_grant = words(d, l, nr, "router_last_grant")?;
+        let delivered_log = match d.u8()? {
+            0 => None,
+            1 => {
+                let n = d.len(12, "delivery log size")?;
+                let mut log = Vec::with_capacity(n);
+                for _ in 0..n {
+                    log.push((d.u64()?, d.u32()?));
+                }
+                Some(log)
+            }
+            _ => return malformed("bad Option tag for delivery log"),
+        };
+        l.field(d, || "delivered_log".into());
+        let link_phits = match d.u8()? {
+            0 => None,
+            1 => {
+                let want = nr * self.fab.n_out();
+                if d.len(8, "link phit counter count")? != want {
+                    return malformed("link phit counter count disagrees");
+                }
+                Some(d.u64s(want)?)
+            }
+            _ => return malformed("bad Option tag for link counters"),
+        };
+        l.field(d, || "link_phits".into());
+        let size = self.fab.cfg().packet_size as u32;
+        let mut routers = Vec::with_capacity(nr);
+        // Link pipelines are scattered into a wheel whose next drained
+        // cycle is the snapshot's `now`. A stamp is only accepted where
+        // the live engine could have put it: not in the past, within the
+        // largest link latency, strictly after its port's previous one —
+        // anything else would land in the wrong slot.
+        let mut wheel = Wheel::new(&self.fab, now);
+        let horizon = wheel.max_latency();
+        let stamp_ok = |at: u64, prev: Option<u64>| {
+            at >= now && at - now <= horizon && prev.is_none_or(|p| at > p)
+        };
+        for r in 0..nr {
+            let mut store = RouterStore::new(&self.fab, RouterId::from(r));
+            for (pi, input) in store.inputs.iter_mut().enumerate() {
+                for (vi, fifo) in input.vcs.iter_mut().enumerate() {
+                    let n = d.len(PACKET_MIN_BYTES, "VC buffer size")?;
+                    for _ in 0..n {
+                        let pkt = decode_packet(d)?;
+                        if !fifo.fits(size) {
+                            return malformed("VC buffer overflows its capacity");
+                        }
+                        fifo.push(pkt, size);
+                    }
+                    l.field(d, || format!("router[{r}].input[{pi}].vc[{vi}].fifo"));
+                }
+                let n = d.len(9 + PACKET_MIN_BYTES, "arrival pipeline size")?;
+                let mut prev = None;
+                for _ in 0..n {
+                    let at = d.u64()?;
+                    let vc = d.u8()?;
+                    let pkt = decode_packet(d)?;
+                    if vc as usize >= input.vcs.len() {
+                        return malformed("arrival targets a VC out of range");
+                    }
+                    if !stamp_ok(at, prev) {
+                        return malformed("arrival stamp outside the link pipeline");
+                    }
+                    prev = Some(at);
+                    wheel.file_arrival(
+                        at,
+                        Arrival {
+                            router: r as u32,
+                            port: pi as u16,
+                            vc,
+                            pkt,
+                        },
+                    );
+                }
+                l.field(d, || format!("router[{r}].input[{pi}].arrivals"));
+                input.busy_until = d.u64()?;
+                l.field(d, || format!("router[{r}].input[{pi}].busy_until"));
+                for (vi, t) in input.vc_served_at.iter_mut().enumerate() {
+                    *t = d.u64()?;
+                    l.field(d, || format!("router[{r}].input[{pi}].vc_served_at[{vi}]"));
+                }
+            }
+            for (po, output) in store.outputs.iter_mut().enumerate() {
+                for vi in 0..output.credits.len() {
+                    let c = d.u32()?;
+                    l.field(d, || format!("router[{r}].output[{po}].credits[{vi}]"));
+                    if c > output.capacity[vi] {
+                        return malformed("credits exceed downstream capacity");
+                    }
+                    output.credits[vi] = c;
+                }
+                let n = d.len(13, "credit pipeline size")?;
+                let mut prev = None;
+                for _ in 0..n {
+                    let at = d.u64()?;
+                    let vc = d.u8()?;
+                    let phits = d.u32()?;
+                    if vc as usize >= output.capacity.len() {
+                        return malformed("credit event targets a VC out of range");
+                    }
+                    if !stamp_ok(at, prev) {
+                        return malformed("credit stamp outside the link pipeline");
+                    }
+                    prev = Some(at);
+                    wheel.file_credit(
+                        at,
+                        Credit {
+                            router: r as u32,
+                            port: po as u16,
+                            vc,
+                            phits,
+                        },
+                    );
+                }
+                l.field(d, || format!("router[{r}].output[{po}].credit_events"));
+                output.busy_until = d.u64()?;
+                l.field(d, || format!("router[{r}].output[{po}].busy_until"));
+                for (ii, t) in output.in_served_at.iter_mut().enumerate() {
+                    *t = d.u64()?;
+                    l.field(d, || format!("router[{r}].output[{po}].in_served_at[{ii}]"));
+                }
+            }
+            routers.push(store);
+        }
+        let llr = match d.u8()? {
+            0 => None,
+            1 => Some(Llr::snap_decode(d, &self.fab)?),
+            _ => return malformed("bad Option tag for LLR"),
+        };
+        l.field(d, || "llr".into());
+        let cm_present = d.u8()?;
+        l.field(d, || "cm presence tag".into());
+        let cm = match cm_present {
+            0 => {
+                if self.fab.cfg().cm_enabled {
+                    return malformed("CM state missing for a cm_enabled config");
+                }
+                None
+            }
+            1 => {
+                if !self.fab.cfg().cm_enabled {
+                    return malformed("CM state present for a cm-disabled config");
+                }
+                let mut cm = CmState::new(self.fab.cfg(), nodes, nr);
+                for (node, t) in cm.tokens.iter_mut().enumerate() {
+                    let v = d.u32()?;
+                    l.field(d, || format!("cm.tokens[{node}]"));
+                    if v > cm.cap {
+                        return malformed("bucket level exceeds its capacity");
+                    }
+                    *t = v;
+                }
+                for (r, c) in cm.cong.iter_mut().enumerate() {
+                    let v = d.u32()?;
+                    l.field(d, || format!("cm.cong[{r}]"));
+                    if v > CM_CONG_ONE {
+                        return malformed("congestion estimate above 1.0");
+                    }
+                    *c = v;
+                }
+                for (r, t) in cm.throttled.iter_mut().enumerate() {
+                    let v = d.u8()?;
+                    l.field(d, || format!("cm.throttled[{r}]"));
+                    *t = match v {
+                        0 => false,
+                        1 => true,
+                        _ => return malformed("bad throttled flag"),
+                    };
+                }
+                // The incremental credit sums are derived state:
+                // recompute them from the just-decoded router credits
+                // rather than trusting (or carrying) them in the file.
+                cm.rebuild_free(&routers);
+                Some(cm)
+            }
+            _ => return malformed("bad Option tag for CM state"),
+        };
+        let delivered_per_src = words(d, l, nodes, "delivered_per_src")?;
+        Ok(DecodedState {
+            now,
+            next_id,
+            faults_ever,
+            plan_cursor,
+            plan,
+            faults,
+            stats,
+            src_q,
+            inj_busy,
+            router_last_grant,
+            delivered_log,
+            link_phits,
+            routers,
+            wheel,
+            llr,
+            cm,
+            delivered_per_src,
+        })
+    }
+
+    /// Map a byte offset inside a STATE section payload to the field
+    /// whose encoding covers it, shard indices spelled out
+    /// (`"router[7].output[2].credits[1]"`). The commutativity
+    /// certifier uses this to turn a byte-level snapshot divergence
+    /// ([`snapshot::diff_snapshots`]) into a structured witness. It is
+    /// the restore path (`decode_state`) run with a probe for labels, so
+    /// it costs a restore of the section up to `offset`; only called on
+    /// divergence.
+    pub fn locate_state_field(&self, state: &[u8], offset: usize) -> String {
+        let mut probe = Probe {
+            offset,
+            found: None,
+        };
+        let decoded = self.decode_state(&mut Dec::new(state), &mut probe);
+        match (probe.found, decoded) {
+            (Some(label), _) => label,
+            (None, Ok(_)) => "past the end of STATE".to_string(),
+            (None, Err(e)) => format!("unmappable offset {offset}: {e}"),
+        }
+    }
+
+    /// Section-level diff of two snapshot files
+    /// ([`snapshot::diff_snapshots`]), with a STATE divergence refined
+    /// to a labeled field path via [`Self::locate_state_field`].
+    /// `Ok(None)` means byte-identical sections.
+    pub fn diff_snapshots_named(
+        &self,
+        a: &[u8],
+        b: &[u8],
+    ) -> Result<Option<(snapshot::SectionDiff, String)>, SnapshotError> {
+        let Some(d) = snapshot::diff_snapshots(a, b)? else {
+            return Ok(None);
+        };
+        let detail = match d.section {
+            "state" => {
+                let frame = snapshot::parse_frame(a)?;
+                self.locate_state_field(frame.state, d.offset)
+            }
+            "policy" => format!("opaque policy bytes, offset {}", d.offset),
+            _ => format!("section bytes, offset {}", d.offset),
+        };
+        Ok(Some((d, detail)))
+    }
+
+    fn commit_state(&mut self, s: DecodedState) {
+        self.now = s.now;
+        self.next_id = s.next_id;
+        self.faults_ever = s.faults_ever;
+        self.plan_cursor = s.plan_cursor;
+        self.plan = s.plan;
+        self.faults = s.faults;
+        self.stats = s.stats;
+        // The occupancy index is derived state: recount it from the
+        // decoded FIFOs and queues rather than carrying it in the file.
+        self.occ = Occupancy::recount(&s.routers, &s.src_q);
+        self.wheel = s.wheel;
+        self.src_q = s.src_q;
+        self.inj_busy = s.inj_busy;
+        self.router_last_grant = s.router_last_grant;
+        self.delivered_log = s.delivered_log;
+        self.link_phits = s.link_phits;
+        self.routers = s.routers;
+        self.llr = s.llr;
+        self.cm = s.cm;
+        self.delivered_per_src = s.delivered_per_src;
+        // Per-cycle scratch is empty at every step boundary; clear it so
+        // a restore into a mid-turn network cannot leak stale requests.
+        self.effects.clear();
+        self.delivered_now.clear();
+        self.reqs.clear();
+        self.grants.clear();
+    }
+}
+
+/// Fully decoded STATE section, held apart from the network until the
+/// whole snapshot has validated.
+struct DecodedState {
+    now: u64,
+    next_id: u64,
+    faults_ever: bool,
+    plan_cursor: usize,
+    plan: FaultPlan,
+    faults: FaultState,
+    stats: Stats,
+    src_q: Vec<VecDeque<Packet>>,
+    inj_busy: Vec<u64>,
+    router_last_grant: Vec<u64>,
+    delivered_log: Option<Vec<(u64, u32)>>,
+    link_phits: Option<Vec<u64>>,
+    routers: Vec<RouterStore>,
+    wheel: Wheel,
+    llr: Option<Llr>,
+    cm: Option<CmState>,
+    delivered_per_src: Vec<u64>,
+}

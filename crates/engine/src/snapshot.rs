@@ -34,6 +34,18 @@
 //! *self-describing*: [`peek_header`] recovers enough to rebuild the
 //! network from the file alone (`ofar-sim --replay`).
 //!
+//! ## Adding a field
+//!
+//! Every layout is written through one cursor, [`Enc`], and read through
+//! its counterpart, [`Dec`]. A new field of the STATE section
+//! (`network/state.rs`) is one `Enc` call in `encode_state`, one `Dec`
+//! call in `decode_state` followed by `l.field(d, || label)`, and a
+//! [`SNAPSHOT_VERSION`] bump — nothing else. The label is what
+//! `Network::locate_state_field` and the `ofar-race` witnesses print; a
+//! count is read with [`Dec::len`], given the byte size of its smallest
+//! item; `labels_cover_the_state_section` (`tests/snapshot_roundtrip.rs`)
+//! fails if the announcement is forgotten.
+//!
 //! ## Bit-exactness guarantee
 //!
 //! Restore is exact: running N+M cycles produces the same [`crate::stats::Stats`] and
@@ -58,7 +70,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OFARSNAP";
 ///
 /// v3: the POLICY section of the RNG-carrying mechanisms encodes a
 /// *lane table* (one RNG stream per shard) instead of a single stream —
-/// see `ofar-routing`'s `state::put_lanes`.
+/// see `ofar-routing`'s `RngLanes::save`.
 pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Section tag: canonical configuration + mechanism name.
@@ -157,101 +169,145 @@ impl From<std::io::Error> for SnapshotError {
 }
 
 // ---------------------------------------------------------------------
-// Primitive encoder/decoder
+// The byte cursor
 // ---------------------------------------------------------------------
 
-/// Little-endian byte sink used by every section encoder.
-#[derive(Default)]
-pub(crate) struct Enc {
-    pub(crate) buf: Vec<u8>,
-}
+/// Little-endian byte sink: the one writer behind every binary layout
+/// of the workspace (the three snapshot sections, the mechanisms'
+/// `save_state`, the checkpoint envelope). It is the buffer it appends
+/// to: wrap one to continue it, take `.0` back when done.
+#[derive(Debug, Default)]
+pub struct Enc(pub Vec<u8>);
 
 impl Enc {
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+    /// One byte.
+    pub fn u8(&mut self, v: u8) {
+        self.0.push(v);
     }
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// Four bytes, little-endian.
+    pub fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
     }
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// Eight bytes, little-endian.
+    pub fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
     }
     /// `usize` travels as `u64` so the format is width-independent.
-    pub(crate) fn usize(&mut self, v: usize) {
+    pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
     /// `f64` travels as its IEEE-754 bit pattern (bit-exact round-trip).
-    pub(crate) fn f64(&mut self, v: f64) {
+    pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
-    pub(crate) fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
+    /// Each word as by [`Enc::u32`], no length prefix.
+    pub fn u32s(&mut self, vs: &[u32]) {
+        vs.iter().for_each(|&v| self.u32(v));
     }
-    pub(crate) fn str(&mut self, v: &str) {
+    /// Each word as by [`Enc::u64`], no length prefix.
+    pub fn u64s(&mut self, vs: &[u64]) {
+        vs.iter().for_each(|&v| self.u64(v));
+    }
+    /// Raw bytes, no length prefix.
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.0.extend_from_slice(v);
+    }
+    /// A `u32` length, then the UTF-8 bytes.
+    pub fn str(&mut self, v: &str) {
         self.u32(v.len() as u32);
         self.bytes(v.as_bytes());
     }
 }
 
-/// Bounds-checked little-endian reader; every read can fail with
-/// [`SnapshotError::Truncated`] instead of panicking.
-pub(crate) struct Dec<'a> {
+/// Bounds-checked little-endian reader, the counterpart of [`Enc`]:
+/// every read can fail with [`SnapshotError::Truncated`] instead of
+/// panicking.
+#[derive(Debug)]
+pub struct Dec<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
+    /// A reader over `data`.
+    pub fn new(data: &'a [u8]) -> Self {
         Self { data, pos: 0 }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pos >= self.data.len()
-    }
-
-    /// Bytes consumed so far (offset labelling in snapshot diffs).
+    /// Bytes consumed so far (the STATE decoder's field labelling).
     pub(crate) fn pos(&self) -> usize {
         self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.data.len() {
+    /// Forget the bytes not yet consumed: every further read fails, so a
+    /// decoder that has found what it was run for stops there.
+    pub(crate) fn end(&mut self) {
+        self.data = &self.data[..self.pos];
+    }
+
+    /// Whether every byte has been consumed.
+    pub fn is_empty(&self) -> bool {
+        self.remaining() == 0
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// The next `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        if n > self.remaining() {
             return Err(SnapshotError::Truncated);
         }
-        let s = &self.data[self.pos..end];
-        self.pos = end;
+        let s = &self.data[self.pos..self.pos + n];
+        self.pos += n;
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
+        Ok(self.bytes(1)?[0])
     }
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    /// Four bytes, little-endian.
+    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
+        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
-    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
-        // lint:allow(P001, slice length fixed by take of 8 bytes; try_into is infallible)
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// Eight bytes, little-endian.
+    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
+        // lint:allow(P001, slice length fixed by the 8-byte read; try_into is infallible)
+        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
-    pub(crate) fn usize(&mut self) -> Result<usize, SnapshotError> {
+    /// `n` words as by [`Dec::u64`].
+    pub fn u64s(&mut self, n: usize) -> Result<Vec<u64>, SnapshotError> {
+        let raw = self.bytes(n.checked_mul(8).ok_or(SnapshotError::Truncated)?)?;
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
+        Ok(raw.chunks_exact(8).map(word).collect())
+    }
+    /// A `u64` that must fit this platform's `usize`.
+    pub fn usize(&mut self) -> Result<usize, SnapshotError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| SnapshotError::Malformed("usize overflow"))
     }
-    pub(crate) fn f64(&mut self) -> Result<f64, SnapshotError> {
+    /// An IEEE-754 bit pattern.
+    pub fn f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.u64()?))
     }
-    pub(crate) fn str(&mut self) -> Result<String, SnapshotError> {
+    /// A string written by [`Enc::str`].
+    pub fn str(&mut self) -> Result<String, SnapshotError> {
         let n = self.u32()? as usize;
-        let raw = self.take(n)?;
+        let raw = self.bytes(n)?;
         String::from_utf8(raw.to_vec()).map_err(|_| SnapshotError::Malformed("non-UTF-8 string"))
     }
 
-    /// Read a length prefix and sanity-bound it: decoding must not
-    /// allocate unbounded memory on a hostile length field.
-    pub(crate) fn len(&mut self, bound: usize, what: &'static str) -> Result<usize, SnapshotError> {
+    /// Read the count of a sequence whose items take at least
+    /// `item_bytes` each. Refused (`Malformed(what)`) when that many
+    /// items cannot fit in the bytes that remain — so a hostile count is
+    /// turned away before anything is allocated for it, and what a valid
+    /// one reserves is proportional to the file.
+    pub fn len(&mut self, item_bytes: usize, what: &'static str) -> Result<usize, SnapshotError> {
         let n = self.usize()?;
-        if n > bound {
+        if n.saturating_mul(item_bytes) > self.remaining() {
             return Err(SnapshotError::Malformed(what));
         }
         Ok(n)
@@ -261,6 +317,10 @@ impl<'a> Dec<'a> {
 // ---------------------------------------------------------------------
 // Packet codec (shared by the router, queue and LLR sections)
 // ---------------------------------------------------------------------
+
+/// Shortest encoding of one packet (no Valiant intermediate): what a
+/// count of packets is checked against by [`Dec::len`].
+pub(crate) const PACKET_MIN_BYTES: usize = 35;
 
 /// Append the full wire image of one packet header.
 pub(crate) fn encode_packet(e: &mut Enc, p: &crate::packet::Packet) {
@@ -352,7 +412,7 @@ pub(crate) fn encode_config(cfg: &SimConfig, mechanism: &str) -> Vec<u8> {
     e.f64(cfg.cm_hysteresis);
     e.f64(cfg.cm_min_rate);
     e.str(mechanism);
-    e.buf
+    e.0
 }
 
 /// Decode the CONFIG section back into a configuration + mechanism name.
@@ -420,23 +480,24 @@ pub fn config_fingerprint(cfg: &SimConfig, mechanism: &str) -> u32 {
 
 /// Assemble a complete snapshot file from its three section payloads.
 pub(crate) fn frame(config: &[u8], policy: &[u8], state: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + config.len() + policy.len() + state.len() + 32);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&crc32(config).to_le_bytes());
+    let mut e = Enc(Vec::with_capacity(
+        24 + config.len() + policy.len() + state.len() + 32,
+    ));
+    e.bytes(&SNAPSHOT_MAGIC);
+    e.u32(SNAPSHOT_VERSION);
+    e.u32(crc32(config));
     for (tag, payload) in [
         (SEC_CONFIG, config),
         (SEC_POLICY, policy),
         (SEC_STATE, state),
     ] {
-        out.push(tag);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(payload);
+        e.u8(tag);
+        e.u32(payload.len() as u32);
+        e.u32(crc32(payload));
+        e.bytes(payload);
     }
-    let file_crc = crc32(&out);
-    out.extend_from_slice(&file_crc.to_le_bytes());
-    out
+    e.u32(crc32(&e.0));
+    e.0
 }
 
 /// The parsed frame of a validated snapshot: section payload slices.
@@ -458,48 +519,38 @@ pub(crate) fn parse_frame(bytes: &[u8]) -> Result<Frame<'_>, SnapshotError> {
         return Err(SnapshotError::Truncated);
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-    if crc32(body) != stored {
-        // Distinguish "does not even look like a snapshot" for nicer
-        // operator errors: magic is checked on the raw prefix first.
-        if body[..8] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        return Err(SnapshotError::FileChecksum);
-    }
+    // "Does not even look like a snapshot" comes first, for nicer
+    // operator errors.
     if body[..8] != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = u32::from_le_bytes(body[8..12].try_into().unwrap());
+    if crc32(body) != Dec::new(trailer).u32()? {
+        return Err(SnapshotError::FileChecksum);
+    }
+    let d = &mut Dec::new(&body[8..]);
+    let version = d.u32()?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
-    let fingerprint = u32::from_le_bytes(body[12..16].try_into().unwrap());
-    let mut sections: [Option<&[u8]>; 3] = [None, None, None];
-    let mut pos = 16;
-    while pos < body.len() {
-        if pos + 9 > body.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let tag = body[pos];
-        let len = u32::from_le_bytes(body[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(body[pos + 5..pos + 9].try_into().unwrap());
-        pos += 9;
-        let end = pos.checked_add(len).ok_or(SnapshotError::Truncated)?;
-        if end > body.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let payload = &body[pos..end];
+    let fingerprint = d.u32()?;
+    let mut sections: [Option<&[u8]>; 3] = [None; 3];
+    while !d.is_empty() {
+        let tag = d.u8()?;
+        let len = d.u32()? as usize;
+        let crc = d.u32()?;
+        let payload = d.bytes(len)?;
         if crc32(payload) != crc {
             return Err(SnapshotError::SectionChecksum { tag });
         }
-        match tag {
-            SEC_CONFIG => sections[0] = Some(payload),
-            SEC_POLICY => sections[1] = Some(payload),
-            SEC_STATE => sections[2] = Some(payload),
+        let slot = match tag {
+            SEC_CONFIG => 0,
+            SEC_POLICY => 1,
+            SEC_STATE => 2,
             _ => return Err(SnapshotError::Malformed("unknown section tag")),
+        };
+        if sections[slot].replace(payload).is_some() {
+            return Err(SnapshotError::Malformed("duplicate section"));
         }
-        pos = end;
     }
     match sections {
         [Some(config), Some(policy), Some(state)] => Ok(Frame {
@@ -607,26 +658,29 @@ pub fn peek_header(bytes: &[u8]) -> Result<SnapshotHeader, SnapshotError> {
 // File I/O (atomic)
 // ---------------------------------------------------------------------
 
-/// Write `bytes` to `path` atomically: the full content lands in a
-/// sibling temporary file which is then renamed over the target, so a
-/// crash mid-write never leaves a half-written file under the final
-/// name. (A truncated temporary can survive a crash; it fails the
-/// checksum on read and is skipped.)
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::create_dir_all(dir)?;
-    let file_name = path
+/// Write `bytes` to `path` atomically — the one atomic writer of the
+/// workspace (snapshots, checkpoints, store objects, reports). The full
+/// content lands in a sibling temporary — the file name with `.tmp`
+/// appended, so `x.snap` and `x.txt` never share one — which is then
+/// renamed over the target: a crash mid-write never leaves a
+/// half-written file under the final name. (A truncated temporary can
+/// survive a crash; nothing reads files of that name.)
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path
         .file_name()
-        .ok_or_else(|| SnapshotError::Io("path has no file name".into()))?;
-    let mut tmp = dir.join(file_name);
-    tmp.set_extension("tmp");
+        .ok_or_else(|| std::io::Error::other("path has no file name"))?
+        .to_os_string();
+    tmp.push(".tmp");
+    let tmp = path.with_file_name(tmp);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    std::fs::rename(&tmp, path)
 }
 
 /// Read a snapshot file into memory. Does not validate — pair with
@@ -647,6 +701,46 @@ mod tests {
         assert_eq!(p.policy, b"pol");
         assert_eq!(p.state, b"state");
         assert_eq!(p.fingerprint, crc32(b"cfg"));
+    }
+
+    #[test]
+    fn a_repeated_section_is_refused() {
+        // A second CONFIG section spliced in before the trailer, the
+        // file re-sealed: everything checksums, and the later section
+        // must not silently win.
+        let mut f = frame(b"cfg", b"pol", b"state");
+        f.truncate(f.len() - 4);
+        let mut e = Enc(f);
+        e.u8(SEC_CONFIG);
+        e.u32(3);
+        e.u32(crc32(b"CFG"));
+        e.bytes(b"CFG");
+        e.u32(crc32(&e.0));
+        assert_eq!(
+            parse_frame(&e.0).unwrap_err(),
+            SnapshotError::Malformed("duplicate section")
+        );
+    }
+
+    #[test]
+    fn a_count_must_fit_the_bytes_that_remain() {
+        let mut e = Enc::default();
+        e.usize(3);
+        e.bytes(&[0; 23]);
+        // 3 × 8 > 23: refused by name before anything is read or reserved.
+        assert_eq!(
+            Dec::new(&e.0).len(8, "count"),
+            Err(SnapshotError::Malformed("count"))
+        );
+        e.u8(0);
+        assert_eq!(Dec::new(&e.0).len(8, "count"), Ok(3));
+        // A count whose byte size overflows is refused the same way.
+        let mut e = Enc::default();
+        e.u64(u64::MAX / 2);
+        assert_eq!(
+            Dec::new(&e.0).len(35, "count"),
+            Err(SnapshotError::Malformed("count"))
+        );
     }
 
     #[test]
@@ -708,6 +802,31 @@ mod tests {
         let f = frame(b"a", b"b", b"c");
         write_atomic(&path, &f).unwrap();
         assert_eq!(read_file(&path).unwrap(), f);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sibling_files_do_not_share_a_temporary() {
+        // `stall-7.snap` and `stall-7.txt` differ only in extension. A
+        // stale temporary of one (a writer killed mid-write) must be
+        // neither clobbered nor consumed by writing the other.
+        let dir = std::env::temp_dir().join("ofar-snap-siblings");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("stall-7.snap.tmp"), b"half a snapshot").unwrap();
+        write_atomic(&dir.join("stall-7.txt"), b"report").unwrap();
+        assert_eq!(
+            std::fs::read(dir.join("stall-7.snap.tmp")).unwrap(),
+            b"half a snapshot"
+        );
+        assert_eq!(std::fs::read(dir.join("stall-7.txt")).unwrap(), b"report");
+        assert!(
+            !dir.join("stall-7.txt.tmp").exists(),
+            "temporary left behind"
+        );
+        assert!(
+            !dir.join("stall-7.tmp").exists(),
+            "extension-replacing name"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

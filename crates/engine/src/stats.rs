@@ -1,77 +1,114 @@
 //! Simulation statistics and measurement windows.
 
-/// Monotonic counters maintained by the engine. All figures of the paper
-/// derive from deltas of these counters over a measurement window (see
-/// [`StatsWindow`]).
-#[derive(Clone, Debug, Default)]
-pub struct Stats {
+/// Declares [`Stats`] from the one list of its counters: the struct, the
+/// fixed-order array view the codecs write, its inverse, the field names
+/// and their number all come from the same identifiers, in the same
+/// order.
+macro_rules! stats_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Monotonic counters maintained by the engine. All figures of the
+        /// paper derive from deltas of these counters over a measurement
+        /// window (see [`StatsWindow`]).
+        #[derive(Clone, Debug, Default)]
+        pub struct Stats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        /// Number of `u64` counters in [`Stats`] (a snapshot format
+        /// constant).
+        pub const STATS_COUNTERS: usize = [$(stringify!($name)),*].len();
+
+        impl Stats {
+            /// All counters as a fixed-order array — the checkpoint
+            /// codec's stats layout.
+            pub fn counters(&self) -> [u64; STATS_COUNTERS] {
+                [$(self.$name),*]
+            }
+
+            /// Inverse of [`Stats::counters`].
+            pub fn set_counters(&mut self, c: &[u64; STATS_COUNTERS]) {
+                [$(self.$name),*] = *c;
+            }
+
+            /// Field names of [`Stats::counters`], in the same order
+            /// (snapshot diff labels).
+            pub fn counter_names() -> [&'static str; STATS_COUNTERS] {
+                [$(stringify!($name)),*]
+            }
+        }
+    };
+}
+
+// The order is part of the snapshot format: append new counters at the
+// end and bump [`crate::snapshot::SNAPSHOT_VERSION`].
+stats_counters! {
     /// Packets generated (pushed into source queues).
-    pub generated_packets: u64,
+    generated_packets,
     /// Packets that entered an injection buffer.
-    pub injected_packets: u64,
+    injected_packets,
     /// Packets delivered to their destination node.
-    pub delivered_packets: u64,
+    delivered_packets,
     /// Phits delivered.
-    pub delivered_phits: u64,
+    delivered_phits,
     /// Sum of packet latencies (generation → ejection grant + packet
     /// serialization), in cycles.
-    pub latency_sum: u64,
+    latency_sum,
     /// Sum of link hops of delivered packets (local + global + ring).
-    pub hop_sum: u64,
+    hop_sum,
     /// Non-minimal local hops taken (§IV-A).
-    pub local_misroutes: u64,
+    local_misroutes,
     /// Non-minimal global hops taken (§IV-A).
-    pub global_misroutes: u64,
+    global_misroutes,
     /// Packets that entered the escape ring (§IV-C).
-    pub ring_entries: u64,
+    ring_entries,
     /// Hops taken along the escape ring.
-    pub ring_advances: u64,
+    ring_advances,
     /// Packets that abandoned the ring through a canonical output.
-    pub ring_exits: u64,
+    ring_exits,
     /// Packets delivered directly from the escape ring.
-    pub ring_deliveries: u64,
+    ring_deliveries,
     /// Cycle of the last delivered packet.
-    pub last_delivery: u64,
+    last_delivery,
     /// Cycle of the last crossbar grant anywhere in the network
     /// (progress watchdog for deadlock detection).
-    pub last_grant: u64,
+    last_grant,
     /// Link-failure transitions applied (fault injection, §VII).
-    pub link_failures: u64,
+    link_failures,
     /// Link-restoration transitions applied.
-    pub link_repairs: u64,
+    link_repairs,
     /// Router-failure transitions applied.
-    pub router_failures: u64,
+    router_failures,
     /// Router-restoration transitions applied.
-    pub router_repairs: u64,
+    router_repairs,
     /// LLR: retransmissions issued (first transmissions excluded).
-    pub llr_retransmits: u64,
+    llr_retransmits,
     /// LLR: transfers lost on the wire (header phit hit — never arrive).
-    pub llr_wire_drops: u64,
+    llr_wire_drops,
     /// LLR: transfers discarded at the receiver on a CRC mismatch.
-    pub llr_crc_drops: u64,
+    llr_crc_drops,
     /// LLR: duplicate transfers discarded at the receiver (spurious
     /// retransmissions — the sequence number was already accepted).
-    pub llr_dup_drops: u64,
+    llr_dup_drops,
     /// LLR: nacks processed by senders.
-    pub llr_nacks: u64,
+    llr_nacks,
     /// LLR: retransmit timeouts fired.
-    pub llr_timeouts: u64,
+    llr_timeouts,
     /// LLR: links escalated to fail-stop after exhausting the retry
     /// budget.
-    pub llr_escalations: u64,
+    llr_escalations,
     /// Packets ejected more than once (must stay 0 while the link layer
     /// dedups; counted, not asserted, so release runs surface it too).
-    pub duplicate_deliveries: u64,
+    duplicate_deliveries,
     /// CM: token-bucket units actually credited to injection buckets
     /// (cap-clamped, so `granted − consumed ≡ Σ bucket levels` exactly —
     /// the `ThrottleTokenLaw` auditor invariant).
-    pub cm_tokens_granted: u64,
+    cm_tokens_granted,
     /// CM: token-bucket units debited by successful injections.
-    pub cm_tokens_consumed: u64,
+    cm_tokens_consumed,
     /// CM: injection attempts deferred because the bucket was short.
-    pub cm_throttle_deferrals: u64,
+    cm_throttle_deferrals,
     /// CM: router·cycles spent in the throttled hysteresis state.
-    pub cm_throttled_cycles: u64,
+    cm_throttled_cycles,
 }
 
 impl Stats {
@@ -92,122 +129,7 @@ impl Stats {
             self.hop_sum as f64 / self.delivered_packets as f64
         }
     }
-
-    /// All counters as a fixed-order array — the checkpoint codec's
-    /// stats layout. The order (field declaration order) is part of the
-    /// snapshot format: append new counters at the end and bump
-    /// [`crate::snapshot::SNAPSHOT_VERSION`].
-    pub fn counters(&self) -> [u64; STATS_COUNTERS] {
-        [
-            self.generated_packets,
-            self.injected_packets,
-            self.delivered_packets,
-            self.delivered_phits,
-            self.latency_sum,
-            self.hop_sum,
-            self.local_misroutes,
-            self.global_misroutes,
-            self.ring_entries,
-            self.ring_advances,
-            self.ring_exits,
-            self.ring_deliveries,
-            self.last_delivery,
-            self.last_grant,
-            self.link_failures,
-            self.link_repairs,
-            self.router_failures,
-            self.router_repairs,
-            self.llr_retransmits,
-            self.llr_wire_drops,
-            self.llr_crc_drops,
-            self.llr_dup_drops,
-            self.llr_nacks,
-            self.llr_timeouts,
-            self.llr_escalations,
-            self.duplicate_deliveries,
-            self.cm_tokens_granted,
-            self.cm_tokens_consumed,
-            self.cm_throttle_deferrals,
-            self.cm_throttled_cycles,
-        ]
-    }
-
-    /// Inverse of [`Stats::counters`].
-    pub fn set_counters(&mut self, c: &[u64; STATS_COUNTERS]) {
-        [
-            self.generated_packets,
-            self.injected_packets,
-            self.delivered_packets,
-            self.delivered_phits,
-            self.latency_sum,
-            self.hop_sum,
-            self.local_misroutes,
-            self.global_misroutes,
-            self.ring_entries,
-            self.ring_advances,
-            self.ring_exits,
-            self.ring_deliveries,
-            self.last_delivery,
-            self.last_grant,
-            self.link_failures,
-            self.link_repairs,
-            self.router_failures,
-            self.router_repairs,
-            self.llr_retransmits,
-            self.llr_wire_drops,
-            self.llr_crc_drops,
-            self.llr_dup_drops,
-            self.llr_nacks,
-            self.llr_timeouts,
-            self.llr_escalations,
-            self.duplicate_deliveries,
-            self.cm_tokens_granted,
-            self.cm_tokens_consumed,
-            self.cm_throttle_deferrals,
-            self.cm_throttled_cycles,
-        ] = *c;
-    }
-
-    /// Field names of [`Stats::counters`], in the same order (snapshot
-    /// diff labels; the arrays must stay index-aligned).
-    pub fn counter_names() -> [&'static str; STATS_COUNTERS] {
-        [
-            "generated_packets",
-            "injected_packets",
-            "delivered_packets",
-            "delivered_phits",
-            "latency_sum",
-            "hop_sum",
-            "local_misroutes",
-            "global_misroutes",
-            "ring_entries",
-            "ring_advances",
-            "ring_exits",
-            "ring_deliveries",
-            "last_delivery",
-            "last_grant",
-            "link_failures",
-            "link_repairs",
-            "router_failures",
-            "router_repairs",
-            "llr_retransmits",
-            "llr_wire_drops",
-            "llr_crc_drops",
-            "llr_dup_drops",
-            "llr_nacks",
-            "llr_timeouts",
-            "llr_escalations",
-            "duplicate_deliveries",
-            "cm_tokens_granted",
-            "cm_tokens_consumed",
-            "cm_throttle_deferrals",
-            "cm_throttled_cycles",
-        ]
-    }
 }
-
-/// Number of `u64` counters in [`Stats`] (a snapshot format constant).
-pub const STATS_COUNTERS: usize = 30;
 
 /// Jain's fairness index over per-source delivery counts:
 /// `(Σx)² / (n · Σx²)`, in `(0, 1]` — 1 when every source receives equal

@@ -7,6 +7,7 @@ use crate::par::ParPolicy;
 use crate::pb::{PbConfig, PbPolicy};
 use crate::probe::{EnumerablePolicy, ProbeFeedback, ProbePin};
 use crate::valiant::ValiantPolicy;
+use ofar_engine::snapshot::{Dec, Enc};
 use ofar_engine::{
     InputCtx, NetSnapshot, Packet, Policy, Request, RingMode, RouterView, SimConfig,
 };
@@ -196,28 +197,25 @@ impl Policy for Mechanism {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
+        let mut e = Enc(std::mem::take(out));
         match self {
             Mechanism::Min(_) => {} // stateless
-            Mechanism::Valiant(p) => p.save_state(out),
-            Mechanism::Pb(p) => p.save_state(out),
-            Mechanism::Par(p) => p.save_state(out),
-            Mechanism::Ofar(p) => p.save_state(out),
+            Mechanism::Valiant(p) => p.save_state(&mut e),
+            Mechanism::Pb(p) => p.save_state(&mut e),
+            Mechanism::Par(p) => p.save_state(&mut e),
+            Mechanism::Ofar(p) => p.save_state(&mut e),
         }
+        *out = e.0;
     }
 
     fn load_state(&mut self, data: &[u8]) -> Result<(), String> {
+        let d = &mut Dec::new(data);
         match self {
-            Mechanism::Min(_) => {
-                if data.is_empty() {
-                    Ok(())
-                } else {
-                    Err(format!("MIN is stateless but got {} bytes", data.len()))
-                }
-            }
-            Mechanism::Valiant(p) => p.load_state(data),
-            Mechanism::Pb(p) => p.load_state(data),
-            Mechanism::Par(p) => p.load_state(data),
-            Mechanism::Ofar(p) => p.load_state(data),
+            Mechanism::Min(_) => crate::state::finish(d, "MIN"),
+            Mechanism::Valiant(p) => p.load_state(d),
+            Mechanism::Pb(p) => p.load_state(d),
+            Mechanism::Par(p) => p.load_state(d),
+            Mechanism::Ofar(p) => p.load_state(d),
         }
     }
 }
@@ -281,6 +279,54 @@ mod tests {
             RingMode::Physical
         );
     }
+
+    /// Format pin: the POLICY section of every stateful mechanism after
+    /// 300 cycles of a fixed h = 2 workload. The bytes are part of the
+    /// snapshot format (`SNAPSHOT_VERSION` 3), so a codec refactor must
+    /// leave length and CRC-32 exactly as they are.
+    #[test]
+    fn save_state_bytes_are_pinned() {
+        use ofar_engine::{crc32, Network};
+        use ofar_topology::NodeId;
+        let pins = [
+            (MechanismKind::Valiant, PIN_VAL),
+            (MechanismKind::Pb, PIN_PB),
+            (MechanismKind::Par, PIN_PAR),
+            (MechanismKind::Ofar, PIN_OFAR),
+        ];
+        for (kind, want) in pins {
+            let cfg = kind.adapt_config(SimConfig::paper(2).with_seed(11));
+            let mut net = Network::new(cfg, kind.build(&cfg, 42));
+            let nodes = net.num_nodes();
+            for cycle in 0..300usize {
+                if cycle % 16 == 0 {
+                    for n in 0..nodes {
+                        let dst = (n * 7 + cycle / 16 + 9) % nodes;
+                        if dst != n {
+                            net.generate(NodeId::from(n), NodeId::from(dst));
+                        }
+                    }
+                }
+                net.step();
+            }
+            assert!(net.stats().delivered_packets > 200, "{kind}: idle run");
+            let mut bytes = Vec::new();
+            net.policy().save_state(&mut bytes);
+            assert_eq!((bytes.len(), crc32(&bytes)), want, "{kind}");
+            // ...and the pinned bytes load back into a fresh policy that
+            // re-saves them unchanged.
+            let mut fresh = kind.build(&cfg, 7);
+            fresh.load_state(&bytes).unwrap();
+            let mut again = Vec::new();
+            fresh.save_state(&mut again);
+            assert_eq!(again, bytes, "{kind}: load/save round trip");
+        }
+    }
+
+    const PIN_VAL: (usize, u32) = (3460, 3_512_305_920);
+    const PIN_PB: (usize, u32) = (3752, 1_710_000_027);
+    const PIN_PAR: (usize, u32) = (3460, 4_289_716_595);
+    const PIN_OFAR: (usize, u32) = (3460, 2_435_466_148);
 
     #[test]
     fn display_matches_paper_names() {

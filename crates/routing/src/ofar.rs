@@ -31,6 +31,7 @@
 use crate::common::{group_pos, hop_to_request, injection_vc, live_minimal_hop, VcLadder};
 use crate::probe::ProbeState;
 use crate::state::RngLanes;
+use ofar_engine::snapshot::{Dec, Enc};
 use ofar_engine::{
     InputCtx, Packet, Policy, PortKind, Request, RequestKind, RouterView, SimConfig,
     FLAG_GLOBAL_MISROUTED, FLAG_LOCAL_MISROUTED,
@@ -601,13 +602,13 @@ impl OfarPolicy {
     /// Checkpoint hook: OFAR's only policy-side dynamic state is its
     /// tie-break RNG — the ring-patience counter travels in each packet
     /// header (`wait`), so it rides the engine's own sections.
-    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
-        self.lanes.save(out);
+    pub(crate) fn save_state(&self, e: &mut Enc) {
+        self.lanes.save(e);
     }
 
     /// Restore the lane table captured by [`OfarPolicy::save_state`].
-    pub(crate) fn load_state(&mut self, data: &[u8]) -> Result<(), String> {
-        self.lanes.load(data, "OFAR")
+    pub(crate) fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), String> {
+        self.lanes.load(d, "OFAR")
     }
 }
 

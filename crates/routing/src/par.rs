@@ -19,6 +19,7 @@ use crate::common::{hop_to_request, injection_vc, live_minimal_hop, VcLadder};
 use crate::probe::ProbeState;
 use crate::state::RngLanes;
 use crate::valiant::ValiantPolicy;
+use ofar_engine::snapshot::{Dec, Enc};
 use ofar_engine::{
     InputCtx, Packet, Policy, Request, RequestKind, RouterView, SimConfig, FLAG_AUX,
 };
@@ -231,13 +232,13 @@ pub fn par_config(mut cfg: SimConfig) -> SimConfig {
 impl ParPolicy {
     /// Checkpoint hook: PAR's only dynamic state is its tie-break lane
     /// table.
-    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
-        self.lanes.save(out);
+    pub(crate) fn save_state(&self, e: &mut Enc) {
+        self.lanes.save(e);
     }
 
     /// Restore the lane table captured by [`ParPolicy::save_state`].
-    pub(crate) fn load_state(&mut self, data: &[u8]) -> Result<(), String> {
-        self.lanes.load(data, "PAR")
+    pub(crate) fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), String> {
+        self.lanes.load(d, "PAR")
     }
 }
 

@@ -20,8 +20,9 @@
 
 use crate::common::{hop_to_request, injection_vc, live_minimal_hop, VcLadder};
 use crate::probe::ProbeState;
-use crate::state::RngLanes;
+use crate::state::{finish, named, RngLanes};
 use crate::valiant::ValiantPolicy;
+use ofar_engine::snapshot::{Dec, Enc};
 use ofar_engine::{
     InputCtx, NetSnapshot, Packet, Policy, Request, RequestKind, RouterView, SimConfig,
 };
@@ -196,43 +197,31 @@ impl PbPolicy {
     /// broadcast-visible occupancy table updated every cycle by
     /// `end_cycle` — plus its tie-break lane table. Both must round-trip
     /// for a restored run to take bit-identical decisions.
-    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
-        self.lanes.save(out);
-        out.extend_from_slice(&(self.visible.len() as u32).to_le_bytes());
+    pub(crate) fn save_state(&self, e: &mut Enc) {
+        self.lanes.save(e);
+        e.u32(self.visible.len() as u32);
         for &v in &self.visible {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
+            e.u32(v.to_bits());
         }
     }
 
     /// Restore the state captured by [`PbPolicy::save_state`]. Fails
     /// closed: `self` is untouched unless the whole frame decodes.
-    pub(crate) fn load_state(&mut self, data: &[u8]) -> Result<(), String> {
-        let mut lanes = self.lanes.clone();
-        let rest = lanes.take_lanes(data, "PB")?;
-        if rest.len() < 4 {
-            return Err("PB: truncated visibility table header".into());
-        }
-        let (head, body) = rest.split_at(4);
-        let n = u32::from_le_bytes(head.try_into().unwrap()) as usize;
+    pub(crate) fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), String> {
+        let table = named("PB", "visibility table");
+        let lanes = self.lanes.decoded(d, "PB")?;
+        let n = d.u32().map_err(&table)? as usize;
         if n != self.visible.len() {
             return Err(format!(
                 "PB: visibility table has {n} entries, this network needs {}",
                 self.visible.len()
             ));
         }
-        if body.len() != n * 4 {
-            return Err(format!(
-                "PB: visibility table body is {} bytes, expected {}",
-                body.len(),
-                n * 4
-            ));
-        }
         let mut visible = Vec::with_capacity(n);
-        for chunk in body.chunks_exact(4) {
-            visible.push(f32::from_bits(u32::from_le_bytes(
-                chunk.try_into().unwrap(),
-            )));
+        for _ in 0..n {
+            visible.push(f32::from_bits(d.u32().map_err(&table)?));
         }
+        finish(d, "PB")?;
         self.lanes = lanes;
         self.visible = visible;
         Ok(())

@@ -1,11 +1,14 @@
-//! Little-endian helpers for the mechanisms' checkpoint state
-//! ([`ofar_engine::Policy::save_state`] / `load_state`).
+//! The mechanisms' checkpoint state
+//! ([`ofar_engine::Policy::save_state`] / `load_state`), written and read
+//! through the engine's byte cursor ([`ofar_engine::snapshot::Enc`] /
+//! [`Dec`]).
 //!
 //! The engine owns framing and checksums; a mechanism only appends its
-//! raw dynamic state — typically one xoshiro256** stream, plus for PB
-//! the broadcast-visible occupancy table. Decoding fails closed with a
-//! descriptive `Err` on any length or layout mismatch.
+//! raw dynamic state — the per-shard xoshiro256** streams, plus for PB
+//! the broadcast-visible occupancy table. Decoding fails closed with an
+//! `Err` naming the mechanism on any length or layout mismatch.
 
+use ofar_engine::snapshot::{Dec, Enc, SnapshotError};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -58,66 +61,59 @@ impl RngLanes {
     /// Append the lane table: count header, then each lane's 256-bit
     /// state in lane-index order — byte-identical no matter which shard
     /// schedule produced the draws.
-    pub(crate) fn save(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.lanes.len() as u32).to_le_bytes());
+    pub(crate) fn save(&self, e: &mut Enc) {
+        e.u32(self.lanes.len() as u32);
         for rng in &self.lanes {
-            put_rng(out, rng);
+            e.u64s(&rng.state());
         }
     }
 
-    /// Read a lane table from the front of `data`, returning the rest.
-    /// Fails closed (self untouched) when the count disagrees with this
-    /// network's shape or the table is truncated.
-    pub(crate) fn take_lanes<'a>(&mut self, data: &'a [u8], who: &str) -> Result<&'a [u8], String> {
-        if data.len() < 4 {
-            return Err(format!("{who}: truncated lane-table header"));
-        }
-        let (head, body) = data.split_at(4);
-        let n = u32::from_le_bytes(head.try_into().unwrap()) as usize;
+    /// Read a lane table of this network's shape from the cursor. `self`
+    /// is the shape only and stays untouched, so a caller commits the
+    /// result once the rest of its state has decoded too.
+    pub(crate) fn decoded(&self, d: &mut Dec<'_>, who: &str) -> Result<Self, String> {
+        let n = d.u32().map_err(named(who, "lane table"))? as usize;
         if n != self.lanes.len() {
             return Err(format!(
                 "{who}: lane table has {n} streams, this network needs {}",
                 self.lanes.len()
             ));
         }
-        let mut fresh = Vec::with_capacity(n);
-        let mut rest = body;
+        let mut lanes = Vec::with_capacity(n);
         for _ in 0..n {
-            let (rng, r) = take_rng(rest, who)?;
-            fresh.push(rng);
-            rest = r;
+            let mut s = [0u64; 4];
+            for word in &mut s {
+                *word = d.u64().map_err(named(who, "lane table"))?;
+            }
+            lanes.push(SmallRng::from_state(s));
         }
-        self.lanes = fresh;
-        Ok(rest)
+        Ok(Self {
+            routers: self.routers,
+            lanes,
+        })
     }
 
     /// The whole state is one lane table: decode it and require nothing
     /// follows.
-    pub(crate) fn load(&mut self, data: &[u8], who: &str) -> Result<(), String> {
-        let rest = self.take_lanes(data, who)?;
-        if !rest.is_empty() {
-            return Err(format!("{who}: {} trailing bytes of state", rest.len()));
-        }
+    pub(crate) fn load(&mut self, d: &mut Dec<'_>, who: &str) -> Result<(), String> {
+        let fresh = self.decoded(d, who)?;
+        finish(d, who)?;
+        *self = fresh;
         Ok(())
     }
 }
 
-/// Append one RNG's 256-bit state.
-pub(crate) fn put_rng(out: &mut Vec<u8>, rng: &SmallRng) {
-    for word in rng.state() {
-        out.extend_from_slice(&word.to_le_bytes());
-    }
+/// Turn a cursor error into a `load_state` message naming the mechanism
+/// and the table being read.
+pub(crate) fn named<'a>(who: &'a str, what: &'a str) -> impl Fn(SnapshotError) -> String + 'a {
+    move |e| format!("{who}: {what}: {e}")
 }
 
-/// Read one RNG state from the front of `data`, returning the rest.
-pub(crate) fn take_rng<'a>(data: &'a [u8], who: &str) -> Result<(SmallRng, &'a [u8]), String> {
-    if data.len() < 32 {
-        return Err(format!("{who}: truncated RNG state ({} bytes)", data.len()));
+/// A mechanism's state ends where its section does.
+pub(crate) fn finish(d: &Dec<'_>, who: &str) -> Result<(), String> {
+    if d.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{who}: {} trailing bytes of state", d.remaining()))
     }
-    let (raw, rest) = data.split_at(32);
-    let mut s = [0u64; 4];
-    for (i, word) in s.iter_mut().enumerate() {
-        *word = u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().unwrap());
-    }
-    Ok((SmallRng::from_state(s), rest))
 }

@@ -15,6 +15,7 @@
 use crate::common::{hop_to_request, injection_vc, live_minimal_hop, VcLadder};
 use crate::probe::ProbeState;
 use crate::state::RngLanes;
+use ofar_engine::snapshot::{Dec, Enc};
 use ofar_engine::{InputCtx, Packet, Policy, Request, RequestKind, RouterView, SimConfig};
 use ofar_topology::GroupId;
 use rand::rngs::SmallRng;
@@ -129,13 +130,13 @@ impl ValiantPolicy {
     /// Checkpoint hook: VAL's only dynamic state is the
     /// intermediate-pick lane table (chosen intermediates ride in the
     /// packet headers themselves).
-    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
-        self.lanes.save(out);
+    pub(crate) fn save_state(&self, e: &mut Enc) {
+        self.lanes.save(e);
     }
 
     /// Restore the lane table captured by [`ValiantPolicy::save_state`].
-    pub(crate) fn load_state(&mut self, data: &[u8]) -> Result<(), String> {
-        self.lanes.load(data, "VAL")
+    pub(crate) fn load_state(&mut self, d: &mut Dec<'_>) -> Result<(), String> {
+        self.lanes.load(d, "VAL")
     }
 }
 

@@ -35,9 +35,16 @@ impl Harness {
         if cm {
             cfg = cfg.with_cm();
         }
+        let mut h = Self::on(cfg, kind, seed, faults);
+        h.net.enable_delivery_log();
+        h
+    }
+
+    /// The same harness on any machine, delivery log left off.
+    fn on(cfg: SimConfig, kind: MechanismKind, seed: u64, faults: bool) -> Self {
+        let cm = cfg.cm_enabled;
         let cfg = kind.adapt_config(cfg);
         let mut net = Network::new(cfg, kind.build(&cfg, seed));
-        net.enable_delivery_log();
         let topo = Dragonfly::new(cfg.params);
         if faults {
             let r0 = RouterId::new(0);
@@ -478,4 +485,252 @@ fn impossible_event_stamps_are_refused() {
     }
     // The unedited file still restores.
     victim.net.restore_snapshot(&clean).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Length prefixes: a count is believed only as far as the bytes that
+// remain could hold it.
+// ---------------------------------------------------------------------
+
+#[test]
+fn hostile_length_prefix_is_refused_before_it_is_allocated_for() {
+    let mut h = Harness::new(MechanismKind::Ofar, 9, 0.0, false);
+    h.drive(300);
+    let clean = h.net.save_snapshot();
+    let mut payload = Vec::new();
+    edit_section(&clean, 2, |p| payload = p.to_vec());
+    // No queue could be told from its count alone that it does not hold
+    // 2^24 entries; the bytes left in the section say so. Believed, each
+    // count would reserve hundreds of MB before the first read fails.
+    let bomb = 1u64 << 24;
+    let delivered_log = (0..payload.len())
+        .find(|&o| h.net.locate_state_field(&payload, o) == "delivered_log")
+        .unwrap();
+    let counts = [
+        (
+            "a source queue",
+            find_pipeline(&h.net, &payload, "src_q[0]", 0),
+        ),
+        ("a VC buffer", find_pipeline(&h.net, &payload, ".fifo", 0)),
+        (
+            "an arrival pipeline",
+            find_pipeline(&h.net, &payload, ".arrivals", 0),
+        ),
+        (
+            "a credit pipeline",
+            find_pipeline(&h.net, &payload, ".credit_events", 0),
+        ),
+        // Its count follows the one-byte presence tag.
+        ("the delivery log", delivered_log + 1),
+    ];
+
+    let mut victim = Harness::new(MechanismKind::Ofar, 9, 0.0, false);
+    victim.drive(100);
+    let pristine = victim.net.save_snapshot();
+    for (what, at) in counts {
+        let bytes = edit_section(&clean, 2, |p| {
+            p[at..at + 8].copy_from_slice(&bomb.to_le_bytes())
+        });
+        match victim.net.restore_snapshot(&bytes) {
+            Err(SnapshotError::Malformed(_)) => {}
+            other => panic!("{what}: expected Malformed, got {other:?}"),
+        }
+        assert_eq!(
+            victim.net.save_snapshot(),
+            pristine,
+            "{what}: victim touched"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The labels cover the section: `locate_state_field` is the STATE
+// decoder itself run with a probe, so there is no second schema to keep
+// in step — what is left to pin is that the decoder names everything it
+// reads, once, in the order it reads it.
+// ---------------------------------------------------------------------
+
+/// Sort key of a field label: its fixed pieces ranked by where the
+/// schema puts them, its indices as they are. Panics on a piece the
+/// schema does not have.
+fn schema_key(label: &str) -> Vec<usize> {
+    const ORDER: [&str; 31] = [
+        "now",
+        "next_id",
+        "faults_ever",
+        "plan_cursor",
+        "fault plan",
+        "fault state",
+        "stats.",
+        "source-queue count",
+        "src_q[",
+        "inj_busy[",
+        "router_last_grant[",
+        "delivered_log",
+        "link_phits",
+        "router[",
+        "].input[",
+        "].output[",
+        "].vc[",
+        "].fifo",
+        "].arrivals",
+        "].credits[",
+        "].credit_events",
+        "].busy_until",
+        "].vc_served_at[",
+        "].in_served_at[",
+        "llr",
+        "cm presence tag",
+        "cm.tokens[",
+        "cm.cong[",
+        "cm.throttled[",
+        "delivered_per_src[",
+        "]",
+    ];
+    let rank = |piece: &str| {
+        ORDER
+            .iter()
+            .position(|p| *p == piece)
+            .unwrap_or_else(|| panic!("label {label:?}: {piece:?} is not in the schema"))
+    };
+    if let Some(counter) = label.strip_prefix("stats.") {
+        let names = ofar::engine::Stats::counter_names();
+        return vec![
+            rank("stats."),
+            names.iter().position(|n| *n == counter).unwrap(),
+        ];
+    }
+    let mut key = Vec::new();
+    let mut rest = label;
+    while !rest.is_empty() {
+        let digits = rest.starts_with(|c: char| c.is_ascii_digit());
+        let end = rest
+            .find(|c: char| c.is_ascii_digit() != digits)
+            .unwrap_or(rest.len());
+        let (piece, tail) = rest.split_at(end);
+        key.push(if digits {
+            piece.parse().unwrap()
+        } else {
+            rank(piece)
+        });
+        rest = tail;
+    }
+    key
+}
+
+/// Encoded width of a fixed-size field, `None` for the ones that carry a
+/// count or an `Option` tag. A field read without being announced would
+/// pass for part of the next one; this is what gives it away.
+fn fixed_width(label: &str) -> Option<usize> {
+    let stem = label.trim_end_matches(|c: char| c.is_ascii_digit() || c == '[' || c == ']');
+    let is = |names: &[&str]| names.iter().any(|n| stem.ends_with(n));
+    if is(&[
+        "fault plan",
+        "fault state",
+        "src_q",
+        "delivered_log",
+        "link_phits",
+        ".fifo",
+        ".arrivals",
+        ".credit_events",
+        "llr",
+    ]) {
+        None
+    } else if is(&["faults_ever", "cm presence tag", "cm.throttled"]) {
+        Some(1)
+    } else if is(&[".credits", "cm.tokens", "cm.cong"]) {
+        Some(4)
+    } else {
+        Some(8)
+    }
+}
+
+#[test]
+fn labels_cover_the_state_section() {
+    // Probing every offset decodes the section once per byte, so the
+    // machine is the smallest h = 2 Dragonfly there is (10 routers, one
+    // node each) — the schema does not depend on the scale.
+    let machine = |ber: f64, cm: bool| {
+        let mut cfg = SimConfig::paper(H).with_seed(9);
+        cfg.params = DragonflyParams { p: 1, a: 2, h: H };
+        cfg.ber = ber;
+        if cm {
+            cfg.with_cm()
+        } else {
+            cfg
+        }
+    };
+    // (what, configuration, fault plan, delivery log + link counters,
+    //  a field this variant is there to fill)
+    let variants = [
+        ("plain OFAR", machine(0.0, false), false, false, "now"),
+        ("LLR + fault plan", machine(2e-5, false), true, false, "llr"),
+        ("CM", machine(0.0, true), false, false, "cm.tokens[0]"),
+        (
+            "log + link counters",
+            machine(0.0, false),
+            false,
+            true,
+            "link_phits",
+        ),
+    ];
+    for (what, cfg, faults, observers, filled) in variants {
+        let mut h = Harness::on(cfg, MechanismKind::Ofar, 9, faults);
+        if observers {
+            h.net.enable_delivery_log();
+            h.net.enable_link_utilization();
+        }
+        h.drive(400);
+        assert!(h.net.stats().delivered_packets > 50, "{what}: idle run");
+        let clean = h.net.save_snapshot();
+        let mut state = Vec::new();
+        edit_section(&clean, 2, |p| state = p.to_vec());
+
+        // Every byte maps to a field...
+        let mut runs: Vec<(String, usize)> = Vec::new();
+        for offset in 0..state.len() {
+            let label = h.net.locate_state_field(&state, offset);
+            assert!(
+                !label.starts_with("unmappable") && !label.starts_with("past the end"),
+                "{what}: byte {offset} of {}: {label}",
+                state.len()
+            );
+            match runs.last_mut() {
+                Some((last, len)) if *last == label => *len += 1,
+                _ => runs.push((label, 1)),
+            }
+        }
+        // ...the walk ends exactly where the section does...
+        assert_eq!(
+            h.net.locate_state_field(&state, state.len()),
+            "past the end of STATE",
+            "{what}"
+        );
+        // ...and each field is one contiguous run of its own width, in
+        // schema order.
+        for (label, len) in &runs {
+            assert!(
+                fixed_width(label).is_none_or(|w| w == *len),
+                "{what}: {label} spans {len} bytes"
+            );
+        }
+        for pair in runs.windows(2) {
+            assert!(
+                schema_key(&pair[0].0) < schema_key(&pair[1].0),
+                "{what}: {:?} is followed by {:?}",
+                pair[0].0,
+                pair[1].0
+            );
+        }
+        let stats: Vec<&str> = runs
+            .iter()
+            .filter_map(|(label, _)| label.strip_prefix("stats."))
+            .collect();
+        assert_eq!(stats, ofar::engine::Stats::counter_names(), "{what}");
+        // More than the one-byte "absent" tag an unused part leaves.
+        assert!(
+            runs.iter().any(|(l, len)| l == filled && *len > 1),
+            "{what}: {filled} is absent"
+        );
+    }
 }
