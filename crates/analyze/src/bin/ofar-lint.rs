@@ -1,8 +1,7 @@
 //! `ofar-lint` — the workspace determinism & hot-path gate.
 //!
 //! ```text
-//! ofar-lint [--root DIR] [--json FILE] [--baseline FILE]
-//!           [--update-baseline] [--selftest] [--list-rules]
+//! ofar-lint [--root DIR] [--json FILE] [--selftest] [--list-rules]
 //!           [--emit-contract FILE] [--verify-contract FILE]
 //! ```
 //!
@@ -14,15 +13,13 @@
 //! `--verify-contract` byte-compares a checked-in contract against the
 //! fresh one and fails on drift.
 
-use ofar_analyze::{analyze_sources, collect_sources, corpus, report, rules, Baseline, LintConfig};
+use ofar_analyze::{analyze_sources, collect_sources, corpus, report, rules, LintConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
     json_out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
     selftest: bool,
     list_rules: bool,
     emit_contract: Option<PathBuf>,
@@ -33,8 +30,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
         json_out: None,
-        baseline: None,
-        update_baseline: false,
         selftest: false,
         list_rules: false,
         emit_contract: None,
@@ -50,16 +45,13 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--root" => args.root = value("--root")?,
             "--json" => args.json_out = Some(value("--json")?),
-            "--baseline" => args.baseline = Some(value("--baseline")?),
-            "--update-baseline" => args.update_baseline = true,
             "--selftest" => args.selftest = true,
             "--list-rules" => args.list_rules = true,
             "--emit-contract" => args.emit_contract = Some(value("--emit-contract")?),
             "--verify-contract" => args.verify_contract = Some(value("--verify-contract")?),
             "--help" | "-h" => {
                 return Err(
-                    "usage: ofar-lint [--root DIR] [--json FILE] [--baseline FILE] \
-                            [--update-baseline] [--selftest] [--list-rules] \
+                    "usage: ofar-lint [--root DIR] [--json FILE] [--selftest] [--list-rules] \
                             [--emit-contract FILE] [--verify-contract FILE]"
                         .to_string(),
                 )
@@ -120,45 +112,7 @@ fn main() -> ExitCode {
         cfg.contract = Some(text);
     }
 
-    // Default baseline: lint-baseline.json at the root, when present.
-    let baseline_path = args.baseline.clone().or_else(|| {
-        let p = args.root.join("lint-baseline.json");
-        p.is_file().then_some(p)
-    });
-    let baseline = match &baseline_path {
-        Some(p) if !args.update_baseline => match std::fs::read_to_string(p) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!("ofar-lint: {}: {e}", p.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("ofar-lint: {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        },
-        _ => None,
-    };
-
-    let analysis = analyze_sources(&sources, &cfg, baseline.as_ref());
-
-    if args.update_baseline {
-        let out = baseline_path.unwrap_or_else(|| args.root.join("lint-baseline.json"));
-        let b = Baseline::from_findings(&analysis.findings);
-        if let Err(e) = std::fs::write(&out, b.to_json()) {
-            eprintln!("ofar-lint: {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "ofar-lint: wrote {} entr{} to {}",
-            b.entries.len(),
-            if b.entries.len() == 1 { "y" } else { "ies" },
-            out.display()
-        );
-        return ExitCode::SUCCESS;
-    }
+    let analysis = analyze_sources(&sources, &cfg);
 
     if let Some(p) = &args.json_out {
         if let Err(e) = std::fs::write(p, report::json(&analysis.findings, analysis.files_scanned))

@@ -7,7 +7,7 @@
 //! verdict for the parallel phases, and every waived R finding with
 //! its mandatory reason. The artifact is deterministic (all sets are
 //! ordered, no timestamps) and checked in; CI regenerates it and fails
-//! on drift, exactly like `lint-baseline.json`.
+//! on drift.
 
 use crate::json::escape;
 use crate::phases::PhaseInfo;

@@ -138,7 +138,7 @@ pub fn selftest() -> Result<String, Vec<String>> {
             crate_name: "engine".to_string(),
             text: fx.src.to_string(),
         };
-        let analysis = analyze_sources(std::slice::from_ref(&sf), &cfg, None);
+        let analysis = analyze_sources(std::slice::from_ref(&sf), &cfg);
         let parsed = parse::parse(fx.name, "engine", fx.src, lexer::lex(fx.src));
         let expects: Vec<_> = suppress::scan(&parsed)
             .into_iter()
@@ -202,7 +202,7 @@ mod tests {
             crate_name: "engine".to_string(),
             text: fx.src.to_string(),
         };
-        let a = analyze_sources(&[sf], &LintConfig::default(), None);
+        let a = analyze_sources(&[sf], &LintConfig::default());
         assert!(
             a.open()
                 .any(|f| f.rule == crate::rules::RULE_SNAPSHOT_FIELD

@@ -23,16 +23,14 @@
 //! 3. [`graph`]: conservative name-based call graph, hot-path
 //!    reachability from `Network::step`;
 //! 4. [`rules`]: the rule passes;
-//! 5. [`suppress`] + [`baseline`]: `// lint:allow(rule, reason)`
-//!    comments and the checked-in `lint-baseline.json`, both
-//!    self-policing (malformed, unused or stale suppressions are
-//!    findings too);
+//! 5. [`suppress`]: `// lint:allow(rule, reason)` comments,
+//!    self-policing (malformed or unused suppressions are findings
+//!    too);
 //! 6. [`report`]: human-readable text and the JSON artifact CI uploads.
 
 #![warn(missing_docs)]
 
 pub mod access;
-pub mod baseline;
 pub mod contract;
 pub mod corpus;
 pub mod graph;
@@ -45,7 +43,6 @@ pub mod report;
 pub mod rules;
 pub mod suppress;
 
-pub use baseline::Baseline;
 pub use rules::{Finding, LintConfig};
 
 use graph::CallGraph;
@@ -86,11 +83,7 @@ impl Analysis {
 }
 
 /// Run the full analysis over in-memory sources.
-pub fn analyze_sources(
-    sources: &[SourceFile],
-    cfg: &LintConfig,
-    baseline: Option<&Baseline>,
-) -> Analysis {
+pub fn analyze_sources(sources: &[SourceFile], cfg: &LintConfig) -> Analysis {
     let files: Vec<parse::File> = sources
         .iter()
         .map(|s| parse::parse(&s.path, &s.crate_name, &s.text, lexer::lex(&s.text)))
@@ -212,9 +205,6 @@ pub fn analyze_sources(
         }
     }
 
-    if let Some(b) = baseline {
-        extra.extend(b.apply(&mut findings));
-    }
     findings.extend(extra);
     findings.sort_by(|a, b| {
         a.file
@@ -310,7 +300,7 @@ mod tests {
             crate_name: "engine".to_string(),
             text: src.to_string(),
         };
-        analyze_sources(&[sf], &LintConfig::default(), None)
+        analyze_sources(&[sf], &LintConfig::default())
     }
 
     #[test]
@@ -341,24 +331,5 @@ mod tests {
         let a = one("// lint:allow(Z999, bogus)\nfn f() {}\n");
         let rules_open: Vec<&str> = a.open().map(|f| f.rule).collect();
         assert_eq!(rules_open, vec![rules::RULE_BAD_SUPPRESSION]);
-    }
-
-    #[test]
-    fn baseline_claims_finding() {
-        let sf = SourceFile {
-            path: "crates/engine/src/t.rs".to_string(),
-            crate_name: "engine".to_string(),
-            text: "use std::collections::HashMap;\n".to_string(),
-        };
-        let b = Baseline::parse(
-            r#"{"version": 1, "entries": [{"rule": "D001",
-                "file": "crates/engine/src/t.rs",
-                "snippet": "use std::collections::HashMap;",
-                "reason": "legacy, tracked"}]}"#,
-        )
-        .unwrap();
-        let a = analyze_sources(&[sf], &LintConfig::default(), Some(&b));
-        assert_eq!(a.open().count(), 0);
-        assert_eq!(a.findings[0].suppressed.as_ref().unwrap().via, "baseline");
     }
 }

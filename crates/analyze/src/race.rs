@@ -35,7 +35,7 @@ use crate::json;
 use ofar_engine::{diff_snapshots, Hooks, Network, NoHooks, Policy, ShardSchedule, SimConfig};
 use ofar_routing::MechanismKind;
 use ofar_topology::Dragonfly;
-use ofar_traffic::{Bernoulli, TrafficGen, TrafficSpec};
+use ofar_traffic::{OpenLoop, TrafficSpec};
 use std::fmt::Write as _;
 
 /// Format version of the verdict artifact.
@@ -492,15 +492,9 @@ pub fn certify_mechanism(
     let load = cell.load;
     let build = move || {
         let net = Network::new(cfg, kind.build(&cfg, seed));
-        let mut gen = TrafficGen::new(&topo, spec.clone(), seed + 1);
-        let mut bern = Bernoulli::new(load, cfg.packet_size, seed + 2);
-        let nodes = net.num_nodes();
-        let inject: InjectFn<ofar_routing::Mechanism> = Box::new(move |net, _cycle| {
-            bern.cycle(nodes, |src| {
-                let dst = gen.destination(src);
-                net.generate(src, dst);
-            });
-        });
+        let mut source = OpenLoop::new(&topo, spec.clone(), load, cfg.packet_size, seed);
+        let inject: InjectFn<ofar_routing::Mechanism> =
+            Box::new(move |net, _cycle| source.cycle(|src, dst| net.generate(src, dst)));
         (net, inject)
     };
     let schedules = ShardSchedule::adversaries(rc.schedules);

@@ -17,7 +17,7 @@
 //!   conservation counters.
 //!
 //! Plus the **A** family: meta-rules keeping the suppression machinery
-//! honest (malformed/unused suppressions, stale baseline entries).
+//! honest (malformed/unused suppressions).
 
 use crate::graph::FnRef;
 use crate::lexer::{TokKind, Token};
@@ -63,8 +63,6 @@ pub const RULE_STALE_WAIVER: &str = "S002";
 pub const RULE_BAD_SUPPRESSION: &str = "A001";
 /// A002: suppression that suppresses nothing.
 pub const RULE_UNUSED_SUPPRESSION: &str = "A002";
-/// A003: baseline entry matching no finding.
-pub const RULE_STALE_BASELINE: &str = "A003";
 
 /// The full catalog: `(id, one-line description)`.
 pub const CATALOG: &[(&str, &str)] = &[
@@ -170,11 +168,6 @@ pub const CATALOG: &[(&str, &str)] = &[
         "lint:allow that suppresses nothing — remove it so the \
          suppression set only shrinks",
     ),
-    (
-        RULE_STALE_BASELINE,
-        "baseline entry matching no current finding — remove it so the \
-         baseline only shrinks",
-    ),
 ];
 
 /// True when `id` names a shipped rule.
@@ -193,7 +186,7 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable message.
     pub message: String,
-    /// Trimmed text of the offending line (baseline fingerprint).
+    /// Trimmed text of the offending line.
     pub snippet: String,
     /// `Some` once a suppression claimed this finding.
     pub suppressed: Option<Suppression>,
@@ -202,7 +195,7 @@ pub struct Finding {
 /// How a finding was suppressed.
 #[derive(Clone, Debug)]
 pub struct Suppression {
-    /// `"inline"` or `"baseline"`.
+    /// `"inline"`: a `lint:allow` comment (the JSON report's `via`).
     pub via: &'static str,
     /// The mandatory justification.
     pub reason: String,

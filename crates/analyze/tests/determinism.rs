@@ -6,7 +6,7 @@
 //! surface as phantom drift. Two runs over the same sources must agree
 //! to the byte, and the checked-in contract must match a fresh one.
 
-use ofar_analyze::{analyze_sources, collect_sources, report, Baseline, LintConfig};
+use ofar_analyze::{analyze_sources, collect_sources, report, LintConfig};
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -18,8 +18,8 @@ fn report_and_contract_are_byte_identical_across_runs() {
     let sources = collect_sources(&workspace_root()).expect("workspace sources");
     assert!(!sources.is_empty());
     let cfg = LintConfig::default();
-    let a = analyze_sources(&sources, &cfg, None);
-    let b = analyze_sources(&sources, &cfg, None);
+    let a = analyze_sources(&sources, &cfg);
+    let b = analyze_sources(&sources, &cfg);
     assert_eq!(
         report::json(&a.findings, a.files_scanned),
         report::json(&b.findings, b.files_scanned),
@@ -35,13 +35,7 @@ fn report_and_contract_are_byte_identical_across_runs() {
 fn checked_in_contract_matches_fresh() {
     let root = workspace_root();
     let sources = collect_sources(&root).expect("workspace sources");
-    // Mirror the ofar-lint binary: the checked-in baseline participates
-    // in suppression claiming, and thus in the contract's waiver list.
-    let baseline_text = std::fs::read_to_string(root.join("lint-baseline.json")).ok();
-    let baseline = baseline_text
-        .as_deref()
-        .map(|t| Baseline::parse(t).expect("baseline parses"));
-    let a = analyze_sources(&sources, &LintConfig::default(), baseline.as_ref());
+    let a = analyze_sources(&sources, &LintConfig::default());
     let fresh = a.contract.expect("workspace has a phase root");
     let checked_in = std::fs::read_to_string(root.join("results/phase-contract.json"))
         .expect("results/phase-contract.json is checked in");

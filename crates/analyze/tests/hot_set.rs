@@ -32,7 +32,7 @@ fn h_findings_for_crate(crate_name: &str) -> usize {
         crate_name: crate_name.to_string(),
         text: PROBE.to_string(),
     };
-    let a = analyze_sources(&[sf], &LintConfig::default(), None);
+    let a = analyze_sources(&[sf], &LintConfig::default());
     a.open().filter(|f| f.rule == "H001").count()
 }
 
@@ -89,11 +89,7 @@ fn cold_list_names_real_crates() {
 fn workspace_is_clean_under_denylist_scoping() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let sources = collect_sources(&root).expect("workspace sources");
-    let baseline_text = std::fs::read_to_string(root.join("lint-baseline.json")).ok();
-    let baseline = baseline_text
-        .as_deref()
-        .map(|t| ofar_analyze::Baseline::parse(t).expect("baseline parses"));
-    let a = analyze_sources(&sources, &LintConfig::default(), baseline.as_ref());
+    let a = analyze_sources(&sources, &LintConfig::default());
     let open: Vec<_> = a.open().collect();
     assert!(
         open.is_empty(),

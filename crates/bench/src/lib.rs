@@ -1,11 +1,19 @@
 //! # ofar-bench
 //!
-//! The benchmark harness: one binary per figure of the paper
-//! (`fig2b` … `fig9`), the §III theory printer (`theory`), the §VII
-//! multi-ring reliability study (`rings`) and the tuning ablations
-//! (`ablation_thresholds`, `ablation_pb`).
+//! The benchmark harness: one binary, `ofar-bench <experiment> [args]`,
+//! dispatching through [`EXPERIMENTS`]. `ofar-bench list` prints that
+//! table, one `name<TAB>kind` line per experiment:
 //!
-//! Scale control (all binaries):
+//! | kind | experiments |
+//! |---|---|
+//! | `figure` — a table checked in under `results/` (`results/run_all.sh` regenerates exactly these) | `fig2b fig3 fig4 fig5 fig6 fig7 fig8 fig9` (the paper's figures), `theory` (§III bounds), `rings` (§VII ring reliability), `ablation_thresholds ablation_pb ablation_patience` |
+//! | `study` — a table that is not checked in | `faults` (§VII link failures), `ber` (lossy links), `overload` (2× saturation, CM off/on), `phases` (host µs per `step` phase) |
+//! | `check` — the exit status is the verdict | `golden [--emit FILE] [--verify FILE]`, `verify` (CDG certification + conformance), `mutants` (kill matrix), `resume full\|partial\|continue\|compare …` |
+//!
+//! An unknown experiment, or an argument to one that takes none, exits
+//! with status 2 naming the token.
+//!
+//! Scale control (every experiment that simulates):
 //!
 //! * default — `h = 4` network, full curve shapes in minutes;
 //! * `OFAR_FULL=1` — the paper's `h = 6`, 5,256-node network;
@@ -18,67 +26,154 @@
 //!
 //! Host-time measurement lives in `benchmark/` (`ofar-perf`), not here.
 
-use ofar_core::engine::{Hooks, Phase};
+mod checks;
+mod phases;
+mod robustness;
+mod studies;
+
+pub use phases::PhaseTimer;
+
 use ofar_core::env::{self, EnvError};
-use ofar_core::{Scale, Table};
+use ofar_core::{experiments, Scale, Table};
 use std::io::Write;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::process::ExitCode;
+use Kind::{Check, Figure, Study};
 
-/// [`Hooks`] that attribute host time to the nine phases of
-/// `Network::step` (the per-phase rows of the perf ledger): each
-/// [`Hooks::phase`] call closes the previous phase's span and opens the
-/// next. The driver calls [`Self::stop`] after every `step`, so the time
-/// it spends generating traffic is not charged to `policy_end`.
-#[derive(Debug, Default)]
-pub struct PhaseTimer {
-    open: Option<(Phase, Instant)>,
-    spent: [Duration; Phase::ALL.len()],
+/// What an experiment leaves behind (the second column of
+/// `ofar-bench list`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Prints a table that is checked in as `results/<name>.txt`.
+    Figure,
+    /// Prints a table that is not checked in.
+    Study,
+    /// Passes or fails: the exit status is the result.
+    Check,
 }
 
-impl PhaseTimer {
-    /// Close the open span, if any.
-    pub fn stop(&mut self) {
-        if let Some((phase, since)) = self.open.take() {
-            self.spent[phase as usize] += since.elapsed();
+impl Kind {
+    /// The name `ofar-bench list` prints.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Figure => "figure",
+            Kind::Study => "study",
+            Kind::Check => "check",
         }
     }
-
-    /// Host time attributed to `phase` so far.
-    pub fn spent(&self, phase: Phase) -> Duration {
-        self.spent[phase as usize]
-    }
 }
 
-impl Hooks for PhaseTimer {
-    #[inline]
-    fn phase(&mut self, phase: Phase) {
-        let now = Instant::now();
-        if let Some((prev, since)) = self.open.replace((phase, now)) {
-            self.spent[prev as usize] += now - since;
+/// One row of [`EXPERIMENTS`].
+pub struct Experiment {
+    /// The command-line name.
+    pub name: &'static str,
+    /// What running it produces.
+    pub kind: Kind,
+    run: Run,
+}
+
+enum Run {
+    /// One of the paper's figures, by its `ofar_core::experiments`
+    /// function: takes no arguments.
+    Paper(fn(&Scale) -> Table),
+    /// Anything else, handed the arguments after its name.
+    Args(fn(&[String]) -> ExitCode),
+}
+
+const fn paper(name: &'static str, table: fn(&Scale) -> Table) -> Experiment {
+    let (kind, run) = (Kind::Figure, Run::Paper(table));
+    Experiment { name, kind, run }
+}
+
+const fn row(name: &'static str, kind: Kind, run: fn(&[String]) -> ExitCode) -> Experiment {
+    let run = Run::Args(run);
+    Experiment { name, kind, run }
+}
+
+/// Every experiment the binary runs, in `ofar-bench list` order.
+///
+/// `ofar-lint` resolves calls by bare name, so a function here must not
+/// be named like anything `Network::step` calls — hence
+/// `ring_reliability` and `link_failures` for `rings` and `faults`.
+pub static EXPERIMENTS: &[Experiment] = &[
+    paper("fig2b", experiments::fig2b),
+    paper("fig3", experiments::fig3),
+    paper("fig4", experiments::fig4),
+    paper("fig5", experiments::fig5),
+    paper("fig6", experiments::fig6),
+    paper("fig7", experiments::fig7),
+    paper("fig8", experiments::fig8),
+    paper("fig9", experiments::fig9),
+    row("theory", Figure, studies::theory),
+    row("rings", Figure, studies::ring_reliability),
+    row("ablation_thresholds", Figure, studies::ablation_thresholds),
+    row("ablation_pb", Figure, studies::ablation_pb),
+    row("ablation_patience", Figure, studies::ablation_patience),
+    row("faults", Study, robustness::link_failures),
+    row("ber", Study, robustness::ber),
+    row("overload", Study, robustness::overload),
+    row("phases", Study, phases::phases),
+    row("golden", Check, checks::golden),
+    row("verify", Check, checks::verify),
+    row("mutants", Check, checks::mutants),
+    row("resume", Check, checks::resume),
+];
+
+/// The whole command line (without `argv[0]`): `list`, or an experiment
+/// name followed by that experiment's own arguments.
+pub fn run(args: &[String]) -> ExitCode {
+    let Some((name, rest)) = args.split_first() else {
+        eprintln!("usage: ofar-bench list | <experiment> [args]");
+        return ExitCode::from(2);
+    };
+    if name == "list" && rest.is_empty() {
+        for e in EXPERIMENTS {
+            println!("{}\t{}", e.name, e.kind.name());
+        }
+        return ExitCode::SUCCESS;
+    }
+    match EXPERIMENTS.iter().find(|e| e.name == name).map(|e| &e.run) {
+        Some(Run::Paper(table)) => {
+            emit(&table(&start(name, rest)));
+            ExitCode::SUCCESS
+        }
+        Some(Run::Args(run)) => run(rest),
+        None => {
+            eprintln!("unknown experiment {name} (see `ofar-bench list`)");
+            ExitCode::from(2)
         }
     }
 }
 
 /// Unwrap an environment read, or report the offending variable and
 /// exit with status 2.
-pub fn env_or_exit<T>(read: Result<T, EnvError>) -> T {
+fn env_or_exit<T>(read: Result<T, EnvError>) -> T {
     read.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2)
     })
 }
 
+/// Refuse arguments to an experiment that takes none.
+fn no_args(name: &str, args: &[String]) {
+    if let Some(stray) = args.first() {
+        eprintln!("{name} takes no arguments, got {stray}");
+        std::process::exit(2);
+    }
+}
+
 /// The scale the environment asks for (see the crate docs).
-pub fn scale() -> Scale {
+fn scale() -> Scale {
     env_or_exit(Scale::from_env())
 }
 
-/// [`scale`], with the scale banner of a figure binary printed.
-pub fn announce(figure: &str) -> Scale {
+/// How an experiment without arguments starts: refuse any, read the
+/// scale, print the scale banner.
+fn start(name: &str, args: &[String]) -> Scale {
+    no_args(name, args);
     let scale = scale();
     eprintln!(
-        "[{figure}] h={} ({} nodes), warmup={} measure={} cycles, seed={}",
+        "[{name}] h={} ({} nodes), warmup={} measure={} cycles, seed={}",
         scale.h,
         scale.cfg().params.nodes(),
         scale.steady.warmup,
@@ -89,7 +184,7 @@ pub fn announce(figure: &str) -> Scale {
 }
 
 /// Print a table; if `OFAR_CSV` is set, also write `<dir>/<slug>.csv`.
-pub fn emit(table: &Table) {
+fn emit(table: &Table) {
     println!("{table}");
     if let Some(dir) = env_or_exit(env::parsed::<PathBuf>("OFAR_CSV")) {
         let slug: String = table
@@ -117,5 +212,13 @@ mod tests {
     fn emit_prints_without_csv() {
         let t = Table::new("smoke", &["a"]);
         emit(&t); // must not panic without OFAR_CSV
+    }
+
+    #[test]
+    fn experiment_names_are_unique_and_not_list() {
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert_ne!(e.name, "list");
+            assert!(EXPERIMENTS[..i].iter().all(|f| f.name != e.name));
+        }
     }
 }

@@ -1,0 +1,303 @@
+//! The tables checked in under `results/` that are not figures of the
+//! paper: the §III theory printer, the §VII ring-reliability study and
+//! the three tuning ablations.
+
+use crate::{emit, no_args, scale, start};
+use ofar_core::prelude::*;
+use ofar_core::topology::DragonflyParams;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::process::ExitCode;
+
+/// Prints the analytic §III throughput bounds and the l₂-concentration
+/// table behind Fig. 2b, for several network sizes including the paper's
+/// h = 6 and the PERCS-class h = 16.
+pub(crate) fn theory(args: &[String]) -> ExitCode {
+    no_args("theory", args);
+    let mut bounds = Table::new(
+        "§III analytic throughput bounds (phits/node/cycle)",
+        &[
+            "h",
+            "nodes",
+            "MIN_adv_intergroup",
+            "MIN_adv_intragroup",
+            "VAL_global",
+            "VAL_adv+h (1/h)",
+        ],
+    );
+    for h in [2usize, 4, 6, 16] {
+        let p = DragonflyParams::balanced(h);
+        bounds.push(vec![
+            h.to_string(),
+            p.nodes().to_string(),
+            format!("{:.5}", theory::min_adversarial_bound(&p)),
+            format!("{:.5}", theory::min_local_adversarial_bound(&p)),
+            format!("{:.3}", theory::valiant_global_bound()),
+            format!("{:.5}", theory::valiant_advh_bound(&p)),
+        ]);
+    }
+    println!("{bounds}");
+
+    let scale = scale();
+    let p = DragonflyParams::balanced(scale.h);
+    let mut conc = Table::new(
+        format!(
+            "l2 concentration and Valiant ADV+n estimate (h={}, the analytic Fig. 2b)",
+            scale.h
+        ),
+        &["offset", "concentration C(n)", "estimate"],
+    );
+    for n in 1..=(2 * scale.h + 2).min(p.groups() - 1) {
+        conc.push(vec![
+            format!("+{n}"),
+            theory::adv_l2_concentration(&p, n).to_string(),
+            format!("{:.4}", theory::valiant_adv_estimate(&p, n)),
+        ]);
+    }
+    println!("{conc}");
+    ExitCode::SUCCESS
+}
+
+/// The §VII reliability study: embed the full family of `h`
+/// edge-disjoint Hamiltonian escape rings and measure, by Monte Carlo,
+/// how many random link failures the escape subnetwork survives as a
+/// function of how many rings are deployed.
+pub(crate) fn ring_reliability(args: &[String]) -> ExitCode {
+    let scale = start("rings", args);
+    let topo = Dragonfly::balanced(scale.h);
+    let all = HamiltonianRing::embed_disjoint(&topo, scale.h);
+    assert!(HamiltonianRing::pairwise_edge_disjoint(&topo, &all));
+
+    let trials = 300;
+    let mut t = Table::new(
+        format!(
+            "Escape-subnetwork reliability: mean random link failures survived (h={}, {} routers, {trials} trials)",
+            scale.h,
+            topo.num_routers()
+        ),
+        &["rings deployed", "mean failures to outage", "p(survive h failures)"],
+    );
+    let mut rng = StdRng::seed_from_u64(scale.seed);
+    let a = topo.routers_per_group();
+    let h = scale.h;
+    for k in 1..=all.len() {
+        let rings = &all[..k];
+        let mut total = 0usize;
+        let mut survive_h = 0usize;
+        for _ in 0..trials {
+            let mut failed = Vec::new();
+            loop {
+                let r = RouterId::from(rng.gen_range(0..topo.num_routers()));
+                let deg = (a - 1) + h;
+                let port = rng.gen_range(0..deg);
+                let other = if port < a - 1 {
+                    topo.local_neighbor(r, port)
+                } else {
+                    topo.global_neighbor(r, port - (a - 1)).0
+                };
+                failed.push((r, other));
+                let alive = HamiltonianRing::surviving_rings(&topo, rings, &failed);
+                if failed.len() == h && alive > 0 {
+                    survive_h += 1;
+                }
+                if alive == 0 {
+                    total += failed.len();
+                    break;
+                }
+            }
+        }
+        t.push(vec![
+            k.to_string(),
+            format!("{:.1}", total as f64 / trials as f64),
+            format!("{:.2}", survive_h as f64 / trials as f64),
+        ]);
+    }
+    emit(&t);
+    ExitCode::SUCCESS
+}
+
+/// One tuned steady-state point at the scale's run lengths and seed.
+fn tuned(
+    scale: &Scale,
+    kind: MechanismKind,
+    spec: &TrafficSpec,
+    load: f64,
+    ofar: Option<OfarConfig>,
+    pb: Option<PbConfig>,
+) -> SteadyPoint {
+    let (cfg, opts) = (scale.cfg(), scale.steady);
+    steady_state_tuned(cfg, kind, spec, load, opts, scale.seed, ofar, pb)
+}
+
+/// Ablation of OFAR's misroute thresholds (§IV-B / §V): the paper chose
+/// `Th_min = 0, Th_nonmin = 0.9·Q_min` empirically as "a reasonable
+/// trade-off between the performance in adversarial and uniform traffic
+/// patterns". This reruns that study: each threshold policy is
+/// scored on uniform latency at moderate load and on ADV+h throughput at
+/// high load.
+pub(crate) fn ablation_thresholds(args: &[String]) -> ExitCode {
+    let scale = start("ablation_thresholds", args);
+    let h = scale.h;
+
+    let candidates: Vec<(String, MisrouteThreshold)> = [0.3, 0.5, 0.7, 0.9, 1.0]
+        .into_iter()
+        .map(|f| {
+            (
+                format!("variable x{f}"),
+                MisrouteThreshold::Variable { factor: f },
+            )
+        })
+        .chain([
+            (
+                "static 100%/40%".to_string(),
+                MisrouteThreshold::Static {
+                    th_min: 1.0,
+                    th_nonmin: 0.4,
+                },
+            ),
+            (
+                "static 50%/40%".to_string(),
+                MisrouteThreshold::Static {
+                    th_min: 0.5,
+                    th_nonmin: 0.4,
+                },
+            ),
+        ])
+        .collect();
+
+    let mut t = Table::new(
+        format!("OFAR threshold ablation (h={h})"),
+        &[
+            "threshold",
+            "UN@0.65 latency",
+            "UN@0.65 thr",
+            "ADVh@0.45 latency",
+            "ADVh@0.45 thr",
+        ],
+    );
+    for (name, th) in candidates {
+        let ofar = Some(OfarConfig {
+            threshold: th,
+            ..OfarConfig::base()
+        });
+        let un = tuned(
+            &scale,
+            MechanismKind::Ofar,
+            &TrafficSpec::uniform(),
+            0.65,
+            ofar,
+            None,
+        );
+        let adv = tuned(
+            &scale,
+            MechanismKind::Ofar,
+            &TrafficSpec::adversarial(h),
+            0.45,
+            ofar,
+            None,
+        );
+        t.push(vec![
+            name,
+            format!("{:.1}", un.avg_latency),
+            format!("{:.4}", un.throughput),
+            format!("{:.1}", adv.avg_latency),
+            format!("{:.4}", adv.throughput),
+        ]);
+    }
+    emit(&t);
+    ExitCode::SUCCESS
+}
+
+/// Ablation of the Piggybacking tunables (the paper tuned PB's
+/// thresholds empirically, §V, without publishing them): saturation
+/// threshold and broadcast period, scored like the OFAR ablation.
+pub(crate) fn ablation_pb(args: &[String]) -> ExitCode {
+    let scale = start("ablation_pb", args);
+    let h = scale.h;
+
+    let mut t = Table::new(
+        format!("PB tunable ablation (h={h})"),
+        &[
+            "sat_threshold",
+            "period",
+            "UN@0.45 latency",
+            "UN@0.45 thr",
+            "ADV2@0.3 latency",
+            "ADV2@0.3 thr",
+        ],
+    );
+    for sat in [0.1, 0.25, 0.4, 0.6] {
+        for period in [5u64, 10, 40] {
+            let pb = Some(PbConfig {
+                saturation_threshold: sat,
+                update_period: period,
+            });
+            let un = tuned(
+                &scale,
+                MechanismKind::Pb,
+                &TrafficSpec::uniform(),
+                0.45,
+                None,
+                pb,
+            );
+            let adv = tuned(
+                &scale,
+                MechanismKind::Pb,
+                &TrafficSpec::adversarial(2),
+                0.3,
+                None,
+                pb,
+            );
+            t.push(vec![
+                format!("{sat}"),
+                period.to_string(),
+                format!("{:.1}", un.avg_latency),
+                format!("{:.4}", un.throughput),
+                format!("{:.1}", adv.avg_latency),
+                format!("{:.4}", adv.throughput),
+            ]);
+        }
+    }
+    emit(&t);
+    ExitCode::SUCCESS
+}
+
+/// Ablation of OFAR's escape-ring patience: how long a head-blocked
+/// packet waits before requesting the escape ring (§IV-C makes the ring
+/// a last resort). Too eager floods the slow ring with ordinarily
+/// congested traffic; too patient starves genuinely stalled dependency
+/// chains of their rescue. Scored at the worst-case ADV+h pattern,
+/// below and above saturation.
+pub(crate) fn ablation_patience(args: &[String]) -> ExitCode {
+    let scale = start("ablation_patience", args);
+    let h = scale.h;
+    let spec = TrafficSpec::adversarial(h);
+
+    let mut t = Table::new(
+        format!("OFAR ring-patience ablation, ADV+{h} (h={h})"),
+        &[
+            "patience",
+            "pre-sat latency",
+            "pre-sat thr",
+            "overload thr",
+            "overload ring entries",
+        ],
+    );
+    for patience in [16u16, 48, 100, 200, 255] {
+        let ofar = Some(OfarConfig {
+            ring_patience: patience,
+            ..OfarConfig::base()
+        });
+        let pre = tuned(&scale, MechanismKind::Ofar, &spec, 0.25, ofar, None);
+        let over = tuned(&scale, MechanismKind::Ofar, &spec, 0.55, ofar, None);
+        t.push(vec![
+            patience.to_string(),
+            format!("{:.1}", pre.avg_latency),
+            format!("{:.4}", pre.throughput),
+            format!("{:.4}", over.throughput),
+            over.ring_entries.to_string(),
+        ]);
+    }
+    emit(&t);
+    ExitCode::SUCCESS
+}

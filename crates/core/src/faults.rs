@@ -8,7 +8,7 @@
 //! is exercised, not just cold routing tables), and the network drains —
 //! or the watchdog reports *why* it could not ([`StallKind`]).
 
-use crate::run::{burst_faulted, derive_watchdog, BurstResult, RunConfig, StallKind};
+use crate::run::{burst_faulted, point_seed, BurstResult, RunConfig, StallKind};
 use ofar_engine::{FaultPlan, SimConfig};
 use ofar_routing::MechanismKind;
 use ofar_topology::Dragonfly;
@@ -73,44 +73,28 @@ pub fn degradation(
         plan,
         RunConfig::default(),
     );
-    let injected = (topo.num_nodes() * packets_per_node) as f64;
-    point_from(
-        kind,
-        rings,
-        failures,
-        cfg.packet_size,
-        topo.num_nodes(),
-        injected,
-        r,
-    )
-}
-
-fn point_from(
-    mechanism: MechanismKind,
-    rings: usize,
-    failures: usize,
-    packet_size: usize,
-    nodes: usize,
-    injected: f64,
-    r: BurstResult,
-) -> DegradationPoint {
-    // Throughput over the drain: delivered phits per node-cycle. For a
-    // watchdog-aborted run, charge the cycles actually simulated
-    // (derived from the abort condition is unavailable here; latency and
-    // delivered fraction carry the signal instead).
-    let throughput = match r.cycles {
-        Some(c) if c > 0 => (r.delivered * packet_size as u64) as f64 / (c as f64 * nodes as f64),
-        _ => 0.0,
-    };
+    let nodes = topo.num_nodes();
     DegradationPoint {
-        mechanism,
+        mechanism: kind,
         rings,
         failures,
-        delivered_fraction: r.delivered as f64 / injected,
-        throughput,
+        delivered_fraction: r.delivered as f64 / (nodes * packets_per_node) as f64,
+        throughput: drain_throughput(&r, &cfg, nodes),
         avg_latency: r.avg_latency,
         cycles: r.cycles,
         stall: r.stall,
+    }
+}
+
+/// Throughput over a burst's drain: delivered phits per node-cycle, 0
+/// for a watchdog-aborted run (latency and delivered fraction carry the
+/// signal instead).
+fn drain_throughput(r: &BurstResult, cfg: &SimConfig, nodes: usize) -> f64 {
+    match r.cycles {
+        Some(c) if c > 0 => {
+            (r.delivered * cfg.packet_size as u64) as f64 / (c as f64 * nodes as f64)
+        }
+        _ => 0.0,
     }
 }
 
@@ -150,16 +134,12 @@ pub fn degradation_sweep(
                 packets_per_node,
                 rings,
                 failures,
-                seed.wrapping_add(failures as u64 * 7919),
+                // Keyed by failure count, not job index: one seed per
+                // column of the grid.
+                point_seed(seed, failures),
             )
         })
         .collect()
-}
-
-/// The derived watchdog for `cfg` — re-exported here so callers sizing
-/// degradation runs can reason about worst-case wall time.
-pub fn watchdog_for(cfg: &SimConfig) -> u64 {
-    derive_watchdog(cfg)
 }
 
 // ---------------------------------------------------------------------
@@ -230,18 +210,12 @@ pub fn ber_burst(
         FaultPlan::default(),
         RunConfig::default(),
     );
-    let injected = (topo.num_nodes() * packets_per_node) as f64;
-    let throughput = match r.cycles {
-        Some(c) if c > 0 => {
-            (r.delivered * cfg.packet_size as u64) as f64 / (c as f64 * topo.num_nodes() as f64)
-        }
-        _ => 0.0,
-    };
+    let nodes = topo.num_nodes();
     BerPoint {
         mechanism: kind,
         ber,
-        delivered_fraction: r.delivered as f64 / injected,
-        throughput,
+        delivered_fraction: r.delivered as f64 / (nodes * packets_per_node) as f64,
+        throughput: drain_throughput(&r, &cfg, nodes),
         avg_latency: r.avg_latency,
         p99_latency: r.p99_latency,
         cycles: r.cycles,
@@ -273,14 +247,7 @@ pub fn ber_sweep(
     jobs.par_iter()
         .enumerate()
         .map(|(i, &(kind, ber))| {
-            ber_burst(
-                cfg,
-                kind,
-                spec,
-                packets_per_node,
-                ber,
-                seed.wrapping_add(i as u64 * 7919),
-            )
+            ber_burst(cfg, kind, spec, packets_per_node, ber, point_seed(seed, i))
         })
         .collect()
 }

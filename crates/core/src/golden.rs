@@ -4,7 +4,7 @@
 //! `tests/determinism.rs` proves that one build repeats itself; this is
 //! the cross-build half. A change that claims behaviour identity must
 //! leave the checked-in table verifying byte for byte; a change that
-//! moves simulated behaviour re-emits it (`ofar-bench --bin golden --
+//! moves simulated behaviour re-emits it (`-p ofar-bench -- golden
 //! --emit`) and says why.
 //!
 //! Cells: the six mechanisms × {UN, ADV+1} at 0.3 load × seeds {1, 2012}
@@ -14,7 +14,7 @@
 use crate::run::{burst_net, RunConfig};
 use ofar_engine::{crc32, Network, SimConfig};
 use ofar_routing::{Mechanism, MechanismKind};
-use ofar_traffic::{Bernoulli, TrafficGen, TrafficSpec};
+use ofar_traffic::{OpenLoop, TrafficSpec};
 use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -135,14 +135,10 @@ fn run_cell(cell: &Cell) -> Signature {
     match cell.drive {
         Drive::Steady { load, cycles } => {
             let topo = *net.fabric().topo();
-            let mut gen = TrafficGen::new(&topo, cell.spec.clone(), cell.seed.wrapping_add(1));
-            let mut bern = Bernoulli::new(load, cfg.packet_size, cell.seed.wrapping_add(2));
-            let nodes = net.num_nodes();
+            let mut source =
+                OpenLoop::new(&topo, cell.spec.clone(), load, cfg.packet_size, cell.seed);
             for _ in 0..cycles {
-                bern.cycle(nodes, |src| {
-                    let dst = gen.destination(src);
-                    net.generate(src, dst);
-                });
+                source.cycle(|src, dst| net.generate(src, dst));
                 net.step();
             }
         }

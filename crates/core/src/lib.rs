@@ -94,7 +94,7 @@ pub mod prelude {
     pub use ofar_topology::{
         Dragonfly, DragonflyParams, GroupId, HamiltonianRing, NodeId, RouterId,
     };
-    pub use ofar_traffic::{Bernoulli, TrafficGen, TrafficPattern, TrafficSpec};
+    pub use ofar_traffic::{Bernoulli, OpenLoop, TrafficGen, TrafficPattern, TrafficSpec};
     pub use ofar_verify::{
         certify, certify_cached, conformance, conformance_cached, Certificate, ConformanceError,
         ConformanceReport, TransitionWitness, VerifyError,

@@ -22,12 +22,12 @@
 //! topology, nonzero drain) distinctly from true routing livelock.
 
 use crate::run::{
-    derive_watchdog, diagnose_stall, ensure_certified, instrumented, p99_of, steady_state,
-    StallKind, SteadyOpts,
+    derive_watchdog, ensure_certified, instrumented, p99_of, point_seed, steady_state, StallKind,
+    SteadyOpts, Watchdog,
 };
-use ofar_engine::{jain_index, source_histogram, SimConfig, Stats};
+use ofar_engine::{jain_index, source_histogram, SimConfig, Stats, StatsWindow};
 use ofar_routing::MechanismKind;
-use ofar_traffic::{Bernoulli, TrafficGen, TrafficSpec};
+use ofar_traffic::{OpenLoop, TrafficSpec};
 use rayon::prelude::*;
 
 /// Knobs of an overload run.
@@ -137,57 +137,34 @@ pub fn overload_point(
     let mut net = instrumented(cfg, kind.build(&cfg, seed));
     net.enable_delivery_log();
     let topo = *net.fabric().topo();
-    let mut gen = TrafficGen::new(&topo, spec.clone(), seed.wrapping_add(1));
-    let mut bern = Bernoulli::new(offered, cfg.packet_size, seed.wrapping_add(2));
+    let mut source = OpenLoop::new(&topo, spec.clone(), offered, cfg.packet_size, seed);
     let nodes = net.num_nodes();
-    let watchdog = opts.watchdog.unwrap_or_else(|| derive_watchdog(&cfg));
-    let total = opts.warmup + opts.measure;
+    // The burst runner's watchdog, windows unchanged: overload
+    // legitimately slows delivery down, so a stall here means *zero*
+    // drain, not merely saturated drain.
+    let mut watchdog = Watchdog::new(opts.watchdog.unwrap_or_else(|| derive_watchdog(&cfg)));
 
     let mut start = Stats::default();
     let mut src_start: Vec<u64> = vec![0; nodes];
-    let mut last_delivered = 0u64;
-    let mut last_delivery_at = 0u64;
-    let mut retx_at_last_delivery = 0u64;
     let mut stall = None;
-    let mut measured = 0u64;
-    for cycle in 0..total {
+    for cycle in 0..opts.warmup + opts.measure {
         if cycle == opts.warmup {
             start = net.stats().clone();
             src_start.copy_from_slice(net.per_source_delivered());
         }
-        bern.cycle(nodes, |src| {
-            let dst = gen.destination(src);
-            net.generate(src, dst);
-        });
+        source.cycle(|src, dst| net.generate(src, dst));
         net.step();
-        if cycle >= opts.warmup {
-            measured += 1;
-        }
-        let delivered = net.stats().delivered_packets;
-        if delivered > last_delivered {
-            last_delivered = delivered;
-            last_delivery_at = net.now();
-            retx_at_last_delivery = net.stats().llr_retransmits;
-        }
-        // Same two triggers as the burst runner: a silent allocator, or
-        // a busy network that stopped delivering. Overload legitimately
-        // slows delivery down, so the windows are identical — a stall
-        // here means *zero* drain, not merely saturated drain.
-        let no_grant = net.now() - net.stats().last_grant > watchdog;
-        let no_delivery = net.now() - last_delivery_at > 4 * watchdog;
-        if no_grant || no_delivery {
-            let retx_since = net.stats().llr_retransmits - retx_at_last_delivery;
-            stall = Some(diagnose_stall(&net, watchdog, no_grant, retx_since));
+        stall = watchdog.poll(&net);
+        if stall.is_some() {
             break;
         }
     }
 
     let end = net.stats().clone();
-    let window_cycles = measured.max(1);
-    let delivered = end.delivered_packets - start.delivered_packets;
-    let delivered_phits = end.delivered_phits - start.delivered_phits;
-    let throughput = delivered_phits as f64 / (window_cycles as f64 * nodes as f64);
-    let latency_sum = end.latency_sum - start.latency_sum;
+    // The window is the cycles run past the warm-up (a stall ends it early).
+    let measured = net.now().saturating_sub(opts.warmup).max(1);
+    let w = StatsWindow::between(&start, &end, measured, nodes);
+    let throughput = w.throughput();
     let per_src: Vec<u64> = net
         .per_source_delivered()
         .iter()
@@ -197,8 +174,7 @@ pub fn overload_point(
     let p99_latency = p99_of(
         net.take_delivery_log()
             .into_iter()
-            .filter(|&(t, _)| t >= opts.warmup)
-            .collect(),
+            .filter(|&(t, _)| t >= opts.warmup),
     );
     OverloadPoint {
         mechanism: kind,
@@ -211,17 +187,13 @@ pub fn overload_point(
         } else {
             0.0
         },
-        avg_latency: if delivered == 0 {
-            0.0
-        } else {
-            latency_sum as f64 / delivered as f64
-        },
+        avg_latency: w.avg_latency(),
         p99_latency,
         jain: jain_index(&per_src),
         src_histogram: source_histogram(&per_src, opts.histogram_buckets),
-        delivered,
+        delivered: w.delivered_packets,
         throttle_deferrals: end.cm_throttle_deferrals - start.cm_throttle_deferrals,
-        ring_entries: end.ring_entries - start.ring_entries,
+        ring_entries: w.ring_entries,
         stall,
     }
 }
@@ -251,7 +223,7 @@ pub fn overload_sweep(
                 c.cm_enabled = false;
                 c
             };
-            overload_point(c, kind, spec, opts, seed.wrapping_add(i as u64 * 7919))
+            overload_point(c, kind, spec, opts, point_seed(seed, i))
         })
         .collect()
 }

@@ -9,7 +9,7 @@ use ofar_engine::{
 };
 use ofar_routing::MechanismKind;
 use ofar_topology::{NodeId, RouterId};
-use ofar_traffic::{Bernoulli, TrafficGen, TrafficSpec};
+use ofar_traffic::{OpenLoop, TrafficSpec};
 use rayon::prelude::*;
 use std::path::Path;
 
@@ -170,8 +170,7 @@ fn steady_state_resumable(
     ensure_certified(&cfg, kind);
     let mut net = Network::new(cfg, kind.build_tuned(&cfg, seed, ofar, pb));
     let topo = *net.fabric().topo();
-    let mut gen = TrafficGen::new(&topo, spec.clone(), seed.wrapping_add(1));
-    let mut bern = Bernoulli::new(load, cfg.packet_size, seed.wrapping_add(2));
+    let mut source = OpenLoop::new(&topo, spec.clone(), load, cfg.packet_size, seed);
     let nodes = net.num_nodes();
     let total = opts.warmup + opts.measure;
 
@@ -190,7 +189,10 @@ fn steady_state_resumable(
         // A checkpoint that fails to restore (config drift, corrupt
         // nested snapshot) is discarded and the run starts from zero —
         // resumption is an optimization, never a correctness risk.
-        if resume.restore(&mut net, &mut gen, &mut bern).is_ok() {
+        if resume
+            .restore(&mut net, &mut source.gen, &mut source.bern)
+            .is_ok()
+        {
             cycle = resume.cycle;
             start = resume.start.clone();
         }
@@ -204,15 +206,12 @@ fn steady_state_resumable(
         if cycle == total {
             break;
         }
-        bern.cycle(nodes, |src| {
-            let dst = gen.destination(src);
-            net.generate(src, dst);
-        });
+        source.cycle(|src, dst| net.generate(src, dst));
         net.step();
         cycle += 1;
         if ckpt.due(cycle, total) {
             // Best-effort: a full disk must not kill the simulation.
-            ckpt.save(key, cycle, start.as_ref(), &net, &gen, &bern)
+            ckpt.save(key, cycle, start.as_ref(), &net, &source.gen, &source.bern)
                 .ok();
         }
     }
@@ -227,19 +226,12 @@ fn steady_state_resumable(
         .map(|(_, l)| l)
         .collect();
     lat.sort_unstable();
-    let pct = |q: f64| -> f64 {
-        if lat.is_empty() {
-            0.0
-        } else {
-            lat[((lat.len() - 1) as f64 * q) as usize] as f64
-        }
-    };
     SteadyPoint {
         load,
         throughput: w.throughput(),
         avg_latency: w.avg_latency(),
-        p50_latency: pct(0.50),
-        p99_latency: pct(0.99),
+        p50_latency: percentile(&lat, 50),
+        p99_latency: percentile(&lat, 99),
         avg_hops: w.avg_hops(),
         misroute_rate: w.misroute_rate(),
         ring_entries: w.ring_entries,
@@ -261,17 +253,16 @@ pub fn load_sweep(
     loads
         .par_iter()
         .enumerate()
-        .map(|(i, &load)| {
-            steady_state(
-                cfg,
-                kind,
-                spec,
-                load,
-                opts,
-                seed.wrapping_add(i as u64 * 7919),
-            )
-        })
+        .map(|(i, &load)| steady_state(cfg, kind, spec, load, opts, point_seed(seed, i)))
         .collect()
+}
+
+/// The seed of point `i` of a sweep seeded `seed`: every sweep derives
+/// its per-point seeds here, so a resumed sweep
+/// ([`crate::resumable_load_sweep`]) re-runs exactly the points a plain
+/// one would have.
+pub(crate) fn point_seed(seed: u64, i: usize) -> u64 {
+    seed.wrapping_add(i as u64 * 7919)
 }
 
 /// Saturation throughput: accepted throughput at (near-)full offered
@@ -348,20 +339,15 @@ pub fn transient(
     let mut net = Network::new(cfg, kind.build(&cfg, seed));
     net.enable_delivery_log();
     let topo = *net.fabric().topo();
-    let mut gen = TrafficGen::new(&topo, before.clone(), seed.wrapping_add(1));
-    let mut bern = Bernoulli::new(load, cfg.packet_size, seed.wrapping_add(2));
-    let nodes = net.num_nodes();
+    let mut source = OpenLoop::new(&topo, before.clone(), load, cfg.packet_size, seed);
 
     let switch_at = opts.warmup;
     let total = opts.warmup + opts.post + opts.drain;
     for cycle in 0..total {
         if cycle == switch_at {
-            gen.set_spec(after.clone());
+            source.gen.set_spec(after.clone());
         }
-        bern.cycle(nodes, |src| {
-            let dst = gen.destination(src);
-            net.generate(src, dst);
-        });
+        source.cycle(|src, dst| net.generate(src, dst));
         net.step();
     }
 
@@ -586,61 +572,72 @@ pub fn burst_net<P: Policy, H: Hooks>(
     net.enable_delivery_log();
     let cfg = *net.fabric().cfg();
     let topo = *net.fabric().topo();
-    let mut gen = TrafficGen::new(&topo, spec.clone(), seed.wrapping_add(1));
-    let nodes = net.num_nodes();
-    for _ in 0..packets_per_node {
-        for n in 0..nodes {
-            let src = NodeId::from(n);
-            let dst = gen.destination(src);
-            net.generate(src, dst);
-        }
-    }
-    let watchdog = run.watchdog.unwrap_or_else(|| derive_watchdog(&cfg));
-    let mut last_delivered = 0u64;
-    let mut last_delivery_at = 0u64;
-    let mut retx_at_last_delivery = 0u64;
-    while !net.drained() {
+    OpenLoop::fill(&topo, spec.clone(), packets_per_node, seed, |src, dst| {
+        net.generate(src, dst)
+    });
+    let mut watchdog = Watchdog::new(run.watchdog.unwrap_or_else(|| derive_watchdog(&cfg)));
+    let mut stall = None;
+    while stall.is_none() && !net.drained() {
         net.step();
-        let delivered = net.stats().delivered_packets;
-        if delivered > last_delivered {
-            last_delivered = delivered;
-            last_delivery_at = net.now();
-            retx_at_last_delivery = net.stats().llr_retransmits;
-        }
-        // Two triggers: a dead network (no grants at all), or a busy one
-        // that stopped delivering — livelock takes longer to call because
-        // packets legitimately circulate under heavy misrouting.
-        let no_grant = net.now() - net.stats().last_grant > watchdog;
-        let no_delivery = net.now() - last_delivery_at > 4 * watchdog;
-        if no_grant || no_delivery {
-            let retx_since = net.stats().llr_retransmits - retx_at_last_delivery;
-            let stall = diagnose_stall(net, watchdog, no_grant, retx_since);
-            postmortem_dump(net, &stall);
-            return BurstResult {
-                cycles: None,
-                delivered,
-                avg_latency: net.stats().avg_latency(),
-                p99_latency: p99_of(net.take_delivery_log()),
-                ring_entries: net.stats().ring_entries,
-                jain_fairness: net.jain_fairness(),
-                per_source_delivered: net.per_source_delivered().to_vec(),
-                stall: Some(stall),
-                stats: net.stats().clone(),
-                audit: net.take_audit_report(),
-            };
-        }
+        stall = watchdog.poll(net);
+    }
+    if let Some(stall) = &stall {
+        postmortem_dump(net, stall);
     }
     BurstResult {
-        cycles: Some(net.now()),
+        cycles: stall.is_none().then(|| net.now()),
         delivered: net.stats().delivered_packets,
         avg_latency: net.stats().avg_latency(),
-        p99_latency: p99_of(net.take_delivery_log()),
+        p99_latency: p99_of(net.take_delivery_log().into_iter()),
         ring_entries: net.stats().ring_entries,
         jain_fairness: net.jain_fairness(),
         per_source_delivered: net.per_source_delivered().to_vec(),
-        stall: None,
+        stall,
         stats: net.stats().clone(),
         audit: net.take_audit_report(),
+    }
+}
+
+/// The progress watchdog of the closed-burst and overload runners. Two
+/// triggers: a dead network (no grant anywhere for a whole window), or a
+/// busy one that stopped delivering — livelock takes four windows to
+/// call because packets legitimately circulate under heavy misrouting.
+pub(crate) struct Watchdog {
+    window: u64,
+    last_delivered: u64,
+    last_delivery_at: u64,
+    retx_at_last_delivery: u64,
+}
+
+impl Watchdog {
+    pub(crate) fn new(window: u64) -> Self {
+        Self {
+            window,
+            last_delivered: 0,
+            last_delivery_at: 0,
+            retx_at_last_delivery: 0,
+        }
+    }
+
+    /// Account for the cycle that just ended at `now`. `Some` when a
+    /// trigger fired: whether it was the silent allocator, and the
+    /// retransmissions since the last delivery.
+    fn observe(&mut self, now: u64, s: &Stats) -> Option<(bool, u64)> {
+        if s.delivered_packets > self.last_delivered {
+            self.last_delivered = s.delivered_packets;
+            self.last_delivery_at = now;
+            self.retx_at_last_delivery = s.llr_retransmits;
+        }
+        let no_grant = now - s.last_grant > self.window;
+        let no_delivery = now - self.last_delivery_at > 4 * self.window;
+        (no_grant || no_delivery)
+            .then(|| (no_grant, s.llr_retransmits - self.retx_at_last_delivery))
+    }
+
+    /// Call after every `step`: the diagnosis, once a trigger fires.
+    pub(crate) fn poll<P: Policy, H: Hooks>(&mut self, net: &Network<P, H>) -> Option<StallKind> {
+        let (no_grant, retx_since) = self.observe(net.now(), net.stats())?;
+        Some(diagnose_stall(net, self.window, no_grant, retx_since))
     }
 }
 
@@ -729,8 +726,10 @@ pub struct ReplayReport {
 pub fn replay_snapshot(path: &Path, cycles: u64) -> Result<ReplayReport, SnapshotError> {
     let bytes = ofar_engine::read_file(path)?;
     let header = ofar_engine::peek_header(&bytes)?;
-    let kind = MechanismKind::from_name(&header.mechanism)
-        .ok_or(SnapshotError::Malformed("unknown mechanism name"))?;
+    let kind: MechanismKind = header
+        .mechanism
+        .parse()
+        .map_err(|_| SnapshotError::Malformed("unknown mechanism name"))?;
     let cfg = header.config;
     ensure_certified(&cfg, kind);
     let mut net = instrumented(cfg, kind.build(&cfg, cfg.seed));
@@ -767,15 +766,20 @@ pub fn replay_snapshot(path: &Path, cycles: u64) -> Result<ReplayReport, Snapsho
     })
 }
 
+/// Nearest-rank percentile of ascending latencies; 0 when empty.
+pub(crate) fn percentile(sorted: &[u32], pct: usize) -> f64 {
+    match sorted.len() {
+        0 => 0.0,
+        n => sorted[(n - 1) * pct / 100] as f64,
+    }
+}
+
 /// 99th-percentile latency of a delivery log (`(injected_at, latency)`
 /// pairs); 0 when empty.
-pub(crate) fn p99_of(log: Vec<(u64, u32)>) -> f64 {
-    let mut lat: Vec<u32> = log.into_iter().map(|(_, l)| l).collect();
-    if lat.is_empty() {
-        return 0.0;
-    }
+pub(crate) fn p99_of(log: impl Iterator<Item = (u64, u32)>) -> f64 {
+    let mut lat: Vec<u32> = log.map(|(_, l)| l).collect();
     lat.sort_unstable();
-    lat[(lat.len() - 1) * 99 / 100] as f64
+    percentile(&lat, 99)
 }
 
 /// The hooks the packaged runners ([`burst`], [`replay_snapshot`],
@@ -799,7 +803,7 @@ pub(crate) fn instrumented<P: Policy>(cfg: SimConfig, policy: P) -> Network<P, R
 /// alive but the link layer burned `retx_since` retries since the last
 /// delivery, so the allocator's silence is a symptom, not the disease.
 /// Otherwise a silent allocator means deadlock and a busy one livelock.
-pub(crate) fn diagnose_stall<P: Policy, H: Hooks>(
+fn diagnose_stall<P: Policy, H: Hooks>(
     net: &Network<P, H>,
     watchdog: u64,
     no_grant: bool,
@@ -951,6 +955,36 @@ mod tests {
         assert_eq!(series.len(), ((500 + 1500) / 250) as usize);
         assert_eq!(series[0].start, -500);
         assert!(series.iter().all(|b| b.sent > 0), "every bucket measured");
+    }
+
+    #[test]
+    fn watchdog_fires_on_silence_and_on_starvation() {
+        let window = 10;
+        let stats = |last_grant, delivered_packets| Stats {
+            last_grant,
+            delivered_packets,
+            ..Stats::default()
+        };
+        // A silent allocator fires one cycle past the window.
+        let mut w = Watchdog::new(window);
+        assert_eq!(w.observe(window, &stats(0, 0)), None);
+        assert_eq!(w.observe(window + 1, &stats(0, 0)), Some((true, 0)));
+        // Grants every cycle but no delivery: four windows, then livelock.
+        let mut w = Watchdog::new(window);
+        for now in 1..=4 * window {
+            assert_eq!(w.observe(now, &stats(now, 0)), None);
+        }
+        let now = 4 * window + 1;
+        assert_eq!(w.observe(now, &stats(now, 0)), Some((false, 0)));
+        // A delivery (and the grant behind it) moves both deadlines.
+        let mut w = Watchdog::new(window);
+        let at = 4 * window;
+        assert_eq!(w.observe(at, &stats(at, 1)), None);
+        assert_eq!(w.observe(at + window, &stats(at, 1)), None);
+        assert_eq!(w.observe(at + window + 1, &stats(at, 1)), Some((true, 0)));
+        assert_eq!(w.observe(at + 4 * window, &stats(at + 4 * window, 1)), None);
+        let now = at + 4 * window + 1;
+        assert_eq!(w.observe(now, &stats(now, 1)), Some((false, 0)));
     }
 
     #[test]

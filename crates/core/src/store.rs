@@ -17,7 +17,7 @@
 //! exact bit patterns for the floating-point fields, so a stored point
 //! is the point, not a rounding of it.
 
-use crate::run::{steady_state, SteadyOpts, SteadyPoint};
+use crate::run::{point_seed, steady_state, SteadyOpts, SteadyPoint};
 use ofar_engine::{config_fingerprint, crc32, SimConfig};
 use ofar_routing::MechanismKind;
 use ofar_traffic::TrafficSpec;
@@ -204,12 +204,12 @@ pub fn resumable_load_sweep(
 ) -> Vec<SteadyPoint> {
     let mut out = Vec::with_capacity(loads.len());
     for (i, &load) in loads.iter().enumerate() {
-        let point_seed = seed.wrapping_add(i as u64 * 7919);
-        let key = point_key(&cfg, kind, spec, load, opts, point_seed);
+        let seed = point_seed(seed, i);
+        let key = point_key(&cfg, kind, spec, load, opts, seed);
         let point = match store.get(&key).and_then(|s| point_from_line(&s)) {
             Some(p) => p,
             None => {
-                let p = steady_state(cfg, kind, spec, load, opts, point_seed);
+                let p = steady_state(cfg, kind, spec, load, opts, seed);
                 store
                     .put(&key, &point_to_line(&p))
                     .expect("result store write failed");
@@ -244,6 +244,29 @@ mod tests {
         assert_eq!(s2.len(), 2);
         assert_eq!(s2.get("key b").as_deref(), Some("value b"));
         assert_eq!(s2.get("key c"), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The equality the sweep's docs promise: same per-point seeds, so
+    /// the same points bit for bit, and a second pass re-runs nothing.
+    #[test]
+    fn resumable_sweep_on_an_empty_store_equals_the_plain_sweep() {
+        let dir = tmpdir("sweep");
+        let mut store = ResultStore::open(&dir).unwrap();
+        let (cfg, kind) = (SimConfig::paper(2), MechanismKind::Ofar);
+        let spec = TrafficSpec::adversarial(1);
+        let loads = [0.1, 0.3, 0.5];
+        let opts = SteadyOpts {
+            warmup: 300,
+            measure: 500,
+        };
+        let plain = crate::run::load_sweep(cfg, kind, &spec, &loads, opts, 9);
+        let resumed = resumable_load_sweep(&mut store, cfg, kind, &spec, &loads, opts, 9, |_| {});
+        let lines = |ps: &[SteadyPoint]| ps.iter().map(point_to_line).collect::<Vec<_>>();
+        assert_eq!(lines(&plain), lines(&resumed));
+        assert_eq!(store.len(), loads.len());
+        let again = resumable_load_sweep(&mut store, cfg, kind, &spec, &loads, opts, 9, |_| {});
+        assert_eq!(lines(&plain), lines(&again));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -28,11 +28,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Append a row of displayable values.
-    pub fn push_display<T: fmt::Display>(&mut self, cells: &[T]) {
-        self.push(cells.iter().map(|c| c.to_string()).collect());
-    }
-
     /// Render as CSV (title as a comment line).
     pub fn to_csv(&self) -> String {
         let mut out = format!("# {}\n{}\n", self.title, self.headers.join(","));

@@ -341,12 +341,6 @@ impl SimConfig {
         self
     }
 
-    /// Packet capacity (in whole packets) of a buffer of `phits` phits.
-    #[inline]
-    pub fn packets_in(&self, phits: usize) -> usize {
-        phits / self.packet_size
-    }
-
     /// Validate invariants the engine depends on.
     ///
     /// # Errors

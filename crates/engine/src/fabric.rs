@@ -421,21 +421,6 @@ impl Fabric {
         self.cfg.params.p + self.cfg.params.a - 1 + k
     }
 
-    /// Local-port index (`0 .. a−1`) of local output `port`, if it is one.
-    #[inline]
-    pub fn local_port_of_out(&self, port: usize) -> Option<usize> {
-        let p = self.cfg.params.p;
-        (self.out_kind(port) == PortKind::Local).then(|| port - p)
-    }
-
-    /// Global-port index (`0 .. h`) of global output `port`, if it is one.
-    #[inline]
-    pub fn global_port_of_out(&self, port: usize) -> Option<usize> {
-        let p = self.cfg.params.p;
-        let a = self.cfg.params.a;
-        (self.out_kind(port) == PortKind::Global).then(|| port - p - (a - 1))
-    }
-
     // ----- lookups -------------------------------------------------------
 
     /// The resolved output link of (`router`, `port`).

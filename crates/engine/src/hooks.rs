@@ -23,7 +23,7 @@
 //! * `ofar_bench::PhaseTimer` overrides only [`Hooks::phase`], the call
 //!   at each of the nine phase markers of `step`, to attribute host time
 //!   to phases (the wall clock is banned from this crate, so the timer
-//!   lives with the bench binaries).
+//!   lives with the bench driver).
 //!
 //! Hook state is instrumentation, never simulation state: it is outside
 //! snapshots, and a `NoHooks` run and an `Auditor` run of the same seed

@@ -63,16 +63,6 @@ impl<'a> RouterView<'a> {
         self.outputs[port].busy_until > self.now
     }
 
-    /// Cycles since the output port last transmitted (0 while busy).
-    /// A *saturated* output keeps granting — its idle time stays below a
-    /// couple of packet times; a *stalled* (deadlocked) output freezes.
-    /// OFAR uses this to reserve the escape ring for genuine stalls
-    /// (§IV-C: the ring is a last resort, "rarely used").
-    #[inline]
-    pub fn out_idle_cycles(&self, port: usize) -> u64 {
-        self.now.saturating_sub(self.outputs[port].busy_until)
-    }
-
     /// Available downstream credits of (`port`, `vc`) in phits.
     #[inline]
     pub fn credits(&self, port: usize, vc: usize) -> u32 {
@@ -156,39 +146,6 @@ impl<'a> RouterView<'a> {
                 (esc.base_vc..esc.base_vc + esc.num_vcs).map(move |vc| (port, vc as usize))
             })
             .max_by_key(|&(port, vc)| self.credits(port, vc))
-    }
-
-    /// Credit-estimated congestion of this router's *network* outputs
-    /// (local, global and ring links; ejection ports are infinite sinks
-    /// and excluded), aggregated over all VCs, in `[0, 1]`. This is the
-    /// congestion-management layer's per-router sensor: purely local
-    /// (OFAR's §IV premise — no remote sensing), derived from the same
-    /// credit state the misroute thresholds read. A failed link senses
-    /// as fully occupied, exactly like [`NetSnapshot::global_out_occupancy`].
-    pub fn local_congestion(&self) -> f64 {
-        let mut cap_sum = 0u64;
-        let mut used = 0u64;
-        for (port, out) in self.outputs.iter().enumerate() {
-            if out.credits.is_empty() {
-                continue; // ejection port: no downstream buffer to fill
-            }
-            let cap: u32 = out.capacity.iter().sum();
-            if cap == 0 {
-                continue;
-            }
-            cap_sum += u64::from(cap);
-            if self.link_up(port) {
-                let credits: u32 = out.credits.iter().sum();
-                used += u64::from(cap - credits);
-            } else {
-                used += u64::from(cap);
-            }
-        }
-        if cap_sum == 0 {
-            0.0
-        } else {
-            used as f64 / cap_sum as f64
-        }
     }
 
     /// Credit-estimated occupancy of this router's escape outputs across

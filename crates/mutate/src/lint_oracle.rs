@@ -62,7 +62,7 @@ const CREDIT_HOIST: &str = "            self.wheel.file_credit(
 /// R-family findings in the mutated file.
 pub fn lint_verdict(op: MutationOp) -> OracleVerdict {
     // The harness always runs from a checkout of this workspace (tests,
-    // CI, the `mutants` bench binary), so the compile-time manifest dir
+    // CI, `ofar-bench mutants`), so the compile-time manifest dir
     // locates the sources.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut sources = collect_sources(&root).expect("workspace sources readable");
@@ -81,7 +81,7 @@ pub fn lint_verdict(op: MutationOp) -> OracleVerdict {
         }
         _ => unreachable!("{} is not a source operator", op.name()),
     }
-    let analysis = analyze_sources(&sources, &LintConfig::default(), None);
+    let analysis = analyze_sources(&sources, &LintConfig::default());
     let hits: Vec<_> = analysis
         .open()
         .filter(|f| f.file == TARGET && f.rule.starts_with('R'))
@@ -110,7 +110,7 @@ mod tests {
     fn pristine_engine_is_lint_clean() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let sources = collect_sources(&root).expect("workspace sources");
-        let a = analyze_sources(&sources, &LintConfig::default(), None);
+        let a = analyze_sources(&sources, &LintConfig::default());
         let open: Vec<_> = a
             .open()
             .filter(|f| f.file == TARGET && f.rule.starts_with('R'))

@@ -30,7 +30,7 @@ pub const MECHANISMS: [MechanismKind; 5] = [
 
 /// Measured adequacy floor: `(operator × mechanism)` pairs the oracle
 /// stack kills at h=2 with the matrix's deterministic seeds. Checked in
-/// by hand from a full matrix run (`cargo run -p ofar-bench --bin
+/// by hand from a full matrix run (`cargo run -p ofar-bench --
 /// mutants`); CI fails when any pair listed here survives.
 ///
 /// A pair absent from this list is a *known gap* — see DESIGN.md §11

@@ -37,7 +37,7 @@ use ofar_core::{burst_net, RunConfig, StallKind};
 use ofar_engine::{Auditor, EngineMutation, Fabric, Hooks, Network, Policy, RingMode, SimConfig};
 use ofar_routing::{ClassEdge, ClassId, DependencyDecl, EdgeWhy, MechanismDeps, MechanismKind};
 use ofar_topology::Dragonfly;
-use ofar_traffic::{Bernoulli, TrafficGen, TrafficSpec};
+use ofar_traffic::{OpenLoop, TrafficSpec};
 use ofar_verify::{
     certify, certify_decl, conformance_with, OracleKind, OracleVerdict, RankingKind,
 };
@@ -248,20 +248,17 @@ fn overload_verdicts<P: Policy, H: Hooks>(
     seed: u64,
 ) -> (OracleVerdict, OracleVerdict) {
     let topo = *net.fabric().topo();
-    let mut gen = TrafficGen::new(&topo, TrafficSpec::adversarial(1), seed.wrapping_add(1));
-    let mut bern = Bernoulli::new(
+    let mut source = OpenLoop::new(
+        &topo,
+        TrafficSpec::adversarial(1),
         OVERLOAD_OFFERED,
         net.cfg().packet_size,
-        seed.wrapping_add(2),
+        seed,
     );
-    let nodes = net.num_nodes();
     let mut window_start = 0u64;
     let mut watchdog = OracleVerdict::Pass;
     for cycle in 1..=OVERLOAD_CYCLES {
-        bern.cycle(nodes, |src| {
-            let dst = gen.destination(src);
-            net.generate(src, dst);
-        });
+        source.cycle(|src, dst| net.generate(src, dst));
         net.step();
         if cycle % OVERLOAD_WINDOW == 0 {
             let delivered = net.stats().delivered_packets;
@@ -308,13 +305,13 @@ fn wave_admission_verdicts<P: Policy, H: Hooks>(
     seed: u64,
 ) -> (OracleVerdict, OracleVerdict) {
     let topo = *net.fabric().topo();
-    let mut gen = TrafficGen::new(&topo, TrafficSpec::adversarial(1), seed.wrapping_add(1));
-    for node in 0..net.num_nodes() {
-        for _ in 0..WAVE_DEPTH {
-            let dst = gen.destination(node.into());
-            net.generate(node.into(), dst);
-        }
-    }
+    OpenLoop::fill(
+        &topo,
+        TrafficSpec::adversarial(1),
+        WAVE_DEPTH,
+        seed,
+        |src, dst| net.generate(src, dst),
+    );
     while net.now() < WAVE_OBSERVE {
         net.step();
     }
@@ -362,15 +359,15 @@ fn race_verdict(op: MutationOp, kind: MechanismKind, cfg: &SimConfig, seed: u64)
         // Deep checks off: only the snapshots are compared here.
         let hooks = Mutated::new(mutation, 0);
         let net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, rc.seed), hooks);
-        let mut gen = TrafficGen::new(&topo, TrafficSpec::adversarial(1), rc.seed + 1);
-        let mut bern = Bernoulli::new(0.7, cfg.packet_size, rc.seed + 2);
-        let nodes = net.num_nodes();
-        let inject: InjectFn<ofar_routing::Mechanism, Mutated> = Box::new(move |net, _cycle| {
-            bern.cycle(nodes, |src| {
-                let dst = gen.destination(src);
-                net.generate(src, dst);
-            });
-        });
+        let mut source = OpenLoop::new(
+            &topo,
+            TrafficSpec::adversarial(1),
+            0.7,
+            cfg.packet_size,
+            rc.seed,
+        );
+        let inject: InjectFn<ofar_routing::Mechanism, Mutated> =
+            Box::new(move |net, _cycle| source.cycle(|src, dst| net.generate(src, dst)));
         (net, inject)
     };
     let schedules = ofar_engine::ShardSchedule::adversaries(rc.schedules);

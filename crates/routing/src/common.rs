@@ -154,13 +154,6 @@ pub fn hop_to_request(
     }
 }
 
-/// The minimal request of `pkt` at this router (kind
-/// [`RequestKind::Minimal`] or [`RequestKind::Eject`]).
-pub fn minimal_request(view: &RouterView<'_>, pkt: &Packet, ladder: &VcLadder) -> Request {
-    let hop = current_minimal_hop(view, pkt);
-    hop_to_request(view, pkt, hop, ladder, RequestKind::Minimal)
-}
-
 /// Injection-VC choice shared by all mechanisms: spread packets over the
 /// injection VCs round-robin by id, purely to reduce head-of-line
 /// blocking at the source.

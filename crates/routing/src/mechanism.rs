@@ -31,6 +31,24 @@ pub enum MechanismKind {
     OfarL,
 }
 
+/// Inverse of [`MechanismKind::name`]: command lines, and the mechanism
+/// named by a self-describing snapshot file.
+impl std::str::FromStr for MechanismKind {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        Ok(match name {
+            "MIN" => MechanismKind::Min,
+            "VAL" => MechanismKind::Valiant,
+            "PB" => MechanismKind::Pb,
+            "PAR" => MechanismKind::Par,
+            "OFAR" => MechanismKind::Ofar,
+            "OFAR-L" => MechanismKind::OfarL,
+            _ => return Err(format!("unknown mechanism {name}")),
+        })
+    }
+}
+
 impl MechanismKind {
     /// Paper name of the mechanism.
     pub fn name(self) -> &'static str {
@@ -42,20 +60,6 @@ impl MechanismKind {
             MechanismKind::Ofar => "OFAR",
             MechanismKind::OfarL => "OFAR-L",
         }
-    }
-
-    /// Inverse of [`MechanismKind::name`] — used to rebuild a mechanism
-    /// from a self-describing snapshot file.
-    pub fn from_name(name: &str) -> Option<MechanismKind> {
-        Some(match name {
-            "MIN" => MechanismKind::Min,
-            "VAL" => MechanismKind::Valiant,
-            "PB" => MechanismKind::Pb,
-            "PAR" => MechanismKind::Par,
-            "OFAR" => MechanismKind::Ofar,
-            "OFAR-L" => MechanismKind::OfarL,
-            _ => return None,
-        })
     }
 
     /// Whether the mechanism needs an escape ring to avoid deadlock.
@@ -260,7 +264,9 @@ mod tests {
             let m = kind.build(&cfg, 42);
             assert_eq!(m.name(), kind.name());
             assert_eq!(m.needs_ring(), kind.needs_ring());
+            assert_eq!(kind.name().parse(), Ok(kind));
         }
+        assert!("ofar".parse::<MechanismKind>().is_err(), "names are exact");
     }
 
     #[test]

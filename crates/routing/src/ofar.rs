@@ -253,11 +253,6 @@ impl OfarPolicy {
         true
     }
 
-    /// Whether local misrouting is enabled (base OFAR vs OFAR-L).
-    pub fn local_misroute_enabled(&self) -> bool {
-        self.ofar.local_misroute
-    }
-
     /// Canonical VCs of an output port — excludes an embedded escape VC,
     /// which only ring traffic may use.
     fn canonical_vcs(&self, view: &RouterView<'_>, port: usize) -> usize {

@@ -85,12 +85,6 @@ impl Dragonfly {
         self.params.p
     }
 
-    /// Global links per router (`h`).
-    #[inline]
-    pub fn global_ports_per_router(&self) -> usize {
-        self.params.h
-    }
-
     // ----- addressing ------------------------------------------------
 
     /// Group that a router belongs to.

@@ -90,11 +90,6 @@ impl Dragonfly {
         })
     }
 
-    /// Length in hops of the minimal route between two *nodes* (0–3).
-    pub fn min_node_hops(&self, src: NodeId, dst: NodeId) -> usize {
-        self.min_router_hops(self.router_of_node(src), self.router_of_node(dst))
-    }
-
     // ----- dead-link-aware variants (§VII degraded routing) -------------
 
     /// Next hop towards node `dst`, avoiding links for which `dead`

@@ -24,5 +24,5 @@
 pub mod pattern;
 pub mod stencil;
 
-pub use pattern::{Bernoulli, TrafficGen, TrafficPattern, TrafficSpec};
+pub use pattern::{Bernoulli, OpenLoop, TrafficGen, TrafficPattern, TrafficSpec};
 pub use stencil::{StencilTraffic, TaskMapping};

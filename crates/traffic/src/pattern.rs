@@ -27,7 +27,7 @@ impl TrafficPattern {
 }
 
 /// A weighted mixture of patterns. Weights need not be normalized.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrafficSpec {
     components: Vec<(f64, TrafficPattern)>,
     total: f64,
@@ -102,6 +102,30 @@ impl TrafficSpec {
             .map(|(w, p)| format!("{:.0}% {}", 100.0 * w / self.total, p.label()))
             .collect();
         format!("MIX({})", parts.join(" + "))
+    }
+
+    /// Inverse of [`TrafficSpec::label`] over the paper's patterns on a
+    /// Dragonfly of the given `h`: `UN`, `ADV+<n>`, and the three mixes,
+    /// by label or by their short names `MIX1`–`MIX3`.
+    pub fn parse(label: &str, h: usize) -> Result<Self, String> {
+        if label == "UN" {
+            return Ok(Self::uniform());
+        }
+        if let Some(n) = label.strip_prefix("ADV+") {
+            return match n.parse() {
+                Ok(n) => Ok(Self::adversarial(n)),
+                Err(_) => Err(format!("bad ADV offset in {label}")),
+            };
+        }
+        [
+            ("MIX1", Self::mix1(h)),
+            ("MIX2", Self::mix2(h)),
+            ("MIX3", Self::mix3(h)),
+        ]
+        .into_iter()
+        .find(|(name, mix)| label == *name || label == mix.label())
+        .map(|(_, mix)| mix)
+        .ok_or_else(|| format!("unknown pattern {label}"))
     }
 }
 
@@ -251,6 +275,70 @@ impl Bernoulli {
     }
 }
 
+/// The open-loop source of §V: one [`TrafficGen`] and one [`Bernoulli`]
+/// over the same topology, seeded `seed + 1` and `seed + 2` so that a
+/// run's policy (seeded `seed`), destinations and arrivals draw from
+/// three separate streams. Every runner drives its network through this
+/// pair; writing the derivation here is what makes "same seed" mean the
+/// same thing in all of them.
+#[derive(Clone, Debug)]
+pub struct OpenLoop {
+    /// Destination stream. Public so a checkpoint can capture and
+    /// restore its RNG, and a transient can swap its mixture.
+    pub gen: TrafficGen,
+    /// Arrival process; public for the same reason.
+    pub bern: Bernoulli,
+}
+
+impl OpenLoop {
+    /// A source offering `load_phits` phits/(node·cycle) of `spec`.
+    ///
+    /// # Panics
+    /// As [`TrafficGen::new`] and [`Bernoulli::new`].
+    pub fn new(
+        topo: &Dragonfly,
+        spec: TrafficSpec,
+        load_phits: f64,
+        packet_size: usize,
+        seed: u64,
+    ) -> Self {
+        Self {
+            gen: Self::destinations(topo, spec, seed),
+            bern: Bernoulli::new(load_phits, packet_size, seed.wrapping_add(2)),
+        }
+    }
+
+    fn destinations(topo: &Dragonfly, spec: TrafficSpec, seed: u64) -> TrafficGen {
+        TrafficGen::new(topo, spec, seed.wrapping_add(1))
+    }
+
+    /// One cycle of arrivals: `sink(src, dst)` for every packet born.
+    pub fn cycle(&mut self, mut sink: impl FnMut(NodeId, NodeId)) {
+        let gen = &mut self.gen;
+        self.bern
+            .cycle(gen.nodes, |src| sink(src, gen.destination(src)));
+    }
+
+    /// The closed burst of §VI-C: `packets_per_node` rounds of one packet
+    /// from every node in node order, destinations from the stream an
+    /// open loop of the same `seed` would draw.
+    pub fn fill(
+        topo: &Dragonfly,
+        spec: TrafficSpec,
+        packets_per_node: usize,
+        seed: u64,
+        mut sink: impl FnMut(NodeId, NodeId),
+    ) {
+        let mut gen = Self::destinations(topo, spec, seed);
+        for _ in 0..packets_per_node {
+            for n in 0..gen.nodes {
+                let src = NodeId::from(n);
+                sink(src, gen.destination(src));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,6 +437,37 @@ mod tests {
     #[should_panic(expected = "exceeds 1 packet/cycle")]
     fn overload_rejected() {
         Bernoulli::new(9.0, 8, 7);
+    }
+
+    #[test]
+    fn open_loop_is_the_hand_written_pair() {
+        let topo = topo();
+        let (spec, load, size, seed) = (TrafficSpec::mix2(3), 0.6, 8, 41);
+        let mut gen = TrafficGen::new(&topo, spec.clone(), seed + 1);
+        let mut bern = Bernoulli::new(load, size, seed + 2);
+        let mut want = Vec::new();
+        for _ in 0..50 {
+            bern.cycle(topo.num_nodes(), |src| {
+                want.push((src, gen.destination(src)))
+            });
+        }
+        let mut source = OpenLoop::new(&topo, spec.clone(), load, size, seed);
+        let mut got = Vec::new();
+        for _ in 0..50 {
+            source.cycle(|src, dst| got.push((src, dst)));
+        }
+        assert!(!want.is_empty());
+        assert_eq!(want, got);
+
+        // The closed burst: round by round, same destination stream.
+        let mut gen = TrafficGen::new(&topo, spec.clone(), seed + 1);
+        let want: Vec<_> = (0..2 * topo.num_nodes())
+            .map(|i| NodeId::from(i % topo.num_nodes()))
+            .map(|src| (src, gen.destination(src)))
+            .collect();
+        let mut got = Vec::new();
+        OpenLoop::fill(&topo, spec, 2, seed, |src, dst| got.push((src, dst)));
+        assert_eq!(want, got);
     }
 
     #[test]

@@ -85,6 +85,22 @@ proptest! {
     }
 
     #[test]
+    fn parse_inverts_label(h in 2usize..=6, offset in 1usize..40) {
+        for spec in [
+            TrafficSpec::uniform(),
+            TrafficSpec::adversarial(offset),
+            TrafficSpec::mix1(h),
+            TrafficSpec::mix2(h),
+            TrafficSpec::mix3(h),
+        ] {
+            prop_assert_eq!(TrafficSpec::parse(&spec.label(), h), Ok(spec));
+        }
+        prop_assert_eq!(TrafficSpec::parse("MIX2", h), Ok(TrafficSpec::mix2(h)));
+        prop_assert!(TrafficSpec::parse("ADV+", h).is_err());
+        prop_assert!(TrafficSpec::parse("MIX4", h).is_err());
+    }
+
+    #[test]
     fn generators_are_deterministic(seed in any::<u64>()) {
         let topo = Dragonfly::balanced(2);
         let mut a = TrafficGen::new(&topo, TrafficSpec::mix2(2), seed);

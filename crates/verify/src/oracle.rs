@@ -15,7 +15,7 @@
 //! schedules, so their drivers live with the harness; the verdict
 //! vocabulary here is shared by all six.
 
-use crate::report::{Certificate, ConformanceError, ConformanceReport, VerifyError};
+use crate::report::{Certificate, VerifyError};
 use crate::ring_spec::RingSpec;
 use crate::{explore, verify_decl, RankingKind};
 use ofar_engine::{RingMode, SimConfig};
@@ -78,12 +78,7 @@ pub enum OracleVerdict {
     },
 }
 
-impl OracleVerdict {
-    /// Whether the oracle rejected the subject.
-    pub fn is_fail(&self) -> bool {
-        matches!(self, OracleVerdict::Fail { .. })
-    }
-}
+impl OracleVerdict {}
 
 /// Verdicts of the static half of the stack for one subject.
 #[derive(Clone, Debug)]
@@ -142,14 +137,4 @@ pub fn run_static_stack<P: EnumerablePolicy>(
         },
     };
     StaticVerdicts { cdg, conformance }
-}
-
-/// Convenience: render a conformance result as a verdict.
-pub fn conformance_verdict(result: &Result<ConformanceReport, ConformanceError>) -> OracleVerdict {
-    match result {
-        Ok(_) => OracleVerdict::Pass,
-        Err(e) => OracleVerdict::Fail {
-            witness: e.to_string(),
-        },
-    }
 }

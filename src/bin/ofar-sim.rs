@@ -85,6 +85,20 @@ impl Args {
             .and_then(|(_, v)| v.as_deref())
     }
 
+    /// A name-valued flag (or its default) through the library's own
+    /// parser; the parser's error is the message.
+    fn parse_with<T>(
+        &self,
+        flag: &str,
+        default: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> T {
+        parse(self.get(flag).unwrap_or(default)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            exit(2);
+        })
+    }
+
     fn parse<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
         match self.get(flag) {
             None => default,
@@ -155,18 +169,7 @@ fn main() {
         return;
     }
 
-    let kind = match args.get("--mech").unwrap_or("OFAR") {
-        "MIN" => MechanismKind::Min,
-        "VAL" => MechanismKind::Valiant,
-        "PB" => MechanismKind::Pb,
-        "PAR" => MechanismKind::Par,
-        "OFAR" => MechanismKind::Ofar,
-        "OFAR-L" => MechanismKind::OfarL,
-        other => {
-            eprintln!("unknown mechanism {other}");
-            exit(2);
-        }
-    };
+    let kind: MechanismKind = args.parse_with("--mech", "OFAR", str::parse);
     let h: usize = args.parse("--h", 2);
     let seed: u64 = args.parse("--seed", 42);
     let mut cfg = SimConfig::paper(h).with_seed(seed);
@@ -203,24 +206,7 @@ fn main() {
         return;
     }
 
-    let pattern = args.get("--pattern").unwrap_or("UN");
-    let spec = match pattern {
-        "UN" => TrafficSpec::uniform(),
-        "MIX1" => TrafficSpec::mix1(h),
-        "MIX2" => TrafficSpec::mix2(h),
-        "MIX3" => TrafficSpec::mix3(h),
-        s if s.starts_with("ADV+") => match s[4..].parse() {
-            Ok(n) => TrafficSpec::adversarial(n),
-            Err(_) => {
-                eprintln!("bad ADV offset in {s}");
-                exit(2);
-            }
-        },
-        other => {
-            eprintln!("unknown pattern {other}");
-            exit(2);
-        }
-    };
+    let spec = args.parse_with("--pattern", "UN", |p| TrafficSpec::parse(p, h));
 
     eprintln!(
         "{} on h={h} ({} nodes), {} traffic, ring {:?} ×{}",

@@ -11,17 +11,12 @@ fn assert_liveness(cfg: SimConfig, kind: MechanismKind, spec: TrafficSpec, seed:
     let cfg = kind.adapt_config(cfg);
     let mut net = Network::new(cfg, kind.build(&cfg, seed));
     let topo = Dragonfly::new(cfg.params);
-    let mut gen = TrafficGen::new(&topo, spec.clone(), seed + 1);
-    let mut bern = Bernoulli::new(0.9, cfg.packet_size, seed + 2);
-    let nodes = net.num_nodes();
+    let mut source = OpenLoop::new(&topo, spec.clone(), 0.9, cfg.packet_size, seed);
     let window = 2_000u64;
     let mut last_delivered = 0u64;
     for epoch in 0..4 {
         for _ in 0..window {
-            bern.cycle(nodes, |src| {
-                let dst = gen.destination(src);
-                net.generate(src, dst);
-            });
+            source.cycle(|src, dst| net.generate(src, dst));
             net.step();
         }
         let delivered = net.stats().delivered_packets;

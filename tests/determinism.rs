@@ -8,14 +8,9 @@ fn signature(kind: MechanismKind, seed: u64) -> (u64, u64, u64, u64, u64) {
     let cfg = kind.adapt_config(SimConfig::paper(2).with_seed(seed));
     let mut net = Network::new(cfg, kind.build(&cfg, seed));
     let topo = Dragonfly::new(cfg.params);
-    let mut gen = TrafficGen::new(&topo, TrafficSpec::mix2(2), seed + 1);
-    let mut bern = Bernoulli::new(0.5, cfg.packet_size, seed + 2);
-    let nodes = net.num_nodes();
+    let mut source = OpenLoop::new(&topo, TrafficSpec::mix2(2), 0.5, cfg.packet_size, seed);
     for _ in 0..2_000 {
-        bern.cycle(nodes, |src| {
-            let dst = gen.destination(src);
-            net.generate(src, dst);
-        });
+        source.cycle(|src, dst| net.generate(src, dst));
         net.step();
     }
     let s = net.stats();
@@ -48,14 +43,15 @@ fn hooks_are_invisible_to_the_simulation() {
         let cfg = kind.adapt_config(SimConfig::paper(2).with_seed(seed));
         let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, seed), hooks);
         let topo = Dragonfly::new(cfg.params);
-        let mut gen = TrafficGen::new(&topo, TrafficSpec::adversarial(1), seed + 1);
-        let mut bern = Bernoulli::new(0.7, cfg.packet_size, seed + 2);
-        let nodes = net.num_nodes();
+        let mut source = OpenLoop::new(
+            &topo,
+            TrafficSpec::adversarial(1),
+            0.7,
+            cfg.packet_size,
+            seed,
+        );
         for _ in 0..400 {
-            bern.cycle(nodes, |src| {
-                let dst = gen.destination(src);
-                net.generate(src, dst);
-            });
+            source.cycle(|src, dst| net.generate(src, dst));
             net.step();
         }
         let snapshot = net.save_snapshot();
@@ -185,13 +181,10 @@ fn snapshot_restore_is_invisible_to_signatures() {
             topo.global_neighbor(r0, 0).0,
         )
     };
-    let drive = |net: &mut Network<Mechanism>, gen: &mut TrafficGen, bern: &mut Bernoulli, n| {
-        let nodes = net.num_nodes();
+    let source = || OpenLoop::new(&topo, TrafficSpec::mix2(2), 0.4, cfg.packet_size, seed);
+    let drive = |net: &mut Network<Mechanism>, source: &mut OpenLoop, n| {
         for _ in 0..n {
-            bern.cycle(nodes, |src| {
-                let dst = gen.destination(src);
-                net.generate(src, dst);
-            });
+            source.cycle(|src, dst| net.generate(src, dst));
             net.step();
         }
     };
@@ -199,26 +192,22 @@ fn snapshot_restore_is_invisible_to_signatures() {
     // Uninterrupted reference.
     let mut net = Network::new(cfg, kind.build(&cfg, seed));
     net.set_fault_plan(plan());
-    let mut gen = TrafficGen::new(&topo, TrafficSpec::mix2(2), seed + 1);
-    let mut bern = Bernoulli::new(0.4, cfg.packet_size, seed + 2);
-    drive(&mut net, &mut gen, &mut bern, 2_000);
+    drive(&mut net, &mut source(), 2_000);
     let want = net.stats().counters();
 
     // Same run, interrupted at cycle 600 (inside the 300..900 flap).
     let mut net_a = Network::new(cfg, kind.build(&cfg, seed));
     net_a.set_fault_plan(plan());
-    let mut gen_a = TrafficGen::new(&topo, TrafficSpec::mix2(2), seed + 1);
-    let mut bern_a = Bernoulli::new(0.4, cfg.packet_size, seed + 2);
-    drive(&mut net_a, &mut gen_a, &mut bern_a, 600);
+    let mut source_a = source();
+    drive(&mut net_a, &mut source_a, 600);
     let snap = net_a.save_snapshot();
 
     let mut net_b = Network::new(cfg, kind.build(&cfg, seed));
     net_b.restore_snapshot(&snap).expect("restore");
-    let mut gen_b = TrafficGen::new(&topo, TrafficSpec::mix2(2), 0);
-    gen_b.set_rng_state(gen_a.rng_state());
-    let mut bern_b = Bernoulli::new(0.4, cfg.packet_size, 0);
-    bern_b.set_rng_state(bern_a.rng_state());
-    drive(&mut net_b, &mut gen_b, &mut bern_b, 1_400);
+    let mut source_b = source();
+    source_b.gen.set_rng_state(source_a.gen.rng_state());
+    source_b.bern.set_rng_state(source_a.bern.rng_state());
+    drive(&mut net_b, &mut source_b, 1_400);
     assert_eq!(
         want,
         net_b.stats().counters(),

@@ -1,6 +1,6 @@
 //! Cross-build behaviour pin: the checked-in golden signatures
 //! (`results/golden-signatures.json`) must verify against this build —
-//! the same check as `ofar-bench --bin golden -- --verify`. A PR that
+//! the same check as `ofar-bench golden --verify`. A PR that
 //! changes simulated behaviour re-emits the table and says why; a PR
 //! that claims behaviour identity must not touch it.
 

@@ -18,14 +18,9 @@ fn drive(
     let cfg = kind.adapt_config(cfg);
     let mut net = Network::new(cfg, kind.build(&cfg, seed));
     let topo = Dragonfly::new(cfg.params);
-    let mut gen = TrafficGen::new(&topo, spec, seed + 1);
-    let mut bern = Bernoulli::new(load, cfg.packet_size, seed + 2);
-    let nodes = net.num_nodes();
+    let mut source = OpenLoop::new(&topo, spec, load, cfg.packet_size, seed);
     for _ in 0..cycles {
-        bern.cycle(nodes, |src| {
-            let dst = gen.destination(src);
-            net.generate(src, dst);
-        });
+        source.cycle(|src, dst| net.generate(src, dst));
         net.step();
     }
     net
@@ -90,14 +85,9 @@ fn conservation_holds_with_reduced_vcs() {
     let kind = MechanismKind::Ofar;
     let mut net = Network::new(cfg, kind.build(&cfg, 9));
     let topo = Dragonfly::new(cfg.params);
-    let mut gen = TrafficGen::new(&topo, TrafficSpec::adversarial(2), 10);
-    let mut bern = Bernoulli::new(0.7, cfg.packet_size, 11);
-    let nodes = net.num_nodes();
+    let mut source = OpenLoop::new(&topo, TrafficSpec::adversarial(2), 0.7, cfg.packet_size, 9);
     for _ in 0..3_000 {
-        bern.cycle(nodes, |src| {
-            let dst = gen.destination(src);
-            net.generate(src, dst);
-        });
+        source.cycle(|src, dst| net.generate(src, dst));
         net.step();
     }
     let size = net.cfg().packet_size as u64;
@@ -181,14 +171,10 @@ proptest! {
             let far = topo.global_neighbor(r0, 0).0;
             net.set_fault_plan(FaultPlan::new().flap_link(r0, far, 40, 60, 150, 4));
         }
-        let mut gen = TrafficGen::new(&topo, TrafficSpec::uniform(), seed + 1);
-        let mut bern = Bernoulli::new(f64::from(load_pct) / 100.0, cfg.packet_size, seed + 2);
-        let nodes = net.num_nodes();
+        let load = f64::from(load_pct) / 100.0;
+        let mut source = OpenLoop::new(&topo, TrafficSpec::uniform(), load, cfg.packet_size, seed);
         for _ in 0..cycles {
-            bern.cycle(nodes, |src| {
-                let dst = gen.destination(src);
-                net.generate(src, dst);
-            });
+            source.cycle(|src, dst| net.generate(src, dst));
             net.step();
         }
         prop_assert_eq!(net.llr_enabled(), lossy);

@@ -16,14 +16,9 @@ fn run(
     let cfg = kind.adapt_config(SimConfig::paper(2).with_seed(seed));
     let mut net = Network::new(cfg, kind.build(&cfg, seed));
     let topo = Dragonfly::new(cfg.params);
-    let mut gen = TrafficGen::new(&topo, spec, seed + 1);
-    let mut bern = Bernoulli::new(load, cfg.packet_size, seed + 2);
-    let nodes = net.num_nodes();
+    let mut source = OpenLoop::new(&topo, spec, load, cfg.packet_size, seed);
     for _ in 0..cycles {
-        bern.cycle(nodes, |src| {
-            let dst = gen.destination(src);
-            net.generate(src, dst);
-        });
+        source.cycle(|src, dst| net.generate(src, dst));
         net.step();
     }
     net

@@ -16,8 +16,7 @@ const H: usize = 2;
 /// pipelines, LLR replay buffers, fault state, policy and traffic RNGs.
 struct Harness {
     net: Network<Mechanism>,
-    gen: TrafficGen,
-    bern: Bernoulli,
+    source: OpenLoop,
 }
 
 impl Harness {
@@ -62,21 +61,14 @@ impl Harness {
             TrafficSpec::mix2(H)
         };
         let load = if cm { 0.8 } else { 0.3 };
-        let gen = TrafficGen::new(&topo, spec, seed + 1);
-        let bern = Bernoulli::new(load, cfg.packet_size, seed + 2);
-        Self { net, gen, bern }
+        let source = OpenLoop::new(&topo, spec, load, cfg.packet_size, seed);
+        Self { net, source }
     }
 
     fn drive(&mut self, cycles: u64) {
-        let nodes = self.net.num_nodes();
         for _ in 0..cycles {
-            let gen = &mut self.gen;
-            let net = &mut self.net;
-            self.bern.cycle(nodes, |src| {
-                let dst = gen.destination(src);
-                net.generate(src, dst);
-            });
-            net.step();
+            self.source.cycle(|src, dst| self.net.generate(src, dst));
+            self.net.step();
         }
     }
 
@@ -110,8 +102,14 @@ fn assert_resume_bit_exact(kind: MechanismKind, seed: u64, n: u64, m: u64, ber: 
         .net
         .restore_snapshot(&bytes)
         .unwrap_or_else(|e| panic!("{kind}: restore failed: {e}"));
-    resumed.gen.set_rng_state(first.gen.rng_state());
-    resumed.bern.set_rng_state(first.bern.rng_state());
+    resumed
+        .source
+        .gen
+        .set_rng_state(first.source.gen.rng_state());
+    resumed
+        .source
+        .bern
+        .set_rng_state(first.source.bern.rng_state());
     assert_eq!(resumed.net.now(), n, "{kind}: clock not restored");
     resumed.drive(m);
     let got = resumed.signature();
@@ -145,8 +143,14 @@ fn assert_cm_resume_bit_exact(kind: MechanismKind, seed: u64, n: u64, m: u64) {
         .net
         .restore_snapshot(&bytes)
         .unwrap_or_else(|e| panic!("{kind}: restore failed: {e}"));
-    resumed.gen.set_rng_state(first.gen.rng_state());
-    resumed.bern.set_rng_state(first.bern.rng_state());
+    resumed
+        .source
+        .gen
+        .set_rng_state(first.source.gen.rng_state());
+    resumed
+        .source
+        .bern
+        .set_rng_state(first.source.bern.rng_state());
     resumed.drive(m);
     let got = resumed.signature();
 
