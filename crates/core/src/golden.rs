@@ -9,7 +9,8 @@
 //!
 //! Cells: the six mechanisms × {UN, ADV+1} at 0.3 load × seeds {1, 2012}
 //! on h=2 for 1,500 cycles, plus OFAR and MIN on h=4 under UN at 0.1 for
-//! 2,000 cycles and under a closed ADV+1 burst of 20 packets per node.
+//! 2,000 cycles and under a closed ADV+1 burst of 20 packets per node,
+//! plus VAL, PB, PAR and OFAR-L on h=4 under a closed ADV+1 burst of 10.
 
 use crate::run::{burst_net, RunConfig};
 use ofar_engine::{crc32, Network, SimConfig};
@@ -124,6 +125,22 @@ fn cells() -> Vec<Cell> {
             },
         });
     }
+    for kind in [
+        MechanismKind::Valiant,
+        MechanismKind::Pb,
+        MechanismKind::Par,
+        MechanismKind::OfarL,
+    ] {
+        cells.push(Cell {
+            kind,
+            spec: TrafficSpec::adversarial(1),
+            h: 4,
+            seed: 2012,
+            drive: Drive::Burst {
+                packets_per_node: 10,
+            },
+        });
+    }
     cells
 }
 
@@ -228,7 +245,7 @@ mod tests {
     #[test]
     fn table_shape_and_labels() {
         let cells = cells();
-        assert_eq!(cells.len(), 6 * 2 * 2 + 4);
+        assert_eq!(cells.len(), 6 * 2 * 2 + 4 + 4);
         let mut labels: Vec<String> = cells.iter().map(Cell::label).collect();
         labels.sort();
         labels.dedup();
