@@ -6,7 +6,7 @@
 impl Network {
     pub fn step(&mut self) {
         // ofar-lint: phase(route, parallel)
-        for ridx in 0..self.routers.len() {
+        for ridx in 0..self.free.len() {
             self.route_one(ridx);
         }
         // ofar-lint: phase(settle, commit)

@@ -5,7 +5,7 @@
 impl Network {
     pub fn step(&mut self) {
         // ofar-lint: phase(route, parallel)
-        for ridx in 0..self.routers.len() {
+        for ridx in 0..self.free.len() {
             self.free[ridx] -= 1;
         }
         // ofar-lint: phase(settle, commit)
@@ -13,7 +13,7 @@ impl Network {
     }
 
     fn settle(&mut self) {
-        let sum = self.routers.iter().fold(0u64, |acc, r| acc + r.load); // lint:expect(R005)
+        let sum = self.free.iter().fold(0u64, |acc, f| acc + f); // lint:expect(R005)
         self.watermark = sum;
     }
 }

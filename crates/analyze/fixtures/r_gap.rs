@@ -6,7 +6,7 @@ impl Network {
     pub fn step(&mut self) {
         self.cycle += 1; // lint:expect(R004)
         // ofar-lint: phase(route, parallel)
-        for ridx in 0..self.routers.len() {
+        for ridx in 0..self.free.len() {
             self.free[ridx] -= 1;
         }
     }

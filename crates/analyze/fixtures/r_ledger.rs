@@ -8,7 +8,7 @@
 impl Network {
     pub fn step(&mut self) {
         // ofar-lint: phase(route, parallel)
-        for ridx in 0..self.routers.len() {
+        for ridx in 0..self.free.len() {
             self.free[ridx] -= 1;
         }
         // ofar-lint: phase(effect_commit, commit)

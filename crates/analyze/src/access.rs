@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The shard axis a piece of engine state is partitioned over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Axis {
-    /// Partitioned per router (`routers`, CM per-router sensing, …).
+    /// Partitioned per router (the arena, CM per-router sensing, …).
     Router,
     /// Partitioned per NIC/source node (`src_q`, token buckets, …).
     Node,
@@ -161,7 +161,6 @@ pub struct Access {
 /// Fields indexed per router: the bracket group (or sweep) directly
 /// after them names the shard.
 const ROUTER_ROOTS: &[&str] = &[
-    "routers",
     "cong",
     "throttled",
     "free",
@@ -173,6 +172,19 @@ const ROUTER_ROOTS: &[&str] = &[
     // bracket names the router too.
     "router_pkts",
     "port_pkts",
+    // The router arena: `[router × port]` arrays, and per-slot and
+    // per-lane arrays whose bracket names the router through the
+    // fabric's offsets (`fab.in_slot(router, …)`, `fab.router_lanes(…)`).
+    // The FIFOs are reached through methods; their slot argument names
+    // the router the same way.
+    "in_busy",
+    "vc_served_at",
+    "fifos",
+    "queued",
+    "heads",
+    "out_busy",
+    "credits",
+    "in_served_at",
 ];
 
 /// Fields indexed per NIC/source node. `src_pending` is a bitset: node
@@ -187,20 +199,6 @@ const NODE_ROOTS: &[&str] = &["src_q", "inj_busy", "tokens", "src_pending"];
 /// write (R001); the engine files from the serial `effect_commit` phase
 /// and drains from the serial `deliver` phase.
 const LINK_ROOTS: &[&str] = &["llr", "wheel"];
-
-/// Router-interior fields: their own brackets select ports/VCs inside
-/// one shard, so they inherit the index of the path that reached the
-/// router (`store.inputs[p]` stays home).
-const ROUTER_INTRA: &[&str] = &[
-    "inputs",
-    "outputs",
-    "vcs",
-    "credits",
-    "capacity",
-    "busy_until",
-    "vc_served_at",
-    "in_served_at",
-];
 
 /// Per-call allocation scratch — the parallel engine clones these per
 /// worker, so the race rules ignore them.
@@ -553,10 +551,6 @@ impl<'a> Scanner<'a> {
                 index = Index::Unknown;
                 field = name.to_string();
                 shard_root = axis != Axis::Link;
-            } else if ROUTER_INTRA.contains(&name) {
-                // Keep the index that reached the router.
-                class = Some(Class::Sharded(Axis::Router));
-                field = name.to_string();
             } else if SCRATCH.contains(&name) {
                 class = Some(Class::Scratch);
                 field = name.to_string();
@@ -895,7 +889,8 @@ mod tests {
 
     #[test]
     fn home_indexed_write_through_alias() {
-        let a = accesses("let store = &mut self.routers[ridx]; store.outputs[p].credits[v] -= s;");
+        let a =
+            accesses("let lanes = &mut self.arena.credits[fab.router_lanes(ridx)]; lanes[v] -= s;");
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].field, "credits");
         assert_eq!(a[0].class, Class::Sharded(Axis::Router));
@@ -906,7 +901,7 @@ mod tests {
 
     #[test]
     fn foreign_write_by_naming_convention() {
-        let a = one("self.routers[up_r].outputs[up_p].credits[v] += x;");
+        let a = one("self.arena.credits[fab.out_lane(up_r, up_p, v)] += x;");
         assert_eq!(a.index, Index::Foreign);
         assert!(a.write);
         assert_eq!(a.field, "credits");
@@ -915,13 +910,28 @@ mod tests {
     #[test]
     fn sweep_alias_from_enumerate() {
         let a = accesses(
-            "for (ridx, router) in self.routers.iter_mut().enumerate() \
-             { router.inputs[p].vcs[v].pop(s); }",
+            "for (ridx, ports) in self.arena.in_busy.chunks_mut(n).enumerate() \
+             { ports[p] = now; }",
         );
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].index, Index::Sweep);
-        assert_eq!(a[0].field, "vcs");
+        assert_eq!(a[0].field, "in_busy");
         assert!(a[0].write);
+    }
+
+    /// The arena's FIFOs expose no bracket: like the link roots, the
+    /// shard comes from the method's slot argument.
+    #[test]
+    fn fifo_method_takes_index_from_the_slot_argument() {
+        let home = one("self.arena.fifos.pop(fab.in_slot(router, in_port, vc));");
+        assert_eq!(home.field, "fifos");
+        assert_eq!(home.class, Class::Sharded(Axis::Router));
+        assert_eq!(home.index, Index::Home);
+        assert!(home.write);
+        let foreign = one("self.arena.fifos.push(dst_slot, pkt, cap);");
+        assert_eq!(foreign.index, Index::Foreign);
+        let head = one("self.arena.fifos.heads[fab.in_slot(router, p, v)].wait = 0;");
+        assert_eq!((head.field.as_str(), head.index), ("heads", Index::Home));
     }
 
     #[test]
@@ -1011,7 +1021,9 @@ mod tests {
 
     #[test]
     fn struct_literal_field_names_do_not_trigger_aliases() {
-        let a = accesses("let router = &mut self.routers[ridx]; take(E { router: up, port: p });");
+        let a = accesses(
+            "let router = &mut self.arena.in_busy[ridx * n..]; take(E { router: up, port: p });",
+        );
         // Only the struct-literal value idents appear; `router:` is a
         // field name, not the alias.
         assert!(a.is_empty(), "{a:?}");
@@ -1025,7 +1037,9 @@ mod tests {
 
     #[test]
     fn alias_passed_as_argument_is_a_read() {
-        let a = accesses("let store = &self.routers[ridx]; eligible(store, req);");
+        let a = accesses(
+            "let lanes = &self.arena.credits[fab.router_lanes(ridx)]; eligible(lanes, req);",
+        );
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].op, Op::Read);
         assert_eq!(a[0].index, Index::Home);

@@ -755,11 +755,11 @@ mod tests {
                     self.commit_effects(now);
                 }
                 fn route(&mut self, ridx: usize, now: u64) {
-                    self.routers[ridx].outputs[p].credits[v] -= s;
+                    self.arena.credits[fab.out_lane(ridx, p, v)] -= s;
                     self.stats.delivered += 1;
                 }
                 fn commit_effects(&mut self, now: u64) {
-                    self.routers[up_r].outputs[up_p].credits[v] += s;
+                    self.arena.credits[fab.out_lane(up_r, up_p, v)] += s;
                 }
             }
         "#);
@@ -780,7 +780,7 @@ mod tests {
                     self.route(now);
                 }
                 fn route(&mut self, now: u64) {
-                    self.routers[desc.up_router as usize].outputs[p].credits[v] += x;
+                    self.arena.credits[fab.out_lane(desc.up_router, p, v)] += x;
                 }
             }
         "#);
@@ -796,8 +796,8 @@ mod tests {
                     self.route(ridx, now);
                 }
                 fn route(&mut self, ridx: usize, now: u64) {
-                    self.routers[ridx].outputs[p].credits[v] -= s;
-                    let free = self.routers[up_r].outputs[up_p].credits[v];
+                    self.arena.credits[fab.out_lane(ridx, p, v)] -= s;
+                    let free = self.arena.credits[fab.out_lane(up_r, up_p, v)];
                 }
             }
         "#);
@@ -874,7 +874,7 @@ mod tests {
                     self.audit(now);
                 }
                 fn audit(&mut self, now: u64) {
-                    let t = self.routers.iter().fold(0u64, |a, r| a ^ h(r));
+                    let t = self.arena.credits.iter().fold(0u64, |a, c| a ^ h(c));
                 }
             }
         "#);

@@ -31,7 +31,7 @@ fn shape(a: &Access) -> (String, Class, Index, Op, bool) {
 }
 
 /// An identifier that cannot collide with the classifier's name tables:
-/// nothing in the root/intra/scratch/sink tables, `HOME_IDENTS`, or the
+/// nothing in the root/scratch/sink tables, `HOME_IDENTS`, or the
 /// `up_`/`dst_` foreign prefixes starts with `zz`.
 fn fresh(raw: u64, tag: char) -> String {
     format!("zz{raw:x}{tag}")
@@ -40,14 +40,14 @@ fn fresh(raw: u64, tag: char) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Renaming a `&mut` alias of a home-indexed router must keep the
-    /// write home-classified on the same field, whatever the alias is
-    /// called.
+    /// Renaming a `&mut` alias of a router's home-indexed arena span
+    /// must keep the write home-classified on the same field, whatever
+    /// the alias is called.
     #[test]
     fn alias_rename_preserves_home_write(raw in 0u64..u64::MAX) {
         let name = fresh(raw, 'a');
         let body = format!(
-            "let {name} = &mut self.routers[ridx]; {name}.outputs[p].credits[v] -= s;"
+            "let {name} = &mut self.arena.credits[fab.router_lanes(ridx)]; {name}[v] -= s;"
         );
         let got: Vec<_> = accesses(&body).iter().map(shape).collect();
         prop_assert_eq!(
@@ -62,24 +62,24 @@ proptest! {
         );
     }
 
-    /// Renaming both binders of an `iter_mut().enumerate()` sweep must
+    /// Renaming both binders of a `chunks_mut().enumerate()` sweep must
     /// keep the access a sweep: the binder names are the user's choice,
     /// the sweep classification comes from the iteration shape.
     #[test]
     fn sweep_binder_rename_preserves_sweep(raw in 0u64..u64::MAX) {
         let (idx, row) = (fresh(raw, 'a'), fresh(raw, 'b'));
         let body = format!(
-            "for ({idx}, {row}) in self.routers.iter_mut().enumerate() \
-             {{ {row}.inputs[p].vcs[v].pop(s); }}"
+            "for ({idx}, {row}) in self.arena.in_busy.chunks_mut(n).enumerate() \
+             {{ {row}[p] = now; }}"
         );
         let got: Vec<_> = accesses(&body).iter().map(shape).collect();
         prop_assert_eq!(
             got,
             vec![(
-                "vcs".to_string(),
+                "in_busy".to_string(),
                 Class::Sharded(Axis::Router),
                 Index::Sweep,
-                Op::Method,
+                Op::Assign,
                 true
             )]
         );
@@ -132,10 +132,10 @@ proptest! {
     fn unknown_index_never_classifies_home(raw in 0u64..u64::MAX) {
         let name = fresh(raw, 'a');
         for body in [
-            format!("self.routers[{name}].outputs[p].credits[v] -= s;"),
+            format!("self.arena.credits[fab.out_lane({name}, p, v)] -= s;"),
             format!("self.src_q[{name}].pop_front();"),
             format!("self.free[{name} + 1] += x;"),
-            format!("let q = &mut self.routers[{name}]; q.inputs[p].vcs[v].pop(s);"),
+            format!("self.arena.fifos.pop(fab.in_slot({name}, p, v));"),
         ] {
             let got = accesses(&body);
             prop_assert_eq!(got.len(), 1, "one access in {}: {:?}", body, got);
@@ -160,7 +160,7 @@ proptest! {
     fn foreign_prefix_dominates(raw in 0u64..u64::MAX) {
         let suffix = format!("{raw:x}");
         let one = accesses(&format!(
-            "self.routers[up_{suffix}].outputs[p].credits[v] += x;"
+            "self.arena.credits[fab.out_lane(up_{suffix}, p, v)] += x;"
         ));
         prop_assert_eq!(one.len(), 1);
         prop_assert_eq!(one[0].index, Index::Foreign);

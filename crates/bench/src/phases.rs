@@ -2,7 +2,7 @@
 //! `phases` experiment that reads it.
 
 use crate::{emit, start};
-use ofar_core::engine::{Fabric, Hooks, Phase};
+use ofar_core::engine::{Fabric, Hooks, Phase, RouteMark};
 use ofar_core::prelude::*;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -12,10 +12,39 @@ use std::time::{Duration, Instant};
 /// [`Hooks::phase`] call closes the previous phase's span and opens the
 /// next. The driver calls [`Self::stop`] after every `step`, so the time
 /// it spends generating traffic is not charged to `policy_end`.
+///
+/// Inside `route`, each [`Hooks::route_mark`] likewise closes one part
+/// of a router's turn and opens the next; the last part of a turn runs
+/// to the next router's first mark, so the loop's skip over routers with
+/// nothing buffered is charged to it.
 #[derive(Debug, Default)]
 pub struct PhaseTimer {
     open: Option<(Phase, Instant)>,
     spent: [Duration; Phase::ALL.len()],
+    route: RouteParts,
+}
+
+/// The `route` phase by part: host time in request collection, the
+/// allocator's iterations and grant execution, and what each produced.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RouteParts {
+    open: Option<(usize, Instant)>,
+    /// Host time in collection, allocation and execution.
+    pub spent: [Duration; 3],
+    /// `Policy::route` calls made.
+    pub polled: u64,
+    /// Requests that went on to allocation.
+    pub kept: u64,
+    /// Requests the allocator matched.
+    pub grants: u64,
+}
+
+impl RouteParts {
+    fn close(&mut self, now: Instant) {
+        if let Some((part, since)) = self.open.take() {
+            self.spent[part] += now - since;
+        }
+    }
 }
 
 impl PhaseTimer {
@@ -30,15 +59,40 @@ impl PhaseTimer {
     pub fn spent(&self, phase: Phase) -> Duration {
         self.spent[phase as usize]
     }
+
+    /// The split of the `route` phase so far.
+    pub fn route(&self) -> &RouteParts {
+        &self.route
+    }
 }
 
 impl Hooks for PhaseTimer {
     #[inline]
     fn phase(&mut self, phase: Phase) {
         let now = Instant::now();
+        self.route.close(now);
         if let Some((prev, since)) = self.open.replace((phase, now)) {
             self.spent[prev as usize] += now - since;
         }
+    }
+
+    #[inline]
+    fn route_mark(&mut self, mark: RouteMark) {
+        let now = Instant::now();
+        self.route.close(now);
+        let part = match mark {
+            RouteMark::Collect => 0,
+            RouteMark::Allocate { polled, kept } => {
+                self.route.polled += polled as u64;
+                self.route.kept += kept as u64;
+                1
+            }
+            RouteMark::Execute { grants } => {
+                self.route.grants += grants as u64;
+                2
+            }
+        };
+        self.route.open = Some((part, now));
     }
 }
 
@@ -91,20 +145,33 @@ fn measure(scale: &Scale, kind: MechanismKind, point: Option<f64>) -> (u64, u64,
 /// `Network::step`, split over the nine declared phases by a
 /// [`PhaseTimer`] hook, for OFAR and MIN at three operating points —
 /// UN at 0.1 (nearly idle), UN at 0.5 (the knee) and a closed ADV+1
-/// burst (saturated). Timing, so read it on a quiet machine; the
-/// simulated columns (cycles, delivered) repeat exactly.
+/// burst (saturated) — then the `route` phase again by part, with the
+/// heads polled, requests kept and grants made per cycle. Timing, so
+/// read it on a quiet machine (the route marks cost three clock reads
+/// per router turn, charged to `route`); the simulated columns (cycles,
+/// delivered, the three counts) repeat exactly.
 pub(crate) fn phases(args: &[String]) -> ExitCode {
     let scale = start("phases", args);
     let mut header = vec!["mechanism", "operating point", "cycles", "delivered"];
     header.extend(Phase::ALL.map(Phase::name));
     header.push("total");
-    let mut t = Table::new(
-        format!(
-            "Host time per Network::step by phase, µs (h={}, {} routers)",
-            scale.h,
-            scale.cfg().params.routers()
-        ),
+    let size = format!("h={}, {} routers", scale.h, scale.cfg().params.routers());
+    let mut by_phase = Table::new(
+        format!("Host time per Network::step by phase, µs ({size})"),
         &header,
+    );
+    let mut by_part = Table::new(
+        format!("The route phase by part, µs and counts per step ({size})"),
+        &[
+            "mechanism",
+            "operating point",
+            "collect",
+            "allocate",
+            "execute",
+            "heads polled",
+            "requests kept",
+            "grants",
+        ],
     );
     for kind in [MechanismKind::Ofar, MechanismKind::Min] {
         for (label, point) in [
@@ -113,19 +180,25 @@ pub(crate) fn phases(args: &[String]) -> ExitCode {
             ("ADV+1 burst", None),
         ] {
             let (cycles, delivered, timer) = measure(&scale, kind, point);
-            let us = |d: std::time::Duration| d.as_secs_f64() * 1e6 / cycles as f64;
+            let us = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1e6 / cycles as f64);
+            let per_step = |n: u64| format!("{:.1}", n as f64 / cycles as f64);
             let mut row = vec![
                 kind.name().to_string(),
                 label.to_string(),
                 cycles.to_string(),
                 delivered.to_string(),
             ];
-            row.extend(Phase::ALL.map(|p| format!("{:.1}", us(timer.spent(p)))));
-            let total: std::time::Duration = Phase::ALL.iter().map(|&p| timer.spent(p)).sum();
-            row.push(format!("{:.1}", us(total)));
-            t.push(row);
+            row.extend(Phase::ALL.map(|p| us(timer.spent(p))));
+            row.push(us(Phase::ALL.iter().map(|&p| timer.spent(p)).sum()));
+            by_phase.push(row);
+            let route = timer.route();
+            let mut row = vec![kind.name().to_string(), label.to_string()];
+            row.extend(route.spent.map(us));
+            row.extend([route.polled, route.kept, route.grants].map(per_step));
+            by_part.push(row);
         }
     }
-    emit(&t);
+    emit(&by_phase);
+    emit(&by_part);
     ExitCode::SUCCESS
 }

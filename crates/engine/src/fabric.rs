@@ -47,8 +47,21 @@ pub struct OutLink {
     pub dst_port: u16,
     /// Link latency in cycles (0 for ejection).
     pub latency: u32,
-    /// Downstream VC count (mirrors the input port's VC count).
+    /// Downstream VC count (mirrors the input port's VC count) — one
+    /// credit lane each. 0 for ejection ports: the node is an infinite
+    /// sink.
     pub vcs: u8,
+    /// Arena index of the credit lane of downstream VC 0; the port's
+    /// lanes are consecutive (see [`Fabric::out_lane`]).
+    pub lane: u32,
+}
+
+impl OutLink {
+    /// The arena indices of this output's credit lanes, by VC.
+    #[inline]
+    pub fn lanes(&self) -> std::ops::Range<usize> {
+        self.lane as usize..self.lane as usize + self.vcs as usize
+    }
 }
 
 /// Input-port descriptor.
@@ -65,6 +78,17 @@ pub struct InDesc {
     pub up_port: u16,
     /// Upstream link latency (credit return delay), 0 for injection.
     pub latency: u32,
+    /// Arena index of VC 0; the port's VC slots are consecutive (see
+    /// [`Fabric::in_slot`]).
+    pub slot: u32,
+}
+
+impl InDesc {
+    /// The arena indices of this input's VC slots, by VC.
+    #[inline]
+    pub fn slots(&self) -> std::ops::Range<usize> {
+        self.slot as usize..self.slot as usize + self.vcs as usize
+    }
 }
 
 /// The escape output of a router for one ring: which output port and VC
@@ -94,6 +118,12 @@ pub struct Fabric {
     /// Per (router, input port): `(ring index, escape VC)` when the port
     /// is a ring landing; ring index −1 otherwise.
     ring_landing: Vec<(i8, u8)>,
+    /// Buffer capacity of each input VC slot, in phits.
+    slot_caps: Vec<u32>,
+    /// Per credit lane, the capacity of the downstream VC buffer it
+    /// meters: the credit ceiling. Static, so the mutable state is the
+    /// credit counter alone.
+    lane_caps: Vec<u32>,
 }
 
 impl Fabric {
@@ -153,42 +183,24 @@ impl Fabric {
             n_out,
             n_canonical,
             out_links: Vec::with_capacity(nr * n_out),
-            in_descs: vec![
-                InDesc {
-                    kind: PortKind::Node,
-                    vcs: 0,
-                    up_router: u32::MAX,
-                    up_port: 0,
-                    latency: 0,
-                };
-                nr * n_in
-            ],
+            in_descs: Vec::with_capacity(nr * n_in),
             escapes: Vec::with_capacity(nr * k),
             ring_landing: vec![(-1, 0); nr * n_in],
+            slot_caps: Vec::new(),
+            lane_caps: Vec::new(),
         };
 
-        // Base VC counts per input kind.
-        let base_vcs = |kind: PortKind| -> u8 {
-            match kind {
-                PortKind::Node => cfg.vcs_injection as u8,
-                PortKind::Local => cfg.vcs_local as u8,
-                PortKind::Global => cfg.vcs_global as u8,
-                PortKind::Ring => cfg.vcs_ring as u8,
-            }
-        };
-
-        // 1. Input descriptors (upstream info filled below).
-        for r in 0..nr {
-            for port in 0..n_in {
-                let kind = fab.in_kind(port);
-                fab.in_descs[r * n_in + port] = InDesc {
-                    kind,
-                    vcs: base_vcs(kind),
-                    up_router: u32::MAX,
-                    up_port: 0,
-                    latency: 0,
-                };
-            }
+        // 1. Input descriptors (upstream info and slots filled below).
+        for i in 0..nr * n_in {
+            let kind = fab.in_kind(i % n_in);
+            fab.in_descs.push(InDesc {
+                kind,
+                vcs: fab.base_vcs(kind) as u8,
+                up_router: u32::MAX,
+                up_port: 0,
+                latency: 0,
+                slot: 0,
+            });
         }
 
         // Ring landings: in the embedded model the landing input of each
@@ -216,11 +228,33 @@ impl Fabric {
             }
         }
 
-        // 2. Output links.
+        // Slot addressing: the VC counts are final, so number the input
+        // VC slots router by router, port by port. An embedded escape VC
+        // is the extra, last VC of a canonical port and uses `buf_ring`.
+        for i in 0..nr * n_in {
+            let kind = fab.in_descs[i].kind;
+            let buf = match kind {
+                PortKind::Node => cfg.buf_injection,
+                PortKind::Local => cfg.buf_local,
+                PortKind::Global => cfg.buf_global,
+                PortKind::Ring => cfg.buf_ring,
+            };
+            fab.in_descs[i].slot = fab.slot_caps.len() as u32;
+            for vc in 0..fab.in_descs[i].vcs as usize {
+                let escape = vc >= fab.base_vcs(kind);
+                let cap = if escape { cfg.buf_ring } else { buf };
+                fab.slot_caps.push(cap as u32);
+            }
+        }
+
+        // 2. Output links, their credit lanes numbered the same way.
         for r in 0..nr {
             let rid = RouterId::from(r);
             for port in 0..n_out {
                 let link = fab.build_out_link(rid, port);
+                let dst = fab.in_desc(RouterId::new(link.dst_router), link.dst_port as usize);
+                let slots = dst.slot as usize..dst.slot as usize + link.vcs as usize;
+                fab.lane_caps.extend_from_slice(&fab.slot_caps[slots]);
                 fab.out_links.push(link);
             }
         }
@@ -282,7 +316,10 @@ impl Fabric {
         }
     }
 
+    /// The link out of (`r`, `port`), its lanes starting at the next
+    /// unnumbered one.
     fn build_out_link(&self, r: RouterId, port: usize) -> OutLink {
+        let lane = self.lane_caps.len() as u32;
         let p = self.cfg.params.p;
         let a = self.cfg.params.a;
         let h = self.cfg.params.h;
@@ -292,7 +329,8 @@ impl Fabric {
                 dst_router: r.0,
                 dst_port: 0,
                 latency: 0,
-                vcs: 1,
+                vcs: 0,
+                lane,
             };
         }
         let port_rel = port - p;
@@ -306,6 +344,7 @@ impl Fabric {
                 dst_port: dst_port as u16,
                 latency: self.cfg.lat_local as u32,
                 vcs,
+                lane,
             };
         }
         let k = port_rel - (a - 1);
@@ -319,6 +358,7 @@ impl Fabric {
                 dst_port: dst_port as u16,
                 latency: self.cfg.lat_global as u32,
                 vcs,
+                lane,
             };
         }
         // Physical ring output `j`: to the next router along ring `j`.
@@ -337,6 +377,7 @@ impl Fabric {
             dst_port: (self.n_canonical + j) as u16,
             latency,
             vcs: self.cfg.vcs_ring as u8,
+            lane,
         }
     }
 
@@ -429,34 +470,81 @@ impl Fabric {
         &self.out_links[router.idx() * self.n_out + port]
     }
 
+    /// The resolved output links of `router`, by port.
+    #[inline]
+    pub fn out_links(&self, router: RouterId) -> &[OutLink] {
+        &self.out_links[router.idx() * self.n_out..][..self.n_out]
+    }
+
     /// The input-port descriptor of (`router`, `port`).
     #[inline]
     pub fn in_desc(&self, router: RouterId, port: usize) -> &InDesc {
         &self.in_descs[router.idx() * self.n_in + port]
     }
 
-    /// Per-VC buffer capacity (phits) of an input port, by VC index
-    /// (escape VCs use `buf_ring`).
+    /// The input-port descriptors of `router`, by port.
     #[inline]
-    pub fn in_capacity(&self, router: RouterId, port: usize, vc: usize) -> usize {
+    pub fn in_descs(&self, router: RouterId) -> &[InDesc] {
+        &self.in_descs[router.idx() * self.n_in..][..self.n_in]
+    }
+
+    /// The input VC slots of `router`'s inputs.
+    #[inline]
+    pub fn router_slots(&self, router: RouterId) -> std::ops::Range<usize> {
+        let descs = self.in_descs(router);
+        descs[0].slot as usize..descs[self.n_in - 1].slots().end
+    }
+
+    /// Arena index of VC `vc` of input (`router`, `port`): slots are
+    /// numbered router by router, port by port, VC by VC, so one
+    /// router's are consecutive.
+    #[inline]
+    pub fn in_slot(&self, router: RouterId, port: usize, vc: usize) -> usize {
         let d = self.in_desc(router, port);
-        let base = match d.kind {
-            PortKind::Node => self.cfg.buf_injection,
-            PortKind::Local => self.cfg.buf_local,
-            PortKind::Global => self.cfg.buf_global,
-            PortKind::Ring => self.cfg.buf_ring,
-        };
-        // The embedded escape VC is the extra, last VC of a canonical port.
-        let base_vcs = match d.kind {
+        // lint:allow(P001, in a flat array a VC the port lacks would alias its neighbour; the bounds check the per-port vectors had)
+        assert!(vc < d.vcs as usize, "input {port} has no VC {vc}");
+        d.slot as usize + vc
+    }
+
+    /// Arena index of the credit lane of output (`router`, `port`) for
+    /// downstream VC `vc`, numbered like [`Self::in_slot`]. Ejection
+    /// ports have no lanes.
+    #[inline]
+    pub fn out_lane(&self, router: RouterId, port: usize, vc: usize) -> usize {
+        let link = self.out_link(router, port);
+        // lint:allow(P001, in a flat array a VC the port lacks would alias its neighbour; the bounds check the per-port vectors had)
+        assert!(vc < link.vcs as usize, "output {port} has no VC {vc}");
+        link.lane as usize + vc
+    }
+
+    /// The credit lanes of `router`'s outputs.
+    #[inline]
+    pub fn router_lanes(&self, router: RouterId) -> std::ops::Range<usize> {
+        let links = self.out_links(router);
+        links[0].lane as usize..links[self.n_out - 1].lanes().end
+    }
+
+    /// Buffer capacity of every input VC slot, in phits.
+    #[inline]
+    pub fn slot_caps(&self) -> &[u32] {
+        &self.slot_caps
+    }
+
+    /// Capacity behind every credit lane: the far end's [`Self::slot_caps`].
+    #[inline]
+    pub fn lane_caps(&self) -> &[u32] {
+        &self.lane_caps
+    }
+
+    /// VC count of an input of class `kind`, before any embedded
+    /// escape VC.
+    #[inline]
+    pub fn base_vcs(&self, kind: PortKind) -> usize {
+        match kind {
             PortKind::Node => self.cfg.vcs_injection,
             PortKind::Local => self.cfg.vcs_local,
             PortKind::Global => self.cfg.vcs_global,
             PortKind::Ring => self.cfg.vcs_ring,
-        };
-        if d.kind != PortKind::Ring && vc >= base_vcs {
-            self.cfg.buf_ring
-        } else {
-            base
         }
     }
 
@@ -536,25 +624,52 @@ mod tests {
         }
     }
 
+    /// Out-links mirror the input they land on; slots and lanes number
+    /// their `(router, port, vc)` triples exactly once, in order; only
+    /// ejection outputs have no lanes; a lane's capacity is its far end's.
     #[test]
-    fn out_links_mirror_in_descs() {
-        for ring in [RingMode::None, RingMode::Physical, RingMode::Embedded] {
-            let fab = Fabric::new(SimConfig::paper(2).with_ring(ring));
-            for r in 0..fab.topo().num_routers() {
-                let rid = RouterId::from(r);
-                for port in 0..fab.n_out() {
-                    let link = fab.out_link(rid, port);
-                    if link.kind == PortKind::Node {
-                        assert_eq!(link.dst_router, rid.0);
-                        continue;
+    fn out_links_mirror_in_descs_and_offsets_cover_every_vc_once() {
+        for h in [2, 4] {
+            for ring in [RingMode::None, RingMode::Physical, RingMode::Embedded] {
+                let fab = Fabric::new(SimConfig::paper(h).with_ring(ring));
+                let (mut slot, mut lane) = (0, 0);
+                for r in (0..fab.topo().num_routers()).map(RouterId::from) {
+                    assert_eq!(fab.router_slots(r).start, slot);
+                    assert_eq!(fab.router_lanes(r).start, lane);
+                    for port in 0..fab.n_in() {
+                        for vc in 0..fab.in_desc(r, port).vcs as usize {
+                            assert_eq!(fab.in_slot(r, port, vc), slot);
+                            slot += 1;
+                        }
                     }
-                    let d = fab.in_desc(RouterId::new(link.dst_router), link.dst_port as usize);
-                    assert_eq!(d.kind, link.kind, "r={r} port={port}");
-                    assert_eq!(d.vcs, link.vcs, "r={r} port={port}");
-                    assert_eq!(d.up_router, rid.0, "r={r} port={port}");
-                    assert_eq!(d.up_port as usize, port, "r={r} port={port}");
-                    assert_eq!(d.latency, link.latency);
+                    for (port, link) in fab.out_links(r).iter().enumerate() {
+                        if link.kind == PortKind::Node {
+                            assert_eq!((link.dst_router, link.vcs), (r.0, 0));
+                            continue;
+                        }
+                        let d = fab.in_desc(RouterId::new(link.dst_router), link.dst_port as usize);
+                        assert_eq!(
+                            (d.kind, d.vcs, d.latency),
+                            (link.kind, link.vcs, link.latency)
+                        );
+                        assert_eq!(
+                            (d.up_router, d.up_port as usize),
+                            (r.0, port),
+                            "{r} port {port}"
+                        );
+                        for vc in 0..link.vcs as usize {
+                            assert_eq!(fab.out_lane(r, port, vc), lane);
+                            assert_eq!(
+                                fab.lane_caps()[lane],
+                                fab.slot_caps()[d.slot as usize + vc]
+                            );
+                            lane += 1;
+                        }
+                    }
+                    assert_eq!(fab.router_slots(r).end, slot);
+                    assert_eq!(fab.router_lanes(r).end, lane);
                 }
+                assert_eq!((slot, lane), (fab.slot_caps().len(), fab.lane_caps().len()));
             }
         }
     }
@@ -571,16 +686,12 @@ mod tests {
             let rid = RouterId::from(r);
             for port in 0..fab.n_in() {
                 let d = fab.in_desc(rid, port);
-                let base = match d.kind {
-                    PortKind::Node => cfg.vcs_injection,
-                    PortKind::Local => cfg.vcs_local,
-                    PortKind::Global => cfg.vcs_global,
-                    PortKind::Ring => cfg.vcs_ring,
-                };
+                let base = fab.base_vcs(d.kind);
                 if d.vcs as usize == base + 1 {
                     extra += 1;
                     // escape VC uses the ring buffer size
-                    assert_eq!(fab.in_capacity(rid, port, base), cfg.buf_ring);
+                    let cap = fab.slot_caps()[fab.in_slot(rid, port, base)];
+                    assert_eq!(cap as usize, cfg.buf_ring);
                     assert_eq!(fab.ring_of_input(rid, port, base), Some(0));
                     assert_eq!(fab.ring_of_input(rid, port, 0), None);
                 } else {

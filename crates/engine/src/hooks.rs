@@ -20,10 +20,10 @@
 //! * `ofar_mutate::Mutated` overrides both halves: it owns an `Auditor`
 //!   for the observation half and answers the six perturbation points
 //!   from one seeded [`EngineMutation`](crate::mutation::EngineMutation).
-//! * `ofar_bench::PhaseTimer` overrides only [`Hooks::phase`], the call
-//!   at each of the nine phase markers of `step`, to attribute host time
-//!   to phases (the wall clock is banned from this crate, so the timer
-//!   lives with the bench driver).
+//! * `ofar_bench::PhaseTimer` overrides [`Hooks::phase`] and
+//!   [`Hooks::route_mark`], the calls at the nine phase markers of `step`
+//!   and inside a router's `route` turn, to attribute host time (the wall
+//!   clock is banned from this crate; the timer lives with the bench driver).
 //!
 //! Hook state is instrumentation, never simulation state: it is outside
 //! snapshots, and a `NoHooks` run and an `Auditor` run of the same seed
@@ -86,6 +86,21 @@ impl Phase {
     }
 }
 
+/// Where one router's turn in the `route` phase stands: each mark ends
+/// the part before it and starts the one it names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RouteMark {
+    /// Request collection: one `Policy::route` call per head-of-VC packet.
+    Collect,
+    /// The allocator's iterations, after collection made `polled` calls
+    /// and kept `kept` requests.
+    #[allow(missing_docs)]
+    Allocate { polled: usize, kept: usize },
+    /// Grant execution, of the `grants` requests the allocator matched.
+    #[allow(missing_docs)]
+    Execute { grants: usize },
+}
+
 /// Observation and perturbation points of [`Network::step`](crate::Network::step).
 ///
 /// The defaults are the uninstrumented engine; see the module docs for
@@ -117,6 +132,10 @@ pub trait Hooks {
     /// has ended) — the per-phase ledger's timer hangs here.
     #[inline]
     fn phase(&mut self, _phase: Phase) {}
+
+    /// A router's `route` turn reached `mark`: the ledger's split of `route`.
+    #[inline]
+    fn route_mark(&mut self, _mark: RouteMark) {}
 
     /// Whether the whole-network deep checks should run at the end of
     /// `cycle`.

@@ -26,8 +26,8 @@
 
 #![warn(missing_docs)]
 
+mod arena;
 pub mod audit;
-pub mod buffer;
 pub mod config;
 pub mod fabric;
 pub mod fault;
@@ -39,7 +39,6 @@ mod occupancy;
 pub mod packet;
 pub mod policy;
 pub mod probe;
-pub mod router;
 pub mod schedule;
 pub mod snapshot;
 pub mod stats;
@@ -49,7 +48,7 @@ pub use audit::{AuditReport, AuditViolation, Auditor};
 pub use config::{ConfigError, RingMode, SimConfig};
 pub use fabric::{EscapeOut, Fabric, InDesc, OutLink, PortKind};
 pub use fault::{random_global_links, FaultEvent, FaultKind, FaultPlan, FaultState};
-pub use hooks::{Hooks, NoHooks, Phase};
+pub use hooks::{Hooks, NoHooks, Phase, RouteMark};
 pub use llr::{crc32, Fate, Llr, RxVerdict};
 pub use mutation::EngineMutation;
 pub use network::Network;

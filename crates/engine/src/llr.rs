@@ -697,22 +697,13 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ofar_topology::{GroupId, NodeId};
+    use ofar_topology::NodeId;
 
     fn pkt(id: u64) -> Packet {
         Packet {
             id,
-            injected_at: 0,
-            src: NodeId::new(0),
             dst: NodeId::new(1),
-            intermediate: None,
-            flags: 0,
-            ring_exits_left: 0,
-            local_hops: 0,
-            global_hops: 0,
-            ring_hops: 0,
-            wait: 0,
-            cur_group: GroupId::new(0),
+            ..Packet::default()
         }
     }
 

@@ -10,18 +10,18 @@
 //! * routing decisions taken at the head of each input VC and revisited
 //!   every cycle until the packet is granted.
 
+use crate::arena::Arena;
 use crate::audit::{AuditReport, AuditViolation};
 use crate::config::SimConfig;
 use crate::fabric::{Fabric, PortKind};
 use crate::fault::{FaultKind, FaultPlan, FaultState};
-use crate::hooks::{Hooks, NoHooks, Phase};
+use crate::hooks::{Hooks, NoHooks, Phase, RouteMark};
 use crate::llr::{Fate, Llr, RxVerdict};
 use crate::occupancy::Occupancy;
 use crate::packet::{
     Packet, Request, RequestKind, FLAG_GLOBAL_MISROUTED, FLAG_LOCAL_MISROUTED, FLAG_ON_RING,
 };
 use crate::policy::{InputCtx, NetSnapshot, Policy, RouterView};
-use crate::router::RouterStore;
 use crate::schedule::ShardSchedule;
 use crate::stats::Stats;
 use crate::wheel::{Arrival, Backlog, Credit, Wheel};
@@ -74,7 +74,8 @@ fn effect_order_key(e: &Effect) -> u64 {
 /// [`Hooks`] — [`NoHooks`] unless built through [`Self::with_hooks`].
 pub struct Network<P: Policy, H: Hooks = NoHooks> {
     fab: Fabric,
-    routers: Vec<RouterStore>,
+    /// Every router's mutable port and VC state (see [`crate::arena`]).
+    arena: Arena,
     policy: P,
     now: u64,
     next_id: u64,
@@ -87,7 +88,7 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     /// landing cycle (see [`crate::wheel`]).
     wheel: Wheel,
     /// Where the buffered packets and waiting sources are (see
-    /// [`crate::occupancy`]); derived from `routers` and `src_q`.
+    /// [`crate::occupancy`]); derived from `arena.fifos` and `src_q`.
     occ: Occupancy,
     stats: Stats,
     /// Optional per-delivery log: (generation cycle, latency).
@@ -222,19 +223,16 @@ impl CmState {
         }
     }
 
-    /// Recompute the incremental credit sums from the routers' actual
-    /// credit state. Called at construction and after a snapshot restore;
+    /// Recompute the incremental credit sums from the actual per-lane
+    /// `credits`. Called at construction and after a snapshot restore;
     /// between calls the three credit-mutation sites keep `free` exact.
-    fn rebuild_free(&mut self, routers: &[RouterStore]) {
-        for (ridx, store) in routers.iter().enumerate() {
-            let mut cap_sum = 0u64;
-            let mut free = 0u64;
-            for out in &store.outputs {
-                cap_sum += out.capacity.iter().map(|&c| u64::from(c)).sum::<u64>();
-                free += out.credits.iter().map(|&c| u64::from(c)).sum::<u64>();
-            }
+    fn rebuild_free(&mut self, fab: &Fabric, credits: &[u32]) {
+        let sum = |lanes: &[u32]| lanes.iter().map(|&c| u64::from(c)).sum::<u64>();
+        for ridx in 0..self.free.len() {
+            let lanes = fab.router_lanes(RouterId::from(ridx));
+            let cap_sum = sum(&fab.lane_caps()[lanes.clone()]);
             self.cap_sum[ridx] = cap_sum;
-            self.free[ridx] = free;
+            self.free[ridx] = sum(&credits[lanes]);
             debug_assert!(
                 cap_sum < 1 << 17,
                 "cap_sum {cap_sum} outside the reciprocal exactness bound"
@@ -289,15 +287,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         );
         let nr = fab.topo().num_routers();
         let nodes = fab.topo().num_nodes();
-        let routers: Vec<RouterStore> = (0..nr)
-            .map(|r| RouterStore::new(&fab, RouterId::from(r)))
-            .collect();
+        let arena = Arena::new(&fab);
         let n_in = fab.n_in();
         let n_out = fab.n_out();
         let llr = (fab.cfg().ber > 0.0).then(|| Llr::new(&fab, fab.cfg().seed));
         let cm = fab.cfg().cm_enabled.then(|| {
             let mut cm = CmState::new(fab.cfg(), nodes, nr);
-            cm.rebuild_free(&routers);
+            cm.rebuild_free(&fab, &arena.credits);
             cm
         });
         let mut stats = Stats::default();
@@ -309,7 +305,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         Self {
             wheel: Wheel::new(&fab, 0),
             occ: Occupancy::empty(nr, n_in, nodes),
-            routers,
+            arena,
             policy,
             now: 0,
             next_id: 0,
@@ -409,39 +405,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         crate::stats::jain_index(&self.delivered_per_src)
     }
 
-    /// Whether the congestion-management layer is active.
-    #[inline]
-    pub fn cm_active(&self) -> bool {
-        self.cm.is_some()
-    }
-
-    /// Current token-bucket level of `node`'s NIC, in phits (0 when CM
-    /// is disabled).
-    pub fn cm_bucket_phits(&self, node: NodeId) -> f64 {
-        self.cm
-            .as_ref()
-            .map(|cm| f64::from(cm.tokens[node.idx()]) / f64::from(CM_TOKEN_SCALE))
-            .unwrap_or(0.0)
-    }
-
-    /// Smoothed sensed occupancy of `router` in `[0, 1]` (the CM
-    /// estimator the throttle thresholds compare against; 0 when CM is
-    /// disabled).
-    pub fn cm_congestion(&self, router: RouterId) -> f64 {
-        self.cm
-            .as_ref()
-            .map(|cm| f64::from(cm.cong[router.idx()]) / f64::from(CM_CONG_ONE))
-            .unwrap_or(0.0)
-    }
-
-    /// Whether `router`'s NICs are currently in the throttled hysteresis
-    /// state.
-    pub fn cm_throttled(&self, router: RouterId) -> bool {
-        self.cm
-            .as_ref()
-            .is_some_and(|cm| cm.throttled[router.idx()])
-    }
-
     /// Start recording one `(generation cycle, latency)` entry per
     /// delivery (transient experiments, Fig. 6).
     pub fn enable_delivery_log(&mut self) {
@@ -459,7 +422,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// Start counting phits per output port (link-utilization studies,
     /// §III).
     pub fn enable_link_utilization(&mut self) {
-        self.link_phits = Some(vec![0; self.routers.len() * self.fab.n_out()]);
+        self.link_phits = Some(vec![0; self.fab.topo().num_routers() * self.fab.n_out()]);
     }
 
     /// Install a shard iteration schedule for the two `parallel`
@@ -470,14 +433,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// parallelization contract. Identity (the default) materializes to
     /// empty order vectors and keeps the plain `0..n` loops.
     pub fn set_shard_schedule(&mut self, sched: ShardSchedule) {
-        self.order_routers = sched.order(self.routers.len());
+        self.order_routers = sched.order(self.fab.topo().num_routers());
         self.order_nodes = sched.order(self.src_q.len());
-    }
-
-    /// The effective router-shard iteration order (empty = identity).
-    /// Exposed for harness assertions.
-    pub fn shard_order_routers(&self) -> &[u32] {
-        &self.order_routers
     }
 
     /// Phits transmitted by output `port` of `router` since
@@ -525,15 +482,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             .unwrap_or(0)
     }
 
-    /// Replay-buffer occupancy (packets awaiting ack) of (`router`,
-    /// output `port`). 0 when LLR is off.
-    pub fn replay_occupancy(&self, router: RouterId, port: usize) -> usize {
-        self.llr
-            .as_ref()
-            .map(|l| l.tx_occupancy(router.idx(), port))
-            .unwrap_or(0)
-    }
-
     /// The `k` directed links with the most retransmissions, as
     /// `(src router, dst router, retransmits)`, most-retried first —
     /// the storm diagnosis names these. Links with zero retries are
@@ -543,7 +491,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             return Vec::new();
         };
         let mut all: Vec<(RouterId, RouterId, u64)> = Vec::new();
-        for r in 0..self.routers.len() {
+        for r in 0..self.fab.topo().num_routers() {
             let rid = RouterId::from(r);
             for port in 0..self.fab.n_out() {
                 let n = llr.link_retransmits(r, port);
@@ -609,16 +557,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.apply_fault(FaultKind::RestoreLink(a, b))
     }
 
-    /// Fail a router (all incident links) right now.
-    pub fn fail_router(&mut self, r: RouterId) -> bool {
-        self.apply_fault(FaultKind::FailRouter(r))
-    }
-
-    /// Restore a previously failed router.
-    pub fn restore_router(&mut self, r: RouterId) -> bool {
-        self.apply_fault(FaultKind::RestoreRouter(r))
-    }
-
     // lint:allow(P001, transient fault kinds never report a changed fail-stop state; the arm is statically dead)
     fn apply_fault(&mut self, kind: FaultKind) -> bool {
         let changed = self.faults.apply(kind, &self.fab);
@@ -660,12 +598,11 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// Force-deliver the undelivered replay entries of every LLR link
     /// whose fail-stop liveness just went down (both directions — the
     /// sweep is idempotent: already-flushed links have empty buffers).
-    // lint:allow(P002, packet_size is validated at config build and fits u32) lint:allow(P001, runs only when LLR is enabled; self.llr checked by the caller)
+    // lint:allow(P001, runs only when LLR is enabled; self.llr checked by the caller)
     fn llr_flush_dead_links(&mut self) {
-        let size = self.fab.cfg().packet_size as u32;
         let topo = *self.fab.topo();
         let n_in = self.fab.n_in();
-        for ridx in 0..self.routers.len() {
+        for ridx in 0..self.fab.topo().num_routers() {
             let rid = RouterId::from(ridx);
             for port in 0..self.fab.n_out() {
                 let link = *self.fab.out_link(rid, port);
@@ -686,21 +623,19 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     link.dst_router as usize,
                     link.dst_port as usize,
                 );
-                let dst = &mut self.routers[link.dst_router as usize];
-                let g = topo.group_of(RouterId::new(link.dst_router));
+                let dst_router = RouterId::new(link.dst_router);
+                let g = topo.group_of(dst_router);
                 for e in forced {
                     let mut pkt = e.pkt;
-                    // Same landing bookkeeping as `deliver_events`.
-                    if pkt.cur_group != g {
-                        pkt.cur_group = g;
-                        pkt.clear(FLAG_LOCAL_MISROUTED);
-                        if pkt.intermediate == Some(g) {
-                            pkt.intermediate = None;
-                        }
-                    }
+                    pkt.land_in(g);
                     // The credit held since first transmission reserves
                     // this space, so the push cannot overflow.
-                    dst.inputs[link.dst_port as usize].vcs[e.out_vc as usize].push(pkt, size);
+                    let dst_slot =
+                        self.fab
+                            .in_slot(dst_router, link.dst_port as usize, e.out_vc as usize);
+                    self.arena
+                        .fifos
+                        .push(dst_slot, pkt, self.fab.slot_caps()[dst_slot]);
                     self.occ.router_pkts[link.dst_router as usize] += 1;
                     self.occ.port_pkts[link.dst_router as usize * n_in + link.dst_port as usize] +=
                         1;
@@ -742,13 +677,11 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 check(at, pkt);
             }
         }
-        for (ridx, store) in self.routers.iter().enumerate() {
+        for ridx in 0..self.fab.topo().num_routers() {
             let at = RouterId::from(ridx);
-            for input in &store.inputs {
-                for fifo in &input.vcs {
-                    for pkt in fifo.iter() {
-                        check(at, pkt);
-                    }
+            for slot in self.fab.router_slots(at) {
+                for pkt in self.arena.fifos.iter(slot) {
+                    check(at, pkt);
                 }
             }
         }
@@ -765,7 +698,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// Connected components of the router graph over surviving links.
     fn router_components(&self) -> Vec<u32> {
         let topo = self.fab.topo();
-        let nr = self.routers.len();
+        let nr = topo.num_routers();
         let (a, h) = (self.fab.cfg().params.a, self.fab.cfg().params.h);
         let mut comp = vec![u32::MAX; nr];
         let mut stack = Vec::new();
@@ -869,7 +802,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.inject(now);
         // ofar-lint: phase(route, parallel)
         self.hooks.phase(Phase::Route);
-        for i in 0..self.routers.len() {
+        for i in 0..self.fab.topo().num_routers() {
             let r = if self.order_routers.is_empty() {
                 i
             } else {
@@ -891,7 +824,12 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
         // ofar-lint: phase(policy_end, commit)
         self.hooks.phase(Phase::PolicyEnd);
-        let snap = NetSnapshot::new(&self.fab, now, &self.routers, &self.faults);
+        let snap = NetSnapshot {
+            fab: &self.fab,
+            now,
+            credits: &self.arena.credits,
+            faults: &self.faults,
+        };
         self.policy.end_cycle(&snap);
         self.now = now + 1;
     }
@@ -912,7 +850,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// a reached Valiant intermediate (§IV-A).
     // lint:allow(P002, router/port indices bounded by fabric radix; packet_size bounded by config)
     fn deliver_events(&mut self, now: u64) {
-        let size = self.fab.cfg().packet_size as u32;
         let topo = *self.fab.topo();
         let fab = &self.fab;
         let n_in = fab.n_in();
@@ -955,52 +892,47 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     }
                 }
             }
-            let g = topo.group_of(RouterId::from(ridx));
-            if pkt.cur_group != g {
-                pkt.cur_group = g;
-                pkt.clear(FLAG_LOCAL_MISROUTED);
-                if pkt.intermediate == Some(g) {
-                    pkt.intermediate = None;
-                }
-            }
+            pkt.land_in(topo.group_of(RouterId::from(ridx)));
             // Arrival-side mirror of the credit mechanism: flow control
             // must have reserved this space upstream.
-            let fifo = &mut self.routers[ridx].inputs[port].vcs[vc as usize];
+            let fifos = &mut self.arena.fifos;
+            let slot = fab.in_slot(RouterId::from(ridx), port, vc as usize);
+            let capacity = fab.slot_caps()[slot];
             hooks.check(
-                || fifo.fits(size),
+                || fifos.fits(slot, capacity),
                 || AuditViolation::BufferOverflow {
                     cycle: now,
                     router: ridx as u32,
                     port: port as u16,
                     vc,
-                    occupancy: fifo.occupancy(),
-                    capacity: fifo.capacity(),
+                    occupancy: fifos.occupancy(slot),
+                    capacity,
                 },
             );
             if hooks.tolerates_overflow() {
                 // A seeded credit defect may legitimately oversubscribe
                 // the buffer; the check above recorded it, so land the
                 // packet anyway.
-                fifo.push_overflowing(pkt, size);
+                fifos.push_overflowing(slot, pkt);
             } else {
-                fifo.push(pkt, size);
+                fifos.push(slot, pkt, capacity);
             }
             occ.router_pkts[ridx] += 1;
             occ.port_pkts[ridx * n_in + port] += 1;
         }
         for credit in due.credits.drain(..) {
             let (ridx, port) = (credit.router as usize, credit.port as usize);
-            let output = &mut self.routers[ridx].outputs[port];
+            let link = fab.out_link(RouterId::from(ridx), port);
             // Seeded credit-accounting skew (mutation testing): drop,
             // double or re-VC this landing so the auditor's conservation
             // checks can be exercised against real in-engine defects.
-            let Some((vc, phits)) =
-                hooks.skew_credit(credit.vc, credit.phits, output.credits.len())
+            let Some((vc, phits)) = hooks.skew_credit(credit.vc, credit.phits, link.vcs as usize)
             else {
                 continue; // the seeded leak: credit never lands
             };
-            let cap = output.capacity[vc as usize];
-            let c = &mut output.credits[vc as usize];
+            let lane = fab.out_lane(RouterId::from(ridx), port, vc as usize);
+            let cap = fab.lane_caps()[lane];
+            let c = &mut self.arena.credits[lane];
             *c += phits;
             if let Some(cm) = cm.as_mut() {
                 cm.free[ridx] += u64::from(phits);
@@ -1068,13 +1000,19 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
         let router = RouterId::from(node / p);
         let port = self.fab.inj_in(node % p);
-        let store = &mut self.routers[router.idx()];
-        let view = RouterView::new(&self.fab, router, now, &store.outputs, &self.faults);
+        let view = RouterView::new(
+            &self.fab,
+            router,
+            now,
+            &self.arena.out_busy[router.idx() * self.fab.n_out()..][..self.fab.n_out()],
+            &self.arena.credits[self.fab.router_lanes(router)],
+            &self.faults,
+        );
         let pkt = self.src_q[node].front_mut().unwrap();
         let vc = self.policy.on_inject(&view, pkt);
         // An out-of-range pick would index past the injection buffer,
         // so a recording hook skips the injection as well.
-        let vcs = store.inputs[port].vcs.len();
+        let vcs = self.fab.in_desc(router, port).vcs as usize;
         if !self.hooks.check(
             || vc < vcs,
             || AuditViolation::InjectionVcRange {
@@ -1086,12 +1024,14 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         ) {
             return;
         }
-        if store.inputs[port].vcs[vc].fits(size) {
+        let fifos = &mut self.arena.fifos;
+        let capacity = self.fab.slot_caps()[self.fab.in_slot(router, port, vc)];
+        if fifos.fits(self.fab.in_slot(router, port, vc), capacity) {
             let pkt = self.src_q[node].pop_front().unwrap();
             if self.src_q[node].is_empty() {
                 self.occ.src_pending[node / 64] &= !(1 << (node % 64));
             }
-            store.inputs[port].vcs[vc].push(pkt, size);
+            fifos.push(self.fab.in_slot(router, port, vc), pkt, capacity);
             self.occ.router_pkts[router.idx()] += 1;
             self.occ.port_pkts[router.idx() * self.fab.n_in() + port] += 1;
             self.inj_busy[node] = now + u64::from(size);
@@ -1116,11 +1056,11 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     fn cm_sense_and_refill(&mut self) {
         let p = self.fab.cfg().params.p;
         let healthy = !self.faults.any();
-        let routers = &self.routers;
+        let (fab, credits) = (&self.fab, &self.arena.credits);
         let faults = &self.faults;
         let Some(cm) = self.cm.as_mut() else { return };
         let mut throttled_now = 0u64;
-        for (ridx, store) in routers.iter().enumerate() {
+        for ridx in 0..cm.cong.len() {
             // Instantaneous occupancy of this router's network outputs
             // (ejection ports carry no credits and drop out of the sum).
             // Healthy fast path: `free` is maintained incrementally at
@@ -1147,15 +1087,15 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 // (`FaultState::any` clears again on full recovery).
                 let mut cap_sum = 0u64;
                 let mut used = 0u64;
-                for (port, out) in store.outputs.iter().enumerate() {
-                    let cap: u32 = out.capacity.iter().sum();
+                for (port, link) in fab.out_links(RouterId::from(ridx)).iter().enumerate() {
+                    let cap: u32 = fab.lane_caps()[link.lanes()].iter().sum();
                     if cap == 0 {
                         continue;
                     }
                     cap_sum += u64::from(cap);
                     if faults.link_up(ridx, port) {
-                        let credits: u32 = out.credits.iter().sum();
-                        used += u64::from(cap - credits);
+                        let free: u32 = credits[link.lanes()].iter().sum();
+                        used += u64::from(cap - free);
                     } else {
                         used += u64::from(cap);
                     }
@@ -1208,31 +1148,44 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         let router = RouterId::from(ridx);
 
         // --- collect one request per head-of-VC packet ---
+        self.hooks.route_mark(RouteMark::Collect);
+        let mut polled = 0;
         self.reqs.clear();
+        let (n_in, n_out) = (self.fab.n_in(), self.fab.n_out());
+        // This router's span of each array, sliced once: its ports, its
+        // lanes, and its slots — consecutive, port by port.
+        let view = RouterView::new(
+            &self.fab,
+            router,
+            now,
+            &self.arena.out_busy[ridx * n_out..][..n_out],
+            &self.arena.credits[self.fab.router_lanes(router)],
+            &self.faults,
+        );
         {
-            let store = &mut self.routers[ridx];
-            let (inputs, outputs) = (&mut store.inputs, &store.outputs);
-            let view = RouterView::new(&self.fab, router, now, outputs, &self.faults);
-            let occupied = &self.occ.port_pkts[ridx * inputs.len()..][..inputs.len()];
-            for (port, input) in inputs.iter_mut().enumerate() {
-                if occupied[port] == 0 || input.busy_until > now {
+            let occupied = &self.occ.port_pkts[ridx * n_in..][..n_in];
+            let in_busy = &self.arena.in_busy[ridx * n_in..][..n_in];
+            let queued = &self.arena.fifos.queued[self.fab.router_slots(router)];
+            let heads = &mut self.arena.fifos.heads[self.fab.router_slots(router)];
+            let descs = self.fab.in_descs(router);
+            for (port, desc) in descs.iter().enumerate() {
+                if occupied[port] == 0 || in_busy[port] > now {
                     continue; // nothing buffered, or still streaming a packet
                 }
-                let desc = self.fab.in_desc(router, port);
-                let base_vcs = match desc.kind {
-                    PortKind::Node => self.fab.cfg().vcs_injection,
-                    PortKind::Local => self.fab.cfg().vcs_local,
-                    PortKind::Global => self.fab.cfg().vcs_global,
-                    PortKind::Ring => self.fab.cfg().vcs_ring,
-                };
-                for (vc, fifo) in input.vcs.iter_mut().enumerate() {
-                    let Some(pkt) = fifo.head_mut() else { continue };
+                let first = desc.slot as usize - descs[0].slot as usize;
+                let base_vcs = self.fab.base_vcs(desc.kind);
+                for vc in 0..desc.vcs as usize {
+                    if queued[first + vc] == 0 {
+                        continue;
+                    }
+                    let pkt = &mut heads[first + vc];
                     let ctx = InputCtx {
                         port,
                         vc,
                         kind: desc.kind,
                         is_escape_vc: desc.kind == PortKind::Ring || vc >= base_vcs,
                     };
+                    polled += 1;
                     if let Some(req) = self.policy.route(&view, ctx, pkt) {
                         // A dead output is never allocated, whatever the
                         // policy asked for (defence in depth — fault-
@@ -1252,7 +1205,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 }
             }
         }
-        if self.reqs.is_empty() {
+        let kept = self.reqs.len();
+        self.hooks.route_mark(RouteMark::Allocate { polled, kept });
+        if kept == 0 {
             return;
         }
 
@@ -1264,7 +1219,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         let iters = self.fab.cfg().alloc_iters;
         for _ in 0..iters {
             self.best_out.iter_mut().for_each(|b| *b = None);
-            let store = &self.routers[ridx];
             let mut any = false;
             let mut i = 0;
             while i < self.reqs.len() {
@@ -1280,13 +1234,19 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     for (idx, &(_, vc, req)) in
                         self.reqs[i..j].iter().enumerate().map(|(k, r)| (i + k, r))
                     {
+                        // Ring entry needs the bubble of §IV-C: normally
+                        // two packets of room.
+                        let need = match req.kind {
+                            RequestKind::RingEnter => ring_need,
+                            _ => size,
+                        };
                         let out = req.out_port as usize;
-                        if self.matched_out[out]
-                            || !Self::eligible(store, req, now, size, ring_need)
+                        if self.matched_out[out] || !view.grantable(out, req.out_vc as usize, need)
                         {
                             continue;
                         }
-                        let stamp = store.inputs[in_port as usize].vc_served_at[vc as usize];
+                        let stamp = self.arena.vc_served_at
+                            [self.fab.in_slot(router, in_port as usize, vc as usize)];
                         if pick.is_none_or(|(s, _)| stamp < s) {
                             pick = Some((stamp, idx));
                         }
@@ -1295,7 +1255,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                         // Output stage: LRS over proposing inputs.
                         let req = self.reqs[idx].2;
                         let out = req.out_port as usize;
-                        let stamp = store.outputs[out].in_served_at[in_port as usize];
+                        let stamp =
+                            self.arena.in_served_at[(ridx * n_out + out) * n_in + in_port as usize];
                         if self.best_out[out].is_none_or(|(s, _, _)| stamp < s) {
                             self.best_out[out] = Some((stamp, in_port, idx as u32));
                         }
@@ -1318,6 +1279,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
 
         // --- execute grants ---
+        let grants = self.grants.len();
+        self.hooks.route_mark(RouteMark::Execute { grants });
         for gi in 0..self.grants.len() {
             let (in_port, vc, req) = self.grants[gi];
             self.execute_grant(ridx, in_port as usize, vc as usize, req, now);
@@ -1393,24 +1356,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
     }
 
-    /// Grant eligibility: output idle, and downstream space for the
-    /// packet (`ring_need` — normally twice the packet, the bubble of
-    /// §IV-C — for ring entry).
-    fn eligible(store: &RouterStore, req: Request, now: u64, size: u32, ring_need: u32) -> bool {
-        let out = &store.outputs[req.out_port as usize];
-        if out.busy_until > now {
-            return false;
-        }
-        if out.credits.is_empty() {
-            return true; // ejection: infinite sink
-        }
-        let need = match req.kind {
-            RequestKind::RingEnter => ring_need,
-            _ => size,
-        };
-        out.credits[req.out_vc as usize] >= need
-    }
-
     /// The whole-network conservation checks (cadenced by
     /// [`Hooks::deep_due`]): phit conservation, per-link credit
     /// conservation, occupancy bounds and the escape-ring bubble
@@ -1438,14 +1383,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
 
         // Credit conservation per (link, VC) — the non-fatal form of
         // `check_credit_conservation` — and occupancy ≤ capacity.
-        let backlog = self.link_backlog();
-        for ridx in 0..self.routers.len() {
+        let backlog = self.wheel.backlog();
+        for ridx in 0..self.fab.topo().num_routers() {
             let router = RouterId::from(ridx);
-            for port in 0..self.fab.n_out() {
-                if self.fab.out_link(router, port).kind == PortKind::Node {
+            for (port, link) in self.fab.out_links(router).iter().enumerate() {
+                if link.kind == PortKind::Node {
                     continue;
                 }
-                let out = &self.routers[ridx].outputs[port];
                 // Replay-buffer occupancy must respect the window the
                 // allocator gates grants on.
                 if let Some(l) = &self.llr {
@@ -1461,32 +1405,35 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                         });
                     }
                 }
-                for vcn in 0..out.credits.len() {
+                for (vcn, lane) in link.lanes().enumerate() {
                     checks += 1;
                     let sum = self.credit_sum(&backlog, ridx, port, vcn);
-                    if sum != out.capacity[vcn] {
+                    let capacity = self.fab.lane_caps()[lane];
+                    if sum != capacity {
                         viols.push(AuditViolation::CreditLeak {
                             cycle: now,
                             router: ridx as u32,
                             port: port as u16,
                             vc: vcn as u8,
                             sum,
-                            capacity: out.capacity[vcn],
+                            capacity,
                         });
                     }
                 }
             }
-            for (port, input) in self.routers[ridx].inputs.iter().enumerate() {
-                for (vcn, fifo) in input.vcs.iter().enumerate() {
+            for (port, desc) in self.fab.in_descs(router).iter().enumerate() {
+                for (vcn, slot) in desc.slots().enumerate() {
                     checks += 1;
-                    if fifo.occupancy() > fifo.capacity() {
+                    let occupancy = self.arena.fifos.occupancy(slot);
+                    let capacity = self.fab.slot_caps()[slot];
+                    if occupancy > capacity {
                         viols.push(AuditViolation::OccupancyOverCapacity {
                             cycle: now,
                             router: ridx as u32,
                             port: port as u16,
                             vc: vcn as u8,
-                            occupancy: fifo.occupancy(),
-                            capacity: fifo.capacity(),
+                            occupancy,
+                            capacity,
                         });
                     }
                 }
@@ -1503,16 +1450,17 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             }
             checks += 1;
             let mut free = 0u64;
-            for ridx in 0..self.routers.len() {
-                let esc = self.fab.escapes(RouterId::from(ridx))[j];
-                let out = &self.routers[ridx].outputs[esc.out_port as usize];
+            for ridx in 0..self.fab.topo().num_routers() {
+                let router = RouterId::from(ridx);
+                let esc = self.fab.escapes(router)[j];
+                let lanes = self.fab.out_link(router, esc.out_port as usize).lanes();
                 for lane in esc.base_vc..esc.base_vc + esc.num_vcs {
-                    free += u64::from(out.credits[lane as usize]);
+                    free += u64::from(self.arena.credits[lanes.start + lane as usize]);
                     free += backlog
                         .credits(ridx, esc.out_port as usize)
                         .iter()
-                        .filter(|&&(_, v, _)| v == lane)
-                        .map(|&(_, _, p)| u64::from(p))
+                        .filter(|&&(_, _, v, _)| v == lane)
+                        .map(|&(_, _, _, p)| u64::from(p))
                         .sum::<u64>();
                 }
             }
@@ -1546,12 +1494,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             // scan: drift means a credit moved through a path the three
             // mirrored mutation sites do not cover, and every throttle
             // decision after the divergence point is suspect.
-            for (ridx, store) in self.routers.iter().enumerate() {
+            for ridx in 0..self.fab.topo().num_routers() {
                 checks += 1;
-                let actual: u64 = store
-                    .outputs
+                let actual: u64 = self.arena.credits[self.fab.router_lanes(RouterId::from(ridx))]
                     .iter()
-                    .flat_map(|out| out.credits.iter())
                     .map(|&c| u64::from(c))
                     .sum();
                 if cm.free[ridx] != actual {
@@ -1568,19 +1514,11 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         // The occupancy index against a recount: drift means a FIFO or
         // source queue changed through a path that does not update it.
         checks += 1;
-        if self.occ != Occupancy::recount(&self.routers, &self.src_q) {
+        if self.occ != Occupancy::recount(&self.fab, &self.arena.fifos, &self.src_q) {
             viols.push(AuditViolation::OccupancyDrift { cycle: now });
         }
 
         (checks, viols)
-    }
-
-    /// The links' contents as one time-ordered pipeline per port: the
-    /// shape the snapshot stores and the conservation laws are stated
-    /// in.
-    fn link_backlog(&self) -> Backlog {
-        self.wheel
-            .backlog(self.routers.len(), self.fab.n_in(), self.fab.n_out())
     }
 
     /// Left-hand side of the credit-conservation law for VC `vc` of the
@@ -1604,17 +1542,20 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             None => backlog
                 .arrivals(dst_router, dst_port)
                 .iter()
-                .filter(|&&(_, v, _)| v as usize == vc)
+                .filter(|&&(_, _, v, _)| v as usize == vc)
                 .count(),
         };
         let inflight_credits: u32 = backlog
             .credits(ridx, port)
             .iter()
-            .filter(|&&(_, v, _)| v as usize == vc)
-            .map(|&(_, _, p)| p)
+            .filter(|&&(_, _, v, _)| v as usize == vc)
+            .map(|&(_, _, _, p)| p)
             .sum();
-        self.routers[ridx].outputs[port].credits[vc]
-            + self.routers[dst_router].inputs[dst_port].vcs[vc].occupancy()
+        let dst_slot = self
+            .fab
+            .in_slot(RouterId::new(link.dst_router), dst_port, vc);
+        self.arena.credits[self.fab.out_lane(RouterId::from(ridx), port, vc)]
+            + self.arena.fifos.occupancy(dst_slot)
             + reserved as u32 * size
             + inflight_credits
     }
@@ -1625,8 +1566,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// what the commutativity certifier must prove schedule-blind, and
     /// this write is visible to any shard scheduled after the caller.
     fn land_credit_instantly(&mut self, router: u32, port: u16, vc: u8, phits: u32) {
-        let out = &mut self.routers[router as usize].outputs[port as usize];
-        out.credits[vc as usize] += phits;
+        self.arena.credits[self
+            .fab
+            .out_lane(RouterId::new(router), port as usize, vc as usize)] += phits;
         if let Some(cm) = self.cm.as_mut() {
             cm.free[router as usize] += u64::from(phits);
         }
@@ -1649,20 +1591,21 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 port: req.out_port,
             },
         );
-        let store = &mut self.routers[ridx];
-        let mut pkt = store.inputs[in_port].vcs[vc].pop(size);
+        let (n_in, n_out) = (self.fab.n_in(), self.fab.n_out());
+        let out_port = req.out_port as usize;
+        let mut pkt = self.arena.fifos.pop(self.fab.in_slot(router, in_port, vc));
         self.occ.router_pkts[ridx] -= 1;
-        self.occ.port_pkts[ridx * self.fab.n_in() + in_port] -= 1;
+        self.occ.port_pkts[ridx * n_in + in_port] -= 1;
         pkt.wait = 0; // the head-blocked counter restarts at the next hop
-        store.inputs[in_port].busy_until = now + u64::from(size);
-        store.inputs[in_port].vc_served_at[vc] = now + 1; // LRS stamp (0 = never)
-        let out = &mut store.outputs[req.out_port as usize];
-        out.in_served_at[in_port] = now + 1;
-        out.busy_until = now + u64::from(size);
+        self.arena.in_busy[ridx * n_in + in_port] = now + u64::from(size);
+        // LRS stamps (0 = never)
+        self.arena.vc_served_at[self.fab.in_slot(router, in_port, vc)] = now + 1;
+        self.arena.in_served_at[(ridx * n_out + out_port) * n_in + in_port] = now + 1;
+        self.arena.out_busy[ridx * n_out + out_port] = now + u64::from(size);
         self.stats.last_grant = now;
         self.router_last_grant[ridx] = now;
         if let Some(util) = self.link_phits.as_mut() {
-            util[ridx * self.fab.n_out() + req.out_port as usize] += u64::from(size);
+            util[ridx * n_out + out_port] += u64::from(size);
         }
 
         // Credit return to the upstream router feeding this input.
@@ -1708,15 +1651,16 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 // `BubbleLost` check only notices once the whole ring
                 // has wedged; this fast check catches the first eroded
                 // admission. Credits are still undecremented here.
-                let credits = || store.outputs[req.out_port as usize].credits[req.out_vc as usize];
+                let credits =
+                    self.arena.credits[self.fab.out_lane(router, out_port, req.out_vc as usize)];
                 self.hooks.check(
-                    || credits() >= 2 * size,
+                    || credits >= 2 * size,
                     || AuditViolation::RingEnterNoBubble {
                         cycle: now,
                         router: ridx as u32,
                         port: req.out_port,
                         vc: req.out_vc,
-                        credits: credits(),
+                        credits,
                         required: 2 * size,
                     },
                 );
@@ -1738,7 +1682,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             }
         }
 
-        let link = *self.fab.out_link(router, req.out_port as usize);
+        let link = *self.fab.out_link(router, out_port);
         match req.kind {
             RequestKind::Eject => {
                 debug_assert_eq!(link.kind, PortKind::Node);
@@ -1798,27 +1742,22 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     );
                 }
             }
-            RequestKind::RingEnter | RequestKind::RingAdvance => {
-                // Ring hops do not advance the canonical hop ladder.
-                pkt.ring_hops = pkt.ring_hops.saturating_add(1);
-                let out = &mut store.outputs[req.out_port as usize];
-                out.credits[req.out_vc as usize] -= size;
-                if let Some(cm) = self.cm.as_mut() {
-                    cm.free[ridx] -= u64::from(size);
-                }
-                self.transmit(ridx, req, link, pkt, now);
-            }
-            _ => {
+            kind => {
                 // Saturating: a packet trapped on the near side of a
                 // partition can circulate far past the u8 range; the
                 // §IV-A ceiling assert above still polices healthy runs.
-                match link.kind {
-                    PortKind::Local => pkt.local_hops = pkt.local_hops.saturating_add(1),
-                    PortKind::Global => pkt.global_hops = pkt.global_hops.saturating_add(1),
-                    PortKind::Node | PortKind::Ring => unreachable!("non-eject canonical grant"),
+                if matches!(kind, RequestKind::RingEnter | RequestKind::RingAdvance) {
+                    // Ring hops do not advance the canonical hop ladder.
+                    pkt.ring_hops = pkt.ring_hops.saturating_add(1);
+                } else {
+                    match link.kind {
+                        PortKind::Local => pkt.local_hops = pkt.local_hops.saturating_add(1),
+                        PortKind::Global => pkt.global_hops = pkt.global_hops.saturating_add(1),
+                        _ => unreachable!("non-eject canonical grant"),
+                    }
                 }
-                let out = &mut store.outputs[req.out_port as usize];
-                out.credits[req.out_vc as usize] -= size;
+                self.arena.credits[self.fab.out_lane(router, out_port, req.out_vc as usize)] -=
+                    size;
                 if let Some(cm) = self.cm.as_mut() {
                     cm.free[ridx] -= u64::from(size);
                 }
@@ -1905,7 +1844,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         let budget = self.fab.cfg().llr_retry_budget;
         let n_out = self.fab.n_out();
         let mut escalate: Vec<(RouterId, RouterId)> = Vec::new();
-        for ridx in 0..self.routers.len() {
+        for ridx in 0..self.fab.topo().num_routers() {
             let rid = RouterId::from(ridx);
             for port in 0..n_out {
                 let link = *self.fab.out_link(rid, port);
@@ -1936,13 +1875,12 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     escalate.push((rid, RouterId::new(link.dst_router)));
                     continue;
                 }
-                let out = &mut self.routers[ridx].outputs[port];
-                if out.busy_until > now {
+                if self.arena.out_busy[ridx * n_out + port] > now {
                     continue; // the wire is streaming; retry next cycle
                 }
                 // Retransmissions occupy the wire ahead of new grants:
-                // the allocator sees busy_until and naturally defers.
-                out.busy_until = now + u64::from(size);
+                // the allocator sees the busy time and naturally defers.
+                self.arena.out_busy[ridx * n_out + port] = now + u64::from(size);
                 let b = RouterId::new(link.dst_router);
                 let fate = match self.faults.take_pending(rid, b) {
                     Some(f) => f,
@@ -1997,7 +1935,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     pub fn phits_in_system(&self) -> u64 {
         let size = self.fab.cfg().packet_size as u64;
         let src: u64 = self.src_q.iter().map(|q| q.len() as u64 * size).sum();
-        let buffered: u64 = self.routers.iter().map(RouterStore::buffered_phits).sum();
+        let queued: u32 = self.arena.fifos.queued.iter().sum();
+        let buffered = u64::from(queued) * size;
         if let Some(llr) = &self.llr {
             // Under LLR, a copy in flight on a link is a phantom: the
             // canonical copy of a packet the receiver has not accepted
@@ -2014,7 +1953,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// O(network).
     pub fn check_occupancy_index(&self) {
         assert!(
-            self.occ == Occupancy::recount(&self.routers, &self.src_q),
+            self.occ == Occupancy::recount(&self.fab, &self.arena.fifos, &self.src_q),
             "occupancy index drifted from the FIFOs and source queues"
         );
     }
@@ -2023,18 +1962,14 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// receiver occupancy plus in-flight packets and in-flight credits
     /// must equal the buffer capacity. Called from tests; O(network).
     pub fn check_credit_conservation(&self) {
-        let backlog = self.link_backlog();
-        for ridx in 0..self.routers.len() {
+        let backlog = self.wheel.backlog();
+        for ridx in 0..self.fab.topo().num_routers() {
             let router = RouterId::from(ridx);
-            for port in 0..self.fab.n_out() {
-                if self.fab.out_link(router, port).kind == PortKind::Node {
-                    continue;
-                }
-                let out = &self.routers[ridx].outputs[port];
-                for vc in 0..out.credits.len() {
+            for (port, link) in self.fab.out_links(router).iter().enumerate() {
+                for (vc, lane) in link.lanes().enumerate() {
                     assert_eq!(
                         self.credit_sum(&backlog, ridx, port, vc),
-                        out.capacity[vc],
+                        self.fab.lane_caps()[lane],
                         "credit leak on {router} out {port} vc {vc}"
                     );
                 }

@@ -7,13 +7,13 @@
 //! ([`Network::locate_state_field`]) is the same traversal, not a copy.
 
 use super::{CmState, Network, CM_CONG_ONE};
+use crate::arena::Arena;
 use crate::fault::{FaultPlan, FaultState};
 use crate::hooks::Hooks;
 use crate::llr::Llr;
 use crate::occupancy::Occupancy;
 use crate::packet::Packet;
 use crate::policy::Policy;
-use crate::router::RouterStore;
 use crate::snapshot::{
     self, decode_packet, encode_packet, Dec, Enc, SnapshotError, PACKET_MIN_BYTES,
 };
@@ -148,38 +148,41 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 e.u64s(counts);
             }
         }
-        // The format stores each link's pipeline with its port; the
-        // wheel is gathered back into that shape.
-        let backlog = self.link_backlog();
-        for (ridx, store) in self.routers.iter().enumerate() {
-            for (port, input) in store.inputs.iter().enumerate() {
-                for fifo in &input.vcs {
-                    e.usize(fifo.len());
-                    for p in fifo.iter() {
+        // The format stores each router's ports in turn, each link's
+        // pipeline with its port; the wheel is gathered into that shape.
+        let backlog = self.wheel.backlog();
+        let (n_in, n_out) = (self.fab.n_in(), self.fab.n_out());
+        let arena = &self.arena;
+        for ridx in 0..self.fab.topo().num_routers() {
+            let router = RouterId::from(ridx);
+            for (port, desc) in self.fab.in_descs(router).iter().enumerate() {
+                for slot in desc.slots() {
+                    e.usize(arena.fifos.queued[slot] as usize);
+                    for p in arena.fifos.iter(slot) {
                         encode_packet(e, p);
                     }
                 }
                 let arrivals = backlog.arrivals(ridx, port);
                 e.usize(arrivals.len());
-                for (at, vc, pkt) in arrivals {
+                for (_, at, vc, pkt) in arrivals {
                     e.u64(*at);
                     e.u8(*vc);
                     encode_packet(e, pkt);
                 }
-                e.u64(input.busy_until);
-                e.u64s(&input.vc_served_at);
+                e.u64(arena.in_busy[ridx * n_in + port]);
+                e.u64s(&arena.vc_served_at[desc.slots()]);
             }
-            for (port, output) in store.outputs.iter().enumerate() {
-                e.u32s(&output.credits);
+            for (port, link) in self.fab.out_links(router).iter().enumerate() {
+                e.u32s(&arena.credits[link.lanes()]);
                 let credits = backlog.credits(ridx, port);
                 e.usize(credits.len());
-                for &(at, vc, phits) in credits {
+                for &(_, at, vc, phits) in credits {
                     e.u64(at);
                     e.u8(vc);
                     e.u32(phits);
                 }
-                e.u64(output.busy_until);
-                e.u64s(&output.in_served_at);
+                e.u64(arena.out_busy[ridx * n_out + port]);
+                e.u64s(&arena.in_served_at[(ridx * n_out + port) * n_in..][..n_in]);
             }
         }
         match &self.llr {
@@ -265,7 +268,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             src_q.push(q);
         }
         let inj_busy = words(d, l, nodes, "inj_busy")?;
-        let nr = self.routers.len();
+        let nr = self.fab.topo().num_routers();
         let router_last_grant = words(d, l, nr, "router_last_grant")?;
         let delivered_log = match d.u8()? {
             0 => None,
@@ -292,8 +295,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             _ => return malformed("bad Option tag for link counters"),
         };
         l.field(d, || "link_phits".into());
-        let size = self.fab.cfg().packet_size as u32;
-        let mut routers = Vec::with_capacity(nr);
+        let (n_in, n_out) = (self.fab.n_in(), self.fab.n_out());
+        let mut arena = Arena::new(&self.fab);
         // Link pipelines are scattered into a wheel whose next drained
         // cycle is the snapshot's `now`. A stamp is only accepted where
         // the live engine could have put it: not in the past, within the
@@ -305,16 +308,17 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             at >= now && at - now <= horizon && prev.is_none_or(|p| at > p)
         };
         for r in 0..nr {
-            let mut store = RouterStore::new(&self.fab, RouterId::from(r));
-            for (pi, input) in store.inputs.iter_mut().enumerate() {
-                for (vi, fifo) in input.vcs.iter_mut().enumerate() {
+            let router = RouterId::from(r);
+            for (pi, desc) in self.fab.in_descs(router).iter().enumerate() {
+                for (vi, slot) in desc.slots().enumerate() {
+                    let capacity = self.fab.slot_caps()[slot];
                     let n = d.len(PACKET_MIN_BYTES, "VC buffer size")?;
                     for _ in 0..n {
                         let pkt = decode_packet(d)?;
-                        if !fifo.fits(size) {
+                        if !arena.fifos.fits(slot, capacity) {
                             return malformed("VC buffer overflows its capacity");
                         }
-                        fifo.push(pkt, size);
+                        arena.fifos.push(slot, pkt, capacity);
                     }
                     l.field(d, || format!("router[{r}].input[{pi}].vc[{vi}].fifo"));
                 }
@@ -324,7 +328,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     let at = d.u64()?;
                     let vc = d.u8()?;
                     let pkt = decode_packet(d)?;
-                    if vc as usize >= input.vcs.len() {
+                    if vc >= desc.vcs {
                         return malformed("arrival targets a VC out of range");
                     }
                     if !stamp_ok(at, prev) {
@@ -342,21 +346,21 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     );
                 }
                 l.field(d, || format!("router[{r}].input[{pi}].arrivals"));
-                input.busy_until = d.u64()?;
+                arena.in_busy[r * n_in + pi] = d.u64()?;
                 l.field(d, || format!("router[{r}].input[{pi}].busy_until"));
-                for (vi, t) in input.vc_served_at.iter_mut().enumerate() {
+                for (vi, t) in arena.vc_served_at[desc.slots()].iter_mut().enumerate() {
                     *t = d.u64()?;
                     l.field(d, || format!("router[{r}].input[{pi}].vc_served_at[{vi}]"));
                 }
             }
-            for (po, output) in store.outputs.iter_mut().enumerate() {
-                for vi in 0..output.credits.len() {
+            for (po, link) in self.fab.out_links(router).iter().enumerate() {
+                for (vi, lane) in link.lanes().enumerate() {
                     let c = d.u32()?;
                     l.field(d, || format!("router[{r}].output[{po}].credits[{vi}]"));
-                    if c > output.capacity[vi] {
+                    if c > self.fab.lane_caps()[lane] {
                         return malformed("credits exceed downstream capacity");
                     }
-                    output.credits[vi] = c;
+                    arena.credits[lane] = c;
                 }
                 let n = d.len(13, "credit pipeline size")?;
                 let mut prev = None;
@@ -364,7 +368,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     let at = d.u64()?;
                     let vc = d.u8()?;
                     let phits = d.u32()?;
-                    if vc as usize >= output.capacity.len() {
+                    if vc >= link.vcs {
                         return malformed("credit event targets a VC out of range");
                     }
                     if !stamp_ok(at, prev) {
@@ -382,14 +386,14 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     );
                 }
                 l.field(d, || format!("router[{r}].output[{po}].credit_events"));
-                output.busy_until = d.u64()?;
+                arena.out_busy[r * n_out + po] = d.u64()?;
                 l.field(d, || format!("router[{r}].output[{po}].busy_until"));
-                for (ii, t) in output.in_served_at.iter_mut().enumerate() {
+                let stamps = &mut arena.in_served_at[(r * n_out + po) * n_in..][..n_in];
+                for (ii, t) in stamps.iter_mut().enumerate() {
                     *t = d.u64()?;
                     l.field(d, || format!("router[{r}].output[{po}].in_served_at[{ii}]"));
                 }
             }
-            routers.push(store);
         }
         let llr = match d.u8()? {
             0 => None,
@@ -437,9 +441,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     };
                 }
                 // The incremental credit sums are derived state:
-                // recompute them from the just-decoded router credits
-                // rather than trusting (or carrying) them in the file.
-                cm.rebuild_free(&routers);
+                // recompute them from the just-decoded credits rather
+                // than trusting (or carrying) them in the file.
+                cm.rebuild_free(&self.fab, &arena.credits);
                 Some(cm)
             }
             _ => return malformed("bad Option tag for CM state"),
@@ -458,7 +462,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             router_last_grant,
             delivered_log,
             link_phits,
-            routers,
+            arena,
             wheel,
             llr,
             cm,
@@ -520,14 +524,14 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.stats = s.stats;
         // The occupancy index is derived state: recount it from the
         // decoded FIFOs and queues rather than carrying it in the file.
-        self.occ = Occupancy::recount(&s.routers, &s.src_q);
+        self.occ = Occupancy::recount(&self.fab, &s.arena.fifos, &s.src_q);
         self.wheel = s.wheel;
         self.src_q = s.src_q;
         self.inj_busy = s.inj_busy;
         self.router_last_grant = s.router_last_grant;
         self.delivered_log = s.delivered_log;
         self.link_phits = s.link_phits;
-        self.routers = s.routers;
+        self.arena = s.arena;
         self.llr = s.llr;
         self.cm = s.cm;
         self.delivered_per_src = s.delivered_per_src;
@@ -555,7 +559,7 @@ struct DecodedState {
     router_last_grant: Vec<u64>,
     delivered_log: Option<Vec<(u64, u32)>>,
     link_phits: Option<Vec<u64>>,
-    routers: Vec<RouterStore>,
+    arena: Arena,
     wheel: Wheel,
     llr: Option<Llr>,
     cm: Option<CmState>,

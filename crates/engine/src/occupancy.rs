@@ -8,13 +8,14 @@
 //! a node with an empty source queue nothing to inject.
 //!
 //! The index is derived state: `Network` updates it next to each of the
-//! places a [`VcFifo`](crate::buffer::VcFifo) is pushed or popped and a
-//! source queue fills or empties, [`Occupancy::recount`] rebuilds it
-//! from those structures (construction, snapshot restore), and the deep
-//! audit checks the two agree. It is therefore outside snapshots.
+//! places an arena FIFO ([`Fifos`]) is pushed or popped and a source
+//! queue fills or empties, [`Occupancy::recount`] rebuilds it from those
+//! structures (snapshot restore), and the deep audit checks the two
+//! agree. It is therefore outside snapshots.
 
+use crate::arena::Fifos;
+use crate::fabric::Fabric;
 use crate::packet::Packet;
-use crate::router::RouterStore;
 use std::collections::VecDeque;
 
 /// Buffered-packet counts per router and per input port, and the set of
@@ -41,25 +42,22 @@ impl Occupancy {
         }
     }
 
-    /// Count `routers`' FIFOs and `src_q`'s queues.
-    // lint:allow(H001, construction, restore and audit only; never on the per-cycle path under NoHooks) lint:allow(P002, a FIFO holds at most capacity/packet_size packets)
-    pub fn recount(routers: &[RouterStore], src_q: &[VecDeque<Packet>]) -> Self {
-        let mut src_pending = vec![0u64; src_q.len().div_ceil(64)];
+    /// Count `fifos`' packets per port of `fab` and `src_q`'s queues.
+    pub fn recount(fab: &Fabric, fifos: &Fifos, src_q: &[VecDeque<Packet>]) -> Self {
+        let nr = fab.topo().num_routers();
+        let mut occ = Self::empty(nr, fab.n_in(), src_q.len());
         for (node, q) in src_q.iter().enumerate() {
             if !q.is_empty() {
-                src_pending[node / 64] |= 1 << (node % 64);
+                occ.src_pending[node / 64] |= 1 << (node % 64);
             }
         }
-        let port_pkts: Vec<u32> = routers
-            .iter()
-            .flat_map(|store| &store.inputs)
-            .map(|input| input.vcs.iter().map(|fifo| fifo.len() as u32).sum())
-            .collect();
-        let n_in = routers.first().map_or(1, |store| store.inputs.len());
-        Self {
-            router_pkts: port_pkts.chunks(n_in).map(|c| c.iter().sum()).collect(),
-            port_pkts,
-            src_pending,
+        let descs = (0..nr).flat_map(|r| fab.in_descs(r.into()));
+        for (desc, pkts) in descs.zip(&mut occ.port_pkts) {
+            *pkts = fifos.queued[desc.slots()].iter().sum();
         }
+        for (r, ports) in occ.port_pkts.chunks(fab.n_in()).enumerate() {
+            occ.router_pkts[r] = ports.iter().sum();
+        }
+        occ
     }
 }

@@ -15,8 +15,9 @@ pub const FLAG_ON_RING: u8 = 1 << 2;
 pub const FLAG_AUX: u8 = 1 << 7;
 
 /// A packet. Sized for hot simulator queues: it stays well under a cache
-/// line and is `Copy`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// line and is `Copy`. The default is all zeroes — what a vacant FIFO
+/// head holds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Packet {
     /// Unique id (injection order).
     pub id: u64,
@@ -70,6 +71,20 @@ impl Packet {
     #[inline]
     pub fn clear(&mut self, flag: u8) {
         self.flags &= !flag;
+    }
+
+    /// Landing at a router of group `g`: entering a new group clears the
+    /// per-group local-misroute flag and retires a reached Valiant
+    /// intermediate (§IV-A).
+    #[inline]
+    pub fn land_in(&mut self, g: GroupId) {
+        if self.cur_group != g {
+            self.cur_group = g;
+            self.clear(FLAG_LOCAL_MISROUTED);
+            if self.intermediate == Some(g) {
+                self.intermediate = None;
+            }
+        }
     }
 
     /// Whether the packet is on the escape ring.
@@ -159,20 +174,7 @@ mod tests {
 
     #[test]
     fn flags_set_clear_roundtrip() {
-        let mut p = Packet {
-            id: 0,
-            injected_at: 0,
-            src: NodeId::new(0),
-            dst: NodeId::new(1),
-            intermediate: None,
-            flags: 0,
-            ring_exits_left: 4,
-            local_hops: 0,
-            global_hops: 0,
-            ring_hops: 0,
-            wait: 0,
-            cur_group: GroupId::new(0),
-        };
+        let mut p = Packet::default();
         assert!(!p.has(FLAG_GLOBAL_MISROUTED));
         p.set(FLAG_GLOBAL_MISROUTED);
         p.set(FLAG_ON_RING);

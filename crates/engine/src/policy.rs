@@ -9,10 +9,9 @@
 //! in [`Policy::end_cycle`] from a network snapshot, which models the
 //! in-band broadcast explicitly.
 
-use crate::fabric::{EscapeOut, Fabric, PortKind};
+use crate::fabric::{EscapeOut, Fabric, OutLink, PortKind};
 use crate::fault::FaultState;
 use crate::packet::{Packet, Request};
-use crate::router::{OutputPort, RouterStore};
 use ofar_topology::{GroupId, RouterId};
 
 /// Read-only view of one router used while routing a packet.
@@ -23,25 +22,54 @@ pub struct RouterView<'a> {
     pub router: RouterId,
     /// Current cycle.
     pub now: u64,
-    pub(crate) outputs: &'a [OutputPort],
-    pub(crate) faults: &'a FaultState,
+    /// This router's output links, by port.
+    links: &'a [OutLink],
+    /// This router's output busy times, by port.
+    out_busy: &'a [u64],
+    /// This router's credit lanes and their capacities, the first of
+    /// them arena lane `lane0` — the span of the arena a policy can see
+    /// (§IV: local state only).
+    credits: &'a [u32],
+    caps: &'a [u32],
+    lane0: usize,
+    faults: &'a FaultState,
 }
 
 impl<'a> RouterView<'a> {
+    /// The view of `router` over its own span of the arena: the busy
+    /// times of its `n_out` outputs and the credits of its
+    /// [`Fabric::router_lanes`].
     pub(crate) fn new(
         fab: &'a Fabric,
         router: RouterId,
         now: u64,
-        outputs: &'a [OutputPort],
+        out_busy: &'a [u64],
+        credits: &'a [u32],
         faults: &'a FaultState,
     ) -> Self {
+        let links = fab.out_links(router);
+        // Port 0 ejects, so its (empty) lane run starts the router's.
+        let lane0 = links[0].lane as usize;
         Self {
             fab,
             router,
             now,
-            outputs,
+            links,
+            out_busy,
+            credits,
+            caps: &fab.lane_caps()[lane0..][..credits.len()],
+            lane0,
             faults,
         }
+    }
+
+    /// Index of (`port`, `vc`) in `credits`.
+    #[inline]
+    fn lane(&self, port: usize, vc: usize) -> usize {
+        let link = &self.links[port];
+        // lint:allow(P001, in a flat array a VC the port lacks would alias its neighbour; the bounds check the per-port vectors had)
+        assert!(vc < link.vcs as usize, "output {port} has no VC {vc}");
+        link.lane as usize - self.lane0 + vc
     }
 
     /// Packet size in phits.
@@ -60,20 +88,25 @@ impl<'a> RouterView<'a> {
     /// Whether the output port is currently transmitting.
     #[inline]
     pub fn out_busy(&self, port: usize) -> bool {
-        self.outputs[port].busy_until > self.now
+        self.out_busy[port] > self.now
     }
 
     /// Available downstream credits of (`port`, `vc`) in phits.
     #[inline]
     pub fn credits(&self, port: usize, vc: usize) -> u32 {
-        self.outputs[port].credits[vc]
+        self.credits[self.lane(port, vc)]
     }
 
     /// Credit-estimated downstream occupancy of (`port`, `vc`) in
     /// `[0, 1]` — the `Q` of the misroute thresholds (§IV-B).
     #[inline]
     pub fn occupancy(&self, port: usize, vc: usize) -> f64 {
-        self.outputs[port].occupancy_frac(vc)
+        let lane = self.lane(port, vc);
+        let cap = self.caps[lane];
+        if cap == 0 {
+            return 0.0;
+        }
+        f64::from(cap - self.credits[lane]) / f64::from(cap)
     }
 
     /// Whether a whole packet can be granted to (`port`, `vc`) right now:
@@ -84,20 +117,22 @@ impl<'a> RouterView<'a> {
     /// like congested ones.
     #[inline]
     pub fn available(&self, port: usize, vc: usize) -> bool {
-        if self.out_busy(port) || !self.link_up(port) {
-            return false;
-        }
-        let out = &self.outputs[port];
-        out.credits.is_empty() || out.credits[vc] >= self.packet_phits()
+        self.link_up(port) && self.grantable(port, vc, self.packet_phits())
+    }
+
+    /// Grant eligibility: `port` idle, and `need` phits of downstream
+    /// space on `vc` (ejection: the node is an infinite sink).
+    #[inline]
+    pub(crate) fn grantable(&self, port: usize, vc: usize, need: u32) -> bool {
+        !self.out_busy(port)
+            && (self.links[port].kind == PortKind::Node || self.credits(port, vc) >= need)
     }
 
     /// Like [`Self::available`] but requiring space for two packets — the
     /// bubble condition for entering the escape ring (§IV-C).
     #[inline]
     pub fn available_with_bubble(&self, port: usize, vc: usize) -> bool {
-        !self.out_busy(port)
-            && self.link_up(port)
-            && self.outputs[port].credits[vc] >= 2 * self.packet_phits()
+        self.link_up(port) && self.grantable(port, vc, 2 * self.packet_phits())
     }
 
     /// Whether output `port` is alive (not failed).
@@ -162,10 +197,10 @@ impl<'a> RouterView<'a> {
             }
             let port = esc.out_port as usize;
             for vc in esc.base_vc..esc.base_vc + esc.num_vcs {
-                let vc = vc as usize;
-                let cap = self.outputs[port].capacity[vc];
+                let lane = self.lane(port, vc as usize);
+                let cap = self.caps[lane];
                 cap_sum += u64::from(cap);
-                used += u64::from(cap - self.outputs[port].credits[vc]);
+                used += u64::from(cap - self.credits[lane]);
             }
         }
         if cap_sum == 0 {
@@ -210,25 +245,12 @@ pub struct NetSnapshot<'a> {
     pub fab: &'a Fabric,
     /// Current cycle.
     pub now: u64,
-    pub(crate) routers: &'a [RouterStore],
+    /// Every credit lane of the network.
+    pub(crate) credits: &'a [u32],
     pub(crate) faults: &'a FaultState,
 }
 
 impl<'a> NetSnapshot<'a> {
-    pub(crate) fn new(
-        fab: &'a Fabric,
-        now: u64,
-        routers: &'a [RouterStore],
-        faults: &'a FaultState,
-    ) -> Self {
-        Self {
-            fab,
-            now,
-            routers,
-            faults,
-        }
-    }
-
     /// Credit-estimated occupancy (in `[0, 1]`, aggregated over VCs) of
     /// global output `k` of `router`. This is the quantity each router
     /// would broadcast to its group under Piggybacking. A *failed*
@@ -239,12 +261,12 @@ impl<'a> NetSnapshot<'a> {
         if !self.faults.link_up(router.idx(), port) {
             return 1.0;
         }
-        let out = &self.routers[router.idx()].outputs[port];
-        let cap: u32 = out.capacity.iter().sum();
+        let link = self.fab.out_link(router, port);
+        let cap: u32 = self.fab.lane_caps()[link.lanes()].iter().sum();
         if cap == 0 {
             return 0.0;
         }
-        let credits: u32 = out.credits.iter().sum();
+        let credits: u32 = self.credits[link.lanes()].iter().sum();
         f64::from(cap - credits) / f64::from(cap)
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The conformance model checker (`ofar-verify`) drives every routing
 //! policy over its full reachable decision space without running the
-//! cycle engine. [`ViewProbe`] owns one router's worth of output-port
-//! state and hands out [`RouterView`]s over it, so a policy's `route`
+//! cycle engine. [`ViewProbe`] owns the output-side arrays of a router
+//! arena and hands out [`RouterView`]s over them, so a policy's `route`
 //! and `on_inject` can be called on arbitrary (router, credit-state)
 //! configurations. The credit state is set per port from a small
 //! lattice of [`PortLoad`] conditions rather than evolved cycle by
@@ -12,7 +12,6 @@
 use crate::fabric::Fabric;
 use crate::fault::FaultState;
 use crate::policy::RouterView;
-use crate::router::{OutputPort, RouterStore};
 use ofar_topology::RouterId;
 
 /// The fixed "current cycle" of every probe view. Any value works; it
@@ -36,13 +35,15 @@ pub enum PortLoad {
 
 /// A self-contained mock of one router's policy-visible state.
 ///
-/// Owns the [`Fabric`], a healthy [`FaultState`] and one router's
-/// [`OutputPort`] vector; [`ViewProbe::view`] borrows them as the
-/// `RouterView` every [`crate::policy::Policy`] method takes.
+/// Owns the [`Fabric`], a healthy [`FaultState`] and the output busy
+/// times and credits of a network where only the router it is positioned
+/// at ever leaves [`PortLoad::Empty`]; [`ViewProbe::view`] borrows them
+/// as the `RouterView` every [`crate::policy::Policy`] method takes.
 pub struct ViewProbe {
     fab: Fabric,
     faults: FaultState,
-    outputs: Vec<OutputPort>,
+    out_busy: Vec<u64>,
+    credits: Vec<u32>,
     router: RouterId,
 }
 
@@ -51,12 +52,11 @@ impl ViewProbe {
     /// with all ports [`PortLoad::Empty`].
     pub fn new(cfg: crate::config::SimConfig) -> Self {
         let fab = Fabric::new(cfg);
-        let faults = FaultState::new(&fab);
-        let outputs = RouterStore::new(&fab, RouterId::new(0)).outputs;
         Self {
+            faults: FaultState::new(&fab),
+            out_busy: vec![0; fab.topo().num_routers() * fab.n_out()],
+            credits: fab.lane_caps().to_vec(),
             fab,
-            faults,
-            outputs,
             router: RouterId::new(0),
         }
     }
@@ -76,35 +76,36 @@ impl ViewProbe {
     /// Reposition the probe at `router`, resetting every port to
     /// [`PortLoad::Empty`].
     pub fn set_router(&mut self, router: RouterId) {
+        self.set_all(PortLoad::Empty);
         self.router = router;
-        self.outputs = RouterStore::new(&self.fab, router).outputs;
     }
 
     /// Apply one lattice point to a single output port. Ejection ports
     /// carry no credits (nodes are infinite sinks); for them only the
     /// busy bit is meaningful.
     pub fn set_load(&mut self, port: usize, load: PortLoad) {
-        let out = &mut self.outputs[port];
-        out.busy_until = 0;
+        let lanes = self.fab.out_link(self.router, port).lanes();
+        let caps = &self.fab.lane_caps()[lanes.clone()];
+        let credits = &mut self.credits[lanes];
         match load {
-            PortLoad::Empty => out.credits.copy_from_slice(&out.capacity),
-            PortLoad::Congested => out.credits.fill(0),
+            PortLoad::Empty | PortLoad::Busy => credits.copy_from_slice(caps),
+            PortLoad::Congested => credits.fill(0),
             PortLoad::BubbleBlocked => {
                 let one = self.fab.cfg().packet_size as u32;
-                for (c, cap) in out.credits.iter_mut().zip(&out.capacity) {
+                for (c, cap) in credits.iter_mut().zip(caps) {
                     *c = one.min(*cap);
                 }
             }
-            PortLoad::Busy => {
-                out.credits.copy_from_slice(&out.capacity);
-                out.busy_until = PROBE_NOW + 1_000;
-            }
         }
+        self.out_busy[self.router.idx() * self.fab.n_out() + port] = match load {
+            PortLoad::Busy => PROBE_NOW + 1_000,
+            _ => 0,
+        };
     }
 
     /// Apply one lattice point to every output port.
     pub fn set_all(&mut self, load: PortLoad) {
-        for port in 0..self.outputs.len() {
+        for port in 0..self.fab.n_out() {
             self.set_load(port, load);
         }
     }
@@ -123,7 +124,8 @@ impl ViewProbe {
             &self.fab,
             self.router,
             PROBE_NOW,
-            &self.outputs,
+            &self.out_busy[self.router.idx() * self.fab.n_out()..][..self.fab.n_out()],
+            &self.credits[self.fab.router_lanes(self.router)],
             &self.faults,
         )
     }

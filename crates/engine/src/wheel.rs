@@ -17,9 +17,8 @@
 //! decoder scatters them back), so the file format does not know the
 //! wheel exists.
 
-use crate::fabric::{Fabric, PortKind};
+use crate::fabric::Fabric;
 use crate::packet::Packet;
-use ofar_topology::RouterId;
 
 /// A packet in flight towards VC `vc` of input (`router`, `port`).
 #[derive(Clone, Copy, Debug)]
@@ -62,17 +61,9 @@ impl Wheel {
     /// An empty wheel for `fab`'s links whose next drained cycle is
     /// `now`.
     pub fn new(fab: &Fabric, now: u64) -> Self {
-        let mut max_latency = 0u64;
-        for r in 0..fab.topo().num_routers() {
-            for port in 0..fab.n_out() {
-                let link = fab.out_link(RouterId::from(r), port);
-                if link.kind != PortKind::Node {
-                    max_latency = max_latency.max(u64::from(link.latency));
-                    assert!(link.latency >= 1, "a link must take at least one cycle");
-                }
-            }
-        }
-        Self::with_max_latency(max_latency, now)
+        // Every link takes one of the two configured latencies, both
+        // validated to be at least one cycle.
+        Self::with_max_latency(fab.cfg().lat_local.max(fab.cfg().lat_global), now)
     }
 
     fn with_max_latency(max_latency: u64, now: u64) -> Self {
@@ -173,74 +164,69 @@ impl Wheel {
     /// Gather the wheel back into one time-ordered list per port — the
     /// shape snapshots store and the conservation checks reason in.
     // lint:allow(H001, snapshot and audit only; never on the per-cycle path under NoHooks)
-    pub fn backlog(&self, routers: usize, n_in: usize, n_out: usize) -> Backlog {
+    pub fn backlog(&self) -> Backlog {
         let mut b = Backlog {
-            n_in,
-            n_out,
-            arrivals: vec![Vec::new(); routers * n_in],
-            credits: vec![Vec::new(); routers * n_out],
+            arrivals: self
+                .arrivals()
+                .map(|(at, a)| ((a.router, a.port), at, a.vc, a.pkt))
+                .collect(),
+            credits: self
+                .credits()
+                .map(|(at, c)| ((c.router, c.port), at, c.vc, c.phits))
+                .collect(),
         };
-        for (at, a) in self.arrivals() {
-            b.arrivals[a.router as usize * n_in + a.port as usize].push((at, a.vc, a.pkt));
-        }
-        for (at, c) in self.credits() {
-            b.credits[c.router as usize * n_out + c.port as usize].push((at, c.vc, c.phits));
-        }
+        // Stable: each port's events stay in time order.
+        b.arrivals.sort_by_key(|e| e.0);
+        b.credits.sort_by_key(|e| e.0);
         b
     }
 }
 
+/// One link event of a [`Backlog`]: its (router, port), landing cycle,
+/// VC and payload.
+pub(crate) type Event<T> = ((u32, u16), u64, u8, T);
+
 /// The wheel's contents as per-port link pipelines (see
-/// [`Wheel::backlog`]).
+/// [`Wheel::backlog`]): one port's events consecutive, in time order.
 pub(crate) struct Backlog {
-    n_in: usize,
-    n_out: usize,
-    arrivals: Vec<Vec<(u64, u8, Packet)>>,
-    credits: Vec<Vec<(u64, u8, u32)>>,
+    arrivals: Vec<Event<Packet>>,
+    credits: Vec<Event<u32>>,
+}
+
+/// The run of `events` at (`router`, `port`).
+// lint:allow(P002, router and port ids fit their event fields by construction)
+fn at_port<T>(events: &[Event<T>], router: usize, port: usize) -> &[Event<T>] {
+    let key = (router as u32, port as u16);
+    let from = events.partition_point(|e| e.0 < key);
+    &events[from..][..events[from..].partition_point(|e| e.0 == key)]
 }
 
 impl Backlog {
-    /// `(landing cycle, vc, packet)` of the packets in flight towards
-    /// input (`router`, `port`), in time order.
-    pub fn arrivals(&self, router: usize, port: usize) -> &[(u64, u8, Packet)] {
-        &self.arrivals[router * self.n_in + port]
+    /// The packets in flight towards input (`router`, `port`).
+    pub fn arrivals(&self, router: usize, port: usize) -> &[Event<Packet>] {
+        at_port(&self.arrivals, router, port)
     }
 
-    /// `(landing cycle, vc, phits)` of the credits in flight back to
-    /// output (`router`, `port`), in time order.
-    pub fn credits(&self, router: usize, port: usize) -> &[(u64, u8, u32)] {
-        &self.credits[router * self.n_out + port]
+    /// The credits (in phits) in flight back to output (`router`, `port`).
+    pub fn credits(&self, router: usize, port: usize) -> &[Event<u32>] {
+        at_port(&self.credits, router, port)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ofar_topology::{GroupId, NodeId};
-
-    fn pkt(id: u64) -> Packet {
-        Packet {
-            id,
-            injected_at: 0,
-            src: NodeId::new(0),
-            dst: NodeId::new(1),
-            intermediate: None,
-            flags: 0,
-            ring_exits_left: 0,
-            local_hops: 0,
-            global_hops: 0,
-            ring_hops: 0,
-            wait: 0,
-            cur_group: GroupId::new(0),
-        }
-    }
 
     fn arrival(id: u64) -> Arrival {
+        let pkt = Packet {
+            id,
+            ..Packet::default()
+        };
         Arrival {
             router: id as u32,
             port: 0,
             vc: 0,
-            pkt: pkt(id),
+            pkt,
         }
     }
 
@@ -306,11 +292,11 @@ mod tests {
         }
         let stamps: Vec<u64> = w.credits().map(|(at, _)| at).collect();
         assert_eq!(stamps, vec![503, 510, 557, 600]);
-        let b = w.backlog(8, 3, 3);
+        let b = w.backlog();
         assert_eq!(
             b.credits(7, 2)
                 .iter()
-                .map(|&(at, vc, _)| (at, vc))
+                .map(|&(_, at, vc, _)| (at, vc))
                 .collect::<Vec<_>>(),
             vec![(503, 1), (510, 3), (557, 2), (600, 0)]
         );

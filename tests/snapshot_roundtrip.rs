@@ -548,6 +548,95 @@ fn hostile_length_prefix_is_refused_before_it_is_allocated_for() {
 }
 
 // ---------------------------------------------------------------------
+// Arena bounds: the flat router state is filled from the file slot by
+// slot and lane by lane, each checked against the capacity the fabric
+// records for it — a CRC-valid file cannot over-fill a VC, address a VC
+// its port does not have, or grant more credits than the far buffer
+// holds.
+// ---------------------------------------------------------------------
+
+/// [`edit_section`] for an edit that changes the payload's length.
+fn splice_section(bytes: &[u8], idx: usize, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut pos = 16;
+    for _ in 0..idx {
+        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
+        pos += 9 + len;
+    }
+    let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
+    let mut payload = bytes[pos + 9..pos + 9 + len].to_vec();
+    edit(&mut payload);
+    let mut out = bytes[..pos + 1].to_vec();
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&bytes[pos + 9 + len..bytes.len() - 4]);
+    let sealed = crc32(&out);
+    out.extend_from_slice(&sealed.to_le_bytes());
+    out
+}
+
+#[test]
+fn arena_bounds_are_enforced_on_restore() {
+    let mut h = Harness::new(MechanismKind::Ofar, 9, 0.0, false);
+    h.drive(300);
+    let clean = h.net.save_snapshot();
+    let mut payload = Vec::new();
+    edit_section(&clean, 2, |p| payload = p.to_vec());
+
+    // A VC buffer holding a packet: its count, then the packets. Refill
+    // it with 64 copies of its head — no VC of the paper's
+    // configuration holds more than 32.
+    let fifo = find_pipeline(&h.net, &payload, ".fifo", 1);
+    let label = h.net.locate_state_field(&payload, fifo);
+    let end = (fifo..payload.len())
+        .find(|&o| h.net.locate_state_field(&payload, o) != label)
+        .unwrap();
+    let queued = u64::from_le_bytes(payload[fifo..fifo + 8].try_into().unwrap()) as usize;
+    let head = payload[fifo + 8..fifo + 8 + (end - fifo - 8) / queued].to_vec();
+    let over_full = splice_section(&clean, 2, |p| {
+        p.splice(
+            fifo..end,
+            [64u64.to_le_bytes().to_vec(), head.repeat(64)].concat(),
+        );
+    });
+
+    // An arrival in flight: stamp u64, then the VC it lands in.
+    let arrivals = find_pipeline(&h.net, &payload, ".arrivals", 1);
+    let vc_out_of_range = edit_section(&clean, 2, |p| p[arrivals + 16] = 200);
+
+    let credits = (0..payload.len())
+        .find(|&o| {
+            h.net
+                .locate_state_field(&payload, o)
+                .ends_with(".credits[0]")
+        })
+        .unwrap();
+    let credits_above_capacity = edit_section(&clean, 2, |p| {
+        p[credits..credits + 4].copy_from_slice(&u32::MAX.to_le_bytes())
+    });
+
+    let mut victim = Harness::new(MechanismKind::Ofar, 9, 0.0, false);
+    victim.drive(100);
+    let pristine = victim.net.save_snapshot();
+    for (what, bytes) in [
+        ("an over-full VC", over_full),
+        ("an arrival for a VC out of range", vc_out_of_range),
+        ("credits above capacity", credits_above_capacity),
+    ] {
+        match victim.net.restore_snapshot(&bytes) {
+            Err(SnapshotError::Malformed(_)) => {}
+            other => panic!("{what}: expected Malformed, got {other:?}"),
+        }
+        assert_eq!(
+            victim.net.save_snapshot(),
+            pristine,
+            "{what}: victim touched"
+        );
+    }
+    victim.net.restore_snapshot(&clean).unwrap();
+}
+
+// ---------------------------------------------------------------------
 // The labels cover the section: `locate_state_field` is the STATE
 // decoder itself run with a probe, so there is no second schema to keep
 // in step — what is left to pin is that the decoder names everything it
