@@ -104,15 +104,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut cfg = LintConfig::default();
-    // Stale-waiver hygiene (S002): whenever the checked-in contract
-    // exists, every one of its waivers must still match a live
-    // suppressed finding.
-    if let Ok(text) = std::fs::read_to_string(args.root.join("results/phase-contract.json")) {
-        cfg.contract = Some(text);
-    }
-
-    let analysis = analyze_sources(&sources, &cfg);
+    let analysis = analyze_sources(&sources, &LintConfig::default());
 
     if let Some(p) = &args.json_out {
         if let Err(e) = std::fs::write(p, report::json(&analysis.findings, analysis.files_scanned))

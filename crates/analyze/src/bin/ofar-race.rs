@@ -139,10 +139,7 @@ fn main() -> ExitCode {
                     diverged = true;
                     println!("  DIVERGES  {w}");
                     for waiver in &w.related_waivers {
-                        println!(
-                            "            refuted waiver: {} at {}:{} — {}",
-                            waiver.rule, waiver.file, waiver.line, waiver.reason
-                        );
+                        println!("            refuted waiver: {waiver} — {}", waiver.reason);
                     }
                 }
             }

@@ -1,21 +1,112 @@
-//! The parallelization-contract artifact (`results/phase-contract.json`).
+//! The phase-contract artifact (`results/phase-contract.json`).
 //!
 //! Rendered from the phase analysis after suppression claiming, the
-//! contract is the machine-readable spec the parallel engine rewrite
-//! consumes: the declared phases in execution order, each phase's
+//! contract is the machine-readable record of how `Network::step` is
+//! partitioned: the declared phases in execution order, each phase's
 //! read/write footprint over classified engine state, the disjointness
 //! verdict for the parallel phases, and every waived R finding with
 //! its mandatory reason. The artifact is deterministic (all sets are
 //! ordered, no timestamps) and checked in; CI regenerates it and fails
 //! on drift.
+//!
+//! Nothing in it names a line or, below `root_file`, a file: a waiver
+//! is addressed by the function that holds it ([`Waiver`]), so moving
+//! code — within a file or into another — leaves the artifact as it is.
 
-use crate::json::escape;
+use crate::json::{self, escape};
 use crate::phases::PhaseInfo;
 use crate::rules::{Finding, RULE_PHASE_ACCUM, RULE_PHASE_CROSS_WRITE, RULE_PHASE_READ_RACE};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Format version of the contract artifact.
-pub const CONTRACT_VERSION: u32 = 1;
+pub const CONTRACT_VERSION: u32 = 2;
+
+/// One waived R finding, as the contract lists it — the one place that
+/// knows the shape: [`render`] writes it, [`load_waivers`] reads it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Waiver {
+    /// Waived rule (e.g. `R003`, `R006`).
+    pub rule: String,
+    /// Qualified name of the function whose span holds the finding
+    /// (`Network::execute_grant`).
+    pub function: String,
+    /// 0-based rank among that function's suppressed findings of the
+    /// same rule, in source order — an edit in one function cannot
+    /// renumber another's.
+    pub nth: u32,
+    /// Mandatory justification from the `lint:allow` marker.
+    pub reason: String,
+}
+
+impl std::fmt::Display for Waiver {
+    /// `R003 #1 in Network::execute_grant`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} #{} in {}", self.rule, self.nth, self.function)
+    }
+}
+
+/// The waivers of one analysis run: every suppressed R finding, ordered
+/// by `(function, rule, nth)`.
+pub fn waivers(findings: &[Finding]) -> Vec<Waiver> {
+    let mut held: Vec<&Finding> = findings
+        .iter()
+        .filter(|f| f.rule.starts_with('R') && f.suppressed.is_some())
+        .collect();
+    held.sort_by_key(|f| (&f.function, f.rule, &f.file, f.line));
+    let mut rank: BTreeMap<(&str, &str), u32> = BTreeMap::new();
+    held.iter()
+        .map(|f| {
+            let next = rank.entry((&f.function, f.rule)).or_default();
+            let nth = *next;
+            *next += 1;
+            Waiver {
+                rule: f.rule.to_string(),
+                function: f.function.clone(),
+                nth,
+                reason: f.suppressed.as_ref().map_or("", |x| &x.reason).to_string(),
+            }
+        })
+        .collect()
+}
+
+/// Parse the waiver list out of a `phase-contract.json` document.
+pub fn load_waivers(contract_json: &str) -> Result<Vec<Waiver>, String> {
+    let v = json::parse(contract_json)?;
+    match v.get("contract_version") {
+        Some(json::Value::Int(n)) if *n == i64::from(CONTRACT_VERSION) => {}
+        other => {
+            return Err(format!(
+                "contract_version is {other:?}, this build reads {CONTRACT_VERSION} — \
+                 regenerate with ofar-lint --emit-contract"
+            ))
+        }
+    }
+    let arr = v
+        .get("waivers")
+        .and_then(|w| w.as_arr())
+        .ok_or("contract has no waivers array")?;
+    arr.iter()
+        .map(|w| {
+            let s = |key: &str| {
+                w.get(key)
+                    .and_then(|x| x.as_str())
+                    .map(str::to_string)
+                    .ok_or_else(|| format!("waiver missing {key}"))
+            };
+            let nth = match w.get("nth") {
+                Some(json::Value::Int(n)) => u32::try_from(*n).ok(),
+                _ => None,
+            };
+            Ok(Waiver {
+                rule: s("rule")?,
+                function: s("function")?,
+                nth: nth.ok_or("waiver missing nth (a non-negative integer)")?,
+                reason: s("reason")?,
+            })
+        })
+        .collect()
+}
 
 /// Render the contract. `findings` is the final (post-suppression)
 /// finding list of the same analysis run.
@@ -30,10 +121,7 @@ pub fn render(info: &PhaseInfo, findings: &[Finding]) -> String {
         .iter()
         .filter(|f| f.rule == "R004" && f.suppressed.is_none())
         .count();
-    let waivers: Vec<&Finding> = findings
-        .iter()
-        .filter(|f| f.rule.starts_with('R') && f.suppressed.is_some())
-        .collect();
+    let waivers = waivers(findings);
 
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"tool\": \"ofar-lint\",");
@@ -117,14 +205,13 @@ pub fn render(info: &PhaseInfo, findings: &[Finding]) -> String {
         if i > 0 {
             s.push(',');
         }
-        let reason = w.suppressed.as_ref().map_or("", |x| x.reason.as_str());
         let _ = write!(
             s,
-            "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"reason\": \"{}\"}}",
+            "\n    {{\"rule\": \"{}\", \"function\": \"{}\", \"nth\": {}, \"reason\": \"{}\"}}",
             w.rule,
-            escape(&w.file),
-            w.line,
-            escape(reason)
+            escape(&w.function),
+            w.nth,
+            escape(&w.reason)
         );
     }
     if !waivers.is_empty() {
@@ -184,6 +271,7 @@ mod tests {
             rule: crate::rules::RULE_PHASE_CROSS_WRITE,
             file: "a.rs".to_string(),
             line: 5,
+            function: "Network::route".to_string(),
             message: String::new(),
             snippet: String::new(),
             suppressed: None,
@@ -206,9 +294,16 @@ mod tests {
             v.get("disjointness").unwrap().get("verdict"),
             Some(&j::Value::Str("disjoint".to_string()))
         );
-        let ws = v.get("waivers").unwrap().as_arr().unwrap();
-        assert_eq!(ws.len(), 1);
-        assert!(ws[0].get("reason").is_some());
+        // What `render` writes, `load_waivers` reads back.
+        assert_eq!(
+            load_waivers(&out).unwrap(),
+            vec![Waiver {
+                rule: "R001".to_string(),
+                function: "Network::route".to_string(),
+                nth: 0,
+                reason: "shared fate RNG, serialized in PR-10".to_string(),
+            }]
+        );
     }
 
     #[test]

@@ -95,14 +95,6 @@ pub const FIXTURES: &[Fixture] = &[
         src: include_str!("../fixtures/r_ledger.rs"),
     },
     Fixture {
-        name: "s_waiver_live.rs",
-        src: include_str!("../fixtures/s_waiver_live.rs"),
-    },
-    Fixture {
-        name: "s_waiver_stale.rs",
-        src: include_str!("../fixtures/s_waiver_stale.rs"),
-    },
-    Fixture {
         name: "suppress_ok.rs",
         src: include_str!("../fixtures/suppress_ok.rs"),
     },
@@ -112,33 +104,18 @@ pub const FIXTURES: &[Fixture] = &[
     },
 ];
 
-/// Companion contract artifacts for the waiver-hygiene fixtures: S002
-/// audits a checked-in contract, so those fixtures carry one (a live
-/// waiver that must stay silent, a stale one that must fire).
-fn fixture_contract(name: &str) -> Option<&'static str> {
-    match name {
-        "s_waiver_live.rs" => Some(include_str!("../fixtures/s_waiver_live.contract.json")),
-        "s_waiver_stale.rs" => Some(include_str!("../fixtures/s_waiver_stale.contract.json")),
-        _ => None,
-    }
-}
-
 /// Run the analyzer over every fixture and verify the expectation sets.
 /// Returns a one-line summary, or the list of mismatches.
 pub fn selftest() -> Result<String, Vec<String>> {
     let mut errors = Vec::new();
     let mut expectations = 0usize;
     for fx in FIXTURES {
-        let cfg = LintConfig {
-            contract: fixture_contract(fx.name).map(str::to_string),
-            ..LintConfig::default()
-        };
         let sf = SourceFile {
             path: fx.name.to_string(),
             crate_name: "engine".to_string(),
             text: fx.src.to_string(),
         };
-        let analysis = analyze_sources(std::slice::from_ref(&sf), &cfg);
+        let analysis = analyze_sources(std::slice::from_ref(&sf), &LintConfig::default());
         let parsed = parse::parse(fx.name, "engine", fx.src, lexer::lex(fx.src));
         let expects: Vec<_> = suppress::scan(&parsed)
             .into_iter()

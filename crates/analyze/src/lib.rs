@@ -1,15 +1,18 @@
 //! `ofar-analyze` — workspace-specific static analysis for the OFAR
 //! simulator, exposed through the `ofar-lint` binary.
 //!
-//! The analyzer gates the planned group-parallel engine rewrite
-//! (ROADMAP item 1) on five mechanically-checked contracts:
-//! determinism (D rules), hot-path allocation freedom (H rules),
-//! snapshot completeness (S rules), release-panic freedom (P rules)
-//! and phase discipline (R rules — the cycle loop of `Network::step`
-//! is segmented into declared phases and each parallel phase is proved
-//! free of cross-router writes). The R family additionally emits the
-//! parallelization contract (`results/phase-contract.json`) the
-//! parallel engine consumes; see [`contract`]. See [`rules::CATALOG`]
+//! The analyzer holds the workspace to five mechanically-checked
+//! contracts: determinism (D rules), hot-path allocation freedom
+//! (H rules), snapshot completeness (S rules), release-panic freedom
+//! (P rules) and phase discipline (R rules — the cycle loop of
+//! `Network::step` is segmented into declared phases and each parallel
+//! phase is proved free of cross-router writes). The R family
+//! additionally emits the phase contract
+//! (`results/phase-contract.json`, see [`contract`]). Two things read
+//! it today: the drift gate (`ofar-lint --verify-contract` in CI and
+//! the tier-1 `checked_in_contract_matches_fresh` test byte-compare it
+//! against a fresh render) and `ofar-race`, which cross-references its
+//! waivers against the divergences it finds. See [`rules::CATALOG`]
 //! for the full rule list and DESIGN.md §13/§15 for the rationale and
 //! suppression workflow.
 //!
@@ -125,83 +128,33 @@ pub fn analyze_sources(sources: &[SourceFile], cfg: &LintConfig) -> Analysis {
                 || !rules::known_rule(&m.rule)
                 || (m.kind == MarkerKind::Allow && m.reason.trim().is_empty());
             if malformed {
-                extra.push(Finding {
-                    rule: rules::RULE_BAD_SUPPRESSION,
-                    file: file.path.clone(),
-                    line: m.line,
-                    message: if m.rule.is_empty() || !rules::known_rule(&m.rule) {
-                        format!(
-                            "malformed suppression: `{}` is not a rule id (see \
-                             ofar-lint --list-rules)",
-                            m.rule
-                        )
-                    } else {
-                        "suppression without a reason: write \
-                         lint:allow(RULE, why this is acceptable)"
-                            .to_string()
-                    },
-                    snippet: snippet_of(&file.src, m.line),
-                    suppressed: None,
-                });
+                let message = if m.rule.is_empty() || !rules::known_rule(&m.rule) {
+                    format!(
+                        "malformed suppression: `{}` is not a rule id (see \
+                         ofar-lint --list-rules)",
+                        m.rule
+                    )
+                } else {
+                    "suppression without a reason: write \
+                     lint:allow(RULE, why this is acceptable)"
+                        .to_string()
+                };
+                rules::push(
+                    &mut extra,
+                    rules::RULE_BAD_SUPPRESSION,
+                    file,
+                    m.line,
+                    message,
+                );
             } else if m.kind == MarkerKind::Allow && !used[i] {
-                extra.push(Finding {
-                    rule: rules::RULE_UNUSED_SUPPRESSION,
-                    file: file.path.clone(),
-                    line: m.line,
-                    message: format!("lint:allow({}) suppresses nothing — remove it", m.rule),
-                    snippet: snippet_of(&file.src, m.line),
-                    suppressed: None,
-                });
+                rules::push(
+                    &mut extra,
+                    rules::RULE_UNUSED_SUPPRESSION,
+                    file,
+                    m.line,
+                    format!("lint:allow({}) suppresses nothing — remove it", m.rule),
+                );
             }
-        }
-    }
-
-    // Stale-waiver hygiene (S002): every waiver the checked-in contract
-    // carries must still match a live *suppressed* R finding. A waiver
-    // whose violation was fixed (or drifted to another line) is a hole
-    // the next violation could hide in — the dynamic certifier
-    // cross-references witnesses against this same list, so it must
-    // stay exact.
-    if let Some(text) = &cfg.contract {
-        match race::load_waivers(text) {
-            Ok(waivers) => {
-                for w in &waivers {
-                    let live = findings.iter().any(|f| {
-                        f.suppressed.is_some()
-                            && f.rule == w.rule
-                            && f.file == w.file
-                            && u64::from(f.line) == w.line
-                    });
-                    if !live {
-                        let snippet = files
-                            .iter()
-                            .find(|f| f.path == w.file)
-                            .map(|f| snippet_of(&f.src, w.line as u32))
-                            .unwrap_or_default();
-                        extra.push(Finding {
-                            rule: rules::RULE_STALE_WAIVER,
-                            file: w.file.clone(),
-                            line: w.line as u32,
-                            message: format!(
-                                "stale contract waiver: {} at {}:{} matches no live \
-                                 suppressed finding — regenerate the contract \
-                                 (ofar-lint --emit-contract)",
-                                w.rule, w.file, w.line
-                            ),
-                            snippet,
-                            suppressed: None,
-                        });
-                    }
-                }
-            }
-            Err(e) => extra.push(Finding {
-                rule: rules::RULE_STALE_WAIVER,
-                file: "results/phase-contract.json".to_string(),
-                line: 0,
-                message: format!("contract waiver list unreadable: {e}"),
-                snippet: String::new(),
-                suppressed: None,
-            }),
         }
     }
 
@@ -218,14 +171,6 @@ pub fn analyze_sources(sources: &[SourceFile], cfg: &LintConfig) -> Analysis {
         findings,
         contract,
     }
-}
-
-fn snippet_of(src: &str, line: u32) -> String {
-    src.lines()
-        .nth(line.saturating_sub(1) as usize)
-        .unwrap_or("")
-        .trim()
-        .to_string()
 }
 
 /// Collect the workspace's own sources: `src/` of the root package and

@@ -52,6 +52,18 @@ pub struct FnItem {
     pub calls: Vec<Call>,
 }
 
+impl File {
+    /// Qualified name of the function whose span (signature line to
+    /// closing brace) holds `line`; empty outside every function.
+    pub fn fn_at(&self, line: u32) -> String {
+        self.fns
+            .iter()
+            .find(|f| f.line <= line && line <= f.end_line)
+            .map(FnItem::qname)
+            .unwrap_or_default()
+    }
+}
+
 impl FnItem {
     /// `Type::name` when in an impl, else the bare name.
     pub fn qname(&self) -> String {

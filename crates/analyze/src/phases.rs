@@ -715,6 +715,7 @@ impl Findings {
             rule,
             file: file.path.clone(),
             line,
+            function: file.fn_at(line),
             message,
             snippet: line_snippet(file, line),
             suppressed: None,

@@ -31,6 +31,7 @@
 //! and checked in; CI regenerates it and fails on drift, like the
 //! parallelization contract itself.
 
+pub use crate::contract::{load_waivers, Waiver};
 use crate::json;
 use ofar_engine::{diff_snapshots, Hooks, Network, NoHooks, Policy, ShardSchedule, SimConfig};
 use ofar_routing::MechanismKind;
@@ -277,48 +278,6 @@ pub fn shard_of(field: &str) -> Option<(&'static str, u64)> {
     let open = field.find('[')?;
     let close = field[open..].find(']')? + open;
     field[open + 1..close].parse().ok().map(|i| (axis, i))
-}
-
-/// One waiver from the parallelization contract.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Waiver {
-    /// Waived rule (e.g. `R003`, `R006`).
-    pub rule: String,
-    /// File the waived finding lives in.
-    pub file: String,
-    /// Line of the waived finding.
-    pub line: u64,
-    /// Mandatory justification from the `lint:allow` marker.
-    pub reason: String,
-}
-
-/// Parse the waiver list out of a `phase-contract.json` document.
-pub fn load_waivers(contract_json: &str) -> Result<Vec<Waiver>, String> {
-    let v = json::parse(contract_json)?;
-    let arr = v
-        .get("waivers")
-        .and_then(|w| w.as_arr())
-        .ok_or("contract has no waivers array")?;
-    let mut out = Vec::with_capacity(arr.len());
-    for w in arr {
-        let s = |key: &str| {
-            w.get(key)
-                .and_then(|x| x.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("waiver missing {key}"))
-        };
-        let line = match w.get("line") {
-            Some(json::Value::Int(n)) => *n as u64,
-            _ => return Err("waiver missing line".into()),
-        };
-        out.push(Waiver {
-            rule: s("rule")?,
-            file: s("file")?,
-            line,
-            reason: s("reason")?,
-        });
-    }
-    Ok(out)
 }
 
 /// A fully-attributed commutativity violation.
@@ -618,32 +577,18 @@ mod tests {
     }
 
     #[test]
-    fn waivers_parse_from_contract_json() {
-        let doc = r#"{
-            "waivers": [
-                {"rule": "R003", "file": "crates/engine/src/network.rs", "line": 10, "reason": "x"},
-                {"rule": "R006", "file": "crates/engine/src/network.rs", "line": 20, "reason": "y"}
-            ]
-        }"#;
-        let ws = load_waivers(doc).unwrap();
-        assert_eq!(ws.len(), 2);
-        assert_eq!(ws[0].rule, "R003");
-        assert_eq!(ws[1].line, 20);
-    }
-
-    #[test]
     fn witness_cross_references_waiver_families() {
         let waivers = vec![
             Waiver {
                 rule: "R003".into(),
-                file: "f".into(),
-                line: 1,
+                function: "Network::f".into(),
+                nth: 0,
                 reason: "shared".into(),
             },
             Waiver {
                 rule: "R006".into(),
-                file: "f".into(),
-                line: 2,
+                function: "Network::f".into(),
+                nth: 0,
                 reason: "fold".into(),
             },
         ];

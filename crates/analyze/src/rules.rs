@@ -57,8 +57,6 @@ pub const RULE_PHASE_FOLD: &str = "R005";
 /// R006: position-weighting fold over an effect-ledger drain in a
 /// commit phase.
 pub const RULE_LEDGER_FOLD: &str = "R006";
-/// S002: contract waiver matching no live suppressed finding.
-pub const RULE_STALE_WAIVER: &str = "S002";
 /// A001: malformed suppression (missing rule or reason).
 pub const RULE_BAD_SUPPRESSION: &str = "A001";
 /// A002: suppression that suppresses nothing.
@@ -153,12 +151,6 @@ pub const CATALOG: &[(&str, &str)] = &[
          state — reduce commutatively or sort before folding",
     ),
     (
-        RULE_STALE_WAIVER,
-        "contract waiver matching no live suppressed finding — the \
-         waived violation no longer exists; regenerate the contract so \
-         the waiver list only shrinks",
-    ),
-    (
         RULE_BAD_SUPPRESSION,
         "malformed lint:allow — every suppression names a rule and \
          carries a non-empty reason",
@@ -184,6 +176,9 @@ pub struct Finding {
     pub file: String,
     /// 1-based line (0 for file-level findings).
     pub line: u32,
+    /// Qualified name of the function whose span holds `line`
+    /// (`Network::execute_grant`); empty outside every function.
+    pub function: String,
     /// Human-readable message.
     pub message: String,
     /// Trimmed text of the offending line.
@@ -224,11 +219,6 @@ pub struct LintConfig {
     /// Qualified name of the cycle-loop root the R-family phase
     /// analysis segments (`Network::step`).
     pub phase_root: &'static str,
-    /// Checked-in parallelization contract (JSON text), when available.
-    /// Each of its waivers must still match a live suppressed R finding
-    /// or S002 fires: a waiver that outlived its violation is a hole in
-    /// the contract the next violation could hide in.
-    pub contract: Option<String>,
 }
 
 impl Default for LintConfig {
@@ -243,7 +233,6 @@ impl Default for LintConfig {
                 .to_vec(),
             counter_types: vec!["Stats".to_string(), "StatsWindow".to_string()],
             phase_root: "Network::step",
-            contract: None,
         }
     }
 }
@@ -296,11 +285,18 @@ pub(crate) fn line_snippet(file: &File, line: u32) -> String {
         .to_string()
 }
 
-fn push(out: &mut Vec<Finding>, rule: &'static str, file: &File, line: u32, message: String) {
+pub(crate) fn push(
+    out: &mut Vec<Finding>,
+    rule: &'static str,
+    file: &File,
+    line: u32,
+    message: String,
+) {
     out.push(Finding {
         rule,
         file: file.path.clone(),
         line,
+        function: file.fn_at(line),
         message,
         snippet: line_snippet(file, line),
         suppressed: None,

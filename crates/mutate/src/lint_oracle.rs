@@ -2,7 +2,7 @@
 //! killer.
 //!
 //! [`OpCategory::Source`](crate::OpCategory::Source) mutants are
-//! textual transforms of the engine's own `network.rs` — defects a
+//! textual transforms of the engine's own step-loop source — defects a
 //! developer could introduce while editing the step loop, invisible to
 //! every dynamic oracle because the single-threaded engine simulates
 //! them identically. The seeded transform moves the credit return
@@ -16,19 +16,16 @@
 //! mutant is killed when an open R-family finding lands in the mutated
 //! file.
 //!
-//! The pristine text being replaced is pinned byte-exact: when a
-//! refactor of `execute_grant` breaks the match, the oracle panics
-//! instead of silently analyzing an unmutated workspace and reporting
-//! a survivor.
+//! The pristine text being replaced is pinned byte-exact and located by
+//! content, not by path: exactly one engine source must contain it.
+//! When a refactor of `execute_grant` breaks the match, the oracle
+//! panics instead of silently analyzing an unmutated workspace and
+//! reporting a survivor.
 
 use crate::operator::MutationOp;
-use ofar_analyze::{analyze_sources, collect_sources, LintConfig};
+use ofar_analyze::{analyze_sources, collect_sources, LintConfig, SourceFile};
 use ofar_verify::OracleVerdict;
-use std::fmt::Write as _;
 use std::path::Path;
-
-/// Workspace-relative path of the mutated file.
-const TARGET: &str = "crates/engine/src/network.rs";
 
 /// The deferred credit push in `execute_grant`, byte-exact with the
 /// pristine source.
@@ -57,42 +54,53 @@ const CREDIT_HOIST: &str = "            self.wheel.file_credit(
                 },
             );";
 
-/// Run the phase-discipline analyzer against the workspace with `op`'s
-/// textual transform applied to the engine source. Kills are open
-/// R-family findings in the mutated file.
-pub fn lint_verdict(op: MutationOp) -> OracleVerdict {
+/// The workspace sources and the index of the one engine source that
+/// holds [`CREDIT_PUSH`].
+fn workspace_and_target() -> (Vec<SourceFile>, usize) {
     // The harness always runs from a checkout of this workspace (tests,
     // CI, `ofar-bench mutants`), so the compile-time manifest dir
     // locates the sources.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut sources = collect_sources(&root).expect("workspace sources readable");
-    let target = sources
-        .iter_mut()
-        .find(|s| s.path == TARGET)
-        .unwrap_or_else(|| panic!("{TARGET} missing from workspace sources"));
+    let sources = collect_sources(&root).expect("workspace sources readable");
+    let holders: Vec<usize> = (0..sources.len())
+        .filter(|&i| sources[i].crate_name == "engine" && sources[i].text.contains(CREDIT_PUSH))
+        .collect();
+    assert_eq!(
+        holders.len(),
+        1,
+        "the deferred credit push in execute_grant must match the lint oracle's \
+         pinned text in exactly one engine source — update lint_oracle::CREDIT_PUSH"
+    );
+    (sources, holders[0])
+}
+
+/// `function [rule] message` for every open R-family finding in `file`.
+fn open_r_findings(sources: &[SourceFile], file: &str) -> Vec<String> {
+    analyze_sources(sources, &LintConfig::default())
+        .open()
+        .filter(|f| f.file == file && f.rule.starts_with('R'))
+        .map(|f| format!("{} [{}] {}", f.function, f.rule, f.message))
+        .collect()
+}
+
+/// Run the phase-discipline analyzer against the workspace with `op`'s
+/// textual transform applied to the engine source. Kills are open
+/// R-family findings in the mutated file; the witness names the
+/// function, not a line.
+pub fn lint_verdict(op: MutationOp) -> OracleVerdict {
+    let (mut sources, target) = workspace_and_target();
     match op {
         MutationOp::SourceCreditPhaseHoist => {
-            assert!(
-                target.text.contains(CREDIT_PUSH),
-                "the deferred credit push in execute_grant no longer matches the \
-                 lint oracle's pinned text — update lint_oracle::CREDIT_PUSH"
-            );
-            target.text = target.text.replace(CREDIT_PUSH, CREDIT_HOIST);
+            sources[target].text = sources[target].text.replace(CREDIT_PUSH, CREDIT_HOIST);
         }
         _ => unreachable!("{} is not a source operator", op.name()),
     }
-    let analysis = analyze_sources(&sources, &LintConfig::default());
-    let hits: Vec<_> = analysis
-        .open()
-        .filter(|f| f.file == TARGET && f.rule.starts_with('R'))
-        .collect();
-    if hits.is_empty() {
-        OracleVerdict::Pass
-    } else {
-        let mut witness = format!("{} phase-discipline finding(s); first: ", hits.len());
-        let f = hits[0];
-        let _ = write!(witness, "{}:{} [{}] {}", f.file, f.line, f.rule, f.message);
-        OracleVerdict::Fail { witness }
+    let hits = open_r_findings(&sources, &sources[target].path);
+    match hits.first() {
+        None => OracleVerdict::Pass,
+        Some(first) => OracleVerdict::Fail {
+            witness: format!("{} phase-discipline finding(s); first: {first}", hits.len()),
+        },
     }
 }
 
@@ -108,14 +116,8 @@ mod tests {
     /// R-family finding, so any kill below is the transform's doing.
     #[test]
     fn pristine_engine_is_lint_clean() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let sources = collect_sources(&root).expect("workspace sources");
-        let a = analyze_sources(&sources, &LintConfig::default());
-        let open: Vec<_> = a
-            .open()
-            .filter(|f| f.file == TARGET && f.rule.starts_with('R'))
-            .map(|f| format!("{}:{} [{}] {}", f.file, f.line, f.rule, f.message))
-            .collect();
+        let (sources, target) = workspace_and_target();
+        let open = open_r_findings(&sources, &sources[target].path);
         assert!(
             open.is_empty(),
             "pristine engine has open R findings: {open:?}"
@@ -137,7 +139,10 @@ mod tests {
             .killed_by()
             .expect("the hoisted credit write must be caught");
         assert_eq!(oracle, OracleKind::Lint);
-        assert!(witness.contains("R001"), "witness: {witness}");
+        assert!(
+            witness.contains("Network::execute_grant [R001]"),
+            "witness: {witness}"
+        );
         assert!(witness.contains("cross-shard write"), "witness: {witness}");
     }
 }

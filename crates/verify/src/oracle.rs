@@ -78,8 +78,6 @@ pub enum OracleVerdict {
     },
 }
 
-impl OracleVerdict {}
-
 /// Verdicts of the static half of the stack for one subject.
 #[derive(Clone, Debug)]
 pub struct StaticVerdicts {
