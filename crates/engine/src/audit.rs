@@ -114,7 +114,7 @@ pub enum AuditViolation {
     },
     /// Credit conservation failed on a link VC: sender credits +
     /// receiver occupancy + in-flight packets + in-flight credits ≠
-    /// capacity (the release form of `check_credit_conservation`).
+    /// capacity.
     CreditLeak {
         /// Cycle of the deep check.
         cycle: u64,

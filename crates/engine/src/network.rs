@@ -1356,6 +1356,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
     }
 
+    /// Run the whole-network deep checks right now and return the
+    /// invariants that failed — empty on a healthy network. Needs no
+    /// recording hooks: the test suites call it on plain networks.
+    pub fn audit_now(&self) -> Vec<AuditViolation> {
+        self.deep_audit(self.now).1
+    }
+
     /// The whole-network conservation checks (cadenced by
     /// [`Hooks::deep_due`]): phit conservation, per-link credit
     /// conservation, occupancy bounds and the escape-ring bubble
@@ -1381,8 +1388,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             });
         }
 
-        // Credit conservation per (link, VC) — the non-fatal form of
-        // `check_credit_conservation` — and occupancy ≤ capacity.
+        // Credit conservation per (link, VC), and occupancy ≤ capacity.
         let backlog = self.wheel.backlog();
         for ridx in 0..self.fab.topo().num_routers() {
             let router = RouterId::from(ridx);
@@ -1946,35 +1952,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             return src + buffered + llr.undelivered_phits(&self.fab, size);
         }
         src + buffered + self.wheel.arrivals().count() as u64 * size
-    }
-
-    /// Assert that the occupancy index (`engine::occupancy`) equals
-    /// a recount of the VC FIFOs and source queues. Called from tests;
-    /// O(network).
-    pub fn check_occupancy_index(&self) {
-        assert!(
-            self.occ == Occupancy::recount(&self.fab, &self.arena.fifos, &self.src_q),
-            "occupancy index drifted from the FIFOs and source queues"
-        );
-    }
-
-    /// Assert credit consistency: for every link, sender credits plus
-    /// receiver occupancy plus in-flight packets and in-flight credits
-    /// must equal the buffer capacity. Called from tests; O(network).
-    pub fn check_credit_conservation(&self) {
-        let backlog = self.wheel.backlog();
-        for ridx in 0..self.fab.topo().num_routers() {
-            let router = RouterId::from(ridx);
-            for (port, link) in self.fab.out_links(router).iter().enumerate() {
-                for (vc, lane) in link.lanes().enumerate() {
-                    assert_eq!(
-                        self.credit_sum(&backlog, ridx, port, vc),
-                        self.fab.lane_caps()[lane],
-                        "credit leak on {router} out {port} vc {vc}"
-                    );
-                }
-            }
-        }
     }
 }
 

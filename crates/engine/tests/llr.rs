@@ -66,7 +66,7 @@ proptest! {
         let size = net.cfg().packet_size as u64;
         prop_assert_eq!(stats.delivered_phits, generated * size);
         prop_assert_eq!(net.phits_in_system(), 0);
-        net.check_credit_conservation();
+        assert_eq!(net.audit_now(), []);
     }
 
     /// Same config, seed and traffic ⇒ bit-identical retry counters and
@@ -132,7 +132,7 @@ fn one_shot_corruption_is_nacked_and_replayed() {
     assert_eq!(stats.llr_retransmits, 1);
     assert_eq!(stats.llr_wire_drops, 0);
     assert_eq!(stats.llr_timeouts, 0, "nack must beat the timeout");
-    net.check_credit_conservation();
+    assert_eq!(net.audit_now(), []);
 }
 
 /// A single scheduled `DropPhit`: the transfer never arrives, so recovery
@@ -160,7 +160,7 @@ fn one_shot_drop_recovers_via_timeout() {
         net.top_retransmit_links(4),
         vec![(RouterId::new(0), RouterId::new(1), 1)]
     );
-    net.check_credit_conservation();
+    assert_eq!(net.audit_now(), []);
 }
 
 /// A flapping link composes transient fail/restore pairs: while the link is
@@ -204,5 +204,5 @@ fn exactly_once_across_a_link_flap() {
     assert_eq!(stats.duplicate_deliveries, 0);
     assert_eq!(stats.link_failures, 2);
     assert_eq!(stats.link_repairs, 2);
-    net.check_credit_conservation();
+    assert_eq!(net.audit_now(), []);
 }

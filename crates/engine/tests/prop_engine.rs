@@ -38,7 +38,7 @@ proptest! {
             generated * size,
             net.stats().delivered_phits + net.phits_in_system()
         );
-        net.check_credit_conservation();
+        assert_eq!(net.audit_now(), []);
     }
 
     #[test]
@@ -103,5 +103,5 @@ fn zero_traffic_is_a_fixed_point() {
     net.run(500);
     assert_eq!(net.stats().delivered_packets, 0);
     assert_eq!(net.phits_in_system(), 0);
-    net.check_credit_conservation();
+    assert_eq!(net.audit_now(), []);
 }

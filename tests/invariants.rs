@@ -27,7 +27,6 @@ fn drive(
 }
 
 fn assert_conservation(net: &Network<Mechanism>) {
-    net.check_occupancy_index();
     let size = net.cfg().packet_size as u64;
     let s = net.stats();
     assert_eq!(
@@ -36,7 +35,7 @@ fn assert_conservation(net: &Network<Mechanism>) {
         "phit conservation violated for {}",
         net.policy().name()
     );
-    net.check_credit_conservation();
+    assert_eq!(net.audit_now(), []);
 }
 
 #[test]
@@ -95,7 +94,7 @@ fn conservation_holds_with_reduced_vcs() {
         net.stats().generated_packets * size,
         net.stats().delivered_phits + net.phits_in_system()
     );
-    net.check_credit_conservation();
+    assert_eq!(net.audit_now(), []);
 }
 
 #[test]
@@ -133,7 +132,7 @@ fn draining_returns_every_packet() {
         }
         assert_eq!(net.stats().delivered_packets, generated);
         assert_eq!(net.phits_in_system(), 0);
-        net.check_credit_conservation();
+        assert_eq!(net.audit_now(), []);
     }
 }
 

@@ -144,7 +144,7 @@ fn pulse_then_drain(cfg: SimConfig, seed: u64) -> proptest::TestCaseResult {
     }
     prop_assert_eq!(net.stats().delivered_packets, net.stats().generated_packets);
     prop_assert_eq!(net.phits_in_system(), 0);
-    net.check_credit_conservation();
+    assert_eq!(net.audit_now(), []);
     Ok(())
 }
 
