@@ -1,0 +1,106 @@
+//! The `inject` phase: source-queue heads into injection buffers, one
+//! node per shard.
+
+use super::cm_sense::CM_TOKEN_SCALE;
+use super::Network;
+use crate::audit::AuditViolation;
+use crate::hooks::Hooks;
+use crate::policy::{Policy, RouterView};
+use ofar_topology::RouterId;
+
+impl<P: Policy, H: Hooks> Network<P, H> {
+    /// Phase 2: move source-queue heads into injection buffers
+    /// (1 phit/cycle per node).
+    ///
+    /// With CM enabled this is also the throttle point: a head packet
+    /// only moves when its NIC bucket (sensed and refilled by the
+    /// preceding `cm_sense` commit phase) holds a packet's worth of
+    /// tokens. Throttling delays `on_inject` only — packets already in
+    /// the fabric are never slowed, so the CDG certificate is untouched.
+    pub(super) fn inject(&mut self, now: u64) {
+        if self.order_nodes.is_empty() {
+            // Identity schedule: the set bits in ascending order are the
+            // nodes the full scan would not have skipped as empty.
+            for w in 0..self.occ.src_pending.len() {
+                let mut bits = self.occ.src_pending[w];
+                while bits != 0 {
+                    let node = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.inject_node(node, now);
+                }
+            }
+        } else {
+            for i in 0..self.order_nodes.len() {
+                let node = self.order_nodes[i] as usize;
+                if self.occ.src_pending[node / 64] >> (node % 64) & 1 != 0 {
+                    self.inject_node(node, now);
+                }
+            }
+        }
+    }
+
+    /// [`Self::inject`] for one node whose source queue is non-empty.
+    // lint:allow(P002, node index and packet size bounded by fabric dimensions) lint:allow(P001, source queue non-empty by the pending-source index) lint:allow(R003, on_inject mutates per-mechanism policy state; the parallel plan gives each worker its own policy replica merged at commit)
+    fn inject_node(&mut self, node: usize, now: u64) {
+        if self.inj_busy[node] > now {
+            return;
+        }
+        let size = self.fab.cfg().packet_size as u32;
+        let p = self.fab.cfg().params.p;
+        let need = size * CM_TOKEN_SCALE;
+        if let Some(cm) = self.cm.as_ref() {
+            if cm.tokens[node] < need && !self.hooks.bypass_throttle() {
+                self.stats.cm_throttle_deferrals += 1;
+                return;
+            }
+        }
+        let router = RouterId::from(node / p);
+        let port = self.fab.inj_in(node % p);
+        let view = RouterView::new(
+            &self.fab,
+            router,
+            now,
+            &self.arena.out_busy[router.idx() * self.fab.n_out()..][..self.fab.n_out()],
+            &self.arena.credits[self.fab.router_lanes(router)],
+            &self.faults,
+        );
+        let pkt = self.src_q[node].front_mut().unwrap();
+        let vc = self.policy.on_inject(&view, pkt);
+        // An out-of-range pick would index past the injection buffer,
+        // so a recording hook skips the injection as well.
+        let vcs = self.fab.in_desc(router, port).vcs as usize;
+        if !self.hooks.check(
+            || vc < vcs,
+            || AuditViolation::InjectionVcRange {
+                cycle: now,
+                node: node as u32,
+                vc,
+                vcs,
+            },
+        ) {
+            return;
+        }
+        let fifos = &mut self.arena.fifos;
+        let capacity = self.fab.slot_caps()[self.fab.in_slot(router, port, vc)];
+        if fifos.fits(self.fab.in_slot(router, port, vc), capacity) {
+            let pkt = self.src_q[node].pop_front().unwrap();
+            if self.src_q[node].is_empty() {
+                self.occ.src_pending[node / 64] &= !(1 << (node % 64));
+            }
+            fifos.push(self.fab.in_slot(router, port, vc), pkt, capacity);
+            self.occ.router_pkts[router.idx()] += 1;
+            self.occ.port_pkts[router.idx() * self.fab.n_in() + port] += 1;
+            self.inj_busy[node] = now + u64::from(size);
+            self.stats.injected_packets += 1;
+            if let Some(cm) = self.cm.as_mut() {
+                // `saturating_sub` + full-price accounting: the gate
+                // above guarantees `tokens >= need`, so the two agree —
+                // unless the `ThrottleBypass` mutation skipped the gate,
+                // in which case granted − consumed drifts below the
+                // summed levels and `ThrottleTokenLaw` fires.
+                cm.tokens[node] = cm.tokens[node].saturating_sub(need);
+                self.stats.cm_tokens_consumed += u64::from(need);
+            }
+        }
+    }
+}

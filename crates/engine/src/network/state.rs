@@ -6,7 +6,8 @@
 //! field as it goes, so the offset → field map of the snapshot differ
 //! ([`Network::locate_state_field`]) is the same traversal, not a copy.
 
-use super::{CmState, Network, CM_CONG_ONE};
+use super::cm_sense::{CmState, CM_CONG_ONE};
+use super::Network;
 use crate::arena::Arena;
 use crate::fault::{FaultPlan, FaultState};
 use crate::hooks::Hooks;
