@@ -1,7 +1,7 @@
 //! The `ofar-lint` rule catalog.
 //!
-//! Four families, each guarding one precondition of the group-parallel
-//! engine rewrite (ROADMAP item 1):
+//! Four families, each guarding one precondition of a group-parallel
+//! engine (ROADMAP item 3d):
 //!
 //! * **D — determinism.** The simulation must be a pure function of
 //!   `(config, seed)`: no hash-order iteration in simulation state, no

@@ -21,7 +21,8 @@
 //!   and run on the events themselves;
 //! * **deep checks** walk the whole network (phit conservation, credit
 //!   conservation, occupancy ≤ capacity, escape-ring bubble) every
-//!   `deep_interval` cycles.
+//!   `deep_interval` cycles — or on demand, hooks or none, through
+//!   [`Network::audit_now`](crate::Network::audit_now).
 
 use crate::hooks::Hooks;
 use std::fmt;
@@ -30,7 +31,7 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AuditViolation {
     /// A returning credit pushed a sender counter above the downstream
-    /// buffer capacity (the release form of `network.rs`'s
+    /// buffer capacity (the release form of the `deliver` phase's
     /// "credit overflow" debug assert).
     CreditOverflow {
         /// Cycle of the credit landing.

@@ -209,3 +209,25 @@ pub trait Hooks {
 pub struct NoHooks;
 
 impl Hooks for NoHooks {}
+
+#[cfg(test)]
+mod tests {
+    use super::Phase;
+    use std::path::Path;
+
+    /// What a phase does lives in the `network` child module of its
+    /// name; `policy_end` is a single call in `step` and has none.
+    #[test]
+    fn every_phase_but_policy_end_has_its_module() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/network");
+        for phase in Phase::ALL {
+            let file = dir.join(format!("{}.rs", phase.name()));
+            assert_eq!(
+                file.is_file(),
+                phase != Phase::PolicyEnd,
+                "{}",
+                file.display()
+            );
+        }
+    }
+}
