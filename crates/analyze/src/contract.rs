@@ -73,14 +73,11 @@ pub fn waivers(findings: &[Finding]) -> Vec<Waiver> {
 /// Parse the waiver list out of a `phase-contract.json` document.
 pub fn load_waivers(contract_json: &str) -> Result<Vec<Waiver>, String> {
     let v = json::parse(contract_json)?;
-    match v.get("contract_version") {
-        Some(json::Value::Int(n)) if *n == i64::from(CONTRACT_VERSION) => {}
-        other => {
-            return Err(format!(
-                "contract_version is {other:?}, this build reads {CONTRACT_VERSION} — \
-                 regenerate with ofar-lint --emit-contract"
-            ))
-        }
+    if v.get("contract_version") != Some(&json::Value::Int(i64::from(CONTRACT_VERSION))) {
+        return Err(format!(
+            "contract_version is not {CONTRACT_VERSION} — regenerate with \
+             ofar-lint --emit-contract"
+        ));
     }
     let arr = v
         .get("waivers")

@@ -10,7 +10,7 @@
 //! additionally emits the phase contract
 //! (`results/phase-contract.json`, see [`contract`]). Two things read
 //! it today: the drift gate (`ofar-lint --verify-contract` in CI and
-//! the tier-1 `checked_in_contract_matches_fresh` test byte-compare it
+//! the `checked_in_contract_matches_fresh` test byte-compare it
 //! against a fresh render) and `ofar-race`, which cross-references its
 //! waivers against the divergences it finds. See [`rules::CATALOG`]
 //! for the full rule list and DESIGN.md §13/§15 for the rationale and

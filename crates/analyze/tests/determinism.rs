@@ -116,21 +116,12 @@ fn contract_ignores_which_file_holds_a_function() {
 fn nth_counts_within_one_function() {
     let mut sources = collect_sources(&workspace_root()).expect("workspace sources");
     let before = load_waivers(&contract_of(&sources)).expect("fresh contract loads");
-    let (i, span) = execute_grant_span(&sources);
+    let (i, _) = execute_grant_span(&sources);
+    let text = &mut sources[i].text;
     let stamp = "self.stats.last_grant = now;";
-    let body_at = sources[i]
-        .text
-        .lines()
-        .take(span.start)
-        .map(|l| l.len() + 1)
-        .sum::<usize>();
-    let at = body_at
-        + sources[i].text[body_at..]
-            .find(stamp)
-            .expect("stamp in execute_grant");
-    sources[i]
-        .text
-        .insert_str(at, &format!("{stamp}\n        "));
+    let body = text.find("fn execute_grant(").expect("the function");
+    let at = body + text[body..].find(stamp).expect("stamp in execute_grant");
+    text.insert_str(at, &format!("{stamp}\n        "));
     let after = load_waivers(&contract_of(&sources)).expect("fresh contract loads");
 
     let added: Vec<&Waiver> = after.iter().filter(|w| !before.contains(w)).collect();

@@ -74,11 +74,12 @@ fn workspace_and_target() -> (Vec<SourceFile>, usize) {
     (sources, holders[0])
 }
 
-/// `function [rule] message` for every open R-family finding in `file`.
-fn open_r_findings(sources: &[SourceFile], file: &str) -> Vec<String> {
+/// `function [rule] message` for every open R-family finding in the
+/// source at index `target`.
+fn open_r_findings(sources: &[SourceFile], target: usize) -> Vec<String> {
     analyze_sources(sources, &LintConfig::default())
         .open()
-        .filter(|f| f.file == file && f.rule.starts_with('R'))
+        .filter(|f| f.file == sources[target].path && f.rule.starts_with('R'))
         .map(|f| format!("{} [{}] {}", f.function, f.rule, f.message))
         .collect()
 }
@@ -95,7 +96,7 @@ pub fn lint_verdict(op: MutationOp) -> OracleVerdict {
         }
         _ => unreachable!("{} is not a source operator", op.name()),
     }
-    let hits = open_r_findings(&sources, &sources[target].path);
+    let hits = open_r_findings(&sources, target);
     match hits.first() {
         None => OracleVerdict::Pass,
         Some(first) => OracleVerdict::Fail {
@@ -117,7 +118,7 @@ mod tests {
     #[test]
     fn pristine_engine_is_lint_clean() {
         let (sources, target) = workspace_and_target();
-        let open = open_r_findings(&sources, &sources[target].path);
+        let open = open_r_findings(&sources, target);
         assert!(
             open.is_empty(),
             "pristine engine has open R findings: {open:?}"
