@@ -10,7 +10,9 @@
 //! Cells: the six mechanisms × {UN, ADV+1} at 0.3 load × seeds {1, 2012}
 //! on h=2 for 1,500 cycles, plus OFAR and MIN on h=4 under UN at 0.1 for
 //! 2,000 cycles and under a closed ADV+1 burst of 20 packets per node,
-//! plus VAL, PB, PAR and OFAR-L on h=4 under a closed ADV+1 burst of 10.
+//! plus VAL, PB, PAR and OFAR-L on h=4 under a closed ADV+1 burst of 10,
+//! plus one lossy cell — OFAR on h=2 under UN at 0.3 with `ber` 1e-3 —
+//! so the link-level retransmission layer and its wire CRC are pinned too.
 
 use crate::run::{burst_net, RunConfig};
 use ofar_engine::{crc32, Network, SimConfig};
@@ -36,6 +38,8 @@ struct Cell {
     spec: TrafficSpec,
     h: usize,
     seed: u64,
+    /// Per-phit bit-error rate of every link (0: the lossless fabric).
+    ber: f64,
     drive: Drive,
 }
 
@@ -45,8 +49,13 @@ impl Cell {
             Drive::Steady { load, cycles } => format!("load{load}/{cycles}c"),
             Drive::Burst { packets_per_node } => format!("burst{packets_per_node}"),
         };
+        let ber = if self.ber > 0.0 {
+            format!("/ber{}", self.ber)
+        } else {
+            String::new()
+        };
         format!(
-            "{}/{}/h{}/seed{}/{drive}",
+            "{}/{}/h{}/seed{}/{drive}{ber}",
             self.kind.name(),
             self.spec.label(),
             self.h,
@@ -96,6 +105,7 @@ fn cells() -> Vec<Cell> {
                     spec: spec.clone(),
                     h: 2,
                     seed,
+                    ber: 0.0,
                     drive: Drive::Steady {
                         load: 0.3,
                         cycles: 1_500,
@@ -110,6 +120,7 @@ fn cells() -> Vec<Cell> {
             spec: TrafficSpec::uniform(),
             h: 4,
             seed: 2012,
+            ber: 0.0,
             drive: Drive::Steady {
                 load: 0.1,
                 cycles: 2_000,
@@ -120,6 +131,7 @@ fn cells() -> Vec<Cell> {
             spec: TrafficSpec::adversarial(1),
             h: 4,
             seed: 2012,
+            ber: 0.0,
             drive: Drive::Burst {
                 packets_per_node: 20,
             },
@@ -136,18 +148,32 @@ fn cells() -> Vec<Cell> {
             spec: TrafficSpec::adversarial(1),
             h: 4,
             seed: 2012,
+            ber: 0.0,
             drive: Drive::Burst {
                 packets_per_node: 10,
             },
         });
     }
+    cells.push(Cell {
+        kind: MechanismKind::Ofar,
+        spec: TrafficSpec::uniform(),
+        h: 2,
+        seed: 2012,
+        ber: 1e-3,
+        drive: Drive::Steady {
+            load: 0.3,
+            cycles: 1_500,
+        },
+    });
     cells
 }
 
 fn run_cell(cell: &Cell) -> Signature {
-    let cfg = cell
-        .kind
-        .adapt_config(SimConfig::paper(cell.h).with_seed(cell.seed));
+    let cfg = cell.kind.adapt_config(
+        SimConfig::paper(cell.h)
+            .with_seed(cell.seed)
+            .with_ber(cell.ber),
+    );
     let mut net: Network<Mechanism> = Network::new(cfg, cell.kind.build(&cfg, cell.seed));
     match cell.drive {
         Drive::Steady { load, cycles } => {
@@ -245,7 +271,7 @@ mod tests {
     #[test]
     fn table_shape_and_labels() {
         let cells = cells();
-        assert_eq!(cells.len(), 6 * 2 * 2 + 4 + 4);
+        assert_eq!(cells.len(), 6 * 2 * 2 + 4 + 4 + 1);
         let mut labels: Vec<String> = cells.iter().map(Cell::label).collect();
         labels.sort();
         labels.dedup();
