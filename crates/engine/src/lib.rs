@@ -29,6 +29,7 @@
 mod arena;
 pub mod audit;
 pub mod config;
+pub mod crc;
 pub mod fabric;
 pub mod fault;
 pub mod hooks;
@@ -46,10 +47,11 @@ mod wheel;
 
 pub use audit::{AuditReport, AuditViolation, Auditor};
 pub use config::{ConfigError, RingMode, SimConfig};
+pub use crc::{crc32, Crc32};
 pub use fabric::{EscapeOut, Fabric, InDesc, OutLink, PortKind};
 pub use fault::{random_global_links, FaultEvent, FaultKind, FaultPlan, FaultState};
 pub use hooks::{Hooks, NoHooks, Phase, RouteMark};
-pub use llr::{crc32, Fate, Llr, RxVerdict};
+pub use llr::{Fate, Llr, RxVerdict};
 pub use mutation::EngineMutation;
 pub use network::Network;
 pub use packet::{

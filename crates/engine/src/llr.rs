@@ -50,6 +50,7 @@
 //! Undetected errors (a corruption that preserves the CRC, ~2⁻³² per
 //! event in hardware) are not modelled.
 
+use crate::crc::crc32;
 use crate::fabric::{Fabric, PortKind};
 use crate::packet::Packet;
 use std::collections::VecDeque;
@@ -679,21 +680,6 @@ impl Llr {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, bitwise) over `data`. Small and
-/// allocation-free; the simulator CRCs a few words per transfer, so a
-/// lookup table would be wasted cache.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -705,14 +691,6 @@ mod tests {
             dst: NodeId::new(1),
             ..Packet::default()
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"a"), crc32(b"b"));
     }
 
     #[test]

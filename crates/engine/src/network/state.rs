@@ -81,7 +81,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let frame = snapshot::parse_frame(bytes)?;
         let own_config = snapshot::encode_config(self.fab.cfg(), self.policy.name());
-        let expected = crate::llr::crc32(&own_config);
+        let expected = crate::crc::crc32(&own_config);
         if frame.fingerprint != expected || frame.config != own_config.as_slice() {
             // Name the more specific cause when only the mechanism
             // differs under an otherwise identical configuration.

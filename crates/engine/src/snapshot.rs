@@ -6,7 +6,7 @@
 //! The build is offline (no serde), and the format must be *stable and
 //! checkable*: a snapshot written by one run is read back by a different
 //! process, possibly after a crash, so every section carries its own
-//! CRC-32 (reusing the LLR layer's [`crate::llr::crc32`]) and the whole
+//! CRC-32 ([`crate::crc`]) and the whole
 //! file is sealed by a trailing checksum. A corrupted, truncated or
 //! mismatched file must fail closed with a typed [`SnapshotError`] —
 //! never a panic, never a silently wrong resume.
@@ -57,7 +57,7 @@
 //! the per-cycle scratch state of the allocator is empty by construction.
 
 use crate::config::{RingMode, SimConfig};
-use crate::llr::crc32;
+use crate::crc::crc32;
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
