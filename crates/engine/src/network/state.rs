@@ -64,12 +64,11 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// bit-exact: the resumed run produces the same statistics and
     /// delivery stream as an uninterrupted one.
     pub fn save_snapshot(&self) -> Vec<u8> {
-        let config = snapshot::encode_config(self.fab.cfg(), self.policy.name());
-        let mut policy = Vec::new();
-        self.policy.save_state(&mut policy);
-        let mut e = Enc::default();
-        self.encode_state(&mut e);
-        snapshot::frame(&config, &policy, &e.0)
+        snapshot::write_frame(
+            &snapshot::encode_config(self.fab.cfg(), self.policy.name()),
+            |e| self.policy.save_state(&mut e.0),
+            |e| self.encode_state(e),
+        )
     }
 
     /// Restore a snapshot produced by [`Self::save_snapshot`] into this

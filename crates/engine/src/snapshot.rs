@@ -57,7 +57,7 @@
 //! the per-cycle scratch state of the allocator is empty by construction.
 
 use crate::config::{RingMode, SimConfig};
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
@@ -478,26 +478,46 @@ pub fn config_fingerprint(cfg: &SimConfig, mechanism: &str) -> u32 {
 // File framing
 // ---------------------------------------------------------------------
 
-/// Assemble a complete snapshot file from its three section payloads.
-pub(crate) fn frame(config: &[u8], policy: &[u8], state: &[u8]) -> Vec<u8> {
-    let mut e = Enc(Vec::with_capacity(
-        24 + config.len() + policy.len() + state.len() + 32,
-    ));
+/// Assemble a complete snapshot file in one buffer. CONFIG is the
+/// (small) canonical encoding the fingerprint is taken of; POLICY and
+/// STATE are encoded in place by their closures, which only append.
+/// Every payload byte is checksummed once: a section's CRC is folded
+/// into the file checksum by [`Crc32::combine`], not recomputed.
+pub(crate) fn write_frame(
+    config: &[u8],
+    policy: impl FnOnce(&mut Enc),
+    state: impl FnOnce(&mut Enc),
+) -> Vec<u8> {
+    let mut e = Enc::default();
     e.bytes(&SNAPSHOT_MAGIC);
     e.u32(SNAPSHOT_VERSION);
     e.u32(crc32(config));
-    for (tag, payload) in [
-        (SEC_CONFIG, config),
-        (SEC_POLICY, policy),
-        (SEC_STATE, state),
-    ] {
-        e.u8(tag);
-        e.u32(payload.len() as u32);
-        e.u32(crc32(payload));
-        e.bytes(payload);
-    }
-    e.u32(crc32(&e.0));
+    let mut file = Crc32::new();
+    file.update(&e.0);
+    write_section(&mut e, &mut file, SEC_CONFIG, |e| e.bytes(config));
+    write_section(&mut e, &mut file, SEC_POLICY, policy);
+    write_section(&mut e, &mut file, SEC_STATE, state);
+    e.u32(file.finish());
     e.0
+}
+
+/// Section header: tag `u8`, payload length `u32`, payload CRC `u32`.
+const SECTION_HEADER: usize = 9;
+
+/// Append one section: reserve its header, let `encode` append the
+/// payload, then patch the length and CRC in and fold both into `file`.
+fn write_section(e: &mut Enc, file: &mut Crc32, tag: u8, encode: impl FnOnce(&mut Enc)) {
+    let header = e.0.len();
+    e.u8(tag);
+    e.bytes(&[0; SECTION_HEADER - 1]);
+    let payload = e.0.len();
+    encode(e);
+    let len = u32::try_from(e.0.len() - payload).expect("snapshot section over 4 GiB");
+    let crc = crc32(&e.0[payload..]);
+    e.0[header + 1..header + 5].copy_from_slice(&len.to_le_bytes());
+    e.0[header + 5..payload].copy_from_slice(&crc.to_le_bytes());
+    file.update(&e.0[header..payload]);
+    file.combine(crc, e.0.len() - payload);
 }
 
 /// The parsed frame of a validated snapshot: section payload slices.
@@ -513,9 +533,18 @@ pub(crate) struct Frame<'a> {
 /// checksums) and split it into its sections. The state bytes are
 /// untrusted until the caller decodes them, but they are at least the
 /// bytes that were written.
+///
+/// Every payload byte is checksummed once: walking the sections yields
+/// their CRCs, and the file checksum follows from those by
+/// [`Crc32::combine`]. The walk runs before the file checksum has vouched
+/// for the lengths it reads, so it trusts none of them — a length is a
+/// bounds-checked offset and nothing more — and its verdict is held back
+/// until the file checksum and the version have been judged: every
+/// input meets the checks in the order magic, file checksum, version,
+/// sections in file order, missing section.
 pub(crate) fn parse_frame(bytes: &[u8]) -> Result<Frame<'_>, SnapshotError> {
-    // Fixed header (16) + three empty sections (3 × 9) + trailer (4).
-    if bytes.len() < 16 + 3 * 9 + 4 {
+    // Fixed header (16) + three empty sections + trailer (4).
+    if bytes.len() < 16 + 3 * SECTION_HEADER + 4 {
         return Err(SnapshotError::Truncated);
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 4);
@@ -524,17 +553,41 @@ pub(crate) fn parse_frame(bytes: &[u8]) -> Result<Frame<'_>, SnapshotError> {
     if body[..8] != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    if crc32(body) != Dec::new(trailer).u32()? {
+    let mut file = Crc32::new();
+    file.update(&body[..16]);
+    let sections = walk_sections(&body[16..], &mut file);
+    // Only a walk that accepted every section has folded the whole body
+    // into `file`; any other file is checksummed the plain way.
+    let file_crc = match sections {
+        Ok(_) => file.finish(),
+        Err(_) => crc32(body),
+    };
+    if file_crc != Dec::new(trailer).u32()? {
         return Err(SnapshotError::FileChecksum);
     }
-    let d = &mut Dec::new(&body[8..]);
+    let d = &mut Dec::new(&body[8..16]);
     let version = d.u32()?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
     let fingerprint = d.u32()?;
+    let [config, policy, state] = sections?;
+    Ok(Frame {
+        fingerprint,
+        config,
+        policy,
+        state,
+    })
+}
+
+/// Split the section area of a snapshot into its CONFIG, POLICY and
+/// STATE payloads, folding every header and payload into `file` on the
+/// way; the first defect in file order is the error.
+fn walk_sections<'a>(area: &'a [u8], file: &mut Crc32) -> Result<[&'a [u8]; 3], SnapshotError> {
+    let d = &mut Dec::new(area);
     let mut sections: [Option<&[u8]>; 3] = [None; 3];
     while !d.is_empty() {
+        let at = d.pos();
         let tag = d.u8()?;
         let len = d.u32()? as usize;
         let crc = d.u32()?;
@@ -542,6 +595,8 @@ pub(crate) fn parse_frame(bytes: &[u8]) -> Result<Frame<'_>, SnapshotError> {
         if crc32(payload) != crc {
             return Err(SnapshotError::SectionChecksum { tag });
         }
+        file.update(&area[at..at + SECTION_HEADER]);
+        file.combine(crc, len);
         let slot = match tag {
             SEC_CONFIG => 0,
             SEC_POLICY => 1,
@@ -553,12 +608,7 @@ pub(crate) fn parse_frame(bytes: &[u8]) -> Result<Frame<'_>, SnapshotError> {
         }
     }
     match sections {
-        [Some(config), Some(policy), Some(state)] => Ok(Frame {
-            fingerprint,
-            config,
-            policy,
-            state,
-        }),
+        [Some(config), Some(policy), Some(state)] => Ok([config, policy, state]),
         _ => Err(SnapshotError::Malformed("missing section")),
     }
 }
@@ -692,6 +742,11 @@ pub fn read_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A snapshot file around three literal payloads.
+    fn frame(config: &[u8], policy: &[u8], state: &[u8]) -> Vec<u8> {
+        write_frame(config, |e| e.bytes(policy), |e| e.bytes(state))
+    }
 
     #[test]
     fn frame_roundtrip_and_sections() {

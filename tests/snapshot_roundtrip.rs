@@ -263,6 +263,154 @@ fn truncation_is_rejected_at_every_length() {
     assert_eq!(victim.net.save_snapshot(), pristine, "victim was touched");
 }
 
+/// Rewrite the trailer so the whole-file checksum holds again.
+fn reseal(bytes: &mut [u8]) {
+    let body = bytes.len() - 4;
+    let fixed = crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&fixed.to_le_bytes());
+}
+
+/// The checks run in one order — magic, whole-file checksum, version,
+/// sections in file order, missing section — and each corrupt file is
+/// refused by the *first* one it fails. In particular nothing a section
+/// header says is believed before the file checksum has vouched for it:
+/// a damaged length in an unsealed file is a checksum failure, never a
+/// `Truncated` (or a panic) from following the length.
+#[test]
+fn validation_order_is_pinned() {
+    use ofar::engine::{peek_header, SNAPSHOT_VERSION};
+    let mut h = Harness::new(MechanismKind::Ofar, 5, 0.0, false);
+    h.drive(200);
+    let clean = h.net.save_snapshot();
+    assert!(peek_header(&clean).is_ok());
+    let refused = |bytes: &[u8]| peek_header(bytes).unwrap_err();
+    let edited = |at: usize, mask: u8, sealed: bool| {
+        let mut bad = clean.clone();
+        bad[at] ^= mask;
+        if sealed {
+            reseal(&mut bad);
+        }
+        bad
+    };
+    // (header offset, payload length) of the three sections.
+    let mut sections = Vec::new();
+    let mut pos = 16;
+    while pos < clean.len() - 4 {
+        let len = u32::from_le_bytes(clean[pos + 1..pos + 5].try_into().unwrap()) as usize;
+        sections.push((pos, len));
+        pos += 9 + len;
+    }
+    assert_eq!(sections.len(), 3);
+    assert!(sections.iter().all(|&(_, len)| len > 1));
+
+    for (i, &(at, len)) in sections.iter().enumerate() {
+        let tag = i as u8 + 1;
+        // A payload byte: the file checksum catches it; with the trailer
+        // forged, the section's own CRC does.
+        for byte in [at + 9, at + 9 + len / 2, at + 9 + len - 1] {
+            assert_eq!(
+                refused(&edited(byte, 0x10, false)),
+                SnapshotError::FileChecksum
+            );
+            assert_eq!(
+                refused(&edited(byte, 0x10, true)),
+                SnapshotError::SectionChecksum { tag }
+            );
+        }
+        // Every byte of the length field, grown and shrunk. Unsealed it
+        // is a checksum failure whatever the length now points at.
+        for byte in at + 1..at + 5 {
+            for mask in [0x01, 0x80, 0xFF] {
+                assert_eq!(
+                    refused(&edited(byte, mask, false)),
+                    SnapshotError::FileChecksum,
+                    "section {tag}: length byte {} ^ {mask:#04x}, unsealed",
+                    byte - at - 1
+                );
+            }
+        }
+        // Sealed, the length is followed: inside the file the section
+        // CRC then covers other bytes; past its end it is a truncation
+        // (one byte more already is, for STATE, the last section).
+        let with_len = |len: usize| {
+            let mut bad = clean.clone();
+            bad[at + 1..at + 5].copy_from_slice(&(len as u32).to_le_bytes());
+            reseal(&mut bad);
+            bad
+        };
+        let grown = if i == 2 {
+            SnapshotError::Truncated
+        } else {
+            SnapshotError::SectionChecksum { tag }
+        };
+        assert_eq!(refused(&with_len(len + 1)), grown);
+        assert_eq!(
+            refused(&with_len(len - 1)),
+            SnapshotError::SectionChecksum { tag }
+        );
+        assert_eq!(refused(&with_len(clean.len())), SnapshotError::Truncated);
+        assert_eq!(
+            refused(&with_len(u32::MAX as usize)),
+            SnapshotError::Truncated
+        );
+        // The stored CRC and the tag.
+        assert_eq!(
+            refused(&edited(at + 5, 0x01, false)),
+            SnapshotError::FileChecksum
+        );
+        assert_eq!(
+            refused(&edited(at + 5, 0x01, true)),
+            SnapshotError::SectionChecksum { tag }
+        );
+        assert_eq!(
+            refused(&edited(at, 0x40, false)),
+            SnapshotError::FileChecksum
+        );
+        assert_eq!(
+            refused(&edited(at, 0x40, true)),
+            SnapshotError::Malformed("unknown section tag")
+        );
+    }
+    // POLICY relabelled CONFIG; STATE cut away.
+    let (policy_at, _) = sections[1];
+    assert_eq!(
+        refused(&edited(policy_at, 0x03, true)),
+        SnapshotError::Malformed("duplicate section")
+    );
+    let (state_at, _) = sections[2];
+    let mut short = clean[..state_at + 4].to_vec();
+    reseal(&mut short);
+    assert_eq!(refused(&short), SnapshotError::Malformed("missing section"));
+
+    // Magic beats the checksum; the checksum beats the version; the
+    // version beats whatever the sections hold.
+    assert_eq!(refused(&edited(0, 0x20, false)), SnapshotError::BadMagic);
+    assert_eq!(
+        refused(&edited(8, 0x04, false)),
+        SnapshotError::FileChecksum
+    );
+    let mut future = edited(8, 0x04, false);
+    future[state_at + 9] ^= 1;
+    future[policy_at] = 0x7F;
+    reseal(&mut future);
+    assert_eq!(
+        refused(&future),
+        SnapshotError::UnsupportedVersion {
+            found: SNAPSHOT_VERSION ^ 4
+        }
+    );
+
+    // A cut file is too short to be a snapshot, or fails its checksum.
+    for cut in (0..clean.len()).filter(|cut| cut % 211 == 0 || clean.len() - cut < 16) {
+        let want = if cut < 16 + 3 * 9 + 4 {
+            SnapshotError::Truncated
+        } else {
+            SnapshotError::FileChecksum
+        };
+        assert_eq!(refused(&clean[..cut]), want, "cut to {cut} bytes");
+    }
+}
+
 #[test]
 fn future_format_version_is_refused() {
     let mut h = Harness::new(MechanismKind::Min, 5, 0.0, false);
@@ -272,9 +420,7 @@ fn future_format_version_is_refused() {
     // whole-file checksum so only the version is wrong.
     let v = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     bytes[8..12].copy_from_slice(&(v + 1).to_le_bytes());
-    let body = bytes.len() - 4;
-    let fixed = crc32(&bytes[..body]);
-    bytes[body..].copy_from_slice(&fixed.to_le_bytes());
+    reseal(&mut bytes);
     match h.net.restore_snapshot(&bytes) {
         Err(SnapshotError::UnsupportedVersion { found }) => assert_eq!(found, v + 1),
         other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -340,9 +486,7 @@ fn edit_section(bytes: &[u8], idx: usize, edit: impl FnOnce(&mut [u8])) -> Vec<u
     edit(&mut out[payload..payload + len]);
     let crc = crc32(&out[payload..payload + len]);
     out[pos + 5..pos + 9].copy_from_slice(&crc.to_le_bytes());
-    let body = out.len() - 4;
-    let fixed = crc32(&out[..body]);
-    out[body..].copy_from_slice(&fixed.to_le_bytes());
+    reseal(&mut out);
     out
 }
 
