@@ -45,7 +45,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
 
         // Credit conservation per (link, VC), and occupancy ≤ capacity.
-        let backlog = self.wheel.backlog();
+        let backlog = self.wheel.backlog(&self.fab);
         for ridx in 0..self.fab.topo().num_routers() {
             let router = RouterId::from(ridx);
             for (port, link) in self.fab.out_links(router).iter().enumerate() {
@@ -121,8 +121,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     free += backlog
                         .credits(ridx, esc.out_port as usize)
                         .iter()
-                        .filter(|&&(_, _, v, _)| v == lane)
-                        .map(|&(_, _, _, p)| u64::from(p))
+                        .filter(|(_, c)| c.vc == lane)
+                        .map(|(_, c)| u64::from(c.phits))
                         .sum::<u64>();
                 }
             }
@@ -192,7 +192,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// until the receiver accepts the packet into its buffer (the copies
     /// on the wire are phantoms).
     // lint:allow(P002, packet_size is validated at config build and fits u32)
-    fn credit_sum(&self, backlog: &Backlog, ridx: usize, port: usize, vc: usize) -> u32 {
+    fn credit_sum(&self, backlog: &Backlog<'_>, ridx: usize, port: usize, vc: usize) -> u32 {
         let size = self.fab.cfg().packet_size as u32;
         let link = self.fab.out_link(RouterId::from(ridx), port);
         let (dst_router, dst_port) = (link.dst_router as usize, link.dst_port as usize);
@@ -204,14 +204,14 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             None => backlog
                 .arrivals(dst_router, dst_port)
                 .iter()
-                .filter(|&&(_, _, v, _)| v as usize == vc)
+                .filter(|(_, a)| a.vc as usize == vc)
                 .count(),
         };
         let inflight_credits: u32 = backlog
             .credits(ridx, port)
             .iter()
-            .filter(|&&(_, _, v, _)| v as usize == vc)
-            .map(|&(_, _, _, p)| p)
+            .filter(|(_, c)| c.vc as usize == vc)
+            .map(|(_, c)| c.phits)
             .sum();
         let dst_slot = self
             .fab

@@ -150,7 +150,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
         // The format stores each router's ports in turn, each link's
         // pipeline with its port; the wheel is gathered into that shape.
-        let backlog = self.wheel.backlog();
+        let backlog = self.wheel.backlog(&self.fab);
         let (n_in, n_out) = (self.fab.n_in(), self.fab.n_out());
         let arena = &self.arena;
         for ridx in 0..self.fab.topo().num_routers() {
@@ -164,10 +164,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 }
                 let arrivals = backlog.arrivals(ridx, port);
                 e.usize(arrivals.len());
-                for (_, at, vc, pkt) in arrivals {
-                    e.u64(*at);
-                    e.u8(*vc);
-                    encode_packet(e, pkt);
+                for &(at, a) in arrivals {
+                    e.u64(at);
+                    e.u8(a.vc);
+                    encode_packet(e, &a.pkt);
                 }
                 e.u64(arena.in_busy[ridx * n_in + port]);
                 e.u64s(&arena.vc_served_at[desc.slots()]);
@@ -176,10 +176,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 e.u32s(&arena.credits[link.lanes()]);
                 let credits = backlog.credits(ridx, port);
                 e.usize(credits.len());
-                for &(_, at, vc, phits) in credits {
+                for &(at, c) in credits {
                     e.u64(at);
-                    e.u8(vc);
-                    e.u32(phits);
+                    e.u8(c.vc);
+                    e.u32(c.phits);
                 }
                 e.u64(arena.out_busy[ridx * n_out + port]);
                 e.u64s(&arena.in_served_at[(ridx * n_out + port) * n_in..][..n_in]);

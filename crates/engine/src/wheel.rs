@@ -161,55 +161,93 @@ impl Wheel {
             .flat_map(|(at, slot)| slot.credits.iter().map(move |c| (at, c)))
     }
 
-    /// Gather the wheel back into one time-ordered list per port — the
-    /// shape snapshots store and the conservation checks reason in.
-    // lint:allow(H001, snapshot and audit only; never on the per-cycle path under NoHooks)
-    pub fn backlog(&self) -> Backlog {
-        let mut b = Backlog {
-            arrivals: self
-                .arrivals()
-                .map(|(at, a)| ((a.router, a.port), at, a.vc, a.pkt))
-                .collect(),
-            credits: self
-                .credits()
-                .map(|(at, c)| ((c.router, c.port), at, c.vc, c.phits))
-                .collect(),
-        };
-        // Stable: each port's events stay in time order.
-        b.arrivals.sort_by_key(|e| e.0);
-        b.credits.sort_by_key(|e| e.0);
-        b
+    /// Gather the wheel back into one time-ordered list per port of
+    /// `fab` — the shape snapshots store and the conservation checks
+    /// reason in. Linear in ports plus events; the events stay where
+    /// they are and are borrowed.
+    pub fn backlog(&self, fab: &Fabric) -> Backlog<'_> {
+        let routers = fab.topo().num_routers();
+        let (n_in, n_out) = (fab.n_in(), fab.n_out());
+        Backlog {
+            arrivals: Pipelines::gather(routers, n_in, || self.arrivals(), |a| (a.router, a.port)),
+            credits: Pipelines::gather(routers, n_out, || self.credits(), |c| (c.router, c.port)),
+        }
     }
 }
-
-/// One link event of a [`Backlog`]: its (router, port), landing cycle,
-/// VC and payload.
-pub(crate) type Event<T> = ((u32, u16), u64, u8, T);
 
 /// The wheel's contents as per-port link pipelines (see
-/// [`Wheel::backlog`]): one port's events consecutive, in time order.
-pub(crate) struct Backlog {
-    arrivals: Vec<Event<Packet>>,
-    credits: Vec<Event<u32>>,
+/// [`Wheel::backlog`]): each port's events with their landing cycles,
+/// in time order.
+pub(crate) struct Backlog<'w> {
+    arrivals: Pipelines<'w, Arrival>,
+    credits: Pipelines<'w, Credit>,
 }
 
-/// The run of `events` at (`router`, `port`).
-// lint:allow(P002, router and port ids fit their event fields by construction)
-fn at_port<T>(events: &[Event<T>], router: usize, port: usize) -> &[Event<T>] {
-    let key = (router as u32, port as u16);
-    let from = events.partition_point(|e| e.0 < key);
-    &events[from..][..events[from..].partition_point(|e| e.0 == key)]
-}
-
-impl Backlog {
+impl<'w> Backlog<'w> {
     /// The packets in flight towards input (`router`, `port`).
-    pub fn arrivals(&self, router: usize, port: usize) -> &[Event<Packet>] {
-        at_port(&self.arrivals, router, port)
+    pub fn arrivals(&self, router: usize, port: usize) -> &[(u64, &'w Arrival)] {
+        self.arrivals.at(router, port)
     }
 
-    /// The credits (in phits) in flight back to output (`router`, `port`).
-    pub fn credits(&self, router: usize, port: usize) -> &[Event<u32>] {
-        at_port(&self.credits, router, port)
+    /// The credits in flight back to output (`router`, `port`).
+    pub fn credits(&self, router: usize, port: usize) -> &[(u64, &'w Credit)] {
+        self.credits.at(router, port)
+    }
+}
+
+/// Events grouped by the fabric's port offset (`router · ports + port`):
+/// those at offset `k` are `events[from[k]..from[k + 1]]`.
+struct Pipelines<'w, T> {
+    events: Vec<(u64, &'w T)>,
+    from: Vec<usize>,
+    /// Ports per router.
+    ports: usize,
+}
+
+impl<'w, T> Pipelines<'w, T> {
+    /// Counting sort, by port offset, of `events()` — which yields the
+    /// same sequence, in time order, each time it is called; `port_of`
+    /// names an event's (router, port). It is stable, so each port's
+    /// events stay in time order.
+    // lint:allow(H001, snapshot and audit only; never on the per-cycle path under NoHooks)
+    fn gather<I: Iterator<Item = (u64, &'w T)>>(
+        routers: usize,
+        ports: usize,
+        events: impl Fn() -> I,
+        port_of: impl Fn(&T) -> (u32, u16),
+    ) -> Self {
+        let offset_of = |e: &T| {
+            let (router, port) = port_of(e);
+            router as usize * ports + usize::from(port)
+        };
+        let offsets = routers * ports;
+        let mut from = vec![0; offsets + 1];
+        for (_, e) in events() {
+            from[offset_of(e) + 1] += 1;
+        }
+        for k in 0..offsets {
+            from[k + 1] += from[k];
+        }
+        let mut sorted = Vec::new();
+        if let Some(first) = events().next() {
+            sorted.resize(from[offsets], first);
+            let mut next = from.clone();
+            for (at, e) in events() {
+                let k = offset_of(e);
+                sorted[next[k]] = (at, e);
+                next[k] += 1;
+            }
+        }
+        Self {
+            events: sorted,
+            from,
+            ports,
+        }
+    }
+
+    fn at(&self, router: usize, port: usize) -> &[(u64, &'w T)] {
+        let k = router * self.ports + port;
+        &self.events[self.from[k]..self.from[k + 1]]
     }
 }
 
@@ -278,29 +316,36 @@ mod tests {
 
     #[test]
     fn pending_events_are_listed_in_time_order() {
-        let mut w = Wheel::with_max_latency(100, 500);
+        let fab = Fabric::new(crate::SimConfig::paper(2));
+        let mut w = Wheel::new(&fab, 500);
+        let credit = |port: u16, vc: u8| Credit {
+            router: 7,
+            port,
+            vc,
+            phits: 8,
+        };
         for (i, lat) in [100u64, 3, 57, 10].into_iter().enumerate() {
-            w.file_credit(
-                500 + lat,
-                Credit {
-                    router: 7,
-                    port: 2,
-                    vc: i as u8,
-                    phits: 8,
-                },
-            );
+            w.file_credit(500 + lat, credit(2, i as u8));
+        }
+        // Port 4 shares two of port 2's slots; port 3, between them,
+        // stays empty, as does everything before, after and on the
+        // arrival side.
+        for (i, lat) in [57u64, 3, 99].into_iter().enumerate() {
+            w.file_credit(500 + lat, credit(4, 10 + i as u8));
         }
         let stamps: Vec<u64> = w.credits().map(|(at, _)| at).collect();
-        assert_eq!(stamps, vec![503, 510, 557, 600]);
-        let b = w.backlog();
-        assert_eq!(
-            b.credits(7, 2)
-                .iter()
-                .map(|&(_, at, vc, _)| (at, vc))
-                .collect::<Vec<_>>(),
-            vec![(503, 1), (510, 3), (557, 2), (600, 0)]
-        );
-        assert!(b.credits(7, 1).is_empty() && b.arrivals(7, 2).is_empty());
+        assert_eq!(stamps, vec![503, 503, 510, 557, 557, 599, 600]);
+        let b = w.backlog(&fab);
+        let listed = |port| -> Vec<(u64, u8)> {
+            let events = b.credits(7, port).iter();
+            events.map(|&(at, c)| (at, c.vc)).collect()
+        };
+        assert_eq!(listed(2), vec![(503, 1), (510, 3), (557, 2), (600, 0)]);
+        assert_eq!(listed(4), vec![(503, 11), (557, 10), (599, 12)]);
+        assert!(listed(3).is_empty() && listed(1).is_empty() && listed(5).is_empty());
+        let (last_router, last_port) = (fab.topo().num_routers() - 1, fab.n_out() - 1);
+        assert!(b.credits(0, 0).is_empty() && b.credits(last_router, last_port).is_empty());
+        assert!(b.arrivals(7, 2).is_empty() && b.arrivals(last_router, fab.n_in() - 1).is_empty());
     }
 
     #[test]
