@@ -16,7 +16,10 @@ use std::time::{Duration, Instant};
 /// Inside `route`, each [`Hooks::route_mark`] likewise closes one part
 /// of a router's turn and opens the next; the last part of a turn runs
 /// to the next router's first mark, so the loop's skip over routers with
-/// nothing buffered is charged to it.
+/// nothing buffered is charged to it. Every mark reads the clock once,
+/// inside the span it measures: [`RouteParts::marks`] counts them, so
+/// the timer's own share of `route` can be priced ([`clock_read_cost`])
+/// and taken off.
 #[derive(Debug, Default)]
 pub struct PhaseTimer {
     open: Option<(Phase, Instant)>,
@@ -37,6 +40,8 @@ pub struct RouteParts {
     pub kept: u64,
     /// Requests the allocator matched.
     pub grants: u64,
+    /// [`Hooks::route_mark`] calls: clock reads charged to `route`.
+    pub marks: u64,
 }
 
 impl RouteParts {
@@ -79,6 +84,7 @@ impl Hooks for PhaseTimer {
     #[inline]
     fn route_mark(&mut self, mark: RouteMark) {
         let now = Instant::now();
+        self.route.marks += 1;
         self.route.close(now);
         let part = match mark {
             RouteMark::Collect => 0,
@@ -94,6 +100,18 @@ impl Hooks for PhaseTimer {
         };
         self.route.open = Some((part, now));
     }
+}
+
+/// What one clock read costs on this host, now: the median gap between
+/// back-to-back reads.
+fn clock_read_cost() -> Duration {
+    let mut reads = [Instant::now(); 1025];
+    for r in &mut reads {
+        *r = Instant::now();
+    }
+    let mut gaps: Vec<Duration> = reads.windows(2).map(|w| w[1] - w[0]).collect();
+    gaps.sort_unstable();
+    gaps[gaps.len() / 2]
 }
 
 /// Drive one operating point and return (measured cycles, delivered
@@ -147,27 +165,41 @@ fn measure(scale: &Scale, kind: MechanismKind, point: Option<f64>) -> (u64, u64,
 /// UN at 0.1 (nearly idle), UN at 0.5 (the knee) and a closed ADV+1
 /// burst (saturated) — then the `route` phase again by part, with the
 /// heads polled, requests kept and grants made per cycle. Timing, so
-/// read it on a quiet machine (the route marks cost three clock reads
-/// per router turn, charged to `route`); the simulated columns (cycles,
-/// delivered, the three counts) repeat exactly.
+/// read it on a quiet machine; the simulated columns (cycles, delivered,
+/// the three counts) repeat exactly. The route marks read the clock
+/// three times per router turn, all inside `route`: the `timer` column
+/// is that share — marks per step × the cost of one read, calibrated
+/// once per run — to take off `route` (and off its three parts
+/// together) to read them net.
 pub(crate) fn phases(args: &[String]) -> ExitCode {
     let scale = start("phases", args);
+    let read_cost = clock_read_cost();
     let mut header = vec!["mechanism", "operating point", "cycles", "delivered"];
-    header.extend(Phase::ALL.map(Phase::name));
+    for phase in Phase::ALL {
+        header.push(phase.name());
+        if phase == Phase::Route {
+            header.push("timer");
+        }
+    }
     header.push("total");
     let size = format!("h={}, {} routers", scale.h, scale.cfg().params.routers());
+    let timer_note = format!(
+        "timer: the route marks' clock reads, {} ns each, included in route",
+        read_cost.as_nanos()
+    );
     let mut by_phase = Table::new(
-        format!("Host time per Network::step by phase, µs ({size})"),
+        format!("Host time per Network::step by phase, µs ({size}; {timer_note})"),
         &header,
     );
     let mut by_part = Table::new(
-        format!("The route phase by part, µs and counts per step ({size})"),
+        format!("The route phase by part, µs and counts per step ({size}; {timer_note})"),
         &[
             "mechanism",
             "operating point",
             "collect",
             "allocate",
             "execute",
+            "timer",
             "heads polled",
             "requests kept",
             "grants",
@@ -188,12 +220,19 @@ pub(crate) fn phases(args: &[String]) -> ExitCode {
                 cycles.to_string(),
                 delivered.to_string(),
             ];
-            row.extend(Phase::ALL.map(|p| us(timer.spent(p))));
+            let route = timer.route();
+            let timer_us = us(read_cost.mul_f64(route.marks as f64));
+            for phase in Phase::ALL {
+                row.push(us(timer.spent(phase)));
+                if phase == Phase::Route {
+                    row.push(timer_us.clone());
+                }
+            }
             row.push(us(Phase::ALL.iter().map(|&p| timer.spent(p)).sum()));
             by_phase.push(row);
-            let route = timer.route();
             let mut row = vec![kind.name().to_string(), label.to_string()];
             row.extend(route.spent.map(us));
+            row.push(timer_us);
             row.extend([route.polled, route.kept, route.grants].map(per_step));
             by_part.push(row);
         }
