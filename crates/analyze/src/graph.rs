@@ -58,7 +58,7 @@ impl CallGraph {
             // (`Vec::new`, `RouterId::from`): resolving them by bare
             // name would drag every workspace `new` into the hot set.
             // Primitive qualifiers (`u64::from`) are foreign too.
-            // snake_case qualifiers are module paths (`llr::crc32`) —
+            // snake_case qualifiers are module paths (`crc::crc32`) —
             // those do resolve by name.
             const PRIMITIVES: &[&str] = &[
                 "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128",

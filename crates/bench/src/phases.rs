@@ -17,9 +17,8 @@ use std::time::{Duration, Instant};
 /// of a router's turn and opens the next; the last part of a turn runs
 /// to the next router's first mark, so the loop's skip over routers with
 /// nothing buffered is charged to it. Every mark reads the clock once,
-/// inside the span it measures: [`RouteParts::marks`] counts them, so
-/// the timer's own share of `route` can be priced ([`clock_read_cost`])
-/// and taken off.
+/// inside the span it measures: `RouteParts::marks` counts them, so the
+/// timer's own share of `route` can be priced and taken off.
 #[derive(Debug, Default)]
 pub struct PhaseTimer {
     open: Option<(Phase, Instant)>,

@@ -94,7 +94,8 @@ fn x_pow_bytes(mut len: usize) -> u32 {
     p
 }
 
-/// CRC-32 of `data`.
+/// CRC-32 of `data`. On the per-cycle path under LLR, so it calls
+/// nothing but `continued`.
 pub fn crc32(data: &[u8]) -> u32 {
     continued(0, data)
 }
@@ -143,7 +144,9 @@ impl Crc32 {
     /// Feed a block of `block_len` bytes known only by its CRC,
     /// `crc_of_block`: afterwards the value is that of the bytes fed so
     /// far followed by the block's. O(log `block_len`) — zlib's
-    /// `crc32_combine`.
+    /// `crc32_combine`, and named after it: `ofar-lint` resolves methods
+    /// by bare name, so an `append(&mut self)` here would make every
+    /// `Vec::append` in `Network::step` a counted write.
     pub fn combine(&mut self, crc_of_block: u32, block_len: usize) {
         self.0 = mul_mod_p(x_pow_bytes(block_len), self.0) ^ crc_of_block;
     }
