@@ -126,16 +126,12 @@ fn continued(crc: u32, data: &[u8]) -> u32 {
     !crc
 }
 
-/// A running CRC-32: the value of [`crc32`] over everything fed so far.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// A running CRC-32: the value of [`crc32`] over everything fed so far
+/// (by default nothing, whose CRC is 0).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Crc32(u32);
 
 impl Crc32 {
-    /// The CRC of no bytes.
-    pub fn new() -> Self {
-        Self(0)
-    }
-
     /// Feed `data`.
     pub fn update(&mut self, data: &[u8]) {
         self.0 = continued(self.0, data);
@@ -229,7 +225,7 @@ mod tests {
             let mut cuts: Vec<usize> =
                 cuts.iter().map(|&c| usize::from(c) % (data.len() + 1)).collect();
             cuts.sort_unstable();
-            let mut c = Crc32::new();
+            let mut c = Crc32::default();
             let mut from = 0;
             for to in cuts.into_iter().chain([data.len()]) {
                 c.update(&data[from..to]);
@@ -244,7 +240,7 @@ mod tests {
             a in proptest::collection::vec(any::<u8>(), 0..300),
             b in proptest::collection::vec(any::<u8>(), 0..300),
         ) {
-            let mut c = Crc32::new();
+            let mut c = Crc32::default();
             c.update(&a);
             c.combine(crc32(&b), b.len());
             let whole = [a.as_slice(), b.as_slice()].concat();
@@ -258,7 +254,7 @@ mod tests {
         // walked well beyond what the proptest sizes reach.
         let data = xorshift_bytes((1 << 20) + 77_003, 7);
         let (a, b) = data.split_at(12_345);
-        let mut c = Crc32::new();
+        let mut c = Crc32::default();
         c.update(a);
         c.combine(crc32(b), b.len());
         assert_eq!(c.finish(), crc32(&data));

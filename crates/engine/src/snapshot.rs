@@ -79,6 +79,9 @@ pub(crate) const SEC_CONFIG: u8 = 1;
 pub(crate) const SEC_POLICY: u8 = 2;
 /// Section tag: engine state.
 pub(crate) const SEC_STATE: u8 = 3;
+/// Bytes of a section header: tag `u8`, payload length `u32`, payload
+/// CRC `u32`.
+const SECTION_HEADER: usize = 9;
 
 /// Why a snapshot could not be written, read or restored. Every failure
 /// mode of a foreign byte stream maps here; restore never panics on bad
@@ -492,7 +495,7 @@ pub(crate) fn write_frame(
     e.bytes(&SNAPSHOT_MAGIC);
     e.u32(SNAPSHOT_VERSION);
     e.u32(crc32(config));
-    let mut file = Crc32::new();
+    let mut file = Crc32::default();
     file.update(&e.0);
     write_section(&mut e, &mut file, SEC_CONFIG, |e| e.bytes(config));
     write_section(&mut e, &mut file, SEC_POLICY, policy);
@@ -500,9 +503,6 @@ pub(crate) fn write_frame(
     e.u32(file.finish());
     e.0
 }
-
-/// Section header: tag `u8`, payload length `u32`, payload CRC `u32`.
-const SECTION_HEADER: usize = 9;
 
 /// Append one section: reserve its header, let `encode` append the
 /// payload, then patch the length and CRC in and fold both into `file`.
@@ -512,12 +512,13 @@ fn write_section(e: &mut Enc, file: &mut Crc32, tag: u8, encode: impl FnOnce(&mu
     e.bytes(&[0; SECTION_HEADER - 1]);
     let payload = e.0.len();
     encode(e);
-    let len = u32::try_from(e.0.len() - payload).expect("snapshot section over 4 GiB");
+    let len = e.0.len() - payload;
     let crc = crc32(&e.0[payload..]);
-    e.0[header + 1..header + 5].copy_from_slice(&len.to_le_bytes());
+    let len_field = u32::try_from(len).expect("snapshot section over 4 GiB");
+    e.0[header + 1..header + 5].copy_from_slice(&len_field.to_le_bytes());
     e.0[header + 5..payload].copy_from_slice(&crc.to_le_bytes());
     file.update(&e.0[header..payload]);
-    file.combine(crc, e.0.len() - payload);
+    file.combine(crc, len);
 }
 
 /// The parsed frame of a validated snapshot: section payload slices.
@@ -553,7 +554,7 @@ pub(crate) fn parse_frame(bytes: &[u8]) -> Result<Frame<'_>, SnapshotError> {
     if body[..8] != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let mut file = Crc32::new();
+    let mut file = Crc32::default();
     file.update(&body[..16]);
     let sections = walk_sections(&body[16..], &mut file);
     // Only a walk that accepted every section has folded the whole body

@@ -245,11 +245,8 @@ fn truncation_is_rejected_at_every_length() {
     // boundary the frame parser looks at (section header, payload start
     // and end, trailer), and a prime stride over the rest.
     let mut edges = vec![16, bytes.len() - 4];
-    let mut pos = 16;
-    while pos < bytes.len() - 4 {
-        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
+    for (pos, len) in sections(&bytes) {
         edges.extend([pos, pos + 9, pos + 9 + len]);
-        pos += 9 + len;
     }
     assert_eq!(edges.len(), 2 + 3 * 3, "three sections expected");
     let cuts = (0..bytes.len())
@@ -261,6 +258,19 @@ fn truncation_is_rejected_at_every_length() {
         );
     }
     assert_eq!(victim.net.save_snapshot(), pristine, "victim was touched");
+}
+
+/// (Header offset, payload length) of each section of a well-formed
+/// snapshot, in file order.
+fn sections(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut found = Vec::new();
+    let mut pos = 16;
+    while pos < bytes.len() - 4 {
+        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
+        found.push((pos, len));
+        pos += 9 + len;
+    }
+    found
 }
 
 /// Rewrite the trailer so the whole-file checksum holds again.
@@ -292,14 +302,7 @@ fn validation_order_is_pinned() {
         }
         bad
     };
-    // (header offset, payload length) of the three sections.
-    let mut sections = Vec::new();
-    let mut pos = 16;
-    while pos < clean.len() - 4 {
-        let len = u32::from_le_bytes(clean[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        sections.push((pos, len));
-        pos += 9 + len;
-    }
+    let sections = sections(&clean);
     assert_eq!(sections.len(), 3);
     assert!(sections.iter().all(|&(_, len)| len > 1));
 
@@ -475,12 +478,7 @@ fn garbage_and_empty_files_are_refused() {
 /// validation.
 fn edit_section(bytes: &[u8], idx: usize, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
     let mut out = bytes.to_vec();
-    let mut pos = 16;
-    for _ in 0..idx {
-        let len = u32::from_le_bytes(out[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        pos += 9 + len;
-    }
-    let len = u32::from_le_bytes(out[pos + 1..pos + 5].try_into().unwrap()) as usize;
+    let (pos, len) = sections(bytes)[idx];
     let payload = pos + 9;
     assert!(len > 0, "section {idx} is empty");
     edit(&mut out[payload..payload + len]);
@@ -701,12 +699,7 @@ fn hostile_length_prefix_is_refused_before_it_is_allocated_for() {
 
 /// [`edit_section`] for an edit that changes the payload's length.
 fn splice_section(bytes: &[u8], idx: usize, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut pos = 16;
-    for _ in 0..idx {
-        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        pos += 9 + len;
-    }
-    let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
+    let (pos, len) = sections(bytes)[idx];
     let mut payload = bytes[pos + 9..pos + 9 + len].to_vec();
     edit(&mut payload);
     let mut out = bytes[..pos + 1].to_vec();
