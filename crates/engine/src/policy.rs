@@ -301,9 +301,18 @@ pub trait Policy {
         pkt: &mut Packet,
     ) -> Option<Request>;
 
-    /// Called when a packet moves from its source queue into an injection
-    /// buffer; decides the injection VC and performs injection-time route
-    /// setup (e.g. Valiant intermediate-group selection).
+    /// Called every cycle a node *offers* the head of its source queue —
+    /// its injection link is idle and, under congestion management, its
+    /// token bucket holds a packet — and *before* the engine knows
+    /// whether the injection VC this call picks has room. A head that
+    /// does not fit stays in the source queue and is offered again next
+    /// cycle, so a packet sees one call per offered cycle, not one per
+    /// injection, and enters the network with what the last of them set
+    /// up. Decides the injection VC and performs injection-time route
+    /// setup (e.g. Valiant intermediate-group selection); PB and PAR
+    /// depend on the repeated call — PB draws a fresh intermediate from
+    /// the node's RNG lane on every blocked offer until it commits —
+    /// so skipping it for a full buffer changes simulated behaviour.
     fn on_inject(&mut self, view: &RouterView<'_>, pkt: &mut Packet) -> usize;
 
     /// Per-cycle hook with a whole-network snapshot (e.g. the PB

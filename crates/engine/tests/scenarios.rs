@@ -6,7 +6,7 @@
 mod common;
 
 use common::TestMin;
-use ofar_engine::{Network, SimConfig};
+use ofar_engine::{InputCtx, Network, Packet, Policy, Request, RouterView, SimConfig};
 use ofar_topology::{Dragonfly, NodeId};
 
 fn net() -> Network<TestMin> {
@@ -234,4 +234,49 @@ fn fault_transition_counters_count_once_per_transition() {
     assert_eq!(s.link_repairs, 2);
     assert_eq!(s.router_failures, 2);
     assert_eq!(s.router_repairs, 2);
+}
+
+/// Counts `on_inject` calls, always picks injection VC 0 and never
+/// routes, so the one VC fills and stays full.
+struct CountingInjections(u64);
+
+impl Policy for CountingInjections {
+    fn name(&self) -> &'static str {
+        "counting-injections"
+    }
+
+    fn route(&mut self, _: &RouterView<'_>, _: InputCtx, _: &mut Packet) -> Option<Request> {
+        None
+    }
+
+    fn on_inject(&mut self, _: &RouterView<'_>, _: &mut Packet) -> usize {
+        self.0 += 1;
+        0
+    }
+}
+
+/// `Policy::on_inject`'s contract: one call per cycle the node offers
+/// its head, made before the room test — not one per injection. PB and
+/// PAR draw from their RNG lanes in it, so an engine that skipped the
+/// call for a full buffer would change their simulated behaviour (and
+/// this count) rather than only save time.
+#[test]
+fn on_inject_is_called_every_offered_cycle_not_once_per_injection() {
+    const CYCLES: u64 = 100;
+    let cfg = SimConfig::paper(2);
+    let (size, fits) = (
+        cfg.packet_size as u64,
+        (cfg.buf_injection / cfg.packet_size) as u64,
+    );
+    let mut n = Network::new(cfg, CountingInjections(0));
+    for _ in 0..=fits {
+        n.generate(NodeId::new(0), NodeId::new(40));
+    }
+    n.run(CYCLES);
+    // The VC takes `fits` packets, one per `size` cycles of the
+    // injection link; the next head is then offered, and refused, in
+    // every remaining cycle.
+    assert_eq!(n.stats().injected_packets, fits);
+    assert_eq!(n.source_queue_len(NodeId::new(0)), 1);
+    assert_eq!(n.policy().0, fits + (CYCLES - fits * size));
 }

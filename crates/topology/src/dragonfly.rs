@@ -397,6 +397,54 @@ mod tests {
         assert_eq!(max, 3);
     }
 
+    /// The closed forms against their definitions written out with `/`
+    /// and `%`: every router, node and ordered group pair of the
+    /// balanced networks up to h = 8 and of one unbalanced one.
+    #[test]
+    fn addressing_equals_the_written_out_quotients() {
+        let unbalanced = Dragonfly::new(DragonflyParams::new(3, 5, 2));
+        for topo in (1..=8).map(Dragonfly::balanced).chain([unbalanced]) {
+            let DragonflyParams { p, a, h } = *topo.params();
+            let groups = a * h + 1;
+            assert_eq!(topo.num_groups(), groups);
+            for r in 0..topo.num_routers() {
+                let rid = RouterId::from(r);
+                assert_eq!(topo.group_of(rid).idx(), r / a);
+                assert_eq!(topo.local_index(rid), r % a);
+                for k in 0..h {
+                    let d = (r % a) * h + k + 1;
+                    let to = (r / a + d) % groups;
+                    assert_eq!(topo.global_neighbor_group(rid, k).idx(), to);
+                    // Seen from `to`, the same link has offset `groups − d`.
+                    let back = groups - d - 1;
+                    assert_eq!(
+                        topo.global_neighbor(rid, k),
+                        (RouterId::from(to * a + back / h), back % h),
+                        "{topo:?} {rid}:{k}"
+                    );
+                }
+            }
+            for n in 0..topo.num_nodes() {
+                let nid = NodeId::from(n);
+                assert_eq!(topo.router_of_node(nid).idx(), n / p);
+                assert_eq!(topo.node_index(nid), n % p);
+                assert_eq!(topo.group_of_node(nid).idx(), n / p / a);
+            }
+            for from in 0..groups {
+                for to in (0..groups).filter(|&to| to != from) {
+                    let d = (to + groups - from) % groups;
+                    let host = ((d - 1) / h, (d - 1) % h);
+                    assert_eq!(topo.global_host_for_offset(d), host);
+                    assert_eq!(
+                        topo.global_link_from(GroupId::from(from), GroupId::from(to)),
+                        (RouterId::from(from * a + host.0), host.1),
+                        "{topo:?} {from}->{to}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn node_addressing_roundtrips() {
         let topo = Dragonfly::balanced(3);

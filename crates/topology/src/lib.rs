@@ -28,12 +28,14 @@
 
 #![warn(missing_docs)]
 
+pub mod divisor;
 pub mod dragonfly;
 pub mod ids;
 pub mod params;
 pub mod ring;
 pub mod route;
 
+pub use divisor::Divisor;
 pub use dragonfly::{Dragonfly, GlobalLink, LinkKind};
 pub use ids::{GroupId, NodeId, RouterId};
 pub use params::DragonflyParams;
