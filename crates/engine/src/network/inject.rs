@@ -6,7 +6,7 @@ use super::Network;
 use crate::audit::AuditViolation;
 use crate::hooks::Hooks;
 use crate::policy::{Policy, RouterView};
-use ofar_topology::RouterId;
+use ofar_topology::NodeId;
 
 impl<P: Policy, H: Hooks> Network<P, H> {
     /// Phase 2: move source-queue heads into injection buffers
@@ -46,7 +46,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             return;
         }
         let size = self.fab.cfg().packet_size as u32;
-        let p = self.fab.cfg().params.p;
         let need = size * CM_TOKEN_SCALE;
         if let Some(cm) = self.cm.as_ref() {
             if cm.tokens[node] < need && !self.hooks.bypass_throttle() {
@@ -54,8 +53,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 return;
             }
         }
-        let router = RouterId::from(node / p);
-        let port = self.fab.inj_in(node % p);
+        let router = self.fab.topo().router_of_node(NodeId::from(node));
+        let port = self
+            .fab
+            .inj_in(self.fab.topo().node_index(NodeId::from(node)));
         let view = RouterView::new(
             &self.fab,
             router,

@@ -1,5 +1,6 @@
 //! The Dragonfly graph: addressing and link arrangement.
 
+use crate::divisor::Divisor;
 use crate::ids::{GroupId, NodeId, RouterId};
 use crate::params::DragonflyParams;
 
@@ -35,6 +36,21 @@ pub struct GlobalLink {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Dragonfly {
     params: DragonflyParams,
+    /// `a`, `p`, `h` and the group count as the divisors of the closed
+    /// forms: addressing runs for every head packet every cycle, and
+    /// never through the hardware divider.
+    a: Divisor,
+    p: Divisor,
+    h: Divisor,
+    groups: Divisor,
+}
+
+/// A port, offset or index argument as the `u32` the ids are made of.
+#[inline]
+fn narrow(n: usize) -> u32 {
+    debug_assert!(n <= u32::MAX as usize);
+    // lint:allow(P002, ports and group offsets of a network whose ids are u32)
+    n as u32
 }
 
 impl Dragonfly {
@@ -45,8 +61,17 @@ impl Dragonfly {
     }
 
     /// Build a Dragonfly with explicit parameters.
+    ///
+    /// # Panics
+    /// Panics if a parameter is zero or the network outgrows `u32` ids.
     pub fn new(params: DragonflyParams) -> Self {
-        Self { params }
+        Self {
+            params,
+            a: Divisor::new(params.a),
+            p: Divisor::new(params.p),
+            h: Divisor::new(params.h),
+            groups: Divisor::new(params.groups()),
+        }
     }
 
     /// The sizing parameters.
@@ -90,13 +115,13 @@ impl Dragonfly {
     /// Group that a router belongs to.
     #[inline]
     pub fn group_of(&self, r: RouterId) -> GroupId {
-        GroupId::from(r.idx() / self.params.a)
+        GroupId::new(self.a.div(r.0))
     }
 
     /// Index of a router within its group (`0 .. a`).
     #[inline]
     pub fn local_index(&self, r: RouterId) -> usize {
-        r.idx() % self.params.a
+        self.a.rem(r.0) as usize
     }
 
     /// Router id from (group, local index).
@@ -109,7 +134,7 @@ impl Dragonfly {
     /// Router a node is attached to.
     #[inline]
     pub fn router_of_node(&self, n: NodeId) -> RouterId {
-        RouterId::from(n.idx() / self.params.p)
+        RouterId::new(self.p.div(n.0))
     }
 
     /// Group a node belongs to.
@@ -121,7 +146,7 @@ impl Dragonfly {
     /// Index of a node within its router (`0 .. p`).
     #[inline]
     pub fn node_index(&self, n: NodeId) -> usize {
-        n.idx() % self.params.p
+        self.p.rem(n.0) as usize
     }
 
     /// First node attached to a router; nodes of router `r` are
@@ -185,37 +210,42 @@ impl Dragonfly {
     #[inline]
     pub fn global_host_for_offset(&self, offset: usize) -> (usize, usize) {
         debug_assert!(offset >= 1 && offset < self.num_groups());
-        ((offset - 1) / self.params.h, (offset - 1) % self.params.h)
+        let link = narrow(offset - 1);
+        (self.h.div(link) as usize, self.h.rem(link) as usize)
+    }
+
+    /// Group at `offset` groups past the group of router `r`.
+    #[inline]
+    fn group_past(&self, r: RouterId, offset: usize) -> GroupId {
+        GroupId::new(self.groups.rem(self.group_of(r).0 + narrow(offset)))
     }
 
     /// Group reached by global port `k` of router `r`.
     #[inline]
     pub fn global_neighbor_group(&self, r: RouterId, k: usize) -> GroupId {
         debug_assert!(k < self.params.h);
-        let g = self.group_of(r).idx();
-        let d = self.offset_of_port(self.local_index(r), k);
-        GroupId::from((g + d) % self.num_groups())
+        self.group_past(r, self.offset_of_port(self.local_index(r), k))
     }
 
     /// Fully resolve global port `k` of router `r`: the remote router and
     /// the remote global-port index.
     pub fn global_neighbor(&self, r: RouterId, k: usize) -> (RouterId, usize) {
-        let groups = self.num_groups();
         let d = self.offset_of_port(self.local_index(r), k);
-        let dst_group = GroupId::from((self.group_of(r).idx() + d) % groups);
         // Seen from the destination group, the same physical link has
         // offset `groups − d`.
-        let (remote_local, remote_port) = self.global_host_for_offset(groups - d);
-        (self.router_at(dst_group, remote_local), remote_port)
+        let (remote_local, remote_port) = self.global_host_for_offset(self.num_groups() - d);
+        (
+            self.router_at(self.group_past(r, d), remote_local),
+            remote_port,
+        )
     }
 
     /// The router (and its global port) of group `from` that hosts the
     /// unique global link towards group `to`.
     pub fn global_link_from(&self, from: GroupId, to: GroupId) -> (RouterId, usize) {
         debug_assert_ne!(from, to);
-        let groups = self.num_groups();
-        let d = (to.idx() + groups - from.idx()) % groups;
-        let (local, port) = self.global_host_for_offset(d);
+        let d = self.groups.rem(to.0 + self.groups.get() - from.0);
+        let (local, port) = self.global_host_for_offset(d as usize);
         (self.router_at(from, local), port)
     }
 
