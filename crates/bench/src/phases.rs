@@ -35,7 +35,9 @@ pub struct RouteParts {
     pub spent: [Duration; 3],
     /// `Policy::route` calls made.
     pub polled: u64,
-    /// Requests that went on to allocation.
+    /// Heads whose policy asked for a live output.
+    pub asked: u64,
+    /// Requests that went on to allocation: the grantable ones.
     pub kept: u64,
     /// Requests the allocator matched.
     pub grants: u64,
@@ -87,8 +89,13 @@ impl Hooks for PhaseTimer {
         self.route.close(now);
         let part = match mark {
             RouteMark::Collect => 0,
-            RouteMark::Allocate { polled, kept } => {
+            RouteMark::Allocate {
+                polled,
+                asked,
+                kept,
+            } => {
                 self.route.polled += polled as u64;
+                self.route.asked += asked as u64;
                 self.route.kept += kept as u64;
                 1
             }
@@ -200,7 +207,8 @@ pub(crate) fn phases(args: &[String]) -> ExitCode {
             "execute",
             "timer",
             "heads polled",
-            "requests kept",
+            "asked",
+            "grantable",
             "grants",
         ],
     );
@@ -232,7 +240,7 @@ pub(crate) fn phases(args: &[String]) -> ExitCode {
             let mut row = vec![kind.name().to_string(), label.to_string()];
             row.extend(route.spent.map(us));
             row.push(timer_us);
-            row.extend([route.polled, route.kept, route.grants].map(per_step));
+            row.extend([route.polled, route.asked, route.kept, route.grants].map(per_step));
             by_part.push(row);
         }
     }

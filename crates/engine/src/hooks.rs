@@ -92,10 +92,18 @@ impl Phase {
 pub enum RouteMark {
     /// Request collection: one `Policy::route` call per head-of-VC packet.
     Collect,
-    /// The allocator's iterations, after collection made `polled` calls
-    /// and kept `kept` requests.
+    /// The allocator's iterations, after collection polled `polled`
+    /// heads (one `Policy::route` call each), was `asked` for an output
+    /// by that many of them (the policy said `Some`, the link is up and
+    /// its replay buffer has room) and `kept` the requests the allocator
+    /// can grant this cycle: output idle, downstream VC with room. A turn
+    /// that kept none ends at this mark.
     #[allow(missing_docs)]
-    Allocate { polled: usize, kept: usize },
+    Allocate {
+        polled: usize,
+        asked: usize,
+        kept: usize,
+    },
     /// Grant execution, of the `grants` requests the allocator matched.
     #[allow(missing_docs)]
     Execute { grants: usize },

@@ -112,7 +112,7 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     /// order; `commit_effects` drains them *sorted* into
     /// `delivered_log`, so the log is shard-schedule-invariant.
     delivered_now: Vec<(u64, u32)>,
-    reqs: Vec<(u16, u8, Request)>,
+    reqs: Vec<route::Kept>,
     matched_in: Vec<bool>, // lint:allow(S001, per-cycle scratch; rebuilt each cycle and dead at snapshot boundaries)
     matched_out: Vec<bool>,
     grants: Vec<(u16, u8, Request)>,

@@ -16,18 +16,23 @@ use crate::policy::{InputCtx, Policy, RouterView};
 use crate::wheel::{Arrival, Credit};
 use ofar_topology::RouterId;
 
+/// A request collection kept: the input port and VC its packet heads,
+/// what it asks for, and that VC's least-recently-served stamp.
+pub(super) type Kept = (u16, u8, Request, u64);
+
 impl<P: Policy, H: Hooks> Network<P, H> {
     /// Phase 3: routing + separable iterative allocation + grant
     /// execution for one router.
-    // lint:allow(P002, port/vc/candidate indices bounded by fabric radix and VC count) lint:allow(R003, policy.route mutates per-mechanism state only; serialized per worker replica in the parallel plan)
+    // lint:allow(P002, ports and VCs are bounded by SimConfig::validate: RadixTooLarge and TooManyVcs) lint:allow(R003, policy.route mutates per-mechanism state only; serialized per worker replica in the parallel plan)
     pub(super) fn route_and_allocate(&mut self, ridx: usize, now: u64) {
         let size = self.fab.cfg().packet_size as u32;
         let ring_need = self.hooks.ring_entry_need(size);
         let router = RouterId::from(ridx);
 
-        // --- collect one request per head-of-VC packet ---
+        // --- collect one request per head-of-VC packet, keeping those
+        //     the allocator could grant ---
         self.hooks.route_mark(RouteMark::Collect);
-        let mut polled = 0;
+        let (mut polled, mut asked) = (0, 0);
         self.reqs.clear();
         let (n_in, n_out) = (self.fab.n_in(), self.fab.n_out());
         // This router's span of each array, sliced once: its ports, its
@@ -45,6 +50,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             let in_busy = &self.arena.in_busy[ridx * n_in..][..n_in];
             let queued = &self.arena.fifos.queued[self.fab.router_slots(router)];
             let heads = &mut self.arena.fifos.heads[self.fab.router_slots(router)];
+            let served_at = &self.arena.vc_served_at[self.fab.router_slots(router)];
             let descs = self.fab.in_descs(router);
             for (port, desc) in descs.iter().enumerate() {
                 if occupied[port] == 0 || in_busy[port] > now {
@@ -64,27 +70,43 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                         is_escape_vc: desc.kind == PortKind::Ring || vc >= base_vcs,
                     };
                     polled += 1;
-                    if let Some(req) = self.policy.route(&view, ctx, pkt) {
-                        // A dead output is never allocated, whatever the
-                        // policy asked for (defence in depth — fault-
-                        // aware policies already avoid dead ports). An
-                        // output whose replay buffer is full is likewise
-                        // skipped: the sender must retain every
-                        // unacknowledged packet.
-                        if view.link_up(req.out_port as usize)
-                            && self
-                                .llr
-                                .as_ref()
-                                .is_none_or(|l| l.tx_has_room(ridx, req.out_port as usize))
-                        {
-                            self.reqs.push((port as u16, vc as u8, req));
-                        }
+                    let Some(req) = self.policy.route(&view, ctx, pkt) else {
+                        continue;
+                    };
+                    let out = req.out_port as usize;
+                    // A dead output is never allocated, whatever the
+                    // policy asked for (defence in depth — fault-aware
+                    // policies already avoid dead ports). An output
+                    // whose replay buffer is full is likewise skipped:
+                    // the sender must retain every unacknowledged packet.
+                    if !view.link_up(out)
+                        || self.llr.as_ref().is_some_and(|l| !l.tx_has_room(ridx, out))
+                    {
+                        continue;
+                    }
+                    asked += 1;
+                    // Eligibility is settled here, once: the busy times
+                    // and credits it reads are borrowed for the whole
+                    // turn, and the LRS stamps are only written by
+                    // `execute_grant`, after allocation. Ring entry needs
+                    // the bubble of §IV-C: normally two packets of room.
+                    let need = match req.kind {
+                        RequestKind::RingEnter => ring_need,
+                        _ => size,
+                    };
+                    if view.grantable(out, req.out_vc as usize, need) {
+                        self.reqs
+                            .push((port as u16, vc as u8, req, served_at[first + vc]));
                     }
                 }
             }
         }
         let kept = self.reqs.len();
-        self.hooks.route_mark(RouteMark::Allocate { polled, kept });
+        self.hooks.route_mark(RouteMark::Allocate {
+            polled,
+            asked,
+            kept,
+        });
         if kept == 0 {
             return;
         }
@@ -107,32 +129,20 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 }
                 if !self.matched_in[in_port as usize] {
                     // Input stage: least-recently-served VC among the
-                    // eligible candidates of this input port.
+                    // candidates of this input port whose output is free.
                     let mut pick: Option<(u64, usize)> = None;
-                    for (idx, &(_, vc, req)) in
+                    for (idx, &(_, _, req, stamp)) in
                         self.reqs[i..j].iter().enumerate().map(|(k, r)| (i + k, r))
                     {
-                        // Ring entry needs the bubble of §IV-C: normally
-                        // two packets of room.
-                        let need = match req.kind {
-                            RequestKind::RingEnter => ring_need,
-                            _ => size,
-                        };
-                        let out = req.out_port as usize;
-                        if self.matched_out[out] || !view.grantable(out, req.out_vc as usize, need)
+                        if !self.matched_out[req.out_port as usize]
+                            && pick.is_none_or(|(s, _)| stamp < s)
                         {
-                            continue;
-                        }
-                        let stamp = self.arena.vc_served_at
-                            [self.fab.in_slot(router, in_port as usize, vc as usize)];
-                        if pick.is_none_or(|(s, _)| stamp < s) {
                             pick = Some((stamp, idx));
                         }
                     }
                     if let Some((_, idx)) = pick {
                         // Output stage: LRS over proposing inputs.
-                        let req = self.reqs[idx].2;
-                        let out = req.out_port as usize;
+                        let out = self.reqs[idx].2.out_port as usize;
                         let stamp =
                             self.arena.in_served_at[(ridx * n_out + out) * n_in + in_port as usize];
                         if self.best_out[out].is_none_or(|(s, _, _)| stamp < s) {
@@ -144,7 +154,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             }
             for out in 0..self.best_out.len() {
                 if let Some((_, in_port, idx)) = self.best_out[out] {
-                    let (port, vc, req) = self.reqs[idx as usize];
+                    let (port, vc, req, _) = self.reqs[idx as usize];
                     self.matched_in[in_port as usize] = true;
                     self.matched_out[out] = true;
                     self.grants.push((port, vc, req));
