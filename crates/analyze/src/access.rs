@@ -202,7 +202,7 @@ const LINK_ROOTS: &[&str] = &["llr", "wheel"];
 
 /// Per-call allocation scratch — the parallel engine clones these per
 /// worker, so the race rules ignore them.
-const SCRATCH: &[&str] = &["reqs", "grants", "matched_in", "matched_out", "best_out"];
+const SCRATCH: &[&str] = &["reqs", "grants", "best_out"];
 
 /// Immutable-after-construction state. The shard-schedule tables are
 /// set once per run by the race harness (never from inside `step`), so

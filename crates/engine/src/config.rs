@@ -40,6 +40,30 @@ pub enum ConfigError {
         /// Configured `h`.
         h: usize,
     },
+    /// A group with no node to inject (`p == 0`) or no local link
+    /// (`a < 2`): the closed-form addressing divides by both.
+    DegenerateGroup {
+        /// Configured nodes per router.
+        p: usize,
+        /// Configured routers per group.
+        a: usize,
+    },
+    /// More ports per router — `p + a − 1 + h`, plus one per ring of a
+    /// physical escape subnetwork — than [`MAX_PORTS`].
+    RadixTooLarge {
+        /// Ports the configuration asks for.
+        ports: usize,
+        /// The most a router may have.
+        max: usize,
+    },
+    /// Some port would carry more VCs (an embedded ring adds one escape
+    /// VC to its landing ports) than [`MAX_VCS`].
+    TooManyVcs {
+        /// The largest VC count of any port.
+        vcs: usize,
+        /// The most a port may have.
+        max: usize,
+    },
     /// An escape subnetwork was requested with zero rings.
     NoEscapeRing,
     /// More escape rings than the `h` edge-disjoint ones that exist.
@@ -107,6 +131,17 @@ pub enum ConfigError {
 /// take 100).
 pub const MAX_LINK_LATENCY: u64 = 1 << 16;
 
+/// Most ports a router may have: the allocator keeps its matched-input,
+/// matched-output and proposed-output sets in one `u64` each. (Port
+/// indices travel as `u16` and ring indices as `i8`, which this bounds
+/// too: there are at most `h` rings.) `h = 16`, the 64-port router of
+/// §I, has 63.
+pub const MAX_PORTS: usize = u64::BITS as usize;
+
+/// Most VCs a port may have: VC indices and per-port VC counts travel
+/// as `u8`.
+pub const MAX_VCS: usize = u8::MAX as usize;
+
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -127,6 +162,17 @@ impl fmt::Display for ConfigError {
                     f,
                     "h = {h} is below the minimum of 2 (degenerate Dragonfly)"
                 )
+            }
+            Self::DegenerateGroup { p, a } => write!(
+                f,
+                "p = {p}, a = {a}: a router needs a node (p >= 1) and a group two routers (a >= 2)"
+            ),
+            Self::RadixTooLarge { ports, max } => write!(
+                f,
+                "{ports} ports per router exceed the {max} the allocator's bit words hold"
+            ),
+            Self::TooManyVcs { vcs, max } => {
+                write!(f, "{vcs} VCs on one port exceed the maximum of {max}")
             }
             Self::NoEscapeRing => write!(f, "an escape subnetwork needs at least one ring"),
             Self::TooManyRings { requested, h } => write!(
@@ -428,6 +474,36 @@ impl SimConfig {
         if !(self.cm_min_rate > 0.0 && self.cm_min_rate <= 1.0) {
             return Err(ConfigError::CmMinRateOutOfRange);
         }
+        // Last, so that whatever failed before these existed still
+        // fails the same way: the widths the engine's narrow types and
+        // the allocator's bit words give a router.
+        let DragonflyParams { p, a, h } = self.params;
+        if p == 0 || a < 2 {
+            return Err(ConfigError::DegenerateGroup { p, a });
+        }
+        let ring_ports = match self.ring {
+            RingMode::Physical => self.escape_rings,
+            _ => 0,
+        };
+        let ports = [a - 1, h, ring_ports]
+            .iter()
+            .fold(p, |sum, &n| sum.saturating_add(n));
+        if ports > MAX_PORTS {
+            return Err(ConfigError::RadixTooLarge {
+                ports,
+                max: MAX_PORTS,
+            });
+        }
+        let escape_vc = usize::from(self.ring == RingMode::Embedded);
+        let vcs = self
+            .vcs_local
+            .max(self.vcs_global)
+            .saturating_add(escape_vc)
+            .max(self.vcs_injection)
+            .max(self.vcs_ring);
+        if vcs > MAX_VCS {
+            return Err(ConfigError::TooManyVcs { vcs, max: MAX_VCS });
+        }
         Ok(())
     }
 }
@@ -509,6 +585,86 @@ mod tests {
             c.validate().unwrap_err(),
             ConfigError::RadixTooSmall { h: 1 }
         );
+    }
+
+    #[test]
+    fn validation_bounds_the_radix_by_the_allocator_word() {
+        // h = 16 is the 64-port router of §I: 63 canonical ports, and a
+        // physical ring takes the last one.
+        let mut c = SimConfig::paper(16);
+        assert_eq!(c.params.ports_per_router(), MAX_PORTS - 1);
+        c.validate().unwrap();
+        c.ring = RingMode::Physical;
+        c.validate().unwrap();
+        c.escape_rings = 2;
+        let err = c.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::RadixTooLarge {
+                ports: MAX_PORTS + 1,
+                max: MAX_PORTS
+            }
+        );
+        assert!(err.to_string().contains("65 ports"));
+        // Embedded rings add VCs, not ports.
+        c.ring = RingMode::Embedded;
+        c.validate().unwrap();
+        let mut c = SimConfig::paper(2);
+        c.params.p = MAX_PORTS - c.params.a - c.params.h + 1;
+        c.validate().unwrap();
+        c.params.p += 1;
+        assert!(matches!(
+            c.validate().unwrap_err(),
+            ConfigError::RadixTooLarge { ports: 65, .. }
+        ));
+        c.params.p = usize::MAX;
+        assert!(matches!(
+            c.validate().unwrap_err(),
+            ConfigError::RadixTooLarge { .. }
+        ));
+    }
+
+    #[test]
+    fn validation_bounds_the_vcs_of_a_port() {
+        let mut c = SimConfig::paper(2);
+        c.vcs_injection = MAX_VCS;
+        c.validate().unwrap();
+        c.vcs_injection += 1;
+        assert_eq!(
+            c.validate().unwrap_err(),
+            ConfigError::TooManyVcs {
+                vcs: 256,
+                max: MAX_VCS
+            }
+        );
+        // An embedded ring's landing ports carry one VC more.
+        let mut c = SimConfig::paper(2).with_ring(RingMode::Embedded);
+        c.vcs_global = MAX_VCS - 1;
+        c.validate().unwrap();
+        c.vcs_global = MAX_VCS;
+        assert!(matches!(
+            c.validate().unwrap_err(),
+            ConfigError::TooManyVcs { vcs: 256, .. }
+        ));
+        c.ring = RingMode::Physical;
+        c.validate().unwrap();
+        c.vcs_ring = MAX_VCS + 1;
+        assert!(matches!(
+            c.validate().unwrap_err(),
+            ConfigError::TooManyVcs { .. }
+        ));
+    }
+
+    #[test]
+    fn validation_rejects_groups_the_addressing_cannot_divide_by() {
+        for (p, a) in [(0, 4), (2, 1), (2, 0)] {
+            let mut c = SimConfig::paper(2);
+            (c.params.p, c.params.a) = (p, a);
+            assert_eq!(
+                c.validate().unwrap_err(),
+                ConfigError::DegenerateGroup { p, a }
+            );
+        }
     }
 
     #[test]

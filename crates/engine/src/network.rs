@@ -113,10 +113,10 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     /// `delivered_log`, so the log is shard-schedule-invariant.
     delivered_now: Vec<(u64, u32)>,
     reqs: Vec<route::Kept>,
-    matched_in: Vec<bool>, // lint:allow(S001, per-cycle scratch; rebuilt each cycle and dead at snapshot boundaries)
-    matched_out: Vec<bool>,
     grants: Vec<(u16, u8, Request)>,
-    best_out: Vec<Option<(u64, u16, u32)>>, // lint:allow(S001, per-cycle scratch; rebuilt each cycle and dead at snapshot boundaries)
+    /// Per output, the allocator's best proposal of the current
+    /// iteration; stale wherever that iteration proposed nothing.
+    best_out: Vec<(u64, u32)>, // lint:allow(S001, per-cycle scratch; rebuilt each cycle and dead at snapshot boundaries)
 }
 
 impl<P: Policy> Network<P> {
@@ -188,10 +188,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             effects: Vec::with_capacity(256),
             delivered_now: Vec::new(),
             reqs: Vec::with_capacity(n_in * 4),
-            matched_in: vec![false; n_in],
-            matched_out: vec![false; n_out],
             grants: Vec::with_capacity(n_in),
-            best_out: vec![None; n_out],
+            best_out: vec![(0, 0); n_out],
             fab,
         }
     }

@@ -20,6 +20,75 @@ use ofar_topology::RouterId;
 /// what it asks for, and that VC's least-recently-served stamp.
 pub(super) type Kept = (u16, u8, Request, u64);
 
+/// The iterative separable allocator of §V — input stage then output
+/// stage, least-recently-served arbiters at both, `iters` iterations —
+/// over the requests of one router turn, in input-port order. Every one
+/// of them is grantable (collection kept no other), so a lone request is
+/// granted outright and the iterations only have to keep inputs and
+/// outputs from being matched twice: the matched and proposed sets are
+/// bit words (`SimConfig::validate` bounds the radix by their width),
+/// `best_out` is read only where this iteration proposed, and nothing is
+/// cleared or scanned per port. Grants are pushed in ascending output
+/// order within an iteration — the order grant execution, and with it
+/// the effects ledger, has always seen.
+// lint:allow(P002, a request index is below the router's VC count)
+fn allocate(
+    reqs: &[Kept],
+    in_served_at: &[u64],
+    n_in: usize,
+    iters: usize,
+    best_out: &mut [(u64, u32)],
+    grants: &mut Vec<(u16, u8, Request)>,
+) {
+    if let [(port, vc, req, _)] = *reqs {
+        grants.push((port, vc, req));
+        return;
+    }
+    let (mut matched_in, mut matched_out) = (0u64, 0u64);
+    for _ in 0..iters {
+        let mut proposed = 0u64;
+        let mut i = 0;
+        while i < reqs.len() {
+            let in_port = reqs[i].0;
+            let mut j = i + 1;
+            while j < reqs.len() && reqs[j].0 == in_port {
+                j += 1;
+            }
+            if matched_in >> in_port & 1 == 0 {
+                // Input stage: least-recently-served VC among those of
+                // this input port whose output is still free.
+                let mut pick: Option<(u64, usize)> = None;
+                for (k, &(_, _, req, stamp)) in reqs[i..j].iter().enumerate() {
+                    if matched_out >> req.out_port & 1 == 0 && pick.is_none_or(|(s, _)| stamp < s) {
+                        pick = Some((stamp, i + k));
+                    }
+                }
+                if let Some((_, idx)) = pick {
+                    // Output stage: LRS over proposing inputs.
+                    let out = reqs[idx].2.out_port as usize;
+                    let stamp = in_served_at[out * n_in + in_port as usize];
+                    if proposed >> out & 1 == 0 || stamp < best_out[out].0 {
+                        best_out[out] = (stamp, idx as u32);
+                        proposed |= 1 << out;
+                    }
+                }
+            }
+            i = j;
+        }
+        if proposed == 0 {
+            break;
+        }
+        while proposed != 0 {
+            let out = proposed.trailing_zeros() as usize;
+            proposed &= proposed - 1;
+            let (port, vc, req, _) = reqs[best_out[out].1 as usize];
+            matched_in |= 1 << port;
+            matched_out |= 1 << out;
+            grants.push((port, vc, req));
+        }
+    }
+}
+
 impl<P: Policy, H: Hooks> Network<P, H> {
     /// Phase 3: routing + separable iterative allocation + grant
     /// execution for one router.
@@ -110,61 +179,15 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         if kept == 0 {
             return;
         }
-
-        // --- iterative separable allocation (input stage then output
-        //     stage, LRS arbiters, `alloc_iters` iterations) ---
-        self.matched_in.iter_mut().for_each(|m| *m = false);
-        self.matched_out.iter_mut().for_each(|m| *m = false);
         self.grants.clear();
-        let iters = self.fab.cfg().alloc_iters;
-        for _ in 0..iters {
-            self.best_out.iter_mut().for_each(|b| *b = None);
-            let mut any = false;
-            let mut i = 0;
-            while i < self.reqs.len() {
-                let in_port = self.reqs[i].0;
-                let mut j = i;
-                while j < self.reqs.len() && self.reqs[j].0 == in_port {
-                    j += 1;
-                }
-                if !self.matched_in[in_port as usize] {
-                    // Input stage: least-recently-served VC among the
-                    // candidates of this input port whose output is free.
-                    let mut pick: Option<(u64, usize)> = None;
-                    for (idx, &(_, _, req, stamp)) in
-                        self.reqs[i..j].iter().enumerate().map(|(k, r)| (i + k, r))
-                    {
-                        if !self.matched_out[req.out_port as usize]
-                            && pick.is_none_or(|(s, _)| stamp < s)
-                        {
-                            pick = Some((stamp, idx));
-                        }
-                    }
-                    if let Some((_, idx)) = pick {
-                        // Output stage: LRS over proposing inputs.
-                        let out = self.reqs[idx].2.out_port as usize;
-                        let stamp =
-                            self.arena.in_served_at[(ridx * n_out + out) * n_in + in_port as usize];
-                        if self.best_out[out].is_none_or(|(s, _, _)| stamp < s) {
-                            self.best_out[out] = Some((stamp, in_port, idx as u32));
-                        }
-                    }
-                }
-                i = j;
-            }
-            for out in 0..self.best_out.len() {
-                if let Some((_, in_port, idx)) = self.best_out[out] {
-                    let (port, vc, req, _) = self.reqs[idx as usize];
-                    self.matched_in[in_port as usize] = true;
-                    self.matched_out[out] = true;
-                    self.grants.push((port, vc, req));
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        allocate(
+            &self.reqs,
+            &self.arena.in_served_at[ridx * n_out * n_in..][..n_out * n_in],
+            n_in,
+            self.fab.cfg().alloc_iters,
+            &mut self.best_out,
+            &mut self.grants,
+        );
 
         // --- execute grants ---
         let grants = self.grants.len();
@@ -443,5 +466,328 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         if let Some(cm) = self.cm.as_mut() {
             cm.free[router as usize] += u64::from(phits);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{SimConfig, MAX_PORTS};
+    use crate::fabric::Fabric;
+    use ofar_topology::NodeId;
+    use proptest::prelude::*;
+
+    /// One router turn as the allocator meets it: what collection was
+    /// asked for, and the state eligibility and the two LRS arbiters
+    /// read. Ports below `n_eject` are ejection outputs.
+    struct Turn {
+        n_in: usize,
+        n_out: usize,
+        n_eject: usize,
+        size: u32,
+        ring_need: u32,
+        iters: usize,
+        /// (input port, VC, request), in input-port order.
+        asked: Vec<(u16, u8, Request)>,
+        busy: Vec<bool>,
+        /// `[out][vc]`.
+        credits: Vec<[u32; 4]>,
+        /// `[in][vc]`.
+        vc_served_at: Vec<[u64; 4]>,
+        /// `[out × n_in + in]`.
+        in_served_at: Vec<u64>,
+    }
+
+    impl Turn {
+        /// `RouterView::grantable`, over this turn's state.
+        fn grantable(&self, req: Request) -> bool {
+            let need = match req.kind {
+                RequestKind::RingEnter => self.ring_need,
+                _ => self.size,
+            };
+            let out = req.out_port as usize;
+            !self.busy[out]
+                && (out < self.n_eject || self.credits[out][req.out_vc as usize] >= need)
+        }
+
+        /// The allocator as it stood before eligibility moved to
+        /// collection, kept as the referee: every asked request goes in,
+        /// every iteration re-tests each one and re-addresses its stamp,
+        /// and the matched sets and `best_out` are cleared and scanned
+        /// per port.
+        fn reference(&self) -> Vec<(u16, u8, Request)> {
+            let reqs = &self.asked;
+            let mut matched_in = vec![false; self.n_in];
+            let mut matched_out = vec![false; self.n_out];
+            let mut best_out: Vec<Option<(u64, u16, u32)>> = vec![None; self.n_out];
+            let mut grants = Vec::new();
+            for _ in 0..self.iters {
+                best_out.iter_mut().for_each(|b| *b = None);
+                let mut any = false;
+                let mut i = 0;
+                while i < reqs.len() {
+                    let in_port = reqs[i].0;
+                    let mut j = i;
+                    while j < reqs.len() && reqs[j].0 == in_port {
+                        j += 1;
+                    }
+                    if !matched_in[in_port as usize] {
+                        let mut pick: Option<(u64, usize)> = None;
+                        for (idx, &(_, vc, req)) in
+                            reqs[i..j].iter().enumerate().map(|(k, r)| (i + k, r))
+                        {
+                            let out = req.out_port as usize;
+                            if matched_out[out] || !self.grantable(req) {
+                                continue;
+                            }
+                            let stamp = self.vc_served_at[in_port as usize][vc as usize];
+                            if pick.is_none_or(|(s, _)| stamp < s) {
+                                pick = Some((stamp, idx));
+                            }
+                        }
+                        if let Some((_, idx)) = pick {
+                            let req = reqs[idx].2;
+                            let out = req.out_port as usize;
+                            let stamp = self.in_served_at[out * self.n_in + in_port as usize];
+                            if best_out[out].is_none_or(|(s, _, _)| stamp < s) {
+                                best_out[out] = Some((stamp, in_port, idx as u32));
+                            }
+                        }
+                    }
+                    i = j;
+                }
+                for out in 0..best_out.len() {
+                    if let Some((_, in_port, idx)) = best_out[out] {
+                        matched_in[in_port as usize] = true;
+                        matched_out[out] = true;
+                        grants.push(reqs[idx as usize]);
+                        any = true;
+                    }
+                }
+                if !any {
+                    break;
+                }
+            }
+            grants
+        }
+
+        /// What the engine does now: keep the grantable requests with
+        /// their VC stamps, then [`allocate`] — over a `best_out` left
+        /// dirty by earlier turns.
+        fn granted(&self) -> Vec<(u16, u8, Request)> {
+            let kept: Vec<Kept> = self
+                .asked
+                .iter()
+                .filter(|&&(_, _, req)| self.grantable(req))
+                .map(|&(port, vc, req)| {
+                    let stamp = self.vc_served_at[port as usize][vc as usize];
+                    (port, vc, req, stamp)
+                })
+                .collect();
+            let mut best_out = vec![(0, u32::MAX); self.n_out];
+            let mut grants = Vec::new();
+            if !kept.is_empty() {
+                allocate(
+                    &kept,
+                    &self.in_served_at,
+                    self.n_in,
+                    self.iters,
+                    &mut best_out,
+                    &mut grants,
+                );
+            }
+            grants
+        }
+
+        /// A turn drawn from `seed`: up to one request per input VC,
+        /// half of them aimed at a handful of hot outputs; stamps from
+        /// a range small enough to tie; a quarter of the outputs busy;
+        /// credits around one and two packets of room.
+        fn random(seed: u64, ports: usize, vcs: usize, iters: usize) -> Self {
+            let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+            let mut below = |n: usize| rng.below(n as u128) as usize;
+            let size = 8;
+            let n_eject = ports / 4;
+            let levels = [
+                0,
+                size - 1,
+                size,
+                size + 1,
+                2 * size - 1,
+                2 * size,
+                2 * size + 1,
+            ];
+            let mut asked = Vec::new();
+            for port in 0..ports {
+                for vc in 0..vcs {
+                    if below(3) == 0 {
+                        continue;
+                    }
+                    let out = if below(2) == 0 {
+                        below(ports.min(3))
+                    } else {
+                        below(ports)
+                    };
+                    let kind = match (out < n_eject, below(4)) {
+                        (true, _) => RequestKind::Eject,
+                        (false, 0) => RequestKind::RingEnter,
+                        (false, _) => RequestKind::Minimal,
+                    };
+                    asked.push((port as u16, vc as u8, Request::new(out, below(4), kind)));
+                }
+            }
+            Self {
+                n_in: ports,
+                n_out: ports,
+                n_eject,
+                size,
+                ring_need: 2 * size,
+                iters,
+                asked,
+                busy: (0..ports).map(|_| below(4) == 0).collect(),
+                credits: (0..ports)
+                    .map(|_| [0; 4].map(|_| levels[below(levels.len())]))
+                    .collect(),
+                vc_served_at: (0..ports)
+                    .map(|_| [0; 4].map(|_| below(4) as u64))
+                    .collect(),
+                in_served_at: (0..ports * ports).map(|_| below(4) as u64).collect(),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The same grants in the same order as the referee, at every
+        /// radix the bit words hold.
+        #[test]
+        fn allocator_agrees_with_its_reference(
+            seed in any::<u64>(),
+            ports in 1usize..=MAX_PORTS,
+            vcs in 1usize..=4,
+            iters in 1usize..=4,
+        ) {
+            let turn = Turn::random(seed, ports, vcs, iters);
+            prop_assert_eq!(turn.granted(), turn.reference());
+        }
+    }
+
+    fn quiet_turn(ports: usize, asked: Vec<(u16, u8, Request)>) -> Turn {
+        Turn {
+            n_in: ports,
+            n_out: ports,
+            n_eject: 1,
+            size: 8,
+            ring_need: 16,
+            iters: 3,
+            asked,
+            busy: vec![false; ports],
+            credits: vec![[32; 4]; ports],
+            vc_served_at: vec![[0; 4]; ports],
+            in_served_at: vec![0; ports * ports],
+        }
+    }
+
+    #[test]
+    fn a_lone_request_is_granted_iff_grantable() {
+        for kind in [RequestKind::Minimal, RequestKind::RingEnter] {
+            let asked = vec![(3, 1, Request::new(2, 0, kind))];
+            let mut turn = quiet_turn(4, asked.clone());
+            assert_eq!(turn.granted(), asked);
+            assert_eq!(turn.reference(), asked);
+            // One packet of room: enough for a hop, not for the bubble.
+            turn.credits[2][0] = 8;
+            let want = if kind == RequestKind::RingEnter {
+                vec![]
+            } else {
+                asked
+            };
+            assert_eq!(turn.granted(), want);
+            assert_eq!(turn.reference(), want);
+            turn.busy[2] = true;
+            assert_eq!(turn.granted(), vec![]);
+            assert_eq!(turn.reference(), vec![]);
+        }
+    }
+
+    /// Every input on one output: one grant however many iterations, to
+    /// the input that output served longest ago — the first of those
+    /// that tie.
+    #[test]
+    fn all_inputs_on_one_output_grant_the_least_recently_served() {
+        let ports = MAX_PORTS;
+        let out = ports - 1;
+        let asked: Vec<_> = (0..ports)
+            .map(|port| (port as u16, 0, Request::new(out, 0, RequestKind::Minimal)))
+            .collect();
+        let mut turn = quiet_turn(ports, asked);
+        for port in 0..ports {
+            turn.in_served_at[out * ports + port] = 9;
+        }
+        turn.in_served_at[out * ports + 40] = 5;
+        turn.in_served_at[out * ports + 50] = 5;
+        assert_eq!(turn.granted(), vec![turn.asked[40]]);
+        assert_eq!(turn.reference(), vec![turn.asked[40]]);
+    }
+
+    /// A policy that asks for local output 0, VC 0, whatever the packet.
+    struct AskLocal0;
+
+    impl Policy for AskLocal0 {
+        fn name(&self) -> &'static str {
+            "ask-local-0"
+        }
+
+        fn route(&mut self, view: &RouterView<'_>, _: InputCtx, _: &mut Packet) -> Option<Request> {
+            Some(Request::new(view.fab.local_out(0), 0, RequestKind::Minimal))
+        }
+
+        fn on_inject(&mut self, _: &RouterView<'_>, _: &mut Packet) -> usize {
+            0
+        }
+    }
+
+    #[derive(Default)]
+    struct Marks(Vec<RouteMark>);
+
+    impl Hooks for Marks {
+        fn route_mark(&mut self, mark: RouteMark) {
+            self.0.push(mark);
+        }
+    }
+
+    /// A turn whose only request cannot be granted ends at the
+    /// `Allocate` mark — no `Execute`, nothing pushed, `best_out` as it
+    /// was; once the output has room the lone request is granted.
+    #[test]
+    fn a_turn_of_ungrantable_requests_ends_before_allocation() {
+        let cfg = SimConfig::paper(2);
+        let mut net = Network::with_hooks(Fabric::new(cfg), AskLocal0, Marks::default());
+        let lane = net.fab.out_lane(RouterId::new(0), net.fab.local_out(0), 0);
+        net.arena.credits[lane] = 0;
+        net.generate(NodeId::new(0), NodeId::new(40));
+        net.step();
+        let asked_one = |kept| RouteMark::Allocate {
+            polled: 1,
+            asked: 1,
+            kept,
+        };
+        assert_eq!(net.hooks.0, [RouteMark::Collect, asked_one(0)]);
+        assert!(net.reqs.is_empty() && net.grants.is_empty());
+        assert!(net.best_out.iter().all(|&b| b == (0, 0)));
+        assert_eq!(net.stats.last_grant, 0);
+
+        net.hooks.0.clear();
+        net.arena.credits[lane] = cfg.packet_size as u32;
+        net.step();
+        let granted = [
+            RouteMark::Collect,
+            asked_one(1),
+            RouteMark::Execute { grants: 1 },
+        ];
+        assert_eq!(net.hooks.0, granted);
+        assert_eq!(net.stats.last_grant, 1);
+        assert!(net.best_out.iter().all(|&b| b == (0, 0)));
     }
 }

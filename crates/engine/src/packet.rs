@@ -158,7 +158,7 @@ pub struct Request {
 impl Request {
     /// Convenience constructor.
     #[inline]
-    // lint:allow(P002, ports fit u16 and vcs fit u8 for any realizable fabric radix)
+    // lint:allow(P002, SimConfig::validate bounds ports by MAX_PORTS and VCs by MAX_VCS: RadixTooLarge and TooManyVcs)
     pub fn new(out_port: usize, out_vc: usize, kind: RequestKind) -> Self {
         Self {
             out_port: out_port as u16,
