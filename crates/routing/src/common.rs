@@ -19,6 +19,7 @@ pub enum GroupPos {
 }
 
 /// Classify the current router for `pkt`.
+#[inline]
 pub fn group_pos(view: &RouterView<'_>, pkt: &Packet) -> GroupPos {
     let topo = view.fab.topo();
     let here = view.group();
@@ -77,6 +78,7 @@ impl VcLadder {
     }
 
     /// VC for the next *local* hop of `pkt` at group position `pos`.
+    #[inline]
     pub fn local_vc(&self, pkt: &Packet, pos: GroupPos) -> usize {
         let budget = self.source_budget();
         match pos {
@@ -87,6 +89,7 @@ impl VcLadder {
     }
 
     /// VC for the next *global* hop of `pkt` at group position `pos`.
+    #[inline]
     pub fn global_vc(&self, pos: GroupPos) -> usize {
         match pos {
             GroupPos::Source => 0,
@@ -97,6 +100,7 @@ impl VcLadder {
 
 /// The minimal next hop of `pkt` from the router of `view`, honoring a
 /// pending Valiant intermediate group if the packet carries one.
+#[inline]
 pub fn current_minimal_hop(view: &RouterView<'_>, pkt: &Packet) -> MinimalHop {
     let topo = view.fab.topo();
     if let Some(inter) = pkt.intermediate {
@@ -116,6 +120,7 @@ pub fn current_minimal_hop(view: &RouterView<'_>, pkt: &Packet) -> MinimalHop {
 /// the destination is unreachable. Mechanisms decide what to do with
 /// `None`: adaptive ones divert through another group, oblivious ones
 /// wait (and the run watchdog reports the partition).
+#[inline]
 pub fn live_minimal_hop(view: &RouterView<'_>, pkt: &Packet) -> Option<MinimalHop> {
     if !view.faults().any() {
         return Some(current_minimal_hop(view, pkt));
@@ -133,6 +138,7 @@ pub fn live_minimal_hop(view: &RouterView<'_>, pkt: &Packet) -> Option<MinimalHo
 
 /// Translate a [`MinimalHop`] into a concrete allocator request, using
 /// `ladder` for the VC choice.
+#[inline]
 pub fn hop_to_request(
     view: &RouterView<'_>,
     pkt: &Packet,
@@ -159,6 +165,7 @@ pub fn hop_to_request(
 /// blocking at the source. Asked again every cycle a blocked head is
 /// offered, so the first 2³² ids take their remainder without the
 /// hardware divider.
+#[inline]
 pub fn injection_vc(vcs_injection: Divisor, pkt: &Packet) -> usize {
     match u32::try_from(pkt.id) {
         Ok(id) => vcs_injection.rem(id) as usize,

@@ -242,6 +242,7 @@ impl Dragonfly {
 
     /// The router (and its global port) of group `from` that hosts the
     /// unique global link towards group `to`.
+    #[inline]
     pub fn global_link_from(&self, from: GroupId, to: GroupId) -> (RouterId, usize) {
         debug_assert_ne!(from, to);
         let d = self.groups.rem(to.0 + self.groups.get() - from.0);

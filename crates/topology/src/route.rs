@@ -46,6 +46,7 @@ pub enum RoutePhase {
 
 impl Dragonfly {
     /// Next minimal hop from router `current` towards node `dst`.
+    #[inline]
     pub fn minimal_hop_to_node(&self, current: RouterId, dst: NodeId) -> MinimalHop {
         let dst_router = self.router_of_node(dst);
         if current == dst_router {
@@ -58,6 +59,7 @@ impl Dragonfly {
 
     /// Next minimal hop from router `current` towards router `dst`
     /// (`current != dst`).
+    #[inline]
     pub fn minimal_hop_to_router(&self, current: RouterId, dst: RouterId) -> MinimalHop {
         debug_assert_ne!(current, dst);
         let gc = self.group_of(current);
@@ -75,6 +77,7 @@ impl Dragonfly {
     /// Next minimal hop from `current` towards *any* router of `group`
     /// (used for the Valiant phase-1 route to an intermediate group).
     /// Returns `None` when the router is already in `group`.
+    #[inline]
     pub fn hop_toward_group(&self, current: RouterId, group: GroupId) -> Option<MinimalHop> {
         let gc = self.group_of(current);
         if gc == group {
