@@ -170,13 +170,14 @@ fn measure(scale: &Scale, kind: MechanismKind, point: Option<f64>) -> (u64, u64,
 /// [`PhaseTimer`] hook, for OFAR and MIN at three operating points —
 /// UN at 0.1 (nearly idle), UN at 0.5 (the knee) and a closed ADV+1
 /// burst (saturated) — then the `route` phase again by part, with the
-/// heads polled, requests kept and grants made per cycle. Timing, so
-/// read it on a quiet machine; the simulated columns (cycles, delivered,
-/// the three counts) repeat exactly. The route marks read the clock
-/// three times per router turn, all inside `route`: the `timer` column
-/// is that share — marks per step × the cost of one read, calibrated
-/// once per run — to take off `route` (and off its three parts
-/// together) to read them net.
+/// heads polled, the outputs asked for, the requests grantable that
+/// cycle (what the allocator sees) and the grants made per cycle.
+/// Timing, so read it on a quiet machine; the simulated columns (cycles,
+/// delivered, the four counts) repeat exactly. The route marks read the
+/// clock up to three times per router turn, all inside `route`: the
+/// `timer` column is that share — marks per step × the cost of one
+/// read, calibrated once per run — to take off `route` (and off its
+/// three parts together) to read them net.
 pub(crate) fn phases(args: &[String]) -> ExitCode {
     let scale = start("phases", args);
     let read_cost = clock_read_cost();

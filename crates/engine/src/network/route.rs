@@ -44,7 +44,7 @@ fn allocate(
         grants.push((port, vc, req));
         return;
     }
-    let (mut matched_in, mut matched_out) = (0u64, 0u64);
+    let (mut inputs_matched, mut outputs_matched) = (0u64, 0u64);
     for _ in 0..iters {
         let mut proposed = 0u64;
         let mut i = 0;
@@ -54,12 +54,14 @@ fn allocate(
             while j < reqs.len() && reqs[j].0 == in_port {
                 j += 1;
             }
-            if matched_in >> in_port & 1 == 0 {
+            if inputs_matched >> in_port & 1 == 0 {
                 // Input stage: least-recently-served VC among those of
                 // this input port whose output is still free.
                 let mut pick: Option<(u64, usize)> = None;
                 for (k, &(_, _, req, stamp)) in reqs[i..j].iter().enumerate() {
-                    if matched_out >> req.out_port & 1 == 0 && pick.is_none_or(|(s, _)| stamp < s) {
+                    if outputs_matched >> req.out_port & 1 == 0
+                        && pick.is_none_or(|(s, _)| stamp < s)
+                    {
                         pick = Some((stamp, i + k));
                     }
                 }
@@ -82,8 +84,8 @@ fn allocate(
             let out = proposed.trailing_zeros() as usize;
             proposed &= proposed - 1;
             let (port, vc, req, _) = reqs[best_out[out].1 as usize];
-            matched_in |= 1 << port;
-            matched_out |= 1 << out;
+            inputs_matched |= 1 << port;
+            outputs_matched |= 1 << out;
             grants.push((port, vc, req));
         }
     }
@@ -517,8 +519,8 @@ mod tests {
         /// per port.
         fn reference(&self) -> Vec<(u16, u8, Request)> {
             let reqs = &self.asked;
-            let mut matched_in = vec![false; self.n_in];
-            let mut matched_out = vec![false; self.n_out];
+            let mut inputs_matched = vec![false; self.n_in];
+            let mut outputs_matched = vec![false; self.n_out];
             let mut best_out: Vec<Option<(u64, u16, u32)>> = vec![None; self.n_out];
             let mut grants = Vec::new();
             for _ in 0..self.iters {
@@ -531,13 +533,13 @@ mod tests {
                     while j < reqs.len() && reqs[j].0 == in_port {
                         j += 1;
                     }
-                    if !matched_in[in_port as usize] {
+                    if !inputs_matched[in_port as usize] {
                         let mut pick: Option<(u64, usize)> = None;
                         for (idx, &(_, vc, req)) in
                             reqs[i..j].iter().enumerate().map(|(k, r)| (i + k, r))
                         {
                             let out = req.out_port as usize;
-                            if matched_out[out] || !self.grantable(req) {
+                            if outputs_matched[out] || !self.grantable(req) {
                                 continue;
                             }
                             let stamp = self.vc_served_at[in_port as usize][vc as usize];
@@ -558,8 +560,8 @@ mod tests {
                 }
                 for out in 0..best_out.len() {
                     if let Some((_, in_port, idx)) = best_out[out] {
-                        matched_in[in_port as usize] = true;
-                        matched_out[out] = true;
+                        inputs_matched[in_port as usize] = true;
+                        outputs_matched[out] = true;
                         grants.push(reqs[idx as usize]);
                         any = true;
                     }

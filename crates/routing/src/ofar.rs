@@ -300,7 +300,7 @@ impl OfarPolicy {
                 })
                 // lint:allow(H001, probe-pin path only; the production reservoir-sampling path does not allocate)
                 .collect();
-            // lint:allow(P002, candidate count bounded by router radix)
+            // lint:allow(P002, candidate count bounded by the router radix, itself by SimConfig::validate's RadixTooLarge)
             self.probe.feedback.candidates = self.probe.feedback.candidates.max(cands.len() as u32);
             return (!cands.is_empty()).then(|| cands[pin.candidate % cands.len()]);
         }
