@@ -465,6 +465,8 @@ impl Policy for OfarPolicy {
 
         let min_port = min_req.out_port as usize;
         let min_vc = min_req.out_vc as usize;
+        let q_min = view.occupancy(min_port, min_vc);
+        let (th_min, _) = self.ofar.threshold.resolve(q_min);
 
         let here = view.group();
         let src_group = topo.group_of_node(pkt.src);
@@ -512,13 +514,7 @@ impl Policy for OfarPolicy {
         // packet time), so taking it literally misroutes benign traffic
         // en masse; the discriminating signal at packet granularity is
         // the second arm: the minimal VC has no space for this packet.
-        // Room is one load and settles most heads, so it is tested
-        // before `Q_min`, a division, is taken at all.
-        if view.credits(min_port, min_vc) >= view.packet_phits() {
-            return Some(min_req);
-        }
-        let q_min = view.occupancy(min_port, min_vc);
-        if q_min < self.ofar.threshold.resolve(q_min).0 {
+        if view.credits(min_port, min_vc) >= view.packet_phits() || q_min < th_min {
             return Some(min_req);
         }
 
