@@ -21,6 +21,10 @@ pub struct Divisor {
     m: u64,
 }
 
+// `div` and `rem` take the *divisor* as receiver, so they are not the
+// operator traits' methods: `n / d` would need `Div<Divisor> for u32`,
+// which hides at the call site that no divide instruction runs.
+#[allow(clippy::should_implement_trait)]
 impl Divisor {
     /// The divisor `d`.
     ///
