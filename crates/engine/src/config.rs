@@ -40,30 +40,17 @@ pub enum ConfigError {
         /// Configured `h`.
         h: usize,
     },
-    /// A group with no node to inject (`p == 0`) or no local link
-    /// (`a < 2`): the closed-form addressing divides by both.
-    DegenerateGroup {
-        /// Configured nodes per router.
-        p: usize,
-        /// Configured routers per group.
-        a: usize,
-    },
+    /// `p == 0` or `a < 2`: no node to inject or no local link, and the
+    /// closed-form addressing divides by both.
+    DegenerateGroup,
     /// More ports per router — `p + a − 1 + h`, plus one per ring of a
     /// physical escape subnetwork — than [`MAX_PORTS`].
-    RadixTooLarge {
-        /// Ports the configuration asks for.
-        ports: usize,
-        /// The most a router may have.
-        max: usize,
-    },
+    #[allow(missing_docs)]
+    RadixTooLarge { ports: usize, max: usize },
     /// Some port would carry more VCs (an embedded ring adds one escape
     /// VC to its landing ports) than [`MAX_VCS`].
-    TooManyVcs {
-        /// The largest VC count of any port.
-        vcs: usize,
-        /// The most a port may have.
-        max: usize,
-    },
+    #[allow(missing_docs)]
+    TooManyVcs { vcs: usize, max: usize },
     /// An escape subnetwork was requested with zero rings.
     NoEscapeRing,
     /// More escape rings than the `h` edge-disjoint ones that exist.
@@ -131,15 +118,12 @@ pub enum ConfigError {
 /// take 100).
 pub const MAX_LINK_LATENCY: u64 = 1 << 16;
 
-/// Most ports a router may have: the allocator keeps its matched-input,
-/// matched-output and proposed-output sets in one `u64` each. (Port
-/// indices travel as `u16` and ring indices as `i8`, which this bounds
-/// too: there are at most `h` rings.) `h = 16`, the 64-port router of
-/// §I, has 63.
+/// Most ports a router may have: the allocator keeps its matched and
+/// proposed sets in one `u64` each (and ports travel as `u16`, the at
+/// most `h` ring indices as `i8`). The 64-port router of §I has 63.
 pub const MAX_PORTS: usize = u64::BITS as usize;
 
-/// Most VCs a port may have: VC indices and per-port VC counts travel
-/// as `u8`.
+/// Most VCs a port may have: VC indices and counts travel as `u8`.
 pub const MAX_VCS: usize = u8::MAX as usize;
 
 impl fmt::Display for ConfigError {
@@ -163,10 +147,12 @@ impl fmt::Display for ConfigError {
                     "h = {h} is below the minimum of 2 (degenerate Dragonfly)"
                 )
             }
-            Self::DegenerateGroup { p, a } => write!(
-                f,
-                "p = {p}, a = {a}: a router needs a node (p >= 1) and a group two routers (a >= 2)"
-            ),
+            Self::DegenerateGroup => {
+                write!(
+                    f,
+                    "a router needs a node (p >= 1), a group two routers (a >= 2)"
+                )
+            }
             Self::RadixTooLarge { ports, max } => write!(
                 f,
                 "{ports} ports per router exceed the {max} the allocator's bit words hold"
@@ -475,16 +461,12 @@ impl SimConfig {
             return Err(ConfigError::CmMinRateOutOfRange);
         }
         // Last, so that whatever failed before these existed still
-        // fails the same way: the widths the engine's narrow types and
-        // the allocator's bit words give a router.
+        // fails the same way.
         let DragonflyParams { p, a, h } = self.params;
         if p == 0 || a < 2 {
-            return Err(ConfigError::DegenerateGroup { p, a });
+            return Err(ConfigError::DegenerateGroup);
         }
-        let ring_ports = match self.ring {
-            RingMode::Physical => self.escape_rings,
-            _ => 0,
-        };
+        let ring_ports = usize::from(self.ring == RingMode::Physical) * self.escape_rings;
         let ports = [a - 1, h, ring_ports]
             .iter()
             .fold(p, |sum, &n| sum.saturating_add(n));
@@ -494,13 +476,13 @@ impl SimConfig {
                 max: MAX_PORTS,
             });
         }
+        // An embedded ring adds one escape VC to its landing ports.
         let escape_vc = usize::from(self.ring == RingMode::Embedded);
         let vcs = self
             .vcs_local
             .max(self.vcs_global)
-            .saturating_add(escape_vc)
-            .max(self.vcs_injection)
-            .max(self.vcs_ring);
+            .saturating_add(escape_vc);
+        let vcs = vcs.max(self.vcs_injection).max(self.vcs_ring);
         if vcs > MAX_VCS {
             return Err(ConfigError::TooManyVcs { vcs, max: MAX_VCS });
         }
@@ -660,10 +642,7 @@ mod tests {
         for (p, a) in [(0, 4), (2, 1), (2, 0)] {
             let mut c = SimConfig::paper(2);
             (c.params.p, c.params.a) = (p, a);
-            assert_eq!(
-                c.validate().unwrap_err(),
-                ConfigError::DegenerateGroup { p, a }
-            );
+            assert_eq!(c.validate().unwrap_err(), ConfigError::DegenerateGroup);
         }
     }
 

@@ -21,16 +21,14 @@ use ofar_topology::RouterId;
 pub(super) type Kept = (u16, u8, Request, u64);
 
 /// The iterative separable allocator of §V — input stage then output
-/// stage, least-recently-served arbiters at both, `iters` iterations —
-/// over the requests of one router turn, in input-port order. Every one
-/// of them is grantable (collection kept no other), so a lone request is
-/// granted outright and the iterations only have to keep inputs and
-/// outputs from being matched twice: the matched and proposed sets are
-/// bit words (`SimConfig::validate` bounds the radix by their width),
-/// `best_out` is read only where this iteration proposed, and nothing is
-/// cleared or scanned per port. Grants are pushed in ascending output
-/// order within an iteration — the order grant execution, and with it
-/// the effects ledger, has always seen.
+/// stage, LRS arbiters at both, `iters` iterations — over the requests
+/// one router turn kept, in input-port order. All are grantable, so a
+/// lone one is granted outright and the iterations only keep inputs and
+/// outputs from being matched twice: the sets are bit words
+/// (`SimConfig::validate` bounds the radix by their width), `best_out`
+/// is read only where this iteration proposed, nothing is cleared or
+/// scanned per port. Grants come in ascending output order within an
+/// iteration, the order the effects ledger has always seen.
 // lint:allow(P002, a request index is below the router's VC count)
 fn allocate(
     reqs: &[Kept],
@@ -147,9 +145,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     let out = req.out_port as usize;
                     // A dead output is never allocated, whatever the
                     // policy asked for (defence in depth — fault-aware
-                    // policies already avoid dead ports). An output
-                    // whose replay buffer is full is likewise skipped:
-                    // the sender must retain every unacknowledged packet.
+                    // policies already avoid dead ports), nor one whose
+                    // replay buffer is full: the sender must retain every
+                    // unacknowledged packet.
                     if !view.link_up(out)
                         || self.llr.as_ref().is_some_and(|l| !l.tx_has_room(ridx, out))
                     {
@@ -158,9 +156,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     asked += 1;
                     // Eligibility is settled here, once: the busy times
                     // and credits it reads are borrowed for the whole
-                    // turn, and the LRS stamps are only written by
-                    // `execute_grant`, after allocation. Ring entry needs
-                    // the bubble of §IV-C: normally two packets of room.
+                    // turn, the LRS stamps only written after allocation.
+                    // Ring entry needs the bubble of §IV-C: normally two
+                    // packets of room.
                     let need = match req.kind {
                         RequestKind::RingEnter => ring_need,
                         _ => size,

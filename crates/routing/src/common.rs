@@ -2,7 +2,7 @@
 //! the position-indexed virtual-channel ladder.
 
 use ofar_engine::{Packet, Request, RequestKind, RouterView};
-use ofar_topology::{Divisor, MinimalHop};
+use ofar_topology::MinimalHop;
 
 /// Where the current router sits along the packet's journey. Destination
 /// takes precedence (intra-group traffic counts as being at the
@@ -162,15 +162,10 @@ pub fn hop_to_request(
 
 /// Injection-VC choice shared by all mechanisms: spread packets over the
 /// injection VCs round-robin by id, purely to reduce head-of-line
-/// blocking at the source. Asked again every cycle a blocked head is
-/// offered, so the first 2³² ids take their remainder without the
-/// hardware divider.
+/// blocking at the source.
 #[inline]
-pub fn injection_vc(vcs_injection: Divisor, pkt: &Packet) -> usize {
-    match u32::try_from(pkt.id) {
-        Ok(id) => vcs_injection.rem(id) as usize,
-        Err(_) => (pkt.id % u64::from(vcs_injection.get())) as usize,
-    }
+pub fn injection_vc(vcs_injection: usize, pkt: &Packet) -> usize {
+    (pkt.id % vcs_injection as u64) as usize
 }
 
 #[cfg(test)]
@@ -284,13 +279,8 @@ mod tests {
         let mut seen = [false; 3];
         for id in 0..9 {
             p.id = id;
-            seen[injection_vc(Divisor::new(3), &p)] = true;
+            seen[injection_vc(3, &p)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-        // Past the ids a `Divisor` takes, the plain remainder.
-        for id in [u64::from(u32::MAX), u64::from(u32::MAX) + 1, u64::MAX] {
-            p.id = id;
-            assert_eq!(injection_vc(Divisor::new(3), &p) as u64, id % 3);
-        }
     }
 }

@@ -6,13 +6,12 @@
 
 use crate::common::{hop_to_request, injection_vc, live_minimal_hop, VcLadder};
 use ofar_engine::{InputCtx, Packet, Policy, Request, RequestKind, RouterView, SimConfig};
-use ofar_topology::Divisor;
 
 /// Minimal routing.
 #[derive(Clone, Debug)]
 pub struct MinPolicy {
     ladder: VcLadder,
-    vcs_injection: Divisor,
+    vcs_injection: usize,
 }
 
 impl MinPolicy {
@@ -20,7 +19,7 @@ impl MinPolicy {
     pub fn new(cfg: &SimConfig) -> Self {
         Self {
             ladder: VcLadder::new(cfg.vcs_local, cfg.vcs_global),
-            vcs_injection: Divisor::new(cfg.vcs_injection),
+            vcs_injection: cfg.vcs_injection,
         }
     }
 }

@@ -36,7 +36,7 @@ use ofar_engine::{
     InputCtx, Packet, Policy, PortKind, Request, RequestKind, RouterView, SimConfig,
     FLAG_GLOBAL_MISROUTED, FLAG_LOCAL_MISROUTED,
 };
-use ofar_topology::{Divisor, MinimalHop};
+use ofar_topology::MinimalHop;
 use rand::Rng;
 
 /// The misroute threshold pair of §IV-B.
@@ -183,7 +183,7 @@ impl OfarConfig {
 #[derive(Clone, Debug)]
 pub struct OfarPolicy {
     ladder: VcLadder, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
-    vcs_injection: Divisor, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
+    vcs_injection: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
     ofar: OfarConfig,
     /// Resolved ring-guard threshold (`None` = unguarded); derived from
     /// `ofar.ring_guard` and `cfg.cm_enabled` at construction.
@@ -212,7 +212,7 @@ impl OfarPolicy {
         };
         Self {
             ladder: VcLadder::new(cfg.vcs_local, cfg.vcs_global),
-            vcs_injection: Divisor::new(cfg.vcs_injection),
+            vcs_injection: cfg.vcs_injection,
             ofar,
             guard,
             // "OFAR": misroute-candidate picks happen in `route`, one

@@ -23,7 +23,7 @@ use ofar_engine::snapshot::{Dec, Enc};
 use ofar_engine::{
     InputCtx, Packet, Policy, Request, RequestKind, RouterView, SimConfig, FLAG_AUX,
 };
-use ofar_topology::{Divisor, GroupId};
+use ofar_topology::GroupId;
 use rand::rngs::SmallRng;
 
 /// PAR tunables.
@@ -46,7 +46,7 @@ impl Default for ParConfig {
 #[derive(Clone, Debug)]
 pub struct ParPolicy {
     ladder: VcLadder, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
-    vcs_injection: Divisor, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
+    vcs_injection: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
     vcs_global: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
     groups: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
     par: ParConfig,
@@ -68,7 +68,7 @@ impl ParPolicy {
         );
         Self {
             ladder: VcLadder::new(cfg.vcs_local, cfg.vcs_global),
-            vcs_injection: Divisor::new(cfg.vcs_injection),
+            vcs_injection: cfg.vcs_injection,
             vcs_global: cfg.vcs_global,
             groups: cfg.params.groups(),
             par: ParConfig::default(),

@@ -26,7 +26,7 @@ use ofar_engine::snapshot::{Dec, Enc};
 use ofar_engine::{
     InputCtx, NetSnapshot, Packet, Policy, Request, RequestKind, RouterView, SimConfig,
 };
-use ofar_topology::{Divisor, Dragonfly, GroupId, RouterId};
+use ofar_topology::{Dragonfly, GroupId, RouterId};
 
 /// Tunables of the PB mechanism.
 #[derive(Clone, Copy, Debug)]
@@ -56,7 +56,7 @@ impl Default for PbConfig {
 #[derive(Clone, Debug)]
 pub struct PbPolicy {
     ladder: VcLadder, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
-    vcs_injection: Divisor, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
+    vcs_injection: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
     groups: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
     h: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
     pb: PbConfig,
@@ -77,7 +77,7 @@ impl PbPolicy {
     pub fn with_config(cfg: &SimConfig, seed: u64, pb: PbConfig) -> Self {
         Self {
             ladder: VcLadder::new(cfg.vcs_local, cfg.vcs_global),
-            vcs_injection: Divisor::new(cfg.vcs_injection),
+            vcs_injection: cfg.vcs_injection,
             groups: cfg.params.groups(),
             h: cfg.params.h,
             pb,

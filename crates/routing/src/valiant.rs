@@ -17,7 +17,7 @@ use crate::probe::ProbeState;
 use crate::state::RngLanes;
 use ofar_engine::snapshot::{Dec, Enc};
 use ofar_engine::{InputCtx, Packet, Policy, Request, RequestKind, RouterView, SimConfig};
-use ofar_topology::{Divisor, GroupId};
+use ofar_topology::GroupId;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -25,7 +25,7 @@ use rand::Rng;
 #[derive(Clone, Debug)]
 pub struct ValiantPolicy {
     ladder: VcLadder, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
-    vcs_injection: Divisor, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
+    vcs_injection: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
     groups: usize,
     lanes: RngLanes,
     probe: ProbeState, // lint:allow(S001, probe telemetry; diagnostic counters deliberately reset on restore)
@@ -36,7 +36,7 @@ impl ValiantPolicy {
     pub fn new(cfg: &SimConfig, seed: u64) -> Self {
         Self {
             ladder: VcLadder::new(cfg.vcs_local, cfg.vcs_global),
-            vcs_injection: Divisor::new(cfg.vcs_injection),
+            vcs_injection: cfg.vcs_injection,
             groups: cfg.params.groups(),
             // "VAL": one intermediate-pick stream per injecting node, so
             // the draw order is keyed by the node, not the inject-loop

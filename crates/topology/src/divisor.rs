@@ -1,29 +1,25 @@
 //! Division by a divisor fixed at construction, without the hardware
-//! divider.
-//!
-//! The closed-form addressing of [`crate::Dragonfly`] divides by `a`,
-//! `p`, `h` and the group count, which are run-time values, so the
-//! compiler cannot strength-reduce them — and a routing decision made
-//! for every head-of-VC packet every cycle (§V) takes a score of them.
+//! divider: the closed forms of [`crate::Dragonfly`] divide by run-time
+//! `a`, `p`, `h` and the group count a score of times per routing
+//! decision, and a decision is revisited for every head packet every
+//! cycle (§V).
 
-/// A divisor `d ≥ 1` with its reciprocal `m = ⌈2⁶⁴ / d⌉`: `n / d` is the
-/// high word of `n · m`.
-///
-/// Exact for every `n: u32`: `m · d = 2⁶⁴ + e` with `0 ≤ e < d`, so
-/// `n · m / 2⁶⁴ = n / d + n · e / (d · 2⁶⁴)`, and the error term is below
-/// `2⁻³² ≤ 1 / d` — too small to carry the fraction of `n / d` (at most
-/// `(d − 1) / d`) over the next integer. Topology ids are `u32`
+/// A divisor `d ≥ 1` with `m = ⌈2⁶⁴ / d⌉`: `n / d` is the high word of
+/// `n · m`, exactly, for every `n: u32` — `m · d = 2⁶⁴ + e` with
+/// `0 ≤ e < d`, so `n · m / 2⁶⁴` exceeds `n / d` by `n · e / (d · 2⁶⁴)`,
+/// less than `2⁻³² ≤ 1 / d` and so too little to carry a fraction of at
+/// most `(d − 1) / d` to the next integer. Topology ids are `u32`
 /// newtypes, so the range holds by type.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Divisor {
     d: u32,
-    /// `⌈2⁶⁴ / d⌉`, or 0 for `d = 1`, whose reciprocal needs a 65th bit.
+    /// Modulo 2⁶⁴: 0 exactly for `d = 1`, whose reciprocal is 2⁶⁴.
     m: u64,
 }
 
-// `div` and `rem` take the *divisor* as receiver, so they are not the
-// operator traits' methods: `n / d` would need `Div<Divisor> for u32`,
-// which hides at the call site that no divide instruction runs.
+// The receiver is the divisor, not the dividend, so `div` and `rem` are
+// not the operator traits' methods; `Div<Divisor> for u32` would hide at
+// the call site that no divide instruction runs.
 #[allow(clippy::should_implement_trait)]
 impl Divisor {
     /// The divisor `d`.
@@ -35,11 +31,7 @@ impl Divisor {
             .ok()
             .filter(|&d| d != 0)
             .expect("a divisor must lie in 1..=u32::MAX");
-        let m = if d == 1 {
-            0
-        } else {
-            u64::MAX / u64::from(d) + 1
-        };
+        let m = (u64::MAX / u64::from(d)).wrapping_add(1);
         Self { d, m }
     }
 
