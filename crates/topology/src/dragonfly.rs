@@ -31,14 +31,13 @@ pub struct GlobalLink {
 /// An immutable Dragonfly topology.
 ///
 /// All adjacency is *computed*, not stored: the palmtree arrangement is
-/// closed-form, so the struct is a couple of words regardless of network
+/// closed-form, so the struct is a dozen words regardless of network
 /// size and can be copied freely into simulator workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Dragonfly {
     params: DragonflyParams,
     /// `a`, `p`, `h` and the group count as the divisors of the closed
-    /// forms: addressing runs for every head packet every cycle, and
-    /// never through the hardware divider.
+    /// forms, which run for every head packet every cycle.
     a: Divisor,
     p: Divisor,
     h: Divisor,
