@@ -230,13 +230,11 @@ impl Dragonfly {
     /// the remote global-port index.
     pub fn global_neighbor(&self, r: RouterId, k: usize) -> (RouterId, usize) {
         let d = self.offset_of_port(self.local_index(r), k);
+        let dst_group = self.group_past(r, d);
         // Seen from the destination group, the same physical link has
         // offset `groups − d`.
         let (remote_local, remote_port) = self.global_host_for_offset(self.num_groups() - d);
-        (
-            self.router_at(self.group_past(r, d), remote_local),
-            remote_port,
-        )
+        (self.router_at(dst_group, remote_local), remote_port)
     }
 
     /// The router (and its global port) of group `from` that hosts the
