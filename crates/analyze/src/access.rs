@@ -547,9 +547,14 @@ impl<'a> Scanner<'a> {
             bare = false;
             let mut shard_root = false;
             if let Some(axis) = root_axis(name) {
-                class = Some(Class::Sharded(axis));
+                // `src_q` is a `Fifos` of its own: the `heads` and
+                // `queued` reached through it are per node.
+                (class, field) = if field == "src_q" && axis == Axis::Router {
+                    (Some(Class::Sharded(Axis::Node)), format!("src_q.{name}"))
+                } else {
+                    (Some(Class::Sharded(axis)), name.to_string())
+                };
                 index = Index::Unknown;
-                field = name.to_string();
                 shard_root = axis != Axis::Link;
             } else if SCRATCH.contains(&name) {
                 class = Some(Class::Scratch);

@@ -16,7 +16,7 @@
 //! `policy_end` is one call and has none), as inherent methods of
 //! `Network`; `diagnose` and `state` hold what runs between steps.
 
-use crate::arena::Arena;
+use crate::arena::{Arena, Fifos};
 use crate::audit::AuditReport;
 use crate::config::SimConfig;
 use crate::fabric::Fabric;
@@ -32,7 +32,6 @@ use crate::wheel::Wheel;
 use cm_sense::CmState;
 use effect_commit::Effect;
 use ofar_topology::{NodeId, RouterId};
-use std::collections::VecDeque;
 
 mod audit;
 mod cm_sense;
@@ -57,8 +56,10 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     now: u64,
     next_id: u64,
     /// Unbounded per-node source queues (latency includes time spent
-    /// here, which is how saturation becomes visible in latency curves).
-    src_q: Vec<VecDeque<Packet>>,
+    /// here, which is how saturation becomes visible in latency curves):
+    /// one FIFO per node, the head `on_inject` re-offers every cycle by
+    /// value.
+    src_q: Fifos,
     /// Node→injection-buffer transfer is serialized at 1 phit/cycle.
     inj_busy: Vec<u64>,
     /// Every packet and credit in flight on a link, filed under its
@@ -169,7 +170,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             policy,
             now: 0,
             next_id: 0,
-            src_q: vec![VecDeque::new(); nodes],
+            src_q: Fifos::new(nodes, fab.cfg().packet_size as u32),
             inj_busy: vec![0; nodes],
             stats,
             delivered_log: None,
@@ -229,13 +230,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// Number of compute nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.src_q.len()
+        self.src_q.queued.len()
     }
 
     /// Packets waiting in the source queue of `node`.
     #[inline]
     pub fn source_queue_len(&self, node: NodeId) -> usize {
-        self.src_q[node.idx()].len()
+        self.src_q.queued[node.idx()] as usize
     }
 
     /// Packets generated but not yet delivered (anywhere: source queues,
@@ -292,7 +293,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// empty order vectors and keeps the plain `0..n` loops.
     pub fn set_shard_schedule(&mut self, sched: ShardSchedule) {
         self.order_routers = sched.order(self.fab.topo().num_routers());
-        self.order_nodes = sched.order(self.src_q.len());
+        self.order_nodes = sched.order(self.src_q.queued.len());
     }
 
     /// Phits transmitted by output `port` of `router` since
@@ -350,7 +351,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         };
         self.next_id += 1;
         self.stats.generated_packets += 1;
-        self.src_q[src.idx()].push_back(pkt);
+        self.src_q.push_overflowing(src.idx(), pkt);
         self.occ.src_pending[src.idx() / 64] |= 1 << (src.idx() % 64);
     }
 

@@ -227,7 +227,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// (phit conservation).
     pub fn phits_in_system(&self) -> u64 {
         let size = self.fab.cfg().packet_size as u64;
-        let src: u64 = self.src_q.iter().map(|q| q.len() as u64 * size).sum();
+        let src = self.src_q.queued.iter().map(|&n| u64::from(n)).sum::<u64>() * size;
         let queued: u32 = self.arena.fifos.queued.iter().sum();
         let buffered = u64::from(queued) * size;
         if let Some(llr) = &self.llr {

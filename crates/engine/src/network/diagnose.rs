@@ -35,9 +35,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 pairs.push((pkt.src, pkt.dst));
             }
         };
-        for (node, q) in self.src_q.iter().enumerate() {
+        for node in 0..self.src_q.queued.len() {
             let at = topo.router_of_node(NodeId::from(node));
-            for pkt in q {
+            for pkt in self.src_q.iter(node) {
                 check(at, pkt);
             }
         }

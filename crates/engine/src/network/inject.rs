@@ -40,7 +40,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     }
 
     /// [`Self::inject`] for one node whose source queue is non-empty.
-    // lint:allow(P002, node index and packet size bounded by fabric dimensions) lint:allow(P001, source queue non-empty by the pending-source index) lint:allow(R003, on_inject mutates per-mechanism policy state; the parallel plan gives each worker its own policy replica merged at commit)
+    // lint:allow(P002, node index and packet size bounded by fabric dimensions) lint:allow(R003, on_inject mutates per-mechanism policy state; the parallel plan gives each worker its own policy replica merged at commit)
     fn inject_node(&mut self, node: usize, now: u64) {
         if self.inj_busy[node] > now {
             return;
@@ -65,8 +65,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             &self.arena.credits[self.fab.router_lanes(router)],
             &self.faults,
         );
-        let pkt = self.src_q[node].front_mut().unwrap();
-        let vc = self.policy.on_inject(&view, pkt);
+        let vc = self.policy.on_inject(&view, &mut self.src_q.heads[node]);
         // An out-of-range pick would index past the injection buffer,
         // so a recording hook skips the injection as well.
         let vcs = self.fab.in_desc(router, port).vcs as usize;
@@ -84,8 +83,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         let fifos = &mut self.arena.fifos;
         let capacity = self.fab.slot_caps()[self.fab.in_slot(router, port, vc)];
         if fifos.fits(self.fab.in_slot(router, port, vc), capacity) {
-            let pkt = self.src_q[node].pop_front().unwrap();
-            if self.src_q[node].is_empty() {
+            let pkt = self.src_q.pop(node);
+            if self.src_q.queued[node] == 0 {
                 self.occ.src_pending[node / 64] &= !(1 << (node % 64));
             }
             fifos.push(self.fab.in_slot(router, port, vc), pkt, capacity);

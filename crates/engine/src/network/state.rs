@@ -8,12 +8,11 @@
 
 use super::cm_sense::{CmState, CM_CONG_ONE};
 use super::Network;
-use crate::arena::Arena;
+use crate::arena::{Arena, Fifos};
 use crate::fault::{FaultPlan, FaultState};
 use crate::hooks::Hooks;
 use crate::llr::Llr;
 use crate::occupancy::Occupancy;
-use crate::packet::Packet;
 use crate::policy::Policy;
 use crate::snapshot::{
     self, decode_packet, encode_packet, Dec, Enc, SnapshotError, PACKET_MIN_BYTES,
@@ -21,7 +20,6 @@ use crate::snapshot::{
 use crate::stats::{Stats, STATS_COUNTERS};
 use crate::wheel::{Arrival, Credit, Wheel};
 use ofar_topology::RouterId;
-use std::collections::VecDeque;
 
 /// What `decode_state` announces each field to, right after consuming
 /// its bytes. Restoring announces to `()`, which compiles to nothing —
@@ -120,10 +118,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.plan.snap_encode(e);
         self.faults.snap_encode(e);
         e.u64s(&self.stats.counters());
-        e.usize(self.src_q.len());
-        for q in &self.src_q {
-            e.usize(q.len());
-            for p in q {
+        e.usize(self.src_q.queued.len());
+        for (node, &queued) in self.src_q.queued.iter().enumerate() {
+            e.usize(queued as usize);
+            for p in self.src_q.iter(node) {
                 encode_packet(e, p);
             }
         }
@@ -251,21 +249,18 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             l.field(d, || format!("stats.{name}"));
         }
         stats.set_counters(&counters);
-        let nodes = self.src_q.len();
+        let nodes = self.src_q.queued.len();
         let n_queues = d.len(8, "source-queue count")?;
         l.field(d, || "source-queue count".into());
         if n_queues != nodes {
             return malformed("source-queue count disagrees");
         }
-        let mut src_q = Vec::with_capacity(nodes);
+        let mut src_q = Fifos::new(nodes, self.fab.cfg().packet_size as u32);
         for node in 0..nodes {
-            let n = d.len(PACKET_MIN_BYTES, "source queue size")?;
-            let mut q = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                q.push_back(decode_packet(d)?);
+            for _ in 0..d.len(PACKET_MIN_BYTES, "source queue size")? {
+                src_q.push_overflowing(node, decode_packet(d)?);
             }
             l.field(d, || format!("src_q[{node}]"));
-            src_q.push(q);
         }
         let inj_busy = words(d, l, nodes, "inj_busy")?;
         let nr = self.fab.topo().num_routers();
@@ -554,7 +549,7 @@ struct DecodedState {
     plan: FaultPlan,
     faults: FaultState,
     stats: Stats,
-    src_q: Vec<VecDeque<Packet>>,
+    src_q: Fifos,
     inj_busy: Vec<u64>,
     router_last_grant: Vec<u64>,
     delivered_log: Option<Vec<(u64, u32)>>,

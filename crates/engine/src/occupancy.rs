@@ -15,8 +15,6 @@
 
 use crate::arena::Fifos;
 use crate::fabric::Fabric;
-use crate::packet::Packet;
-use std::collections::VecDeque;
 
 /// Buffered-packet counts per router and per input port, and the set of
 /// nodes with a non-empty source queue.
@@ -43,11 +41,11 @@ impl Occupancy {
     }
 
     /// Count `fifos`' packets per port of `fab` and `src_q`'s queues.
-    pub fn recount(fab: &Fabric, fifos: &Fifos, src_q: &[VecDeque<Packet>]) -> Self {
+    pub fn recount(fab: &Fabric, fifos: &Fifos, src_q: &Fifos) -> Self {
         let nr = fab.topo().num_routers();
-        let mut occ = Self::empty(nr, fab.n_in(), src_q.len());
-        for (node, q) in src_q.iter().enumerate() {
-            if !q.is_empty() {
+        let mut occ = Self::empty(nr, fab.n_in(), src_q.queued.len());
+        for (node, &queued) in src_q.queued.iter().enumerate() {
+            if queued != 0 {
                 occ.src_pending[node / 64] |= 1 << (node % 64);
             }
         }
