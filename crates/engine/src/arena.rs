@@ -59,14 +59,58 @@ struct Tail {
     next: u32,
 }
 
-/// One FIFO of whole packets per input VC slot (virtual cut-through
-/// moves and accounts whole packets), every packet `size` phits.
+/// Tails in the order they were first needed, addressed by a `u32` that
+/// stays good for the pool's life: it grows a `CHUNK` at a time and an
+/// entry never moves. Source queues are unbounded past saturation, and
+/// one doubling `Vec` would hold the old and the new copy at once on
+/// every growth — which is what a run's peak memory then records.
+struct Pool<const CHUNK: usize> {
+    chunks: Vec<Vec<Tail>>,
+    len: usize,
+}
+
+impl<const CHUNK: usize> Pool<CHUNK> {
+    fn push(&mut self, tail: Tail) -> usize {
+        let n = self.len;
+        if n % CHUNK == 0 {
+            // lint:allow(H001, amortised: one allocation per CHUNK tails, and only while the pool is at its peak)
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        self.chunks[n / CHUNK].push(tail);
+        self.len += 1;
+        n
+    }
+
+    #[inline]
+    fn get(&self, n: u32) -> Option<&Tail> {
+        self.chunks.get(n as usize / CHUNK)?.get(n as usize % CHUNK)
+    }
+}
+
+impl<const CHUNK: usize> std::ops::Index<u32> for Pool<CHUNK> {
+    type Output = Tail;
+    #[inline]
+    fn index(&self, n: u32) -> &Tail {
+        &self.chunks[n as usize / CHUNK][n as usize % CHUNK]
+    }
+}
+
+impl<const CHUNK: usize> std::ops::IndexMut<u32> for Pool<CHUNK> {
+    #[inline]
+    fn index_mut(&mut self, n: u32) -> &mut Tail {
+        &mut self.chunks[n as usize / CHUNK][n as usize % CHUNK]
+    }
+}
+
+/// One FIFO of whole packets per slot — an input VC, or a node's source
+/// queue (virtual cut-through moves and accounts whole packets) — every
+/// packet `size` phits.
 ///
 /// The head of each FIFO is held by value in [`Self::heads`]; the
 /// packets behind it are chained through one shared pool, so memory
 /// follows what is actually buffered and a FIFO can outgrow its VC's
 /// capacity where a hook tolerates that ([`Self::push_overflowing`]).
-pub(crate) struct Fifos {
+pub(crate) struct Fifos<const CHUNK: usize = 4096> {
     size: u32,
     /// Packets queued per slot.
     pub queued: Vec<u32>,
@@ -76,11 +120,11 @@ pub(crate) struct Fifos {
     /// `NIL` for a chain of none, `last` is then stale.
     first: Vec<u32>,
     last: Vec<u32>,
-    pool: Vec<Tail>,
+    pool: Pool<CHUNK>,
     free: u32,
 }
 
-impl Fifos {
+impl<const CHUNK: usize> Fifos<CHUNK> {
     /// `slots` empty FIFOs of `size`-phit packets.
     pub fn new(slots: usize, size: u32) -> Self {
         Self {
@@ -89,7 +133,10 @@ impl Fifos {
             heads: vec![Packet::default(); slots],
             first: vec![NIL; slots],
             last: vec![NIL; slots],
-            pool: Vec::new(),
+            pool: Pool {
+                chunks: Vec::new(),
+                len: 0,
+            },
             free: NIL,
         }
     }
@@ -138,17 +185,16 @@ impl Fifos {
         }
         let tail = Tail { pkt, next: NIL };
         let n = if self.free == NIL {
-            self.pool.push(tail);
-            self.pool.len() as u32 - 1
+            self.pool.push(tail) as u32
         } else {
             let n = self.free;
-            self.free = std::mem::replace(&mut self.pool[n as usize], tail).next;
+            self.free = std::mem::replace(&mut self.pool[n], tail).next;
             n
         };
         if self.first[slot] == NIL {
             self.first[slot] = n;
         } else {
-            self.pool[self.last[slot] as usize].next = n;
+            self.pool[self.last[slot]].next = n;
         }
         self.last[slot] = n;
     }
@@ -163,10 +209,10 @@ impl Fifos {
         let pkt = self.heads[slot];
         let n = self.first[slot];
         if n != NIL {
-            let tail = self.pool[n as usize];
+            let tail = self.pool[n];
             self.heads[slot] = tail.pkt;
             self.first[slot] = tail.next;
-            self.pool[n as usize].next = self.free;
+            self.pool[n].next = self.free;
             self.free = n;
         }
         pkt
@@ -177,7 +223,7 @@ impl Fifos {
         let head = (self.queued[slot] != 0).then(|| &self.heads[slot]);
         let mut n = self.first[slot];
         head.into_iter().chain(std::iter::from_fn(move || {
-            let tail = self.pool.get(n as usize)?; // `NIL` is past any pool
+            let tail = self.pool.get(n)?; // `NIL` is past any pool
             n = tail.next;
             Some(&tail.pkt)
         }))
@@ -200,7 +246,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "VC overflow")]
     fn overflow_panics() {
-        let mut f = Fifos::new(1, 8);
+        let mut f = Fifos::<4096>::new(1, 8);
         f.push(0, pkt(1), 8);
         f.push(0, pkt(2), 8);
     }
@@ -208,25 +254,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "pop from empty VC")]
     fn empty_pop_panics() {
-        Fifos::new(1, 8).pop(0);
+        Fifos::<4096>::new(1, 8).pop(0);
     }
 
     proptest! {
         /// Against one `VecDeque` per slot: the same packets in the same
         /// order, the head by value, the occupancy — with pushes past
-        /// the capacity going through the overflow seam, and pool
-        /// entries recycled across slots.
+        /// the capacity going through the overflow seam, pool entries
+        /// recycled across slots, and a pool chunk of four tails so that
+        /// chains and the free list cross chunk boundaries (two pushes
+        /// for every pop: the queues grow well past one chunk).
         #[test]
         fn agrees_with_a_deque_reference(
-            ops in proptest::collection::vec((0usize..4, any::<bool>()), 1..400),
+            ops in proptest::collection::vec((0usize..4, 0u8..3), 1..400),
         ) {
             const CAP: u32 = 24; // three packets
-            let mut fifos = Fifos::new(4, 8);
+            let mut fifos = Fifos::<4>::new(4, 8);
             let mut reference = vec![VecDeque::new(); 4];
             let mut peak_tails = 0;
             for (id, (slot, push)) in ops.into_iter().enumerate() {
                 let id = id as u64;
-                if push {
+                if push != 0 {
                     prop_assert_eq!(fifos.fits(slot, CAP), reference[slot].len() < 3);
                     if fifos.fits(slot, CAP) {
                         fifos.push(slot, pkt(id), CAP);
@@ -249,7 +297,8 @@ mod tests {
                     prop_assert_eq!(got, q.iter().copied().collect::<Vec<_>>());
                 }
             }
-            prop_assert_eq!(fifos.pool.len(), peak_tails, "the pool recycles its entries");
+            prop_assert_eq!(fifos.pool.len, peak_tails, "the pool recycles its entries");
+            prop_assert_eq!(fifos.pool.chunks.len(), peak_tails.div_ceil(4));
         }
     }
 }
