@@ -169,9 +169,9 @@ const ROUTER_ROOTS: &[&str] = &[
     "inv",
     "router_last_grant",
     // The occupancy index: `port_pkts` is `[router × n_in]`, so its
-    // bracket names the router too.
-    "router_pkts",
+    // bracket names the router too; `port_mask` is one word per router.
     "port_pkts",
+    "port_mask",
     // The router arena: `[router × port]` arrays, and per-slot and
     // per-lane arrays whose bracket names the router through the
     // fabric's offsets (`fab.in_slot(router, …)`, `fab.router_lanes(…)`).
@@ -939,6 +939,25 @@ mod tests {
         assert_eq!((head.field.as_str(), head.index), ("heads", Index::Home));
     }
 
+    /// The source queues are a `Fifos` too, indexed by node: what is
+    /// reached through `src_q` stays on the node axis under its own name.
+    #[test]
+    fn source_queue_fifos_are_node_sharded() {
+        let head = one("self.src_q.heads[node].wait = 0;");
+        assert_eq!(head.field, "src_q.heads");
+        assert_eq!(head.class, Class::Sharded(Axis::Node));
+        assert_eq!(head.index, Index::Home);
+        let pop = one("self.src_q.pop(node);");
+        assert_eq!((pop.field.as_str(), pop.index), ("src_q", Index::Home));
+        assert_eq!(pop.class, Class::Sharded(Axis::Node));
+        assert!(pop.write);
+        let other = one("let n = self.src_q.queued[i];");
+        assert_eq!(
+            (other.field.as_str(), other.index),
+            ("src_q.queued", Index::Unknown)
+        );
+    }
+
     #[test]
     fn link_terminal_method_takes_index_from_args() {
         let home = accesses("let llr = &mut self.llr; llr.push_back(ridx, p);");
@@ -971,7 +990,7 @@ mod tests {
         assert_eq!(r.field, "port_pkts");
         assert_eq!(r.class, Class::Sharded(Axis::Router));
         assert_eq!(r.index, Index::Home);
-        let f = one("self.occ.router_pkts[link.dst_router as usize] += 1;");
+        let f = one("self.occ.port_mask[link.dst_router as usize] |= 1 << link.dst_port;");
         assert_eq!(f.index, Index::Foreign);
         let n = one("self.occ.src_pending[node / 64] &= !(1 << (node % 64));");
         assert_eq!(n.class, Class::Sharded(Axis::Node));

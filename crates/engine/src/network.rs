@@ -410,7 +410,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 self.order_routers[i] as usize
             };
             // A router with nothing buffered has no head to route.
-            if self.occ.router_pkts[r] != 0 {
+            if self.occ.port_mask[r] != 0 {
                 self.route_and_allocate(r, now);
             }
         }

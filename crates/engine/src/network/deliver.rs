@@ -84,8 +84,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             } else {
                 fifos.push(slot, pkt, capacity);
             }
-            occ.router_pkts[ridx] += 1;
             occ.port_pkts[ridx * n_in + port] += 1;
+            occ.port_mask[ridx] |= 1 << port;
         }
         for credit in due.credits.drain(..) {
             let (ridx, port) = (credit.router as usize, credit.port as usize);

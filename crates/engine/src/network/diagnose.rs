@@ -14,10 +14,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     pub fn stalled_routers(&self, window: u64) -> Vec<RouterId> {
         let horizon = self.now.saturating_sub(window);
         self.occ
-            .router_pkts
+            .port_mask
             .iter()
             .enumerate()
-            .filter(|(r, &pkts)| pkts > 0 && self.router_last_grant[*r] < horizon)
+            .filter(|(r, &ports)| ports != 0 && self.router_last_grant[*r] < horizon)
             .map(|(r, _)| RouterId::from(r))
             .collect()
     }

@@ -88,8 +88,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 self.occ.src_pending[node / 64] &= !(1 << (node % 64));
             }
             fifos.push(self.fab.in_slot(router, port, vc), pkt, capacity);
-            self.occ.router_pkts[router.idx()] += 1;
             self.occ.port_pkts[router.idx() * self.fab.n_in() + port] += 1;
+            self.occ.port_mask[router.idx()] |= 1 << port;
             self.inj_busy[node] = now + u64::from(size);
             self.stats.injected_packets += 1;
             if let Some(cm) = self.cm.as_mut() {

@@ -209,9 +209,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     self.arena
                         .fifos
                         .push(dst_slot, pkt, self.fab.slot_caps()[dst_slot]);
-                    self.occ.router_pkts[link.dst_router as usize] += 1;
                     self.occ.port_pkts[link.dst_router as usize * n_in + link.dst_port as usize] +=
                         1;
+                    self.occ.port_mask[link.dst_router as usize] |= 1 << link.dst_port;
                 }
             }
         }

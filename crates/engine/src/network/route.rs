@@ -115,16 +115,20 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             &self.faults,
         );
         {
-            let occupied = &self.occ.port_pkts[ridx * n_in..][..n_in];
             let in_busy = &self.arena.in_busy[ridx * n_in..][..n_in];
             let queued = &self.arena.fifos.queued[self.fab.router_slots(router)];
             let heads = &mut self.arena.fifos.heads[self.fab.router_slots(router)];
             let served_at = &self.arena.vc_served_at[self.fab.router_slots(router)];
             let descs = self.fab.in_descs(router);
-            for (port, desc) in descs.iter().enumerate() {
-                if occupied[port] == 0 || in_busy[port] > now {
-                    continue; // nothing buffered, or still streaming a packet
+            // Only the ports that hold a packet are visited, in port order.
+            let mut occupied = self.occ.port_mask[ridx];
+            while occupied != 0 {
+                let port = occupied.trailing_zeros() as usize;
+                occupied &= occupied - 1;
+                if in_busy[port] > now {
+                    continue; // still streaming a packet
                 }
+                let desc = &descs[port];
                 let first = desc.slot as usize - descs[0].slot as usize;
                 let base_vcs = self.fab.base_vcs(desc.kind);
                 for vc in 0..desc.vcs as usize {
@@ -218,8 +222,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         let (n_in, n_out) = (self.fab.n_in(), self.fab.n_out());
         let out_port = req.out_port as usize;
         let mut pkt = self.arena.fifos.pop(self.fab.in_slot(router, in_port, vc));
-        self.occ.router_pkts[ridx] -= 1;
         self.occ.port_pkts[ridx * n_in + in_port] -= 1;
+        if self.occ.port_pkts[ridx * n_in + in_port] == 0 {
+            self.occ.port_mask[ridx] &= !(1 << in_port);
+        }
         pkt.wait = 0; // the head-blocked counter restarts at the next hop
         self.arena.in_busy[ridx * n_in + in_port] = now + u64::from(size);
         // LRS stamps (0 = never)

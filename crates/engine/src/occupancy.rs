@@ -16,14 +16,16 @@
 use crate::arena::Fifos;
 use crate::fabric::Fabric;
 
-/// Buffered-packet counts per router and per input port, and the set of
-/// nodes with a non-empty source queue.
+/// Buffered-packet counts per input port, the set of occupied ports of
+/// each router, and the set of nodes with a non-empty source queue.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Occupancy {
-    /// Packets buffered in the input VCs of each router.
-    pub router_pkts: Vec<u32>,
     /// Packets buffered per input port, `[router × n_in]`.
     pub port_pkts: Vec<u32>,
+    /// Per router: bit `p` is set iff `port_pkts[router × n_in + p]` is
+    /// nonzero (`SimConfig::validate` bounds the radix by `MAX_PORTS`,
+    /// the width of the word).
+    pub port_mask: Vec<u64>,
     /// Bit `node % 64` of word `node / 64` is set iff `node`'s source
     /// queue is non-empty.
     pub src_pending: Vec<u64>,
@@ -34,8 +36,8 @@ impl Occupancy {
     /// input ports each and `nodes` nodes.
     pub fn empty(routers: usize, n_in: usize, nodes: usize) -> Self {
         Self {
-            router_pkts: vec![0; routers],
             port_pkts: vec![0; routers * n_in],
+            port_mask: vec![0; routers],
             src_pending: vec![0; nodes.div_ceil(64)],
         }
     }
@@ -53,8 +55,14 @@ impl Occupancy {
         for (desc, pkts) in descs.zip(&mut occ.port_pkts) {
             *pkts = fifos.queued[desc.slots()].iter().sum();
         }
-        for (r, ports) in occ.port_pkts.chunks(fab.n_in()).enumerate() {
-            occ.router_pkts[r] = ports.iter().sum();
+        for (mask, ports) in occ
+            .port_mask
+            .iter_mut()
+            .zip(occ.port_pkts.chunks(fab.n_in()))
+        {
+            for (p, &pkts) in ports.iter().enumerate() {
+                *mask |= u64::from(pkts != 0) << p;
+            }
         }
         occ
     }
