@@ -828,7 +828,7 @@ impl<'a> Scanner<'a> {
         let (op, write) = if let Some(m) = pe.method.as_deref() {
             let write = MUT_METHODS.contains(&m) || is_mut_method(m);
             if !write && SHAPE.contains(&m) {
-                return; // `self.src_q.len()` carries no shard state
+                return; // `self.src_q.queued.len()` carries no shard state
             }
             (Op::Method, write)
         } else if i >= self.lo + 2 && self.text(i - 1) == "mut" && self.text(i - 2) == "&" {
@@ -1013,13 +1013,13 @@ mod tests {
 
     #[test]
     fn shape_reads_and_bare_self_calls_are_skipped() {
-        assert!(accesses("for node in 0..self.src_q.len() { }").is_empty());
+        assert!(accesses("for node in 0..self.src_q.queued.len() { }").is_empty());
         assert!(accesses("self.deliver_events(now);").is_empty());
     }
 
     #[test]
     fn range_for_binds_home_ident() {
-        let a = accesses("for node in 0..n { self.src_q[node].pop_front(); }");
+        let a = accesses("for node in 0..n { self.src_q.pop(node); }");
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].class, Class::Sharded(Axis::Node));
         assert_eq!(a[0].index, Index::Home);

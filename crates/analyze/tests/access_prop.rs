@@ -86,11 +86,11 @@ proptest! {
     }
 
     /// A range-`for` binder is the shard's own id whatever it is named:
-    /// `for <x> in 0..n { self.src_q[<x>]… }` stays home-indexed.
+    /// `for <x> in 0..n { self.src_q.pop(<x>) }` stays home-indexed.
     #[test]
     fn range_for_binder_rename_preserves_home(raw in 0u64..u64::MAX) {
         let name = fresh(raw, 'a');
-        let body = format!("for {name} in 0..n {{ self.src_q[{name}].pop_front(); }}");
+        let body = format!("for {name} in 0..n {{ self.src_q.pop({name}); }}");
         let got: Vec<_> = accesses(&body).iter().map(shape).collect();
         prop_assert_eq!(
             got,
@@ -133,7 +133,7 @@ proptest! {
         let name = fresh(raw, 'a');
         for body in [
             format!("self.arena.credits[fab.out_lane({name}, p, v)] -= s;"),
-            format!("self.src_q[{name}].pop_front();"),
+            format!("self.src_q.pop({name});"),
             format!("self.free[{name} + 1] += x;"),
             format!("self.arena.fifos.pop(fab.in_slot({name}, p, v));"),
         ] {

@@ -512,6 +512,46 @@ fn equal_runs_and_roundtrips_diff_clean() {
     assert_eq!(diff_snapshots(&sa, &again).unwrap(), None);
 }
 
+/// Source queues are FIFOs of the arena whose tails sit in a pool that
+/// grows 4,096 entries at a time. One queue chained through two of
+/// those chunks, other nodes' packets linked in between and entries
+/// recycled by 200 cycles of injection, must encode the bytes it always
+/// did — whether it is restored into a fresh network or over one that
+/// already holds queued packets of its own.
+#[test]
+fn source_queues_deeper_than_a_pool_chunk_round_trip() {
+    let cfg = SimConfig::paper(H).with_seed(5);
+    let build = || Harness::on(cfg, MechanismKind::Ofar, 5, false).net;
+    let nodes = Dragonfly::new(cfg.params).num_nodes();
+    let mut deep = build();
+    for i in 0..5_000 {
+        deep.generate(NodeId::new(0), NodeId::from(1 + i % (nodes - 1)));
+        if i % 50 == 0 {
+            deep.generate(NodeId::from(1 + i / 50 % (nodes - 1)), NodeId::new(0));
+        }
+    }
+    deep.run(200);
+    assert!(deep.source_queue_len(NodeId::new(0)) > 4_096);
+    let bytes = deep.save_snapshot();
+
+    let mut fresh = build();
+    fresh.restore_snapshot(&bytes).unwrap();
+    assert_eq!(fresh.save_snapshot(), bytes, "save → restore → save");
+
+    let mut busy = build();
+    for i in 0..60 * nodes {
+        busy.generate(NodeId::from(i % nodes), NodeId::from((i + 1) % nodes));
+    }
+    busy.run(50);
+    busy.restore_snapshot(&bytes).unwrap();
+    assert_eq!(busy.audit_now(), [], "restored over queued packets");
+    assert_eq!(busy.save_snapshot(), bytes);
+    busy.run(300);
+    deep.run(300);
+    assert_eq!(busy.audit_now(), []);
+    assert_eq!(busy.save_snapshot(), deep.save_snapshot());
+}
+
 #[test]
 fn single_bit_flip_names_the_diverging_section() {
     use ofar::engine::diff_snapshots;
