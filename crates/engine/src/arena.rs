@@ -72,7 +72,7 @@ struct Pool<const CHUNK: usize> {
 impl<const CHUNK: usize> Pool<CHUNK> {
     fn push(&mut self, tail: Tail) -> usize {
         let n = self.len;
-        if n % CHUNK == 0 {
+        if n.is_multiple_of(CHUNK) {
             // lint:allow(H001, amortised: one allocation per CHUNK tails, and only while the pool is at its peak)
             self.chunks.push(Vec::with_capacity(CHUNK));
         }
