@@ -110,7 +110,7 @@ impl<const CHUNK: usize> std::ops::IndexMut<u32> for Pool<CHUNK> {
 /// packets behind it are chained through one shared pool, so memory
 /// follows what is actually buffered and a FIFO can outgrow its VC's
 /// capacity where a hook tolerates that ([`Self::push_overflowing`]).
-pub(crate) struct Fifos<const CHUNK: usize = 4096> {
+pub(crate) struct Fifos<const CHUNK: usize = 1024> {
     size: u32,
     /// Packets queued per slot.
     pub queued: Vec<u32>,
@@ -246,7 +246,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "VC overflow")]
     fn overflow_panics() {
-        let mut f = Fifos::<4096>::new(1, 8);
+        let mut f = Fifos::<4>::new(1, 8);
         f.push(0, pkt(1), 8);
         f.push(0, pkt(2), 8);
     }
@@ -254,7 +254,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "pop from empty VC")]
     fn empty_pop_panics() {
-        Fifos::<4096>::new(1, 8).pop(0);
+        Fifos::<4>::new(1, 8).pop(0);
     }
 
     proptest! {

@@ -513,7 +513,7 @@ fn equal_runs_and_roundtrips_diff_clean() {
 }
 
 /// Source queues are FIFOs of the arena whose tails sit in a pool that
-/// grows 4,096 entries at a time. One queue chained through two of
+/// grows 1,024 entries at a time. One queue chained through five of
 /// those chunks, other nodes' packets linked in between and entries
 /// recycled by 200 cycles of injection, must encode the bytes it always
 /// did — whether it is restored into a fresh network or over one that
@@ -531,7 +531,7 @@ fn source_queues_deeper_than_a_pool_chunk_round_trip() {
         }
     }
     deep.run(200);
-    assert!(deep.source_queue_len(NodeId::new(0)) > 4_096);
+    assert!(deep.source_queue_len(NodeId::new(0)) > 4 * 1_024);
     let bytes = deep.save_snapshot();
 
     let mut fresh = build();
