@@ -66,24 +66,18 @@ struct Tail {
 /// every growth — which is what a run's peak memory then records.
 struct Pool<const CHUNK: usize> {
     chunks: Vec<Vec<Tail>>,
-    len: usize,
 }
 
 impl<const CHUNK: usize> Pool<CHUNK> {
+    /// Store `tail` in a new entry and return its index.
     fn push(&mut self, tail: Tail) -> usize {
-        let n = self.len;
-        if n.is_multiple_of(CHUNK) {
+        if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
             // lint:allow(H001, amortised: one allocation per CHUNK tails, and only while the pool is at its peak)
             self.chunks.push(Vec::with_capacity(CHUNK));
         }
-        self.chunks[n / CHUNK].push(tail);
-        self.len += 1;
-        n
-    }
-
-    #[inline]
-    fn get(&self, n: u32) -> Option<&Tail> {
-        self.chunks.get(n as usize / CHUNK)?.get(n as usize % CHUNK)
+        let last = self.chunks.len() - 1;
+        self.chunks[last].push(tail);
+        last * CHUNK + self.chunks[last].len() - 1
     }
 }
 
@@ -133,10 +127,7 @@ impl<const CHUNK: usize> Fifos<CHUNK> {
             heads: vec![Packet::default(); slots],
             first: vec![NIL; slots],
             last: vec![NIL; slots],
-            pool: Pool {
-                chunks: Vec::new(),
-                len: 0,
-            },
+            pool: Pool { chunks: Vec::new() },
             free: NIL,
         }
     }
@@ -223,7 +214,7 @@ impl<const CHUNK: usize> Fifos<CHUNK> {
         let head = (self.queued[slot] != 0).then(|| &self.heads[slot]);
         let mut n = self.first[slot];
         head.into_iter().chain(std::iter::from_fn(move || {
-            let tail = self.pool.get(n)?; // `NIL` is past any pool
+            let tail = (n != NIL).then(|| &self.pool[n])?;
             n = tail.next;
             Some(&tail.pkt)
         }))
@@ -297,7 +288,8 @@ mod tests {
                     prop_assert_eq!(got, q.iter().copied().collect::<Vec<_>>());
                 }
             }
-            prop_assert_eq!(fifos.pool.len, peak_tails, "the pool recycles its entries");
+            let pooled: usize = fifos.pool.chunks.iter().map(Vec::len).sum();
+            prop_assert_eq!(pooled, peak_tails, "the pool recycles its entries");
             prop_assert_eq!(fifos.pool.chunks.len(), peak_tails.div_ceil(4));
         }
     }

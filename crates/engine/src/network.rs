@@ -293,7 +293,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// empty order vectors and keeps the plain `0..n` loops.
     pub fn set_shard_schedule(&mut self, sched: ShardSchedule) {
         self.order_routers = sched.order(self.fab.topo().num_routers());
-        self.order_nodes = sched.order(self.src_q.queued.len());
+        self.order_nodes = sched.order(self.num_nodes());
     }
 
     /// Phits transmitted by output `port` of `router` since

@@ -35,7 +35,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 pairs.push((pkt.src, pkt.dst));
             }
         };
-        for node in 0..self.src_q.queued.len() {
+        for node in 0..self.num_nodes() {
             let at = topo.router_of_node(NodeId::from(node));
             for pkt in self.src_q.iter(node) {
                 check(at, pkt);

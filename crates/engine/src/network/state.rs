@@ -118,7 +118,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.plan.snap_encode(e);
         self.faults.snap_encode(e);
         e.u64s(&self.stats.counters());
-        e.usize(self.src_q.queued.len());
+        e.usize(self.num_nodes());
         for (node, &queued) in self.src_q.queued.iter().enumerate() {
             e.usize(queued as usize);
             for p in self.src_q.iter(node) {
@@ -249,7 +249,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             l.field(d, || format!("stats.{name}"));
         }
         stats.set_counters(&counters);
-        let nodes = self.src_q.queued.len();
+        let nodes = self.num_nodes();
         let n_queues = d.len(8, "source-queue count")?;
         l.field(d, || "source-queue count".into());
         if n_queues != nodes {
