@@ -4,7 +4,6 @@
 
 impl Network {
     pub fn step(&mut self) {
-        // ofar-lint: phase(all, commit)
         self.advance();
     }
 

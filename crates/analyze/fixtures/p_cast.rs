@@ -3,7 +3,6 @@
 
 impl Network {
     pub fn step(&mut self) {
-        // ofar-lint: phase(all, commit)
         let route = self.compress(self.cycle);
         let _ = route;
     }

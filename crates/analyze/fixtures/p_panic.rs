@@ -2,7 +2,6 @@
 
 impl Network {
     pub fn step(&mut self) {
-        // ofar-lint: phase(all, commit)
         let head = self.queue.pop().unwrap(); // lint:expect(P001)
         if head == 0 {
             panic!("empty queue"); // lint:expect(P001)

@@ -2,16 +2,11 @@
 //!
 //! ```text
 //! ofar-lint [--root DIR] [--json FILE] [--selftest] [--list-rules]
-//!           [--emit-contract FILE] [--verify-contract FILE]
 //! ```
 //!
 //! Deny by default: exits 1 when any unsuppressed finding remains, 0 on
 //! a clean run, 2 on usage or I/O errors. `--selftest` runs the
 //! embedded violation-fixture corpus instead of scanning the workspace.
-//! `--emit-contract` writes the parallelization contract the R-family
-//! phase analysis produced (atomically, tmp + rename);
-//! `--verify-contract` byte-compares a checked-in contract against the
-//! fresh one and fails on drift.
 
 use ofar_analyze::{analyze_sources, collect_sources, corpus, report, rules, LintConfig};
 use std::path::PathBuf;
@@ -22,8 +17,6 @@ struct Args {
     json_out: Option<PathBuf>,
     selftest: bool,
     list_rules: bool,
-    emit_contract: Option<PathBuf>,
-    verify_contract: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -32,8 +25,6 @@ fn parse_args() -> Result<Args, String> {
         json_out: None,
         selftest: false,
         list_rules: false,
-        emit_contract: None,
-        verify_contract: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -47,12 +38,9 @@ fn parse_args() -> Result<Args, String> {
             "--json" => args.json_out = Some(value("--json")?),
             "--selftest" => args.selftest = true,
             "--list-rules" => args.list_rules = true,
-            "--emit-contract" => args.emit_contract = Some(value("--emit-contract")?),
-            "--verify-contract" => args.verify_contract = Some(value("--verify-contract")?),
             "--help" | "-h" => {
                 return Err(
-                    "usage: ofar-lint [--root DIR] [--json FILE] [--selftest] [--list-rules] \
-                            [--emit-contract FILE] [--verify-contract FILE]"
+                    "usage: ofar-lint [--root DIR] [--json FILE] [--selftest] [--list-rules]"
                         .to_string(),
                 )
             }
@@ -111,41 +99,6 @@ fn main() -> ExitCode {
         {
             eprintln!("ofar-lint: {}: {e}", p.display());
             return ExitCode::from(2);
-        }
-    }
-
-    if args.emit_contract.is_some() || args.verify_contract.is_some() {
-        let Some(contract) = &analysis.contract else {
-            eprintln!("ofar-lint: no phase root found — cannot produce a contract");
-            return ExitCode::from(2);
-        };
-        if let Some(p) = &args.emit_contract {
-            // tmp + rename: CI never sees a torn artifact.
-            let tmp = p.with_extension("json.tmp");
-            let write = std::fs::write(&tmp, contract).and_then(|()| std::fs::rename(&tmp, p));
-            if let Err(e) = write {
-                eprintln!("ofar-lint: {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-            println!("ofar-lint: wrote contract to {}", p.display());
-        }
-        if let Some(p) = &args.verify_contract {
-            let checked_in = match std::fs::read_to_string(p) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("ofar-lint: {}: {e}", p.display());
-                    return ExitCode::from(2);
-                }
-            };
-            if checked_in != *contract {
-                eprintln!(
-                    "ofar-lint: {} drifted from the fresh contract — \
-                     regenerate with --emit-contract and commit the diff",
-                    p.display()
-                );
-                return ExitCode::FAILURE;
-            }
-            println!("ofar-lint: contract verified: {}", p.display());
         }
     }
 

@@ -1,16 +1,13 @@
 //! `ofar-race` — the schedule-adversarial commutativity certifier.
 //!
 //! ```text
-//! ofar-race [--root DIR] [--emit FILE] [--verify FILE] [--full]
+//! ofar-race [--emit FILE] [--verify FILE] [--full]
 //! ```
 //!
-//! Executes the parallelization contract: every mechanism × traffic
-//! pattern is driven under the identity shard schedule and under K
-//! adversarial schedules, byte-comparing snapshots at every epoch.
-//! Divergences are bisected to the first divergent cycle and reported
-//! as structured witnesses cross-referenced against the contract's
-//! waiver list (`results/phase-contract.json`, auto-loaded from the
-//! root when present).
+//! Every mechanism × traffic pattern is driven under the identity
+//! shard schedule and under K adversarial schedules, byte-comparing
+//! snapshots at every epoch. Divergences are bisected to the first
+//! divergent cycle and reported as structured witnesses.
 //!
 //! Exit status: 0 when every cell commutes, 1 on any divergence, 2 on
 //! usage or I/O errors. `--emit` writes the verdict artifact
@@ -22,14 +19,13 @@
 //! `--emit`/`--verify` reject `--full`.
 
 use ofar_analyze::race::{
-    certify_mechanism, full_patterns, load_waivers, render, smoke_patterns, RaceConfig, Verdict,
+    certify_mechanism, full_patterns, render, smoke_patterns, RaceConfig, Verdict,
 };
 use ofar_routing::MechanismKind;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
-    root: PathBuf,
     emit: Option<PathBuf>,
     verify: Option<PathBuf>,
     full: bool,
@@ -37,7 +33,6 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        root: PathBuf::from("."),
         emit: None,
         verify: None,
         full: ofar_core::env::flag("OFAR_FULL"),
@@ -50,15 +45,11 @@ fn parse_args() -> Result<Args, String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match a.as_str() {
-            "--root" => args.root = value("--root")?,
             "--emit" => args.emit = Some(value("--emit")?),
             "--verify" => args.verify = Some(value("--verify")?),
             "--full" => args.full = true,
             "--help" | "-h" => {
-                return Err(
-                    "usage: ofar-race [--root DIR] [--emit FILE] [--verify FILE] [--full]"
-                        .to_string(),
-                )
+                return Err("usage: ofar-race [--emit FILE] [--verify FILE] [--full]".to_string())
             }
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -93,25 +84,6 @@ fn main() -> ExitCode {
         smoke_patterns()
     };
 
-    // Waiver cross-reference: auto-load the checked-in contract.
-    let contract_path = args.root.join("results/phase-contract.json");
-    let waivers = match std::fs::read_to_string(&contract_path) {
-        Ok(text) => match load_waivers(&text) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("ofar-race: {}: {e}", contract_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => {
-            eprintln!(
-                "ofar-race: no contract at {} — witnesses will not be cross-referenced",
-                contract_path.display()
-            );
-            Vec::new()
-        }
-    };
-
     println!(
         "ofar-race: h={} cycles={} epoch={} schedules={} ({} mechanisms × {} patterns)",
         rc.h,
@@ -126,7 +98,7 @@ fn main() -> ExitCode {
     let mut diverged = false;
     for kind in MechanismKind::paper_set() {
         for cell in &patterns {
-            let v = match certify_mechanism(kind, cell, &rc, &waivers) {
+            let v = match certify_mechanism(kind, cell, &rc) {
                 Ok(v) => v,
                 Err(e) => {
                     eprintln!("ofar-race: {kind}/{}: {e}", cell.label);
@@ -138,16 +110,13 @@ fn main() -> ExitCode {
                 Some(w) => {
                     diverged = true;
                     println!("  DIVERGES  {w}");
-                    for waiver in &w.related_waivers {
-                        println!("            refuted waiver: {waiver} — {}", waiver.reason);
-                    }
                 }
             }
             verdicts.push(v);
         }
     }
 
-    let artifact = render(&rc, &verdicts, waivers.len());
+    let artifact = render(&rc, &verdicts);
     if let Some(p) = &args.emit {
         // tmp + rename: CI never sees a torn artifact.
         let tmp = p.with_extension("json.tmp");

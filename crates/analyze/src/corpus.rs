@@ -67,34 +67,6 @@ pub const FIXTURES: &[Fixture] = &[
         src: include_str!("../fixtures/p_index.rs"),
     },
     Fixture {
-        name: "r_clean.rs",
-        src: include_str!("../fixtures/r_clean.rs"),
-    },
-    Fixture {
-        name: "r_cross.rs",
-        src: include_str!("../fixtures/r_cross.rs"),
-    },
-    Fixture {
-        name: "r_read.rs",
-        src: include_str!("../fixtures/r_read.rs"),
-    },
-    Fixture {
-        name: "r_accum.rs",
-        src: include_str!("../fixtures/r_accum.rs"),
-    },
-    Fixture {
-        name: "r_gap.rs",
-        src: include_str!("../fixtures/r_gap.rs"),
-    },
-    Fixture {
-        name: "r_fold.rs",
-        src: include_str!("../fixtures/r_fold.rs"),
-    },
-    Fixture {
-        name: "r_ledger.rs",
-        src: include_str!("../fixtures/r_ledger.rs"),
-    },
-    Fixture {
         name: "suppress_ok.rs",
         src: include_str!("../fixtures/suppress_ok.rs"),
     },

@@ -39,14 +39,6 @@ impl CallGraph {
         Self { by_name, by_qname }
     }
 
-    /// Functions a call may resolve to — the public entry the R-family
-    /// phase analysis uses to walk per-phase closures. `qualifier` is
-    /// the `Llr` of `Llr::foo(…)`; callers should substitute `Self`
-    /// with the enclosing impl type before resolving.
-    pub fn resolve_call(&self, name: &str, qualifier: Option<&str>) -> &[FnRef] {
-        self.resolve(name, qualifier)
-    }
-
     /// Functions a call may resolve to.
     fn resolve(&self, name: &str, qualifier: Option<&str>) -> &[FnRef] {
         if let Some(q) = qualifier {

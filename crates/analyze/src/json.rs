@@ -2,8 +2,8 @@
 //!
 //! The workspace vendors no serialization crates, so the analyzer
 //! carries its own ~150-line JSON subset: objects, arrays, strings,
-//! integers, booleans and null — exactly what the contract, verdict and
-//! report formats need. The parser is total (returns `Err`, never
+//! integers, booleans and null — exactly what the verdict and report
+//! formats need. The parser is total (returns `Err`, never
 //! panics) and rejects trailing garbage.
 
 use std::collections::BTreeMap;

@@ -1,20 +1,13 @@
 //! `ofar-analyze` — workspace-specific static analysis for the OFAR
 //! simulator, exposed through the `ofar-lint` binary.
 //!
-//! The analyzer holds the workspace to five mechanically-checked
+//! The analyzer holds the workspace to four mechanically-checked
 //! contracts: determinism (D rules), hot-path allocation freedom
-//! (H rules), snapshot completeness (S rules), release-panic freedom
-//! (P rules) and phase discipline (R rules — the cycle loop of
-//! `Network::step` is segmented into declared phases and each parallel
-//! phase is proved free of cross-router writes). The R family
-//! additionally emits the phase contract
-//! (`results/phase-contract.json`, see [`contract`]). Two things read
-//! it today: the drift gate (`ofar-lint --verify-contract` in CI and
-//! the `checked_in_contract_matches_fresh` test byte-compare it
-//! against a fresh render) and `ofar-race`, which cross-references its
-//! waivers against the divergences it finds. See [`rules::CATALOG`]
-//! for the full rule list and DESIGN.md §13/§15 for the rationale and
-//! suppression workflow.
+//! (H rules), snapshot completeness (S rules) and release-panic
+//! freedom (P rules). See [`rules::CATALOG`] for the full rule list and
+//! DESIGN.md §13 for the rationale and suppression workflow. The crate
+//! also hosts the executable schedule-commutativity certifier
+//! ([`race`], the `ofar-race` binary; DESIGN.md §16).
 //!
 //! The pipeline is entirely hand-rolled — the build environment vendors
 //! no parsing or serialization crates:
@@ -33,14 +26,11 @@
 
 #![warn(missing_docs)]
 
-pub mod access;
-pub mod contract;
 pub mod corpus;
 pub mod graph;
 pub mod json;
 pub mod lexer;
 pub mod parse;
-pub mod phases;
 pub mod race;
 pub mod report;
 pub mod rules;
@@ -73,9 +63,6 @@ pub struct Analysis {
     /// All findings, suppressed ones included, sorted by
     /// (file, line, rule).
     pub findings: Vec<Finding>,
-    /// The rendered parallelization contract, when the workspace has a
-    /// phase root (`None` for corpora without a `Network::step`).
-    pub contract: Option<String>,
 }
 
 impl Analysis {
@@ -94,8 +81,6 @@ pub fn analyze_sources(sources: &[SourceFile], cfg: &LintConfig) -> Analysis {
     let graph = CallGraph::build(&files);
     let reachable = graph.reachable(&files, &cfg.hot_roots);
     let mut findings = rules::run(&files, cfg, &reachable);
-    let (rfinds, phase_info) = phases::analyze(&files, &graph, cfg);
-    findings.extend(rfinds);
     let mut extra = Vec::new();
 
     // Inline suppressions: a well-formed `lint:allow` claims matching
@@ -165,11 +150,9 @@ pub fn analyze_sources(sources: &[SourceFile], cfg: &LintConfig) -> Analysis {
             .then(a.line.cmp(&b.line))
             .then(a.rule.cmp(b.rule))
     });
-    let contract = phase_info.map(|info| contract::render(&info, &findings));
     Analysis {
         files_scanned: files.len(),
         findings,
-        contract,
     }
 }
 

@@ -42,26 +42,10 @@ pub struct FnItem {
     pub end_line: u32,
     /// Token index range of the body, **excluding** the outer braces.
     pub body: (usize, usize),
-    /// True when the receiver is `&mut self` / `mut self` (or
-    /// `self: &mut Self`) — the callee may mutate its owner, which the
-    /// R-family access analysis charges to the call site.
-    pub mut_self: bool,
     /// True inside a `#[cfg(test)]` module or under `#[test]`.
     pub is_test: bool,
     /// Calls appearing in the body.
     pub calls: Vec<Call>,
-}
-
-impl File {
-    /// Qualified name of the function whose span (signature line to
-    /// closing brace) holds `line`; empty outside every function.
-    pub fn fn_at(&self, line: u32) -> String {
-        self.fns
-            .iter()
-            .find(|f| f.line <= line && line <= f.end_line)
-            .map(FnItem::qname)
-            .unwrap_or_default()
-    }
 }
 
 impl FnItem {
@@ -495,31 +479,9 @@ impl<'s> Parser<'s> {
         };
         // Signature runs to the body `{` or a trait-decl `;`. Balanced
         // regions are skipped so `where` bounds and argument types never
-        // confuse the scan. The first `(` group is the argument list:
-        // the tokens before its first `,` are the receiver, and a
-        // receiver containing both `mut` and `self` (covers `&mut
-        // self`, `&'a mut self`, `mut self`, `self: &mut Self`) marks
-        // the function as self-mutating.
-        let mut mut_self = false;
-        let mut seen_args = false;
+        // confuse the scan.
         while self.i < self.toks.len() && !self.is(self.i, "{") && !self.is(self.i, ";") {
             match self.text(self.i) {
-                "(" if !seen_args => {
-                    seen_args = true;
-                    let start = self.i;
-                    self.skip_balanced();
-                    let mut has_self = false;
-                    let mut has_mut = false;
-                    for j in start + 1..self.i.saturating_sub(1) {
-                        match self.text(j) {
-                            "," => break,
-                            "self" => has_self = true,
-                            "mut" => has_mut = true,
-                            _ => {}
-                        }
-                    }
-                    mut_self = has_self && has_mut;
-                }
                 "(" | "<" | "[" => self.skip_balanced(),
                 _ => self.i += 1,
             }
@@ -543,7 +505,6 @@ impl<'s> Parser<'s> {
             line,
             end_line,
             body,
-            mut_self,
             is_test,
             calls: Vec::new(),
         });
@@ -631,8 +592,6 @@ mod tests {
         );
         let names: Vec<_> = f.fns.iter().map(|x| x.qname()).collect();
         assert_eq!(names, vec!["Network::step", "Network::tick", "helper"]);
-        assert!(f.fns[0].mut_self);
-        assert!(!f.fns[2].mut_self);
         let step = &f.fns[0];
         assert!(step.calls.iter().any(|c| c.name == "tick" && c.is_method));
         assert!(step
@@ -701,23 +660,6 @@ mod tests {
         let names: Vec<_> = f.fns[0].calls.iter().map(|c| c.name.as_str()).collect();
         assert!(names.contains(&"vec!"));
         assert!(names.contains(&"format!"));
-    }
-
-    #[test]
-    fn mut_self_receivers() {
-        let f = parse_src(
-            r#"
-            impl T {
-                fn a(&self, mut x: u32) {}
-                fn b(&mut self) {}
-                fn c<'x>(&'x mut self) {}
-                fn d(self: &mut Self) {}
-                fn e(x: &mut u32) {}
-            }
-            "#,
-        );
-        let flags: Vec<_> = f.fns.iter().map(|x| x.mut_self).collect();
-        assert_eq!(flags, vec![false, true, true, true, false]);
     }
 
     #[test]

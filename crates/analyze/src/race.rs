@@ -1,17 +1,13 @@
 //! The schedule-adversarial commutativity certifier (`ofar-race`).
 //!
-//! The R-family static rules prove the two `parallel`-marked phases of
-//! `Network::step` free of cross-shard writes *syntactically*, and the
-//! parallelization contract (`results/phase-contract.json`) records that
-//! claim. This module closes the loop **dynamically**: it executes the
-//! contract. If the parallel phases really touch disjoint per-shard
-//! state, then the iteration order of their shard loops is unobservable
-//! — running the same workload under a permuted
-//! [`ShardSchedule`] must produce
-//! byte-identical snapshots at every epoch. Any divergence is a
-//! commutativity violation the static analysis missed (or waived), and
-//! the certifier bisects it to the first divergent cycle and names the
-//! diverging snapshot field.
+//! `Network::step` runs its two shard loops — `inject` over nodes,
+//! `route` over routers — on the claim that each turn touches only its
+//! own shard's state, so the order of the turns is unobservable. This
+//! module executes that claim: running the same workload under a
+//! permuted [`ShardSchedule`] must produce byte-identical snapshots at
+//! every epoch. Any divergence is a commutativity violation, and the
+//! certifier bisects it to the first divergent cycle and names the
+//! diverging snapshot field (DESIGN.md §16).
 //!
 //! The protocol, per mechanism × traffic pattern:
 //!
@@ -25,13 +21,11 @@
 //!    to find the first divergent cycle;
 //! 4. refine the diff through `Network::diff_snapshots_named` into a
 //!    structured [`Witness`] — section, field, attributed phase, shard
-//!    index — and cross-reference it against the contract's waiver list.
+//!    index.
 //!
 //! The verdict artifact (`results/commutativity.json`) is deterministic
-//! and checked in; CI regenerates it and fails on drift, like the
-//! parallelization contract itself.
+//! and checked in; CI regenerates it and fails on drift.
 
-pub use crate::contract::{load_waivers, Waiver};
 use crate::json;
 use ofar_engine::{diff_snapshots, Hooks, Network, NoHooks, Policy, ShardSchedule, SimConfig};
 use ofar_routing::MechanismKind;
@@ -40,7 +34,7 @@ use ofar_traffic::{OpenLoop, TrafficSpec};
 use std::fmt::Write as _;
 
 /// Format version of the verdict artifact.
-pub const RACE_VERSION: u32 = 1;
+pub const RACE_VERSION: u32 = 2;
 
 /// Parameters of one certification sweep.
 #[derive(Clone, Copy, Debug)]
@@ -86,7 +80,7 @@ impl RaceConfig {
 }
 
 /// A raw schedule divergence found by [`certify`], before phase
-/// attribution and waiver cross-referencing.
+/// attribution.
 #[derive(Clone, Debug)]
 pub struct Divergence {
     /// The adversarial schedule that exposed the divergence.
@@ -114,7 +108,7 @@ pub enum CertifyOutcome {
 /// Per-cycle traffic injection, called once before each `step`.
 pub type InjectFn<P, H = NoHooks> = Box<dyn FnMut(&mut Network<P, H>, u64)>;
 
-/// Execute the phase contract under permuted shard orders.
+/// Run one workload under permuted shard orders.
 ///
 /// `build` must construct an identically-seeded run every call: a fresh
 /// network plus its per-cycle traffic-injection closure. The certifier
@@ -227,8 +221,7 @@ where
 }
 
 /// Attribute a diverging snapshot location to the `Network::step` phase
-/// that owns the field, per the phase footprints of the parallelization
-/// contract. Conservative and name-based, like the analyzer itself.
+/// that owns the field. Conservative and name-based.
 pub fn attribute_phase(section: &str, field: &str) -> &'static str {
     if section == "config" {
         return "static (configuration)";
@@ -299,40 +292,12 @@ pub struct Witness {
     pub phase: String,
     /// Shard axis and index of the diverging field, when per-shard.
     pub shard: Option<(&'static str, u64)>,
-    /// Contract waivers whose rule family covers the attributed phase
-    /// kind — a non-empty list means the static analyzer *knew* about an
-    /// order hazard here and it was waived; the waiver is now refuted
-    /// by execution and must be revisited.
-    pub related_waivers: Vec<Waiver>,
 }
 
 impl Witness {
-    /// Build a witness from a raw divergence: attribute the phase,
-    /// extract the shard, and cross-reference the contract waivers.
-    /// Divergences in the parallel phases correspond to the R001–R003
-    /// defect class — and so do those landing in `deliver`, which is
-    /// serial itself but applies what an earlier cycle's `route` phase
-    /// filed; divergences surfacing at commit time (serialized
-    /// accumulators) to R006.
-    pub fn from_divergence(
-        mechanism: &str,
-        pattern: &str,
-        d: &Divergence,
-        waivers: &[Waiver],
-    ) -> Self {
-        let phase = attribute_phase(&d.section, &d.field);
-        let families: &[&str] = match phase {
-            "deliver" | "inject" | "route" | "inject/route (policy draws)" => {
-                &["R001", "R002", "R003"]
-            }
-            "effect_commit" => &["R006"],
-            _ => &[],
-        };
-        let related = waivers
-            .iter()
-            .filter(|w| families.contains(&w.rule.as_str()))
-            .cloned()
-            .collect();
+    /// Build a witness from a raw divergence: attribute the phase and
+    /// extract the shard.
+    pub fn from_divergence(mechanism: &str, pattern: &str, d: &Divergence) -> Self {
         Witness {
             mechanism: mechanism.to_string(),
             pattern: pattern.to_string(),
@@ -340,9 +305,8 @@ impl Witness {
             cycle: d.cycle,
             section: d.section.clone(),
             field: d.field.clone(),
-            phase: phase.to_string(),
+            phase: attribute_phase(&d.section, &d.field).to_string(),
             shard: shard_of(&d.field),
-            related_waivers: related,
         }
     }
 }
@@ -362,13 +326,6 @@ impl std::fmt::Display for Witness {
         )?;
         if let Some((axis, idx)) = self.shard {
             write!(f, " ({axis} shard {idx})")?;
-        }
-        if !self.related_waivers.is_empty() {
-            write!(
-                f,
-                " [{} related contract waiver(s) refuted]",
-                self.related_waivers.len()
-            )?;
         }
         Ok(())
     }
@@ -438,7 +395,6 @@ pub fn certify_mechanism(
     kind: MechanismKind,
     cell: &PatternCell,
     rc: &RaceConfig,
-    waivers: &[Waiver],
 ) -> Result<Verdict, String> {
     let mut cfg = SimConfig::paper(rc.h).with_seed(rc.seed);
     if cell.cm {
@@ -469,19 +425,14 @@ pub fn certify_mechanism(
             mechanism: kind.name().to_string(),
             pattern: cell.label.to_string(),
             commutes: false,
-            witness: Some(Witness::from_divergence(
-                kind.name(),
-                cell.label,
-                &d,
-                waivers,
-            )),
+            witness: Some(Witness::from_divergence(kind.name(), cell.label, &d)),
         },
     })
 }
 
 /// Render the verdict artifact (`results/commutativity.json`).
 /// Deterministic: ordered cells, no timestamps.
-pub fn render(rc: &RaceConfig, verdicts: &[Verdict], contract_waivers: usize) -> String {
+pub fn render(rc: &RaceConfig, verdicts: &[Verdict]) -> String {
     let schedules = ShardSchedule::adversaries(rc.schedules);
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"tool\": \"ofar-race\",");
@@ -498,7 +449,6 @@ pub fn render(rc: &RaceConfig, verdicts: &[Verdict], contract_waivers: usize) ->
         let _ = write!(s, "\"{}\"", json::escape(&sched.describe()));
     }
     s.push_str("],\n");
-    let _ = writeln!(s, "  \"contract_waivers\": {contract_waivers},");
     s.push_str("  \"verdicts\": [");
     for (i, v) in verdicts.iter().enumerate() {
         if i > 0 {
@@ -526,7 +476,6 @@ pub fn render(rc: &RaceConfig, verdicts: &[Verdict], contract_waivers: usize) ->
             if let Some((axis, idx)) = w.shard {
                 let _ = write!(s, ", \"shard_axis\": \"{axis}\", \"shard\": {idx}");
             }
-            let _ = write!(s, ", \"related_waivers\": {}", w.related_waivers.len());
             s.push('}');
         }
         s.push('}');
@@ -577,43 +526,28 @@ mod tests {
     }
 
     #[test]
-    fn witness_cross_references_waiver_families() {
-        let waivers = vec![
-            Waiver {
-                rule: "R003".into(),
-                function: "Network::f".into(),
-                nth: 0,
-                reason: "shared".into(),
-            },
-            Waiver {
-                rule: "R006".into(),
-                function: "Network::f".into(),
-                nth: 0,
-                reason: "fold".into(),
-            },
-        ];
+    fn witness_carries_the_attributed_phase_and_shard() {
         let parallel = Divergence {
             schedule: ShardSchedule::Reversed,
             cycle: 42,
             section: "state".into(),
             field: "router[3].output[1].credits[0]".into(),
         };
-        let w = Witness::from_divergence("OFAR", "adv+1", &parallel, &waivers);
+        let w = Witness::from_divergence("OFAR", "adv+1", &parallel);
         assert_eq!(w.phase, "route");
-        assert_eq!(w.related_waivers.len(), 1);
-        assert_eq!(w.related_waivers[0].rule, "R003");
         assert_eq!(w.shard, Some(("router", 3)));
 
+        // The fold seam (DESIGN §16.4): a serialized counter, no shard.
         let commit = Divergence {
             schedule: ShardSchedule::Rotated(7),
             cycle: 50,
             section: "state".into(),
             field: "stats.latency_sum".into(),
         };
-        let w = Witness::from_divergence("OFAR", "adv+1", &commit, &waivers);
+        let w = Witness::from_divergence("OFAR", "adv+1", &commit);
         assert_eq!(w.phase, "effect_commit");
-        assert_eq!(w.related_waivers.len(), 1);
-        assert_eq!(w.related_waivers[0].rule, "R006");
+        assert_eq!(w.shard, None);
+        assert!(w.to_string().contains("phase effect_commit"), "{w}");
     }
 
     #[test]
@@ -639,12 +573,11 @@ mod tests {
                     field: "router[1].output[0].credits[0]".into(),
                     phase: "route".into(),
                     shard: Some(("router", 1)),
-                    related_waivers: vec![],
                 }),
             },
         ];
-        let a = render(&rc, &verdicts, 7);
-        let b = render(&rc, &verdicts, 7);
+        let a = render(&rc, &verdicts);
+        let b = render(&rc, &verdicts);
         assert_eq!(a, b);
         let v = json::parse(&a).expect("artifact must parse");
         let arr = v.get("verdicts").unwrap().as_arr().unwrap();
@@ -667,7 +600,7 @@ mod tests {
             schedules: 1,
             seed: 11,
         };
-        let v = certify_mechanism(MechanismKind::Min, &smoke_patterns()[0], &rc, &[]).unwrap();
+        let v = certify_mechanism(MechanismKind::Min, &smoke_patterns()[0], &rc).unwrap();
         assert!(v.commutes, "MIN diverged: {:?}", v.witness);
     }
 }

@@ -99,7 +99,6 @@ mod tests {
                 rule: RULE_HASH_CONTAINER,
                 file: "a.rs".to_string(),
                 line: 3,
-                function: String::new(),
                 message: "msg \"quoted\"".to_string(),
                 snippet: "let m = HashMap::new();".to_string(),
                 suppressed: None,
@@ -108,7 +107,6 @@ mod tests {
                 rule: RULE_HOT_ALLOC,
                 file: "b.rs".to_string(),
                 line: 9,
-                function: "f".to_string(),
                 message: "alloc".to_string(),
                 snippet: "v.clone()".to_string(),
                 suppressed: Some(Suppression {

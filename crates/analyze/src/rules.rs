@@ -1,7 +1,7 @@
 //! The `ofar-lint` rule catalog.
 //!
 //! Four families, each guarding one precondition of a group-parallel
-//! engine (ROADMAP item 3d):
+//! engine (ROADMAP item 3a):
 //!
 //! * **D — determinism.** The simulation must be a pure function of
 //!   `(config, seed)`: no hash-order iteration in simulation state, no
@@ -44,19 +44,6 @@ pub const RULE_HOT_PANIC: &str = "P001";
 pub const RULE_TRUNCATING_CAST: &str = "P002";
 /// P003: panicking indexing in the conservation counters.
 pub const RULE_COUNTER_INDEXING: &str = "P003";
-/// R001: cross-shard write outside a commit phase.
-pub const RULE_PHASE_CROSS_WRITE: &str = "R001";
-/// R002: foreign-shard read racing a same-phase local write.
-pub const RULE_PHASE_READ_RACE: &str = "R002";
-/// R003: shared-accumulator mutation outside a reduction-safe sink.
-pub const RULE_PHASE_ACCUM: &str = "R003";
-/// R004: phase-marker coverage gap in the phase root.
-pub const RULE_PHASE_GAP: &str = "R004";
-/// R005: order-sensitive fold over sharded state in a commit phase.
-pub const RULE_PHASE_FOLD: &str = "R005";
-/// R006: position-weighting fold over an effect-ledger drain in a
-/// commit phase.
-pub const RULE_LEDGER_FOLD: &str = "R006";
 /// A001: malformed suppression (missing rule or reason).
 pub const RULE_BAD_SUPPRESSION: &str = "A001";
 /// A002: suppression that suppresses nothing.
@@ -116,41 +103,6 @@ pub const CATALOG: &[(&str, &str)] = &[
          readout must be total",
     ),
     (
-        RULE_PHASE_CROSS_WRITE,
-        "cross-shard write in a parallel phase: another shard's state is \
-         mutated outside a declared commit phase, so sharded evaluation \
-         would race",
-    ),
-    (
-        RULE_PHASE_READ_RACE,
-        "foreign-shard read in a parallel phase of a field the same \
-         phase writes locally: the value observed depends on shard \
-         scheduling",
-    ),
-    (
-        RULE_PHASE_ACCUM,
-        "shared-accumulator mutation in a parallel phase not routed \
-         through a reduction-safe sink operation",
-    ),
-    (
-        RULE_PHASE_GAP,
-        "phase-marker coverage gap: per-cycle statements must belong to \
-         a declared `// ofar-lint: phase(…)` region of the phase root",
-    ),
-    (
-        RULE_PHASE_FOLD,
-        "iteration-order-sensitive fold over router/link collections in \
-         a commit phase: the result changes when sharding changes \
-         enumeration order",
-    ),
-    (
-        RULE_LEDGER_FOLD,
-        "position-weighting accumulation over an effect-ledger drain in \
-         a commit phase: the ledger's push order is shard-schedule \
-         dependent, so a non-commutative fold leaks the schedule into \
-         state — reduce commutatively or sort before folding",
-    ),
-    (
         RULE_BAD_SUPPRESSION,
         "malformed lint:allow — every suppression names a rule and \
          carries a non-empty reason",
@@ -176,9 +128,6 @@ pub struct Finding {
     pub file: String,
     /// 1-based line (0 for file-level findings).
     pub line: u32,
-    /// Qualified name of the function whose span holds `line`
-    /// (`Network::execute_grant`); empty outside every function.
-    pub function: String,
     /// Human-readable message.
     pub message: String,
     /// Trimmed text of the offending line.
@@ -216,9 +165,6 @@ pub struct LintConfig {
     pub cold_crates: Vec<String>,
     /// Impl types forming the conservation counters (P003).
     pub counter_types: Vec<String>,
-    /// Qualified name of the cycle-loop root the R-family phase
-    /// analysis segments (`Network::step`).
-    pub phase_root: &'static str,
 }
 
 impl Default for LintConfig {
@@ -232,7 +178,6 @@ impl Default for LintConfig {
                 .map(str::to_string)
                 .to_vec(),
             counter_types: vec!["Stats".to_string(), "StatsWindow".to_string()],
-            phase_root: "Network::step",
         }
     }
 }
@@ -296,7 +241,6 @@ pub(crate) fn push(
         rule,
         file: file.path.clone(),
         line,
-        function: file.fn_at(line),
         message,
         snippet: line_snippet(file, line),
         suppressed: None,

@@ -15,7 +15,6 @@ use std::path::Path;
 const PROBE: &str = r#"
 impl Network {
     pub fn step(&mut self) {
-        // ofar-lint: phase(all, commit)
         self.advance();
     }
 

@@ -31,8 +31,8 @@
 
 use crate::audit::{AuditReport, AuditViolation};
 
-/// The nine declared phases of [`Network::step`](crate::Network::step),
-/// in execution order — one per `ofar-lint: phase(…)` marker.
+/// The nine phases of [`Network::step`](crate::Network::step), in
+/// execution order: `step` opens each with one [`Hooks::phase`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Scheduled fault transitions.
@@ -69,8 +69,8 @@ impl Phase {
         Phase::PolicyEnd,
     ];
 
-    /// The name the phase's `ofar-lint` marker (and the phase contract)
-    /// uses.
+    /// The phase's name: its row in `ofar-bench phases`, its module
+    /// under `network/`, its label in a race witness.
     pub fn name(self) -> &'static str {
         match self {
             Phase::FaultApply => "fault_apply",

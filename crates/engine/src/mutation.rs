@@ -74,8 +74,7 @@ pub enum EngineMutation {
     /// into an engine counter during `commit_effects`. The per-queue
     /// applied state is untouched (each queue still receives its one
     /// entry), but the fold value — and hence the snapshot — varies
-    /// with the shard schedule that produced the ledger order. The
-    /// defect class R006 forbids statically, seeded dynamically here.
+    /// with the shard schedule that produced the ledger order.
     EffectOrderFold,
 }
 

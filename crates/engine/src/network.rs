@@ -284,12 +284,12 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.link_phits = Some(vec![0; self.fab.topo().num_routers() * self.fab.n_out()]);
     }
 
-    /// Install a shard iteration schedule for the two `parallel`
-    /// phases of [`Self::step`] (`route` over routers, `inject` over
+    /// Install a shard iteration schedule for the two shard loops of
+    /// [`Self::step`] (`route` over routers, `inject` over
     /// nodes). The commutativity certifier (`ofar-race`)
     /// runs adversarial schedules against [`ShardSchedule::Identity`]
-    /// and byte-compares snapshots; a divergence falsifies the
-    /// parallelization contract. Identity (the default) materializes to
+    /// and byte-compares snapshots; a divergence shows a turn reading
+    /// what another turn wrote. Identity (the default) materializes to
     /// empty order vectors and keeps the plain `0..n` loops.
     pub fn set_shard_schedule(&mut self, sched: ShardSchedule) {
         self.order_routers = sched.order(self.fab.topo().num_routers());
@@ -357,15 +357,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
 
     /// Advance the simulation by one cycle.
     ///
-    /// The body is segmented into declared phases (`ofar-lint:
-    /// phase(…)` markers) that the R-family phase analysis checks and
-    /// exports as the parallelization contract
-    /// (`results/phase-contract.json`): a `parallel` phase may only
-    /// write its own shard's state (plus reduction-safe sinks), so the
-    /// parallel engine can fan its routers out; a `commit` phase runs
-    /// serially and is where cross-router effects apply.
+    /// The body is nine phases, each opened by its [`Hooks::phase`]
+    /// call. `inject` and `route` are shard loops (over nodes and over
+    /// routers) whose turns write only their own shard's state and
+    /// defer everything else to the effects ledger, so their order is
+    /// unobservable (`ofar-race` permutes it); the other seven run
+    /// serially and are where cross-router effects apply.
     pub fn step(&mut self) {
-        // ofar-lint: phase(fault_apply, commit)
         self.hooks.phase(Phase::FaultApply);
         // Apply scheduled fault transitions due at (or before) this
         // cycle, in plan order — before arrivals so the cycle already
@@ -378,17 +376,14 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             self.plan_cursor += 1;
             self.apply_fault(kind);
         }
-        // ofar-lint: phase(deliver, commit)
         // Serial: draining the wheel's bucket is O(events landing), and
         // those land on arbitrary routers.
         self.hooks.phase(Phase::Deliver);
         self.deliver_events(now);
-        // ofar-lint: phase(llr_timers, commit)
         self.hooks.phase(Phase::LlrTimers);
         if self.llr.is_some() {
             self.llr_phase(now);
         }
-        // ofar-lint: phase(cm_sense, commit)
         self.hooks.phase(Phase::CmSense);
         // CM sensing and refill sweep every router's estimator and
         // every NIC's bucket from one loop — inherently cross-shard, so
@@ -398,10 +393,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         if self.cm.is_some() {
             self.cm_sense_and_refill();
         }
-        // ofar-lint: phase(inject, parallel)
         self.hooks.phase(Phase::Inject);
         self.inject(now);
-        // ofar-lint: phase(route, parallel)
         self.hooks.phase(Phase::Route);
         for i in 0..self.fab.topo().num_routers() {
             let r = if self.order_routers.is_empty() {
@@ -414,16 +407,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 self.route_and_allocate(r, now);
             }
         }
-        // ofar-lint: phase(effect_commit, commit)
         self.hooks.phase(Phase::EffectCommit);
         self.commit_effects();
-        // ofar-lint: phase(audit, commit)
         self.hooks.phase(Phase::Audit);
         if self.hooks.deep_due(now) {
             let (checks, violations) = self.deep_audit(now);
             self.hooks.deep_report(checks, violations);
         }
-        // ofar-lint: phase(policy_end, commit)
         self.hooks.phase(Phase::PolicyEnd);
         let snap = NetSnapshot {
             fab: &self.fab,

@@ -66,11 +66,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             // non-commutative fold over the ledger's *push order*. The
             // applied per-queue state stays correct; only the folded
             // value — later mixed into a serialized counter — leaks the
-            // shard schedule into the snapshot. This is the defect
-            // class R006 forbids statically (waived here as a hook-
-            // gated seam) and `ofar-race` must kill dynamically.
+            // shard schedule into the snapshot. `ofar-race` must kill
+            // it.
             if fold {
-                // lint:allow(R006, hook-gated mutation seam; the order-sensitive fold is the seeded defect the race certifier must catch)
                 fold_acc = fold_acc.wrapping_mul(31).wrapping_add(effect_order_key(&e));
             }
             match e {

@@ -40,7 +40,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     }
 
     /// [`Self::inject`] for one node whose source queue is non-empty.
-    // lint:allow(P002, node index and packet size bounded by fabric dimensions) lint:allow(R003, on_inject mutates per-mechanism policy state; the parallel plan gives each worker its own policy replica merged at commit)
+    // lint:allow(P002, node index and packet size bounded by fabric dimensions)
     fn inject_node(&mut self, node: usize, now: u64) {
         if self.inj_busy[node] > now {
             return;

@@ -92,7 +92,7 @@ fn allocate(
 impl<P: Policy, H: Hooks> Network<P, H> {
     /// Phase 3: routing + separable iterative allocation + grant
     /// execution for one router.
-    // lint:allow(P002, ports and VCs are bounded by SimConfig::validate: RadixTooLarge and TooManyVcs) lint:allow(R003, policy.route mutates per-mechanism state only; serialized per worker replica in the parallel plan)
+    // lint:allow(P002, ports and VCs are bounded by SimConfig::validate: RadixTooLarge and TooManyVcs)
     pub(super) fn route_and_allocate(&mut self, ridx: usize, now: u64) {
         let size = self.fab.cfg().packet_size as u32;
         let ring_need = self.hooks.ring_entry_need(size);
@@ -202,7 +202,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
     }
 
-    // lint:allow(P002, vc/router ids and latencies bounded by fabric dimensions and run length) lint:allow(P001, canonical grants are eject-only by construction in route_and_allocate) lint:allow(R003, last_grant and last_delivery are monotone cycle stamps; cross-worker merge is max)
+    // lint:allow(P002, vc/router ids and latencies bounded by fabric dimensions and run length) lint:allow(P001, canonical grants are eject-only by construction in route_and_allocate)
     fn execute_grant(&mut self, ridx: usize, in_port: usize, vc: usize, req: Request, now: u64) {
         let size = self.fab.cfg().packet_size as u32;
         let router = RouterId::from(ridx);
@@ -359,7 +359,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 // dedups spurious retransmissions at every hop, so a
                 // second ejection of one id means the protocol leaked.
                 if let Some(llr) = self.llr.as_mut() {
-                    // lint:allow(R001, mark_delivered touches the global exactly-once dedup set; keyed by packet id and mergeable as set union)
                     let duplicate = llr.mark_delivered(pkt.id);
                     self.stats.duplicate_deliveries += u64::from(duplicate);
                     self.hooks.check(
@@ -412,7 +411,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// dropped transfer leaves only the replay copy, recovered by the
     /// retransmit timeout. The credit was already taken by the caller
     /// and is not taken again on retries.
-    // lint:allow(P002, packet_size is validated at config build and fits u32) lint:allow(R001, sample_fate advances the one shared fate rng; the parallel plan splits it into per-link streams) lint:allow(R003, take_pending consumes one-shot transient fault injections; drained under the same serial order the fault plan fixes)
+    // lint:allow(P002, packet_size is validated at config build and fits u32)
     fn transmit(
         &mut self,
         ridx: usize,

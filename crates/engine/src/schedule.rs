@@ -1,9 +1,8 @@
-//! Shard iteration schedules for the `parallel`-marked phases.
+//! Shard iteration schedules for the two shard loops of `step`.
 //!
-//! The parallelization contract (`results/phase-contract.json`) claims
-//! the two parallel phases of [`Network::step`](crate::Network::step)
-//! — `inject` and `route` — touch disjoint per-shard state, so the
-//! iteration order of their shard loops must be unobservable. (The
+//! The two shard loops of [`Network::step`](crate::Network::step)
+//! — `inject` and `route` — are written to touch disjoint per-shard
+//! state, so their iteration order must be unobservable. (The
 //! `route` order also permutes the order in which link events are filed
 //! into the timing wheel, and with it the order the serial `deliver`
 //! phase applies them a link latency later.) This
@@ -14,7 +13,7 @@
 //! empty order vector, which the engine treats as the plain `0..n` loop
 //! — the release path pays one `is_empty` branch per loop, nothing else.
 
-/// Iteration order of the per-shard loops in the two `parallel`
+/// Iteration order of the per-shard loops in the two sharded
 /// phases of `Network::step` (`route` iterates routers, `inject`
 /// iterates nodes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

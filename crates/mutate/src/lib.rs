@@ -1,7 +1,7 @@
 //! Mutation-driven verification adequacy for the OFAR proof stack.
 //!
 //! The repo carries five independent correctness oracles — the
-//! phase-discipline lint analyzer, the CDG deadlock verifier, the
+//! schedule-commutativity certifier, the CDG deadlock verifier, the
 //! routing-conformance model checker, the runtime invariant auditor
 //! and the burst progress watchdog. This
 //! crate measures whether that stack would actually *notice* the bugs
@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 mod hook;
-mod lint_oracle;
 mod matrix;
 mod mutant;
 mod operator;

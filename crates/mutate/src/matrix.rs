@@ -65,9 +65,6 @@ pub fn covered(op: MutationOp, mech: MechanismKind) -> bool {
         // Credit-accounting seams die in the runtime auditor.
         EngineCreditLeak | EngineCreditDouble | EngineEscapeVcSkew => true,
         EngineRingBubbleSkip => mech == K::Ofar,
-        // The phase-boundary source mutant dies in the static lint
-        // oracle (R001 cross-shard write).
-        SourceCreditPhaseHoist => true,
         // The schedule-sensitivity seams die in the commutativity
         // certifier: permuted shard orders make the cross-shard credit
         // landing (and the ledger-order fold) visible in the epoch
@@ -229,7 +226,6 @@ impl KillMatrix {
     /// Per-oracle kill counts, in stack order.
     pub fn kills_per_oracle(&self) -> Vec<(OracleKind, usize)> {
         [
-            OracleKind::Lint,
             OracleKind::Race,
             OracleKind::Cdg,
             OracleKind::Conformance,

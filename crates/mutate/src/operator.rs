@@ -4,7 +4,7 @@
 //! tweak but a deliberate break of one rule the paper's safety argument
 //! rests on (VC ladder discipline, misroute flag protocol, escape-ring
 //! budget/patience, bubble flow control, credit accounting, or the
-//! declarations the verifiers consume). Operators fall into five
+//! declarations the verifiers consume). Operators fall into four
 //! categories by *where* the fault is seeded:
 //!
 //! * [`OpCategory::Policy`] — a [`crate::MutantPolicy`] wrapper rewrites
@@ -17,11 +17,7 @@
 //! * [`OpCategory::Engine`] — the engine's own flow control is mutated
 //!   through its hook seam: the network is built with a
 //!   [`crate::Mutated`] hook carrying one
-//!   [`ofar_engine::EngineMutation`];
-//! * [`OpCategory::Source`] — the engine's *source text* is mutated and
-//!   re-analyzed: a phase-discipline break the single-threaded engine
-//!   still simulates correctly, observable only to the static lint
-//!   oracle (see `crate::lint_oracle`).
+//!   [`ofar_engine::EngineMutation`].
 
 use ofar_routing::MechanismKind;
 
@@ -36,9 +32,6 @@ pub enum OpCategory {
     Config,
     /// Flow-control mutation inside the engine.
     Engine,
-    /// Textual mutation of the engine's step-loop source, checked by
-    /// the phase-discipline analyzer instead of a runtime oracle.
-    Source,
 }
 
 /// One mutation operator of the catalog.
@@ -173,20 +166,9 @@ pub enum MutationOp {
     /// ledger's push order into a serialized counter
     /// ([`ofar_engine::EngineMutation::EffectOrderFold`]): the applied
     /// per-queue state stays correct, but the folded value leaks the
-    /// shard schedule into the snapshot. The dynamic twin of the R006
-    /// static rule, killable only by the commutativity certifier.
+    /// shard schedule into the snapshot. Killable only by the
+    /// commutativity certifier.
     EngineEffectOrderFold,
-
-    // --- source mutations (phase discipline) -----------------------------
-    /// The credit return in `execute_grant` is hoisted across the phase
-    /// boundary: the deferred `Effect::Credit` push (applied by
-    /// `commit_effects` in the serial commit phase) becomes a direct
-    /// write into the *upstream* router's credit queue from the
-    /// parallel `route` phase. The single-threaded engine simulates the
-    /// mutant identically — the ready-at stamp travels in the queue
-    /// entry either way — but the parallelization contract is broken:
-    /// only the R001 cross-shard-write rule of the lint oracle sees it.
-    SourceCreditPhaseHoist,
 }
 
 impl MutationOp {
@@ -225,7 +207,6 @@ impl MutationOp {
         MutationOp::EngineThrottleBypass,
         MutationOp::EngineCreditInstant,
         MutationOp::EngineEffectOrderFold,
-        MutationOp::SourceCreditPhaseHoist,
     ];
 
     /// Short stable name (kill-matrix row label, DESIGN.md registry key).
@@ -264,7 +245,6 @@ impl MutationOp {
             MutationOp::EngineThrottleBypass => "engine-throttle-bypass",
             MutationOp::EngineCreditInstant => "engine-credit-instant",
             MutationOp::EngineEffectOrderFold => "engine-effect-order-fold",
-            MutationOp::SourceCreditPhaseHoist => "source-credit-phase-hoist",
         }
     }
 
@@ -283,7 +263,6 @@ impl MutationOp {
             | EngineThrottleBypass
             | EngineCreditInstant
             | EngineEffectOrderFold => OpCategory::Engine,
-            SourceCreditPhaseHoist => OpCategory::Source,
             _ => OpCategory::Policy,
         }
     }
@@ -320,14 +299,10 @@ impl MutationOp {
             // so the folded config is only a defect for the three-phase
             // mechanisms.
             CfgFoldedLadder => matches!(kind, K::Valiant | K::Pb | K::Par),
-            // The source mutant lives in the mechanism-independent
-            // engine text; one matrix row (under the reference
-            // mechanism) keeps the pair list 1:1 with distinct mutants.
-            SourceCreditPhaseHoist => kind == K::Ofar,
             // The commutativity seams live in the mechanism-independent
-            // credit loop and effect ledger; like the source mutant,
-            // one matrix row under the reference mechanism keeps the
-            // pair list 1:1 with distinct mutants.
+            // credit loop and effect ledger; one matrix row under the
+            // reference mechanism keeps the pair list 1:1 with distinct
+            // mutants.
             EngineCreditInstant | EngineEffectOrderFold => kind == K::Ofar,
         }
     }
@@ -371,9 +346,6 @@ impl MutationOp {
             }
             MutationOp::EngineEffectOrderFold => {
                 "effect-ledger push order folded into a serialized counter"
-            }
-            MutationOp::SourceCreditPhaseHoist => {
-                "credit return hoisted across the route/commit phase boundary"
             }
         }
     }

@@ -21,10 +21,6 @@
 //!   `EffectOrderFold`), which every identity-schedule oracle passes by
 //!   construction and which therefore go to the commutativity
 //!   certifier ([`ofar_analyze::race`]) instead.
-//! * **Source** mutants never run at all: the mutated engine text goes
-//!   to the phase-discipline analyzer ([`crate::lint_oracle`]), the
-//!   only oracle that can observe a defect with identical
-//!   single-threaded behavior.
 //!
 //! Every oracle that runs gets a recorded verdict, even after an
 //! earlier oracle already killed the mutant — the matrix wants to know
@@ -336,8 +332,8 @@ fn wave_admission_verdicts<P: Policy, H: Hooks>(
 }
 
 /// The commutativity oracle for the two schedule-sensitivity seams
-/// (`CreditInstant`, `EffectOrderFold`): execute the phase contract
-/// under permuted shard orders and fail on the bisected divergence.
+/// (`CreditInstant`, `EffectOrderFold`): run the workload under
+/// permuted shard orders and fail on the bisected divergence.
 ///
 /// These mutants are invisible to every other dynamic oracle by
 /// construction — conservation holds, progress holds, and the
@@ -374,7 +370,7 @@ fn race_verdict(op: MutationOp, kind: MechanismKind, cfg: &SimConfig, seed: u64)
     match race::certify(build, &schedules, rc.cycles, rc.epoch) {
         Ok(CertifyOutcome::Commutes) => OracleVerdict::Pass,
         Ok(CertifyOutcome::Diverges(d)) => OracleVerdict::Fail {
-            witness: Witness::from_divergence(kind.name(), "adv+1", &d, &[]).to_string(),
+            witness: Witness::from_divergence(kind.name(), "adv+1", &d).to_string(),
         },
         Err(e) => OracleVerdict::Fail {
             witness: format!("race certifier internal error: {e}"),
@@ -551,9 +547,6 @@ pub fn run_mutant(
             };
             verdicts.push((OracleKind::Audit, audit));
             verdicts.push((OracleKind::Watchdog, watchdog));
-        }
-        OpCategory::Source => {
-            verdicts.push((OracleKind::Lint, crate::lint_oracle::lint_verdict(op)));
         }
     }
     MutantOutcome {

@@ -16,11 +16,11 @@ use rand::SeedableRng;
 /// xoshiro256** stream per shard, router lanes first (`0..routers`),
 /// node lanes after (`routers..routers + nodes`).
 ///
-/// A randomized decision made during a `parallel`-marked phase of
-/// `Network::step` must draw from the deciding shard's own lane: a
-/// single shared stream would advance in shard-iteration order, so every
-/// pick would depend on the shard schedule the parallelization contract
-/// (`results/phase-contract.json`) declares unobservable — and the
+/// A randomized decision made during a shard loop of
+/// `Network::step` (`inject`, `route`) must draw from the deciding
+/// shard's own lane: a single shared stream would advance in
+/// shard-iteration order, so every pick would depend on the shard
+/// schedule, which must stay unobservable — and the
 /// `ofar-race` certifier would rightly flag the POLICY section of the
 /// snapshot as schedule-divergent. Draws from `route` key by the routing
 /// router's index; draws from `inject` key by the injecting node's.

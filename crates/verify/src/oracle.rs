@@ -10,10 +10,9 @@
 //! [`crate::conformance`]) can never build: mutated declarations,
 //! perturbed configurations and deliberately defective policies. The
 //! two dynamic oracles (runtime invariant audit, burst watchdog) need
-//! the engine and runners, the phase-discipline lint oracle needs the
-//! analyzer, and the commutativity certifier needs the engine's shard
-//! schedules, so their drivers live with the harness; the verdict
-//! vocabulary here is shared by all six.
+//! the engine and runners, and the commutativity certifier needs the
+//! engine's shard schedules, so their drivers live with the harness;
+//! the verdict vocabulary here is shared by all five.
 
 use crate::report::{Certificate, VerifyError};
 use crate::ring_spec::RingSpec;
@@ -22,13 +21,9 @@ use ofar_engine::{RingMode, SimConfig};
 use ofar_routing::{EnumerablePolicy, MechanismDeps};
 use ofar_topology::{Dragonfly, HamiltonianRing};
 
-/// The six independent correctness oracles of the proof stack.
+/// The five independent correctness oracles of the proof stack.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OracleKind {
-    /// Phase-discipline race analyzer (`ofar-analyze` R rules) over the
-    /// engine source: cross-shard writes, read races and unsharded
-    /// accumulation against the declared step-loop phases.
-    Lint,
     /// Schedule-adversarial commutativity certifier (`ofar-race`):
     /// byte-compares epoch snapshots of permuted-shard-order runs
     /// against the identity schedule and bisects any divergence to the
@@ -53,7 +48,6 @@ impl OracleKind {
     /// Short stable name used in kill-matrix reports.
     pub fn name(self) -> &'static str {
         match self {
-            OracleKind::Lint => "lint",
             OracleKind::Race => "race",
             OracleKind::Cdg => "cdg",
             OracleKind::Conformance => "conformance",

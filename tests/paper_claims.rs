@@ -12,35 +12,49 @@ const SEEDS: [u64; 3] = [2012, 7, 23];
 /// and OFAR-L still drain within each other's seed spread at h = 2).
 const BURST_PACKETS: usize = 40;
 
-/// Drain times of one mechanism's bursts, one per seed.
+/// Warm-up and window of a steady-state point: by cycle 1,500 every
+/// mechanism is within a few percent of the throughput it shows at
+/// 3,000 + 3,000 (PB is the slowest to get there: 0.13 at 750 + 750,
+/// 0.24 here, 0.26 there).
+const STEADY: SteadyOpts = SteadyOpts {
+    warmup: 1_500,
+    measure: 1_000,
+};
+
+/// One mechanism's reading of one quantity, one value per seed.
 struct Cell {
     kind: MechanismKind,
-    cycles: Vec<f64>,
+    per_seed: Vec<f64>,
 }
 
 impl Cell {
-    fn run(h: usize, kind: MechanismKind, spec: &TrafficSpec) -> Self {
-        let cycles = SEEDS
-            .iter()
-            .map(|&seed| {
-                let cfg = SimConfig::paper(h).with_seed(seed);
-                let r = burst(cfg, kind, spec, BURST_PACKETS, seed);
-                let stalled = || panic!("{kind} stalled on {} (seed {seed})", spec.label());
-                r.cycles.unwrap_or_else(stalled) as f64
-            })
-            .collect();
-        Self { kind, cycles }
+    /// Drain times, in cycles, of a burst of `BURST_PACKETS` per node.
+    fn burst_cycles(h: usize, kind: MechanismKind, spec: &TrafficSpec) -> Self {
+        let drain = |seed| {
+            let cfg = SimConfig::paper(h).with_seed(seed);
+            let r = burst(cfg, kind, spec, BURST_PACKETS, seed);
+            let stalled = || panic!("{kind} stalled on {} (seed {seed})", spec.label());
+            r.cycles.unwrap_or_else(stalled) as f64
+        };
+        Self::over_seeds(kind, drain)
+    }
+
+    fn over_seeds(kind: MechanismKind, run: impl Fn(u64) -> f64) -> Self {
+        Self {
+            kind,
+            per_seed: SEEDS.iter().map(|&seed| run(seed)).collect(),
+        }
     }
 
     fn mean(&self) -> f64 {
-        self.cycles.iter().sum::<f64>() / self.cycles.len() as f64
+        self.per_seed.iter().sum::<f64>() / self.per_seed.len() as f64
     }
 
     /// Sample standard deviation over the seeds.
     fn spread(&self) -> f64 {
         let mean = self.mean();
-        let ss: f64 = self.cycles.iter().map(|c| (c - mean).powi(2)).sum();
-        (ss / (self.cycles.len() - 1) as f64).sqrt()
+        let ss: f64 = self.per_seed.iter().map(|c| (c - mean).powi(2)).sum();
+        (ss / (self.per_seed.len() - 1) as f64).sqrt()
     }
 }
 
@@ -50,10 +64,10 @@ fn assert_drains_sooner(fast: &Cell, slow: &Cell, pattern: &str, claim: &str) {
     let told = format!(
         "{claim} — {pattern}, {BURST_PACKETS} pkts/node, seeds {SEEDS:?}: \
          {} {:?} vs {} {:?}",
-        fast.kind, fast.cycles, slow.kind, slow.cycles
+        fast.kind, fast.per_seed, slow.kind, slow.per_seed
     );
     assert!(
-        fast.cycles.iter().zip(&slow.cycles).all(|(f, s)| f < s),
+        fast.per_seed.iter().zip(&slow.per_seed).all(|(f, s)| f < s),
         "{told}"
     );
     let margin = fast.spread() + slow.spread();
@@ -76,9 +90,70 @@ fn fig7_ofar_drains_adversarial_bursts_before_ofar_l_and_pb() {
     for (h, offset) in [(2, 2), (3, 3)] {
         let spec = TrafficSpec::adversarial(offset);
         let row = format!("{} at h = {h}", spec.label());
-        let ofar = Cell::run(h, MechanismKind::Ofar, &spec);
+        let ofar = Cell::burst_cycles(h, MechanismKind::Ofar, &spec);
         for other in [MechanismKind::OfarL, MechanismKind::Pb] {
-            assert_drains_sooner(&ofar, &Cell::run(h, other, &spec), &row, CLAIM);
+            let slow = Cell::burst_cycles(h, other, &spec);
+            assert_drains_sooner(&ofar, &slow, &row, CLAIM);
         }
     }
+}
+
+/// The Fig. 5 setting: ADV+h at h = 3 — h = 2 has no room for the
+/// claim, its wall 1/h equals the 0.5 bound of the global links —
+/// offered more than any mechanism accepts.
+const FIG5_H: usize = 3;
+const FIG5_WALL: f64 = 1.0 / FIG5_H as f64;
+const FIG5_SATURATED: f64 = 0.6;
+
+/// Accepted load, in phits/(node·cycle), at offered load `load`, and
+/// the sentence a failed assertion about it opens with.
+fn fig5_accepted(kind: MechanismKind, load: f64) -> (Cell, String) {
+    let spec = TrafficSpec::adversarial(FIG5_H);
+    let cell = Cell::over_seeds(kind, |seed| {
+        let cfg = SimConfig::paper(FIG5_H).with_seed(seed);
+        steady_state(cfg, kind, &spec, load, STEADY, seed).throughput
+    });
+    let told = format!(
+        "Fig. 5, {} at h = {FIG5_H} (wall 1/h = {FIG5_WALL:.3}), offered {load}, \
+         seeds {SEEDS:?}: {kind} accepts {:?}",
+        spec.label(),
+        cell.per_seed
+    );
+    (cell, told)
+}
+
+/// Fig. 5 (§III, §VI-A), EXPERIMENTS.md "Fig. 5 — ADV+h, the headline
+/// result": "every injection-time-decision mechanism is stuck at/below"
+/// the local-link wall — in every seed, and by more than the seeds
+/// spread.
+#[test]
+fn fig5_val_pb_and_ofar_l_stay_under_the_local_link_wall() {
+    for kind in [
+        MechanismKind::Valiant,
+        MechanismKind::Pb,
+        MechanismKind::OfarL,
+    ] {
+        let (c, told) = fig5_accepted(kind, FIG5_SATURATED);
+        assert!(c.per_seed.iter().all(|&t| t < FIG5_WALL), "{told}");
+        assert!(FIG5_WALL - c.mean() > c.spread(), "{told}");
+    }
+}
+
+/// Fig. 5, same section: "only in-transit *local* misrouting escapes
+/// the local-link wall", and OFAR's "throughput remains constant after
+/// saturation" — offered 1.0 and offered 0.6 are accepted alike, to
+/// within what the seeds of the two cells spread.
+#[test]
+fn fig5_ofar_clears_the_wall_and_stays_flat_past_saturation() {
+    let (ofar, told) = fig5_accepted(MechanismKind::Ofar, FIG5_SATURATED);
+    assert!(ofar.per_seed.iter().all(|&t| t > FIG5_WALL), "{told}");
+    assert!(ofar.mean() - FIG5_WALL > ofar.spread(), "{told}");
+
+    let (overloaded, told_overloaded) = fig5_accepted(MechanismKind::Ofar, 1.0);
+    let apart = (overloaded.mean() - ofar.mean()).abs();
+    let margin = ofar.spread() + overloaded.spread();
+    assert!(
+        apart < margin,
+        "{told}; {told_overloaded}: the means are {apart:.4} apart, the seeds spread {margin:.4}"
+    );
 }
