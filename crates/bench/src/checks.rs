@@ -349,7 +349,7 @@ const MIN_KILLED_OPS: usize = 20;
 pub(crate) fn mutants(args: &[String]) -> ExitCode {
     no_args("mutants", args);
     let full = if env::flag("OFAR_FULL") { 4 } else { 2 };
-    let h = env_or_exit(env::parsed("OFAR_H")).unwrap_or(full);
+    let h = env_or_exit(experiments::env_h()).unwrap_or(full);
     let seed: u64 = env_or_exit(env::parsed("OFAR_SEED")).unwrap_or(0xAD0B5);
     let cfg = SimConfig::paper(h);
     eprintln!(
@@ -359,6 +359,10 @@ pub(crate) fn mutants(args: &[String]) -> ExitCode {
         ofar_mutate::pairs().len(),
     );
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "progress line on stderr only; stdout stays a function of (config, seed)"
+    )]
     let start = std::time::Instant::now();
     let matrix = KillMatrix::run(&cfg, seed);
     eprintln!(

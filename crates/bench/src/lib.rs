@@ -91,10 +91,6 @@ const fn row(name: &'static str, kind: Kind, run: fn(&[String]) -> ExitCode) -> 
 }
 
 /// Every experiment the binary runs, in `ofar-bench list` order.
-///
-/// `ofar-lint` resolves calls by bare name, so a function here must not
-/// be named like anything `Network::step` calls — hence
-/// `ring_reliability` and `link_failures` for `rings` and `faults`.
 pub static EXPERIMENTS: &[Experiment] = &[
     paper("fig2b", experiments::fig2b),
     paper("fig3", experiments::fig3),

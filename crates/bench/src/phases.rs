@@ -1,6 +1,11 @@
 //! Host time per `Network::step` phase: the [`PhaseTimer`] hook and the
 //! `phases` experiment that reads it.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the host-time ruler: clock reads go to the printed table, never into simulated state"
+)]
+
 use crate::{emit, start};
 use ofar_core::engine::{Fabric, Hooks, Phase, RouteMark};
 use ofar_core::prelude::*;

@@ -41,11 +41,11 @@ const CKPT_SNAP_BOUND: usize = 1 << 28;
 pub struct CheckpointPolicy {
     /// Cycles between checkpoints; `None` disables both saving and
     /// resuming.
-    pub interval: Option<u64>, // lint:allow(S001, run configuration; not part of the checkpoint payload)
+    pub interval: Option<u64>,
     /// Directory holding the checkpoint files.
-    pub dir: PathBuf, // lint:allow(S001, run configuration; not part of the checkpoint payload)
+    pub dir: PathBuf,
     /// How many newest checkpoints to retain per run key.
-    pub keep: usize, // lint:allow(S001, run configuration; not part of the checkpoint payload)
+    pub keep: usize,
 }
 
 impl CheckpointPolicy {
@@ -161,10 +161,10 @@ impl CheckpointPolicy {
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
     /// Cycles already simulated when the checkpoint was taken.
-    pub cycle: u64, // lint:allow(S001, written by this module's free encode/decode pair; covered by encode_decode_roundtrip)
+    pub cycle: u64,
     /// Stats baseline at the start of the measurement window, if the
     /// window had already opened.
-    pub start: Option<Stats>, // lint:allow(S001, written by this module's free encode/decode pair; covered by encode_decode_roundtrip)
+    pub start: Option<Stats>,
     gen_rng: [u64; 4],
     bern_rng: [u64; 4],
     snap: Vec<u8>,

@@ -16,8 +16,9 @@ pub struct EnvError {
     pub name: String,
     /// Its value (lossily decoded when not UTF-8).
     pub value: String,
-    /// The type the reader expected.
-    pub expected: &'static str,
+    /// What the reader expected: a type, or a value-level constraint
+    /// with the reason it was violated.
+    pub expected: String,
 }
 
 impl fmt::Display for EnvError {
@@ -50,7 +51,7 @@ pub fn parsed<T: FromStr>(name: &str) -> Result<Option<T>, EnvError> {
         .ok_or_else(|| EnvError {
             name: name.to_string(),
             value: raw.to_string_lossy().into_owned(),
-            expected: std::any::type_name::<T>(),
+            expected: std::any::type_name::<T>().to_string(),
         })
 }
 

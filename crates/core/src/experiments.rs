@@ -10,10 +10,34 @@ use crate::env::{self, EnvError};
 use crate::run::{burst_comparison, load_sweep, transient, SteadyOpts, TransientOpts};
 use crate::table::{f1, f4, Table};
 use crate::theory;
-use ofar_engine::{RingMode, SimConfig};
+use ofar_engine::{ConfigError, RingMode, SimConfig};
 use ofar_routing::MechanismKind;
 use ofar_traffic::TrafficSpec;
 use rayon::prelude::*;
+
+/// [`SimConfig::paper`] for an `h` from outside the program (`--h`,
+/// `OFAR_H`): the typed error where the constructor would panic (`h = 0`)
+/// or build what [`SimConfig::validate`] refuses.
+pub fn paper_config(h: usize) -> Result<SimConfig, ConfigError> {
+    if h == 0 {
+        return Err(ConfigError::RadixTooSmall { h });
+    }
+    let cfg = SimConfig::paper(h);
+    cfg.validate().map(|()| cfg)
+}
+
+/// The `OFAR_H` override, if set and usable: an `h` [`paper_config`]
+/// refuses is an [`EnvError`] carrying the refusal.
+pub fn env_h() -> Result<Option<usize>, EnvError> {
+    let Some(h) = env::parsed::<usize>("OFAR_H")? else {
+        return Ok(None);
+    };
+    paper_config(h).map(|_| Some(h)).map_err(|why| EnvError {
+        name: "OFAR_H".to_string(),
+        value: h.to_string(),
+        expected: format!("Dragonfly h: {why}"),
+    })
+}
 
 /// Experiment scale knobs.
 #[derive(Clone, Copy, Debug)]
@@ -107,7 +131,7 @@ impl Scale {
         } else {
             Self::default_bench()
         };
-        if let Some(h) = env::parsed("OFAR_H")? {
+        if let Some(h) = env_h()? {
             s.h = h;
         }
         Ok(s)

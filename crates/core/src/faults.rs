@@ -102,7 +102,6 @@ fn drain_throughput(r: &BurstResult, cfg: &SimConfig, nodes: usize) -> f64 {
 /// `ring_counts` × `failure_counts`, each point an independent seeded
 /// simulation, run in parallel. Mechanisms without an escape ring are
 /// swept only at the first ring count (the knob does not affect them).
-#[allow(clippy::too_many_arguments)]
 pub fn degradation_sweep(
     cfg: SimConfig,
     mechanisms: &[MechanismKind],

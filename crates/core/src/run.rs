@@ -109,7 +109,7 @@ pub fn steady_state(
 /// Like a refused configuration, a malformed `OFAR_CHECKPOINT_*`
 /// variable (see [`CheckpointPolicy::from_env`]) stops the run before it
 /// starts.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "each is an axis of the point")]
 pub fn steady_state_tuned(
     cfg: SimConfig,
     kind: MechanismKind,
@@ -154,7 +154,7 @@ pub fn steady_state_checkpointed(
 /// resumed from the newest valid checkpoint bit-exactly. With
 /// checkpointing disabled the loop is step-for-step identical to the
 /// original two-phase (warmup, then measure) structure.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "each is an axis of the point")]
 fn steady_state_resumable(
     cfg: SimConfig,
     kind: MechanismKind,

@@ -191,7 +191,7 @@ pub fn point_from_line(line: &str) -> Option<SteadyPoint> {
 ///
 /// `after_each(i)` fires after point `i` is durably recorded; the CI
 /// kill-and-resume smoke job uses it to die mid-sweep on purpose.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "each is an axis of the point")]
 pub fn resumable_load_sweep(
     store: &mut ResultStore,
     cfg: SimConfig,

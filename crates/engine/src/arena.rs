@@ -36,6 +36,10 @@ pub(crate) struct Arena {
 impl Arena {
     /// The state of an empty network: nothing buffered, every credit
     /// at its lane's capacity.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a validated packet_size fits u32"
+    )]
     pub fn new(fab: &Fabric) -> Self {
         let nr = fab.topo().num_routers();
         Self {
@@ -72,7 +76,7 @@ impl<const CHUNK: usize> Pool<CHUNK> {
     /// Store `tail` in a new entry and return its index.
     fn push(&mut self, tail: Tail) -> usize {
         if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
-            // lint:allow(H001, amortised: one allocation per CHUNK tails, and only while the pool is at its peak)
+            // Amortised: one allocation per CHUNK tails, at the pool's peak only.
             self.chunks.push(Vec::with_capacity(CHUNK));
         }
         let last = self.chunks.len() - 1;
@@ -152,7 +156,6 @@ impl<const CHUNK: usize> Fifos<CHUNK> {
     /// flow-control bug, not an operational condition.
     #[inline]
     pub fn push(&mut self, slot: usize, pkt: Packet, capacity: u32) {
-        // lint:allow(P001, overflow here means a broken credit loop; failing loud beats silent corruption)
         assert!(
             self.fits(slot, capacity),
             "VC overflow: {} + {} > {capacity} phits (flow-control violation)",
@@ -167,7 +170,10 @@ impl<const CHUNK: usize> Fifos<CHUNK> {
     /// credit defect makes overflow an *expected* consequence that the
     /// runtime auditor — not a panic — must detect and report.
     #[inline]
-    // lint:allow(P002, the pool holds at most the packets in the network, far below u32::MAX)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the pool holds at most the packets in the network, far below u32::MAX"
+    )]
     pub fn push_overflowing(&mut self, slot: usize, pkt: Packet) {
         self.queued[slot] += 1;
         if self.queued[slot] == 1 {
@@ -194,7 +200,7 @@ impl<const CHUNK: usize> Fifos<CHUNK> {
     /// any, becomes the head.
     #[inline]
     pub fn pop(&mut self, slot: usize) -> Packet {
-        // lint:allow(P001, pop contract requires a prior occupancy check; an empty pop is a broken allocator)
+        // Callers check occupancy first: an empty pop is a broken allocator.
         assert!(self.queued[slot] != 0, "pop from empty VC");
         self.queued[slot] -= 1;
         let pkt = self.heads[slot];

@@ -45,11 +45,11 @@ pub enum ConfigError {
     DegenerateGroup,
     /// More ports per router — `p + a − 1 + h`, plus one per ring of a
     /// physical escape subnetwork — than [`MAX_PORTS`].
-    #[allow(missing_docs)]
+    #[expect(missing_docs, reason = "the variant's doc names both fields")]
     RadixTooLarge { ports: usize, max: usize },
     /// Some port would carry more VCs (an embedded ring adds one escape
     /// VC to its landing ports) than [`MAX_VCS`].
-    #[allow(missing_docs)]
+    #[expect(missing_docs, reason = "the variant's doc names both fields")]
     TooManyVcs { vcs: usize, max: usize },
     /// An escape subnetwork was requested with zero rings.
     NoEscapeRing,

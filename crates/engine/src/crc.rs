@@ -22,6 +22,10 @@ const POLY: u32 = 0xEDB8_8320;
 /// register after byte `b` followed by `k` zero bytes.
 static TABLES: [[u32; 256]; 8] = tables();
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "b counts to 256, in a const fn where `try_from` is not callable"
+)]
 const fn tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
     let mut b = 0;
@@ -140,9 +144,7 @@ impl Crc32 {
     /// Feed a block of `block_len` bytes known only by its CRC,
     /// `crc_of_block`: afterwards the value is that of the bytes fed so
     /// far followed by the block's. O(log `block_len`) — zlib's
-    /// `crc32_combine`, and named after it: `ofar-lint` resolves methods
-    /// by bare name, so an `append(&mut self)` here would make every
-    /// `Vec::append` in `Network::step` a counted write.
+    /// `crc32_combine`, and named after it.
     pub fn combine(&mut self, crc_of_block: u32, block_len: usize) {
         self.0 = mul_mod_p(x_pow_bytes(block_len), self.0) ^ crc_of_block;
     }

@@ -130,6 +130,7 @@ impl Fabric {
     /// Build the wiring for a configuration, embedding
     /// `cfg.escape_rings` pairwise edge-disjoint rings when an escape
     /// subnetwork is configured.
+    #[expect(clippy::expect_used, reason = "construction-time validation")]
     pub fn new(cfg: SimConfig) -> Self {
         cfg.validate().expect("invalid SimConfig");
         let topo = Dragonfly::new(cfg.params);
@@ -150,6 +151,11 @@ impl Fabric {
     /// exactly when `cfg.ring != RingMode::None`). The rings must be
     /// pairwise edge-disjoint in the embedded model — each link can host
     /// only one escape VC.
+    #[expect(
+        clippy::expect_used,
+        clippy::cast_possible_truncation,
+        reason = "construction-time: validate bounds ports by MAX_PORTS and VCs by MAX_VCS, and router, slot and lane counts fit u32"
+    )]
     pub fn with_rings(cfg: SimConfig, rings: Vec<HamiltonianRing>) -> Self {
         cfg.validate().expect("invalid SimConfig");
         assert_eq!(
@@ -318,6 +324,10 @@ impl Fabric {
 
     /// The link out of (`r`, `port`), its lanes starting at the next
     /// unnumbered one.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "construction-time: validate bounds ports by MAX_PORTS and VCs by MAX_VCS; latencies and lane counts fit u32"
+    )]
     fn build_out_link(&self, r: RouterId, port: usize) -> OutLink {
         let lane = self.lane_caps.len() as u32;
         let p = self.cfg.params.p;
@@ -501,7 +511,7 @@ impl Fabric {
     #[inline]
     pub fn in_slot(&self, router: RouterId, port: usize, vc: usize) -> usize {
         let d = self.in_desc(router, port);
-        // lint:allow(P001, in a flat array a VC the port lacks would alias its neighbour; the bounds check the per-port vectors had)
+        // In a flat array a VC the port lacks would alias its neighbour.
         assert!(vc < d.vcs as usize, "input {port} has no VC {vc}");
         d.slot as usize + vc
     }
@@ -512,7 +522,7 @@ impl Fabric {
     #[inline]
     pub fn out_lane(&self, router: RouterId, port: usize, vc: usize) -> usize {
         let link = self.out_link(router, port);
-        // lint:allow(P001, in a flat array a VC the port lacks would alias its neighbour; the bounds check the per-port vectors had)
+        // In a flat array a VC the port lacks would alias its neighbour.
         assert!(vc < link.vcs as usize, "output {port} has no VC {vc}");
         link.lane as usize + vc
     }

@@ -242,6 +242,7 @@ pub fn random_global_links(topo: &Dragonfly, n: usize, seed: u64) -> Vec<(Router
     let mut pool = all;
     let mut picked = Vec::with_capacity(n);
     for _ in 0..n {
+        #[expect(clippy::cast_possible_truncation, reason = "taken modulo pool.len()")]
         let i = (next() % pool.len() as u64) as usize;
         picked.push(pool.swap_remove(i));
     }
@@ -254,19 +255,19 @@ pub fn random_global_links(topo: &Dragonfly, n: usize, seed: u64) -> Vec<(Router
 #[derive(Clone, Debug)]
 pub struct FaultState {
     /// `[router × n_out]` output-port liveness.
-    out_up: Vec<bool>, // lint:allow(S001, derived per-port liveness; recomputed from the fault sets on restore)
+    out_up: Vec<bool>,
     /// Per-ring liveness.
-    ring_up: Vec<bool>, // lint:allow(S001, derived per-ring liveness; recomputed from the fault sets on restore)
+    ring_up: Vec<bool>,
     /// Failed links, endpoints in canonical (sorted) order.
     failed_links: BTreeSet<(RouterId, RouterId)>,
     /// Failed routers.
     failed_routers: BTreeSet<RouterId>,
-    n_out: usize, // lint:allow(S001, fabric constant; rebuilt from the topology on restore)
+    n_out: usize,
     /// Fast path: true when nothing has ever failed (or all is restored).
     /// Transient wire-error state deliberately does NOT clear this — a
     /// lossy link is still *routable*, so the allocator's zero-fault fast
     /// path stays valid.
-    healthy: bool, // lint:allow(S001, derived fast-path flag; recomputed on restore)
+    healthy: bool,
     /// Pending one-shot payload corruptions, per canonical link pair.
     pending_corrupt: BTreeMap<(RouterId, RouterId), u32>,
     /// Pending one-shot wire drops, per canonical link pair.
@@ -486,8 +487,9 @@ fn decode_kind(d: &mut Dec<'_>) -> Result<FaultKind, SnapshotError> {
 impl FaultPlan {
     /// Append the remaining schedule to a checkpoint.
     pub(crate) fn snap_encode(&self, e: &mut Enc) {
-        e.usize(self.events.len());
-        for ev in &self.events {
+        let Self { events } = self;
+        e.usize(events.len());
+        for ev in events {
             e.u64(ev.at);
             encode_kind(e, ev.kind);
         }
@@ -514,19 +516,29 @@ impl FaultState {
     /// containers, so iteration is already sorted and the byte stream is
     /// deterministic by construction.
     pub(crate) fn snap_encode(&self, e: &mut Enc) {
-        e.usize(self.failed_links.len());
-        for &l in &self.failed_links {
+        let Self {
+            // Derived liveness and its fast-path flag: recomputed from
+            // the fault sets on restore.
+            out_up: _,
+            ring_up: _,
+            healthy: _,
+            failed_links,
+            failed_routers,
+            // A fabric constant: rebuilt from the topology on restore.
+            n_out: _,
+            pending_corrupt,
+            pending_drop,
+            link_ber_ppm,
+        } = self;
+        e.usize(failed_links.len());
+        for &l in failed_links {
             encode_pair(e, l);
         }
-        e.usize(self.failed_routers.len());
-        for r in &self.failed_routers {
+        e.usize(failed_routers.len());
+        for r in failed_routers {
             e.u32(r.0);
         }
-        for map in [
-            &self.pending_corrupt,
-            &self.pending_drop,
-            &self.link_ber_ppm,
-        ] {
+        for map in [pending_corrupt, pending_drop, link_ber_ppm] {
             e.usize(map.len());
             for (&k, &v) in map {
                 encode_pair(e, k);

@@ -98,14 +98,14 @@ pub enum RouteMark {
     /// its replay buffer has room) and `kept` the requests the allocator
     /// can grant this cycle: output idle, downstream VC with room. A turn
     /// that kept none ends at this mark.
-    #[allow(missing_docs)]
+    #[expect(missing_docs, reason = "the variant's doc names every field")]
     Allocate {
         polled: usize,
         asked: usize,
         kept: usize,
     },
     /// Grant execution, of the `grants` requests the allocator matched.
-    #[allow(missing_docs)]
+    #[expect(missing_docs, reason = "the variant's doc names every field")]
     Execute { grants: usize },
 }
 

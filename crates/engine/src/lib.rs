@@ -25,6 +25,22 @@
 //! ([`Network::with_hooks`]) — see the [`hooks`] and [`audit`] modules.
 
 #![warn(missing_docs)]
+// The hot-path contract (DESIGN.md §13): this crate runs inside
+// `Network::step`, so outside tests nothing may truncate silently or
+// panic without a written reason. A module `step` never enters opts out
+// with one reasoned `#![allow]`; a single site with `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod arena;
 pub mod audit;
@@ -66,3 +82,22 @@ pub use snapshot::{
     SnapshotError, SnapshotHeader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use stats::{jain_index, source_histogram, Stats, StatsWindow, STATS_COUNTERS};
+
+/// A canary for each `clippy.toml` ban no crate has a live site for and
+/// whose path is easy to get wrong: a typo there leaves its `#[expect]`
+/// unfulfilled, which clippy reports, instead of banning nothing.
+#[cfg(test)]
+mod clippy_toml_canaries {
+    #[test]
+    fn every_ban_without_a_live_site_still_fires() {
+        #[expect(clippy::disallowed_types, reason = "canary: the SystemTime ban")]
+        let epoch = std::time::SystemTime::UNIX_EPOCH;
+        #[expect(clippy::disallowed_methods, reason = "canary: the thread::current ban")]
+        let thread = std::thread::current();
+        #[expect(clippy::disallowed_types, reason = "canary: the ThreadId ban")]
+        let id: std::thread::ThreadId = thread.id();
+        #[expect(clippy::disallowed_macros, reason = "canary: the addr_of! ban")]
+        let address = std::ptr::addr_of!(id);
+        assert!(epoch.elapsed().is_ok() && !address.is_null());
+    }
+}

@@ -223,7 +223,7 @@ impl Llr {
         if ber <= 0.0 {
             return Fate::Good;
         }
-        // lint:allow(P002, packet size fits i32; powi takes i32 by API)
+        // `powi` takes an i32, which a packet size fits.
         let p_fail = 1.0 - (1.0 - ber).powi(size as i32);
         if self.next_f64() >= p_fail {
             return Fate::Good;
@@ -240,7 +240,10 @@ impl Llr {
     /// A nonzero CRC perturbation for a corrupted wire image.
     pub fn corruption(&mut self) -> u32 {
         loop {
-            // lint:allow(P002, deliberate truncation; keeps the low 32 bits of the generator word)
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "deliberate truncation; keeps the low 32 bits of the generator word"
+            )]
             let x = (self.next_u64() >> 16) as u32;
             if x != 0 {
                 return x;
@@ -337,10 +340,13 @@ impl Llr {
         pkt: &Packet,
     ) -> (RxVerdict, u32) {
         let i = self.rx_idx(dst_router, dst_port);
+        #[expect(
+            clippy::expect_used,
+            reason = "wire metadata is written at send time for every in-flight packet"
+        )]
         let meta = self.rx[i]
             .wire
             .pop_front()
-            // lint:allow(P001, wire metadata is written at send time for every in-flight packet)
             .expect("arrival without wire metadata (LLR enabled mid-flight?)");
         if crc32(&pkt.fingerprint(meta.seq)) != meta.wire_crc {
             return (RxVerdict::CrcDrop, meta.seq);
@@ -396,7 +402,7 @@ impl Llr {
 
     /// Expire outstanding entries of (`router`, `port`) whose timeout
     /// passed, marking them lost. Returns how many timed out.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "a link and its timeout's terms")]
     pub fn expire(
         &mut self,
         router: usize,
@@ -447,11 +453,14 @@ impl Llr {
         };
         let i = self.tx_idx(router, port);
         self.retx_per_link[i] += 1;
+        #[expect(
+            clippy::expect_used,
+            reason = "a replay entry exists for every outstanding seq by protocol invariant"
+        )]
         let e = self.tx[i]
             .entries
             .iter_mut()
             .find(|e| e.seq == seq)
-            // lint:allow(P001, a replay entry exists for every outstanding seq by protocol invariant)
             .expect("retransmit of unknown seq");
         e.retries += 1;
         e.sent_at = now;
@@ -515,7 +524,7 @@ impl Llr {
         let entries = std::mem::take(&mut self.tx[ti].entries);
         self.tx[ti].acks.clear();
         let ri = self.rx_idx(dst_router, dst_port);
-        // lint:allow(H001, link-death recovery path; runs per fault event, not per cycle)
+        // Link-death recovery: runs per fault event, not per cycle.
         let mut out = Vec::new();
         for e in entries {
             if !self.rx[ri].accepted(e.seq) {
@@ -551,12 +560,22 @@ impl Llr {
     /// flight, selective-repeat window, wire queue and counter, plus the
     /// wire-error RNG — everything needed for a bit-exact resume.
     pub(crate) fn snap_encode(&self, e: &mut Enc) {
-        e.usize(self.n_out);
-        e.usize(self.n_in);
-        e.usize(self.window);
-        e.u64(self.rng);
-        e.usize(self.tx.len());
-        for tx in &self.tx {
+        let Self {
+            n_out,
+            n_in,
+            tx,
+            rx,
+            window,
+            rng,
+            retx_per_link,
+            delivered_ids,
+        } = self;
+        e.usize(*n_out);
+        e.usize(*n_in);
+        e.usize(*window);
+        e.u64(*rng);
+        e.usize(tx.len());
+        for tx in tx {
             e.u32(tx.next_seq);
             e.usize(tx.entries.len());
             for en in &tx.entries {
@@ -575,8 +594,8 @@ impl Llr {
                 e.u8(u8::from(a.ok));
             }
         }
-        e.usize(self.rx.len());
-        for rx in &self.rx {
+        e.usize(rx.len());
+        for rx in rx {
             e.u32(rx.base);
             e.u64(rx.mask);
             e.usize(rx.wire.len());
@@ -585,10 +604,10 @@ impl Llr {
                 e.u32(w.wire_crc);
             }
         }
-        e.usize(self.retx_per_link.len());
-        e.u64s(&self.retx_per_link);
-        e.usize(self.delivered_ids.len());
-        e.u64s(&self.delivered_ids);
+        e.usize(retx_per_link.len());
+        e.u64s(retx_per_link);
+        e.usize(delivered_ids.len());
+        e.u64s(delivered_ids);
     }
 
     /// Rebuild the link-layer state written by [`Llr::snap_encode`],

@@ -89,8 +89,11 @@ impl EngineMutation {
         match self {
             EngineMutation::CreditLeak { period } if hit(period) => None,
             EngineMutation::CreditDouble { period } if hit(period) => Some((vc, phits * 2)),
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a validated vc count is below 256"
+            )]
             EngineMutation::EscapeVcSkew { period } if hit(period) && vcs > 1 => {
-                // lint:allow(P002, vc count bounded by config well below 256)
                 Some((((vc as usize + 1) % vcs) as u8, phits))
             }
             _ => Some((vc, phits)),

@@ -98,10 +98,10 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     /// A harness knob ([`Self::set_shard_schedule`]): simulation state
     /// must be schedule-blind, which is exactly what `ofar-race`
     /// certifies, so the order is deliberately outside snapshots.
-    order_routers: Vec<u32>, // lint:allow(S001, schedule is a harness knob; snapshots are schedule-blind by construction)
+    order_routers: Vec<u32>,
     /// Shard iteration order of the node-sharded `inject` phase; empty =
     /// identity. Same snapshot-blindness argument as `order_routers`.
-    order_nodes: Vec<u32>, // lint:allow(S001, schedule is a harness knob; snapshots are schedule-blind by construction)
+    order_nodes: Vec<u32>,
     /// The instrumentation seam (see [`crate::hooks`]): invariant
     /// observation and mutation-testing perturbation, zero-sized and
     /// inert for [`NoHooks`]. Diagnostic harness state, deliberately
@@ -117,7 +117,7 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     grants: Vec<(u16, u8, Request)>,
     /// Per output, the allocator's best proposal of the current
     /// iteration; stale wherever that iteration proposed nothing.
-    best_out: Vec<(u64, u32)>, // lint:allow(S001, per-cycle scratch; rebuilt each cycle and dead at snapshot boundaries)
+    best_out: Vec<(u64, u32)>,
 }
 
 impl<P: Policy> Network<P> {
@@ -170,6 +170,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             policy,
             now: 0,
             next_id: 0,
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a validated packet_size fits u32"
+            )]
             src_q: Fifos::new(nodes, fab.cfg().packet_size as u32),
             inj_busy: vec![0; nodes],
             stats,

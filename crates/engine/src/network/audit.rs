@@ -2,6 +2,11 @@
 //! [`crate::audit`] for the violations they report) and the
 //! conservation sums they are built from.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "the deep checks run at audit intervals under a recording hook, never in a plain `step`; record fields are bounded by the fabric dimensions"
+)]
+
 use super::Network;
 use crate::audit::AuditViolation;
 use crate::fabric::PortKind;
@@ -24,7 +29,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// conservation, occupancy bounds and the escape-ring bubble
     /// invariant. Returns the number of invariants evaluated and the
     /// ones that failed.
-    // lint:allow(H001, audit-only sweep; runs at audit intervals and never under NoHooks) lint:allow(P002, audit record fields bounded by fabric dimensions)
     pub(super) fn deep_audit(&self, now: u64) -> (u64, Vec<AuditViolation>) {
         let size = self.fab.cfg().packet_size as u64;
         let mut checks = 0u64;
@@ -191,7 +195,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// transmission stays reserved across drops, corruptions and retries
     /// until the receiver accepts the packet into its buffer (the copies
     /// on the wire are phantoms).
-    // lint:allow(P002, packet_size is validated at config build and fits u32)
     fn credit_sum(&self, backlog: &Backlog<'_>, ridx: usize, port: usize, vc: usize) -> u32 {
         let size = self.fab.cfg().packet_size as u32;
         let link = self.fab.out_link(RouterId::from(ridx), port);

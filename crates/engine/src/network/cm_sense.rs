@@ -70,6 +70,10 @@ pub(super) struct CmState {
 }
 
 impl CmState {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "construction-time: packet_size is validated to fit u32 and min_rate is at most CM_TOKEN_SCALE"
+    )]
     pub(super) fn new(cfg: &SimConfig, nodes: usize, routers: usize) -> Self {
         let size = cfg.packet_size as u32;
         let cap = 2 * size * CM_TOKEN_SCALE;
@@ -123,6 +127,10 @@ fn cm_inv(d: u64) -> u64 {
 
 /// Convert a validated CM fraction in `[0, 1]` to `CM_CONG_ONE` fixed
 /// point. Deterministic: one rounding mode, no platform-dependent math.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a validated fraction in [0, 1] times CM_CONG_ONE fits u32"
+)]
 fn cm_fp(frac: f64) -> u32 {
     (frac * f64::from(CM_CONG_ONE)) as u32
 }
@@ -133,6 +141,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// the rate its router's state dictates. Grants are cap-clamped and
     /// counted exactly, so `granted − consumed ≡ Σ levels` is an
     /// identity (the `ThrottleTokenLaw` auditor invariant).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "every sensor value is a quotient or an EWMA of quotients at most CM_CONG_ONE; each cast says why"
+    )]
     pub(super) fn cm_sense_and_refill(&mut self) {
         let p = self.fab.cfg().params.p;
         let healthy = !self.faults.any();
@@ -152,7 +164,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 // Exact multiply-shift division by the static `cap_sum`
                 // (see `CM_INV_SHIFT`) — no hardware `div` per router.
                 let wide = (u128::from(used) << 16) * u128::from(cm.inv[ridx]);
-                // lint:allow(P002, quotient <= CM_CONG_ONE so it fits u32)
+                // The quotient is at most CM_CONG_ONE, so it fits u32.
                 let inst = (wide >> CM_INV_SHIFT) as u32;
                 debug_assert_eq!(
                     u64::from(inst),
@@ -184,14 +196,14 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 // while links are down, so divide for real.
                 (used * u64::from(CM_CONG_ONE))
                     .checked_div(cap_sum)
-                    // lint:allow(P002, used <= cap_sum so the quotient fits u32)
+                    // used <= cap_sum, so the quotient fits u32.
                     .map_or(0, |q| q as u32)
             };
             // EWMA with α = 1/8: smooth enough to ride out allocator
             // jitter, fast enough to track a burst front within ~a
             // packet time. Pure integer — bit-exact across platforms.
             let smoothed = (u64::from(cm.cong[ridx]) * 7 + u64::from(inst)) / 8;
-            // lint:allow(P002, EWMA of values <= CM_CONG_ONE fits u32)
+            // An EWMA of values <= CM_CONG_ONE fits u32.
             cm.cong[ridx] = smoothed as u32;
             if cm.throttled[ridx] {
                 if cm.cong[ridx] < cm.off_fp {

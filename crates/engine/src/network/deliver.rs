@@ -15,7 +15,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// submission order (they commute: see [`crate::wheel`]). Landing at
     /// a new group clears the per-group local-misroute flag and retires
     /// a reached Valiant intermediate (§IV-A).
-    // lint:allow(P002, port indices bounded by SimConfig::validate's RadixTooLarge, router ids by the u32 the topology numbers them in; packet_size bounded by config)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "port indices bounded by SimConfig::validate's RadixTooLarge, router ids by the u32 the topology numbers them in"
+    )]
     pub(super) fn deliver_events(&mut self, now: u64) {
         let topo = *self.fab.topo();
         let fab = &self.fab;

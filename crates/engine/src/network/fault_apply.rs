@@ -36,7 +36,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.apply_fault(FaultKind::RestoreLink(a, b))
     }
 
-    // lint:allow(P001, transient fault kinds never report a changed fail-stop state; the arm is statically dead)
+    #[expect(
+        clippy::unreachable,
+        reason = "transient fault kinds never report a changed fail-stop state; the arm is statically dead"
+    )]
     pub(super) fn apply_fault(&mut self, kind: FaultKind) -> bool {
         let changed = self.faults.apply(kind, &self.fab);
         if changed {

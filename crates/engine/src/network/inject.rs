@@ -40,7 +40,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     }
 
     /// [`Self::inject`] for one node whose source queue is non-empty.
-    // lint:allow(P002, node index and packet size bounded by fabric dimensions)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "node index and packet size bounded by fabric dimensions"
+    )]
     fn inject_node(&mut self, node: usize, now: u64) {
         if self.inj_busy[node] > now {
             return;

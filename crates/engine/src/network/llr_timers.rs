@@ -77,13 +77,18 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// one retransmission per link per idle wire — or escalate a link
     /// whose oldest lost transfer has exhausted the retry budget to the
     /// §VII fail-stop path, where degraded routing takes over.
-    // lint:allow(P002, packet_size is validated at config build and fits u32) lint:allow(H001, Vec::new does not allocate; pushes happen only on link-death events) lint:allow(P001, runs only when LLR is enabled; self.llr checked by the caller)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a validated packet_size fits u32"
+    )]
+    #[expect(clippy::expect_used, reason = "the caller checked self.llr: LLR is on")]
     pub(super) fn llr_phase(&mut self, now: u64) {
         let size = self.fab.cfg().packet_size as u32;
         let slack = self.fab.cfg().llr_timeout_slack;
         let backoff_cap = self.fab.cfg().llr_backoff_cap;
         let budget = self.fab.cfg().llr_retry_budget;
         let n_out = self.fab.n_out();
+        // `Vec::new` does not allocate; pushes happen only on link death.
         let mut escalate: Vec<(RouterId, RouterId)> = Vec::new();
         for ridx in 0..self.fab.topo().num_routers() {
             let rid = RouterId::from(ridx);
@@ -171,7 +176,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// Force-deliver the undelivered replay entries of every LLR link
     /// whose fail-stop liveness just went down (both directions — the
     /// sweep is idempotent: already-flushed links have empty buffers).
-    // lint:allow(P001, runs only when LLR is enabled; self.llr checked by the caller)
+    #[expect(clippy::expect_used, reason = "the caller checked self.llr: LLR is on")]
     pub(super) fn llr_flush_dead_links(&mut self) {
         let topo = *self.fab.topo();
         let n_in = self.fab.n_in();

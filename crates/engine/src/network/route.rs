@@ -29,7 +29,10 @@ pub(super) type Kept = (u16, u8, Request, u64);
 /// is read only where this iteration proposed, nothing is cleared or
 /// scanned per port. Grants come in ascending output order within an
 /// iteration, the order the effects ledger has always seen.
-// lint:allow(P002, a request index is below the router's VC count)
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a request index is below a router's VC count"
+)]
 fn allocate(
     reqs: &[Kept],
     in_served_at: &[u64],
@@ -92,7 +95,10 @@ fn allocate(
 impl<P: Policy, H: Hooks> Network<P, H> {
     /// Phase 3: routing + separable iterative allocation + grant
     /// execution for one router.
-    // lint:allow(P002, ports and VCs are bounded by SimConfig::validate: RadixTooLarge and TooManyVcs)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "ports and VCs are bounded by SimConfig::validate: RadixTooLarge and TooManyVcs"
+    )]
     pub(super) fn route_and_allocate(&mut self, ridx: usize, now: u64) {
         let size = self.fab.cfg().packet_size as u32;
         let ring_need = self.hooks.ring_entry_need(size);
@@ -202,7 +208,11 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
     }
 
-    // lint:allow(P002, vc/router ids and latencies bounded by fabric dimensions and run length) lint:allow(P001, canonical grants are eject-only by construction in route_and_allocate)
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::unreachable,
+        reason = "vc/router ids and latencies bounded by fabric dimensions and run length; canonical grants are eject-only by construction in route_and_allocate"
+    )]
     fn execute_grant(&mut self, ridx: usize, in_port: usize, vc: usize, req: Request, now: u64) {
         let size = self.fab.cfg().packet_size as u32;
         let router = RouterId::from(ridx);
@@ -411,7 +421,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// dropped transfer leaves only the replay copy, recovered by the
     /// retransmit timeout. The credit was already taken by the caller
     /// and is not taken again on retries.
-    // lint:allow(P002, packet_size is validated at config build and fits u32)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a validated packet_size fits u32"
+    )]
     fn transmit(
         &mut self,
         ridx: usize,

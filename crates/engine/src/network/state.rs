@@ -6,6 +6,11 @@
 //! field as it goes, so the offset → field map of the snapshot differ
 //! ([`Network::locate_state_field`]) is the same traversal, not a copy.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "the snapshot codec runs between steps, never inside one; ids and ports are bounded by the fabric dimensions"
+)]
+
 use super::cm_sense::{CmState, CM_CONG_ONE};
 use super::Network;
 use crate::arena::{Arena, Fifos};
@@ -107,27 +112,68 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     }
 
     fn encode_state(&self, e: &mut Enc) {
+        // Exhaustive on purpose: a new field does not compile until it is
+        // encoded below or listed as `field: _` with why it holds no state.
+        let Self {
+            fab,
+            arena,
+            // The POLICY section: `save_snapshot` writes it through
+            // `Policy::save_state`.
+            policy: _,
+            now,
+            next_id,
+            src_q,
+            inj_busy,
+            wheel,
+            // Derived from `arena.fifos` and `src_q`; rebuilt on restore.
+            occ: _,
+            stats,
+            delivered_log,
+            link_phits,
+            faults,
+            plan,
+            plan_cursor,
+            faults_ever,
+            router_last_grant,
+            llr,
+            cm,
+            delivered_per_src,
+            // The schedule is a harness knob; snapshots are
+            // schedule-blind by construction.
+            order_routers: _,
+            order_nodes: _,
+            // Diagnostic harness state, deliberately outside simulation
+            // snapshots.
+            hooks: _,
+            // Per-cycle scratch: rebuilt each cycle and dead at snapshot
+            // boundaries.
+            effects: _,
+            reqs: _,
+            grants: _,
+            best_out: _,
+            delivered_now,
+        } = self;
         // Snapshots are taken at cycle boundaries, where the per-cycle
         // delivery buffer has already been drained into `delivered_log`
         // by `commit_effects` — it carries no state of its own.
-        debug_assert!(self.delivered_now.is_empty());
-        e.u64(self.now);
-        e.u64(self.next_id);
-        e.u8(u8::from(self.faults_ever));
-        e.usize(self.plan_cursor);
-        self.plan.snap_encode(e);
-        self.faults.snap_encode(e);
-        e.u64s(&self.stats.counters());
+        debug_assert!(delivered_now.is_empty());
+        e.u64(*now);
+        e.u64(*next_id);
+        e.u8(u8::from(*faults_ever));
+        e.usize(*plan_cursor);
+        plan.snap_encode(e);
+        faults.snap_encode(e);
+        e.u64s(&stats.counters());
         e.usize(self.num_nodes());
-        for (node, &queued) in self.src_q.queued.iter().enumerate() {
+        for (node, &queued) in src_q.queued.iter().enumerate() {
             e.usize(queued as usize);
-            for p in self.src_q.iter(node) {
+            for p in src_q.iter(node) {
                 encode_packet(e, p);
             }
         }
-        e.u64s(&self.inj_busy);
-        e.u64s(&self.router_last_grant);
-        match &self.delivered_log {
+        e.u64s(inj_busy);
+        e.u64s(router_last_grant);
+        match delivered_log {
             None => e.u8(0),
             Some(log) => {
                 e.u8(1);
@@ -138,7 +184,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 }
             }
         }
-        match &self.link_phits {
+        match link_phits {
             None => e.u8(0),
             Some(counts) => {
                 e.u8(1);
@@ -148,12 +194,11 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
         // The format stores each router's ports in turn, each link's
         // pipeline with its port; the wheel is gathered into that shape.
-        let backlog = self.wheel.backlog(&self.fab);
-        let (n_in, n_out) = (self.fab.n_in(), self.fab.n_out());
-        let arena = &self.arena;
-        for ridx in 0..self.fab.topo().num_routers() {
+        let backlog = wheel.backlog(fab);
+        let (n_in, n_out) = (fab.n_in(), fab.n_out());
+        for ridx in 0..fab.topo().num_routers() {
             let router = RouterId::from(ridx);
-            for (port, desc) in self.fab.in_descs(router).iter().enumerate() {
+            for (port, desc) in fab.in_descs(router).iter().enumerate() {
                 for slot in desc.slots() {
                     e.usize(arena.fifos.queued[slot] as usize);
                     for p in arena.fifos.iter(slot) {
@@ -170,7 +215,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 e.u64(arena.in_busy[ridx * n_in + port]);
                 e.u64s(&arena.vc_served_at[desc.slots()]);
             }
-            for (port, link) in self.fab.out_links(router).iter().enumerate() {
+            for (port, link) in fab.out_links(router).iter().enumerate() {
                 e.u32s(&arena.credits[link.lanes()]);
                 let credits = backlog.credits(ridx, port);
                 e.usize(credits.len());
@@ -183,7 +228,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 e.u64s(&arena.in_served_at[(ridx * n_out + port) * n_in..][..n_in]);
             }
         }
-        match &self.llr {
+        match llr {
             None => e.u8(0),
             Some(llr) => {
                 e.u8(1);
@@ -193,7 +238,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         // CM + fairness state (format v2). The presence tag must agree
         // with cfg.cm_enabled — it is written anyway so a corrupted file
         // fails closed instead of desynchronizing the stream.
-        match &self.cm {
+        match cm {
             None => e.u8(0),
             Some(cm) => {
                 e.u8(1);
@@ -204,7 +249,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 }
             }
         }
-        e.u64s(&self.delivered_per_src);
+        e.u64s(delivered_per_src);
     }
 
     /// Decode the STATE section into temporaries without touching

@@ -107,13 +107,16 @@ impl Packet {
     /// Covering the stable identity keeps a corrupted wire image
     /// detectable without making the CRC depend on mutable scratch state.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the fingerprint keeps the low 32 bits of injected_at by design; compared only within a replay window"
+    )]
     pub fn fingerprint(&self, seq: u32) -> [u8; 24] {
         let mut out = [0u8; 24];
         out[..8].copy_from_slice(&self.id.to_le_bytes());
         out[8..12].copy_from_slice(&self.src.0.to_le_bytes());
         out[12..16].copy_from_slice(&self.dst.0.to_le_bytes());
         out[16..20].copy_from_slice(&seq.to_le_bytes());
-        // lint:allow(P002, fingerprint keeps the low 32 bits of injected_at by design; compared only within a replay window)
         out[20..24].copy_from_slice(&(self.injected_at as u32).to_le_bytes());
         out
     }
@@ -158,7 +161,10 @@ pub struct Request {
 impl Request {
     /// Convenience constructor.
     #[inline]
-    // lint:allow(P002, SimConfig::validate bounds ports by MAX_PORTS and VCs by MAX_VCS: RadixTooLarge and TooManyVcs)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SimConfig::validate bounds ports by MAX_PORTS and VCs by MAX_VCS: RadixTooLarge and TooManyVcs"
+    )]
     pub fn new(out_port: usize, out_vc: usize, kind: RequestKind) -> Self {
         Self {
             out_port: out_port as u16,

@@ -67,15 +67,18 @@ impl<'a> RouterView<'a> {
     #[inline]
     fn lane(&self, port: usize, vc: usize) -> usize {
         let link = &self.links[port];
-        // lint:allow(P001, in a flat array a VC the port lacks would alias its neighbour; the bounds check the per-port vectors had)
+        // In a flat array a VC the port lacks would alias its neighbour.
         assert!(vc < link.vcs as usize, "output {port} has no VC {vc}");
         link.lane as usize - self.lane0 + vc
     }
 
     /// Packet size in phits.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a validated packet_size fits u32"
+    )]
     pub fn packet_phits(&self) -> u32 {
-        // lint:allow(P002, packet_size is validated at config build and fits u32)
         self.fab.cfg().packet_size as u32
     }
 

@@ -83,6 +83,10 @@ impl ViewProbe {
     /// Apply one lattice point to a single output port. Ejection ports
     /// carry no credits (nodes are infinite sinks); for them only the
     /// busy bit is meaningful.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a validated packet_size fits u32"
+    )]
     pub fn set_load(&mut self, port: usize, load: PortLoad) {
         let lanes = self.fab.out_link(self.router, port).lanes();
         let caps = &self.fab.lane_caps()[lanes.clone()];

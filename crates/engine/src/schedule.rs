@@ -36,6 +36,10 @@ impl ShardSchedule {
     /// Materialize the iteration order over `n` shards. Identity returns
     /// an **empty** vector — the engine's sentinel for "use the plain
     /// loop" — so the release path never indexes through a table.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a harness knob materialized once per run; the shard count is debug-asserted to fit u32 and j is reduced modulo i + 1"
+    )]
     pub fn order(self, n: usize) -> Vec<u32> {
         debug_assert!(
             n <= u32::MAX as usize,

@@ -56,6 +56,13 @@
 //! the engine counters. Snapshots are taken at step boundaries, where
 //! the per-cycle scratch state of the allocator is empty by construction.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "the byte cursor and the file frame run between steps, never inside one; each slice is cut to the length its conversion needs"
+)]
+
 use crate::config::{RingMode, SimConfig};
 use crate::crc::{crc32, Crc32};
 use std::fmt;
@@ -166,7 +173,6 @@ impl std::error::Error for SnapshotError {}
 
 impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
-        // lint:allow(H001, error conversion; runs once per failed restore, never on the cycle path)
         Self::Io(e.to_string())
     }
 }
@@ -278,7 +284,6 @@ impl<'a> Dec<'a> {
     }
     /// Eight bytes, little-endian.
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        // lint:allow(P001, slice length fixed by the 8-byte read; try_into is infallible)
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
     /// `n` words as by [`Dec::u64`].
@@ -327,24 +332,38 @@ pub(crate) const PACKET_MIN_BYTES: usize = 35;
 
 /// Append the full wire image of one packet header.
 pub(crate) fn encode_packet(e: &mut Enc, p: &crate::packet::Packet) {
-    e.u64(p.id);
-    e.u64(p.injected_at);
-    e.u32(p.src.0);
-    e.u32(p.dst.0);
-    match p.intermediate {
+    let crate::packet::Packet {
+        id,
+        injected_at,
+        src,
+        dst,
+        intermediate,
+        flags,
+        ring_exits_left,
+        local_hops,
+        global_hops,
+        ring_hops,
+        wait,
+        cur_group,
+    } = *p;
+    e.u64(id);
+    e.u64(injected_at);
+    e.u32(src.0);
+    e.u32(dst.0);
+    match intermediate {
         None => e.u8(0),
         Some(g) => {
             e.u8(1);
             e.u32(g.0);
         }
     }
-    e.u8(p.flags);
-    e.u8(p.ring_exits_left);
-    e.u8(p.local_hops);
-    e.u8(p.global_hops);
-    e.u8(p.ring_hops);
-    e.u8(p.wait);
-    e.u32(p.cur_group.0);
+    e.u8(flags);
+    e.u8(ring_exits_left);
+    e.u8(local_hops);
+    e.u8(global_hops);
+    e.u8(ring_hops);
+    e.u8(wait);
+    e.u32(cur_group.0);
 }
 
 /// Decode one packet header written by [`encode_packet`].
@@ -381,39 +400,67 @@ pub(crate) fn decode_packet(d: &mut Dec<'_>) -> Result<crate::packet::Packet, Sn
 /// Canonical byte encoding of a configuration + mechanism name. The
 /// CRC-32 of these bytes is the snapshot's *config fingerprint*.
 pub(crate) fn encode_config(cfg: &SimConfig, mechanism: &str) -> Vec<u8> {
+    let SimConfig {
+        params: ofar_topology::DragonflyParams { p, a, h },
+        packet_size,
+        vcs_local,
+        vcs_global,
+        vcs_injection,
+        vcs_ring,
+        buf_local,
+        buf_global,
+        buf_injection,
+        buf_ring,
+        lat_local,
+        lat_global,
+        alloc_iters,
+        ring,
+        max_ring_exits,
+        escape_rings,
+        seed,
+        ber,
+        llr_window,
+        llr_timeout_slack,
+        llr_backoff_cap,
+        llr_retry_budget,
+        cm_enabled,
+        cm_target_occupancy,
+        cm_hysteresis,
+        cm_min_rate,
+    } = *cfg;
     let mut e = Enc::default();
-    e.usize(cfg.params.p);
-    e.usize(cfg.params.a);
-    e.usize(cfg.params.h);
-    e.usize(cfg.packet_size);
-    e.usize(cfg.vcs_local);
-    e.usize(cfg.vcs_global);
-    e.usize(cfg.vcs_injection);
-    e.usize(cfg.vcs_ring);
-    e.usize(cfg.buf_local);
-    e.usize(cfg.buf_global);
-    e.usize(cfg.buf_injection);
-    e.usize(cfg.buf_ring);
-    e.u64(cfg.lat_local);
-    e.u64(cfg.lat_global);
-    e.usize(cfg.alloc_iters);
-    e.u8(match cfg.ring {
+    e.usize(p);
+    e.usize(a);
+    e.usize(h);
+    e.usize(packet_size);
+    e.usize(vcs_local);
+    e.usize(vcs_global);
+    e.usize(vcs_injection);
+    e.usize(vcs_ring);
+    e.usize(buf_local);
+    e.usize(buf_global);
+    e.usize(buf_injection);
+    e.usize(buf_ring);
+    e.u64(lat_local);
+    e.u64(lat_global);
+    e.usize(alloc_iters);
+    e.u8(match ring {
         RingMode::None => 0,
         RingMode::Physical => 1,
         RingMode::Embedded => 2,
     });
-    e.u8(cfg.max_ring_exits);
-    e.usize(cfg.escape_rings);
-    e.u64(cfg.seed);
-    e.f64(cfg.ber);
-    e.usize(cfg.llr_window);
-    e.u64(cfg.llr_timeout_slack);
-    e.u32(cfg.llr_backoff_cap);
-    e.u32(cfg.llr_retry_budget);
-    e.u8(u8::from(cfg.cm_enabled));
-    e.f64(cfg.cm_target_occupancy);
-    e.f64(cfg.cm_hysteresis);
-    e.f64(cfg.cm_min_rate);
+    e.u8(max_ring_exits);
+    e.usize(escape_rings);
+    e.u64(seed);
+    e.f64(ber);
+    e.usize(llr_window);
+    e.u64(llr_timeout_slack);
+    e.u32(llr_backoff_cap);
+    e.u32(llr_retry_budget);
+    e.u8(u8::from(cm_enabled));
+    e.f64(cm_target_occupancy);
+    e.f64(cm_hysteresis);
+    e.f64(cm_min_rate);
     e.str(mechanism);
     e.0
 }

@@ -111,6 +111,9 @@ stats_counters! {
     cm_throttled_cycles,
 }
 
+// Counter readout must be total: no panicking index on the conservation
+// counters (DESIGN.md §13).
+#[deny(clippy::indexing_slicing)]
 impl Stats {
     /// Mean packet latency over all deliveries so far.
     pub fn avg_latency(&self) -> f64 {
@@ -193,6 +196,7 @@ pub struct StatsWindow {
     pub ring_entries: u64,
 }
 
+#[deny(clippy::indexing_slicing)]
 impl StatsWindow {
     /// Delta between two snapshots taken `cycles` apart.
     pub fn between(start: &Stats, end: &Stats, cycles: u64, nodes: usize) -> Self {

@@ -66,6 +66,7 @@ impl Wheel {
         Self::with_max_latency(fab.cfg().lat_local.max(fab.cfg().lat_global), now)
     }
 
+    #[expect(clippy::expect_used, reason = "a validated latency fits usize")]
     fn with_max_latency(max_latency: u64, now: u64) -> Self {
         // Two slots of room past the largest latency: an event filed
         // during cycle `now` lands by `now + max_latency`, and one
@@ -86,8 +87,9 @@ impl Wheel {
         self.max_latency
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "masked to a slot index")]
     fn slot_mut(&mut self, at: u64) -> &mut Slot {
-        // lint:allow(P001, an event outside the window would silently land a revolution late; failing loud beats corrupting the run)
+        // An event outside the window would land a revolution late, silently.
         assert!(
             at >= self.due && at - self.due < self.slots.len() as u64 - 1,
             "event for cycle {at} is outside the wheel ({} slots, next drain {})",
@@ -130,6 +132,7 @@ impl Wheel {
 
     /// The bucket of cycle `now` — which must be the cycle after the
     /// previous call's. The caller drains both of its lists.
+    #[expect(clippy::cast_possible_truncation, reason = "masked to a slot index")]
     pub fn due(&mut self, now: u64) -> &mut Slot {
         debug_assert_eq!(
             now, self.due,
@@ -141,6 +144,7 @@ impl Wheel {
     }
 
     /// Pending slots with their landing cycles, in time order.
+    #[expect(clippy::cast_possible_truncation, reason = "masked to a slot index")]
     fn pending(&self) -> impl Iterator<Item = (u64, &Slot)> {
         let mask = self.slots.len() as u64 - 1;
         (0..self.slots.len() as u64).map(move |ahead| {
@@ -209,7 +213,7 @@ impl<'w, T> Pipelines<'w, T> {
     /// same sequence, in time order, each time it is called; `port_of`
     /// names an event's (router, port). It is stable, so each port's
     /// events stay in time order.
-    // lint:allow(H001, snapshot and audit only; never on the per-cycle path under NoHooks)
+    /// Snapshot and audit only: never per cycle under `NoHooks`.
     fn gather<I: Iterator<Item = (u64, &'w T)>>(
         routers: usize,
         ports: usize,

@@ -128,6 +128,10 @@ impl MutantPolicy {
     }
 
     /// Request rewrites applied after the inner mechanism decided.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a validated vc count is below 256"
+    )]
     fn post_route(
         &self,
         view: &RouterView<'_>,
@@ -147,13 +151,11 @@ impl MutantPolicy {
             MutationOp::LocalVcSwap
                 if canonical(&req) && out_kind == PortKind::Local && vc < self.vcs_local =>
             {
-                // lint:allow(P002, vc count bounded by config well below 256)
                 req.out_vc = ((vc + 1) % self.vcs_local) as u8;
             }
             MutationOp::LocalVcInvert
                 if canonical(&req) && out_kind == PortKind::Local && vc < self.vcs_local =>
             {
-                // lint:allow(P002, vc count bounded by config well below 256)
                 req.out_vc = (self.vcs_local - 1 - vc) as u8;
             }
             MutationOp::GlobalVcFlatten
@@ -164,7 +166,6 @@ impl MutantPolicy {
             MutationOp::GlobalVcSwap
                 if canonical(&req) && out_kind == PortKind::Global && vc < self.vcs_global =>
             {
-                // lint:allow(P002, vc count bounded by config well below 256)
                 req.out_vc = ((vc + 1) % self.vcs_global) as u8;
             }
             MutationOp::EjectNever if req.kind == RequestKind::Eject => return None,

@@ -164,6 +164,7 @@ pub fn hop_to_request(
 /// injection VCs round-robin by id, purely to reduce head-of-line
 /// blocking at the source.
 #[inline]
+#[expect(clippy::cast_possible_truncation, reason = "modulo vcs_injection")]
 pub fn injection_vc(vcs_injection: usize, pkt: &Packet) -> usize {
     (pkt.id % vcs_injection as u64) as usize
 }

@@ -17,6 +17,19 @@
 //! ([`DependencyDecl`]) for the static deadlock verifier (`ofar-verify`).
 
 #![warn(missing_docs)]
+// The hot-path contract, as at `ofar-engine`'s crate root (DESIGN.md §13).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod common;
 pub mod deps;

@@ -182,14 +182,14 @@ impl OfarConfig {
 /// The OFAR routing/flow-control mechanism.
 #[derive(Clone, Debug)]
 pub struct OfarPolicy {
-    ladder: VcLadder, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
-    vcs_injection: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
+    ladder: VcLadder,
+    vcs_injection: usize,
     ofar: OfarConfig,
     /// Resolved ring-guard threshold (`None` = unguarded); derived from
     /// `ofar.ring_guard` and `cfg.cm_enabled` at construction.
-    guard: Option<f64>, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
+    guard: Option<f64>,
     lanes: RngLanes,
-    probe: ProbeState, // lint:allow(S001, probe telemetry; diagnostic counters deliberately reset on restore)
+    probe: ProbeState,
 }
 
 impl OfarPolicy {
@@ -281,6 +281,10 @@ impl OfarPolicy {
     /// Pick a random eligible non-minimal output among `ports`,
     /// excluding `exclude`, requiring availability and the §IV-B
     /// occupancy condition (`admit` on the candidate's occupancy).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "candidate count bounded by the router radix, itself by SimConfig::validate's RadixTooLarge"
+    )]
     fn pick_candidate(
         &mut self,
         view: &RouterView<'_>,
@@ -292,15 +296,14 @@ impl OfarPolicy {
         // Probed (conformance checking): materialize the admissible list
         // — same filter as below — and take the pinned index. Only the
         // deciding pick of a call has a nonempty list (every earlier one
-        // fell through empty), so the max is its size.
+        // fell through empty), so the max is its size. The production
+        // reservoir-sampling path below does not allocate.
         if let Some(pin) = self.probe.pin {
             let cands: Vec<usize> = ports
                 .filter(|&port| {
                     port != exclude && view.available(port, vc) && admit(view.occupancy(port, vc))
                 })
-                // lint:allow(H001, probe-pin path only; the production reservoir-sampling path does not allocate)
                 .collect();
-            // lint:allow(P002, candidate count bounded by the router radix, itself by SimConfig::validate's RadixTooLarge)
             self.probe.feedback.candidates = self.probe.feedback.candidates.max(cands.len() as u32);
             return (!cands.is_empty()).then(|| cands[pin.candidate % cands.len()]);
         }
@@ -333,6 +336,10 @@ impl OfarPolicy {
     /// It leaves through the minimal output if possible, else through
     /// any live canonical port — in both cases ignoring the exit budget
     /// (an emergency exit, not a voluntary one).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "vc index bounded by the VC ladder depth well below 256"
+    )]
     fn route_on_ring(
         &mut self,
         view: &RouterView<'_>,
@@ -340,10 +347,13 @@ impl OfarPolicy {
         pkt: &Packet,
         min_hop: Option<MinimalHop>,
     ) -> Option<Request> {
+        #[expect(
+            clippy::expect_used,
+            reason = "on-ring packets always carry an escape class by the verified dependency ladder"
+        )]
         let ring = view
             .fab
             .ring_of_input(view.router, input.port, input.vc)
-            // lint:allow(P001, on-ring packets always carry an escape class by the verified dependency ladder)
             .expect("on-ring packet outside an escape buffer");
         let ring_dead = !view.ring_up(ring);
         if let Some(min_hop) = min_hop {
@@ -353,7 +363,6 @@ impl OfarPolicy {
                 return Some(min_req); // deliver straight from the ring
             }
             min_req.out_vc =
-                // lint:allow(P002, vc index bounded by the VC ladder depth well below 256)
                 self.exit_vc(view, min_req.out_port as usize, min_req.out_vc as usize) as u8;
             if (pkt.ring_exits_left > 0 || ring_dead)
                 && view.available(min_req.out_port as usize, min_req.out_vc as usize)
@@ -382,9 +391,12 @@ impl OfarPolicy {
             }
             return None;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "a live ring always exposes an escape output; checked by ring liveness"
+        )]
         let (port, vc) = view
             .escape_vc_of_ring(ring)
-            // lint:allow(P001, a live ring always exposes an escape output; checked by ring liveness)
             .expect("live ring without an escape output");
         Some(Request::new(port, vc, RequestKind::RingAdvance))
     }
@@ -598,7 +610,17 @@ impl OfarPolicy {
     /// tie-break RNG — the ring-patience counter travels in each packet
     /// header (`wait`), so it rides the engine's own sections.
     pub(crate) fn save_state(&self, e: &mut Enc) {
-        self.lanes.save(e);
+        let Self {
+            // Config-derived: the constructor rebuilds them from SimConfig.
+            ladder: _,
+            vcs_injection: _,
+            ofar: _,
+            guard: _,
+            lanes,
+            // Probe telemetry: deliberately reset on restore.
+            probe: _,
+        } = self;
+        lanes.save(e);
     }
 
     /// Restore the lane table captured by [`OfarPolicy::save_state`].

@@ -45,13 +45,13 @@ impl Default for ParConfig {
 /// Progressive Adaptive Routing.
 #[derive(Clone, Debug)]
 pub struct ParPolicy {
-    ladder: VcLadder, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
-    vcs_injection: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
-    vcs_global: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
-    groups: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
+    ladder: VcLadder,
+    vcs_injection: usize,
+    vcs_global: usize,
+    groups: usize,
     par: ParConfig,
     lanes: RngLanes,
-    probe: ProbeState, // lint:allow(S001, probe telemetry; diagnostic counters deliberately reset on restore)
+    probe: ProbeState,
 }
 
 impl ParPolicy {
@@ -233,7 +233,18 @@ impl ParPolicy {
     /// Checkpoint hook: PAR's only dynamic state is its tie-break lane
     /// table.
     pub(crate) fn save_state(&self, e: &mut Enc) {
-        self.lanes.save(e);
+        let Self {
+            // Config-derived: the constructor rebuilds them from SimConfig.
+            ladder: _,
+            vcs_injection: _,
+            vcs_global: _,
+            groups: _,
+            par: _,
+            lanes,
+            // Probe telemetry: deliberately reset on restore.
+            probe: _,
+        } = self;
+        lanes.save(e);
     }
 
     /// Restore the lane table captured by [`ParPolicy::save_state`].

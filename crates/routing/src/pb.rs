@@ -55,16 +55,16 @@ impl Default for PbConfig {
 /// Piggybacking adaptive routing.
 #[derive(Clone, Debug)]
 pub struct PbPolicy {
-    ladder: VcLadder, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
-    vcs_injection: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
-    groups: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
-    h: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
+    ladder: VcLadder,
+    vcs_injection: usize,
+    groups: usize,
+    h: usize,
     pb: PbConfig,
     /// Broadcast-visible occupancy of every global channel, indexed by
     /// `router · h + k`. Stale by up to `update_period` cycles.
     visible: Vec<f32>,
     lanes: RngLanes,
-    probe: ProbeState, // lint:allow(S001, probe telemetry; diagnostic counters deliberately reset on restore)
+    probe: ProbeState,
 }
 
 impl PbPolicy {
@@ -177,6 +177,10 @@ impl Policy for PbPolicy {
         injection_vc(self.vcs_injection, pkt)
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an occupancy fraction in [0, 1]; f32 is the precision of the broadcast table and of its snapshot"
+    )]
     fn end_cycle(&mut self, net: &NetSnapshot<'_>) {
         if !net.now.is_multiple_of(self.pb.update_period) {
             return;
@@ -198,9 +202,25 @@ impl PbPolicy {
     /// `end_cycle` — plus its tie-break lane table. Both must round-trip
     /// for a restored run to take bit-identical decisions.
     pub(crate) fn save_state(&self, e: &mut Enc) {
-        self.lanes.save(e);
-        e.u32(self.visible.len() as u32);
-        for &v in &self.visible {
+        let Self {
+            // Config-derived: the constructor rebuilds them from SimConfig.
+            ladder: _,
+            vcs_injection: _,
+            groups: _,
+            h: _,
+            pb: _,
+            visible,
+            lanes,
+            // Probe telemetry: deliberately reset on restore.
+            probe: _,
+        } = self;
+        lanes.save(e);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "one entry per global channel of a network whose router ids are u32"
+        )]
+        e.u32(visible.len() as u32);
+        for &v in visible {
             e.u32(v.to_bits());
         }
     }

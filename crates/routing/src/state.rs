@@ -28,7 +28,7 @@ use rand::SeedableRng;
 pub(crate) struct RngLanes {
     /// Lane split point between router and node lanes. Config-derived
     /// (topology shape), so the codec carries only the streams.
-    routers: usize, // lint:allow(S001, config-derived lane split; rebuilt by the policy constructor and cross-checked against the lane count on restore)
+    routers: usize,
     lanes: Vec<SmallRng>,
 }
 
@@ -62,8 +62,19 @@ impl RngLanes {
     /// state in lane-index order — byte-identical no matter which shard
     /// schedule produced the draws.
     pub(crate) fn save(&self, e: &mut Enc) {
-        e.u32(self.lanes.len() as u32);
-        for rng in &self.lanes {
+        let Self {
+            // The config-derived lane split: rebuilt by the policy
+            // constructor and cross-checked against the lane count on
+            // restore.
+            routers: _,
+            lanes,
+        } = self;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "one lane per router and node of a network whose ids are u32"
+        )]
+        e.u32(lanes.len() as u32);
+        for rng in lanes {
             e.u64s(&rng.state());
         }
     }

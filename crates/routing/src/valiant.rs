@@ -24,11 +24,11 @@ use rand::Rng;
 /// Valiant routing.
 #[derive(Clone, Debug)]
 pub struct ValiantPolicy {
-    ladder: VcLadder, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
-    vcs_injection: usize, // lint:allow(S001, config-derived; rebuilt from SimConfig when the policy is constructed)
+    ladder: VcLadder,
+    vcs_injection: usize,
     groups: usize,
     lanes: RngLanes,
-    probe: ProbeState, // lint:allow(S001, probe telemetry; diagnostic counters deliberately reset on restore)
+    probe: ProbeState,
 }
 
 impl ValiantPolicy {
@@ -131,7 +131,16 @@ impl ValiantPolicy {
     /// intermediate-pick lane table (chosen intermediates ride in the
     /// packet headers themselves).
     pub(crate) fn save_state(&self, e: &mut Enc) {
-        self.lanes.save(e);
+        let Self {
+            // Config-derived: the constructor rebuilds them from SimConfig.
+            ladder: _,
+            vcs_injection: _,
+            groups: _,
+            lanes,
+            // Probe telemetry: deliberately reset on restore.
+            probe: _,
+        } = self;
+        lanes.save(e);
     }
 
     /// Restore the lane table captured by [`ValiantPolicy::save_state`].

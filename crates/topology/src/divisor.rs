@@ -20,12 +20,16 @@ pub struct Divisor {
 // The receiver is the divisor, not the dividend, so `div` and `rem` are
 // not the operator traits' methods; `Div<Divisor> for u32` would hide at
 // the call site that no divide instruction runs.
-#[allow(clippy::should_implement_trait)]
+#[expect(
+    clippy::should_implement_trait,
+    reason = "the receiver is the divisor: these are not the operator traits' methods"
+)]
 impl Divisor {
     /// The divisor `d`.
     ///
     /// # Panics
     /// Panics if `d` is zero or exceeds `u32::MAX`.
+    #[expect(clippy::expect_used, reason = "construction-time validation of d")]
     pub fn new(d: usize) -> Self {
         let d = u32::try_from(d)
             .ok()
@@ -43,11 +47,14 @@ impl Divisor {
 
     /// `n / d`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the quotient of a u32 by d >= 1 is a u32"
+    )]
     pub fn div(self, n: u32) -> u32 {
         if self.m == 0 {
             return n;
         }
-        // lint:allow(P002, the quotient of a u32 by d >= 1 is a u32)
         ((u128::from(n) * u128::from(self.m)) >> 64) as u32
     }
 

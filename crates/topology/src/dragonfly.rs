@@ -46,9 +46,12 @@ pub struct Dragonfly {
 
 /// A port, offset or index argument as the `u32` the ids are made of.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "ports and group offsets of a network whose ids are u32"
+)]
 fn narrow(n: usize) -> u32 {
     debug_assert!(n <= u32::MAX as usize);
-    // lint:allow(P002, ports and group offsets of a network whose ids are u32)
     n as u32
 }
 

@@ -47,6 +47,10 @@ macro_rules! id_type {
 
         impl From<usize> for $name {
             #[inline]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "ids index a network whose router and node counts fit u32; debug-asserted below"
+            )]
             fn from(raw: usize) -> Self {
                 debug_assert!(raw <= u32::MAX as usize);
                 Self(raw as u32)

@@ -27,6 +27,19 @@
 //! multi-ring embedding sketched as future work in §VII.
 
 #![warn(missing_docs)]
+// The hot-path contract, as at `ofar-engine`'s crate root (DESIGN.md §13).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod divisor;
 pub mod dragonfly;

@@ -30,7 +30,6 @@ impl DragonflyParams {
     /// # Panics
     /// Panics if `h == 0`.
     pub fn balanced(h: usize) -> Self {
-        // lint:allow(P001, construction-time validation of h; not on the per-cycle path)
         assert!(h >= 1, "h must be at least 1");
         Self { p: h, a: 2 * h, h }
     }

@@ -23,6 +23,13 @@
 //! Both properties (spanning cycle over real links; pairwise edge
 //! disjointness) are re-checked by `validate`/tests rather than trusted.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "ring construction and validation run once per fabric, never inside `step`; a malformed ring must fail loud"
+)]
+
 use crate::dragonfly::Dragonfly;
 use crate::ids::RouterId;
 

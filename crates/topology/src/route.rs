@@ -60,6 +60,10 @@ impl Dragonfly {
     /// Next minimal hop from router `current` towards router `dst`
     /// (`current != dst`).
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "hop_toward_group is total for distinct groups in a connected dragonfly"
+    )]
     pub fn minimal_hop_to_router(&self, current: RouterId, dst: RouterId) -> MinimalHop {
         debug_assert_ne!(current, dst);
         let gc = self.group_of(current);
@@ -70,7 +74,6 @@ impl Dragonfly {
             };
         }
         self.hop_toward_group(current, gd)
-            // lint:allow(P001, hop_toward_group is total for distinct groups in a connected dragonfly)
             .expect("distinct groups must yield a hop")
     }
 

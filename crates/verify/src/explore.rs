@@ -48,6 +48,11 @@
 //!   host/non-host/destination-relative positions, which the spread
 //!   preserves.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "membership-only sets: BFS order comes from the VecDeque, never from set iteration"
+)]
+
 use crate::ranking::{ring_dist, RankingKind};
 use crate::report::{ConformanceError, ConformanceReport, TransitionWitness};
 use crate::ring_spec::RingSpec;
@@ -57,7 +62,7 @@ use ofar_engine::{
 use ofar_routing::common::current_minimal_hop;
 use ofar_routing::{ClassEdge, ClassId, EdgeWhy, EnumerablePolicy, MechanismDeps, ProbePin};
 use ofar_topology::{GroupId, MinimalHop, NodeId, RouterId};
-use std::collections::{HashSet, VecDeque}; // lint:allow(D001, membership-only sets; never iterated)
+use std::collections::{HashSet, VecDeque};
 
 /// The credit/occupancy lattice applied to the probed router. Each point
 /// shapes the availability and occupancy signals a policy can read;
@@ -124,12 +129,12 @@ struct Explorer<P> {
     probe: ViewProbe,
     policy: P,
     decl: MechanismDeps,
-    declared: HashSet<(ClassId, ClassId)>, // lint:allow(D001, membership-only; BFS order comes from the VecDeque, never from set iteration)
+    declared: HashSet<(ClassId, ClassId)>,
     rank: RankingKind,
-    visited: HashSet<AbsState>, // lint:allow(D001, membership-only; BFS order comes from the VecDeque, never from set iteration)
+    visited: HashSet<AbsState>,
     queue: VecDeque<AbsState>,
     observed: Vec<ClassEdge>,
-    observed_set: HashSet<(ClassId, ClassId)>, // lint:allow(D001, membership-only; BFS order comes from the VecDeque, never from set iteration)
+    observed_set: HashSet<(ClassId, ClassId)>,
     decisions: usize,
     hop_bound: u64,
     /// Node standing in for every source (all sources share group 0 and
@@ -155,10 +160,10 @@ impl<P: EnumerablePolicy> Explorer<P> {
             decl,
             declared,
             rank,
-            visited: HashSet::new(), // lint:allow(D001, membership-only; never iterated)
+            visited: HashSet::new(),
             queue: VecDeque::new(),
             observed: Vec::new(),
-            observed_set: HashSet::new(), // lint:allow(D001, membership-only; never iterated)
+            observed_set: HashSet::new(),
             decisions: 0,
             hop_bound: 0,
             canonical_src,

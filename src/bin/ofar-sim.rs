@@ -113,16 +113,13 @@ impl Args {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "{}",
-            include_str!("ofar-sim.rs")
-                .lines()
-                .skip(2)
-                .take(19)
-                .map(|l| l.trim_start_matches("//! "))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
+        // The usage block of the module doc: the lines between its fences.
+        include_str!("ofar-sim.rs")
+            .lines()
+            .skip_while(|l| !l.starts_with("//! ```text"))
+            .skip(1)
+            .take_while(|l| !l.starts_with("//! ```"))
+            .for_each(|l| println!("{}", l.strip_prefix("//! ").unwrap_or("")));
         return;
     }
     let args = Args::parse_argv(argv).unwrap_or_else(|e| {
@@ -172,7 +169,13 @@ fn main() {
     let kind: MechanismKind = args.parse_with("--mech", "OFAR", str::parse);
     let h: usize = args.parse("--h", 2);
     let seed: u64 = args.parse("--seed", 42);
-    let mut cfg = SimConfig::paper(h).with_seed(seed);
+    let invalid = |why: ofar::engine::ConfigError| -> ! {
+        eprintln!("invalid configuration: {why}");
+        exit(2)
+    };
+    let mut cfg = experiments::paper_config(h)
+        .unwrap_or_else(|why| invalid(why))
+        .with_seed(seed);
     cfg.ber = args.parse("--ber", 0.0);
     cfg.escape_rings = args.parse("--rings", 1);
     match args.get("--ring") {
@@ -186,6 +189,7 @@ fn main() {
         None => {}
     }
     let cfg = kind.adapt_config(cfg);
+    cfg.validate().unwrap_or_else(|why| invalid(why));
 
     if args.has("--conformance") {
         match conformance(&cfg, kind) {

@@ -46,3 +46,42 @@ fn a_valid_line_still_runs() {
     assert!(String::from_utf8_lossy(&out.stderr).starts_with("VAL on h=2"));
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("offered 0.200"));
 }
+
+/// `--help` prints the usage block of the module doc and nothing of the
+/// comment syntax around it.
+#[test]
+fn help_is_the_usage_block_alone() {
+    let out = ofar_sim(&["--help"]);
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(text.lines().next(), Some("ofar-sim [OPTIONS]"));
+    for line in text.lines() {
+        assert!(
+            !line.starts_with("//") && !line.starts_with('`'),
+            "{line:?}"
+        );
+    }
+    assert!(text.contains("--cycles"), "{text}");
+}
+
+/// An `h` no network can be built from exits 2 with the typed
+/// `ConfigError` text — no banner, no backtrace — before anything is
+/// sized by it.
+#[test]
+fn an_unusable_h_is_refused_before_anything_is_built() {
+    for (h, why) in [
+        ("0", "h = 0 is below the minimum"),
+        ("1", "h = 1 is below the minimum"),
+        ("40", "159 ports per router exceed"),
+    ] {
+        let out = ofar_sim(&["--h", h]);
+        assert_eq!(out.status.code(), Some(2), "--h {h} must exit 2");
+        assert!(out.stdout.is_empty(), "--h {h} must not simulate anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("invalid configuration: "), "--h {h}: {err}");
+        assert!(
+            err.contains(why) && !err.contains("panicked"),
+            "--h {h}: {err}"
+        );
+    }
+}

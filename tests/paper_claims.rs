@@ -157,3 +157,47 @@ fn fig5_ofar_clears_the_wall_and_stays_flat_past_saturation() {
         "{told}; {told_overloaded}: the means are {apart:.4} apart, the seeds spread {margin:.4}"
     );
 }
+
+/// One steady-state point of the Fig. 8 setting: h = 2, OFAR over the
+/// given escape-ring model.
+fn fig8_point(ring: RingMode, spec: &TrafficSpec, load: f64, seed: u64) -> SteadyPoint {
+    let cfg = SimConfig::paper(2).with_ring(ring).with_seed(seed);
+    steady_state(cfg, MechanismKind::Ofar, spec, load, STEADY, seed)
+}
+
+/// Fig. 8 (§VII), EXPERIMENTS.md "Fig. 8 — physical vs embedded escape
+/// ring": "no significant differences can be reported". Below the knee
+/// the ring is never entered, so the two models are one network: equal
+/// throughput and latency in every seed. Past it (UN at 0.8, ADV+2 at
+/// 0.5) the accepted loads differ by less than the seeds spread.
+#[test]
+fn fig8_physical_and_embedded_rings_accept_alike() {
+    let un = TrafficSpec::uniform();
+    for seed in SEEDS {
+        let p = fig8_point(RingMode::Physical, &un, 0.3, seed);
+        let e = fig8_point(RingMode::Embedded, &un, 0.3, seed);
+        let told = format!("Fig. 8, UN at 0.3, seed {seed}: physical {p:?}, embedded {e:?}");
+        assert_eq!((p.ring_entries, e.ring_entries), (0, 0), "{told}");
+        assert_eq!(p.throughput.to_bits(), e.throughput.to_bits(), "{told}");
+        assert_eq!(p.avg_latency.to_bits(), e.avg_latency.to_bits(), "{told}");
+    }
+
+    for (spec, load) in [(un, 0.8), (TrafficSpec::adversarial(2), 0.5)] {
+        let accepted = |ring| {
+            Cell::over_seeds(MechanismKind::Ofar, |seed| {
+                fig8_point(ring, &spec, load, seed).throughput
+            })
+        };
+        let (p, e) = (accepted(RingMode::Physical), accepted(RingMode::Embedded));
+        let apart = (p.mean() - e.mean()).abs();
+        let margin = p.spread() + e.spread();
+        assert!(
+            apart < margin,
+            "Fig. 8, {} at {load}, seeds {SEEDS:?}: physical accepts {:?}, embedded {:?}: \
+             the means are {apart:.4} apart, the seeds spread {margin:.4}",
+            spec.label(),
+            p.per_seed,
+            e.per_seed
+        );
+    }
+}
