@@ -18,7 +18,7 @@
 //!   [`AuditViolation`] instead of an abort, and the whole-network deep
 //!   checks run on its cadence.
 //! * `ofar_mutate::Mutated` overrides both halves: it owns an `Auditor`
-//!   for the observation half and answers the six perturbation points
+//!   for the observation half and answers the four perturbation points
 //!   from one seeded [`EngineMutation`](crate::mutation::EngineMutation).
 //! * `ofar_bench::PhaseTimer` overrides [`Hooks::phase`] and
 //!   [`Hooks::route_mark`], the calls at the nine phase markers of `step`
@@ -70,7 +70,7 @@ impl Phase {
     ];
 
     /// The phase's name: its row in `ofar-bench phases`, its module
-    /// under `network/`, its label in a race witness.
+    /// under `network/`.
     pub fn name(self) -> &'static str {
         match self {
             Phase::FaultApply => "fault_apply",
@@ -193,21 +193,6 @@ pub trait Hooks {
     /// Whether injection ignores the congestion-management token bucket.
     #[inline]
     fn bypass_throttle(&self) -> bool {
-        false
-    }
-
-    /// Whether returned credits land on the upstream router directly
-    /// from the parallel `route` phase instead of through the effects
-    /// ledger.
-    #[inline]
-    fn instant_credits(&self) -> bool {
-        false
-    }
-
-    /// Whether `commit_effects` folds the ledger's push order into an
-    /// engine counter.
-    #[inline]
-    fn folds_effect_order(&self) -> bool {
         false
     }
 }

@@ -56,7 +56,6 @@ mod occupancy;
 pub mod packet;
 pub mod policy;
 pub mod probe;
-pub mod schedule;
 pub mod snapshot;
 pub mod stats;
 mod wheel;
@@ -76,7 +75,6 @@ pub use packet::{
 };
 pub use policy::{InputCtx, NetSnapshot, Policy, RouterView};
 pub use probe::{PortLoad, ViewProbe, PROBE_NOW};
-pub use schedule::ShardSchedule;
 pub use snapshot::{
     config_fingerprint, diff_snapshots, peek_header, read_file, write_atomic, SectionDiff,
     SnapshotError, SnapshotHeader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

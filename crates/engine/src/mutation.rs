@@ -1,19 +1,17 @@
 //! The catalog of seeded flow-control defects for mutation testing.
 //!
 //! The mutation harness (`crates/mutate`) must be able to seed the exact
-//! class of defect the runtime auditor ([`crate::audit`]) and the
-//! commutativity certifier (`ofar-race`) claim to catch: credit-
-//! accounting skew, bubble flow-control erosion, throttle bypass and
-//! shard-schedule leaks. Those defects live *inside* the engine's credit
+//! class of defect the runtime auditor ([`crate::audit`]) claims to
+//! catch: credit-accounting skew, bubble flow-control erosion and
+//! throttle bypass. Those defects live *inside* the engine's credit
 //! loop, so they cannot be expressed as a wrapper around a
 //! [`crate::Policy`]. They enter through the perturbation half of the
-//! [`Hooks`](crate::Hooks) seam instead — six points in `Network::step`
-//! (credit landing, arrival push, ring-entry eligibility, the injection
-//! throttle, the credit return and the effects commit) whose defaults
-//! are the correct engine.
+//! [`Hooks`](crate::Hooks) seam instead — four points in `Network::step`
+//! (credit landing, arrival push, ring-entry eligibility and the
+//! injection throttle) whose defaults are the correct engine.
 //!
 //! This module is only the catalog: each [`EngineMutation`] answers
-//! those six questions as pure functions. The hook that installs one on
+//! those four questions as pure functions. The hook that installs one on
 //! a network, counts its credit ticks and pairs it with an
 //! [`Auditor`](crate::Auditor) is `ofar_mutate::Mutated`; nothing in
 //! this crate ever constructs it, and a `Network<P>` built by
@@ -61,21 +59,6 @@ pub enum EngineMutation {
     /// levels — the deep `ThrottleTokenLaw` check must fire as soon as
     /// throttling actually engages.
     ThrottleBypass,
-    /// Land returned credits on the upstream router *immediately* during
-    /// the parallel `route` phase instead of deferring them through the
-    /// effects ledger — a reintroduced direct foreign-shard write.
-    /// Single-threaded behavior now depends on the shard schedule: the
-    /// upstream router's same-cycle allocation sees the credit iff its
-    /// shard runs after the granting router's. Invisible to every
-    /// dynamic oracle under the identity schedule; only the
-    /// commutativity certifier (`ofar-race`) can object.
-    CreditInstant,
-    /// Fold a non-commutative hash of the effects ledger's *push order*
-    /// into an engine counter during `commit_effects`. The per-queue
-    /// applied state is untouched (each queue still receives its one
-    /// entry), but the fold value — and hence the snapshot — varies
-    /// with the shard schedule that produced the ledger order.
-    EffectOrderFold,
 }
 
 impl EngineMutation {
@@ -115,18 +98,6 @@ impl EngineMutation {
         matches!(self, EngineMutation::ThrottleBypass)
     }
 
-    /// Whether returned credits land on the upstream router directly
-    /// from the parallel `route` phase (the reintroduced foreign write).
-    pub fn instant_credits(self) -> bool {
-        matches!(self, EngineMutation::CreditInstant)
-    }
-
-    /// Whether `commit_effects` folds the ledger's push order into an
-    /// engine counter (the order-sensitive fold).
-    pub fn folds_effect_order(self) -> bool {
-        matches!(self, EngineMutation::EffectOrderFold)
-    }
-
     /// Short stable name used in kill-matrix reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -135,8 +106,6 @@ impl EngineMutation {
             EngineMutation::EscapeVcSkew { .. } => "engine-escape-vc-skew",
             EngineMutation::RingBubbleSkip => "engine-ring-bubble-skip",
             EngineMutation::ThrottleBypass => "engine-throttle-bypass",
-            EngineMutation::CreditInstant => "engine-credit-instant",
-            EngineMutation::EffectOrderFold => "engine-effect-order-fold",
         }
     }
 }
@@ -164,24 +133,6 @@ mod tests {
     fn ring_need_halves_only_for_bubble_skip() {
         assert_eq!(EngineMutation::RingBubbleSkip.ring_need(8), 8);
         assert_eq!(EngineMutation::CreditLeak { period: 1 }.ring_need(8), 16);
-    }
-
-    #[test]
-    fn race_seams_are_scoped_and_inert_elsewhere() {
-        assert!(EngineMutation::CreditInstant.instant_credits());
-        assert!(!EngineMutation::CreditInstant.folds_effect_order());
-        assert!(EngineMutation::EffectOrderFold.folds_effect_order());
-        assert!(!EngineMutation::EffectOrderFold.instant_credits());
-        // Neither race seam perturbs the credit-skew, bubble or
-        // throttle seams.
-        for m in [
-            EngineMutation::CreditInstant,
-            EngineMutation::EffectOrderFold,
-        ] {
-            assert_eq!(m.skew_credit(1, 4, 3, 2), Some((1, 4)));
-            assert_eq!(m.ring_need(8), 16);
-            assert!(!m.bypass_throttle());
-        }
     }
 
     #[test]

@@ -26,7 +26,6 @@ use crate::llr::Llr;
 use crate::occupancy::Occupancy;
 use crate::packet::{Packet, Request};
 use crate::policy::{NetSnapshot, Policy};
-use crate::schedule::ShardSchedule;
 use crate::stats::Stats;
 use crate::wheel::Wheel;
 use cm_sense::CmState;
@@ -93,15 +92,6 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     /// Packets delivered per source node (Jain fairness / per-source
     /// histograms; one counter bump per delivery, always on).
     delivered_per_src: Vec<u64>,
-    /// Shard iteration order of the router-sharded parallel `route`
-    /// phase; empty = identity, the release fast path.
-    /// A harness knob ([`Self::set_shard_schedule`]): simulation state
-    /// must be schedule-blind, which is exactly what `ofar-race`
-    /// certifies, so the order is deliberately outside snapshots.
-    order_routers: Vec<u32>,
-    /// Shard iteration order of the node-sharded `inject` phase; empty =
-    /// identity. Same snapshot-blindness argument as `order_routers`.
-    order_nodes: Vec<u32>,
     /// The instrumentation seam (see [`crate::hooks`]): invariant
     /// observation and mutation-testing perturbation, zero-sized and
     /// inert for [`NoHooks`]. Diagnostic harness state, deliberately
@@ -109,9 +99,8 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     hooks: H,
     // reusable scratch
     effects: Vec<Effect>,
-    /// Deliveries completed this cycle, pushed in route-phase shard
-    /// order; `commit_effects` drains them *sorted* into
-    /// `delivered_log`, so the log is shard-schedule-invariant.
+    /// Deliveries completed this cycle, pushed in router order;
+    /// `commit_effects` drains them *sorted* into `delivered_log`.
     delivered_now: Vec<(u64, u32)>,
     reqs: Vec<route::Kept>,
     grants: Vec<(u16, u8, Request)>,
@@ -187,8 +176,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             llr,
             cm,
             delivered_per_src: vec![0; nodes],
-            order_routers: Vec::new(),
-            order_nodes: Vec::new(),
             hooks,
             effects: Vec::with_capacity(256),
             delivered_now: Vec::new(),
@@ -288,18 +275,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.link_phits = Some(vec![0; self.fab.topo().num_routers() * self.fab.n_out()]);
     }
 
-    /// Install a shard iteration schedule for the two shard loops of
-    /// [`Self::step`] (`route` over routers, `inject` over
-    /// nodes). The commutativity certifier (`ofar-race`)
-    /// runs adversarial schedules against [`ShardSchedule::Identity`]
-    /// and byte-compares snapshots; a divergence shows a turn reading
-    /// what another turn wrote. Identity (the default) materializes to
-    /// empty order vectors and keeps the plain `0..n` loops.
-    pub fn set_shard_schedule(&mut self, sched: ShardSchedule) {
-        self.order_routers = sched.order(self.fab.topo().num_routers());
-        self.order_nodes = sched.order(self.num_nodes());
-    }
-
     /// Phits transmitted by output `port` of `router` since
     /// [`Self::enable_link_utilization`].
     pub fn link_utilization(&self, router: RouterId, port: usize) -> u64 {
@@ -362,11 +337,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// Advance the simulation by one cycle.
     ///
     /// The body is nine phases, each opened by its [`Hooks::phase`]
-    /// call. `inject` and `route` are shard loops (over nodes and over
-    /// routers) whose turns write only their own shard's state and
-    /// defer everything else to the effects ledger, so their order is
-    /// unobservable (`ofar-race` permutes it); the other seven run
-    /// serially and are where cross-router effects apply.
+    /// call. `inject` and `route` walk the nodes and the routers in
+    /// index order; a `route` turn writes its own router's state and
+    /// defers everything that lands elsewhere to the effects ledger,
+    /// which `effect_commit` applies.
     pub fn step(&mut self) {
         self.hooks.phase(Phase::FaultApply);
         // Apply scheduled fault transitions due at (or before) this
@@ -400,12 +374,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.hooks.phase(Phase::Inject);
         self.inject(now);
         self.hooks.phase(Phase::Route);
-        for i in 0..self.fab.topo().num_routers() {
-            let r = if self.order_routers.is_empty() {
-                i
-            } else {
-                self.order_routers[i] as usize
-            };
+        for r in 0..self.fab.topo().num_routers() {
             // A router with nothing buffered has no head to route.
             if self.occ.port_mask[r] != 0 {
                 self.route_and_allocate(r, now);

@@ -1,5 +1,5 @@
 //! The `effect_commit` phase: the ledger of cross-router side effects
-//! the parallel phases defer, and the serial pass that applies it.
+//! the `route` turns defer, and the pass that applies it.
 
 use super::Network;
 use crate::hooks::Hooks;
@@ -31,23 +31,6 @@ pub(super) enum Effect {
     },
 }
 
-/// Mixing key of one ledger entry for [`Hooks::folds_effect_order`]:
-/// identifies the effect's target so the fold distinguishes ledger
-/// *orders*, not payloads.
-fn effect_order_key(e: &Effect) -> u64 {
-    let (tag, router, port, salt) = match e {
-        Effect::Arrival { arrival: a, .. } => (1u64, a.router, a.port, u64::from(a.vc)),
-        Effect::Credit { credit: c, .. } => (2, c.router, c.port, u64::from(c.vc)),
-        Effect::Wire {
-            router, port, seq, ..
-        } => (3, *router, *port, u64::from(*seq)),
-        Effect::Ack {
-            router, port, seq, ..
-        } => (4, *router, *port, u64::from(*seq)),
-    };
-    (tag << 48) | (u64::from(router) << 24) | (u64::from(port) << 8) | (salt & 0xFF)
-}
-
 impl<P: Policy, H: Hooks> Network<P, H> {
     /// Commit phase: apply the cycle's deferred cross-router effects in
     /// submission order — packet arrivals and credit returns are filed
@@ -59,18 +42,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// identical: no phase of the current cycle reads them.
     pub(super) fn commit_effects(&mut self) {
         let llr = &mut self.llr;
-        let fold = self.hooks.folds_effect_order();
-        let mut fold_acc = 0u64;
         for e in self.effects.drain(..) {
-            // Seeded race defect (`EngineMutation::EffectOrderFold`): a
-            // non-commutative fold over the ledger's *push order*. The
-            // applied per-queue state stays correct; only the folded
-            // value — later mixed into a serialized counter — leaks the
-            // shard schedule into the snapshot. `ofar-race` must kill
-            // it.
-            if fold {
-                fold_acc = fold_acc.wrapping_mul(31).wrapping_add(effect_order_key(&e));
-            }
             match e {
                 Effect::Arrival { at, arrival } => self.wheel.file_arrival(at, arrival),
                 Effect::Credit { at, credit } => self.wheel.file_credit(at, credit),
@@ -97,15 +69,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 }
             }
         }
-        if fold {
-            // Mix the order fold into a snapshot-covered counter so the
-            // ledger order becomes externally observable state.
-            self.stats.latency_sum = self.stats.latency_sum.wrapping_add(fold_acc);
-        }
-        // This cycle's deliveries were recorded in route-phase *shard*
-        // order; a canonical sort before appending keeps the log
-        // schedule-invariant (entries are value tuples, so equal keys
-        // are identical entries and the tie-break is immaterial).
+        // This cycle's deliveries were recorded in router order; the log
+        // keeps each cycle's entries sorted (they are value tuples, so
+        // equal keys are identical entries and the tie-break is
+        // immaterial).
         if !self.delivered_now.is_empty() {
             self.delivered_now.sort_unstable();
             if let Some(log) = self.delivered_log.as_mut() {

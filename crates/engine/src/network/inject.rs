@@ -1,5 +1,5 @@
-//! The `inject` phase: source-queue heads into injection buffers, one
-//! node per shard.
+//! The `inject` phase: source-queue heads into injection buffers, node
+//! by node.
 
 use super::cm_sense::CM_TOKEN_SCALE;
 use super::Network;
@@ -18,23 +18,14 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// tokens. Throttling delays `on_inject` only — packets already in
     /// the fabric are never slowed, so the CDG certificate is untouched.
     pub(super) fn inject(&mut self, now: u64) {
-        if self.order_nodes.is_empty() {
-            // Identity schedule: the set bits in ascending order are the
-            // nodes the full scan would not have skipped as empty.
-            for w in 0..self.occ.src_pending.len() {
-                let mut bits = self.occ.src_pending[w];
-                while bits != 0 {
-                    let node = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.inject_node(node, now);
-                }
-            }
-        } else {
-            for i in 0..self.order_nodes.len() {
-                let node = self.order_nodes[i] as usize;
-                if self.occ.src_pending[node / 64] >> (node % 64) & 1 != 0 {
-                    self.inject_node(node, now);
-                }
+        // The set bits in ascending order are the nodes a full scan
+        // would not have skipped as empty.
+        for w in 0..self.occ.src_pending.len() {
+            let mut bits = self.occ.src_pending[w];
+            while bits != 0 {
+                let node = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.inject_node(node, now);
             }
         }
     }

@@ -1,4 +1,4 @@
-//! The `route` phase, one router per shard: re-route every head-of-VC
+//! The `route` phase, one router turn at a time: re-route every head-of-VC
 //! packet from the router's own credits, match requests to outputs
 //! with the separable allocator, and execute the grants — the paper's
 //! mechanism (§IV–V).
@@ -216,9 +216,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     fn execute_grant(&mut self, ridx: usize, in_port: usize, vc: usize, req: Request, now: u64) {
         let size = self.fab.cfg().packet_size as u32;
         let router = RouterId::from(ridx);
-        // The credit return travels through the effects ledger — always,
-        // unless the `CreditInstant` race seam is installed.
-        let deferred = !self.hooks.instant_credits();
         // Dead outputs are filtered at request collection, so this
         // firing means a liveness change raced past the filter.
         self.hooks.check(
@@ -250,7 +247,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
 
         // Credit return to the upstream router feeding this input.
         let desc = *self.fab.in_desc(router, in_port);
-        if desc.up_router != u32::MAX && deferred {
+        if desc.up_router != u32::MAX {
             self.effects.push(Effect::Credit {
                 at: now + u64::from(desc.latency),
                 credit: Credit {
@@ -359,10 +356,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     self.stats.ring_deliveries += 1;
                 }
                 if self.delivered_log.is_some() {
-                    // Deferred: pushed in route-phase shard order here,
-                    // drained *sorted* into `delivered_log` by
-                    // `commit_effects` — the log itself must not depend
-                    // on the shard schedule.
+                    // Deferred: drained *sorted* into `delivered_log` by
+                    // `commit_effects`.
                     self.delivered_now.push((pkt.injected_at, latency as u32));
                 }
                 // End-to-end exactly-once accounting: the link layer
@@ -402,15 +397,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 }
                 self.transmit(ridx, req, link, pkt, now);
             }
-        }
-
-        // Seeded race defect (`EngineMutation::CreditInstant`): the
-        // credit lands on the upstream shard right now, mid-route-phase,
-        // instead of riding the ledger. Whether the upstream router's
-        // own allocation turn this cycle sees it depends on the shard
-        // schedule — the divergence `ofar-race` exists to catch.
-        if desc.up_router != u32::MAX && !deferred {
-            self.land_credit_instantly(desc.up_router, desc.up_port, vc as u8, size);
         }
     }
 
@@ -470,20 +456,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 pkt,
             },
         });
-    }
-
-    /// The `CreditInstant` seam body: add the returned phits to the
-    /// upstream output's credit counter immediately (no link latency,
-    /// no ledger). Deliberately a defect — the §IV-style credit loop is
-    /// what the commutativity certifier must prove schedule-blind, and
-    /// this write is visible to any shard scheduled after the caller.
-    fn land_credit_instantly(&mut self, router: u32, port: u16, vc: u8, phits: u32) {
-        self.arena.credits[self
-            .fab
-            .out_lane(RouterId::new(router), port as usize, vc as usize)] += phits;
-        if let Some(cm) = self.cm.as_mut() {
-            cm.free[router as usize] += u64::from(phits);
-        }
     }
 }
 

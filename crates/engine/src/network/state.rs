@@ -138,10 +138,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             llr,
             cm,
             delivered_per_src,
-            // The schedule is a harness knob; snapshots are
-            // schedule-blind by construction.
-            order_routers: _,
-            order_nodes: _,
             // Diagnostic harness state, deliberately outside simulation
             // snapshots.
             hooks: _,
@@ -512,12 +508,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
 
     /// Map a byte offset inside a STATE section payload to the field
     /// whose encoding covers it, shard indices spelled out
-    /// (`"router[7].output[2].credits[1]"`). The commutativity
-    /// certifier uses this to turn a byte-level snapshot divergence
-    /// ([`snapshot::diff_snapshots`]) into a structured witness. It is
-    /// the restore path (`decode_state`) run with a probe for labels, so
-    /// it costs a restore of the section up to `offset`; only called on
-    /// divergence.
+    /// (`"router[7].output[2].credits[1]"`): what a byte-level snapshot
+    /// divergence ([`snapshot::diff_snapshots`]) hit. It is the restore
+    /// path (`decode_state`) run with a probe for labels, so it costs a
+    /// restore of the section up to `offset`; only called on divergence.
     pub fn locate_state_field(&self, state: &[u8], offset: usize) -> String {
         let mut probe = Probe {
             offset,
@@ -529,29 +523,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             (None, Ok(_)) => "past the end of STATE".to_string(),
             (None, Err(e)) => format!("unmappable offset {offset}: {e}"),
         }
-    }
-
-    /// Section-level diff of two snapshot files
-    /// ([`snapshot::diff_snapshots`]), with a STATE divergence refined
-    /// to a labeled field path via [`Self::locate_state_field`].
-    /// `Ok(None)` means byte-identical sections.
-    pub fn diff_snapshots_named(
-        &self,
-        a: &[u8],
-        b: &[u8],
-    ) -> Result<Option<(snapshot::SectionDiff, String)>, SnapshotError> {
-        let Some(d) = snapshot::diff_snapshots(a, b)? else {
-            return Ok(None);
-        };
-        let detail = match d.section {
-            "state" => {
-                let frame = snapshot::parse_frame(a)?;
-                self.locate_state_field(frame.state, d.offset)
-            }
-            "policy" => format!("opaque policy bytes, offset {}", d.offset),
-            _ => format!("section bytes, offset {}", d.offset),
-        };
-        Ok(Some((d, detail)))
     }
 
     fn commit_state(&mut self, s: DecodedState) {

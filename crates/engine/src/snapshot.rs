@@ -41,7 +41,7 @@
 //! (`network/state.rs`) is one `Enc` call in `encode_state`, one `Dec`
 //! call in `decode_state` followed by `l.field(d, || label)`, and a
 //! [`SNAPSHOT_VERSION`] bump — nothing else. The label is what
-//! `Network::locate_state_field` and the `ofar-race` witnesses print; a
+//! `Network::locate_state_field` prints; a
 //! count is read with [`Dec::len`], given the byte size of its smallest
 //! item; `labels_cover_the_state_section` (`tests/snapshot_roundtrip.rs`)
 //! fails if the announcement is forgotten.
@@ -662,12 +662,12 @@ fn walk_sections<'a>(area: &'a [u8], file: &mut Crc32) -> Result<[&'a [u8]; 3], 
 }
 
 // ---------------------------------------------------------------------
-// Snapshot diffing (commutativity certification)
+// Snapshot diffing
 // ---------------------------------------------------------------------
 
 /// The first divergence between two snapshot files, named at section
-/// granularity. `ofar-race` refines STATE divergences to a field path
-/// via `Network::locate_state_field`.
+/// granularity; `Network::locate_state_field` refines a STATE offset
+/// to a field path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SectionDiff {
     /// Which section diverges first: `"config"`, `"policy"` or

@@ -2,7 +2,7 @@
 
 use ofar_engine::{AuditReport, AuditViolation, Auditor, EngineMutation, Hooks};
 
-/// [`Hooks`] of a deliberately defective engine: answers the six
+/// [`Hooks`] of a deliberately defective engine: answers the four
 /// perturbation points from one [`EngineMutation`] and forwards the
 /// observation points to an [`Auditor`], whose report is what the audit
 /// oracle reads. Built once per mutant and handed to
@@ -69,15 +69,5 @@ impl Hooks for Mutated {
     #[inline]
     fn bypass_throttle(&self) -> bool {
         self.mutation.bypass_throttle()
-    }
-
-    #[inline]
-    fn instant_credits(&self) -> bool {
-        self.mutation.instant_credits()
-    }
-
-    #[inline]
-    fn folds_effect_order(&self) -> bool {
-        self.mutation.folds_effect_order()
     }
 }

@@ -1,9 +1,8 @@
 //! Mutation-driven verification adequacy for the OFAR proof stack.
 //!
-//! The repo carries five independent correctness oracles — the
-//! schedule-commutativity certifier, the CDG deadlock verifier, the
-//! routing-conformance model checker, the runtime invariant auditor
-//! and the burst progress watchdog. This
+//! The repo carries four independent correctness oracles — the CDG
+//! deadlock verifier, the routing-conformance model checker, the
+//! runtime invariant auditor and the burst progress watchdog. This
 //! crate measures whether that stack would actually *notice* the bugs
 //! it exists to catch: it derives defective variants of the real
 //! routing mechanisms and the engine's flow control (one semantic

@@ -65,11 +65,6 @@ pub fn covered(op: MutationOp, mech: MechanismKind) -> bool {
         // Credit-accounting seams die in the runtime auditor.
         EngineCreditLeak | EngineCreditDouble | EngineEscapeVcSkew => true,
         EngineRingBubbleSkip => mech == K::Ofar,
-        // The schedule-sensitivity seams die in the commutativity
-        // certifier: permuted shard orders make the cross-shard credit
-        // landing (and the ledger-order fold) visible in the epoch
-        // snapshots.
-        EngineCreditInstant | EngineEffectOrderFold => true,
         // Congestion-management seams: the bypassed token bucket dies in
         // the auditor's throttle-token law on every mechanism (the
         // sustained-overload stage keeps the buckets short for the whole
@@ -226,7 +221,6 @@ impl KillMatrix {
     /// Per-oracle kill counts, in stack order.
     pub fn kills_per_oracle(&self) -> Vec<(OracleKind, usize)> {
         [
-            OracleKind::Race,
             OracleKind::Cdg,
             OracleKind::Conformance,
             OracleKind::Audit,

@@ -154,21 +154,6 @@ pub enum MutationOp {
     /// injects on a short bucket, so granted − consumed drifts below
     /// the summed levels and the `ThrottleTokenLaw` deep check fires.
     EngineThrottleBypass,
-    /// Returned credits land on the upstream router's counter directly
-    /// from the parallel `route` phase instead of riding the effects
-    /// ledger ([`ofar_engine::EngineMutation::CreditInstant`]): a
-    /// reintroduced cross-shard write. Conservation still holds and the
-    /// identity-schedule run is unchanged, so the auditor and watchdog
-    /// both pass the mutant — only the commutativity certifier, which
-    /// permutes the shard order, can observe it.
-    EngineCreditInstant,
-    /// `commit_effects` folds a non-commutative hash of the effects
-    /// ledger's push order into a serialized counter
-    /// ([`ofar_engine::EngineMutation::EffectOrderFold`]): the applied
-    /// per-queue state stays correct, but the folded value leaks the
-    /// shard schedule into the snapshot. Killable only by the
-    /// commutativity certifier.
-    EngineEffectOrderFold,
 }
 
 impl MutationOp {
@@ -205,8 +190,6 @@ impl MutationOp {
         MutationOp::EngineEscapeVcSkew,
         MutationOp::EngineRingBubbleSkip,
         MutationOp::EngineThrottleBypass,
-        MutationOp::EngineCreditInstant,
-        MutationOp::EngineEffectOrderFold,
     ];
 
     /// Short stable name (kill-matrix row label, DESIGN.md registry key).
@@ -243,8 +226,6 @@ impl MutationOp {
             MutationOp::EngineEscapeVcSkew => "engine-escape-vc-skew",
             MutationOp::EngineRingBubbleSkip => "engine-ring-bubble-skip",
             MutationOp::EngineThrottleBypass => "engine-throttle-bypass",
-            MutationOp::EngineCreditInstant => "engine-credit-instant",
-            MutationOp::EngineEffectOrderFold => "engine-effect-order-fold",
         }
     }
 
@@ -256,13 +237,8 @@ impl MutationOp {
                 OpCategory::Declaration
             }
             CfgShallowRingBuffer | CfgNoRing | CfgFoldedLadder => OpCategory::Config,
-            EngineCreditLeak
-            | EngineCreditDouble
-            | EngineEscapeVcSkew
-            | EngineRingBubbleSkip
-            | EngineThrottleBypass
-            | EngineCreditInstant
-            | EngineEffectOrderFold => OpCategory::Engine,
+            EngineCreditLeak | EngineCreditDouble | EngineEscapeVcSkew | EngineRingBubbleSkip
+            | EngineThrottleBypass => OpCategory::Engine,
             _ => OpCategory::Policy,
         }
     }
@@ -299,11 +275,6 @@ impl MutationOp {
             // so the folded config is only a defect for the three-phase
             // mechanisms.
             CfgFoldedLadder => matches!(kind, K::Valiant | K::Pb | K::Par),
-            // The commutativity seams live in the mechanism-independent
-            // credit loop and effect ledger; one matrix row under the
-            // reference mechanism keeps the pair list 1:1 with distinct
-            // mutants.
-            EngineCreditInstant | EngineEffectOrderFold => kind == K::Ofar,
         }
     }
 
@@ -341,12 +312,6 @@ impl MutationOp {
             MutationOp::EngineEscapeVcSkew => "credit returns land on the wrong VC",
             MutationOp::EngineRingBubbleSkip => "ring entry granted without the bubble",
             MutationOp::EngineThrottleBypass => "injection token bucket ignored",
-            MutationOp::EngineCreditInstant => {
-                "credit returns land cross-shard mid-route-phase (no ledger)"
-            }
-            MutationOp::EngineEffectOrderFold => {
-                "effect-ledger push order folded into a serialized counter"
-            }
         }
     }
 }

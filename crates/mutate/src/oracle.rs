@@ -16,11 +16,7 @@
 //!   real declaration, then through an audited adversarial burst
 //!   (runtime auditor + progress watchdog).
 //! * **Engine** mutants bypass the static stack entirely (the routing
-//!   code is untouched) and go straight to the audited burst — except
-//!   the two schedule-sensitivity seams (`CreditInstant`,
-//!   `EffectOrderFold`), which every identity-schedule oracle passes by
-//!   construction and which therefore go to the commutativity
-//!   certifier ([`ofar_analyze::race`]) instead.
+//!   code is untouched) and go straight to the audited burst.
 //!
 //! Every oracle that runs gets a recorded verdict, even after an
 //! earlier oracle already killed the mutant — the matrix wants to know
@@ -28,11 +24,9 @@
 
 use crate::operator::{MutationOp, OpCategory};
 use crate::{MutantPolicy, Mutated};
-use ofar_analyze::race::{self, CertifyOutcome, InjectFn, RaceConfig, Witness};
 use ofar_core::{burst_net, RunConfig, StallKind};
 use ofar_engine::{Auditor, EngineMutation, Fabric, Hooks, Network, Policy, RingMode, SimConfig};
 use ofar_routing::{ClassEdge, ClassId, DependencyDecl, EdgeWhy, MechanismDeps, MechanismKind};
-use ofar_topology::Dragonfly;
 use ofar_traffic::{OpenLoop, TrafficSpec};
 use ofar_verify::{
     certify, certify_decl, conformance_with, OracleKind, OracleVerdict, RankingKind,
@@ -331,53 +325,6 @@ fn wave_admission_verdicts<P: Policy, H: Hooks>(
     (audit, watchdog)
 }
 
-/// The commutativity oracle for the two schedule-sensitivity seams
-/// (`CreditInstant`, `EffectOrderFold`): run the workload under
-/// permuted shard orders and fail on the bisected divergence.
-///
-/// These mutants are invisible to every other dynamic oracle by
-/// construction — conservation holds, progress holds, and the
-/// identity-schedule run is bit-identical to the pristine engine — so
-/// the audited burst is not run at all: a `Pass` from it would say
-/// nothing. The certifier drives the smoke sweep's ADV+1 cell (high
-/// load keeps credits scarce, so returned credits race upstream
-/// allocation turns every few cycles) under the four canonical
-/// adversarial schedules.
-fn race_verdict(op: MutationOp, kind: MechanismKind, cfg: &SimConfig, seed: u64) -> OracleVerdict {
-    let rc = RaceConfig {
-        seed,
-        ..RaceConfig::smoke()
-    };
-    let cfg = *cfg;
-    let topo = Dragonfly::new(cfg.params);
-    let mutation = engine_mutation(op);
-    let build = move || {
-        // Deep checks off: only the snapshots are compared here.
-        let hooks = Mutated::new(mutation, 0);
-        let net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, rc.seed), hooks);
-        let mut source = OpenLoop::new(
-            &topo,
-            TrafficSpec::adversarial(1),
-            0.7,
-            cfg.packet_size,
-            rc.seed,
-        );
-        let inject: InjectFn<ofar_routing::Mechanism, Mutated> =
-            Box::new(move |net, _cycle| source.cycle(|src, dst| net.generate(src, dst)));
-        (net, inject)
-    };
-    let schedules = ofar_engine::ShardSchedule::adversaries(rc.schedules);
-    match race::certify(build, &schedules, rc.cycles, rc.epoch) {
-        Ok(CertifyOutcome::Commutes) => OracleVerdict::Pass,
-        Ok(CertifyOutcome::Diverges(d)) => OracleVerdict::Fail {
-            witness: Witness::from_divergence(kind.name(), "adv+1", &d).to_string(),
-        },
-        Err(e) => OracleVerdict::Fail {
-            witness: format!("race certifier internal error: {e}"),
-        },
-    }
-}
-
 /// Compact witness for a watchdog diagnosis (the raw `StallKind` drags
 /// whole router lists along).
 fn stall_witness(stall: &StallKind, delivered: u64) -> String {
@@ -478,20 +425,6 @@ pub fn run_mutant(
             verdicts.push((OracleKind::Watchdog, watchdog));
         }
         OpCategory::Engine => {
-            // The schedule-sensitivity seams go to the commutativity
-            // certifier alone (see `race_verdict` for why the audited
-            // burst is skipped).
-            if matches!(
-                op,
-                MutationOp::EngineCreditInstant | MutationOp::EngineEffectOrderFold
-            ) {
-                verdicts.push((OracleKind::Race, race_verdict(op, kind, &cfg, seed)));
-                return MutantOutcome {
-                    op,
-                    mech: kind,
-                    verdicts,
-                };
-            }
             // The throttle-bypass seam is dead code unless the token
             // bucket is live and actually runs dry: congestion
             // management on, with a sensing target low enough that the
@@ -570,8 +503,6 @@ fn engine_mutation(op: MutationOp) -> EngineMutation {
         },
         MutationOp::EngineRingBubbleSkip => EngineMutation::RingBubbleSkip,
         MutationOp::EngineThrottleBypass => EngineMutation::ThrottleBypass,
-        MutationOp::EngineCreditInstant => EngineMutation::CreditInstant,
-        MutationOp::EngineEffectOrderFold => EngineMutation::EffectOrderFold,
         _ => unreachable!("{} is not an engine operator", op.name()),
     }
 }
@@ -644,50 +575,6 @@ mod tests {
         assert!(
             matches!(watchdog, OracleVerdict::Pass),
             "watchdog: {watchdog:?}"
-        );
-    }
-
-    #[test]
-    fn credit_instant_dies_in_the_race_certifier() {
-        let cfg = SimConfig::paper(2);
-        let out = run_mutant(
-            MutationOp::EngineCreditInstant,
-            MechanismKind::Ofar,
-            &cfg,
-            7,
-        );
-        // Only the race oracle ran: the seam is invisible to the
-        // audit/watchdog pair by construction.
-        assert_eq!(out.verdicts.len(), 1);
-        let (oracle, witness) = out
-            .killed_by()
-            .expect("mid-phase cross-shard credit landing must be caught");
-        assert_eq!(oracle, OracleKind::Race);
-        assert!(
-            witness.contains("diverges at cycle"),
-            "witness must carry the bisected cycle: {witness}"
-        );
-    }
-
-    #[test]
-    fn effect_order_fold_dies_in_the_race_certifier() {
-        let cfg = SimConfig::paper(2);
-        let out = run_mutant(
-            MutationOp::EngineEffectOrderFold,
-            MechanismKind::Ofar,
-            &cfg,
-            7,
-        );
-        let (oracle, witness) = out
-            .killed_by()
-            .expect("order-sensitive fold must be caught");
-        assert_eq!(oracle, OracleKind::Race);
-        // The fold leaks through a serialized counter, so the witness
-        // must attribute the divergence to the commit phase, not to any
-        // parallel phase.
-        assert!(
-            witness.contains("effect_commit"),
-            "witness must attribute the fold to the commit phase: {witness}"
         );
     }
 

@@ -16,14 +16,13 @@ use rand::SeedableRng;
 /// xoshiro256** stream per shard, router lanes first (`0..routers`),
 /// node lanes after (`routers..routers + nodes`).
 ///
-/// A randomized decision made during a shard loop of
-/// `Network::step` (`inject`, `route`) must draw from the deciding
-/// shard's own lane: a single shared stream would advance in
-/// shard-iteration order, so every pick would depend on the shard
-/// schedule, which must stay unobservable — and the
-/// `ofar-race` certifier would rightly flag the POLICY section of the
-/// snapshot as schedule-divergent. Draws from `route` key by the routing
-/// router's index; draws from `inject` key by the injecting node's.
+/// A randomized decision made in `Network::step`'s `inject` or `route`
+/// loop draws from the deciding shard's own lane: draws from `route` key
+/// by the routing router's index, draws from `inject` by the injecting
+/// node's. A single shared stream would serve the loops just as well
+/// today, since they run in index order; the lanes stay because
+/// removing them re-seeds every pick, and with it every table in
+/// `results/` and the golden signatures (ROADMAP item 2b).
 #[derive(Clone, Debug)]
 pub(crate) struct RngLanes {
     /// Lane split point between router and node lanes. Config-derived
@@ -59,8 +58,7 @@ impl RngLanes {
     }
 
     /// Append the lane table: count header, then each lane's 256-bit
-    /// state in lane-index order — byte-identical no matter which shard
-    /// schedule produced the draws.
+    /// state in lane-index order.
     pub(crate) fn save(&self, e: &mut Enc) {
         let Self {
             // The config-derived lane split: rebuilt by the policy

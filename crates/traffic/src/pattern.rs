@@ -127,6 +127,21 @@ impl TrafficSpec {
         .map(|(_, mix)| mix)
         .ok_or_else(|| format!("unknown pattern {label}"))
     }
+
+    /// `Err` naming the valid range when an ADV offset of the mixture
+    /// does not lie in `1..groups`: no two groups are that far apart.
+    pub fn check_offsets(&self, groups: usize) -> Result<(), String> {
+        for &(_, p) in &self.components {
+            if let TrafficPattern::Adversarial { offset } = p {
+                if !(1..groups).contains(&offset) {
+                    return Err(format!(
+                        "ADV offset {offset} out of range: it must lie in 1..{groups}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A seeded destination generator over a topology.
@@ -141,15 +156,12 @@ pub struct TrafficGen {
 
 impl TrafficGen {
     /// Build a generator for `topo` with mixture `spec`.
+    ///
+    /// # Panics
+    /// Panics if [`TrafficSpec::check_offsets`] refuses `spec` on `topo`.
     pub fn new(topo: &Dragonfly, spec: TrafficSpec, seed: u64) -> Self {
-        for &(_, p) in spec.components() {
-            if let TrafficPattern::Adversarial { offset } = p {
-                assert!(
-                    offset >= 1 && offset < topo.num_groups(),
-                    "ADV offset {offset} out of range (groups = {})",
-                    topo.num_groups()
-                );
-            }
+        if let Err(why) = spec.check_offsets(topo.num_groups()) {
+            panic!("{why}");
         }
         Self {
             nodes: topo.num_nodes(),
@@ -229,18 +241,30 @@ pub struct Bernoulli {
 }
 
 impl Bernoulli {
+    /// `Err` naming the valid range unless `load_phits` is a load a
+    /// source of `packet_size`-phit packets can offer: `0..=packet_size`
+    /// phits/(node·cycle), at most one packet a cycle (NaN lies in no
+    /// range).
+    pub fn check_load(load_phits: f64, packet_size: usize) -> Result<(), String> {
+        if (0.0..=packet_size as f64).contains(&load_phits) {
+            Ok(())
+        } else {
+            Err(format!(
+                "offered load {load_phits} out of range: it must lie in 0..={packet_size} phits/(node·cycle)"
+            ))
+        }
+    }
+
     /// Build for an offered load and packet size.
     ///
     /// # Panics
-    /// Panics if the implied packet probability exceeds 1.
+    /// Panics if [`Bernoulli::check_load`] refuses the load.
     pub fn new(load_phits: f64, packet_size: usize, seed: u64) -> Self {
-        let prob = load_phits / packet_size as f64;
-        assert!(
-            (0.0..=1.0).contains(&prob),
-            "offered load {load_phits} phits/node/cycle exceeds 1 packet/cycle"
-        );
+        if let Err(why) = Self::check_load(load_phits, packet_size) {
+            panic!("{why}");
+        }
         Self {
-            prob,
+            prob: load_phits / packet_size as f64,
             rng: SmallRng::seed_from_u64(seed ^ 0xBE2107111), // "bernoulli"
         }
     }
@@ -434,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds 1 packet/cycle")]
+    #[should_panic(expected = "offered load 9 out of range: it must lie in 0..=8")]
     fn overload_rejected() {
         Bernoulli::new(9.0, 8, 7);
     }

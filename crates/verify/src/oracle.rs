@@ -10,9 +10,8 @@
 //! [`crate::conformance`]) can never build: mutated declarations,
 //! perturbed configurations and deliberately defective policies. The
 //! two dynamic oracles (runtime invariant audit, burst watchdog) need
-//! the engine and runners, and the commutativity certifier needs the
-//! engine's shard schedules, so their drivers live with the harness;
-//! the verdict vocabulary here is shared by all five.
+//! the engine and runners, so their drivers live with the harness; the
+//! verdict vocabulary here is shared by all four.
 
 use crate::report::{Certificate, VerifyError};
 use crate::ring_spec::RingSpec;
@@ -21,14 +20,9 @@ use ofar_engine::{RingMode, SimConfig};
 use ofar_routing::{EnumerablePolicy, MechanismDeps};
 use ofar_topology::{Dragonfly, HamiltonianRing};
 
-/// The five independent correctness oracles of the proof stack.
+/// The four independent correctness oracles of the proof stack.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OracleKind {
-    /// Schedule-adversarial commutativity certifier (`ofar-race`):
-    /// byte-compares epoch snapshots of permuted-shard-order runs
-    /// against the identity schedule and bisects any divergence to the
-    /// first cycle.
-    Race,
     /// Static channel-dependency-graph deadlock verifier
     /// ([`crate::certify`] / [`crate::verify_decl`]).
     Cdg,
@@ -48,7 +42,6 @@ impl OracleKind {
     /// Short stable name used in kill-matrix reports.
     pub fn name(self) -> &'static str {
         match self {
-            OracleKind::Race => "race",
             OracleKind::Cdg => "cdg",
             OracleKind::Conformance => "conformance",
             OracleKind::Audit => "audit",

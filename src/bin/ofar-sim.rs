@@ -26,7 +26,8 @@
 //! The command line fails closed: a token that is not one of the flags
 //! above (or the value of one), or a flag given twice, exits with
 //! status 2 naming the token — a misspelled flag must not silently
-//! simulate the default.
+//! simulate the default. So does a value outside its range: an `ADV+<n>`
+//! offset outside `1..groups`, a load outside `0..=packet_size`.
 
 use ofar::prelude::*;
 use std::process::exit;
@@ -210,7 +211,19 @@ fn main() {
         return;
     }
 
-    let spec = args.parse_with("--pattern", "UN", |p| TrafficSpec::parse(p, h));
+    // Both checked here, before anything runs, by the rules the asserts
+    // of `TrafficGen::new` and `Bernoulli::new` enforce.
+    let spec = args.parse_with("--pattern", "UN", |label| {
+        let spec = TrafficSpec::parse(label, h)?;
+        spec.check_offsets(cfg.params.groups())
+            .map_err(|why| format!("invalid value for --pattern: {why}"))?;
+        Ok(spec)
+    });
+    let load: f64 = args.parse("--load", 0.3);
+    if let Err(why) = Bernoulli::check_load(load, cfg.packet_size) {
+        eprintln!("invalid value for --load: {why}");
+        exit(2);
+    }
 
     eprintln!(
         "{} on h={h} ({} nodes), {} traffic, ring {:?} ×{}",
@@ -252,7 +265,6 @@ fn main() {
         return;
     }
 
-    let load: f64 = args.parse("--load", 0.3);
     let opts = SteadyOpts {
         warmup: args.parse("--warmup", 3_000),
         measure: args.parse("--measure", 5_000),

@@ -85,3 +85,28 @@ fn an_unusable_h_is_refused_before_anything_is_built() {
         );
     }
 }
+
+/// An ADV offset no group pair has, and a load no Bernoulli source can
+/// offer, exit 2 naming the valid range instead of tripping the asserts
+/// of `TrafficGen::new` and `Bernoulli::new` (exit 101).
+#[test]
+fn an_out_of_range_pattern_or_load_is_refused() {
+    for (args, range) in [
+        (&["--pattern", "ADV+0"][..], "1..9"),
+        (&["--pattern", "ADV+99"][..], "1..9"),
+        (&["--load", "-1"][..], "0..=8"),
+        (&["--load", "nan"][..], "0..=8"),
+        (&["--load", "9"][..], "0..=8"),
+    ] {
+        let out = ofar_sim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must not simulate anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with(&format!("invalid value for {}: ", args[0]))
+                && err.contains(&format!("must lie in {range}"))
+                && !err.contains("panicked"),
+            "{args:?}: {err}"
+        );
+    }
+}

@@ -98,6 +98,48 @@ fn fig7_ofar_drains_adversarial_bursts_before_ofar_l_and_pb() {
     }
 }
 
+/// Fig. 4 (§VI-A), EXPERIMENTS.md "Fig. 4 — ADV+2": accepted load falls
+/// from OFAR to OFAR-L to PB to VAL, "exactly the paper's ordering" —
+/// here at h = 3, offered 0.7 (past every mechanism's saturation): each
+/// step holds in every seed and is larger than the two cells spread.
+#[test]
+fn fig4_ofar_ofar_l_pb_val_accept_adv2_in_the_paper_order() {
+    const H: usize = 3;
+    const OFFERED: f64 = 0.7;
+    let spec = TrafficSpec::adversarial(2);
+    let accepted = |kind| {
+        Cell::over_seeds(kind, |seed| {
+            let cfg = SimConfig::paper(H).with_seed(seed);
+            steady_state(cfg, kind, &spec, OFFERED, STEADY, seed).throughput
+        })
+    };
+    let order = [
+        MechanismKind::Ofar,
+        MechanismKind::OfarL,
+        MechanismKind::Pb,
+        MechanismKind::Valiant,
+    ]
+    .map(accepted);
+    for pair in order.windows(2) {
+        let (hi, lo) = (&pair[0], &pair[1]);
+        let told = format!(
+            "Fig. 4, ADV+2 at h = {H}, offered {OFFERED}, seeds {SEEDS:?}: \
+             {} accepts {:?}, {} {:?}",
+            hi.kind, hi.per_seed, lo.kind, lo.per_seed
+        );
+        assert!(
+            hi.per_seed.iter().zip(&lo.per_seed).all(|(h, l)| h > l),
+            "{told}"
+        );
+        let margin = hi.spread() + lo.spread();
+        assert!(
+            hi.mean() - lo.mean() > margin,
+            "{told}: the means are {:.4} apart, the seeds spread {margin:.4}",
+            hi.mean() - lo.mean()
+        );
+    }
+}
+
 /// The Fig. 5 setting: ADV+h at h = 3 — h = 2 has no room for the
 /// claim, its wall 1/h equals the 0.5 bound of the global links —
 /// offered more than any mechanism accepts.

@@ -467,8 +467,7 @@ fn garbage_and_empty_files_are_refused() {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot diffing — the primitive the commutativity certifier
-// (`ofar-race`) byte-compares epoch snapshots with.
+// Snapshot diffing: which section, which byte, which field.
 // ---------------------------------------------------------------------
 
 /// Apply `edit` to the payload of the `idx`-th section (0 = config,
@@ -489,7 +488,7 @@ fn edit_section(bytes: &[u8], idx: usize, edit: impl FnOnce(&mut [u8])) -> Vec<u
 }
 
 /// Flip one bit of byte 0 in the `idx`-th section's payload — exactly
-/// like a schedule-dependent state difference between two valid runs.
+/// like a state difference between two valid runs.
 fn flip_bit_in_section(bytes: &[u8], idx: usize) -> Vec<u8> {
     edit_section(bytes, idx, |payload| payload[0] ^= 1)
 }
@@ -570,26 +569,24 @@ fn single_bit_flip_names_the_diverging_section() {
 
 #[test]
 fn named_diff_resolves_a_state_flip_to_its_field() {
-    // Byte 0 of the STATE payload is the cycle counter; the schema
-    // walker must name it, and a policy flip must stay opaque-but-
-    // attributed. This is the refinement `ofar-race` puts in witnesses.
+    // Byte 0 of the STATE payload is the cycle counter; the section
+    // diff finds the flipped byte and the schema walker names it. A
+    // policy flip is attributed to its section and stays opaque.
+    use ofar::engine::diff_snapshots;
     let mut h = Harness::new(MechanismKind::Ofar, 9, 0.0, false);
     h.drive(300);
     let clean = h.net.save_snapshot();
-    let (d, field) = h
-        .net
-        .diff_snapshots_named(&clean, &flip_bit_in_section(&clean, 2))
+    let d = diff_snapshots(&clean, &flip_bit_in_section(&clean, 2))
         .unwrap()
         .expect("state flip must surface");
     assert_eq!(d.section, "state");
-    assert_eq!(field, "now");
-    let (d, field) = h
-        .net
-        .diff_snapshots_named(&clean, &flip_bit_in_section(&clean, 1))
+    let mut state = Vec::new();
+    edit_section(&clean, 2, |p| state = p.to_vec());
+    assert_eq!(h.net.locate_state_field(&state, d.offset), "now");
+    let d = diff_snapshots(&clean, &flip_bit_in_section(&clean, 1))
         .unwrap()
         .expect("policy flip must surface");
-    assert_eq!(d.section, "policy");
-    assert!(field.contains("offset 0"), "field: {field}");
+    assert_eq!((d.section, d.offset), ("policy", 0));
 }
 
 // ---------------------------------------------------------------------
