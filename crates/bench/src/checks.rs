@@ -375,8 +375,18 @@ pub(crate) fn mutants(args: &[String]) -> ExitCode {
     println!("kill witnesses:");
     print!("{}", matrix.render_witnesses());
     println!();
-    for (oracle, kills) in matrix.kills_per_oracle() {
-        println!("killed first by {:<12} {kills}", oracle.name());
+    println!(
+        "{:<12} {:>6} {:>6} {:>6}",
+        "oracle", "first", "kills", "alone"
+    );
+    for k in matrix.kills_per_oracle() {
+        println!(
+            "{:<12} {:>6} {:>6} {:>6}",
+            k.oracle.name(),
+            k.first,
+            k.kills,
+            k.alone
+        );
     }
     let survivors = matrix.survivors();
     println!(

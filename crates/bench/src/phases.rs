@@ -12,7 +12,7 @@ use ofar_core::prelude::*;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-/// [`Hooks`] that attribute host time to the nine phases of
+/// [`Hooks`] that attribute host time to the eight phases of
 /// `Network::step` (the per-phase rows of the perf ledger): each
 /// [`Hooks::phase`] call closes the previous phase's span and opens the
 /// next. The driver calls [`Self::stop`] after every `step`, so the time
@@ -171,7 +171,7 @@ fn measure(scale: &Scale, kind: MechanismKind, point: Option<f64>) -> (u64, u64,
 }
 
 /// Per-phase rows of the perf ledger (ROADMAP 1a): host µs per
-/// `Network::step`, split over the nine declared phases by a
+/// `Network::step`, split over the eight declared phases by a
 /// [`PhaseTimer`] hook, for OFAR and MIN at three operating points —
 /// UN at 0.1 (nearly idle), UN at 0.5 (the knee) and a closed ADV+1
 /// burst (saturated) — then the `route` phase again by part, with the

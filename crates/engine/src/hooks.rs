@@ -21,7 +21,7 @@
 //!   for the observation half and answers the four perturbation points
 //!   from one seeded [`EngineMutation`](crate::mutation::EngineMutation).
 //! * `ofar_bench::PhaseTimer` overrides [`Hooks::phase`] and
-//!   [`Hooks::route_mark`], the calls at the nine phase markers of `step`
+//!   [`Hooks::route_mark`], the calls at the eight phase markers of `step`
 //!   and inside a router's `route` turn, to attribute host time (the wall
 //!   clock is banned from this crate; the timer lives with the bench driver).
 //!
@@ -31,7 +31,7 @@
 
 use crate::audit::{AuditReport, AuditViolation};
 
-/// The nine phases of [`Network::step`](crate::Network::step), in
+/// The eight phases of [`Network::step`](crate::Network::step), in
 /// execution order: `step` opens each with one [`Hooks::phase`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
@@ -47,8 +47,6 @@ pub enum Phase {
     Inject,
     /// Routing, allocation and grant execution.
     Route,
-    /// The cycle's deferred cross-router effects.
-    EffectCommit,
     /// The hooks' whole-network deep checks.
     Audit,
     /// `Policy::end_cycle`.
@@ -57,14 +55,13 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in execution order.
-    pub const ALL: [Phase; 9] = [
+    pub const ALL: [Phase; 8] = [
         Phase::FaultApply,
         Phase::Deliver,
         Phase::LlrTimers,
         Phase::CmSense,
         Phase::Inject,
         Phase::Route,
-        Phase::EffectCommit,
         Phase::Audit,
         Phase::PolicyEnd,
     ];
@@ -79,7 +76,6 @@ impl Phase {
             Phase::CmSense => "cm_sense",
             Phase::Inject => "inject",
             Phase::Route => "route",
-            Phase::EffectCommit => "effect_commit",
             Phase::Audit => "audit",
             Phase::PolicyEnd => "policy_end",
         }

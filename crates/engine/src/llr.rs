@@ -511,18 +511,20 @@ impl Llr {
     /// Remove every entry of (`router`, `port`) and return the ones the
     /// receiver has not accepted (escalation / fail-stop force-delivery);
     /// their sequence numbers are marked accepted so copies still in
-    /// flight are discarded as duplicates. Pending acks are dropped and
-    /// the sequence space continues (a restored link keeps counting).
+    /// flight are discarded as duplicates. Pending acks landing before
+    /// `keep_from` are dropped, and the sequence space continues (a
+    /// restored link keeps counting).
     pub fn take_undelivered(
         &mut self,
         router: usize,
         port: usize,
         dst_router: usize,
         dst_port: usize,
+        keep_from: u64,
     ) -> Vec<LlrEntry> {
         let ti = self.tx_idx(router, port);
         let entries = std::mem::take(&mut self.tx[ti].entries);
-        self.tx[ti].acks.clear();
+        self.tx[ti].acks.retain(|a| a.at >= keep_from);
         let ri = self.rx_idx(dst_router, dst_port);
         // Link-death recovery: runs per fault event, not per cycle.
         let mut out = Vec::new();
@@ -826,10 +828,14 @@ mod tests {
         // first packet lands and is accepted
         l.push_wire(1, 3, s1, c1);
         assert_eq!(l.receive(1, 3, &pkt(1)).0, RxVerdict::Accept);
-        let forced = l.take_undelivered(0, 2, 1, 3);
+        l.push_ack(0, 2, s1, true, 9);
+        l.push_ack(0, 2, s1, true, 10);
+        let forced = l.take_undelivered(0, 2, 1, 3, 10);
         assert_eq!(forced.len(), 1, "only the undelivered entry is forced");
         assert_eq!(forced[0].pkt.id, 2);
         assert_eq!(l.tx_occupancy(0, 2), 0);
+        let acks: Vec<u64> = l.tx[l.tx_idx(0, 2)].acks.iter().map(|a| a.at).collect();
+        assert_eq!(acks, [10], "only the acks landing before keep_from go");
     }
 
     #[test]

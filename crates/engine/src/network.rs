@@ -11,7 +11,7 @@
 //!   every cycle until the packet is granted.
 //!
 //! This file holds [`Network`], its constructors and accessors, and
-//! [`Network::step`] — nine declared phases in order. What each phase
+//! [`Network::step`] — eight declared phases in order. What each phase
 //! does lives in the child module named after it ([`Phase::name`];
 //! `policy_end` is one call and has none), as inherent methods of
 //! `Network`; `diagnose` and `state` hold what runs between steps.
@@ -29,14 +29,12 @@ use crate::policy::{NetSnapshot, Policy};
 use crate::stats::Stats;
 use crate::wheel::Wheel;
 use cm_sense::CmState;
-use effect_commit::Effect;
 use ofar_topology::{NodeId, RouterId};
 
 mod audit;
 mod cm_sense;
 mod deliver;
 mod diagnose;
-mod effect_commit;
 mod fault_apply;
 mod inject;
 mod llr_timers;
@@ -98,10 +96,6 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     /// outside simulation snapshots.
     hooks: H,
     // reusable scratch
-    effects: Vec<Effect>,
-    /// Deliveries completed this cycle, pushed in router order;
-    /// `commit_effects` drains them *sorted* into `delivered_log`.
-    delivered_now: Vec<(u64, u32)>,
     reqs: Vec<route::Kept>,
     grants: Vec<(u16, u8, Request)>,
     /// Per output, the allocator's best proposal of the current
@@ -177,8 +171,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             cm,
             delivered_per_src: vec![0; nodes],
             hooks,
-            effects: Vec::with_capacity(256),
-            delivered_now: Vec::new(),
             reqs: Vec::with_capacity(n_in * 4),
             grants: Vec::with_capacity(n_in),
             best_out: vec![(0, 0); n_out],
@@ -336,11 +328,12 @@ impl<P: Policy, H: Hooks> Network<P, H> {
 
     /// Advance the simulation by one cycle.
     ///
-    /// The body is nine phases, each opened by its [`Hooks::phase`]
+    /// The body is eight phases, each opened by its [`Hooks::phase`]
     /// call. `inject` and `route` walk the nodes and the routers in
-    /// index order; a `route` turn writes its own router's state and
-    /// defers everything that lands elsewhere to the effects ledger,
-    /// which `effect_commit` applies.
+    /// index order; a `route` turn writes its own router's state, and
+    /// files what lands elsewhere (arrivals, credits, LLR wire
+    /// transfers) in place, stamped `now + 1` or later, so no phase of
+    /// the current cycle reads it.
     pub fn step(&mut self) {
         self.hooks.phase(Phase::FaultApply);
         // Apply scheduled fault transitions due at (or before) this
@@ -374,14 +367,20 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.hooks.phase(Phase::Inject);
         self.inject(now);
         self.hooks.phase(Phase::Route);
+        let logged = self.delivered_log.as_ref().map_or(0, Vec::len);
         for r in 0..self.fab.topo().num_routers() {
             // A router with nothing buffered has no head to route.
             if self.occ.port_mask[r] != 0 {
                 self.route_and_allocate(r, now);
             }
         }
-        self.hooks.phase(Phase::EffectCommit);
-        self.commit_effects();
+        // The grants logged this cycle's deliveries in router order; the
+        // log keeps each cycle's entries sorted (they are value tuples,
+        // so equal keys are identical entries and the tie-break is
+        // immaterial).
+        if let Some(log) = self.delivered_log.as_mut() {
+            log[logged..].sort_unstable();
+        }
         self.hooks.phase(Phase::Audit);
         if self.hooks.deep_due(now) {
             let (checks, violations) = self.deep_audit(now);

@@ -1,7 +1,6 @@
 //! The `deliver` phase: land the packets and credits whose link
 //! traversal completes this cycle.
 
-use super::effect_commit::Effect;
 use super::Network;
 use crate::audit::AuditViolation;
 use crate::hooks::Hooks;
@@ -26,7 +25,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         let llr = &mut self.llr;
         let stats = &mut self.stats;
         let cm = &mut self.cm;
-        let effects = &mut self.effects;
         let hooks = &mut self.hooks;
         let occ = &mut self.occ;
         let due = self.wheel.due(now);
@@ -37,8 +35,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             // discarded and nacked, a duplicate discarded and re-acked,
             // a good one accepted and acked. Acks ride the credit-return
             // path (same latency, never lost) and land at
-            // `now + latency >= now + 1`, so they travel through the
-            // effects ledger like every other cross-router effect.
+            // `now + latency >= now + 1`, behind every ack already queued.
             if let Some(l) = llr.as_mut() {
                 let desc = fab.in_desc(RouterId::from(ridx), port);
                 if desc.up_router != u32::MAX {
@@ -50,13 +47,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     }
                     // A duplicate is re-acked: the sender may have
                     // timed out before the first ack landed.
-                    effects.push(Effect::Ack {
-                        router: desc.up_router,
-                        port: desc.up_port,
+                    l.push_ack(
+                        desc.up_router as usize,
+                        desc.up_port as usize,
                         seq,
-                        ok: verdict != RxVerdict::CrcDrop,
-                        at: now + u64::from(desc.latency),
-                    });
+                        verdict != RxVerdict::CrcDrop,
+                        now + u64::from(desc.latency),
+                    );
                     if verdict != RxVerdict::Accept {
                         continue;
                     }

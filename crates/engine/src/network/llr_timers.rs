@@ -195,11 +195,15 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 if llr.tx_occupancy(ridx, port) == 0 {
                     continue;
                 }
+                // A link failed mid-step (an `llr_timers` escalation)
+                // keeps the acks `deliver` queued this cycle, which land
+                // at `now + latency`; every earlier one lands before.
                 let forced = llr.take_undelivered(
                     ridx,
                     port,
                     link.dst_router as usize,
                     link.dst_port as usize,
+                    self.now + u64::from(link.latency),
                 );
                 let dst_router = RouterId::new(link.dst_router);
                 let g = topo.group_of(dst_router);

@@ -3,7 +3,6 @@
 //! with the separable allocator, and execute the grants — the paper's
 //! mechanism (§IV–V).
 
-use super::effect_commit::Effect;
 use super::Network;
 use crate::audit::AuditViolation;
 use crate::fabric::PortKind;
@@ -28,7 +27,7 @@ pub(super) type Kept = (u16, u8, Request, u64);
 /// (`SimConfig::validate` bounds the radix by their width), `best_out`
 /// is read only where this iteration proposed, nothing is cleared or
 /// scanned per port. Grants come in ascending output order within an
-/// iteration, the order the effects ledger has always seen.
+/// iteration, the order the wheel and the LLR queues have always seen.
 #[expect(
     clippy::cast_possible_truncation,
     reason = "a request index is below a router's VC count"
@@ -248,15 +247,15 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         // Credit return to the upstream router feeding this input.
         let desc = *self.fab.in_desc(router, in_port);
         if desc.up_router != u32::MAX {
-            self.effects.push(Effect::Credit {
-                at: now + u64::from(desc.latency),
-                credit: Credit {
+            self.wheel.file_credit(
+                now + u64::from(desc.latency),
+                Credit {
                     router: desc.up_router,
                     port: desc.up_port,
                     vc: vc as u8,
                     phits: size,
                 },
-            });
+            );
         }
 
         // Header-flag and ring bookkeeping (§IV-A, §IV-C). A ring
@@ -355,10 +354,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 if was_on_ring {
                     self.stats.ring_deliveries += 1;
                 }
-                if self.delivered_log.is_some() {
-                    // Deferred: drained *sorted* into `delivered_log` by
-                    // `commit_effects`.
-                    self.delivered_now.push((pkt.injected_at, latency as u32));
+                if let Some(log) = self.delivered_log.as_mut() {
+                    // `step` sorts the cycle's entries after `route`.
+                    log.push((pkt.injected_at, latency as u32));
                 }
                 // End-to-end exactly-once accounting: the link layer
                 // dedups spurious retransmissions at every hop, so a
@@ -400,10 +398,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
     }
 
-    /// Put a granted packet on the wire. Lossless path: defer the
+    /// Put a granted packet on the wire. Lossless path: file the
     /// arrival. LLR path: sample the transfer's fate under the link's
     /// effective error rate (one-shot injected faults first), record the
-    /// replay entry, and defer the arrival unless the wire ate it — a
+    /// replay entry, and file the arrival unless the wire ate it — a
     /// dropped transfer leaves only the replay copy, recovered by the
     /// retransmit timeout. The credit was already taken by the caller
     /// and is not taken again on retries.
@@ -436,26 +434,23 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 return;
             }
             // The receive side only reads wire state when the arrival
-            // lands (`now + latency`, next cycle at the earliest), so
-            // the transfer is committed with the other cross-router
-            // effects instead of written into the destination's queue
-            // from this router's allocation turn.
-            self.effects.push(Effect::Wire {
-                router: link.dst_router,
-                port: link.dst_port,
+            // lands (`now + latency`, next cycle at the earliest).
+            llr.push_wire(
+                link.dst_router as usize,
+                link.dst_port as usize,
                 seq,
                 wire_crc,
-            });
+            );
         }
-        self.effects.push(Effect::Arrival {
-            at: now + u64::from(link.latency),
-            arrival: Arrival {
+        self.wheel.file_arrival(
+            now + u64::from(link.latency),
+            Arrival {
                 router: link.dst_router,
                 port: link.dst_port,
                 vc: req.out_vc,
                 pkt,
             },
-        });
+        );
     }
 }
 

@@ -143,16 +143,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             hooks: _,
             // Per-cycle scratch: rebuilt each cycle and dead at snapshot
             // boundaries.
-            effects: _,
             reqs: _,
             grants: _,
             best_out: _,
-            delivered_now,
         } = self;
-        // Snapshots are taken at cycle boundaries, where the per-cycle
-        // delivery buffer has already been drained into `delivered_log`
-        // by `commit_effects` — it carries no state of its own.
-        debug_assert!(delivered_now.is_empty());
         e.u64(*now);
         e.u64(*next_id);
         e.u8(u8::from(*faults_ever));
@@ -548,8 +542,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.delivered_per_src = s.delivered_per_src;
         // Per-cycle scratch is empty at every step boundary; clear it so
         // a restore into a mid-turn network cannot leak stale requests.
-        self.effects.clear();
-        self.delivered_now.clear();
         self.reqs.clear();
         self.grants.clear();
     }

@@ -31,7 +31,7 @@ mod operator;
 mod oracle;
 
 pub use hook::Mutated;
-pub use matrix::{covered, pairs, KillMatrix, MECHANISMS};
+pub use matrix::{covered, pairs, KillMatrix, OracleKills, MECHANISMS};
 pub use mutant::MutantPolicy;
 pub use operator::{MutationOp, OpCategory};
 pub use oracle::{run_mutant, MutantOutcome};

@@ -219,7 +219,7 @@ impl KillMatrix {
     }
 
     /// Per-oracle kill counts, in stack order.
-    pub fn kills_per_oracle(&self) -> Vec<(OracleKind, usize)> {
+    pub fn kills_per_oracle(&self) -> Vec<OracleKills> {
         [
             OracleKind::Cdg,
             OracleKind::Conformance,
@@ -227,16 +227,39 @@ impl KillMatrix {
             OracleKind::Watchdog,
         ]
         .into_iter()
-        .map(|k| {
-            let n = self
-                .outcomes
-                .iter()
-                .filter(|o| o.killed_by().is_some_and(|(first, _)| first == k))
-                .count();
-            (k, n)
+        .map(|oracle| {
+            let mut tally = OracleKills {
+                oracle,
+                first: 0,
+                kills: 0,
+                alone: 0,
+            };
+            for o in &self.outcomes {
+                let killers: Vec<OracleKind> = o.killers().collect();
+                if killers.contains(&oracle) {
+                    tally.kills += 1;
+                    tally.first += usize::from(killers[0] == oracle);
+                    tally.alone += usize::from(killers.len() == 1);
+                }
+            }
+            tally
         })
         .collect()
     }
+}
+
+/// One oracle's kills over the matrix.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OracleKills {
+    /// The oracle.
+    pub oracle: OracleKind,
+    /// Pairs it killed before any later oracle in the stack did.
+    pub first: usize,
+    /// Pairs it killed.
+    pub kills: usize,
+    /// Pairs it killed and no other oracle did: what the stack would
+    /// lose without it.
+    pub alone: usize,
 }
 
 #[cfg(test)]
@@ -251,5 +274,56 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), ps.len());
+    }
+
+    #[test]
+    fn kills_per_oracle_counts_first_all_and_alone() {
+        use ofar_verify::OracleVerdict;
+        let fail = || OracleVerdict::Fail {
+            witness: "w".into(),
+        };
+        let outcome = |verdicts| MutantOutcome {
+            op: MutationOp::EjectNever,
+            mech: MechanismKind::Min,
+            verdicts,
+        };
+        let matrix = KillMatrix {
+            outcomes: vec![
+                outcome(vec![
+                    (OracleKind::Cdg, fail()),
+                    (OracleKind::Conformance, fail()),
+                ]),
+                outcome(vec![
+                    (OracleKind::Cdg, OracleVerdict::Pass),
+                    (OracleKind::Conformance, fail()),
+                ]),
+                outcome(vec![
+                    (OracleKind::Audit, fail()),
+                    (OracleKind::Watchdog, fail()),
+                ]),
+                outcome(vec![
+                    (OracleKind::Audit, OracleVerdict::Pass),
+                    (OracleKind::Watchdog, fail()),
+                ]),
+                outcome(vec![
+                    (OracleKind::Audit, OracleVerdict::Pass),
+                    (OracleKind::Watchdog, OracleVerdict::Pass),
+                ]),
+            ],
+        };
+        let tally: Vec<_> = matrix
+            .kills_per_oracle()
+            .iter()
+            .map(|k| (k.oracle, k.first, k.kills, k.alone))
+            .collect();
+        assert_eq!(
+            tally,
+            [
+                (OracleKind::Cdg, 1, 1, 0),
+                (OracleKind::Conformance, 1, 2, 1),
+                (OracleKind::Audit, 1, 1, 0),
+                (OracleKind::Watchdog, 1, 2, 1),
+            ]
+        );
     }
 }

@@ -109,6 +109,14 @@ impl MutantOutcome {
         })
     }
 
+    /// Every oracle that killed the mutant, in stack order.
+    pub fn killers(&self) -> impl Iterator<Item = OracleKind> + '_ {
+        self.verdicts
+            .iter()
+            .filter(|(_, v)| matches!(v, OracleVerdict::Fail { .. }))
+            .map(|&(k, _)| k)
+    }
+
     /// Whether the mutant survived the whole stack.
     pub fn survived(&self) -> bool {
         self.killed_by().is_none()

@@ -27,7 +27,9 @@
 //! above (or the value of one), or a flag given twice, exits with
 //! status 2 naming the token — a misspelled flag must not silently
 //! simulate the default. So does a value outside its range: an `ADV+<n>`
-//! offset outside `1..groups`, a load outside `0..=packet_size`.
+//! offset outside `1..groups`, a load outside `0..=packet_size`, a
+//! `--ring` the mechanism does not run with, or `--rings` other than 1
+//! for a mechanism without a ring.
 
 use ofar::prelude::*;
 use std::process::exit;
@@ -179,7 +181,8 @@ fn main() {
         .with_seed(seed);
     cfg.ber = args.parse("--ber", 0.0);
     cfg.escape_rings = args.parse("--rings", 1);
-    match args.get("--ring") {
+    let ring_flag = args.get("--ring");
+    match ring_flag {
         Some("none") => cfg.ring = RingMode::None,
         Some("physical") => cfg.ring = RingMode::Physical,
         Some("embedded") => cfg.ring = RingMode::Embedded,
@@ -189,7 +192,25 @@ fn main() {
         }
         None => {}
     }
+    let asked = cfg.ring;
     let cfg = kind.adapt_config(cfg);
+    // `adapt_config` replaces a ring the mechanism cannot run with: refuse
+    // the flag rather than simulate something else.
+    let refused = match ring_flag {
+        Some(name) if cfg.ring != asked => Some(format!("--ring {name}")),
+        _ if cfg.ring == RingMode::None && cfg.escape_rings != 1 => {
+            Some(format!("--rings {}", cfg.escape_rings))
+        }
+        _ => None,
+    };
+    if let Some(flag) = refused {
+        eprintln!(
+            "invalid configuration: {flag} does not apply: {} runs with ring {:?}",
+            kind.name(),
+            cfg.ring
+        );
+        exit(2);
+    }
     cfg.validate().unwrap_or_else(|why| invalid(why));
 
     if args.has("--conformance") {

@@ -110,3 +110,27 @@ fn an_out_of_range_pattern_or_load_is_refused() {
         );
     }
 }
+
+/// A `--ring` the mechanism's adaptation would replace, or more than one
+/// ring for a mechanism without any, exits 2 naming the mechanism and
+/// the ring it runs with instead of simulating that ring silently.
+#[test]
+fn a_ring_the_mechanism_does_not_run_with_is_refused() {
+    for (mech, flag, value, ring) in [
+        ("OFAR", "--ring", "none", "Embedded"),
+        ("OFAR-L", "--ring", "none", "Embedded"),
+        ("VAL", "--ring", "embedded", "None"),
+        ("PAR", "--ring", "physical", "None"),
+        ("MIN", "--rings", "3", "None"),
+    ] {
+        let args = ["--mech", mech, flag, value];
+        let out = ofar_sim(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must not simulate anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want = format!(
+            "invalid configuration: {flag} {value} does not apply: {mech} runs with ring {ring}\n"
+        );
+        assert_eq!(err, want, "{args:?}");
+    }
+}

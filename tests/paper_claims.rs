@@ -78,6 +78,21 @@ fn assert_drains_sooner(fast: &Cell, slow: &Cell, pattern: &str, claim: &str) {
     );
 }
 
+/// `hi` accepts more than `lo`: in every seed, and on average by more
+/// than the two cells spread between seeds. `told` opens the message.
+fn assert_accepts_more(hi: &Cell, lo: &Cell, told: &str) {
+    assert!(
+        hi.per_seed.iter().zip(&lo.per_seed).all(|(h, l)| h > l),
+        "{told}"
+    );
+    let margin = hi.spread() + lo.spread();
+    assert!(
+        hi.mean() - lo.mean() > margin,
+        "{told}: the means are {:.4} apart, the seeds spread {margin:.4}",
+        hi.mean() - lo.mean()
+    );
+}
+
 /// Fig. 7 (§VI-C), EXPERIMENTS.md "Fig. 7 — burst consumption": "OFAR
 /// fastest in every row, always ahead of OFAR-L (both paper claims)" —
 /// here for the two adversarial rows, ADV+2 and ADV+h.
@@ -127,16 +142,7 @@ fn fig4_ofar_ofar_l_pb_val_accept_adv2_in_the_paper_order() {
              {} accepts {:?}, {} {:?}",
             hi.kind, hi.per_seed, lo.kind, lo.per_seed
         );
-        assert!(
-            hi.per_seed.iter().zip(&lo.per_seed).all(|(h, l)| h > l),
-            "{told}"
-        );
-        let margin = hi.spread() + lo.spread();
-        assert!(
-            hi.mean() - lo.mean() > margin,
-            "{told}: the means are {:.4} apart, the seeds spread {margin:.4}",
-            hi.mean() - lo.mean()
-        );
+        assert_accepts_more(hi, lo, &told);
     }
 }
 
@@ -241,5 +247,39 @@ fn fig8_physical_and_embedded_rings_accept_alike() {
             p.per_seed,
             e.per_seed
         );
+    }
+}
+
+/// Warm-up and window of a Fig. 9 point: the collapse takes time to
+/// build, and at `STEADY` UN at 0.9 has not yet gridlocked.
+const FIG9_STEADY: SteadyOpts = SteadyOpts {
+    warmup: 6_000,
+    measure: 2_000,
+};
+
+/// Fig. 9 (§VII), EXPERIMENTS.md "Fig. 9 — congestion with reduced VCs":
+/// with 2 local / 1 global VCs "throughput significantly falls as the
+/// canonical network gets completely congested" — UN past the knee
+/// accepts less than UN at it — while the adversarial patterns "degrade
+/// gracefully": ADV+2 (ADV+h at h = 2) at 0.9 accepts more than UN does.
+#[test]
+fn fig9_un_collapses_past_the_knee_with_reduced_vcs_while_adv2_holds() {
+    let accepted = |spec: TrafficSpec, load| {
+        Cell::over_seeds(MechanismKind::Ofar, |seed| {
+            let cfg = SimConfig::reduced_vcs(2).with_seed(seed);
+            steady_state(cfg, MechanismKind::Ofar, &spec, load, FIG9_STEADY, seed).throughput
+        })
+    };
+    let past = accepted(TrafficSpec::uniform(), 0.9);
+    for (label, hi) in [
+        ("UN 0.5", accepted(TrafficSpec::uniform(), 0.5)),
+        ("ADV+2 0.9", accepted(TrafficSpec::adversarial(2), 0.9)),
+    ] {
+        let told = format!(
+            "Fig. 9, OFAR with 2/1 VCs at h = 2, seeds {SEEDS:?}: \
+             {label} accepts {:?}, UN 0.9 {:?}",
+            hi.per_seed, past.per_seed
+        );
+        assert_accepts_more(&hi, &past, &told);
     }
 }
