@@ -564,6 +564,12 @@ impl FaultState {
             for _ in 0..n {
                 let k = decode_pair(d)?;
                 let v = d.u32()?;
+                // `take_pending` removes a one-shot entry as it reaches 0.
+                if map_idx < 2 && v == 0 {
+                    return Err(SnapshotError::Malformed(
+                        "pending one-shot fault count is zero",
+                    ));
+                }
                 match map_idx {
                     0 => state.pending_corrupt.insert(k, v),
                     1 => state.pending_drop.insert(k, v),

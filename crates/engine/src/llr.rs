@@ -556,6 +556,7 @@ impl Llr {
 // ---------------------------------------------------------------------
 
 use crate::snapshot::{decode_packet, encode_packet, Dec, Enc, SnapshotError, PACKET_MIN_BYTES};
+use ofar_topology::RouterId;
 
 impl Llr {
     /// Append the complete link-layer state: every replay buffer, ack in
@@ -628,7 +629,7 @@ impl Llr {
             return Err(SnapshotError::Malformed("LLR tx count disagrees"));
         }
         let mut tx = Vec::with_capacity(ntx);
-        for _ in 0..ntx {
+        for i in 0..ntx {
             let next_seq = d.u32()?;
             let n_entries = d.len(22 + PACKET_MIN_BYTES, "LLR replay buffer size")?;
             if n_entries > window {
@@ -640,7 +641,7 @@ impl Llr {
             for _ in 0..n_entries {
                 // Fields in wire order (a struct literal evaluates in
                 // the order written).
-                entries.push_back(LlrEntry {
+                let entry = LlrEntry {
                     seq: d.u32()?,
                     out_vc: d.u8()?,
                     retries: d.u32()?,
@@ -648,7 +649,13 @@ impl Llr {
                     lost: d.u8()? != 0,
                     pkt: decode_packet(d)?,
                     crc: d.u32()?,
-                });
+                };
+                if entry.out_vc >= fab.out_link(RouterId::from(i / n_out), i % n_out).vcs {
+                    return Err(SnapshotError::Malformed(
+                        "LLR replay entry targets a VC out of range",
+                    ));
+                }
+                entries.push_back(entry);
             }
             let n_acks = d.len(13, "LLR ack queue")?;
             let mut acks = VecDeque::with_capacity(n_acks);
@@ -698,6 +705,23 @@ impl Llr {
             retx_per_link,
             delivered_ids,
         })
+    }
+
+    /// Refuse a restored receiver whose wire-metadata queue does not
+    /// hold exactly one entry per arrival in flight to its input, as
+    /// [`Llr::receive`] expects; `in_flight(router, port)` counts them.
+    pub(crate) fn check_wire(
+        &self,
+        in_flight: impl Fn(usize, usize) -> usize,
+    ) -> Result<(), SnapshotError> {
+        for (i, rx) in self.rx.iter().enumerate() {
+            if rx.wire.len() != in_flight(i / self.n_in, i % self.n_in) {
+                return Err(SnapshotError::Malformed(
+                    "LLR wire queue disagrees with the arrivals in flight",
+                ));
+            }
+        }
+        Ok(())
     }
 }
 

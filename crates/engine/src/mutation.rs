@@ -12,40 +12,33 @@
 //!
 //! This module is only the catalog: each [`EngineMutation`] answers
 //! those four questions as pure functions. The hook that installs one on
-//! a network, counts its credit ticks and pairs it with an
+//! a network and pairs it with an
 //! [`Auditor`](crate::Auditor) is `ofar_mutate::Mutated`; nothing in
 //! this crate ever constructs it, and a `Network<P>` built by
 //! [`Network::new`](crate::Network::new) cannot carry a mutation at all
 //! — its hook type is the zero-sized [`NoHooks`](crate::NoHooks).
 
 /// A seeded engine-level defect, installed on a network by the
-/// `ofar_mutate::Mutated` hook.
+/// `ofar_mutate::Mutated` hook. The credit defects fire on every credit
+/// event: they model a *systematically* wrong flow-control
+/// implementation, not a transient upset (fault injection covers those).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EngineMutation {
-    /// Drop every `period`-th returned credit: the downstream buffer
-    /// space exists but the upstream counter never learns. Conservation
+    /// Drop every returned credit: the downstream buffer space exists
+    /// but the upstream counter never learns. Conservation
     /// (`credits + occupancy + reserved + inflight`) drifts below the VC
     /// capacity — the auditor's deep `CreditLeak` check must fire.
-    CreditLeak {
-        /// Mutate every `period`-th credit event (1 = every event).
-        period: u32,
-    },
-    /// Return every `period`-th credit twice: the classic double-free.
-    /// The counter climbs past the downstream capacity, tripping the
-    /// fast `CreditOverflow` check (or `CreditLeak` when in-flight
-    /// packets mask the overflow at landing time).
-    CreditDouble {
-        /// Mutate every `period`-th credit event (1 = every event).
-        period: u32,
-    },
-    /// Land every `period`-th credit on the *next* VC of the same port
-    /// instead of the one it was issued for — an escape-VC
-    /// misassignment. Both VCs' conservation sums drift (one leaks, one
-    /// inflates), so the deep check reports two `CreditLeak`s.
-    EscapeVcSkew {
-        /// Mutate every `period`-th credit event (1 = every event).
-        period: u32,
-    },
+    CreditLeak,
+    /// Return every credit twice: the classic double-free. The counter
+    /// climbs past the downstream capacity, tripping the fast
+    /// `CreditOverflow` check (or `CreditLeak` when in-flight packets
+    /// mask the overflow at landing time).
+    CreditDouble,
+    /// Land every credit on the *next* VC of the same port instead of
+    /// the one it was issued for — an escape-VC misassignment. Both VCs'
+    /// conservation sums drift (one leaks, one inflates), so the deep
+    /// check reports two `CreditLeak`s.
+    EscapeVcSkew,
     /// Weaken the §IV-C bubble condition: ring entry is granted with
     /// space for one packet downstream instead of two. The ring can then
     /// fill completely and deadlock — caught by the deep `BubbleLost`
@@ -62,21 +55,19 @@ pub enum EngineMutation {
 }
 
 impl EngineMutation {
-    /// Apply this mutation to one landing credit event `(vc, phits)`,
-    /// the `tick`-th credit event since the mutation was installed, on a
-    /// port with `vcs` virtual channels. Returns the (possibly skewed)
+    /// Apply this mutation to one landing credit event `(vc, phits)` on
+    /// a port with `vcs` virtual channels. Returns the (possibly skewed)
     /// `(vc, phits)` to actually land; `None` means the credit is
     /// dropped.
-    pub fn skew_credit(self, vc: u8, phits: u32, tick: u64, vcs: usize) -> Option<(u8, u32)> {
-        let hit = |period: u32| period > 0 && tick.is_multiple_of(u64::from(period.max(1)));
+    pub fn skew_credit(self, vc: u8, phits: u32, vcs: usize) -> Option<(u8, u32)> {
         match self {
-            EngineMutation::CreditLeak { period } if hit(period) => None,
-            EngineMutation::CreditDouble { period } if hit(period) => Some((vc, phits * 2)),
+            EngineMutation::CreditLeak => None,
+            EngineMutation::CreditDouble => Some((vc, phits * 2)),
             #[expect(
                 clippy::cast_possible_truncation,
                 reason = "a validated vc count is below 256"
             )]
-            EngineMutation::EscapeVcSkew { period } if hit(period) && vcs > 1 => {
+            EngineMutation::EscapeVcSkew if vcs > 1 => {
                 Some((((vc as usize + 1) % vcs) as u8, phits))
             }
             _ => Some((vc, phits)),
@@ -97,17 +88,6 @@ impl EngineMutation {
     pub fn bypass_throttle(self) -> bool {
         matches!(self, EngineMutation::ThrottleBypass)
     }
-
-    /// Short stable name used in kill-matrix reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineMutation::CreditLeak { .. } => "engine-credit-leak",
-            EngineMutation::CreditDouble { .. } => "engine-credit-double",
-            EngineMutation::EscapeVcSkew { .. } => "engine-escape-vc-skew",
-            EngineMutation::RingBubbleSkip => "engine-ring-bubble-skip",
-            EngineMutation::ThrottleBypass => "engine-throttle-bypass",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -115,24 +95,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn skew_credit_hits_only_on_period() {
-        let m = EngineMutation::CreditLeak { period: 3 };
-        assert_eq!(m.skew_credit(1, 4, 1, 2), Some((1, 4)));
-        assert_eq!(m.skew_credit(1, 4, 2, 2), Some((1, 4)));
-        assert_eq!(m.skew_credit(1, 4, 3, 2), None);
-        let d = EngineMutation::CreditDouble { period: 1 };
-        assert_eq!(d.skew_credit(0, 4, 7, 1), Some((0, 8)));
-        let s = EngineMutation::EscapeVcSkew { period: 1 };
-        assert_eq!(s.skew_credit(1, 4, 7, 3), Some((2, 4)));
-        assert_eq!(s.skew_credit(2, 4, 7, 3), Some((0, 4)));
+    fn skew_credit_rewrites_every_event() {
+        assert_eq!(EngineMutation::CreditLeak.skew_credit(1, 4, 2), None);
+        assert_eq!(
+            EngineMutation::CreditDouble.skew_credit(0, 4, 1),
+            Some((0, 8))
+        );
+        let s = EngineMutation::EscapeVcSkew;
+        assert_eq!(s.skew_credit(1, 4, 3), Some((2, 4)));
+        assert_eq!(s.skew_credit(2, 4, 3), Some((0, 4)));
         // single-VC ports cannot skew
-        assert_eq!(s.skew_credit(0, 4, 7, 1), Some((0, 4)));
+        assert_eq!(s.skew_credit(0, 4, 1), Some((0, 4)));
     }
 
     #[test]
     fn ring_need_halves_only_for_bubble_skip() {
         assert_eq!(EngineMutation::RingBubbleSkip.ring_need(8), 8);
-        assert_eq!(EngineMutation::CreditLeak { period: 1 }.ring_need(8), 16);
+        assert_eq!(EngineMutation::CreditLeak.ring_need(8), 16);
     }
 
     #[test]
@@ -141,7 +120,7 @@ mod tests {
         assert!(!EngineMutation::RingBubbleSkip.bypass_throttle());
         // The bypass must not perturb the credit or bubble seams.
         assert_eq!(
-            EngineMutation::ThrottleBypass.skew_credit(1, 4, 3, 2),
+            EngineMutation::ThrottleBypass.skew_credit(1, 4, 2),
             Some((1, 4))
         );
         assert_eq!(EngineMutation::ThrottleBypass.ring_need(8), 16);

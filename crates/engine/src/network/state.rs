@@ -427,7 +427,12 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
         let llr = match d.u8()? {
             0 => None,
-            1 => Some(Llr::snap_decode(d, &self.fab)?),
+            1 => {
+                let llr = Llr::snap_decode(d, &self.fab)?;
+                let backlog = wheel.backlog(&self.fab);
+                llr.check_wire(|r, port| backlog.arrivals(r, port).len())?;
+                Some(llr)
+            }
             _ => return malformed("bad Option tag for LLR"),
         };
         l.field(d, || "llr".into());

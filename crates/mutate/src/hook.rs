@@ -10,8 +10,6 @@ use ofar_engine::{AuditReport, AuditViolation, Auditor, EngineMutation, Hooks};
 #[derive(Clone, Debug)]
 pub struct Mutated {
     mutation: EngineMutation,
-    /// Credit events seen so far (periodic mutations key off this).
-    ticks: u64,
     auditor: Auditor,
 }
 
@@ -21,7 +19,6 @@ impl Mutated {
     pub fn new(mutation: EngineMutation, deep_interval: u64) -> Self {
         Self {
             mutation,
-            ticks: 0,
             auditor: Auditor::with_deep_interval(deep_interval),
         }
     }
@@ -52,8 +49,7 @@ impl Hooks for Mutated {
 
     #[inline]
     fn skew_credit(&mut self, vc: u8, phits: u32, vcs: usize) -> Option<(u8, u32)> {
-        self.ticks += 1;
-        self.mutation.skew_credit(vc, phits, self.ticks, vcs)
+        self.mutation.skew_credit(vc, phits, vcs)
     }
 
     #[inline]

@@ -1,17 +1,13 @@
 //! The kill matrix: every applicable `(operator × mechanism)` mutant
-//! against the oracle stack, with a baked-in *covered set* for
-//! regression enforcement.
+//! against the oracle stack.
 //!
-//! The covered set is the measured adequacy floor: pairs the stack
-//! demonstrably kills today. CI re-runs the matrix and fails when a
-//! covered pair *survives* — a silent hole opened in a verifier. Pairs
-//! outside the covered set are the known gaps; they are listed by name
-//! in DESIGN.md §11 and a new kill there is an improvement, never a
-//! failure.
+//! The rule is one line: every applicable pair dies with a witness.
+//! [`MutationOp::applies_to`] admits only pairs that seed a real defect,
+//! so a survivor is always a hole in some oracle, and CI fails on it.
 
 use crate::operator::MutationOp;
 use crate::oracle::{run_mutant, MutantOutcome};
-use ofar_engine::SimConfig;
+use ofar_engine::{crc32, SimConfig};
 use ofar_routing::MechanismKind;
 use ofar_verify::OracleKind;
 use rayon::prelude::*;
@@ -27,60 +23,6 @@ pub const MECHANISMS: [MechanismKind; 5] = [
     MechanismKind::Par,
     MechanismKind::Ofar,
 ];
-
-/// Measured adequacy floor: `(operator × mechanism)` pairs the oracle
-/// stack kills at h=2 with the matrix's deterministic seeds. Checked in
-/// by hand from a full matrix run (`cargo run -p ofar-bench --
-/// mutants`); CI fails when any pair listed here survives.
-///
-/// A pair absent from this list is a *known gap* — see DESIGN.md §11
-/// for the per-survivor analysis.
-pub fn covered(op: MutationOp, mech: MechanismKind) -> bool {
-    use MechanismKind as K;
-    use MutationOp::*;
-    match op {
-        // Ladder-discipline breaks: undeclared transitions for the
-        // VC-ordered mechanisms. OFAR's VC-agnostic local declaration is
-        // the named gap for the local variants.
-        LocalVcFlatten | LocalVcSwap | LocalVcInvert => {
-            matches!(mech, K::Min | K::Valiant | K::Pb | K::Par)
-        }
-        GlobalVcFlatten => matches!(mech, K::Valiant | K::Pb | K::Par),
-        GlobalVcSwap => true,
-        // Protocol breaks with static witnesses.
-        RingRider | ExitBudgetIgnored | RingNever | LocalFlagStuck => mech == K::Ofar,
-        AuxFlagStuck => mech == K::Par,
-        IntermediateOffByOne => matches!(mech, K::Valiant | K::Pb),
-        // PB's declaration is a superset of MIN's, so never picking an
-        // intermediate still conforms there — only Valiant's mandatory
-        // phase-1 detour makes the defect observable (see DESIGN.md §11
-        // for PB as a named gap).
-        IntermediateNever => mech == K::Valiant,
-        // Delivery suppression is invisible statically; the watchdog
-        // carries it.
-        EjectNever => true,
-        // Declaration and configuration mutants die in the certifiers.
-        DeclDropEscapeDrain | DeclFlattenLadder | DeclBackEdge | DeclDropInject => true,
-        CfgShallowRingBuffer | CfgNoRing | CfgFoldedLadder => true,
-        // Credit-accounting seams die in the runtime auditor.
-        EngineCreditLeak | EngineCreditDouble | EngineEscapeVcSkew => true,
-        EngineRingBubbleSkip => mech == K::Ofar,
-        // Congestion-management seams: the bypassed token bucket dies in
-        // the auditor's throttle-token law on every mechanism (the
-        // sustained-overload stage keeps the buckets short for the whole
-        // run); the disabled admission guard dies in the synchronized-
-        // wave admission watchdog.
-        EngineThrottleBypass => true,
-        RingAdmitAlways => mech == K::Ofar,
-        // Known survivors: performance-policy skews that keep every
-        // safety invariant, and the flag OFAR's per-transition ranking
-        // cannot distinguish because the engine re-derives it at every
-        // grant (see DESIGN.md §11).
-        RingEager | ThresholdAdmitAll | ThresholdAdmitNone | PbStaleBroadcast | GlobalFlagStuck => {
-            false
-        }
-    }
-}
 
 /// The full matrix result.
 #[derive(Clone, Debug)]
@@ -104,14 +46,18 @@ pub fn pairs() -> Vec<(MutationOp, MechanismKind)> {
 }
 
 impl KillMatrix {
-    /// Run the whole matrix against `cfg` (pairs in parallel, each with
-    /// a seed derived deterministically from `seed` and its index).
+    /// Run the whole matrix against `cfg` (pairs in parallel). Each
+    /// pair's seed is `seed` with the CRC-32 of `"<op> x <mech>"` folded
+    /// into its high word: it depends on the pair's names, not its row,
+    /// so a catalog edit leaves every other row unchanged.
     pub fn run(cfg: &SimConfig, seed: u64) -> KillMatrix {
-        let pairs = pairs();
-        let outcomes = pairs
+        let outcomes = pairs()
             .par_iter()
-            .enumerate()
-            .map(|(i, &(op, mech))| run_mutant(op, mech, cfg, seed ^ (0xC0FFEE + 7919 * i as u64)))
+            .map(|&(op, mech)| {
+                let key = format!("{} x {}", op.name(), mech.name());
+                let pair_seed = seed ^ (u64::from(crc32(key.as_bytes())) << 32);
+                run_mutant(op, mech, cfg, pair_seed)
+            })
             .collect();
         KillMatrix { outcomes }
     }
@@ -121,47 +67,9 @@ impl KillMatrix {
         self.outcomes.iter().filter(|o| o.survived()).collect()
     }
 
-    /// Covered pairs that survived this run — each one is a regression
-    /// in some oracle.
-    pub fn regressions(&self) -> Vec<&MutantOutcome> {
-        self.outcomes
-            .iter()
-            .filter(|o| o.survived() && covered(o.op, o.mech))
-            .collect()
-    }
-
-    /// Distinct operators killed by at least one oracle on at least one
-    /// mechanism.
-    pub fn distinct_killed_ops(&self) -> usize {
-        let mut ops: Vec<&str> = self
-            .outcomes
-            .iter()
-            .filter(|o| !o.survived())
-            .map(|o| o.op.name())
-            .collect();
-        ops.sort_unstable();
-        ops.dedup();
-        ops.len()
-    }
-
-    /// Kill rate over the covered set (1.0 when no covered pair
-    /// survived).
-    pub fn covered_kill_rate(&self) -> f64 {
-        let covered_pairs: Vec<_> = self
-            .outcomes
-            .iter()
-            .filter(|o| covered(o.op, o.mech))
-            .collect();
-        if covered_pairs.is_empty() {
-            return 1.0;
-        }
-        let killed = covered_pairs.iter().filter(|o| !o.survived()).count();
-        killed as f64 / covered_pairs.len() as f64
-    }
-
     /// Render the matrix as a fixed-width table: one row per operator,
-    /// one column per mechanism, each cell naming the killing oracle
-    /// (or `SURVIVED` / `-` for inapplicable).
+    /// one column per mechanism, each cell naming the first killing
+    /// oracle (`SURVIVED` for a survivor, `-` for an inapplicable pair).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = write!(out, "{:<26}", "operator");
@@ -170,27 +78,18 @@ impl KillMatrix {
         }
         out.push('\n');
         for &op in MutationOp::ALL {
-            if !MECHANISMS.iter().any(|&m| op.applies_to(m)) {
-                continue;
-            }
             let _ = write!(out, "{:<26}", op.name());
             for m in MECHANISMS {
-                let cell = if !op.applies_to(m) {
-                    "-".to_string()
+                let cell = if op.applies_to(m) {
+                    self.outcomes
+                        .iter()
+                        .find(|o| o.op == op && o.mech == m)
+                        .map_or("?", |o| {
+                            o.killed_by()
+                                .map_or("SURVIVED", |(oracle, _)| oracle.name())
+                        })
                 } else {
-                    match self.outcomes.iter().find(|o| o.op == op && o.mech == m) {
-                        Some(o) => match o.killed_by() {
-                            Some((oracle, _)) => oracle.name().to_string(),
-                            None => {
-                                if covered(op, m) {
-                                    "SURVIVED!".to_string()
-                                } else {
-                                    "survived".to_string()
-                                }
-                            }
-                        },
-                        None => "?".to_string(),
-                    }
+                    "-"
                 };
                 let _ = write!(out, "{cell:>14}");
             }

@@ -6,16 +6,15 @@
 //! otherwise-correct mechanism (the mutant shares every line of the
 //! production routing code) rather than a from-scratch strawman.
 //!
-//! Operators in [`OpCategory::Config`](crate::OpCategory) that perturb
-//! mechanism *tunables* (patience, thresholds) are applied in
-//! [`MutantPolicy::new`] through the public `build_tuned` path instead,
-//! so they exercise exactly the configuration surface a user could
-//! mis-set.
+//! The one operator that needs mechanism *tunables* (`ring-admit-always`:
+//! guard off, minimal patience, no misroutes) gets them in
+//! [`MutantPolicy::new`] through the public `build_tuned` path, the same
+//! configuration surface a user sets.
 
 use crate::operator::MutationOp;
 use ofar_engine::{
     InputCtx, NetSnapshot, Packet, Policy, PortKind, Request, RequestKind, RouterView, SimConfig,
-    FLAG_AUX, FLAG_GLOBAL_MISROUTED, FLAG_LOCAL_MISROUTED,
+    FLAG_AUX, FLAG_LOCAL_MISROUTED,
 };
 use ofar_routing::{
     EnumerablePolicy, Mechanism, MechanismKind, MisrouteThreshold, OfarConfig, ProbeFeedback,
@@ -58,46 +57,25 @@ impl MutantPolicy {
             op.name(),
             kind.name()
         );
-        let tuned = match op {
-            MutationOp::RingEager => Some(OfarConfig {
-                ring_patience: 0,
-                ..OfarConfig::base()
-            }),
-            MutationOp::ThresholdAdmitAll => Some(OfarConfig {
-                threshold: MisrouteThreshold::Static {
-                    th_min: 0.0,
-                    th_nonmin: 1.0,
-                },
-                ..OfarConfig::base()
-            }),
-            MutationOp::ThresholdAdmitNone => Some(OfarConfig {
-                threshold: MisrouteThreshold::Static {
-                    th_min: 0.0,
-                    th_nonmin: -1.0,
-                },
-                ..OfarConfig::base()
-            }),
-            // The guard defect only matters when the ring is actually
-            // under admission pressure: at paper-default patience the
-            // guard is consulted a handful of times per million cycles
-            // at h=2 and its absence is invisible. The mutant therefore
-            // carries the ring-hungriest tuning the real code allows —
-            // minimal patience and a threshold that admits no misroute,
-            // so the ring is the only relief valve — and disables the
-            // guard on top. Its oracle compares against the *same*
-            // tuning with the guard left on (see `oracle.rs`), so the
-            // guard is the only behavioral difference under test.
-            MutationOp::RingAdmitAlways => Some(OfarConfig {
-                ring_guard: RingGuard::Off,
-                ring_patience: 1,
-                threshold: MisrouteThreshold::Static {
-                    th_min: 0.0,
-                    th_nonmin: -1.0,
-                },
-                ..OfarConfig::base()
-            }),
-            _ => None,
-        };
+        // The guard defect only matters when the ring is actually under
+        // admission pressure: at paper-default patience the guard is
+        // consulted a handful of times per million cycles at h=2 and its
+        // absence is invisible. The mutant therefore carries the
+        // ring-hungriest tuning the real code allows — minimal patience
+        // and a threshold that admits no misroute, so the ring is the
+        // only relief valve — and disables the guard on top. Its oracle
+        // compares against the *same* tuning with the guard left on (see
+        // `oracle.rs`), so the guard is the only behavioral difference
+        // under test.
+        let tuned = (op == MutationOp::RingAdmitAlways).then(|| OfarConfig {
+            ring_guard: RingGuard::Off,
+            ring_patience: 1,
+            threshold: MisrouteThreshold::Static {
+                th_min: 0.0,
+                th_nonmin: -1.0,
+            },
+            ..OfarConfig::base()
+        });
         MutantPolicy {
             inner: kind.build_tuned(cfg, seed, tuned, None),
             op,
@@ -121,7 +99,6 @@ impl MutantPolicy {
             // here caps the observed wait at 1, below any patience >= 2.
             MutationOp::RingNever => pkt.wait = 0,
             MutationOp::LocalFlagStuck => pkt.flags &= !FLAG_LOCAL_MISROUTED,
-            MutationOp::GlobalFlagStuck => pkt.flags &= !FLAG_GLOBAL_MISROUTED,
             MutationOp::AuxFlagStuck => pkt.flags |= FLAG_AUX,
             _ => {}
         }
@@ -214,9 +191,7 @@ impl Policy for MutantPolicy {
     }
 
     fn end_cycle(&mut self, net: &NetSnapshot<'_>) {
-        if self.op != MutationOp::PbStaleBroadcast {
-            self.inner.end_cycle(net);
-        }
+        self.inner.end_cycle(net);
     }
 
     fn needs_ring(&self) -> bool {

@@ -66,9 +66,6 @@ pub enum MutationOp {
     /// The per-packet ring-exit budget is reset before every decision —
     /// the §IV-C livelock bound (`max_ring_exits`) is never spent.
     ExitBudgetIgnored,
-    /// Ring patience forced to zero (config-built): any blocked head
-    /// with an available escape VC enters the ring immediately.
-    RingEager,
     /// The wait counter is cleared before every decision: the patience
     /// threshold is never reached and the escape ring is never entered.
     RingNever,
@@ -77,9 +74,6 @@ pub enum MutationOp {
     /// `FLAG_LOCAL_MISROUTED` is cleared before every decision: one
     /// local misroute per group becomes unbounded local misrouting.
     LocalFlagStuck,
-    /// `FLAG_GLOBAL_MISROUTED` is cleared before every decision: the
-    /// at-most-one-global-misroute rule is voided.
-    GlobalFlagStuck,
     /// PAR's provisional flag (`FLAG_AUX`) is re-set before every
     /// decision: the provisional walk to the global-link host never
     /// commits.
@@ -94,22 +88,13 @@ pub enum MutationOp {
     /// mechanisms silently route minimally on phase-1 resources.
     IntermediateNever,
 
-    // --- PB piggyback state / OFAR thresholds (policy, config-built) --
-    /// PB's congestion broadcast never runs (`end_cycle` suppressed):
-    /// decisions use the stale initial view forever.
-    PbStaleBroadcast,
-    /// OFAR misroute threshold admits every candidate, however
-    /// congested (`Th_nonmin = 100%`).
-    ThresholdAdmitAll,
-    /// OFAR misroute threshold admits no candidate ever: misrouting is
-    /// disabled outright.
-    ThresholdAdmitNone,
+    // --- escape-ring admission (policy, config-built) ------------------
     /// The escape-ring admission guard is disabled (config-built,
     /// `RingGuard::Off`): blocked heads enter the ring regardless of its
     /// sensed occupancy. Past saturation the low-bandwidth ring turns
-    /// into a congestion sink and sustained delivery collapses — caught
-    /// by the overload rate-watchdog, not by any safety oracle (the
-    /// bubble keeps the ring deadlock-free either way).
+    /// into a congestion sink — caught by the admission watchdog, not by
+    /// any safety oracle (the bubble keeps the ring deadlock-free either
+    /// way).
     RingAdmitAlways,
 
     // --- declaration mutations ----------------------------------------
@@ -137,13 +122,13 @@ pub enum MutationOp {
     CfgFoldedLadder,
 
     // --- engine flow-control mutations ----------------------------------
-    /// Returned credits are periodically dropped at the landing loop
+    /// Returned credits are dropped at the landing loop
     /// ([`ofar_engine::EngineMutation::CreditLeak`]).
     EngineCreditLeak,
-    /// Returned credits periodically land twice
+    /// Returned credits land twice
     /// ([`ofar_engine::EngineMutation::CreditDouble`]).
     EngineCreditDouble,
-    /// Returned credits periodically land on the next VC of the port
+    /// Returned credits land on the next VC of the port
     /// ([`ofar_engine::EngineMutation::EscapeVcSkew`]).
     EngineEscapeVcSkew,
     /// Ring entry granted with space for one packet instead of two
@@ -167,16 +152,11 @@ impl MutationOp {
         MutationOp::EjectNever,
         MutationOp::RingRider,
         MutationOp::ExitBudgetIgnored,
-        MutationOp::RingEager,
         MutationOp::RingNever,
         MutationOp::LocalFlagStuck,
-        MutationOp::GlobalFlagStuck,
         MutationOp::AuxFlagStuck,
         MutationOp::IntermediateOffByOne,
         MutationOp::IntermediateNever,
-        MutationOp::PbStaleBroadcast,
-        MutationOp::ThresholdAdmitAll,
-        MutationOp::ThresholdAdmitNone,
         MutationOp::RingAdmitAlways,
         MutationOp::DeclDropEscapeDrain,
         MutationOp::DeclFlattenLadder,
@@ -192,7 +172,8 @@ impl MutationOp {
         MutationOp::EngineThrottleBypass,
     ];
 
-    /// Short stable name (kill-matrix row label, DESIGN.md registry key).
+    /// Short stable name (kill-matrix row label; with the mechanism's,
+    /// the key each pair's seed is derived from).
     pub fn name(self) -> &'static str {
         match self {
             MutationOp::LocalVcFlatten => "local-vc-flatten",
@@ -203,16 +184,11 @@ impl MutationOp {
             MutationOp::EjectNever => "eject-never",
             MutationOp::RingRider => "ring-rider",
             MutationOp::ExitBudgetIgnored => "exit-budget-ignored",
-            MutationOp::RingEager => "ring-eager",
             MutationOp::RingNever => "ring-never",
             MutationOp::LocalFlagStuck => "local-flag-stuck",
-            MutationOp::GlobalFlagStuck => "global-flag-stuck",
             MutationOp::AuxFlagStuck => "aux-flag-stuck",
             MutationOp::IntermediateOffByOne => "intermediate-off-by-one",
             MutationOp::IntermediateNever => "intermediate-never",
-            MutationOp::PbStaleBroadcast => "pb-stale-broadcast",
-            MutationOp::ThresholdAdmitAll => "threshold-admit-all",
-            MutationOp::ThresholdAdmitNone => "threshold-admit-none",
             MutationOp::RingAdmitAlways => "ring-admit-always",
             MutationOp::DeclDropEscapeDrain => "decl-drop-escape-drain",
             MutationOp::DeclFlattenLadder => "decl-flatten-ladder",
@@ -243,29 +219,34 @@ impl MutationOp {
         }
     }
 
-    /// Whether applying the operator to this mechanism yields a
-    /// *distinct* mutant (operators that would be identity — e.g.
-    /// flattening MIN's single global VC — are excluded instead of
-    /// reported as spurious survivors).
+    /// Whether applying the operator to this mechanism seeds a *defect*
+    /// — a break of a rule the mechanism's safety argument rests on.
+    /// Every applicable pair must die in the oracle stack with a
+    /// witness; a pair that would be the identity, or a legal behaviour
+    /// of the host mechanism, is excluded here rather than tolerated as
+    /// a survivor (DESIGN.md §11.3).
     pub fn applies_to(self, kind: MechanismKind) -> bool {
         use MechanismKind as K;
         use MutationOp::*;
         match self {
-            LocalVcFlatten | LocalVcSwap | LocalVcInvert | GlobalVcSwap | EjectNever
-            | DeclDropInject | EngineCreditLeak | EngineCreditDouble | EngineEscapeVcSkew
-            | EngineThrottleBypass => true,
+            LocalVcSwap | GlobalVcSwap | EjectNever | DeclDropInject | EngineCreditLeak
+            | EngineCreditDouble | EngineEscapeVcSkew | EngineThrottleBypass => true,
+            // OFAR's declaration is VC-agnostic: its safety rests on the
+            // escape ring, not on a ladder, so reusing or mirroring a
+            // ladder VC is legal there.
+            LocalVcFlatten | LocalVcInvert => !matches!(kind, K::Ofar | K::OfarL),
             // MIN only ever uses global VC 0: flattening is the identity.
-            GlobalVcFlatten => kind != K::Min,
-            RingRider | ExitBudgetIgnored | RingEager | RingNever | LocalFlagStuck
-            | GlobalFlagStuck | ThresholdAdmitAll | ThresholdAdmitNone | RingAdmitAlways
+            GlobalVcFlatten => !matches!(kind, K::Min | K::Ofar | K::OfarL),
+            RingRider | ExitBudgetIgnored | RingNever | LocalFlagStuck | RingAdmitAlways
             | DeclDropEscapeDrain | CfgShallowRingBuffer | CfgNoRing | EngineRingBubbleSkip => {
                 matches!(kind, K::Ofar | K::OfarL)
             }
             AuxFlagStuck => kind == K::Par,
             IntermediateOffByOne => matches!(kind, K::Valiant | K::Pb | K::Par),
-            // PAR picks its intermediate in-transit, not at injection.
-            IntermediateNever => matches!(kind, K::Valiant | K::Pb),
-            PbStaleBroadcast => kind == K::Pb,
+            // PAR picks its intermediate in-transit, not at injection;
+            // PB's declaration contains MIN's, so routing minimally is
+            // legal there.
+            IntermediateNever => kind == K::Valiant,
             // OFAR's near-complete declaration keeps its escape drain
             // when flattened, so the mutant is not a defect there.
             DeclFlattenLadder | DeclBackEdge => {
@@ -289,16 +270,11 @@ impl MutationOp {
             MutationOp::EjectNever => "ejection suppressed at the destination",
             MutationOp::RingRider => "ring exits/ejections become ring advances",
             MutationOp::ExitBudgetIgnored => "ring-exit budget never decremented",
-            MutationOp::RingEager => "ring patience zero (immediate escape entry)",
             MutationOp::RingNever => "wait counter cleared (escape ring never entered)",
             MutationOp::LocalFlagStuck => "local-misroute flag never observed set",
-            MutationOp::GlobalFlagStuck => "global-misroute flag never observed set",
             MutationOp::AuxFlagStuck => "PAR provisional flag re-set every decision",
             MutationOp::IntermediateOffByOne => "intermediate group off-by-one after injection",
             MutationOp::IntermediateNever => "Valiant intermediate dropped at injection",
-            MutationOp::PbStaleBroadcast => "PB congestion broadcast suppressed",
-            MutationOp::ThresholdAdmitAll => "misroute threshold admits any occupancy",
-            MutationOp::ThresholdAdmitNone => "misroute threshold admits nothing",
             MutationOp::RingAdmitAlways => "escape-ring admission guard disabled",
             MutationOp::DeclDropEscapeDrain => "declared escape-entry edges removed",
             MutationOp::DeclFlattenLadder => "declared local ladder collapsed to VC 0",
@@ -307,8 +283,8 @@ impl MutationOp {
             MutationOp::CfgShallowRingBuffer => "ring buffers below the 2-packet bubble",
             MutationOp::CfgNoRing => "escape ring removed from an OFAR config",
             MutationOp::CfgFoldedLadder => "VC ladder folded below the path length",
-            MutationOp::EngineCreditLeak => "credit returns periodically dropped",
-            MutationOp::EngineCreditDouble => "credit returns periodically doubled",
+            MutationOp::EngineCreditLeak => "credit returns dropped",
+            MutationOp::EngineCreditDouble => "credit returns doubled",
             MutationOp::EngineEscapeVcSkew => "credit returns land on the wrong VC",
             MutationOp::EngineRingBubbleSkip => "ring entry granted without the bubble",
             MutationOp::EngineThrottleBypass => "injection token bucket ignored",
@@ -321,8 +297,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn catalog_is_large_and_names_are_unique() {
-        assert!(MutationOp::ALL.len() >= 20);
+    fn names_are_unique() {
         let mut names: Vec<&str> = MutationOp::ALL.iter().map(|o| o.name()).collect();
         names.sort_unstable();
         names.dedup();

@@ -42,11 +42,6 @@ const AUDIT_INTERVAL: u64 = 8;
 /// (mutant × oracle) run the matrix's critical path.
 const BURST_DEPTH: usize = 8;
 
-/// Every credit-seam mutation fires on every tick: the engine operators
-/// model a *systematically* wrong flow-control implementation, not a
-/// transient upset (PR-level fault injection already covers those).
-const ENGINE_PERIOD: u32 = 1;
-
 /// Offered load of the sustained-overload dynamic stage,
 /// phits/(node·cycle). Well past every mechanism's ADV+1 saturation at
 /// h=2, so router buffers stay congested — and the token buckets stay
@@ -376,30 +371,13 @@ pub fn run_mutant(
     match op.category() {
         OpCategory::Config => {
             let bad = mutate_config(op, &cfg);
-            let cdg = match certify(&bad, kind) {
-                Ok(_) => OracleVerdict::Pass,
-                Err(e) => OracleVerdict::Fail {
-                    witness: e.to_string(),
-                },
-            };
-            verdicts.push((OracleKind::Cdg, cdg));
+            verdicts.push((OracleKind::Cdg, certify(&bad, kind).into()));
         }
         OpCategory::Declaration => {
             let bad = mutate_decl(op, &kind.dependency_decl(&cfg));
-            let cdg = match certify_decl(&cfg, &bad) {
-                Ok(_) => OracleVerdict::Pass,
-                Err(e) => OracleVerdict::Fail {
-                    witness: e.to_string(),
-                },
-            };
-            verdicts.push((OracleKind::Cdg, cdg));
-            let conf = match conformance_with(&cfg, kind.build(&cfg, 0), bad, rank) {
-                Ok(_) => OracleVerdict::Pass,
-                Err(e) => OracleVerdict::Fail {
-                    witness: e.to_string(),
-                },
-            };
-            verdicts.push((OracleKind::Conformance, conf));
+            verdicts.push((OracleKind::Cdg, certify_decl(&cfg, &bad).into()));
+            let conf = conformance_with(&cfg, kind.build(&cfg, 0), bad, rank);
+            verdicts.push((OracleKind::Conformance, conf.into()));
         }
         OpCategory::Policy => {
             // The admission-guard defect is only observable when the
@@ -412,14 +390,8 @@ pub fn run_mutant(
                 cfg
             };
             let decl = kind.dependency_decl(&cfg);
-            let conf =
-                match conformance_with(&cfg, MutantPolicy::new(op, kind, &cfg, 0), decl, rank) {
-                    Ok(_) => OracleVerdict::Pass,
-                    Err(e) => OracleVerdict::Fail {
-                        witness: e.to_string(),
-                    },
-                };
-            verdicts.push((OracleKind::Conformance, conf));
+            let conf = conformance_with(&cfg, MutantPolicy::new(op, kind, &cfg, 0), decl, rank);
+            verdicts.push((OracleKind::Conformance, conf.into()));
             let mut net = audited(cfg, MutantPolicy::new(op, kind, &cfg, seed));
             let (audit, watchdog) = if op == MutationOp::RingAdmitAlways {
                 // Guard-off OFAR is deadlock-free (the bubble holds), so
@@ -500,15 +472,9 @@ pub fn run_mutant(
 /// Map an engine-category operator onto the engine's fault seam.
 fn engine_mutation(op: MutationOp) -> EngineMutation {
     match op {
-        MutationOp::EngineCreditLeak => EngineMutation::CreditLeak {
-            period: ENGINE_PERIOD,
-        },
-        MutationOp::EngineCreditDouble => EngineMutation::CreditDouble {
-            period: ENGINE_PERIOD,
-        },
-        MutationOp::EngineEscapeVcSkew => EngineMutation::EscapeVcSkew {
-            period: ENGINE_PERIOD,
-        },
+        MutationOp::EngineCreditLeak => EngineMutation::CreditLeak,
+        MutationOp::EngineCreditDouble => EngineMutation::CreditDouble,
+        MutationOp::EngineEscapeVcSkew => EngineMutation::EscapeVcSkew,
         MutationOp::EngineRingBubbleSkip => EngineMutation::RingBubbleSkip,
         MutationOp::EngineThrottleBypass => EngineMutation::ThrottleBypass,
         _ => unreachable!("{} is not an engine operator", op.name()),

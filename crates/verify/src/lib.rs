@@ -39,7 +39,7 @@ mod ranking;
 mod report;
 mod ring_spec;
 
-pub use oracle::{certify_decl, run_static_stack, OracleKind, OracleVerdict, StaticVerdicts};
+pub use oracle::{certify_decl, OracleKind, OracleVerdict};
 pub use ranking::RankingKind;
 pub use report::{
     Certificate, ChannelRef, ConformanceError, ConformanceReport, TransitionWitness, VerifyError,

@@ -1,23 +1,23 @@
-//! Structured oracle driver: run the static certifier stack against an
-//! *arbitrary* policy/declaration and return per-oracle verdicts.
+//! The oracle vocabulary of the proof stack.
 //!
 //! The mutation-testing harness (`crates/mutate`) measures whether the
-//! proof stack actually detects seeded defects. Each certifier here is
-//! one *oracle*; a defect is *killed* when at least one oracle rejects
-//! it with a witness. This module drives the two static oracles — the
-//! CDG deadlock verifier and the routing-conformance model checker —
-//! against subjects the safe constructors ([`crate::certify`],
-//! [`crate::conformance`]) can never build: mutated declarations,
-//! perturbed configurations and deliberately defective policies. The
-//! two dynamic oracles (runtime invariant audit, burst watchdog) need
-//! the engine and runners, so their drivers live with the harness; the
-//! verdict vocabulary here is shared by all four.
+//! proof stack actually detects seeded defects. Each certifier is one
+//! *oracle*; a defect is *killed* when at least one oracle rejects it
+//! with a witness. The two static oracles — the CDG deadlock verifier
+//! and the routing-conformance model checker — are driven against
+//! subjects the safe constructors ([`crate::certify`],
+//! [`crate::conformance`]) can never build: mutated declarations
+//! ([`certify_decl`], [`crate::conformance_with`]), perturbed
+//! configurations and deliberately defective policies. The two dynamic
+//! oracles (runtime invariant audit, burst watchdog) need the engine and
+//! runners, so the harness runs them; the verdict vocabulary here is
+//! shared by all four.
 
 use crate::report::{Certificate, VerifyError};
 use crate::ring_spec::RingSpec;
-use crate::{explore, verify_decl, RankingKind};
+use crate::verify_decl;
 use ofar_engine::{RingMode, SimConfig};
-use ofar_routing::{EnumerablePolicy, MechanismDeps};
+use ofar_routing::MechanismDeps;
 use ofar_topology::{Dragonfly, HamiltonianRing};
 
 /// The four independent correctness oracles of the proof stack.
@@ -65,14 +65,17 @@ pub enum OracleVerdict {
     },
 }
 
-/// Verdicts of the static half of the stack for one subject.
-#[derive(Clone, Debug)]
-pub struct StaticVerdicts {
-    /// CDG deadlock verifier on the *declared* dependency graph.
-    pub cdg: OracleVerdict,
-    /// Conformance model check of the real (or mutated) routing code
-    /// against that declaration.
-    pub conformance: OracleVerdict,
+impl<T, E: std::fmt::Display> From<Result<T, E>> for OracleVerdict {
+    /// An oracle's `Ok` is a pass; its typed error, rendered, is the
+    /// witness of a fail.
+    fn from(result: Result<T, E>) -> Self {
+        match result {
+            Ok(_) => OracleVerdict::Pass,
+            Err(e) => OracleVerdict::Fail {
+                witness: e.to_string(),
+            },
+        }
+    }
 }
 
 /// [`crate::certify`] with an explicit (possibly mutated) declaration:
@@ -96,30 +99,4 @@ pub fn certify_decl(cfg: &SimConfig, decl: &MechanismDeps) -> Result<Certificate
             .collect()
     };
     verify_decl(&topo, cfg, decl, &rings)
-}
-
-/// Run both static oracles against an arbitrary `(policy, declaration,
-/// ranking)` subject and return structured verdicts. The oracles run
-/// independently — a declaration the CDG verifier rejects is still
-/// model-checked, because the harness wants to know *every* oracle that
-/// catches a given defect, not just the first.
-pub fn run_static_stack<P: EnumerablePolicy>(
-    cfg: &SimConfig,
-    policy: P,
-    decl: MechanismDeps,
-    rank: RankingKind,
-) -> StaticVerdicts {
-    let cdg = match certify_decl(cfg, &decl) {
-        Ok(_) => OracleVerdict::Pass,
-        Err(e) => OracleVerdict::Fail {
-            witness: e.to_string(),
-        },
-    };
-    let conformance = match explore::conformance_with(cfg, policy, decl, rank) {
-        Ok(_) => OracleVerdict::Pass,
-        Err(e) => OracleVerdict::Fail {
-            witness: e.to_string(),
-        },
-    };
-    StaticVerdicts { cdg, conformance }
 }

@@ -113,6 +113,43 @@ fn fig7_ofar_drains_adversarial_bursts_before_ofar_l_and_pb() {
     }
 }
 
+/// Fig. 2b (§III), EXPERIMENTS.md "Fig. 2b — Valiant throughput vs
+/// adversarial offset": "under VAL … ADV+1 is gentle, ADV+n·h worst" —
+/// the `l₂` hop of the intermediate group concentrates C(n) flows on one
+/// local link. Here at h = 3, offered 1.0, over ADV+1, +2 and +3 = h,
+/// whose C(n) `theory` gives as 1, 2 and 3: VAL's accepted load falls
+/// at each step, in every seed and by more than the seeds spread.
+#[test]
+fn fig2b_val_accepts_less_as_the_l2_concentration_rises() {
+    const H: usize = 3;
+    const OFFERED: f64 = 1.0;
+    let params = SimConfig::paper(H).params;
+    let offsets = [1, 2, 3];
+    let concentration = offsets.map(|n| theory::adv_l2_concentration(&params, n));
+    assert_eq!(concentration, [1, 2, 3], "C(n) at h = {H}");
+    let accepted = offsets.map(|n| {
+        let spec = TrafficSpec::adversarial(n);
+        Cell::over_seeds(MechanismKind::Valiant, |seed| {
+            let cfg = SimConfig::paper(H).with_seed(seed);
+            steady_state(cfg, MechanismKind::Valiant, &spec, OFFERED, STEADY, seed).throughput
+        })
+    });
+    for i in 0..2 {
+        let (hi, lo) = (&accepted[i], &accepted[i + 1]);
+        let told = format!(
+            "Fig. 2b, VAL at h = {H}, offered {OFFERED}, seeds {SEEDS:?}: \
+             ADV+{} (C = {}) accepts {:?}, ADV+{} (C = {}) {:?}",
+            offsets[i],
+            concentration[i],
+            hi.per_seed,
+            offsets[i + 1],
+            concentration[i + 1],
+            lo.per_seed
+        );
+        assert_accepts_more(hi, lo, &told);
+    }
+}
+
 /// Fig. 4 (§VI-A), EXPERIMENTS.md "Fig. 4 — ADV+2": accepted load falls
 /// from OFAR to OFAR-L to PB to VAL, "exactly the paper's ordering" —
 /// here at h = 3, offered 0.7 (past every mechanism's saturation): each

@@ -811,6 +811,139 @@ fn arena_bounds_are_enforced_on_restore() {
 }
 
 // ---------------------------------------------------------------------
+// Link-layer and fault state: a receiver's wire-metadata queue pairs
+// one-to-one with the arrivals in flight to its input, a replay entry
+// holds a reservation on a VC its link has, and a pending one-shot fault
+// is removed as its count reaches zero. A file breaking any of these
+// restores a state the live engine can never hold, so it is refused.
+// ---------------------------------------------------------------------
+
+/// The `u64` count written at `at`.
+fn count_at(payload: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(payload[at..at + 8].try_into().unwrap())
+}
+
+/// Offsets, inside the STATE payload, of the `out_vc` byte of the first
+/// LLR replay entry and of the count of the first non-empty receiver
+/// wire queue. Walks the `"llr"` field in the order the engine writes
+/// it: presence tag; `n_out`, `n_in`, window, RNG; each sender (next
+/// sequence number, replay entries, acks); each receiver (window base
+/// and mask, wire queue).
+fn llr_offsets(net: &Network<Mechanism>, payload: &[u8]) -> (usize, usize) {
+    let count = |at: usize| count_at(payload, at) as usize;
+    // The field comes after every per-router one; each lookup decodes
+    // the section up to its offset, so search rather than scan.
+    let at_or_after_llr = |o: usize| {
+        let label = net.locate_state_field(payload, o);
+        label == "llr" || label.starts_with("cm") || label.starts_with("delivered_per_src")
+    };
+    let (mut lo, mut hi) = (0, payload.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if at_or_after_llr(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    assert_eq!(net.locate_state_field(payload, lo), "llr");
+    assert_eq!(payload[lo], 1, "LLR is on");
+    let mut at = lo + 1 + 4 * 8;
+    let mut first_vc = None;
+    let senders = count(at);
+    at += 8;
+    for _ in 0..senders {
+        let entries = count(at + 4);
+        at += 12;
+        for _ in 0..entries {
+            first_vc.get_or_insert(at + 4);
+            // seq, out_vc, retries, sent_at, lost; the packet's ids,
+            // stamp and endpoints; its optional intermediate group.
+            at += 18 + 24;
+            at += if payload[at] == 1 { 5 } else { 1 };
+            // flags and hop counters, current group, CRC.
+            at += 6 + 4 + 4;
+        }
+        at += 8 + 13 * count(at);
+    }
+    let receivers = count(at);
+    at += 8;
+    for _ in 0..receivers {
+        at += 12;
+        if count(at) > 0 {
+            return (first_vc.expect("a replay entry"), at);
+        }
+        at += 8;
+    }
+    panic!("no wire metadata in flight in this snapshot");
+}
+
+#[test]
+fn link_and_fault_states_the_engine_cannot_hold_are_refused() {
+    let cfg = SimConfig::paper(H).with_seed(9).with_ber(2e-3);
+    let mut h = Harness::on(cfg, MechanismKind::Ofar, 9, false);
+    h.drive(400);
+    let clean = h.net.save_snapshot();
+    let mut payload = Vec::new();
+    edit_section(&clean, 2, |p| payload = p.to_vec());
+    let (out_vc, wire) = llr_offsets(&h.net, &payload);
+    // One wire-metadata entry (sequence number, CRC) spliced out of its
+    // queue: the arrival it travelled with would land with none.
+    let wire_short = splice_section(&clean, 2, |p| {
+        let n = count_at(p, wire);
+        p[wire..wire + 8].copy_from_slice(&(n - 1).to_le_bytes());
+        p.drain(wire + 8..wire + 16);
+    });
+    let replay_vc_out_of_range = edit_section(&clean, 2, |p| p[out_vc] = 200);
+
+    // A one-shot corruption scheduled at cycle 1 on an idle network is
+    // still pending after three cycles: the fault state then holds one
+    // entry, whose count follows the two empty fail-stop sets' counts,
+    // the pending map's count and the link's two routers.
+    let mut idle = Harness::on(cfg, MechanismKind::Ofar, 9, false);
+    let r0 = RouterId::new(0);
+    let topo = Dragonfly::new(cfg.params);
+    idle.net
+        .set_fault_plan(FaultPlan::new().corrupt_phit_at(1, r0, topo.global_neighbor(r0, 0).0));
+    idle.net.run(3);
+    let pending = idle.net.save_snapshot();
+    let mut idle_payload = Vec::new();
+    edit_section(&pending, 2, |p| idle_payload = p.to_vec());
+    let fault_state = (0..idle_payload.len())
+        .find(|&o| idle.net.locate_state_field(&idle_payload, o) == "fault state")
+        .unwrap();
+    let one_shot = fault_state + 4 * 8;
+    assert_eq!(idle_payload[one_shot..one_shot + 4], 1u32.to_le_bytes());
+    let zero_pending = edit_section(&pending, 2, |p| {
+        p[one_shot..one_shot + 4].copy_from_slice(&0u32.to_le_bytes())
+    });
+
+    let mut victim = Harness::on(cfg, MechanismKind::Ofar, 9, false);
+    victim.drive(100);
+    let pristine = victim.net.save_snapshot();
+    for (what, bytes) in [
+        ("a wire queue one short of its arrivals", wire_short),
+        (
+            "a replay entry for a VC out of range",
+            replay_vc_out_of_range,
+        ),
+        ("a pending one-shot fault count of zero", zero_pending),
+    ] {
+        match victim.net.restore_snapshot(&bytes) {
+            Err(SnapshotError::Malformed(_)) => {}
+            other => panic!("{what}: expected Malformed, got {other:?}"),
+        }
+        assert_eq!(
+            victim.net.save_snapshot(),
+            pristine,
+            "{what}: victim touched"
+        );
+    }
+    victim.net.restore_snapshot(&clean).unwrap();
+    victim.net.restore_snapshot(&pending).unwrap();
+}
+
+// ---------------------------------------------------------------------
 // The labels cover the section: `locate_state_field` is the STATE
 // decoder itself run with a probe, so there is no second schema to keep
 // in step — what is left to pin is that the decoder names everything it
