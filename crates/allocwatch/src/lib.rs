@@ -1,14 +1,17 @@
-//! The system allocator with a counter in front: a test installs
+//! The system allocator with counters in front: a test installs
 //! [`Counting`] as its `#[global_allocator]` and reads [`allocations`]
-//! around the code it claims does not allocate.
+//! (or [`allocated_bytes`]) around the code it claims does not allocate
+//! (or allocates only so much).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// [`System`], counting every allocation (a `realloc` counts as one: the
-/// default method allocates anew through [`GlobalAlloc::alloc`]).
+/// [`System`], counting every allocation and its size (a `realloc`
+/// counts as one, of its new size: the default method allocates anew
+/// through [`GlobalAlloc::alloc`]).
 pub struct Counting;
 
 // SAFETY: both methods hand their arguments to `System` unchanged, so
@@ -17,6 +20,7 @@ pub struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's `GlobalAlloc::alloc` contract, passed on.
         unsafe { System.alloc(layout) }
     }
@@ -31,4 +35,10 @@ unsafe impl GlobalAlloc for Counting {
 /// Allocations made by the whole process so far.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested by the whole process's allocations so far (frees
+/// are not subtracted).
+pub fn allocated_bytes() -> u64 {
+    BYTES.load(Ordering::Relaxed)
 }

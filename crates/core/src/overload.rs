@@ -171,11 +171,9 @@ pub fn overload_point(
         .zip(&src_start)
         .map(|(&e, &s)| e - s)
         .collect();
-    let p99_latency = p99_of(
-        net.take_delivery_log()
-            .into_iter()
-            .filter(|&(t, _)| t >= opts.warmup),
-    );
+    let mut log = net.take_delivery_log();
+    log.retain(|&(t, _)| t >= opts.warmup);
+    let p99_latency = p99_of(log);
     OverloadPoint {
         mechanism: kind,
         cm: cfg.cm_enabled,

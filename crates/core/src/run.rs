@@ -219,19 +219,14 @@ fn steady_state_resumable(
     let w = StatsWindow::between(&start, net.stats(), opts.measure, nodes);
     // Latency percentiles over packets *generated* during the window
     // (excludes warmup stragglers delivered early in the window).
-    let mut lat: Vec<u32> = net
-        .take_delivery_log()
-        .into_iter()
-        .filter(|&(t, _)| t >= opts.warmup)
-        .map(|(_, l)| l)
-        .collect();
-    lat.sort_unstable();
+    let mut log = net.take_delivery_log();
+    log.retain(|&(t, _)| t >= opts.warmup);
     SteadyPoint {
         load,
         throughput: w.throughput(),
         avg_latency: w.avg_latency(),
-        p50_latency: percentile(&lat, 50),
-        p99_latency: percentile(&lat, 99),
+        p50_latency: percentile(&mut log, 50),
+        p99_latency: percentile(&mut log, 99),
         avg_hops: w.avg_hops(),
         misroute_rate: w.misroute_rate(),
         ring_entries: w.ring_entries,
@@ -588,7 +583,7 @@ pub fn burst_net<P: Policy, H: Hooks>(
         cycles: stall.is_none().then(|| net.now()),
         delivered: net.stats().delivered_packets,
         avg_latency: net.stats().avg_latency(),
-        p99_latency: p99_of(net.take_delivery_log().into_iter()),
+        p99_latency: p99_of(net.take_delivery_log()),
         ring_entries: net.stats().ring_entries,
         jain_fairness: net.jain_fairness(),
         per_source_delivered: net.per_source_delivered().to_vec(),
@@ -766,20 +761,24 @@ pub fn replay_snapshot(path: &Path, cycles: u64) -> Result<ReplayReport, Snapsho
     })
 }
 
-/// Nearest-rank percentile of ascending latencies; 0 when empty.
-pub(crate) fn percentile(sorted: &[u32], pct: usize) -> f64 {
-    match sorted.len() {
+/// Nearest-rank percentile latency of a delivery log
+/// (`(injected_at, latency)` pairs), selected in place: the entry a
+/// sort by latency would put at rank `(n − 1)·pct / 100`. Reorders
+/// `log`; 0 when empty.
+pub(crate) fn percentile(log: &mut [(u64, u32)], pct: usize) -> f64 {
+    match log.len() {
         0 => 0.0,
-        n => sorted[(n - 1) * pct / 100] as f64,
+        n => {
+            let (_, &mut (_, lat), _) =
+                log.select_nth_unstable_by_key((n - 1) * pct / 100, |&(_, l)| l);
+            f64::from(lat)
+        }
     }
 }
 
-/// 99th-percentile latency of a delivery log (`(injected_at, latency)`
-/// pairs); 0 when empty.
-pub(crate) fn p99_of(log: impl Iterator<Item = (u64, u32)>) -> f64 {
-    let mut lat: Vec<u32> = log.map(|(_, l)| l).collect();
-    lat.sort_unstable();
-    percentile(&lat, 99)
+/// 99th-percentile latency of a delivery log; 0 when empty.
+pub(crate) fn p99_of(mut log: Vec<(u64, u32)>) -> f64 {
+    percentile(&mut log, 99)
 }
 
 /// The hooks the packaged runners ([`burst`], [`replay_snapshot`],

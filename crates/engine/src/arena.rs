@@ -12,6 +12,7 @@
 
 use crate::fabric::Fabric;
 use crate::packet::Packet;
+use ofar_topology::{GroupId, NodeId};
 
 /// All routers' mutable state. Index spaces: *port* arrays are
 /// `[router × n_in]` or `[router × n_out]`, *slot* arrays follow
@@ -45,7 +46,7 @@ impl Arena {
         Self {
             in_busy: vec![0; nr * fab.n_in()],
             vc_served_at: vec![0; fab.slot_caps().len()],
-            fifos: Fifos::new(fab.slot_caps().len(), fab.cfg().packet_size as u32),
+            fifos: Fifos::new(fab.slot_caps().len(), fab.cfg().packet_size as u32, ()),
             out_busy: vec![0; nr * fab.n_out()],
             credits: fab.lane_caps().to_vec(),
             in_served_at: vec![0; nr * fab.n_out() * fab.n_in()],
@@ -56,25 +57,125 @@ impl Arena {
 /// End of a tail chain / of the free list.
 const NIL: u32 = u32::MAX;
 
-/// A queued packet behind its VC's head.
+/// What a FIFO stores for a packet behind its head: the packet itself,
+/// or the part of it the slot does not imply. [`Self::stow`] then
+/// [`Self::unstow`] at the same slot gives back every packet the FIFO
+/// is ever handed.
+pub(crate) trait Stow: Copy {
+    /// What [`Self::unstow`] reads besides the tail and its slot.
+    type Ctx: Copy;
+    fn stow(pkt: Packet) -> Self;
+    fn unstow(self, ctx: Self::Ctx, slot: usize) -> Packet;
+}
+
+/// A VC buffer's packets have travelled: the tail is the whole packet.
+impl Stow for Packet {
+    type Ctx = ();
+    #[inline]
+    fn stow(pkt: Packet) -> Self {
+        pkt
+    }
+    #[inline]
+    fn unstow(self, (): (), _: usize) -> Packet {
+        self
+    }
+}
+
+/// A packet waiting behind the head of its node's source queue. It is
+/// as [`crate::Network::generate`] made it: only the head is offered to
+/// `Policy::on_inject`, the one call that may edit a queued packet, so
+/// everything but these three fields follows from the node (the slot).
 #[derive(Clone, Copy)]
-struct Tail {
-    pkt: Packet,
+pub(crate) struct Queued {
+    id: u64,
+    injected_at: u64,
+    dst: NodeId,
+}
+
+/// What a fresh packet takes from the network rather than from its
+/// generation.
+#[derive(Clone, Copy)]
+pub(crate) struct Fresh {
+    /// Nodes per group: node `n` is in group `n / nodes_per_group`.
+    nodes_per_group: u32,
+    /// `SimConfig::max_ring_exits`.
+    ring_exits: u8,
+}
+
+impl Fresh {
+    /// The fresh-packet fields of `fab`'s network.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a group's node count fits u32, as every node id does"
+    )]
+    pub fn of(fab: &Fabric) -> Self {
+        let p = &fab.cfg().params;
+        Self {
+            nodes_per_group: (p.p * p.a) as u32,
+            ring_exits: fab.cfg().max_ring_exits,
+        }
+    }
+
+    /// The packet generated at node `src` for `dst` with `id` at cycle
+    /// `injected_at`, before anything has routed it.
+    #[inline]
+    pub fn packet(self, id: u64, injected_at: u64, src: NodeId, dst: NodeId) -> Packet {
+        Packet {
+            id,
+            injected_at,
+            src,
+            dst,
+            intermediate: None,
+            flags: 0,
+            ring_exits_left: self.ring_exits,
+            local_hops: 0,
+            global_hops: 0,
+            ring_hops: 0,
+            wait: 0,
+            cur_group: GroupId::new(src.0 / self.nodes_per_group),
+        }
+    }
+}
+
+impl Stow for Queued {
+    type Ctx = Fresh;
+    #[inline]
+    fn stow(pkt: Packet) -> Self {
+        Self {
+            id: pkt.id,
+            injected_at: pkt.injected_at,
+            dst: pkt.dst,
+        }
+    }
+    #[inline]
+    fn unstow(self, ctx: Fresh, slot: usize) -> Packet {
+        ctx.packet(self.id, self.injected_at, NodeId::from(slot), self.dst)
+    }
+}
+
+/// A queued packet behind its FIFO's head.
+#[derive(Clone, Copy)]
+struct Tail<T> {
+    pkt: T,
     next: u32,
 }
+
+// A burst parks every packet it generates behind a source-queue head:
+// 32 bytes a packet and a pool chunk of 32 KB, against 56 whole.
+const _: () = assert!(size_of::<Tail<Queued>>() <= 32);
 
 /// Tails in the order they were first needed, addressed by a `u32` that
 /// stays good for the pool's life: it grows a `CHUNK` at a time and an
 /// entry never moves. Source queues are unbounded past saturation, and
 /// one doubling `Vec` would hold the old and the new copy at once on
 /// every growth — which is what a run's peak memory then records.
-struct Pool<const CHUNK: usize> {
-    chunks: Vec<Vec<Tail>>,
+struct Pool<T, const CHUNK: usize> {
+    chunks: Vec<Vec<Tail<T>>>,
 }
 
-impl<const CHUNK: usize> Pool<CHUNK> {
+impl<T, const CHUNK: usize> Pool<T, CHUNK> {
     /// Store `tail` in a new entry and return its index.
-    fn push(&mut self, tail: Tail) -> usize {
+    fn push(&mut self, tail: Tail<T>) -> usize {
         if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
             // Amortised: one allocation per CHUNK tails, at the pool's peak only.
             self.chunks.push(Vec::with_capacity(CHUNK));
@@ -85,17 +186,17 @@ impl<const CHUNK: usize> Pool<CHUNK> {
     }
 }
 
-impl<const CHUNK: usize> std::ops::Index<u32> for Pool<CHUNK> {
-    type Output = Tail;
+impl<T, const CHUNK: usize> std::ops::Index<u32> for Pool<T, CHUNK> {
+    type Output = Tail<T>;
     #[inline]
-    fn index(&self, n: u32) -> &Tail {
+    fn index(&self, n: u32) -> &Tail<T> {
         &self.chunks[n as usize / CHUNK][n as usize % CHUNK]
     }
 }
 
-impl<const CHUNK: usize> std::ops::IndexMut<u32> for Pool<CHUNK> {
+impl<T, const CHUNK: usize> std::ops::IndexMut<u32> for Pool<T, CHUNK> {
     #[inline]
-    fn index_mut(&mut self, n: u32) -> &mut Tail {
+    fn index_mut(&mut self, n: u32) -> &mut Tail<T> {
         &mut self.chunks[n as usize / CHUNK][n as usize % CHUNK]
     }
 }
@@ -108,8 +209,11 @@ impl<const CHUNK: usize> std::ops::IndexMut<u32> for Pool<CHUNK> {
 /// packets behind it are chained through one shared pool, so memory
 /// follows what is actually buffered and a FIFO can outgrow its VC's
 /// capacity where a hook tolerates that ([`Self::push_overflowing`]).
-pub(crate) struct Fifos<const CHUNK: usize = 1024> {
+/// A tail is pooled as a `T` ([`Stow`]) and expanded as it becomes the
+/// head.
+pub(crate) struct Fifos<T: Stow = Packet, const CHUNK: usize = 1024> {
     size: u32,
+    ctx: T::Ctx,
     /// Packets queued per slot.
     pub queued: Vec<u32>,
     /// The head packet of each slot, where `queued` is nonzero.
@@ -118,15 +222,17 @@ pub(crate) struct Fifos<const CHUNK: usize = 1024> {
     /// `NIL` for a chain of none, `last` is then stale.
     first: Vec<u32>,
     last: Vec<u32>,
-    pool: Pool<CHUNK>,
+    pool: Pool<T, CHUNK>,
     free: u32,
 }
 
-impl<const CHUNK: usize> Fifos<CHUNK> {
-    /// `slots` empty FIFOs of `size`-phit packets.
-    pub fn new(slots: usize, size: u32) -> Self {
+impl<T: Stow, const CHUNK: usize> Fifos<T, CHUNK> {
+    /// `slots` empty FIFOs of `size`-phit packets, whose tails unstow
+    /// with `ctx`.
+    pub fn new(slots: usize, size: u32, ctx: T::Ctx) -> Self {
         Self {
             size,
+            ctx,
             queued: vec![0; slots],
             heads: vec![Packet::default(); slots],
             first: vec![NIL; slots],
@@ -180,7 +286,10 @@ impl<const CHUNK: usize> Fifos<CHUNK> {
             self.heads[slot] = pkt;
             return;
         }
-        let tail = Tail { pkt, next: NIL };
+        let tail = Tail {
+            pkt: T::stow(pkt),
+            next: NIL,
+        };
         let n = if self.free == NIL {
             self.pool.push(tail) as u32
         } else {
@@ -207,7 +316,7 @@ impl<const CHUNK: usize> Fifos<CHUNK> {
         let n = self.first[slot];
         if n != NIL {
             let tail = self.pool[n];
-            self.heads[slot] = tail.pkt;
+            self.heads[slot] = tail.pkt.unstow(self.ctx, slot);
             self.first[slot] = tail.next;
             self.pool[n].next = self.free;
             self.free = n;
@@ -215,14 +324,20 @@ impl<const CHUNK: usize> Fifos<CHUNK> {
         pkt
     }
 
+    /// Whether `pkt`, queued behind the head of `slot`, would come back
+    /// unchanged when it reached the head.
+    pub fn keeps(&self, slot: usize, pkt: Packet) -> bool {
+        T::stow(pkt).unstow(self.ctx, slot) == pkt
+    }
+
     /// The packets queued in `slot`, head first.
-    pub fn iter(&self, slot: usize) -> impl Iterator<Item = &Packet> {
-        let head = (self.queued[slot] != 0).then(|| &self.heads[slot]);
+    pub fn iter(&self, slot: usize) -> impl Iterator<Item = Packet> + '_ {
+        let head = (self.queued[slot] != 0).then(|| self.heads[slot]);
         let mut n = self.first[slot];
         head.into_iter().chain(std::iter::from_fn(move || {
             let tail = (n != NIL).then(|| &self.pool[n])?;
             n = tail.next;
-            Some(&tail.pkt)
+            Some(tail.pkt.unstow(self.ctx, slot))
         }))
     }
 }
@@ -233,70 +348,92 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
-    fn pkt(id: u64) -> Packet {
-        Packet {
+    const FRESH: Fresh = Fresh {
+        nodes_per_group: 2,
+        ring_exits: 4,
+    };
+
+    /// A packet `T` keeps at `slot`: for [`Queued`] a fresh one of
+    /// `slot`'s node, for [`Packet`] any.
+    fn pkt<T: Stow>(ctx: T::Ctx, slot: usize, id: u64) -> Packet {
+        let made = Packet {
             id,
+            injected_at: id / 2,
+            dst: NodeId::new(id as u32),
             ..Packet::default()
-        }
+        };
+        T::stow(made).unstow(ctx, slot)
     }
 
     #[test]
     #[should_panic(expected = "VC overflow")]
     fn overflow_panics() {
-        let mut f = Fifos::<4>::new(1, 8);
-        f.push(0, pkt(1), 8);
-        f.push(0, pkt(2), 8);
+        let mut f = Fifos::<Packet, 4>::new(1, 8, ());
+        f.push(0, pkt::<Packet>((), 0, 1), 8);
+        f.push(0, pkt::<Packet>((), 0, 2), 8);
     }
 
     #[test]
     #[should_panic(expected = "pop from empty VC")]
     fn empty_pop_panics() {
-        Fifos::<4>::new(1, 8).pop(0);
+        Fifos::<Packet, 4>::new(1, 8, ()).pop(0);
+    }
+
+    /// Against one `VecDeque` per slot: the same packets in the same
+    /// order, the head by value, the occupancy — with pushes past
+    /// the capacity going through the overflow seam, pool entries
+    /// recycled across slots, and a pool chunk of four tails so that
+    /// chains and the free list cross chunk boundaries (two pushes
+    /// for every pop: the queues grow well past one chunk).
+    fn agrees_with_a_deque<T: Stow>(ctx: T::Ctx, ops: Vec<(usize, u8)>) -> Result<(), String> {
+        const CAP: u32 = 24; // three packets
+        let mut fifos = Fifos::<T, 4>::new(4, 8, ctx);
+        let mut reference = vec![VecDeque::new(); 4];
+        let mut peak_tails = 0;
+        for (id, (slot, push)) in ops.into_iter().enumerate() {
+            let p = pkt::<T>(ctx, slot, id as u64);
+            if push != 0 {
+                prop_assert_eq!(fifos.fits(slot, CAP), reference[slot].len() < 3);
+                if fifos.fits(slot, CAP) {
+                    fifos.push(slot, p, CAP);
+                } else {
+                    fifos.push_overflowing(slot, p);
+                }
+                reference[slot].push_back(p);
+            } else if let Some(want) = reference[slot].pop_front() {
+                prop_assert_eq!(fifos.pop(slot), want);
+            }
+            let tails = reference.iter().map(|q| q.len().saturating_sub(1)).sum();
+            peak_tails = peak_tails.max(tails);
+            for (s, q) in reference.iter().enumerate() {
+                prop_assert_eq!(fifos.queued[s] as usize, q.len());
+                prop_assert_eq!(fifos.occupancy(s) as usize, 8 * q.len());
+                if let Some(&head) = q.front() {
+                    prop_assert_eq!(fifos.heads[s], head);
+                }
+                let got: Vec<Packet> = fifos.iter(s).collect();
+                prop_assert_eq!(got, q.iter().copied().collect::<Vec<_>>());
+            }
+        }
+        let pooled: usize = fifos.pool.chunks.iter().map(Vec::len).sum();
+        prop_assert_eq!(pooled, peak_tails, "the pool recycles its entries");
+        prop_assert_eq!(fifos.pool.chunks.len(), peak_tails.div_ceil(4));
+        Ok(())
     }
 
     proptest! {
-        /// Against one `VecDeque` per slot: the same packets in the same
-        /// order, the head by value, the occupancy — with pushes past
-        /// the capacity going through the overflow seam, pool entries
-        /// recycled across slots, and a pool chunk of four tails so that
-        /// chains and the free list cross chunk boundaries (two pushes
-        /// for every pop: the queues grow well past one chunk).
         #[test]
-        fn agrees_with_a_deque_reference(
+        fn vc_buffers_agree_with_a_deque_reference(
             ops in proptest::collection::vec((0usize..4, 0u8..3), 1..400),
         ) {
-            const CAP: u32 = 24; // three packets
-            let mut fifos = Fifos::<4>::new(4, 8);
-            let mut reference = vec![VecDeque::new(); 4];
-            let mut peak_tails = 0;
-            for (id, (slot, push)) in ops.into_iter().enumerate() {
-                let id = id as u64;
-                if push != 0 {
-                    prop_assert_eq!(fifos.fits(slot, CAP), reference[slot].len() < 3);
-                    if fifos.fits(slot, CAP) {
-                        fifos.push(slot, pkt(id), CAP);
-                    } else {
-                        fifos.push_overflowing(slot, pkt(id));
-                    }
-                    reference[slot].push_back(id);
-                } else if let Some(want) = reference[slot].pop_front() {
-                    prop_assert_eq!(fifos.pop(slot).id, want);
-                }
-                let tails = reference.iter().map(|q| q.len().saturating_sub(1)).sum();
-                peak_tails = peak_tails.max(tails);
-                for (s, q) in reference.iter().enumerate() {
-                    prop_assert_eq!(fifos.queued[s] as usize, q.len());
-                    prop_assert_eq!(fifos.occupancy(s) as usize, 8 * q.len());
-                    if let Some(&head) = q.front() {
-                        prop_assert_eq!(fifos.heads[s].id, head);
-                    }
-                    let got: Vec<u64> = fifos.iter(s).map(|p| p.id).collect();
-                    prop_assert_eq!(got, q.iter().copied().collect::<Vec<_>>());
-                }
-            }
-            let pooled: usize = fifos.pool.chunks.iter().map(Vec::len).sum();
-            prop_assert_eq!(pooled, peak_tails, "the pool recycles its entries");
-            prop_assert_eq!(fifos.pool.chunks.len(), peak_tails.div_ceil(4));
+            agrees_with_a_deque::<Packet>((), ops)?;
+        }
+
+        #[test]
+        fn source_queues_agree_with_a_deque_reference(
+            ops in proptest::collection::vec((0usize..4, 0u8..3), 1..400),
+        ) {
+            agrees_with_a_deque::<Queued>(FRESH, ops)?;
         }
     }
 }

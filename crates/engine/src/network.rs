@@ -16,7 +16,7 @@
 //! `policy_end` is one call and has none), as inherent methods of
 //! `Network`; `diagnose` and `state` hold what runs between steps.
 
-use crate::arena::{Arena, Fifos};
+use crate::arena::{Arena, Fifos, Fresh, Queued};
 use crate::audit::AuditReport;
 use crate::config::SimConfig;
 use crate::fabric::Fabric;
@@ -24,7 +24,7 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::hooks::{Hooks, NoHooks, Phase};
 use crate::llr::Llr;
 use crate::occupancy::Occupancy;
-use crate::packet::{Packet, Request};
+use crate::packet::Request;
 use crate::policy::{NetSnapshot, Policy};
 use crate::stats::Stats;
 use crate::wheel::Wheel;
@@ -55,8 +55,8 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     /// Unbounded per-node source queues (latency includes time spent
     /// here, which is how saturation becomes visible in latency curves):
     /// one FIFO per node, the head `on_inject` re-offers every cycle by
-    /// value.
-    src_q: Fifos,
+    /// value, the packets behind it kept as the fresh ones they are.
+    src_q: Fifos<Queued>,
     /// Node→injection-buffer transfer is serialized at 1 phit/cycle.
     inj_busy: Vec<u64>,
     /// Every packet and credit in flight on a link, filed under its
@@ -157,7 +157,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 clippy::cast_possible_truncation,
                 reason = "a validated packet_size fits u32"
             )]
-            src_q: Fifos::new(nodes, fab.cfg().packet_size as u32),
+            src_q: Fifos::new(nodes, fab.cfg().packet_size as u32, Fresh::of(&fab)),
             inj_busy: vec![0; nodes],
             stats,
             delivered_log: None,
@@ -306,20 +306,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// queue until the injection buffer accepts it.
     pub fn generate(&mut self, src: NodeId, dst: NodeId) {
         debug_assert_ne!(src, dst, "self-traffic is not meaningful");
-        let pkt = Packet {
-            id: self.next_id,
-            injected_at: self.now,
-            src,
-            dst,
-            intermediate: None,
-            flags: 0,
-            ring_exits_left: self.fab.cfg().max_ring_exits,
-            local_hops: 0,
-            global_hops: 0,
-            ring_hops: 0,
-            wait: 0,
-            cur_group: self.fab.topo().group_of_node(src),
-        };
+        let pkt = Fresh::of(&self.fab).packet(self.next_id, self.now, src, dst);
         self.next_id += 1;
         self.stats.generated_packets += 1;
         self.src_q.push_overflowing(src.idx(), pkt);

@@ -38,14 +38,14 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         for node in 0..self.num_nodes() {
             let at = topo.router_of_node(NodeId::from(node));
             for pkt in self.src_q.iter(node) {
-                check(at, pkt);
+                check(at, &pkt);
             }
         }
         for ridx in 0..self.fab.topo().num_routers() {
             let at = RouterId::from(ridx);
             for slot in self.fab.router_slots(at) {
                 for pkt in self.arena.fifos.iter(slot) {
-                    check(at, pkt);
+                    check(at, &pkt);
                 }
             }
         }

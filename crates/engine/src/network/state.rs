@@ -13,7 +13,7 @@
 
 use super::cm_sense::{CmState, CM_CONG_ONE};
 use super::Network;
-use crate::arena::{Arena, Fifos};
+use crate::arena::{Arena, Fifos, Fresh, Queued};
 use crate::fault::{FaultPlan, FaultState};
 use crate::hooks::Hooks;
 use crate::llr::Llr;
@@ -158,7 +158,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         for (node, &queued) in src_q.queued.iter().enumerate() {
             e.usize(queued as usize);
             for p in src_q.iter(node) {
-                encode_packet(e, p);
+                encode_packet(e, &p);
             }
         }
         e.u64s(inj_busy);
@@ -192,7 +192,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 for slot in desc.slots() {
                     e.usize(arena.fifos.queued[slot] as usize);
                     for p in arena.fifos.iter(slot) {
-                        encode_packet(e, p);
+                        encode_packet(e, &p);
                     }
                 }
                 let arrivals = backlog.arrivals(ridx, port);
@@ -290,10 +290,20 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         if n_queues != nodes {
             return malformed("source-queue count disagrees");
         }
-        let mut src_q = Fifos::new(nodes, self.fab.cfg().packet_size as u32);
+        let mut src_q = Fifos::new(
+            nodes,
+            self.fab.cfg().packet_size as u32,
+            Fresh::of(&self.fab),
+        );
         for node in 0..nodes {
-            for _ in 0..d.len(PACKET_MIN_BYTES, "source queue size")? {
-                src_q.push_overflowing(node, decode_packet(d)?);
+            for i in 0..d.len(PACKET_MIN_BYTES, "source queue size")? {
+                let pkt = decode_packet(d)?;
+                // Only the head has been offered to `on_inject`; a packet
+                // behind it is still as `generate` made it.
+                if i > 0 && !src_q.keeps(node, pkt) {
+                    return malformed("source-queue tail is not a fresh packet of its node");
+                }
+                src_q.push_overflowing(node, pkt);
             }
             l.field(d, || format!("src_q[{node}]"));
         }
@@ -562,7 +572,7 @@ struct DecodedState {
     plan: FaultPlan,
     faults: FaultState,
     stats: Stats,
-    src_q: Fifos,
+    src_q: Fifos<Queued>,
     inj_busy: Vec<u64>,
     router_last_grant: Vec<u64>,
     delivered_log: Option<Vec<(u64, u32)>>,

@@ -13,7 +13,7 @@
 //! structures (snapshot restore), and the deep audit checks the two
 //! agree. It is therefore outside snapshots.
 
-use crate::arena::Fifos;
+use crate::arena::{Fifos, Queued};
 use crate::fabric::Fabric;
 
 /// Buffered-packet counts per input port, the set of occupied ports of
@@ -43,7 +43,7 @@ impl Occupancy {
     }
 
     /// Count `fifos`' packets per port of `fab` and `src_q`'s queues.
-    pub fn recount(fab: &Fabric, fifos: &Fifos, src_q: &Fifos) -> Self {
+    pub fn recount(fab: &Fabric, fifos: &Fifos, src_q: &Fifos<Queued>) -> Self {
         let nr = fab.topo().num_routers();
         let mut occ = Self::empty(nr, fab.n_in(), src_q.queued.len());
         for (node, &queued) in src_q.queued.iter().enumerate() {

@@ -551,6 +551,127 @@ fn source_queues_deeper_than_a_pool_chunk_round_trip() {
     assert_eq!(busy.save_snapshot(), deep.save_snapshot());
 }
 
+/// The packets of each source queue in a STATE payload: per node, the
+/// offset of each packet's wire image, head first. A packet is 35 bytes,
+/// 39 with an intermediate group (the `Option` tag at byte 24).
+fn source_queues(net: &Network<Mechanism>, payload: &[u8]) -> Vec<Vec<usize>> {
+    let mut at = (0..payload.len())
+        .find(|&o| net.locate_state_field(payload, o) == "source-queue count")
+        .unwrap();
+    let nodes = count_at(payload, at);
+    at += 8;
+    (0..nodes)
+        .map(|_| {
+            let n = count_at(payload, at);
+            at += 8;
+            (0..n)
+                .map(|_| {
+                    let pkt = at;
+                    at += if payload[pkt + 24] == 0 { 35 } else { 39 };
+                    pkt
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A packet behind a source-queue head has not met `on_inject`: it is
+/// exactly as `generate` made it, and the engine keeps only what the
+/// node does not imply. A file queueing anything else there is refused.
+#[test]
+fn a_source_queue_tail_that_is_not_fresh_is_refused() {
+    let mut h = Harness::new(MechanismKind::Ofar, 9, 0.0, false);
+    h.drive(100);
+    let node = NodeId::new(0);
+    for _ in 0..3 {
+        h.net.generate(node, NodeId::new(5));
+    }
+    let clean = h.net.save_snapshot();
+    let mut payload = Vec::new();
+    edit_section(&clean, 2, |p| payload = p.to_vec());
+    let tail = source_queues(&h.net, &payload)[node.idx()][1];
+    assert_eq!(
+        h.net.locate_state_field(&payload, tail),
+        format!("src_q[{}]", node.idx())
+    );
+    let set = |at: usize, v: u8| edit_section(&clean, 2, |p| p[at] = v);
+    let cases = [
+        ("a local hop taken", set(tail + 27, 1)),
+        ("a foreign source", set(tail + 16, 1)),
+        (
+            "an intermediate group",
+            splice_section(&clean, 2, |p| {
+                p.splice(tail + 24..tail + 25, [1, 3, 0, 0, 0]);
+            }),
+        ),
+        (
+            "a ring exit spent",
+            set(tail + 26, h.net.cfg().max_ring_exits - 1),
+        ),
+    ];
+
+    let mut victim = Harness::new(MechanismKind::Ofar, 9, 0.0, false);
+    victim.drive(100);
+    let pristine = victim.net.save_snapshot();
+    for (what, bytes) in cases {
+        match victim.net.restore_snapshot(&bytes) {
+            Err(SnapshotError::Malformed(_)) => {}
+            other => panic!("{what}: expected Malformed, got {other:?}"),
+        }
+        assert_eq!(
+            victim.net.save_snapshot(),
+            pristine,
+            "{what}: victim touched"
+        );
+    }
+    victim.net.restore_snapshot(&clean).unwrap();
+}
+
+/// VAL and PB pick an intermediate group in `on_inject`, which edits the
+/// source-queue head in place and leaves it there while its injection
+/// buffer is full. Saved mid-burst with such heads waiting in front of
+/// queued packets, the file restores and re-saves byte for byte, and
+/// the resumed run stays with the uninterrupted one.
+#[test]
+fn a_burst_with_edited_heads_round_trips() {
+    for kind in [MechanismKind::Valiant, MechanismKind::Pb] {
+        let cfg = kind.adapt_config(SimConfig::paper(H).with_seed(3));
+        let build = || Network::new(cfg, kind.build(&cfg, 3));
+        let mut net = build();
+        let topo = Dragonfly::new(cfg.params);
+        OpenLoop::fill(&topo, TrafficSpec::adversarial(1), 40, 3, |src, dst| {
+            net.generate(src, dst)
+        });
+        net.run(300);
+        let bytes = net.save_snapshot();
+        let mut payload = Vec::new();
+        edit_section(&bytes, 2, |p| payload = p.to_vec());
+        let edited_heads = source_queues(&net, &payload)
+            .iter()
+            .filter(|q| q.len() > 1 && payload[q[0] + 24] == 1)
+            .count();
+        assert!(
+            edited_heads > 0,
+            "{kind}: no queued packet behind an edited head"
+        );
+
+        let mut fresh = build();
+        fresh.restore_snapshot(&bytes).unwrap();
+        assert_eq!(
+            fresh.save_snapshot(),
+            bytes,
+            "{kind}: save → restore → save"
+        );
+        fresh.run(300);
+        net.run(300);
+        assert_eq!(
+            fresh.save_snapshot(),
+            net.save_snapshot(),
+            "{kind}: resumed"
+        );
+    }
+}
+
 #[test]
 fn single_bit_flip_names_the_diverging_section() {
     use ofar::engine::diff_snapshots;

@@ -4,6 +4,10 @@
 //! thousand steps may allocate a handful of times (a pool chunk, a
 //! scratch vector finding a new peak) — never once per step, per router
 //! or per packet, which would read a thousand or more.
+//!
+//! A closed burst parks every packet in the source queues before the
+//! first step, so what a queued packet costs is the run's peak memory:
+//! 32 bytes behind the head, in pool chunks of 32 KB (DESIGN.md §3).
 
 use ofar::prelude::*;
 
@@ -33,6 +37,23 @@ fn allocations_in_steps(kind: MechanismKind, base: SimConfig, spec: TrafficSpec,
     }
     assert!(net.stats().delivered_packets > 0, "{kind}: nothing ran");
     in_steps
+}
+
+/// Bytes allocated while `per_node` packets are generated at every node
+/// of a fresh h=2 network, and the number of packets.
+fn bytes_to_queue(per_node: usize) -> (u64, u64) {
+    let cfg = MechanismKind::Ofar.adapt_config(SimConfig::paper(2));
+    let mut net = Network::new(cfg, MechanismKind::Ofar.build(&cfg, 7));
+    let nodes = net.num_nodes();
+    let before = allocwatch::allocated_bytes();
+    for _ in 0..per_node {
+        for src in 0..nodes {
+            net.generate(NodeId::from(src), NodeId::from((src + 1) % nodes));
+        }
+    }
+    let queued = net.in_flight();
+    assert_eq!(queued, (per_node * nodes) as u64);
+    (allocwatch::allocated_bytes() - before, queued)
 }
 
 /// One test, so no other thread of this binary allocates meanwhile.
@@ -65,4 +86,10 @@ fn a_warm_step_allocates_nothing() {
             "{name}: {n} allocations in {MEASURED} warm steps (budget {BUDGET})"
         );
     }
+    let (bytes, queued) = bytes_to_queue(200);
+    let budget = 32 * queued + 32 * 1_024;
+    assert!(
+        bytes <= budget,
+        "{bytes} bytes to queue {queued} packets (budget {budget}: 32 a packet and one pool chunk)"
+    );
 }
