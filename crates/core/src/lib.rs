@@ -25,9 +25,10 @@
 //!
 //! Every runner refuses to start a configuration that the static
 //! channel-dependency-graph verifier ([`verify`]) does not certify as
-//! deadlock-free; build with the `audit` feature to make the packaged
-//! runners carry the engine's `Auditor` hook, which additionally polices
-//! the conservation laws at runtime.
+//! deadlock-free. To police the conservation laws at runtime as well,
+//! build the network with the engine's `Auditor` hook
+//! (`Network::with_hooks`) and drive it through [`run::burst_net`];
+//! [`run::replay_snapshot`] always does.
 
 #![warn(missing_docs)]
 
@@ -96,7 +97,7 @@ pub mod prelude {
     };
     pub use ofar_traffic::{Bernoulli, OpenLoop, TrafficGen, TrafficPattern, TrafficSpec};
     pub use ofar_verify::{
-        certify, certify_cached, conformance, conformance_cached, Certificate, ConformanceError,
-        ConformanceReport, TransitionWitness, VerifyError,
+        certify, certify_cached, conformance, Certificate, ConformanceError, ConformanceReport,
+        TransitionWitness, VerifyError,
     };
 }

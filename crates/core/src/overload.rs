@@ -22,10 +22,10 @@
 //! topology, nonzero drain) distinctly from true routing livelock.
 
 use crate::run::{
-    derive_watchdog, ensure_certified, instrumented, p99_of, point_seed, steady_state, StallKind,
-    SteadyOpts, Watchdog,
+    derive_watchdog, ensure_certified, p99_of, point_seed, steady_state, StallKind, SteadyOpts,
+    Watchdog,
 };
-use ofar_engine::{jain_index, source_histogram, SimConfig, Stats, StatsWindow};
+use ofar_engine::{jain_index, source_histogram, Network, SimConfig, Stats, StatsWindow};
 use ofar_routing::MechanismKind;
 use ofar_traffic::{OpenLoop, TrafficSpec};
 use rayon::prelude::*;
@@ -134,7 +134,7 @@ pub fn overload_point(
     // injection-port limit (and `Bernoulli`'s own precondition).
     let offered = (opts.factor * saturation).min(cfg.packet_size as f64);
 
-    let mut net = instrumented(cfg, kind.build(&cfg, seed));
+    let mut net = Network::new(cfg, kind.build(&cfg, seed));
     net.enable_delivery_log();
     let topo = *net.fabric().topo();
     let mut source = OpenLoop::new(&topo, spec.clone(), offered, cfg.packet_size, seed);

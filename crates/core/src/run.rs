@@ -4,8 +4,8 @@
 use crate::checkpoint::CheckpointPolicy;
 use crate::env;
 use ofar_engine::{
-    AuditReport, Fabric, FaultPlan, Hooks, Network, Policy, SimConfig, SnapshotError, Stats,
-    StatsWindow,
+    AuditReport, Auditor, Fabric, FaultPlan, Hooks, Network, Policy, SimConfig, SnapshotError,
+    Stats, StatsWindow,
 };
 use ofar_routing::MechanismKind;
 use ofar_topology::{NodeId, RouterId};
@@ -57,26 +57,10 @@ pub struct SteadyPoint {
 /// Refuse to start a configuration the static CDG verifier does not
 /// certify as deadlock-free. The proof is cached per distinct
 /// configuration, so sweeps pay it once; a rejection names the offending
-/// dependency cycle, ring defect or buffer inequality.
-///
-/// With `OFAR_CONFORMANCE=1` in the environment the gate is upgraded to
-/// the full routing-conformance model checker: the mechanism's actual
-/// `route`/`on_inject` code is exhaustively driven over the topology's
-/// abstract decision space and must stay inside its declaration, strictly
-/// decrease its livelock ranking, and re-certify its observed dependency
-/// graph. Cached per configuration like the plain certificate, but
-/// markedly more expensive on first use — an opt-in for CI and paranoid
-/// runs.
+/// dependency cycle, ring defect or buffer inequality. (The
+/// routing-conformance model checker is not a gate: it runs through
+/// `ofar-bench verify` and `ofar-sim --conformance`.)
 pub(crate) fn ensure_certified(cfg: &SimConfig, kind: MechanismKind) {
-    if env::flag("OFAR_CONFORMANCE") {
-        if let Err(e) = ofar_verify::conformance_cached(cfg, kind) {
-            panic!(
-                "refusing to start non-conformant configuration for {}: {e}",
-                kind.name()
-            );
-        }
-        return;
-    }
     if let Err(e) = ofar_verify::certify_cached(cfg, kind) {
         panic!(
             "refusing to start unverified configuration for {}: {e}",
@@ -502,8 +486,9 @@ pub struct BurstResult {
     /// Full engine counters at the end of the run — delivery accounting,
     /// fault transitions and the LLR retry/drop/escalation counters.
     pub stats: Stats,
-    /// Runtime invariant audit over the burst. Populated when the crate
-    /// is built with the `audit` feature, `None` otherwise.
+    /// What the network's hooks recorded over the burst: the runtime
+    /// invariant audit of a network built with an `Auditor` and driven
+    /// through [`burst_net`]; `None` from [`burst`], which runs `NoHooks`.
     pub audit: Option<AuditReport>,
 }
 
@@ -543,7 +528,7 @@ pub fn burst_faulted(
 ) -> BurstResult {
     let cfg = kind.adapt_config(cfg);
     ensure_certified(&cfg, kind);
-    let mut net = instrumented(cfg, kind.build(&cfg, seed));
+    let mut net = Network::new(cfg, kind.build(&cfg, seed));
     net.set_fault_plan(plan);
     burst_net(&mut net, spec, packets_per_node, seed, run)
 }
@@ -705,15 +690,16 @@ pub struct ReplayReport {
     pub stats: Stats,
     /// Whether the network drained during the replay.
     pub drained: bool,
-    /// Runtime invariant audit over the replay (`audit` builds only).
-    pub audit: Option<AuditReport>,
+    /// Runtime invariant audit over the replay.
+    pub audit: AuditReport,
 }
 
 /// Restore a snapshot file (e.g. a post-mortem stall dump) and re-run up
 /// to `cycles` further cycles with per-cycle tracing and no new
 /// injection. The embedded configuration is re-certified through the
-/// same CDG gate as a fresh run before a single cycle executes, and
-/// under the `audit` feature the replay runs fully audited.
+/// same CDG gate as a fresh run before a single cycle executes, and the
+/// replay always runs under the engine's `Auditor` (a few per cent of
+/// host time, well spent on a post-mortem).
 ///
 /// The mechanism is rebuilt with its default tunables; its dynamic state
 /// (RNG streams, piggybacked congestion estimates) is restored from the
@@ -727,7 +713,7 @@ pub fn replay_snapshot(path: &Path, cycles: u64) -> Result<ReplayReport, Snapsho
         .map_err(|_| SnapshotError::Malformed("unknown mechanism name"))?;
     let cfg = header.config;
     ensure_certified(&cfg, kind);
-    let mut net = instrumented(cfg, kind.build(&cfg, cfg.seed));
+    let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, cfg.seed), Auditor::new());
     net.restore_snapshot(&bytes)?;
     let start_cycle = net.now();
     let mut trace = Vec::with_capacity(cycles.min(1 << 20) as usize);
@@ -757,7 +743,7 @@ pub fn replay_snapshot(path: &Path, cycles: u64) -> Result<ReplayReport, Snapsho
         trace,
         stats: net.stats().clone(),
         drained: net.drained(),
-        audit: net.take_audit_report(),
+        audit: net.take_audit_report().expect("an Auditor always reports"),
     })
 }
 
@@ -779,21 +765,6 @@ pub(crate) fn percentile(log: &mut [(u64, u32)], pct: usize) -> f64 {
 /// 99th-percentile latency of a delivery log; 0 when empty.
 pub(crate) fn p99_of(mut log: Vec<(u64, u32)>) -> f64 {
     percentile(&mut log, 99)
-}
-
-/// The hooks the packaged runners ([`burst`], [`replay_snapshot`],
-/// [`crate::overload_point`]) build their networks with: the engine's
-/// runtime auditor in `audit` builds, nothing otherwise. The one place
-/// a cargo feature selects engine instrumentation — everything below it
-/// is generic over [`Hooks`].
-#[cfg(feature = "audit")]
-type RunHooks = ofar_engine::Auditor;
-#[cfg(not(feature = "audit"))]
-type RunHooks = ofar_engine::NoHooks;
-
-/// A network carrying [`RunHooks`].
-pub(crate) fn instrumented<P: Policy>(cfg: SimConfig, policy: P) -> Network<P, RunHooks> {
-    Network::with_hooks(Fabric::new(cfg), policy, RunHooks::default())
 }
 
 /// Classify a fired watchdog. Partition wins (it explains the others and

@@ -24,12 +24,15 @@
 //!   [`Hooks::route_mark`], the calls at the eight phase markers of `step`
 //!   and inside a router's `route` turn, to attribute host time (the wall
 //!   clock is banned from this crate; the timer lives with the bench driver).
+//! * `examples/local_saturation.rs` overrides [`Hooks::transmit`] to count
+//!   phits per output port.
 //!
 //! Hook state is instrumentation, never simulation state: it is outside
 //! snapshots, and a `NoHooks` run and an `Auditor` run of the same seed
 //! are byte-identical (the root `tests/determinism.rs` pins this).
 
 use crate::audit::{AuditReport, AuditViolation};
+use ofar_topology::RouterId;
 
 /// The eight phases of [`Network::step`](crate::Network::step), in
 /// execution order: `step` opens each with one [`Hooks::phase`] call.
@@ -140,6 +143,12 @@ pub trait Hooks {
     /// A router's `route` turn reached `mark`: the ledger's split of `route`.
     #[inline]
     fn route_mark(&mut self, _mark: RouteMark) {}
+
+    /// Output `port` of `router` started sending `phits` phits: a granted
+    /// packet, or an LLR retransmission. Summed per port it is the
+    /// link utilisation of §III.
+    #[inline]
+    fn transmit(&mut self, _router: RouterId, _port: usize, _phits: u32) {}
 
     /// Whether the whole-network deep checks should run at the end of
     /// `cycle`.

@@ -68,8 +68,6 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     stats: Stats,
     /// Optional per-delivery log: (generation cycle, latency).
     delivered_log: Option<Vec<(u64, u32)>>,
-    /// Optional per-output-port phit counters (link utilization).
-    link_phits: Option<Vec<u64>>,
     /// Current liveness of links, routers and rings (§VII fault model).
     faults: FaultState,
     /// Scheduled fault transitions, consumed in time order by `step`.
@@ -81,8 +79,8 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     /// Cycle of the last grant at each router (stall diagnosis).
     router_last_grant: Vec<u64>,
     /// Link-level retransmission state; `None` keeps the lossless fast
-    /// path (see [`crate::llr`]). Enabled by a nonzero `cfg.ber`, a
-    /// transient fault plan, or [`Self::enable_llr`].
+    /// path (see [`crate::llr`]). Enabled by a nonzero `cfg.ber` or a
+    /// transient fault plan.
     llr: Option<Llr>,
     /// Congestion-management throttle state; `Some` iff `cfg.cm_enabled`
     /// (per-router occupancy estimators + per-NIC token buckets).
@@ -161,7 +159,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             inj_busy: vec![0; nodes],
             stats,
             delivered_log: None,
-            link_phits: None,
             faults: FaultState::new(&fab),
             plan: FaultPlan::new(),
             plan_cursor: 0,
@@ -259,21 +256,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             .as_mut()
             .map(std::mem::take)
             .unwrap_or_default()
-    }
-
-    /// Start counting phits per output port (link-utilization studies,
-    /// §III).
-    pub fn enable_link_utilization(&mut self) {
-        self.link_phits = Some(vec![0; self.fab.topo().num_routers() * self.fab.n_out()]);
-    }
-
-    /// Phits transmitted by output `port` of `router` since
-    /// [`Self::enable_link_utilization`].
-    pub fn link_utilization(&self, router: RouterId, port: usize) -> u64 {
-        self.link_phits
-            .as_ref()
-            .map(|v| v[router.idx() * self.fab.n_out() + port])
-            .unwrap_or(0)
     }
 
     /// The instrumentation this network was built with (e.g. to read a

@@ -15,12 +15,12 @@ use ofar_topology::RouterId;
 impl<P: Policy, H: Hooks> Network<P, H> {
     /// Enable the link-level retransmission layer (see [`crate::llr`]):
     /// every network link gets a replay buffer, CRC/sequence checking and
-    /// ack/nack recovery. Automatic when `cfg.ber > 0` or the fault plan
-    /// contains transient wire-error events; call it explicitly to run a
-    /// lossless network through the reliable-delivery machinery. Must be
-    /// enabled before any packet is in flight (link arrivals already on
-    /// the wire would have no sequence metadata).
-    pub fn enable_llr(&mut self) {
+    /// ack/nack recovery. `set_fault_plan` calls it for a plan with
+    /// transient wire-error events (a nonzero `cfg.ber` has the layer
+    /// built with the network). Must be enabled before any packet is in
+    /// flight (link arrivals already on the wire would have no sequence
+    /// metadata).
+    pub(super) fn enable_llr(&mut self) {
         if self.llr.is_some() {
             return;
         }
@@ -138,9 +138,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 let (out_vc, pkt, wire_crc, fate) =
                     llr.record_retransmit(ridx, port, seq, now, fate);
                 self.stats.llr_retransmits += 1;
-                if let Some(util) = self.link_phits.as_mut() {
-                    util[ridx * n_out + port] += u64::from(size);
-                }
+                self.hooks.transmit(rid, port, size);
                 if fate == Fate::Drop {
                     self.stats.llr_wire_drops += 1;
                     continue;

@@ -240,9 +240,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.arena.out_busy[ridx * n_out + out_port] = now + u64::from(size);
         self.stats.last_grant = now;
         self.router_last_grant[ridx] = now;
-        if let Some(util) = self.link_phits.as_mut() {
-            util[ridx * n_out + out_port] += u64::from(size);
-        }
+        self.hooks.transmit(router, out_port, size);
 
         // Credit return to the upstream router feeding this input.
         let desc = *self.fab.in_desc(router, in_port);

@@ -129,7 +129,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             occ: _,
             stats,
             delivered_log,
-            link_phits,
             faults,
             plan,
             plan_cursor,
@@ -172,14 +171,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     e.u64(at);
                     e.u32(lat);
                 }
-            }
-        }
-        match link_phits {
-            None => e.u8(0),
-            Some(counts) => {
-                e.u8(1);
-                e.usize(counts.len());
-                e.u64s(counts);
             }
         }
         // The format stores each router's ports in turn, each link's
@@ -323,18 +314,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             _ => return malformed("bad Option tag for delivery log"),
         };
         l.field(d, || "delivered_log".into());
-        let link_phits = match d.u8()? {
-            0 => None,
-            1 => {
-                let want = nr * self.fab.n_out();
-                if d.len(8, "link phit counter count")? != want {
-                    return malformed("link phit counter count disagrees");
-                }
-                Some(d.u64s(want)?)
-            }
-            _ => return malformed("bad Option tag for link counters"),
-        };
-        l.field(d, || "link_phits".into());
         let (n_in, n_out) = (self.fab.n_in(), self.fab.n_out());
         let mut arena = Arena::new(&self.fab);
         // Link pipelines are scattered into a wheel whose next drained
@@ -506,7 +485,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             inj_busy,
             router_last_grant,
             delivered_log,
-            link_phits,
             arena,
             wheel,
             llr,
@@ -550,7 +528,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.inj_busy = s.inj_busy;
         self.router_last_grant = s.router_last_grant;
         self.delivered_log = s.delivered_log;
-        self.link_phits = s.link_phits;
         self.arena = s.arena;
         self.llr = s.llr;
         self.cm = s.cm;
@@ -576,7 +553,6 @@ struct DecodedState {
     inj_busy: Vec<u64>,
     router_last_grant: Vec<u64>,
     delivered_log: Option<Vec<(u64, u32)>>,
-    link_phits: Option<Vec<u64>>,
     arena: Arena,
     wheel: Wheel,
     llr: Option<Llr>,

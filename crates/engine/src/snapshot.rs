@@ -78,7 +78,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OFARSNAP";
 /// v3: the POLICY section of the RNG-carrying mechanisms encodes a
 /// *lane table* (one RNG stream per shard) instead of a single stream —
 /// see `ofar-routing`'s `RngLanes::save`.
-pub const SNAPSHOT_VERSION: u32 = 3;
+///
+/// v4: the STATE section no longer carries the per-port link phit
+/// counters (and their `Option` tag) after the delivery log; per-link
+/// counting is a [`crate::Hooks::transmit`] tap outside snapshots.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Section tag: canonical configuration + mechanism name.
 pub(crate) const SEC_CONFIG: u8 = 1;

@@ -130,33 +130,6 @@ pub fn conformance(
     explore::conformance_with(cfg, policy, decl, RankingKind::for_mechanism(kind))
 }
 
-/// [`conformance`] with a process-wide memo table keyed on the
-/// configuration (seed excluded — the exploration enumerates random
-/// choices instead of sampling them).
-pub fn conformance_cached(
-    cfg: &SimConfig,
-    kind: MechanismKind,
-) -> Result<ConformanceReport, ConformanceError> {
-    type Key = (MechanismKind, SimConfig);
-    static CACHE: Mutex<Vec<(Key, Result<ConformanceReport, ConformanceError>)>> =
-        Mutex::new(Vec::new());
-    let mut key_cfg = *cfg;
-    key_cfg.seed = 0;
-    let key = (kind, key_cfg);
-    {
-        let cache = CACHE.lock().expect("conformance cache poisoned");
-        if let Some((_, r)) = cache.iter().find(|(k, _)| *k == key) {
-            return r.clone();
-        }
-    }
-    let result = conformance(cfg, kind);
-    let mut cache = CACHE.lock().expect("conformance cache poisoned");
-    if !cache.iter().any(|(k, _)| *k == key) {
-        cache.push((key, result.clone()));
-    }
-    result
-}
-
 /// The low-level conformance checker: explore an arbitrary
 /// [`EnumerablePolicy`] against an explicit declaration and ranking. This
 /// is the entry point for feeding deliberately buggy policies (mutants)

@@ -30,7 +30,7 @@ pub enum OracleKind {
     /// declaration containment, livelock ranking, observed-graph
     /// re-certification.
     Conformance,
-    /// Runtime invariant auditor (engine `audit` feature) over a
+    /// Runtime invariant auditor (the engine's `Auditor` hook) over a
     /// dynamic run.
     Audit,
     /// Burst progress watchdog: deadlock/livelock/partition diagnosis

@@ -3,8 +3,8 @@
 //! concentrates on single *local* links, capping throughput at `1/h`
 //! even though the global links — the usual suspects — stay half idle.
 //!
-//! This example measures per-link utilization directly (the engine's
-//! link counters) and prints the utilization histogram of local vs
+//! This example measures per-link utilization directly (a hook on the
+//! engine's transmit tap) and prints the utilization histogram of local vs
 //! global links, plus the observed throughput against the analytic
 //! bounds.
 //!
@@ -14,7 +14,20 @@
 //! ```
 
 use ofar::prelude::*;
-use ofar_core::engine::PortKind;
+use ofar_core::engine::{Fabric, Hooks, PortKind};
+
+/// Phits sent by each output port (`router · n_out + port`), counted
+/// through [`Hooks::transmit`].
+struct LinkPhits {
+    n_out: usize,
+    phits: Vec<u64>,
+}
+
+impl Hooks for LinkPhits {
+    fn transmit(&mut self, router: RouterId, port: usize, phits: u32) {
+        self.phits[router.idx() * self.n_out + port] += u64::from(phits);
+    }
+}
 
 fn main() {
     let h = 3; // 19 groups, 114 routers, 342 nodes — quick but non-toy
@@ -27,9 +40,15 @@ fn main() {
     let measure = 6_000u64;
 
     certify(&cfg, MechanismKind::Valiant).expect("configuration must be deadlock-free");
-    let mut net = Network::new(
-        cfg,
+    let fab = Fabric::new(cfg);
+    let counter = LinkPhits {
+        n_out: fab.n_out(),
+        phits: vec![0; topo.num_routers() * fab.n_out()],
+    };
+    let mut net = Network::with_hooks(
+        fab,
         Mechanism::Valiant(ofar_core::routing::ValiantPolicy::new(&cfg, 7)),
+        counter,
     );
     let mut gen = TrafficGen::new(&topo, TrafficSpec::adversarial(h), 1);
     let mut bern = Bernoulli::new(load, cfg.packet_size, 2);
@@ -42,7 +61,7 @@ fn main() {
         });
         net.step();
     }
-    net.enable_link_utilization();
+    net.hooks_mut().phits.fill(0);
     let start = net.stats().clone();
     for _ in 0..measure {
         bern.cycle(nodes, |src| {
@@ -54,18 +73,16 @@ fn main() {
     let w = StatsWindow::between(&start, net.stats(), measure, nodes);
 
     // Histogram of link utilization by class.
+    let phits = std::mem::take(&mut net.hooks_mut().phits);
     let fab = net.fabric();
     let mut local = Vec::new();
     let mut global = Vec::new();
-    for r in 0..topo.num_routers() {
-        let rid = RouterId::from(r);
-        for port in 0..fab.n_out() {
-            let util = net.link_utilization(rid, port) as f64 / measure as f64;
-            match fab.out_kind(port) {
-                PortKind::Local => local.push(util),
-                PortKind::Global => global.push(util),
-                _ => {}
-            }
+    for (i, &sent) in phits.iter().enumerate() {
+        let util = sent as f64 / measure as f64;
+        match fab.out_kind(i % fab.n_out()) {
+            PortKind::Local => local.push(util),
+            PortKind::Global => global.push(util),
+            _ => {}
         }
     }
     let summary = |v: &mut Vec<f64>| {

@@ -26,7 +26,10 @@
 //! The command line fails closed: a token that is not one of the flags
 //! above (or the value of one), or a flag given twice, exits with
 //! status 2 naming the token — a misspelled flag must not silently
-//! simulate the default. So does a value outside its range: an `ADV+<n>`
+//! simulate the default. So does a flag the chosen mode never reads
+//! (`--replay` reads only `--cycles`; `--conformance` no traffic or run
+//! length; `--burst` no `--load`, `--warmup` or `--measure`; `--cycles`
+//! needs `--replay`), and a value outside its range: an `ADV+<n>`
 //! offset outside `1..groups`, a load outside `0..=packet_size`, a
 //! `--ring` the mechanism does not run with, or `--rings` other than 1
 //! for a mechanism without a ring.
@@ -52,6 +55,29 @@ const FLAGS: &[(&str, bool)] = &[
     ("--cycles", true),
 ];
 
+/// Each mode, by the flag that selects it (the first present wins, in
+/// this order), and the other flags it reads. Steady state, selected by
+/// none of them, reads every flag but `--cycles`.
+const MODES: &[(&str, &[&str])] = &[
+    ("--replay", &["--cycles"]),
+    (
+        "--conformance",
+        &["--mech", "--h", "--ring", "--rings", "--seed", "--ber"],
+    ),
+    (
+        "--burst",
+        &[
+            "--mech",
+            "--pattern",
+            "--h",
+            "--ring",
+            "--rings",
+            "--seed",
+            "--ber",
+        ],
+    ),
+];
+
 /// The command line as `(flag, value)` pairs, validated against
 /// [`FLAGS`] before anything is looked up.
 struct Args(Vec<(&'static str, Option<String>)>);
@@ -75,6 +101,22 @@ impl Args {
             pairs.push((flag, value));
         }
         Ok(Self(pairs))
+    }
+
+    /// Refuse a flag the selected mode would silently ignore.
+    fn check_mode(&self) -> Result<(), String> {
+        let (mode, reads) = MODES
+            .iter()
+            .find(|(mode, _)| self.has(mode))
+            .map_or(("steady state", None), |&(mode, reads)| (mode, Some(reads)));
+        let read = |flag: &str| match reads {
+            Some(reads) => flag == mode || reads.contains(&flag),
+            None => flag != "--cycles",
+        };
+        match self.0.iter().find(|(flag, _)| !read(flag)) {
+            Some((flag, _)) => Err(format!("{flag} does not apply to {mode}")),
+            None => Ok(()),
+        }
     }
 
     fn has(&self, flag: &str) -> bool {
@@ -125,10 +167,12 @@ fn main() {
             .for_each(|l| println!("{}", l.strip_prefix("//! ").unwrap_or("")));
         return;
     }
-    let args = Args::parse_argv(argv).unwrap_or_else(|e| {
-        eprintln!("{e} (see --help)");
-        exit(2);
-    });
+    let args = Args::parse_argv(argv)
+        .and_then(|args| args.check_mode().map(|()| args))
+        .unwrap_or_else(|e| {
+            eprintln!("{e} (see --help)");
+            exit(2);
+        });
 
     if let Some(path) = args.get("--replay") {
         let cycles: u64 = args.parse("--cycles", 2_000);
@@ -163,9 +207,7 @@ fn main() {
             },
             rep.stats.delivered_packets
         );
-        if let Some(audit) = &rep.audit {
-            println!("audit: {audit}");
-        }
+        println!("audit: {}", rep.audit);
         return;
     }
 

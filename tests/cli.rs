@@ -134,3 +134,70 @@ fn a_ring_the_mechanism_does_not_run_with_is_refused() {
         assert_eq!(err, want, "{args:?}");
     }
 }
+
+/// A flag the chosen mode never reads exits 2 naming the flag and the
+/// mode. Each of these lines used to run to exit 0 with the flag
+/// silently ignored.
+#[test]
+fn a_flag_the_mode_never_reads_is_refused() {
+    use ofar::prelude::*;
+    let kind = MechanismKind::Min;
+    let cfg = kind.adapt_config(SimConfig::paper(2));
+    let mut net = Network::new(cfg, kind.build(&cfg, 1));
+    let topo = Dragonfly::new(cfg.params);
+    OpenLoop::fill(&topo, TrafficSpec::uniform(), 1, 1, |src, dst| {
+        net.generate(src, dst)
+    });
+    net.run(20);
+    let path = std::env::temp_dir().join(format!("ofar-cli-{}.snap", std::process::id()));
+    ofar::engine::write_atomic(&path, &net.save_snapshot()).unwrap();
+    let snap = path.to_str().unwrap();
+
+    // By mode, command lines whose last flag that mode never reads.
+    let rows: [(&str, &[&str]); 4] = [
+        (
+            "--replay",
+            &["--replay SNAP --mech MIN", "--replay SNAP --cycles 9 --h 2"],
+        ),
+        (
+            "--burst",
+            &[
+                "--mech MIN --burst 1 --load 0.2",
+                "--mech MIN --burst 1 --warmup 9",
+                "--mech MIN --burst 1 --measure 9",
+            ],
+        ),
+        (
+            "--conformance",
+            &[
+                "--mech MIN --conformance --pattern ADV+1",
+                "--mech MIN --conformance --load 0.2",
+                "--mech MIN --conformance --burst 1",
+                "--mech MIN --conformance --warmup 9",
+                "--mech MIN --conformance --measure 9",
+            ],
+        ),
+        (
+            "steady state",
+            &["--mech MIN --warmup 9 --measure 9 --cycles 9"],
+        ),
+    ];
+    for (mode, lines) in rows {
+        for line in lines {
+            let args: Vec<&str> = line
+                .split(' ')
+                .map(|a| if a == "SNAP" { snap } else { a })
+                .collect();
+            let flag = args[args.len() - 2];
+            let out = ofar_sim(&args);
+            assert_eq!(out.status.code(), Some(2), "{line} must exit 2");
+            assert!(out.stdout.is_empty(), "{line} must not run anything");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                err,
+                format!("{flag} does not apply to {mode} (see --help)\n")
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}

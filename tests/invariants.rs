@@ -2,6 +2,7 @@
 //! pattern or escape-ring model, the simulator must neither create nor
 //! destroy phits, and the credit ledger of every link must balance.
 
+use ofar::engine::{Fabric, Hooks, PortKind};
 use ofar::prelude::*;
 use proptest::prelude::*;
 
@@ -133,6 +134,53 @@ fn draining_returns_every_packet() {
         assert_eq!(net.stats().delivered_packets, generated);
         assert_eq!(net.phits_in_system(), 0);
         assert_eq!(net.audit_now(), []);
+    }
+}
+
+/// Phits the engine's transmit tap reported, summed over routers per
+/// output port.
+struct PortPhits(Vec<u64>);
+
+impl Hooks for PortPhits {
+    fn transmit(&mut self, _router: RouterId, port: usize, phits: u32) {
+        self.0[port] += u64::from(phits);
+    }
+}
+
+/// The transmit tap sees every phit a port sends: after a drained burst
+/// the ejection ports carry exactly what was delivered and the link
+/// ports one packet per hop, plus one per LLR retransmission when the
+/// links are lossy.
+#[test]
+fn the_transmit_tap_accounts_for_every_phit() {
+    for ber in [0.0, 1e-3] {
+        let mut cfg = SimConfig::paper(2).with_seed(5);
+        cfg.ber = ber;
+        let cfg = MechanismKind::Ofar.adapt_config(cfg);
+        let fab = Fabric::new(cfg);
+        let tap = PortPhits(vec![0; fab.n_out()]);
+        let mut net = Network::with_hooks(fab, MechanismKind::Ofar.build(&cfg, 5), tap);
+        let spec = TrafficSpec::adversarial(1);
+        let r = burst_net(&mut net, &spec, 4, 5, RunConfig::default());
+        assert!(r.cycles.is_some(), "ber {ber}: the burst must drain");
+        let sent = net.hooks_mut().0.clone();
+        let (mut eject, mut link) = (0, 0);
+        for (port, phits) in sent.into_iter().enumerate() {
+            match net.fabric().out_kind(port) {
+                PortKind::Node => eject += phits,
+                _ => link += phits,
+            }
+        }
+        let s = net.stats();
+        let size = cfg.packet_size as u64;
+        assert_eq!(eject, s.delivered_phits, "ber {ber}");
+        assert_eq!(
+            link,
+            (s.hop_sum + s.llr_retransmits) * size,
+            "ber {ber}: {} retransmits",
+            s.llr_retransmits
+        );
+        assert_eq!(s.llr_retransmits > 0, ber > 0.0, "ber {ber}");
     }
 }
 

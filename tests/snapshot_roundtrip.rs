@@ -1075,7 +1075,7 @@ fn link_and_fault_states_the_engine_cannot_hold_are_refused() {
 /// schema puts them, its indices as they are. Panics on a piece the
 /// schema does not have.
 fn schema_key(label: &str) -> Vec<usize> {
-    const ORDER: [&str; 31] = [
+    const ORDER: [&str; 30] = [
         "now",
         "next_id",
         "faults_ever",
@@ -1088,7 +1088,6 @@ fn schema_key(label: &str) -> Vec<usize> {
         "inj_busy[",
         "router_last_grant[",
         "delivered_log",
-        "link_phits",
         "router[",
         "].input[",
         "].output[",
@@ -1150,7 +1149,6 @@ fn fixed_width(label: &str) -> Option<usize> {
         "fault state",
         "src_q",
         "delivered_log",
-        "link_phits",
         ".fifo",
         ".arrivals",
         ".credit_events",
@@ -1181,25 +1179,24 @@ fn labels_cover_the_state_section() {
             cfg
         }
     };
-    // (what, configuration, fault plan, delivery log + link counters,
-    //  a field this variant is there to fill)
+    // (what, configuration, fault plan, delivery log, a field this
+    //  variant is there to fill)
     let variants = [
         ("plain OFAR", machine(0.0, false), false, false, "now"),
         ("LLR + fault plan", machine(2e-5, false), true, false, "llr"),
         ("CM", machine(0.0, true), false, false, "cm.tokens[0]"),
         (
-            "log + link counters",
+            "delivery log",
             machine(0.0, false),
             false,
             true,
-            "link_phits",
+            "delivered_log",
         ),
     ];
-    for (what, cfg, faults, observers, filled) in variants {
+    for (what, cfg, faults, log, filled) in variants {
         let mut h = Harness::on(cfg, MechanismKind::Ofar, 9, faults);
-        if observers {
+        if log {
             h.net.enable_delivery_log();
-            h.net.enable_link_utilization();
         }
         h.drive(400);
         assert!(h.net.stats().delivered_packets > 50, "{what}: idle run");
@@ -1254,4 +1251,47 @@ fn labels_cover_the_state_section() {
             "{what}: {filled} is absent"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Replaying a snapshot file: the post-mortem path behind
+// `ofar-sim --replay`.
+// ---------------------------------------------------------------------
+
+/// A snapshot saved mid-burst and replayed from its file starts at the
+/// saved cycle, continues its clock one trace line per cycle, drains
+/// exactly where the uninterrupted network does, and is audited clean.
+#[test]
+fn a_snapshot_replays_from_its_file_to_the_drained_end() {
+    let kind = MechanismKind::Ofar;
+    let cfg = kind.adapt_config(SimConfig::paper(H).with_seed(3));
+    let mut net = Network::new(cfg, kind.build(&cfg, 3));
+    let topo = Dragonfly::new(cfg.params);
+    OpenLoop::fill(&topo, TrafficSpec::adversarial(1), 4, 3, |src, dst| {
+        net.generate(src, dst)
+    });
+    net.run(150);
+    assert!(!net.drained(), "the snapshot must be taken mid-burst");
+    let saved_at = net.now();
+    let path = std::env::temp_dir().join(format!("ofar-replay-{}.snap", std::process::id()));
+    ofar::engine::write_atomic(&path, &net.save_snapshot()).unwrap();
+    let rep = replay_snapshot(&path, 100_000);
+    std::fs::remove_file(&path).ok();
+    let rep = rep.unwrap();
+
+    while !net.drained() {
+        net.step();
+    }
+    assert_eq!(rep.mechanism, kind.name());
+    assert_eq!(rep.start_cycle, saved_at);
+    let cycles: Vec<u64> = rep.trace.iter().map(|t| t.cycle).collect();
+    assert_eq!(cycles, (saved_at + 1..=net.now()).collect::<Vec<_>>());
+    assert!(rep.drained);
+    assert_eq!(rep.end_cycle, net.now());
+    assert_eq!(rep.stats.counters(), net.stats().counters());
+    assert!(
+        rep.audit.is_clean() && rep.audit.checks > 0,
+        "{}",
+        rep.audit
+    );
 }

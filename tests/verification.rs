@@ -3,8 +3,9 @@
 //! rejects, the routing-conformance model checker proves the real
 //! routing code stays inside its declaration with the paper's hop
 //! bounds — and rejects seeded mutant policies with named witnesses —
-//! and (under `--features audit`) a full burst runs audit-clean.
+//! and a full burst on a network built with the `Auditor` runs clean.
 
+use ofar::engine::{Auditor, Fabric};
 use ofar::prelude::*;
 
 /// Every shipped (mechanism × ring mode × ring count) combination at
@@ -86,20 +87,16 @@ fn certificate_counts_match_topology() {
     assert_eq!(cert.bubble_slack, Some(cfg.buf_ring - 2 * cfg.packet_size));
 }
 
-/// Under `--features audit`, a full burst on every mechanism completes
-/// with zero invariant violations — the always-on auditor agrees with
-/// the static proof.
-#[cfg(feature = "audit")]
+/// A full burst on every mechanism, its network built with the
+/// `Auditor`, completes with zero invariant violations — the runtime
+/// auditor agrees with the static proof.
 #[test]
 fn audited_bursts_are_clean_for_every_mechanism() {
     for kind in MechanismKind::paper_set() {
-        let r = burst(
-            SimConfig::paper(2),
-            kind,
-            &TrafficSpec::adversarial(2),
-            3,
-            11,
-        );
+        let cfg = kind.adapt_config(SimConfig::paper(2));
+        let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, 11), Auditor::new());
+        let spec = TrafficSpec::adversarial(2);
+        let r = burst_net(&mut net, &spec, 3, 11, RunConfig::default());
         assert!(r.cycles.is_some(), "{} burst must drain", kind.name());
         let audit = r
             .audit
@@ -109,9 +106,8 @@ fn audited_bursts_are_clean_for_every_mechanism() {
     }
 }
 
-/// Without the feature, the audit slot is present but empty — callers
-/// can rely on the field existing either way.
-#[cfg(not(feature = "audit"))]
+/// `burst` builds its network with `NoHooks`: the audit slot is there
+/// but empty.
 #[test]
 fn unaudited_bursts_report_no_audit() {
     let r = burst(
@@ -193,19 +189,6 @@ fn mechanisms_conform_with_paper_hop_bounds_at_h4() {
             .unwrap_or_else(|e| panic!("{} must conform at h=4: {e}", kind.name()));
         assert_eq!(rep.hop_bound, bound, "{} at h=4", kind.name());
     }
-}
-
-/// The runner gate in conformance mode: `OFAR_CONFORMANCE=1` upgrades
-/// the pre-run proof to the full model check (cached per configuration).
-#[test]
-fn conformance_results_are_cached() {
-    let cfg = MechanismKind::Min.adapt_config(SimConfig::paper(2));
-    let a = conformance_cached(&cfg, MechanismKind::Min).expect("conforms");
-    let mut reseeded = cfg;
-    reseeded.seed = 1234;
-    let b = conformance_cached(&reseeded, MechanismKind::Min).expect("cached");
-    assert_eq!(a.hop_bound, b.hop_bound);
-    assert_eq!(a.observed.len(), b.observed.len());
 }
 
 // ---------------------------------------------------------------------
