@@ -3,7 +3,8 @@
 //! A checkpoint is one file holding everything a run needs to continue
 //! bit-exactly: the engine snapshot (see `ofar_engine::snapshot`), the
 //! traffic-generator and injection-process RNG streams, the cycle
-//! counter, and — once the measurement window has opened — the stats
+//! counter, the latency counts of the network's [`Recorder`] if its hooks
+//! keep one, and — once the measurement window has opened — the stats
 //! baseline captured at its start. Files are written atomically and
 //! carry a whole-file CRC-32, so a kill mid-write leaves either the
 //! previous checkpoint or a file that fails validation and is skipped;
@@ -17,8 +18,8 @@
 
 use ofar_engine::snapshot::{Dec, Enc};
 use ofar_engine::{
-    config_fingerprint, crc32, write_atomic, Network, Policy, SimConfig, SnapshotError, Stats,
-    STATS_COUNTERS,
+    config_fingerprint, crc32, write_atomic, Hooks, Network, Policy, Recorder, SimConfig,
+    SnapshotError, Stats, STATS_COUNTERS,
 };
 use ofar_traffic::{Bernoulli, TrafficGen, TrafficSpec};
 use std::path::PathBuf;
@@ -30,8 +31,9 @@ use ofar_routing::MechanismKind;
 /// Checkpoint file magic (distinct from the engine snapshot's, which is
 /// nested inside).
 const CKPT_MAGIC: [u8; 8] = *b"OFARCKPT";
-/// Checkpoint container format version.
-const CKPT_VERSION: u32 = 1;
+/// Checkpoint container format version. Version 2 added the recorder;
+/// a version 1 file is refused, so its run starts over.
+const CKPT_VERSION: u32 = 2;
 /// Upper bound accepted for the nested snapshot length (allocation
 /// guard against corrupt length fields).
 const CKPT_SNAP_BOUND: usize = 1 << 28;
@@ -93,12 +95,12 @@ impl CheckpointPolicy {
 
     /// Write a checkpoint for run `key` after `cycle` cycles, then prune
     /// old files beyond [`CheckpointPolicy::keep`].
-    pub fn save<P: Policy>(
+    pub fn save<P: Policy, H: Hooks>(
         &self,
         key: u32,
         cycle: u64,
         start: Option<&Stats>,
-        net: &Network<P>,
+        net: &Network<P, H>,
         gen: &TrafficGen,
         bern: &Bernoulli,
     ) -> Result<(), SnapshotError> {
@@ -108,6 +110,7 @@ impl CheckpointPolicy {
             start,
             gen.rng_state(),
             bern.rng_state(),
+            net.hooks().recorder(),
             &net.save_snapshot(),
         );
         write_atomic(&self.file(key, cycle), &bytes)?;
@@ -167,21 +170,39 @@ pub struct Checkpoint {
     pub start: Option<Stats>,
     gen_rng: [u64; 4],
     bern_rng: [u64; 4],
+    recorder: Option<Recorder>,
     snap: Vec<u8>,
 }
 
 impl Checkpoint {
-    /// Restore the network and both RNG streams. The nested engine
-    /// snapshot re-validates its own checksums and the configuration
-    /// fingerprint, so a checkpoint can never be replayed onto a
-    /// different experiment.
-    pub fn restore<P: Policy>(
+    /// Restore the network, its recorder and both RNG streams. The
+    /// nested engine snapshot re-validates its own checksums and the
+    /// configuration fingerprint, so a checkpoint can never be replayed
+    /// onto a different experiment. A network whose hooks keep a
+    /// [`Recorder`] is refused, untouched, a checkpoint that carries
+    /// none or one over another window: its percentiles would miss the
+    /// packets before the checkpoint.
+    pub fn restore<P: Policy, H: Hooks>(
         &self,
-        net: &mut Network<P>,
+        net: &mut Network<P, H>,
         gen: &mut TrafficGen,
         bern: &mut Bernoulli,
     ) -> Result<(), SnapshotError> {
+        // Checked before anything is restored, so a refusal leaves `net`
+        // as it was.
+        let recorder = match (net.hooks().recorder(), &self.recorder) {
+            (None, _) => None,
+            (Some(live), Some(saved)) if live.same_window(saved) => Some(saved.clone()),
+            (Some(_), _) => {
+                return Err(SnapshotError::Malformed(
+                    "no recorder over the run's window",
+                ));
+            }
+        };
         net.restore_snapshot(&self.snap)?;
+        if let (Some(live), Some(saved)) = (net.hooks_mut().recorder_mut(), recorder) {
+            *live = saved;
+        }
         gen.set_rng_state(self.gen_rng);
         bern.set_rng_state(self.bern_rng);
         Ok(())
@@ -217,14 +238,15 @@ pub fn run_key(
 }
 
 /// Serialize a checkpoint: magic, version, run key, cycle, optional
-/// stats baseline, both RNG streams, the nested engine snapshot, and a
-/// whole-file CRC-32 trailer.
+/// stats baseline, both RNG streams, optional recorder, the nested
+/// engine snapshot, and a whole-file CRC-32 trailer.
 fn encode(
     key: u32,
     cycle: u64,
     start: Option<&Stats>,
     gen_rng: [u64; 4],
     bern_rng: [u64; 4],
+    recorder: Option<&Recorder>,
     snap: &[u8],
 ) -> Vec<u8> {
     let mut e = Enc(Vec::with_capacity(snap.len() + 64 + STATS_COUNTERS * 8));
@@ -241,6 +263,13 @@ fn encode(
     }
     e.u64s(&gen_rng);
     e.u64s(&bern_rng);
+    match recorder {
+        None => e.u8(0),
+        Some(r) => {
+            e.u8(1);
+            r.encode(&mut e);
+        }
+    }
     e.u32(u32::try_from(snap.len()).expect("snapshot over 4 GiB"));
     e.bytes(snap);
     e.u32(crc32(&e.0));
@@ -280,6 +309,11 @@ fn decode(bytes: &[u8], expect_key: u32) -> Option<Checkpoint> {
     for w in rngs.iter_mut().flatten() {
         *w = d.u64().ok()?;
     }
+    let recorder = match d.u8().ok()? {
+        0 => None,
+        1 => Some(Recorder::decode(d).ok()?),
+        _ => return None,
+    };
     let snap_len = d.u32().ok()? as usize;
     if snap_len > CKPT_SNAP_BOUND || d.remaining() != snap_len {
         return None;
@@ -289,6 +323,7 @@ fn decode(bytes: &[u8], expect_key: u32) -> Option<Checkpoint> {
         start,
         gen_rng: rngs[0],
         bern_rng: rngs[1],
+        recorder,
         snap: d.bytes(snap_len).ok()?.to_vec(),
     })
 }
@@ -296,6 +331,17 @@ fn decode(bytes: &[u8], expect_key: u32) -> Option<Checkpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ofar_engine::snapshot::Enc;
+    use ofar_traffic::TrafficSpec;
+
+    /// A recorder that has seen three packets, one per bucket.
+    fn recorder() -> Recorder {
+        let mut r = Recorder::since(4).with_series(10, 3);
+        for (at, latency) in [(4, 30), (15, 31), (29, 90)] {
+            r.delivered(at, latency, 5);
+        }
+        r
+    }
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -305,21 +351,32 @@ mod tests {
             ..Default::default()
         };
         let snap = vec![1u8, 2, 3, 4, 5];
-        let bytes = encode(0xAB, 4096, Some(&start), [1, 2, 3, 4], [5, 6, 7, 8], &snap);
+        let r = recorder();
+        let bytes = encode(
+            0xAB,
+            4096,
+            Some(&start),
+            [1, 2, 3, 4],
+            [5, 6, 7, 8],
+            Some(&r),
+            &snap,
+        );
         let ck = decode(&bytes, 0xAB).expect("valid checkpoint must decode");
         assert_eq!(ck.cycle, 4096);
         assert_eq!(ck.start.as_ref().unwrap().delivered_packets, 77);
         assert_eq!(ck.gen_rng, [1, 2, 3, 4]);
         assert_eq!(ck.bern_rng, [5, 6, 7, 8]);
+        assert_eq!(ck.recorder, Some(r));
         assert_eq!(ck.snap, snap);
         // warmup-phase checkpoint has no baseline
-        let bytes2 = encode(0xAB, 10, None, [1, 2, 3, 4], [5, 6, 7, 8], &snap);
-        assert!(decode(&bytes2, 0xAB).unwrap().start.is_none());
+        let bytes2 = encode(0xAB, 10, None, [1, 2, 3, 4], [5, 6, 7, 8], None, &snap);
+        let ck2 = decode(&bytes2, 0xAB).unwrap();
+        assert!(ck2.start.is_none() && ck2.recorder.is_none());
     }
 
     /// Format pin: the envelope bytes of a fixed checkpoint, with and
-    /// without a stats baseline. `CKPT_VERSION` is 1; a codec refactor
-    /// must leave length and CRC-32 exactly as they are.
+    /// without a stats baseline and a recorder. `CKPT_VERSION` is 2; a
+    /// codec refactor must leave length and CRC-32 exactly as they are.
     #[test]
     fn envelope_bytes_are_pinned() {
         let mut start = Stats::default();
@@ -331,20 +388,38 @@ mod tests {
         let snap: Vec<u8> = (0..=255u8).collect();
         let gen = [0x0123_4567_89AB_CDEF, 2, 3, u64::MAX];
         let bern = [5, 6, 0xFEDC_BA98_7654_3210, 8];
-        let with = encode(0xDEAD_BEEF, 123_456_789, Some(&start), gen, bern, &snap);
-        let without = encode(0xDEAD_BEEF, 50, None, gen, bern, &snap);
+        let r = recorder();
+        let with = encode(
+            0xDEAD_BEEF,
+            123_456_789,
+            Some(&start),
+            gen,
+            bern,
+            Some(&r),
+            &snap,
+        );
+        let without = encode(0xDEAD_BEEF, 50, None, gen, bern, None, &snap);
         // The CRC of a whole sealed file is the CRC-32 residue whatever
         // the content, so the pin is over the body the trailer seals.
         let pin = |file: &[u8]| (file.len(), crc32(&file[..file.len() - 4]));
-        assert_eq!(pin(&with), (593, 4_000_599_024));
-        assert_eq!(pin(&without), (353, 856_590_853));
+        assert_eq!(pin(&with), (1402, 1_576_988_792));
+        assert_eq!(pin(&without), (354, 2_493_766_495));
         let ck = decode(&with, 0xDEAD_BEEF).unwrap();
         assert_eq!(ck.start.unwrap().counters(), counters);
     }
 
     #[test]
     fn corruption_and_mismatch_fail_closed() {
-        let bytes = encode(0xAB, 4096, None, [1, 2, 3, 4], [5, 6, 7, 8], &[9, 9]);
+        let r = recorder();
+        let bytes = encode(
+            0xAB,
+            4096,
+            None,
+            [1, 2, 3, 4],
+            [5, 6, 7, 8],
+            Some(&r),
+            &[9, 9],
+        );
         assert!(decode(&bytes, 0xCD).is_none(), "wrong run key");
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut], 0xAB).is_none(), "truncation at {cut}");
@@ -363,5 +438,102 @@ mod tests {
         assert!(!p.due(150, 1000));
         assert!(!p.due(1000, 1000), "no checkpoint at the finish line");
         assert!(!CheckpointPolicy::disabled().due(100, 1000));
+    }
+
+    /// A network that keeps a recorder takes a checkpoint's counts over
+    /// its own window, and refuses, untouched, one without them.
+    #[test]
+    fn a_recording_network_needs_the_checkpoints_recorder() {
+        use ofar_engine::Fabric;
+        let kind = MechanismKind::Min;
+        let cfg = kind.adapt_config(SimConfig::paper(2));
+        let mut source = Network::new(cfg, kind.build(&cfg, 1));
+        source.run(50);
+        let topo = *source.fabric().topo();
+        let mut gen = TrafficGen::new(&topo, TrafficSpec::uniform(), 1);
+        let mut bern = Bernoulli::new(0.1, cfg.packet_size, 1);
+        let (g, b) = (gen.rng_state(), bern.rng_state());
+        let snap = source.save_snapshot();
+        let saved = Recorder::since(4).with_series(10, 3);
+        let without = decode(&encode(7, 50, None, g, b, None, &snap), 7).unwrap();
+        let with = decode(&encode(7, 50, None, g, b, Some(&recorder()), &snap), 7).unwrap();
+        let fresh = |r: Recorder| Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, 1), r);
+
+        let mut net = fresh(saved.clone());
+        assert!(without.restore(&mut net, &mut gen, &mut bern).is_err());
+        let mut other_window = fresh(Recorder::since(5).with_series(10, 3));
+        assert!(with
+            .restore(&mut other_window, &mut gen, &mut bern)
+            .is_err());
+        assert_eq!((net.now(), other_window.now()), (0, 0));
+
+        with.restore(&mut net, &mut gen, &mut bern).unwrap();
+        assert_eq!((net.now(), net.hooks()), (50, &recorder()));
+        // A network without a recorder takes either.
+        without.restore(&mut source, &mut gen, &mut bern).unwrap();
+        with.restore(&mut source, &mut gen, &mut bern).unwrap();
+    }
+
+    /// `ck` in the version 1 layout: the same fields, no recorder.
+    fn as_v1(ck: &Checkpoint, key: u32) -> Vec<u8> {
+        let mut e = Enc(Vec::new());
+        e.bytes(&CKPT_MAGIC);
+        e.u32(1);
+        e.u32(key);
+        e.u64(ck.cycle);
+        match &ck.start {
+            None => e.u8(0),
+            Some(s) => {
+                e.u8(1);
+                e.u64s(&s.counters());
+            }
+        }
+        e.u64s(&ck.gen_rng);
+        e.u64s(&ck.bern_rng);
+        e.u32(ck.snap.len() as u32);
+        e.bytes(&ck.snap);
+        e.u32(crc32(&e.0));
+        e.0
+    }
+
+    /// A version 1 file holds no recorder, so resuming from it would
+    /// drop the packets the window recorded before it: it is refused, and
+    /// the run starts over to the uninterrupted point.
+    #[test]
+    fn a_version_1_checkpoint_is_ignored() {
+        let dir = std::env::temp_dir().join(format!("ofar-ckpt-v1-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (cfg, kind, spec) = (
+            SimConfig::paper(2),
+            MechanismKind::Ofar,
+            TrafficSpec::uniform(),
+        );
+        let opts = SteadyOpts {
+            warmup: 300,
+            measure: 900,
+        };
+        let plain = crate::steady_state(cfg, kind, &spec, 0.3, opts, 5);
+        let policy = CheckpointPolicy::every(400, &dir);
+        crate::steady_state_checkpointed(cfg, kind, &spec, 0.3, opts, 5, &policy);
+        let key = run_key(
+            &kind.adapt_config(cfg),
+            kind,
+            &spec,
+            0.3,
+            opts,
+            5,
+            "None/None",
+        );
+        let (cycle, path) = policy.list(key).into_iter().next().expect("a checkpoint");
+        let ck = decode(&std::fs::read(&path).unwrap(), key).unwrap();
+        assert!(cycle > opts.warmup && ck.recorder.as_ref().unwrap().recorded() > 0);
+        for (_, old) in policy.list(key) {
+            std::fs::remove_file(old).unwrap();
+        }
+        std::fs::write(&path, as_v1(&ck, key)).unwrap();
+        assert!(policy.resume(key).is_none(), "a version 1 file decodes");
+        let resumed = crate::steady_state_checkpointed(cfg, kind, &spec, 0.3, opts, 5, &policy);
+        assert_eq!(resumed, plain);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

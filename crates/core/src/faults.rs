@@ -216,7 +216,7 @@ pub fn ber_burst(
         delivered_fraction: r.delivered as f64 / (nodes * packets_per_node) as f64,
         throughput: drain_throughput(&r, &cfg, nodes),
         avg_latency: r.avg_latency,
-        p99_latency: r.p99_latency,
+        p99_latency: r.p99_latency.expect("burst_faulted records latencies"),
         cycles: r.cycles,
         retransmits: r.stats.llr_retransmits,
         crc_drops: r.stats.llr_crc_drops,

@@ -86,7 +86,8 @@ pub mod prelude {
     pub use crate::theory;
     pub use ofar_engine::{
         jain_index, random_global_links, source_histogram, AuditReport, AuditViolation, FaultKind,
-        FaultPlan, Network, Policy, RingMode, SimConfig, SnapshotError, Stats, StatsWindow,
+        FaultPlan, Network, Policy, Recorder, RingMode, SimConfig, SnapshotError, Stats,
+        StatsWindow,
     };
     pub use ofar_routing::{
         DependencyDecl, Mechanism, MechanismKind, MisrouteThreshold, OfarConfig, OfarPolicy,

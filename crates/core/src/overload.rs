@@ -22,10 +22,11 @@
 //! topology, nonzero drain) distinctly from true routing livelock.
 
 use crate::run::{
-    derive_watchdog, ensure_certified, p99_of, point_seed, steady_state, StallKind, SteadyOpts,
-    Watchdog,
+    derive_watchdog, ensure_certified, point_seed, steady_state, StallKind, SteadyOpts, Watchdog,
 };
-use ofar_engine::{jain_index, source_histogram, Network, SimConfig, Stats, StatsWindow};
+use ofar_engine::{
+    jain_index, source_histogram, Fabric, Network, Recorder, SimConfig, Stats, StatsWindow,
+};
 use ofar_routing::MechanismKind;
 use ofar_traffic::{OpenLoop, TrafficSpec};
 use rayon::prelude::*;
@@ -134,8 +135,8 @@ pub fn overload_point(
     // injection-port limit (and `Bernoulli`'s own precondition).
     let offered = (opts.factor * saturation).min(cfg.packet_size as f64);
 
-    let mut net = Network::new(cfg, kind.build(&cfg, seed));
-    net.enable_delivery_log();
+    let recorder = Recorder::since(opts.warmup);
+    let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, seed), recorder);
     let topo = *net.fabric().topo();
     let mut source = OpenLoop::new(&topo, spec.clone(), offered, cfg.packet_size, seed);
     let nodes = net.num_nodes();
@@ -171,9 +172,7 @@ pub fn overload_point(
         .zip(&src_start)
         .map(|(&e, &s)| e - s)
         .collect();
-    let mut log = net.take_delivery_log();
-    log.retain(|&(t, _)| t >= opts.warmup);
-    let p99_latency = p99_of(log);
+    let p99_latency = net.hooks().percentile(99);
     OverloadPoint {
         mechanism: kind,
         cm: cfg.cm_enabled,

@@ -4,8 +4,8 @@
 use crate::checkpoint::CheckpointPolicy;
 use crate::env;
 use ofar_engine::{
-    AuditReport, Auditor, Fabric, FaultPlan, Hooks, Network, Policy, SimConfig, SnapshotError,
-    Stats, StatsWindow,
+    AuditReport, Auditor, Fabric, FaultPlan, Hooks, Network, Policy, Recorder, SimConfig,
+    SnapshotError, Stats, StatsWindow,
 };
 use ofar_routing::MechanismKind;
 use ofar_topology::{NodeId, RouterId};
@@ -152,7 +152,13 @@ fn steady_state_resumable(
 ) -> SteadyPoint {
     let cfg = kind.adapt_config(cfg);
     ensure_certified(&cfg, kind);
-    let mut net = Network::new(cfg, kind.build_tuned(&cfg, seed, ofar, pb));
+    // Latency percentiles are over the packets *generated* in the window
+    // (warmup stragglers delivered early in it are excluded).
+    let mut net = Network::with_hooks(
+        Fabric::new(cfg),
+        kind.build_tuned(&cfg, seed, ofar, pb),
+        Recorder::since(opts.warmup),
+    );
     let topo = *net.fabric().topo();
     let mut source = OpenLoop::new(&topo, spec.clone(), load, cfg.packet_size, seed);
     let nodes = net.num_nodes();
@@ -185,7 +191,6 @@ fn steady_state_resumable(
     while cycle <= total {
         if cycle == opts.warmup {
             start = Some(net.stats().clone());
-            net.enable_delivery_log();
         }
         if cycle == total {
             break;
@@ -201,16 +206,13 @@ fn steady_state_resumable(
     }
     let start = start.expect("warmup boundary is always crossed");
     let w = StatsWindow::between(&start, net.stats(), opts.measure, nodes);
-    // Latency percentiles over packets *generated* during the window
-    // (excludes warmup stragglers delivered early in the window).
-    let mut log = net.take_delivery_log();
-    log.retain(|&(t, _)| t >= opts.warmup);
+    let latencies = net.hooks();
     SteadyPoint {
         load,
         throughput: w.throughput(),
         avg_latency: w.avg_latency(),
-        p50_latency: percentile(&mut log, 50),
-        p99_latency: percentile(&mut log, 99),
+        p50_latency: latencies.percentile(50),
+        p99_latency: latencies.percentile(99),
         avg_hops: w.avg_hops(),
         misroute_rate: w.misroute_rate(),
         ring_entries: w.ring_entries,
@@ -315,12 +317,16 @@ pub fn transient(
 ) -> Vec<TransientBucket> {
     let cfg = kind.adapt_config(cfg);
     ensure_certified(&cfg, kind);
-    let mut net = Network::new(cfg, kind.build(&cfg, seed));
-    net.enable_delivery_log();
+    // Deliveries bucketed by generation cycle, relative to the switch.
+    let switch_at = opts.warmup;
+    let lo = switch_at.saturating_sub(opts.pre_window);
+    let hi = switch_at + opts.post;
+    let nbuckets = ((hi - lo) / opts.bucket) as usize;
+    let recorder = Recorder::since(lo).with_series(opts.bucket, nbuckets);
+    let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, seed), recorder);
     let topo = *net.fabric().topo();
     let mut source = OpenLoop::new(&topo, before.clone(), load, cfg.packet_size, seed);
 
-    let switch_at = opts.warmup;
     let total = opts.warmup + opts.post + opts.drain;
     for cycle in 0..total {
         if cycle == switch_at {
@@ -330,29 +336,18 @@ pub fn transient(
         net.step();
     }
 
-    // Bucket deliveries by generation cycle, relative to the switch.
-    let lo = switch_at.saturating_sub(opts.pre_window);
-    let hi = switch_at + opts.post;
-    let nbuckets = ((hi - lo) / opts.bucket) as usize;
-    let mut sum = vec![0u64; nbuckets];
-    let mut cnt = vec![0u64; nbuckets];
-    for (injected_at, latency) in net.take_delivery_log() {
-        if injected_at < lo || injected_at >= hi {
-            continue;
-        }
-        let b = ((injected_at - lo) / opts.bucket) as usize;
-        sum[b] += u64::from(latency);
-        cnt[b] += 1;
-    }
-    (0..nbuckets)
-        .map(|b| TransientBucket {
+    net.hooks()
+        .series()
+        .iter()
+        .enumerate()
+        .map(|(b, &(sum, sent))| TransientBucket {
             start: (lo + b as u64 * opts.bucket) as i64 - switch_at as i64,
-            avg_latency: if cnt[b] == 0 {
+            avg_latency: if sent == 0 {
                 0.0
             } else {
-                sum[b] as f64 / cnt[b] as f64
+                sum as f64 / sent as f64
             },
-            sent: cnt[b],
+            sent,
         })
         .collect()
 }
@@ -471,8 +466,10 @@ pub struct BurstResult {
     /// Mean latency over the burst.
     pub avg_latency: f64,
     /// 99th-percentile latency over the delivered packets (0 when
-    /// nothing was delivered).
-    pub p99_latency: f64,
+    /// nothing was delivered), as the network's [`Hooks::recorder`]
+    /// counted it: `None` when its hooks record no latencies, as from
+    /// [`burst_net`] over a network built without a [`Recorder`].
+    pub p99_latency: Option<f64>,
     /// Escape-ring entries over the whole burst.
     pub ring_entries: u64,
     /// Jain fairness index of per-source delivered packets (1.0 =
@@ -488,7 +485,8 @@ pub struct BurstResult {
     pub stats: Stats,
     /// What the network's hooks recorded over the burst: the runtime
     /// invariant audit of a network built with an `Auditor` and driven
-    /// through [`burst_net`]; `None` from [`burst`], which runs `NoHooks`.
+    /// through [`burst_net`]; `None` from [`burst`], whose only hook is
+    /// a [`Recorder`].
     pub audit: Option<AuditReport>,
 }
 
@@ -528,7 +526,7 @@ pub fn burst_faulted(
 ) -> BurstResult {
     let cfg = kind.adapt_config(cfg);
     ensure_certified(&cfg, kind);
-    let mut net = Network::new(cfg, kind.build(&cfg, seed));
+    let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, seed), Recorder::since(0));
     net.set_fault_plan(plan);
     burst_net(&mut net, spec, packets_per_node, seed, run)
 }
@@ -540,8 +538,9 @@ pub fn burst_faulted(
 /// engine-level fault seams, through the network's [`Hooks`]) that
 /// [`burst`] refuses by construction. Watchdog semantics, stall
 /// diagnosis and the result shape are identical to [`burst_faulted`],
-/// which delegates here; [`BurstResult::audit`] is whatever the
-/// network's hooks recorded (`None` for [`ofar_engine::NoHooks`]).
+/// which delegates here; [`BurstResult::audit`] and
+/// [`BurstResult::p99_latency`] are whatever the network's hooks recorded
+/// (`None` for [`ofar_engine::NoHooks`]).
 pub fn burst_net<P: Policy, H: Hooks>(
     net: &mut Network<P, H>,
     spec: &TrafficSpec,
@@ -549,7 +548,6 @@ pub fn burst_net<P: Policy, H: Hooks>(
     seed: u64,
     run: RunConfig,
 ) -> BurstResult {
-    net.enable_delivery_log();
     let cfg = *net.fabric().cfg();
     let topo = *net.fabric().topo();
     OpenLoop::fill(&topo, spec.clone(), packets_per_node, seed, |src, dst| {
@@ -568,7 +566,7 @@ pub fn burst_net<P: Policy, H: Hooks>(
         cycles: stall.is_none().then(|| net.now()),
         delivered: net.stats().delivered_packets,
         avg_latency: net.stats().avg_latency(),
-        p99_latency: p99_of(net.take_delivery_log()),
+        p99_latency: net.hooks().recorder().map(|r| r.percentile(99)),
         ring_entries: net.stats().ring_entries,
         jain_fairness: net.jain_fairness(),
         per_source_delivered: net.per_source_delivered().to_vec(),
@@ -622,10 +620,10 @@ impl Watchdog {
 }
 
 /// When `OFAR_POSTMORTEM_DIR` is set, dump a full engine snapshot plus a
-/// plain-text diagnosis next to it the moment a stall is diagnosed —
-/// *before* the burst runner consumes the delivery log. The snapshot can
-/// be replayed later with [`replay_snapshot`] (or `ofar-sim --replay`)
-/// to watch the network's final cycles with per-cycle tracing.
+/// plain-text diagnosis next to it the moment a stall is diagnosed. The
+/// snapshot can be replayed later with [`replay_snapshot`] (or
+/// `ofar-sim --replay`) to watch the network's final cycles with
+/// per-cycle tracing.
 /// Best-effort: a dump failure never turns a diagnosed stall into a
 /// crash.
 fn postmortem_dump<P: Policy, H: Hooks>(net: &Network<P, H>, stall: &StallKind) {
@@ -745,26 +743,6 @@ pub fn replay_snapshot(path: &Path, cycles: u64) -> Result<ReplayReport, Snapsho
         drained: net.drained(),
         audit: net.take_audit_report().expect("an Auditor always reports"),
     })
-}
-
-/// Nearest-rank percentile latency of a delivery log
-/// (`(injected_at, latency)` pairs), selected in place: the entry a
-/// sort by latency would put at rank `(n − 1)·pct / 100`. Reorders
-/// `log`; 0 when empty.
-pub(crate) fn percentile(log: &mut [(u64, u32)], pct: usize) -> f64 {
-    match log.len() {
-        0 => 0.0,
-        n => {
-            let (_, &mut (_, lat), _) =
-                log.select_nth_unstable_by_key((n - 1) * pct / 100, |&(_, l)| l);
-            f64::from(lat)
-        }
-    }
-}
-
-/// 99th-percentile latency of a delivery log; 0 when empty.
-pub(crate) fn p99_of(mut log: Vec<(u64, u32)>) -> f64 {
-    percentile(&mut log, 99)
 }
 
 /// Classify a fired watchdog. Partition wins (it explains the others and

@@ -85,11 +85,29 @@ impl Stow for Packet {
 /// as [`crate::Network::generate`] made it: only the head is offered to
 /// `Policy::on_inject`, the one call that may edit a queued packet, so
 /// everything but these three fields follows from the node (the slot).
+/// The two `u64` fields are kept as `[u32; 2]` words, so a tail aligns
+/// to 4 bytes and packs into 24 (see [`Tail`]).
 #[derive(Clone, Copy)]
 pub(crate) struct Queued {
-    id: u64,
-    injected_at: u64,
+    id: [u32; 2],
+    injected_at: [u32; 2],
     dst: NodeId,
+}
+
+/// `v` as its low and high `u32` words.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the low word is the truncation"
+)]
+fn words(v: u64) -> [u32; 2] {
+    [v as u32, (v >> 32) as u32]
+}
+
+/// The `u64` whose [`words`] are `w`.
+#[inline]
+fn unwords(w: [u32; 2]) -> u64 {
+    u64::from(w[0]) | u64::from(w[1]) << 32
 }
 
 /// What a fresh packet takes from the network rather than from its
@@ -142,14 +160,15 @@ impl Stow for Queued {
     #[inline]
     fn stow(pkt: Packet) -> Self {
         Self {
-            id: pkt.id,
-            injected_at: pkt.injected_at,
+            id: words(pkt.id),
+            injected_at: words(pkt.injected_at),
             dst: pkt.dst,
         }
     }
     #[inline]
     fn unstow(self, ctx: Fresh, slot: usize) -> Packet {
-        ctx.packet(self.id, self.injected_at, NodeId::from(slot), self.dst)
+        let (id, injected_at) = (unwords(self.id), unwords(self.injected_at));
+        ctx.packet(id, injected_at, NodeId::from(slot), self.dst)
     }
 }
 
@@ -161,8 +180,9 @@ struct Tail<T> {
 }
 
 // A burst parks every packet it generates behind a source-queue head:
-// 32 bytes a packet and a pool chunk of 32 KB, against 56 whole.
-const _: () = assert!(size_of::<Tail<Queued>>() <= 32);
+// 24 bytes a packet (20 of `Queued`, 4 of link, no padding) and a pool
+// chunk of 24 KB, against 56 whole.
+const _: () = assert!(size_of::<Tail<Queued>>() <= 24);
 
 /// Tails in the order they were first needed, addressed by a `u32` that
 /// stays good for the pool's life: it grows a `CHUNK` at a time and an
@@ -315,11 +335,13 @@ impl<T: Stow, const CHUNK: usize> Fifos<T, CHUNK> {
         let pkt = self.heads[slot];
         let n = self.first[slot];
         if n != NIL {
-            let tail = self.pool[n];
-            self.heads[slot] = tail.pkt.unstow(self.ctx, slot);
-            self.first[slot] = tail.next;
-            self.pool[n].next = self.free;
+            // One pool lookup serves the read and the relink.
+            let tail = &mut self.pool[n];
+            let (next, stowed) = (tail.next, tail.pkt);
+            tail.next = self.free;
             self.free = n;
+            self.first[slot] = next;
+            self.heads[slot] = stowed.unstow(self.ctx, slot);
         }
         pkt
     }

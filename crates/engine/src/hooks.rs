@@ -26,13 +26,20 @@
 //!   clock is banned from this crate; the timer lives with the bench driver).
 //! * `examples/local_saturation.rs` overrides [`Hooks::transmit`] to count
 //!   phits per output port.
+//! * [`Recorder`] overrides [`Hooks::delivered`] to count latencies, and
+//!   answers [`Hooks::recorder`]: every runner of `ofar-core` reads its
+//!   percentiles and transient series from one.
+//! * A pair `(A, B)` of hooks is a hook: each observation reaches both
+//!   halves, and the perturbations compose (see its impl).
 //!
 //! Hook state is instrumentation, never simulation state: it is outside
 //! snapshots, and a `NoHooks` run and an `Auditor` run of the same seed
 //! are byte-identical (the root `tests/determinism.rs` pins this).
 
 use crate::audit::{AuditReport, AuditViolation};
+use crate::recorder::Recorder;
 use ofar_topology::RouterId;
+use std::cell::LazyCell;
 
 /// The eight phases of [`Network::step`](crate::Network::step), in
 /// execution order: `step` opens each with one [`Hooks::phase`] call.
@@ -150,6 +157,11 @@ pub trait Hooks {
     #[inline]
     fn transmit(&mut self, _router: RouterId, _port: usize, _phits: u32) {}
 
+    /// A packet generated at cycle `injected_at` was delivered `latency`
+    /// cycles later, after `hops` link hops (ring hops included).
+    #[inline]
+    fn delivered(&mut self, _injected_at: u64, _latency: u64, _hops: u32) {}
+
     /// Whether the whole-network deep checks should run at the end of
     /// `cycle`.
     #[inline]
@@ -166,6 +178,19 @@ pub trait Hooks {
     /// hook that records nothing.
     #[inline]
     fn take_report(&mut self) -> Option<AuditReport> {
+        None
+    }
+
+    /// The latency counts this hook keeps; `None` from a hook that
+    /// records none.
+    #[inline]
+    fn recorder(&self) -> Option<&Recorder> {
+        None
+    }
+
+    /// [`Self::recorder`], to resume it from a checkpoint.
+    #[inline]
+    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
         None
     }
 
@@ -208,10 +233,138 @@ pub struct NoHooks;
 
 impl Hooks for NoHooks {}
 
+/// Two hooks at once, e.g. a [`Recorder`] beside an
+/// [`Auditor`](crate::audit::Auditor). Every observation reaches both
+/// halves, `A` first; each argument of [`Hooks::check`] is evaluated at
+/// most once, and the check passes when both halves let it. The
+/// perturbations compose: a credit is skewed by `A`, then by `B`; a
+/// switch is on when either half turns it on; the ring-entry bubble is
+/// the smaller need. The accessors answer `A`'s report or recorder where
+/// it has one, else `B`'s.
+impl<A: Hooks, B: Hooks> Hooks for (A, B) {
+    #[inline]
+    fn check(
+        &mut self,
+        ok: impl FnOnce() -> bool,
+        violation: impl FnOnce() -> AuditViolation,
+    ) -> bool {
+        let ok = LazyCell::new(ok);
+        let violation = LazyCell::new(violation);
+        let a = self.0.check(|| *ok, || (*violation).clone());
+        let b = self.1.check(|| *ok, || (*violation).clone());
+        a && b
+    }
+
+    #[inline]
+    fn phase(&mut self, phase: Phase) {
+        self.0.phase(phase);
+        self.1.phase(phase);
+    }
+
+    #[inline]
+    fn route_mark(&mut self, mark: RouteMark) {
+        self.0.route_mark(mark);
+        self.1.route_mark(mark);
+    }
+
+    #[inline]
+    fn transmit(&mut self, router: RouterId, port: usize, phits: u32) {
+        self.0.transmit(router, port, phits);
+        self.1.transmit(router, port, phits);
+    }
+
+    #[inline]
+    fn delivered(&mut self, injected_at: u64, latency: u64, hops: u32) {
+        self.0.delivered(injected_at, latency, hops);
+        self.1.delivered(injected_at, latency, hops);
+    }
+
+    #[inline]
+    fn deep_due(&self, cycle: u64) -> bool {
+        self.0.deep_due(cycle) || self.1.deep_due(cycle)
+    }
+
+    #[inline]
+    fn deep_report(&mut self, checks: u64, violations: Vec<AuditViolation>) {
+        self.0.deep_report(checks, violations.clone());
+        self.1.deep_report(checks, violations);
+    }
+
+    #[inline]
+    fn take_report(&mut self) -> Option<AuditReport> {
+        let a = self.0.take_report();
+        let b = self.1.take_report();
+        a.or(b)
+    }
+
+    #[inline]
+    fn recorder(&self) -> Option<&Recorder> {
+        self.0.recorder().or_else(|| self.1.recorder())
+    }
+
+    #[inline]
+    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
+        self.0.recorder_mut().or_else(|| self.1.recorder_mut())
+    }
+
+    #[inline]
+    fn skew_credit(&mut self, vc: u8, phits: u32, vcs: usize) -> Option<(u8, u32)> {
+        let (vc, phits) = self.0.skew_credit(vc, phits, vcs)?;
+        self.1.skew_credit(vc, phits, vcs)
+    }
+
+    #[inline]
+    fn tolerates_overflow(&self) -> bool {
+        self.0.tolerates_overflow() || self.1.tolerates_overflow()
+    }
+
+    #[inline]
+    fn ring_entry_need(&self, size: u32) -> u32 {
+        self.0
+            .ring_entry_need(size)
+            .min(self.1.ring_entry_need(size))
+    }
+
+    #[inline]
+    fn bypass_throttle(&self) -> bool {
+        self.0.bypass_throttle() || self.1.bypass_throttle()
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::Phase;
+    use super::{Hooks, Phase};
+    use crate::audit::{AuditViolation, Auditor};
+    use std::cell::Cell;
     use std::path::Path;
+
+    /// A pair asks each argument of a check at most once, and both
+    /// halves hear the verdict.
+    #[test]
+    fn a_pair_evaluates_a_check_once_for_both_halves() {
+        let mut pair = (Auditor::new(), Auditor::new());
+        let asked = Cell::new(0);
+        let violation = || AuditViolation::DuplicateDelivery {
+            cycle: 1,
+            router: 2,
+            packet: 3,
+        };
+        for ok in [true, false] {
+            let verdict = pair.check(
+                || {
+                    asked.set(asked.get() + 1);
+                    ok
+                },
+                violation,
+            );
+            assert_eq!(verdict, ok);
+        }
+        assert_eq!(asked.get(), 2);
+        for auditor in [&mut pair.0, &mut pair.1] {
+            let report = auditor.take_report().unwrap();
+            assert_eq!((report.checks, report.violations), (2, vec![violation()]));
+        }
+    }
 
     /// What a phase does lives in the `network` child module of its
     /// name; `policy_end` is a single call in `step` and has none.

@@ -56,6 +56,7 @@ mod occupancy;
 pub mod packet;
 pub mod policy;
 pub mod probe;
+pub mod recorder;
 pub mod snapshot;
 pub mod stats;
 mod wheel;
@@ -75,6 +76,7 @@ pub use packet::{
 };
 pub use policy::{InputCtx, NetSnapshot, Policy, RouterView};
 pub use probe::{PortLoad, ViewProbe, PROBE_NOW};
+pub use recorder::Recorder;
 pub use snapshot::{
     config_fingerprint, diff_snapshots, peek_header, read_file, write_atomic, SectionDiff,
     SnapshotError, SnapshotHeader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

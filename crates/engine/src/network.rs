@@ -250,16 +250,21 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.delivered_log = Some(Vec::new());
     }
 
-    /// Drain the recorded delivery log.
+    /// Take the recorded delivery log, and stop recording: the network
+    /// is then as one that never logged (its snapshot holds no log).
     pub fn take_delivery_log(&mut self) -> Vec<(u64, u32)> {
-        self.delivered_log
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
+        self.delivered_log.take().unwrap_or_default()
     }
 
-    /// The instrumentation this network was built with (e.g. to read a
-    /// phase timer out after a run).
+    /// The instrumentation this network was built with (e.g. to read
+    /// its [`Hooks::recorder`] after a run).
+    #[inline]
+    pub fn hooks(&self) -> &H {
+        &self.hooks
+    }
+
+    /// [`Self::hooks`], mutable (e.g. to read a phase timer out after a
+    /// run).
     #[inline]
     pub fn hooks_mut(&mut self) -> &mut H {
         &mut self.hooks

@@ -345,9 +345,11 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 self.stats.delivered_phits += u64::from(size);
                 self.delivered_per_src[pkt.src.idx()] += 1;
                 self.stats.latency_sum += latency;
-                self.stats.hop_sum += u64::from(pkt.local_hops)
-                    + u64::from(pkt.global_hops)
-                    + u64::from(pkt.ring_hops);
+                let hops = u32::from(pkt.local_hops)
+                    + u32::from(pkt.global_hops)
+                    + u32::from(pkt.ring_hops);
+                self.stats.hop_sum += u64::from(hops);
+                self.hooks.delivered(pkt.injected_at, latency, hops);
                 self.stats.last_delivery = now;
                 if was_on_ring {
                     self.stats.ring_deliveries += 1;

@@ -307,7 +307,9 @@ fn main() {
             Some(c) => {
                 println!(
                     "burst of {ppn} pkts/node drained in {c} cycles (avg latency {:.1}, p99 {:.0}, {} ring entries)",
-                    r.avg_latency, r.p99_latency, r.ring_entries
+                    r.avg_latency,
+                    r.p99_latency.expect("burst records latencies"),
+                    r.ring_entries
                 );
                 if cfg.ber > 0.0 {
                     println!(

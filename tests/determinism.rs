@@ -235,8 +235,22 @@ fn checkpointed_steady_state_resumes_to_identical_results() {
     let ckpt = CheckpointPolicy::every(500, &dir);
     let first = steady_state_checkpointed(cfg, kind, &spec, 0.25, opts, 11, &ckpt);
     assert_eq!(plain, first, "checkpointing perturbed the run");
-    let n_files = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-    assert!(n_files > 0, "no checkpoint files were written");
+    // The newest checkpoint, the one a resume starts from, lies inside
+    // the measurement window: the resumed point's percentiles rest on
+    // the recorder's counts the checkpoint carries.
+    let newest = std::fs::read_dir(&dir)
+        .expect("checkpoint directory")
+        .filter_map(|e| {
+            let name = e.ok()?.file_name().into_string().ok()?;
+            let hex = name.strip_suffix(".bin")?.rsplit('-').next()?.to_string();
+            u64::from_str_radix(&hex, 16).ok()
+        })
+        .max()
+        .expect("no checkpoint files were written");
+    assert!(
+        opts.warmup < newest && newest < opts.warmup + opts.measure,
+        "resume point {newest} is outside the window"
+    );
     let resumed = steady_state_checkpointed(cfg, kind, &spec, 0.25, opts, 11, &ckpt);
     assert_eq!(
         plain, resumed,

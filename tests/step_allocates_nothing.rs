@@ -7,8 +7,9 @@
 //!
 //! A closed burst parks every packet in the source queues before the
 //! first step, so what a queued packet costs is the run's peak memory:
-//! 32 bytes behind the head, in pool chunks of 32 KB (DESIGN.md §3).
+//! 24 bytes behind the head, in pool chunks of 24 KB (DESIGN.md §3).
 
+use ofar::engine::{Fabric, Hooks, NoHooks};
 use ofar::prelude::*;
 
 #[global_allocator]
@@ -19,11 +20,18 @@ const MEASURED: usize = 1_000;
 const BUDGET: u64 = 50;
 
 /// Allocations made inside the last `MEASURED` of `WARMUP + MEASURED`
-/// `step` calls (traffic generation, between steps, is not counted).
-fn allocations_in_steps(kind: MechanismKind, base: SimConfig, spec: TrafficSpec, load: f64) -> u64 {
+/// `step` calls of a network built with `hooks` (traffic generation,
+/// between steps, is not counted).
+fn allocations_in_steps<H: Hooks>(
+    kind: MechanismKind,
+    base: SimConfig,
+    spec: TrafficSpec,
+    load: f64,
+    hooks: H,
+) -> u64 {
     let seed = 7;
     let cfg = kind.adapt_config(base.with_seed(seed));
-    let mut net = Network::new(cfg, kind.build(&cfg, seed));
+    let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, seed), hooks);
     let topo = Dragonfly::new(cfg.params);
     let mut source = OpenLoop::new(&topo, spec, load, cfg.packet_size, seed);
     let mut in_steps = 0;
@@ -79,17 +87,32 @@ fn a_warm_step_allocates_nothing() {
         TrafficSpec::adversarial(1),
         1.0,
     ));
-    for (name, kind, cfg, spec, load) in cells {
-        let n = allocations_in_steps(kind, cfg, spec, load);
+    let mut counts: Vec<_> = cells
+        .into_iter()
+        .map(|(name, kind, cfg, spec, load)| {
+            (name, allocations_in_steps(kind, cfg, spec, load, NoHooks))
+        })
+        .collect();
+    // The runners' latency counts grow by doubling: a warm run has
+    // already seen its largest latency, or nearly.
+    let recorded = allocations_in_steps(
+        Ofar,
+        paper,
+        TrafficSpec::adversarial(1),
+        0.5,
+        Recorder::since(0),
+    );
+    counts.push(("OFAR, recorded", recorded));
+    for (name, n) in counts {
         assert!(
             n < BUDGET,
             "{name}: {n} allocations in {MEASURED} warm steps (budget {BUDGET})"
         );
     }
     let (bytes, queued) = bytes_to_queue(200);
-    let budget = 32 * queued + 32 * 1_024;
+    let budget = 24 * queued + 24 * 1_024;
     assert!(
         bytes <= budget,
-        "{bytes} bytes to queue {queued} packets (budget {budget}: 32 a packet and one pool chunk)"
+        "{bytes} bytes to queue {queued} packets (budget {budget}: 24 a packet and one pool chunk)"
     );
 }
