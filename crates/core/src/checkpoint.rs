@@ -445,13 +445,14 @@ mod tests {
     #[test]
     fn a_recording_network_needs_the_checkpoints_recorder() {
         use ofar_engine::Fabric;
+        use ofar_traffic::OpenLoop;
         let kind = MechanismKind::Min;
         let cfg = kind.adapt_config(SimConfig::paper(2));
         let mut source = Network::new(cfg, kind.build(&cfg, 1));
         source.run(50);
         let topo = *source.fabric().topo();
-        let mut gen = TrafficGen::new(&topo, TrafficSpec::uniform(), 1);
-        let mut bern = Bernoulli::new(0.1, cfg.packet_size, 1);
+        let OpenLoop { mut gen, mut bern } =
+            OpenLoop::new(&topo, TrafficSpec::uniform(), 0.1, cfg.packet_size, 1);
         let (g, b) = (gen.rng_state(), bern.rng_state());
         let snap = source.save_snapshot();
         let saved = Recorder::since(4).with_series(10, 3);

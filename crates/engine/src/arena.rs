@@ -55,7 +55,7 @@ impl Arena {
 }
 
 /// End of a tail chain / of the free list.
-const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// What a FIFO stores for a packet behind its head: the packet itself,
 /// or the part of it the slot does not imply. [`Self::stow`] then
@@ -172,11 +172,13 @@ impl Stow for Queued {
     }
 }
 
-/// A queued packet behind its FIFO's head.
+/// A pool entry and the index of the next one in its chain: a queued
+/// packet behind its FIFO's head, or a block of the timing wheel's
+/// events ([`crate::wheel`]).
 #[derive(Clone, Copy)]
-struct Tail<T> {
-    pkt: T,
-    next: u32,
+pub(crate) struct Tail<T> {
+    pub item: T,
+    pub next: u32,
 }
 
 // A burst parks every packet it generates behind a source-queue head:
@@ -184,18 +186,29 @@ struct Tail<T> {
 // chunk of 24 KB, against 56 whole.
 const _: () = assert!(size_of::<Tail<Queued>>() <= 24);
 
-/// Tails in the order they were first needed, addressed by a `u32` that
+/// Entries in the order they were first needed, addressed by a `u32` that
 /// stays good for the pool's life: it grows a `CHUNK` at a time and an
 /// entry never moves. Source queues are unbounded past saturation, and
 /// one doubling `Vec` would hold the old and the new copy at once on
 /// every growth — which is what a run's peak memory then records.
-struct Pool<T, const CHUNK: usize> {
+pub(crate) struct Pool<T, const CHUNK: usize> {
     chunks: Vec<Vec<Tail<T>>>,
 }
 
 impl<T, const CHUNK: usize> Pool<T, CHUNK> {
+    /// A pool of no entries; it allocates nothing until the first push.
+    pub fn new() -> Self {
+        Self { chunks: Vec::new() }
+    }
+
+    /// Entries ever pushed.
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
     /// Store `tail` in a new entry and return its index.
-    fn push(&mut self, tail: Tail<T>) -> usize {
+    pub fn push(&mut self, tail: Tail<T>) -> usize {
         if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
             // Amortised: one allocation per CHUNK tails, at the pool's peak only.
             self.chunks.push(Vec::with_capacity(CHUNK));
@@ -257,7 +270,7 @@ impl<T: Stow, const CHUNK: usize> Fifos<T, CHUNK> {
             heads: vec![Packet::default(); slots],
             first: vec![NIL; slots],
             last: vec![NIL; slots],
-            pool: Pool { chunks: Vec::new() },
+            pool: Pool::new(),
             free: NIL,
         }
     }
@@ -307,7 +320,7 @@ impl<T: Stow, const CHUNK: usize> Fifos<T, CHUNK> {
             return;
         }
         let tail = Tail {
-            pkt: T::stow(pkt),
+            item: T::stow(pkt),
             next: NIL,
         };
         let n = if self.free == NIL {
@@ -337,7 +350,7 @@ impl<T: Stow, const CHUNK: usize> Fifos<T, CHUNK> {
         if n != NIL {
             // One pool lookup serves the read and the relink.
             let tail = &mut self.pool[n];
-            let (next, stowed) = (tail.next, tail.pkt);
+            let (next, stowed) = (tail.next, tail.item);
             tail.next = self.free;
             self.free = n;
             self.first[slot] = next;
@@ -359,7 +372,7 @@ impl<T: Stow, const CHUNK: usize> Fifos<T, CHUNK> {
         head.into_iter().chain(std::iter::from_fn(move || {
             let tail = (n != NIL).then(|| &self.pool[n])?;
             n = tail.next;
-            Some(tail.pkt.unstow(self.ctx, slot))
+            Some(tail.item.unstow(self.ctx, slot))
         }))
     }
 }
@@ -437,8 +450,11 @@ mod tests {
                 prop_assert_eq!(got, q.iter().copied().collect::<Vec<_>>());
             }
         }
-        let pooled: usize = fifos.pool.chunks.iter().map(Vec::len).sum();
-        prop_assert_eq!(pooled, peak_tails, "the pool recycles its entries");
+        prop_assert_eq!(
+            fifos.pool.len(),
+            peak_tails,
+            "the pool recycles its entries"
+        );
         prop_assert_eq!(fifos.pool.chunks.len(), peak_tails.div_ceil(4));
         Ok(())
     }

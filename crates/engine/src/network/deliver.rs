@@ -27,8 +27,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         let cm = &mut self.cm;
         let hooks = &mut self.hooks;
         let occ = &mut self.occ;
-        let due = self.wheel.due(now);
-        for arrival in due.arrivals.drain(..) {
+        let (arrivals, credits) = self.wheel.due(now);
+        for arrival in arrivals {
             let (ridx, port, vc) = (arrival.router as usize, arrival.port as usize, arrival.vc);
             let mut pkt = arrival.pkt;
             // Link-level CRC/sequence check: a corrupted transfer is
@@ -87,7 +87,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             occ.port_pkts[ridx * n_in + port] += 1;
             occ.port_mask[ridx] |= 1 << port;
         }
-        for credit in due.credits.drain(..) {
+        for credit in credits {
             let (ridx, port) = (credit.router as usize, credit.port as usize);
             let link = fab.out_link(RouterId::from(ridx), port);
             // Seeded credit-accounting skew (mutation testing): drop,

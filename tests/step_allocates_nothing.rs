@@ -1,6 +1,6 @@
 //! §V polls every head packet every cycle, so `Network::step` must not
-//! allocate per cycle (DESIGN.md §13). Scratch vectors, wheel slots and
-//! the tail pool grow to their peaks while a run warms up; after that a
+//! allocate per cycle (DESIGN.md §13). Scratch vectors, the wheel's block
+//! pool and the tail pool grow to their peaks while a run warms up; after that a
 //! thousand steps may allocate a handful of times (a pool chunk, a
 //! scratch vector finding a new peak) — never once per step, per router
 //! or per packet, which would read a thousand or more.
@@ -8,6 +8,11 @@
 //! A closed burst parks every packet in the source queues before the
 //! first step, so what a queued packet costs is the run's peak memory:
 //! 24 bytes behind the head, in pool chunks of 24 KB (DESIGN.md §3).
+//!
+//! What `step` allocates while that burst drains is mostly links: the
+//! timing wheel's blocks, which follow what is in flight. A `Vec` per
+//! wheel bucket, each doubling to its busiest cycle, read 631,264 bytes
+//! over the burst below; the block pool reads 337,696.
 
 use ofar::engine::{Fabric, Hooks, NoHooks};
 use ofar::prelude::*;
@@ -18,6 +23,10 @@ static ALLOC: allocwatch::Counting = allocwatch::Counting;
 const WARMUP: usize = 5_000;
 const MEASURED: usize = 1_000;
 const BUDGET: u64 = 50;
+/// Bytes `step` may allocate over the h=2 burst of `bytes_in_burst_steps`:
+/// the 337,696 measured, plus 64 KB, a little over one 57.6 KB chunk of
+/// arrival blocks.
+const LINK_BYTES: u64 = 337_696 + 64 * 1024;
 
 /// Allocations made inside the last `MEASURED` of `WARMUP + MEASURED`
 /// `step` calls of a network built with `hooks` (traffic generation,
@@ -62,6 +71,29 @@ fn bytes_to_queue(per_node: usize) -> (u64, u64) {
     let queued = net.in_flight();
     assert_eq!(queued, (per_node * nodes) as u64);
     (allocwatch::allocated_bytes() - before, queued)
+}
+
+/// Bytes `step` allocates while a closed ADV+1 OFAR burst of `per_node`
+/// packets per node drains at h=2 (generating the burst is not counted).
+fn bytes_in_burst_steps(per_node: usize) -> u64 {
+    let cfg = MechanismKind::Ofar.adapt_config(SimConfig::paper(2));
+    let mut net = Network::new(cfg, MechanismKind::Ofar.build(&cfg, 7));
+    let topo = Dragonfly::new(cfg.params);
+    OpenLoop::fill(
+        &topo,
+        TrafficSpec::adversarial(1),
+        per_node,
+        7,
+        |src, dst| net.generate(src, dst),
+    );
+    let mut bytes = 0;
+    while !net.drained() {
+        assert!(net.now() < 100_000, "the burst did not drain");
+        let before = allocwatch::allocated_bytes();
+        net.step();
+        bytes += allocwatch::allocated_bytes() - before;
+    }
+    bytes
 }
 
 /// One test, so no other thread of this binary allocates meanwhile.
@@ -114,5 +146,10 @@ fn a_warm_step_allocates_nothing() {
     assert!(
         bytes <= budget,
         "{bytes} bytes to queue {queued} packets (budget {budget}: 24 a packet and one pool chunk)"
+    );
+    let bytes = bytes_in_burst_steps(100);
+    assert!(
+        bytes <= LINK_BYTES,
+        "{bytes} bytes allocated by step over an h=2 burst (budget {LINK_BYTES})"
     );
 }
