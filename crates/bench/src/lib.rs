@@ -73,15 +73,15 @@ pub struct Experiment {
 }
 
 enum Run {
-    /// One of the paper's figures, by its `ofar_core::experiments`
-    /// function: takes no arguments.
-    Paper(fn(&Scale) -> Table),
+    /// A checked-in table, by the function that computes it at a scale:
+    /// takes no arguments.
+    Table(fn(&Scale) -> Table),
     /// Anything else, handed the arguments after its name.
     Args(fn(&[String]) -> ExitCode),
 }
 
-const fn paper(name: &'static str, table: fn(&Scale) -> Table) -> Experiment {
-    let (kind, run) = (Kind::Figure, Run::Paper(table));
+const fn figure(name: &'static str, table: fn(&Scale) -> Table) -> Experiment {
+    let (kind, run) = (Kind::Figure, Run::Table(table));
     Experiment { name, kind, run }
 }
 
@@ -92,19 +92,19 @@ const fn row(name: &'static str, kind: Kind, run: fn(&[String]) -> ExitCode) -> 
 
 /// Every experiment the binary runs, in `ofar-bench list` order.
 pub static EXPERIMENTS: &[Experiment] = &[
-    paper("fig2b", experiments::fig2b),
-    paper("fig3", experiments::fig3),
-    paper("fig4", experiments::fig4),
-    paper("fig5", experiments::fig5),
-    paper("fig6", experiments::fig6),
-    paper("fig7", experiments::fig7),
-    paper("fig8", experiments::fig8),
-    paper("fig9", experiments::fig9),
+    figure("fig2b", experiments::fig2b),
+    figure("fig3", experiments::fig3),
+    figure("fig4", experiments::fig4),
+    figure("fig5", experiments::fig5),
+    figure("fig6", experiments::fig6),
+    figure("fig7", experiments::fig7),
+    figure("fig8", experiments::fig8),
+    figure("fig9", experiments::fig9),
     row("theory", Figure, studies::theory),
-    row("rings", Figure, studies::ring_reliability),
-    row("ablation_thresholds", Figure, studies::ablation_thresholds),
-    row("ablation_pb", Figure, studies::ablation_pb),
-    row("ablation_patience", Figure, studies::ablation_patience),
+    figure("rings", studies::ring_reliability),
+    figure("ablation_thresholds", studies::ablation_thresholds),
+    figure("ablation_pb", studies::ablation_pb),
+    figure("ablation_patience", studies::ablation_patience),
     row("faults", Study, robustness::link_failures),
     row("ber", Study, robustness::ber),
     row("overload", Study, robustness::overload),
@@ -129,7 +129,7 @@ pub fn run(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     match EXPERIMENTS.iter().find(|e| e.name == name).map(|e| &e.run) {
-        Some(Run::Paper(table)) => {
+        Some(Run::Table(table)) => {
             emit(&table(&start(name, rest)));
             ExitCode::SUCCESS
         }

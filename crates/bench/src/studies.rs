@@ -2,11 +2,12 @@
 //! paper: the §III theory printer, the §VII ring-reliability study and
 //! the three tuning ablations.
 
-use crate::{emit, no_args, scale, start};
+use crate::{no_args, scale};
 use ofar_core::prelude::*;
 use ofar_core::topology::DragonflyParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 use std::process::ExitCode;
 
 /// Prints the analytic §III throughput bounds and the l₂-concentration
@@ -62,8 +63,7 @@ pub(crate) fn theory(args: &[String]) -> ExitCode {
 /// edge-disjoint Hamiltonian escape rings and measure, by Monte Carlo,
 /// how many random link failures the escape subnetwork survives as a
 /// function of how many rings are deployed.
-pub(crate) fn ring_reliability(args: &[String]) -> ExitCode {
-    let scale = start("rings", args);
+pub(crate) fn ring_reliability(scale: &Scale) -> Table {
     let topo = Dragonfly::balanced(scale.h);
     let all = HamiltonianRing::embed_disjoint(&topo, scale.h);
     assert!(HamiltonianRing::pairwise_edge_disjoint(&topo, &all));
@@ -112,21 +112,33 @@ pub(crate) fn ring_reliability(args: &[String]) -> ExitCode {
             format!("{:.2}", survive_h as f64 / trials as f64),
         ]);
     }
-    emit(&t);
-    ExitCode::SUCCESS
+    t
 }
 
-/// One tuned steady-state point at the scale's run lengths and seed.
-fn tuned(
+/// The tunables one ablation row runs a mechanism with.
+type Tuning = (Option<OfarConfig>, Option<PbConfig>);
+
+/// Score every tuning at the same two `(traffic, load)` probes, at the
+/// scale's run lengths and seed: one flat list of `tunings × probes`
+/// points, run by one parallel map, returned as one pair per tuning.
+fn score(
     scale: &Scale,
     kind: MechanismKind,
-    spec: &TrafficSpec,
-    load: f64,
-    ofar: Option<OfarConfig>,
-    pb: Option<PbConfig>,
-) -> SteadyPoint {
-    let (cfg, opts) = (scale.cfg(), scale.steady);
-    steady_state_tuned(cfg, kind, spec, load, opts, scale.seed, ofar, pb)
+    tunings: &[Tuning],
+    probes: &[(TrafficSpec, f64); 2],
+) -> Vec<[SteadyPoint; 2]> {
+    let points: Vec<(&Tuning, &(TrafficSpec, f64))> = tunings
+        .iter()
+        .flat_map(|tuning| probes.iter().map(move |probe| (tuning, probe)))
+        .collect();
+    let results: Vec<SteadyPoint> = points
+        .par_iter()
+        .map(|&(&(ofar, pb), (spec, load))| {
+            let (cfg, opts) = (scale.cfg(), scale.steady);
+            steady_state_tuned(cfg, kind, spec, *load, opts, scale.seed, ofar, pb)
+        })
+        .collect();
+    results.chunks(2).map(|pair| [pair[0], pair[1]]).collect()
 }
 
 /// Ablation of OFAR's misroute thresholds (§IV-B / §V): the paper chose
@@ -135,8 +147,7 @@ fn tuned(
 /// patterns". This reruns that study: each threshold policy is
 /// scored on uniform latency at moderate load and on ADV+h throughput at
 /// high load.
-pub(crate) fn ablation_thresholds(args: &[String]) -> ExitCode {
-    let scale = start("ablation_thresholds", args);
+pub(crate) fn ablation_thresholds(scale: &Scale) -> Table {
     let h = scale.h;
 
     let candidates: Vec<(String, MisrouteThreshold)> = [0.3, 0.5, 0.7, 0.9, 1.0]
@@ -175,27 +186,22 @@ pub(crate) fn ablation_thresholds(args: &[String]) -> ExitCode {
             "ADVh@0.45 thr",
         ],
     );
-    for (name, th) in candidates {
-        let ofar = Some(OfarConfig {
-            threshold: th,
-            ..OfarConfig::base()
-        });
-        let un = tuned(
-            &scale,
-            MechanismKind::Ofar,
-            &TrafficSpec::uniform(),
-            0.65,
-            ofar,
-            None,
-        );
-        let adv = tuned(
-            &scale,
-            MechanismKind::Ofar,
-            &TrafficSpec::adversarial(h),
-            0.45,
-            ofar,
-            None,
-        );
+    let tunings: Vec<Tuning> = candidates
+        .iter()
+        .map(|&(_, threshold)| {
+            let ofar = OfarConfig {
+                threshold,
+                ..OfarConfig::base()
+            };
+            (Some(ofar), None)
+        })
+        .collect();
+    let probes = [
+        (TrafficSpec::uniform(), 0.65),
+        (TrafficSpec::adversarial(h), 0.45),
+    ];
+    let scores = score(scale, MechanismKind::Ofar, &tunings, &probes);
+    for ((name, _), [un, adv]) in candidates.into_iter().zip(scores) {
         t.push(vec![
             name,
             format!("{:.1}", un.avg_latency),
@@ -204,15 +210,13 @@ pub(crate) fn ablation_thresholds(args: &[String]) -> ExitCode {
             format!("{:.4}", adv.throughput),
         ]);
     }
-    emit(&t);
-    ExitCode::SUCCESS
+    t
 }
 
 /// Ablation of the Piggybacking tunables (the paper tuned PB's
 /// thresholds empirically, §V, without publishing them): saturation
 /// threshold and broadcast period, scored like the OFAR ablation.
-pub(crate) fn ablation_pb(args: &[String]) -> ExitCode {
-    let scale = start("ablation_pb", args);
+pub(crate) fn ablation_pb(scale: &Scale) -> Table {
     let h = scale.h;
 
     let mut t = Table::new(
@@ -226,40 +230,32 @@ pub(crate) fn ablation_pb(args: &[String]) -> ExitCode {
             "ADV2@0.3 thr",
         ],
     );
-    for sat in [0.1, 0.25, 0.4, 0.6] {
-        for period in [5u64, 10, 40] {
-            let pb = Some(PbConfig {
+    let grid: Vec<PbConfig> = [0.1, 0.25, 0.4, 0.6]
+        .into_iter()
+        .flat_map(|sat| {
+            [5u64, 10, 40].map(|period| PbConfig {
                 saturation_threshold: sat,
                 update_period: period,
-            });
-            let un = tuned(
-                &scale,
-                MechanismKind::Pb,
-                &TrafficSpec::uniform(),
-                0.45,
-                None,
-                pb,
-            );
-            let adv = tuned(
-                &scale,
-                MechanismKind::Pb,
-                &TrafficSpec::adversarial(2),
-                0.3,
-                None,
-                pb,
-            );
-            t.push(vec![
-                format!("{sat}"),
-                period.to_string(),
-                format!("{:.1}", un.avg_latency),
-                format!("{:.4}", un.throughput),
-                format!("{:.1}", adv.avg_latency),
-                format!("{:.4}", adv.throughput),
-            ]);
-        }
+            })
+        })
+        .collect();
+    let tunings: Vec<Tuning> = grid.iter().map(|&pb| (None, Some(pb))).collect();
+    let probes = [
+        (TrafficSpec::uniform(), 0.45),
+        (TrafficSpec::adversarial(2), 0.3),
+    ];
+    let scores = score(scale, MechanismKind::Pb, &tunings, &probes);
+    for (pb, [un, adv]) in grid.into_iter().zip(scores) {
+        t.push(vec![
+            format!("{}", pb.saturation_threshold),
+            pb.update_period.to_string(),
+            format!("{:.1}", un.avg_latency),
+            format!("{:.4}", un.throughput),
+            format!("{:.1}", adv.avg_latency),
+            format!("{:.4}", adv.throughput),
+        ]);
     }
-    emit(&t);
-    ExitCode::SUCCESS
+    t
 }
 
 /// Ablation of OFAR's escape-ring patience: how long a head-blocked
@@ -268,8 +264,7 @@ pub(crate) fn ablation_pb(args: &[String]) -> ExitCode {
 /// congested traffic; too patient starves genuinely stalled dependency
 /// chains of their rescue. Scored at the worst-case ADV+h pattern,
 /// below and above saturation.
-pub(crate) fn ablation_patience(args: &[String]) -> ExitCode {
-    let scale = start("ablation_patience", args);
+pub(crate) fn ablation_patience(scale: &Scale) -> Table {
     let h = scale.h;
     let spec = TrafficSpec::adversarial(h);
 
@@ -283,13 +278,20 @@ pub(crate) fn ablation_patience(args: &[String]) -> ExitCode {
             "overload ring entries",
         ],
     );
-    for patience in [16u16, 48, 100, 200, 255] {
-        let ofar = Some(OfarConfig {
-            ring_patience: patience,
-            ..OfarConfig::base()
-        });
-        let pre = tuned(&scale, MechanismKind::Ofar, &spec, 0.25, ofar, None);
-        let over = tuned(&scale, MechanismKind::Ofar, &spec, 0.55, ofar, None);
+    let patiences = [16u16, 48, 100, 200, 255];
+    let tunings: Vec<Tuning> = patiences
+        .iter()
+        .map(|&ring_patience| {
+            let ofar = OfarConfig {
+                ring_patience,
+                ..OfarConfig::base()
+            };
+            (Some(ofar), None)
+        })
+        .collect();
+    let probes = [(spec.clone(), 0.25), (spec, 0.55)];
+    let scores = score(scale, MechanismKind::Ofar, &tunings, &probes);
+    for (patience, [pre, over]) in patiences.into_iter().zip(scores) {
         t.push(vec![
             patience.to_string(),
             format!("{:.1}", pre.avg_latency),
@@ -298,6 +300,5 @@ pub(crate) fn ablation_patience(args: &[String]) -> ExitCode {
             over.ring_entries.to_string(),
         ]);
     }
-    emit(&t);
-    ExitCode::SUCCESS
+    t
 }

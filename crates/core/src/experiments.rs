@@ -7,7 +7,7 @@
 //! the paper's `h = 6`, 5,256-node network and full run lengths.
 
 use crate::env::{self, EnvError};
-use crate::run::{burst_comparison, load_sweep, transient, SteadyOpts, TransientOpts};
+use crate::run::{burst, point_seed, steady_state, transient, SteadyOpts, TransientOpts};
 use crate::table::{f1, f4, Table};
 use crate::theory;
 use ofar_engine::{ConfigError, RingMode, SimConfig};
@@ -151,7 +151,9 @@ impl Scale {
 
 /// Sweep several mechanisms over a load range under one traffic spec,
 /// long-format rows `(mech, load, latency, throughput, misroutes/pkt,
-/// ring entries)`.
+/// ring entries)`. Every `(mechanism, load)` point is one item of one
+/// parallel map, and load `i` of every curve runs with the seed
+/// `point_seed(scale.seed, i)`, as in a plain one-mechanism sweep.
 fn sweep_table(
     title: &str,
     scale: &Scale,
@@ -173,27 +175,35 @@ fn sweep_table(
             "ring_entries",
         ],
     );
-    let results: Vec<_> = mechs
+    let points: Vec<(MechanismKind, usize, f64)> = mechs
+        .iter()
+        .flat_map(|&kind| {
+            loads
+                .iter()
+                .enumerate()
+                .map(move |(i, &load)| (kind, i, load))
+        })
+        .collect();
+    let results: Vec<_> = points
         .par_iter()
-        .map(|&kind| {
+        .map(|&(kind, i, load)| {
+            let seed = point_seed(scale.seed, i);
             (
                 kind,
-                load_sweep(cfg, kind, spec, &loads, scale.steady, scale.seed),
+                steady_state(cfg, kind, spec, load, scale.steady, seed),
             )
         })
         .collect();
-    for (kind, points) in results {
-        for p in points {
-            t.push(vec![
-                kind.name().to_string(),
-                format!("{:.3}", p.load),
-                f1(p.avg_latency),
-                f1(p.p99_latency),
-                f4(p.throughput),
-                format!("{:.3}", p.misroute_rate),
-                p.ring_entries.to_string(),
-            ]);
-        }
+    for (kind, p) in results {
+        t.push(vec![
+            kind.name().to_string(),
+            format!("{:.3}", p.load),
+            f1(p.avg_latency),
+            f1(p.p99_latency),
+            f4(p.throughput),
+            format!("{:.3}", p.misroute_rate),
+            p.ring_entries.to_string(),
+        ]);
     }
     t
 }
@@ -216,7 +226,7 @@ pub fn fig2b(scale: &Scale) -> Table {
     let rows: Vec<_> = offsets
         .par_iter()
         .map(|&n| {
-            let p = crate::run::steady_state(
+            let p = steady_state(
                 cfg,
                 MechanismKind::Valiant,
                 &TrafficSpec::adversarial(n),
@@ -382,22 +392,18 @@ pub fn fig7(scale: &Scale) -> Table {
         ),
         &["pattern", "mech", "cycles", "normalized_to_PB"],
     );
-    let results: Vec<_> = patterns
-        .par_iter()
-        .map(|spec| {
-            (
-                spec.label(),
-                burst_comparison(cfg, &mechs, spec, scale.burst_packets, scale.seed),
-            )
-        })
+    let points: Vec<(&TrafficSpec, MechanismKind)> = patterns
+        .iter()
+        .flat_map(|spec| mechs.iter().map(move |&kind| (spec, kind)))
         .collect();
-    for (label, runs) in results {
-        let pb_cycles = runs
-            .iter()
-            .find(|(k, _)| *k == MechanismKind::Pb)
-            .and_then(|(_, r)| r.cycles)
-            .unwrap_or(0);
-        for (kind, r) in runs {
+    let runs: Vec<_> = points
+        .par_iter()
+        .map(|&(spec, kind)| burst(cfg, kind, spec, scale.burst_packets, scale.seed))
+        .collect();
+    for (spec, runs) in patterns.iter().zip(runs.chunks(mechs.len())) {
+        // `mechs` opens with PB, the reference of every pattern.
+        let pb_cycles = runs[0].cycles.unwrap_or(0);
+        for (kind, r) in mechs.iter().zip(runs) {
             let (cycles_s, norm_s) = match r.cycles {
                 Some(c) if pb_cycles > 0 => {
                     (c.to_string(), format!("{:.3}", c as f64 / pb_cycles as f64))
@@ -406,7 +412,7 @@ pub fn fig7(scale: &Scale) -> Table {
                 None => ("STALLED".to_string(), "-".to_string()),
             };
             t.push(vec![
-                label.clone(),
+                spec.label(),
                 kind.name().to_string(),
                 cycles_s,
                 norm_s,
@@ -451,7 +457,7 @@ pub fn fig8(scale: &Scale) -> Table {
         .par_iter()
         .map(|(ring, spec, load)| {
             let cfg = scale.cfg().with_ring(*ring);
-            let p = crate::run::steady_state(
+            let p = steady_state(
                 cfg,
                 MechanismKind::Ofar,
                 spec,
@@ -498,7 +504,7 @@ pub fn fig9(scale: &Scale) -> Table {
     let results: Vec<_> = jobs
         .par_iter()
         .map(|(spec, load)| {
-            let p = crate::run::steady_state(
+            let p = steady_state(
                 cfg,
                 MechanismKind::Ofar,
                 spec,

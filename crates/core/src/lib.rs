@@ -50,10 +50,9 @@ pub use faults::{
 };
 pub use overload::{overload_point, overload_sweep, OverloadOpts, OverloadPoint};
 pub use run::{
-    burst, burst_comparison, burst_faulted, burst_net, derive_watchdog, load_sweep,
-    replay_snapshot, saturation_throughput, steady_state, steady_state_checkpointed,
-    steady_state_tuned, transient, BurstResult, CycleTrace, ReplayReport, RunConfig, StallKind,
-    SteadyOpts, SteadyPoint, TransientBucket, TransientOpts,
+    burst, burst_faulted, burst_net, derive_watchdog, load_sweep, replay_snapshot, steady_state,
+    steady_state_checkpointed, steady_state_tuned, transient, BurstResult, CycleTrace,
+    ReplayReport, RunConfig, StallKind, SteadyOpts, SteadyPoint, TransientBucket, TransientOpts,
 };
 pub use store::{
     point_from_line, point_key, point_to_line, resumable_load_sweep, write_atomic_text, ResultStore,
@@ -76,10 +75,10 @@ pub mod prelude {
     };
     pub use crate::overload::{overload_point, overload_sweep, OverloadOpts, OverloadPoint};
     pub use crate::run::{
-        burst, burst_comparison, burst_faulted, burst_net, derive_watchdog, load_sweep,
-        replay_snapshot, saturation_throughput, steady_state, steady_state_checkpointed,
-        steady_state_tuned, transient, BurstResult, CycleTrace, ReplayReport, RunConfig, StallKind,
-        SteadyOpts, SteadyPoint, TransientBucket, TransientOpts,
+        burst, burst_faulted, burst_net, derive_watchdog, load_sweep, replay_snapshot,
+        steady_state, steady_state_checkpointed, steady_state_tuned, transient, BurstResult,
+        CycleTrace, ReplayReport, RunConfig, StallKind, SteadyOpts, SteadyPoint, TransientBucket,
+        TransientOpts,
     };
     pub use crate::store::{resumable_load_sweep, ResultStore};
     pub use crate::table::Table;

@@ -246,18 +246,6 @@ pub(crate) fn point_seed(seed: u64, i: usize) -> u64 {
     seed.wrapping_add(i as u64 * 7919)
 }
 
-/// Saturation throughput: accepted throughput at (near-)full offered
-/// load, the quantity plotted per offset in Fig. 2b.
-pub fn saturation_throughput(
-    cfg: SimConfig,
-    kind: MechanismKind,
-    spec: &TrafficSpec,
-    opts: SteadyOpts,
-    seed: u64,
-) -> f64 {
-    steady_state(cfg, kind, spec, 1.0, opts, seed).throughput
-}
-
 // ---------------------------------------------------------------------
 // Transients (Fig. 6)
 // ---------------------------------------------------------------------
@@ -788,21 +776,6 @@ fn diagnose_stall<P: Policy, H: Hooks>(
     } else {
         StallKind::Livelock { stalled_routers }
     }
-}
-
-/// Run the same burst for several mechanisms in parallel and return
-/// `(mechanism, result)` pairs in input order.
-pub fn burst_comparison(
-    cfg: SimConfig,
-    kinds: &[MechanismKind],
-    spec: &TrafficSpec,
-    packets_per_node: usize,
-    seed: u64,
-) -> Vec<(MechanismKind, BurstResult)> {
-    kinds
-        .par_iter()
-        .map(|&k| (k, burst(cfg, k, spec, packets_per_node, seed)))
-        .collect()
 }
 
 #[cfg(test)]

@@ -17,9 +17,9 @@
 //!   a failed check becomes a recorded
 //!   [`AuditViolation`] instead of an abort, and the whole-network deep
 //!   checks run on its cadence.
-//! * `ofar_mutate::Mutated` overrides both halves: it owns an `Auditor`
-//!   for the observation half and answers the four perturbation points
-//!   from one seeded [`EngineMutation`](crate::mutation::EngineMutation).
+//! * [`EngineMutation`](crate::mutation::EngineMutation) answers the four
+//!   perturbation points from one seeded defect; the mutation harness
+//!   pairs it with an `Auditor` that records what the defect breaks.
 //! * `ofar_bench::PhaseTimer` overrides [`Hooks::phase`] and
 //!   [`Hooks::route_mark`], the calls at the eight phase markers of `step`
 //!   and inside a router's `route` turn, to attribute host time (the wall

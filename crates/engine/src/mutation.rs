@@ -6,22 +6,27 @@
 //! throttle bypass. Those defects live *inside* the engine's credit
 //! loop, so they cannot be expressed as a wrapper around a
 //! [`crate::Policy`]. They enter through the perturbation half of the
-//! [`Hooks`](crate::Hooks) seam instead — four points in `Network::step`
+//! [`Hooks`] seam instead — four points in `Network::step`
 //! (credit landing, arrival push, ring-entry eligibility and the
 //! injection throttle) whose defaults are the correct engine.
 //!
-//! This module is only the catalog: each [`EngineMutation`] answers
-//! those four questions as pure functions. The hook that installs one on
-//! a network and pairs it with an
-//! [`Auditor`](crate::Auditor) is `ofar_mutate::Mutated`; nothing in
-//! this crate ever constructs it, and a `Network<P>` built by
+//! Each [`EngineMutation`] is a [`Hooks`] that answers those four
+//! questions as pure functions of the defect. The mutation harness
+//! (`crates/mutate`) builds a network with the pair
+//! `(Auditor::with_deep_interval(n), mutation)`, whose auditor records
+//! what the defect breaks. Nothing in this crate ever builds such a
+//! network, and a `Network<P>` built by
 //! [`Network::new`](crate::Network::new) cannot carry a mutation at all
 //! — its hook type is the zero-sized [`NoHooks`](crate::NoHooks).
 
-/// A seeded engine-level defect, installed on a network by the
-/// `ofar_mutate::Mutated` hook. The credit defects fire on every credit
-/// event: they model a *systematically* wrong flow-control
-/// implementation, not a transient upset (fault injection covers those).
+use crate::audit::AuditViolation;
+use crate::hooks::Hooks;
+
+/// A seeded engine-level defect, installed on a network as the second
+/// half of an `(Auditor, EngineMutation)` hook pair. The credit defects
+/// fire on every credit event: they model a *systematically* wrong
+/// flow-control implementation, not a transient upset (fault injection
+/// covers those).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EngineMutation {
     /// Drop every returned credit: the downstream buffer space exists
@@ -54,12 +59,25 @@ pub enum EngineMutation {
     ThrottleBypass,
 }
 
-impl EngineMutation {
-    /// Apply this mutation to one landing credit event `(vc, phits)` on
-    /// a port with `vcs` virtual channels. Returns the (possibly skewed)
-    /// `(vc, phits)` to actually land; `None` means the credit is
-    /// dropped.
-    pub fn skew_credit(self, vc: u8, phits: u32, vcs: usize) -> Option<(u8, u32)> {
+/// The perturbation half of a defective engine, each answer a pure
+/// function of the defect. A seeded defect makes a failed check and an
+/// overflowing VC expected consequences: the check answers what it found
+/// without the default's debug assertion, and an overflowing arrival is
+/// pushed so it reaches the report of the
+/// [`Auditor`](crate::Auditor) paired with the mutation.
+impl Hooks for EngineMutation {
+    #[inline]
+    fn check(
+        &mut self,
+        ok: impl FnOnce() -> bool,
+        _violation: impl FnOnce() -> AuditViolation,
+    ) -> bool {
+        ok()
+    }
+
+    /// The credit defects drop, double or misdirect every landing credit.
+    #[inline]
+    fn skew_credit(&mut self, vc: u8, phits: u32, vcs: usize) -> Option<(u8, u32)> {
         match self {
             EngineMutation::CreditLeak => None,
             EngineMutation::CreditDouble => Some((vc, phits * 2)),
@@ -74,18 +92,23 @@ impl EngineMutation {
         }
     }
 
-    /// The downstream space (in phits) required to grant a ring-entry
-    /// request under this mutation, given the unmutated requirement of
-    /// `2 * size` (the §IV-C bubble).
-    pub fn ring_need(self, size: u32) -> u32 {
+    #[inline]
+    fn tolerates_overflow(&self) -> bool {
+        true
+    }
+
+    /// [`EngineMutation::RingBubbleSkip`] asks for one packet of room
+    /// instead of the §IV-C bubble of two.
+    #[inline]
+    fn ring_entry_need(&self, size: u32) -> u32 {
         match self {
             EngineMutation::RingBubbleSkip => size,
             _ => 2 * size,
         }
     }
 
-    /// Whether the congestion-management injection gate is bypassed.
-    pub fn bypass_throttle(self) -> bool {
+    #[inline]
+    fn bypass_throttle(&self) -> bool {
         matches!(self, EngineMutation::ThrottleBypass)
     }
 }
@@ -101,7 +124,7 @@ mod tests {
             EngineMutation::CreditDouble.skew_credit(0, 4, 1),
             Some((0, 8))
         );
-        let s = EngineMutation::EscapeVcSkew;
+        let mut s = EngineMutation::EscapeVcSkew;
         assert_eq!(s.skew_credit(1, 4, 3), Some((2, 4)));
         assert_eq!(s.skew_credit(2, 4, 3), Some((0, 4)));
         // single-VC ports cannot skew
@@ -110,8 +133,8 @@ mod tests {
 
     #[test]
     fn ring_need_halves_only_for_bubble_skip() {
-        assert_eq!(EngineMutation::RingBubbleSkip.ring_need(8), 8);
-        assert_eq!(EngineMutation::CreditLeak.ring_need(8), 16);
+        assert_eq!(EngineMutation::RingBubbleSkip.ring_entry_need(8), 8);
+        assert_eq!(EngineMutation::CreditLeak.ring_entry_need(8), 16);
     }
 
     #[test]
@@ -123,6 +146,6 @@ mod tests {
             EngineMutation::ThrottleBypass.skew_credit(1, 4, 2),
             Some((1, 4))
         );
-        assert_eq!(EngineMutation::ThrottleBypass.ring_need(8), 16);
+        assert_eq!(EngineMutation::ThrottleBypass.ring_entry_need(8), 16);
     }
 }

@@ -18,19 +18,18 @@
 //! opened in some oracle, and CI fails on it (DESIGN.md §11).
 //!
 //! Entry points: [`KillMatrix::run`] for the whole matrix,
-//! [`run_mutant`] for one pair, [`MutantPolicy`] to build a single
-//! defective policy and [`Mutated`] a single defective engine for
-//! ad-hoc experiments.
+//! [`run_mutant`] for one pair and [`MutantPolicy`] to build a single
+//! defective policy for ad-hoc experiments. A single defective engine
+//! is a network built with the hook pair
+//! `(Auditor::with_deep_interval(n), EngineMutation::…)`.
 
 #![warn(missing_docs)]
 
-mod hook;
 mod matrix;
 mod mutant;
 mod operator;
 mod oracle;
 
-pub use hook::Mutated;
 pub use matrix::{pairs, KillMatrix, OracleKills, MECHANISMS};
 pub use mutant::MutantPolicy;
 pub use operator::{MutationOp, OpCategory};

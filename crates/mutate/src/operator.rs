@@ -15,9 +15,9 @@
 //! * [`OpCategory::Config`] — the `SimConfig` is skewed past a proof
 //!   precondition (ring depth, ring presence, ladder width);
 //! * [`OpCategory::Engine`] — the engine's own flow control is mutated
-//!   through its hook seam: the network is built with a
-//!   [`crate::Mutated`] hook carrying one
-//!   [`ofar_engine::EngineMutation`].
+//!   through its hook seam: the network is built with the hook pair
+//!   `(Auditor, EngineMutation)`, one [`ofar_engine::EngineMutation`]
+//!   beside the auditor that records what it breaks.
 
 use ofar_routing::MechanismKind;
 

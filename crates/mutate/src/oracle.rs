@@ -23,7 +23,7 @@
 //! *all* the detectors a defect trips, not just the first.
 
 use crate::operator::{MutationOp, OpCategory};
-use crate::{MutantPolicy, Mutated};
+use crate::MutantPolicy;
 use ofar_core::{burst_net, RunConfig, StallKind};
 use ofar_engine::{Auditor, EngineMutation, Fabric, Hooks, Network, Policy, RingMode, SimConfig};
 use ofar_routing::{ClassEdge, ClassId, DependencyDecl, EdgeWhy, MechanismDeps, MechanismKind};
@@ -447,7 +447,10 @@ pub fn run_mutant(
             } else {
                 kind.build(&cfg, seed)
             };
-            let hooks = Mutated::new(engine_mutation(op), AUDIT_INTERVAL);
+            let hooks = (
+                Auditor::with_deep_interval(AUDIT_INTERVAL),
+                engine_mutation(op),
+            );
             let mut net = Network::with_hooks(Fabric::new(cfg), policy, hooks);
             // The token law only has something to say while buckets run
             // dry, which a drained burst stops exercising after a few

@@ -13,7 +13,6 @@
 
 use ofar_core::{burst_net, RunConfig};
 use ofar_engine::{AuditViolation, Auditor, EngineMutation, Fabric, Hooks, Network, SimConfig};
-use ofar_mutate::Mutated;
 use ofar_routing::{MechanismKind, MisrouteThreshold, OfarConfig};
 use ofar_traffic::TrafficSpec;
 
@@ -40,7 +39,10 @@ fn ring_hostile_net<H: Hooks>(hooks: H) -> Network<impl ofar_engine::Policy, H> 
 
 #[test]
 fn eroded_bubble_is_caught_at_the_first_bad_admission() {
-    let mut net = ring_hostile_net(Mutated::new(EngineMutation::RingBubbleSkip, 8));
+    let mut net = ring_hostile_net((
+        Auditor::with_deep_interval(8),
+        EngineMutation::RingBubbleSkip,
+    ));
     let result = burst_net(
         &mut net,
         &TrafficSpec::adversarial(1),

@@ -33,7 +33,10 @@ fn main() {
         MechanismKind::Ofar,
         MechanismKind::OfarL,
     ];
-    let results = burst_comparison(cfg, &mechs, &spec, packets_per_node, 11);
+    let results: Vec<_> = mechs
+        .iter()
+        .map(|&kind| (kind, burst(cfg, kind, &spec, packets_per_node, 11)))
+        .collect();
 
     let pb = results
         .iter()

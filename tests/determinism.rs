@@ -258,3 +258,83 @@ fn checkpointed_steady_state_resumes_to_identical_results() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A figure scale small enough for tier-1: h=2, 500-cycle points, three
+/// loads per curve, two-packet bursts.
+fn tiny_scale() -> Scale {
+    Scale {
+        h: 2,
+        steady: SteadyOpts {
+            warmup: 200,
+            measure: 300,
+        },
+        sweep_points: 3,
+        burst_packets: 2,
+        ..Scale::quick()
+    }
+}
+
+/// A figure runs its points as one flat list, but each point keeps the
+/// seed of its own curve: Fig. 4's rows for a mechanism are the rows of
+/// that mechanism's plain `load_sweep`, load `i` seeded by its index in
+/// the curve, not in the list.
+#[test]
+fn a_figure_sweep_seeds_each_curve_like_load_sweep() {
+    use ofar::table::{f1, f4};
+    let scale = tiny_scale();
+    let table = experiments::fig4(&scale);
+    let mechs = [
+        MechanismKind::Valiant,
+        MechanismKind::Pb,
+        MechanismKind::Ofar,
+        MechanismKind::OfarL,
+    ];
+    let (spec, loads) = (TrafficSpec::adversarial(2), scale.loads(0.55));
+    let mut expected = Vec::new();
+    for kind in mechs {
+        for p in load_sweep(scale.cfg(), kind, &spec, &loads, scale.steady, scale.seed) {
+            expected.push(vec![
+                kind.name().to_string(),
+                format!("{:.3}", p.load),
+                f1(p.avg_latency),
+                f1(p.p99_latency),
+                f4(p.throughput),
+                format!("{:.3}", p.misroute_rate),
+                p.ring_entries.to_string(),
+            ]);
+        }
+    }
+    assert_eq!(table.rows, expected);
+}
+
+/// Fig. 7's flat `(pattern, mechanism)` list lands each burst in its own
+/// row: the `cycles` column is that pair's `burst`.
+#[test]
+fn a_figure_burst_row_is_its_own_burst() {
+    let scale = tiny_scale();
+    let table = experiments::fig7(&scale);
+    let h = scale.h;
+    let patterns = [
+        TrafficSpec::uniform(),
+        TrafficSpec::adversarial(2),
+        TrafficSpec::adversarial(h),
+        TrafficSpec::mix1(h),
+        TrafficSpec::mix2(h),
+        TrafficSpec::mix3(h),
+    ];
+    let mechs = [MechanismKind::Pb, MechanismKind::Ofar, MechanismKind::OfarL];
+    let mut rows = table.rows.iter();
+    for spec in &patterns {
+        for kind in mechs {
+            let row = rows.next().expect("one row per (pattern, mechanism)");
+            assert_eq!(
+                (&row[0], &row[1]),
+                (&spec.label(), &kind.name().to_string())
+            );
+            let r = burst(scale.cfg(), kind, spec, scale.burst_packets, scale.seed);
+            let cycles = r.cycles.expect("a two-packet burst drains");
+            assert_eq!(row[2], cycles.to_string(), "{} {kind}", spec.label());
+        }
+    }
+    assert!(rows.next().is_none());
+}
