@@ -4,7 +4,7 @@
 
 use crate::{emit, start};
 use ofar_core::faults::{ber_sweep, degradation_sweep};
-use ofar_core::overload::{overload_sweep, OverloadOpts};
+use ofar_core::overload::{overload_sweep, OverloadOpts, OVERLOAD_FACTOR};
 use ofar_core::prelude::*;
 use std::process::ExitCode;
 
@@ -193,14 +193,13 @@ pub(crate) fn overload(args: &[String]) -> ExitCode {
         sat: scale.steady,
         warmup: scale.steady.warmup,
         measure: scale.steady.measure,
-        ..OverloadOpts::default()
     };
 
     let mechs = MechanismKind::paper_set();
     let mut t = Table::new(
         format!(
             "Post-saturation overload at {:.1}× saturation (h={h}, {} nodes): CM off vs on",
-            opts.factor,
+            OVERLOAD_FACTOR,
             cfg.params.nodes(),
         ),
         &[

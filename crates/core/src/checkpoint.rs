@@ -37,6 +37,9 @@ const CKPT_VERSION: u32 = 2;
 /// Upper bound accepted for the nested snapshot length (allocation
 /// guard against corrupt length fields).
 const CKPT_SNAP_BOUND: usize = 1 << 28;
+/// Newest checkpoints retained per run key: the latest, and the one
+/// before it in case the latest fails validation.
+const CHECKPOINTS_KEPT: usize = 2;
 
 /// When and where to take checkpoints.
 #[derive(Clone, Debug)]
@@ -46,8 +49,6 @@ pub struct CheckpointPolicy {
     pub interval: Option<u64>,
     /// Directory holding the checkpoint files.
     pub dir: PathBuf,
-    /// How many newest checkpoints to retain per run key.
-    pub keep: usize,
 }
 
 impl CheckpointPolicy {
@@ -56,7 +57,6 @@ impl CheckpointPolicy {
         Self {
             interval: None,
             dir: PathBuf::from("results/checkpoints"),
-            keep: 2,
         }
     }
 
@@ -65,7 +65,6 @@ impl CheckpointPolicy {
         Self {
             interval: (cycles > 0).then_some(cycles),
             dir: dir.into(),
-            keep: 2,
         }
     }
 
@@ -94,7 +93,7 @@ impl CheckpointPolicy {
     }
 
     /// Write a checkpoint for run `key` after `cycle` cycles, then prune
-    /// old files beyond [`CheckpointPolicy::keep`].
+    /// all but the newest two.
     pub fn save<P: Policy, H: Hooks>(
         &self,
         key: u32,
@@ -118,10 +117,10 @@ impl CheckpointPolicy {
         Ok(())
     }
 
-    /// Remove all but the newest [`CheckpointPolicy::keep`] checkpoints
+    /// Remove all but the newest [`CHECKPOINTS_KEPT`] checkpoints
     /// of run `key` (best-effort).
     fn prune(&self, key: u32) {
-        for (_, path) in self.list(key).into_iter().skip(self.keep) {
+        for (_, path) in self.list(key).into_iter().skip(CHECKPOINTS_KEPT) {
             std::fs::remove_file(path).ok();
         }
     }

@@ -3,6 +3,7 @@
 
 use crate::checkpoint::CheckpointPolicy;
 use crate::env;
+use ofar_engine::config::{LAT_GLOBAL, LAT_LOCAL};
 use ofar_engine::{
     AuditReport, Auditor, Fabric, FaultPlan, Hooks, Network, Policy, Recorder, SimConfig,
     SnapshotError, Stats, StatsWindow,
@@ -422,8 +423,7 @@ pub struct RunConfig {
     pub watchdog: Option<u64>,
 }
 
-/// Watchdog window scaled to the configuration instead of the former
-/// hard-coded `20_000 + 50·lat_global`.
+/// Watchdog window scaled to the configuration.
 ///
 /// A packet that is maximally unlucky serializes behind a full buffer on
 /// every hop (`packet_size · a` phit times per group), pays the global
@@ -439,7 +439,7 @@ pub fn derive_watchdog(cfg: &SimConfig) -> u64 {
     let a = cfg.params.a as u64;
     let serialization = (cfg.packet_size as u64) * a * 4;
     let ring_slack = 400;
-    let epoch = 2 * cfg.lat_global + 6 * cfg.lat_local + serialization + ring_slack;
+    let epoch = 2 * LAT_GLOBAL + 6 * LAT_LOCAL + serialization + ring_slack;
     2_000 + 16 * epoch
 }
 

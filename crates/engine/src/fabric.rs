@@ -19,7 +19,7 @@
 //! the embedded model every input port is the landing of **at most one**
 //! ring and carries at most one extra escape VC.
 
-use crate::config::{RingMode, SimConfig};
+use crate::config::{RingMode, SimConfig, BUF_GLOBAL, LAT_GLOBAL, LAT_LOCAL, VCS_RING};
 use ofar_topology::{Dragonfly, HamiltonianRing, RingEdge, RouterId};
 
 /// Port class.
@@ -99,7 +99,7 @@ pub struct EscapeOut {
     pub out_port: u16,
     /// First escape VC index at the downstream input.
     pub base_vc: u8,
-    /// Number of escape VCs (1 for embedded, `vcs_ring` for physical).
+    /// Number of escape VCs (1 for embedded, [`VCS_RING`] for physical).
     pub num_vcs: u8,
 }
 
@@ -242,7 +242,7 @@ impl Fabric {
             let buf = match kind {
                 PortKind::Node => cfg.buf_injection,
                 PortKind::Local => cfg.buf_local,
-                PortKind::Global => cfg.buf_global,
+                PortKind::Global => BUF_GLOBAL,
                 PortKind::Ring => cfg.buf_ring,
             };
             fab.in_descs[i].slot = fab.slot_caps.len() as u32;
@@ -287,7 +287,7 @@ impl Fabric {
                     EscapeOut {
                         out_port: (n_canonical + j) as u16,
                         base_vc: 0,
-                        num_vcs: cfg.vcs_ring as u8,
+                        num_vcs: VCS_RING as u8,
                     }
                 } else {
                     let (out_port, base) = match fab.rings[j].edge_from(rid) {
@@ -352,7 +352,7 @@ impl Fabric {
                 kind: PortKind::Local,
                 dst_router: dst.0,
                 dst_port: dst_port as u16,
-                latency: self.cfg.lat_local as u32,
+                latency: LAT_LOCAL as u32,
                 vcs,
                 lane,
             };
@@ -366,7 +366,7 @@ impl Fabric {
                 kind: PortKind::Global,
                 dst_router: dst.0,
                 dst_port: dst_port as u16,
-                latency: self.cfg.lat_global as u32,
+                latency: LAT_GLOBAL as u32,
                 vcs,
                 lane,
             };
@@ -378,15 +378,15 @@ impl Fabric {
         let ring = &self.rings[j];
         let dst = ring.next_router(r);
         let latency = match ring.edge_from(r) {
-            RingEdge::Local { .. } => self.cfg.lat_local as u32,
-            RingEdge::Global { .. } => self.cfg.lat_global as u32,
+            RingEdge::Local { .. } => LAT_LOCAL as u32,
+            RingEdge::Global { .. } => LAT_GLOBAL as u32,
         };
         OutLink {
             kind: PortKind::Ring,
             dst_router: dst.0,
             dst_port: (self.n_canonical + j) as u16,
             latency,
-            vcs: self.cfg.vcs_ring as u8,
+            vcs: VCS_RING as u8,
             lane,
         }
     }
@@ -554,7 +554,7 @@ impl Fabric {
             PortKind::Node => self.cfg.vcs_injection,
             PortKind::Local => self.cfg.vcs_local,
             PortKind::Global => self.cfg.vcs_global,
-            PortKind::Ring => self.cfg.vcs_ring,
+            PortKind::Ring => VCS_RING,
         }
     }
 
@@ -630,7 +630,7 @@ mod tests {
         for r in 0..fab.topo().num_routers() {
             let esc = fab.escape(RouterId::from(r)).unwrap();
             assert_eq!(esc.out_port as usize, fab.n_out() - 1);
-            assert_eq!(esc.num_vcs as usize, fab.cfg().vcs_ring);
+            assert_eq!(esc.num_vcs as usize, VCS_RING);
         }
     }
 

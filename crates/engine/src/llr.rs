@@ -10,7 +10,7 @@
 //!
 //! * every network link (local, global and escape-ring — never the
 //!   on-router injection/ejection wires) gets a **sender-side replay
-//!   buffer** of up to [`crate::config::SimConfig::llr_window`] packets,
+//!   buffer** of up to [`crate::config::LLR_WINDOW`] packets,
 //!   each stamped with a per-link sequence number and a CRC-32 over the
 //!   header fields ([`crate::packet::Packet::fingerprint`]);
 //! * the receiver recomputes the CRC and checks the sequence number
@@ -21,7 +21,7 @@
 //!   never lost;
 //! * a transfer that vanishes on the wire (dropped phit) triggers a
 //!   **retransmit timeout** of one round trip plus
-//!   [`crate::config::SimConfig::llr_timeout_slack`], doubling per retry
+//!   [`crate::config::LLR_TIMEOUT_SLACK`], doubling per retry
 //!   up to `2^llr_backoff_cap` (exponential backoff);
 //! * a packet retried past [`crate::config::SimConfig::llr_retry_budget`]
 //!   **escalates** the link to the §VII fail-stop machinery: the copies
@@ -50,6 +50,7 @@
 //! Undetected errors (a corruption that preserves the CRC, ~2⁻³² per
 //! event in hardware) are not modelled.
 
+use crate::config::{LLR_TIMEOUT_SLACK, LLR_WINDOW};
 use crate::crc::crc32;
 use crate::fabric::{Fabric, PortKind};
 use crate::packet::Packet;
@@ -176,8 +177,6 @@ pub struct Llr {
     tx: Vec<TxLink>,
     /// `[router × n_in]` receiver state (unused slots for injection).
     rx: Vec<RxLink>,
-    /// Replay-buffer depth per link, in packets (≤ 64).
-    window: usize,
     /// splitmix64 state for wire-error sampling.
     rng: u64,
     /// Per-directed-link retransmission counters (`[router × n_out]`),
@@ -197,7 +196,6 @@ impl Llr {
             n_in,
             tx: vec![TxLink::default(); nr * n_out],
             rx: vec![RxLink::default(); nr * n_in],
-            window: fab.cfg().llr_window,
             rng: seed ^ 0xC2B2_AE3D_27D4_EB4F,
             retx_per_link: vec![0; nr * n_out],
             delivered_ids: Vec::new(),
@@ -265,19 +263,13 @@ impl Llr {
     /// packet (gates new grants on that output).
     #[inline]
     pub fn tx_has_room(&self, router: usize, port: usize) -> bool {
-        self.tx[self.tx_idx(router, port)].entries.len() < self.window
+        self.tx[self.tx_idx(router, port)].entries.len() < LLR_WINDOW
     }
 
     /// Replay-buffer occupancy of (`router`, out `port`), in packets.
     #[inline]
     pub fn tx_occupancy(&self, router: usize, port: usize) -> usize {
         self.tx[self.tx_idx(router, port)].entries.len()
-    }
-
-    /// Configured replay window, in packets.
-    #[inline]
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// Retransmissions issued by (`router`, out `port`) so far.
@@ -305,7 +297,7 @@ impl Llr {
             0
         };
         let t = &mut self.tx[router * self.n_out + port];
-        debug_assert!(t.entries.len() < self.window, "replay buffer overflow");
+        debug_assert!(t.entries.len() < LLR_WINDOW, "replay buffer overflow");
         let seq = t.next_seq;
         t.next_seq = t.next_seq.wrapping_add(1);
         let crc = crc32(&pkt.fingerprint(seq));
@@ -393,16 +385,15 @@ impl Llr {
     }
 
     /// Retransmit timeout for an entry on a link of latency `lat`: one
-    /// round trip plus the configured slack, doubling per retry up to
+    /// round trip plus [`LLR_TIMEOUT_SLACK`], doubling per retry up to
     /// `2^backoff_cap`.
-    pub fn timeout(lat: u64, size: u64, slack: u64, retries: u32, backoff_cap: u32) -> u64 {
-        let base = 2 * lat + size + slack;
+    pub fn timeout(lat: u64, size: u64, retries: u32, backoff_cap: u32) -> u64 {
+        let base = 2 * lat + size + LLR_TIMEOUT_SLACK;
         base << retries.min(backoff_cap)
     }
 
     /// Expire outstanding entries of (`router`, `port`) whose timeout
     /// passed, marking them lost. Returns how many timed out.
-    #[expect(clippy::too_many_arguments, reason = "a link and its timeout's terms")]
     pub fn expire(
         &mut self,
         router: usize,
@@ -410,14 +401,12 @@ impl Llr {
         now: u64,
         lat: u64,
         size: u64,
-        slack: u64,
         backoff_cap: u32,
     ) -> u64 {
         let i = self.tx_idx(router, port);
         let mut n = 0;
         for e in self.tx[i].entries.iter_mut() {
-            if !e.lost && now >= e.sent_at + Self::timeout(lat, size, slack, e.retries, backoff_cap)
-            {
+            if !e.lost && now >= e.sent_at + Self::timeout(lat, size, e.retries, backoff_cap) {
                 e.lost = true;
                 n += 1;
             }
@@ -568,14 +557,13 @@ impl Llr {
             n_in,
             tx,
             rx,
-            window,
             rng,
             retx_per_link,
             delivered_ids,
         } = self;
         e.usize(*n_out);
         e.usize(*n_in);
-        e.usize(*window);
+        e.usize(LLR_WINDOW);
         e.u64(*rng);
         e.usize(tx.len());
         for tx in tx {
@@ -620,7 +608,7 @@ impl Llr {
         let n_out = d.usize()?;
         let n_in = d.usize()?;
         let window = d.usize()?;
-        if n_out != fab.n_out() || n_in != fab.n_in() || window != fab.cfg().llr_window {
+        if n_out != fab.n_out() || n_in != fab.n_in() || window != LLR_WINDOW {
             return Err(SnapshotError::Malformed("LLR dimensions disagree"));
         }
         let rng = d.u64()?;
@@ -700,7 +688,6 @@ impl Llr {
             n_in,
             tx,
             rx,
-            window,
             rng,
             retx_per_link,
             delivered_ids,
@@ -823,10 +810,10 @@ mod tests {
 
     #[test]
     fn timeout_backs_off_exponentially_and_caps() {
-        let t0 = Llr::timeout(10, 8, 64, 0, 6);
-        assert_eq!(t0, 2 * 10 + 8 + 64);
-        assert_eq!(Llr::timeout(10, 8, 64, 3, 6), t0 << 3);
-        assert_eq!(Llr::timeout(10, 8, 64, 50, 6), t0 << 6, "cap at 2^6");
+        let t0 = Llr::timeout(10, 8, 0, 6);
+        assert_eq!(t0, 2 * 10 + 8 + LLR_TIMEOUT_SLACK);
+        assert_eq!(Llr::timeout(10, 8, 3, 6), t0 << 3);
+        assert_eq!(Llr::timeout(10, 8, 50, 6), t0 << 6, "cap at 2^6");
     }
 
     #[test]
@@ -837,9 +824,9 @@ mod tests {
         // The sender cannot observe the wire: the dropped transfer stays
         // outstanding (not lost) until its timeout passes.
         assert!(l.next_retransmit(0, 2).is_none());
-        let deadline = Llr::timeout(10, 8, 64, 0, 6);
-        assert_eq!(l.expire(0, 2, deadline - 1, 10, 8, 64, 6), 0);
-        assert_eq!(l.expire(0, 2, deadline, 10, 8, 64, 6), 1);
+        let deadline = Llr::timeout(10, 8, 0, 6);
+        assert_eq!(l.expire(0, 2, deadline - 1, 10, 8, 6), 0);
+        assert_eq!(l.expire(0, 2, deadline, 10, 8, 6), 1);
         assert_eq!(l.next_retransmit(0, 2), Some((seq, 0)));
     }
 

@@ -145,7 +145,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             stats.cm_tokens_granted = cm.tokens.iter().map(|&t| u64::from(t)).sum();
         }
         Self {
-            wheel: Wheel::new(&fab, 0),
+            wheel: Wheel::new(0),
             occ: Occupancy::empty(nr, n_in, nodes),
             arena,
             policy,

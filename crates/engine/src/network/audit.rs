@@ -9,6 +9,7 @@
 
 use super::Network;
 use crate::audit::AuditViolation;
+use crate::config::LLR_WINDOW;
 use crate::fabric::PortKind;
 use crate::hooks::Hooks;
 use crate::occupancy::Occupancy;
@@ -61,13 +62,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 if let Some(l) = &self.llr {
                     checks += 1;
                     let occ = l.tx_occupancy(ridx, port);
-                    if occ > l.window() {
+                    if occ > LLR_WINDOW {
                         viols.push(AuditViolation::ReplayOverflow {
                             cycle: now,
                             router: ridx as u32,
                             port: port as u16,
                             occupancy: occ as u32,
-                            window: l.window() as u32,
+                            window: LLR_WINDOW as u32,
                         });
                     }
                 }

@@ -84,7 +84,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     #[expect(clippy::expect_used, reason = "the caller checked self.llr: LLR is on")]
     pub(super) fn llr_phase(&mut self, now: u64) {
         let size = self.fab.cfg().packet_size as u32;
-        let slack = self.fab.cfg().llr_timeout_slack;
         let backoff_cap = self.fab.cfg().llr_backoff_cap;
         let budget = self.fab.cfg().llr_retry_budget;
         let n_out = self.fab.n_out();
@@ -108,7 +107,6 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     now,
                     u64::from(link.latency),
                     u64::from(size),
-                    slack,
                     backoff_cap,
                 );
                 if !self.faults.link_up(ridx, port) {

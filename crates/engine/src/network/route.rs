@@ -5,6 +5,7 @@
 
 use super::Network;
 use crate::audit::AuditViolation;
+use crate::config::ALLOC_ITERS;
 use crate::fabric::PortKind;
 use crate::hooks::{Hooks, RouteMark};
 use crate::llr::Fate;
@@ -193,7 +194,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             &self.reqs,
             &self.arena.in_served_at[ridx * n_out * n_in..][..n_out * n_in],
             n_in,
-            self.fab.cfg().alloc_iters,
+            ALLOC_ITERS,
             &mut self.best_out,
             &mut self.grants,
         );

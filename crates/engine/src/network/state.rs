@@ -321,7 +321,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         // the live engine could have put it: not in the past, within the
         // largest link latency, strictly after its port's previous one —
         // anything else would land in the wrong slot.
-        let mut wheel = Wheel::new(&self.fab, now);
+        let mut wheel = Wheel::new(now);
         let horizon = wheel.max_latency();
         let stamp_ok = |at: u64, prev: Option<u64>| {
             at >= now && at - now <= horizon && prev.is_none_or(|p| at > p)

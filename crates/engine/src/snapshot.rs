@@ -82,7 +82,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OFARSNAP";
 /// v4: the STATE section no longer carries the per-port link phit
 /// counters (and their `Option` tag) after the delivery log; per-link
 /// counting is a [`crate::Hooks::transmit`] tap outside snapshots.
-pub const SNAPSHOT_VERSION: u32 = 4;
+///
+/// v5: the CONFIG section no longer carries the seven model constants of
+/// [`crate::config`] (`LAT_LOCAL` … `LLR_TIMEOUT_SLACK`), 56 bytes; the
+/// STATE section is unchanged.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Section tag: canonical configuration + mechanism name.
 pub(crate) const SEC_CONFIG: u8 = 1;
@@ -410,21 +414,14 @@ pub(crate) fn encode_config(cfg: &SimConfig, mechanism: &str) -> Vec<u8> {
         vcs_local,
         vcs_global,
         vcs_injection,
-        vcs_ring,
         buf_local,
-        buf_global,
         buf_injection,
         buf_ring,
-        lat_local,
-        lat_global,
-        alloc_iters,
         ring,
         max_ring_exits,
         escape_rings,
         seed,
         ber,
-        llr_window,
-        llr_timeout_slack,
         llr_backoff_cap,
         llr_retry_budget,
         cm_enabled,
@@ -440,14 +437,9 @@ pub(crate) fn encode_config(cfg: &SimConfig, mechanism: &str) -> Vec<u8> {
     e.usize(vcs_local);
     e.usize(vcs_global);
     e.usize(vcs_injection);
-    e.usize(vcs_ring);
     e.usize(buf_local);
-    e.usize(buf_global);
     e.usize(buf_injection);
     e.usize(buf_ring);
-    e.u64(lat_local);
-    e.u64(lat_global);
-    e.usize(alloc_iters);
     e.u8(match ring {
         RingMode::None => 0,
         RingMode::Physical => 1,
@@ -457,8 +449,6 @@ pub(crate) fn encode_config(cfg: &SimConfig, mechanism: &str) -> Vec<u8> {
     e.usize(escape_rings);
     e.u64(seed);
     e.f64(ber);
-    e.usize(llr_window);
-    e.u64(llr_timeout_slack);
     e.u32(llr_backoff_cap);
     e.u32(llr_retry_budget);
     e.u8(u8::from(cm_enabled));
@@ -483,14 +473,9 @@ pub(crate) fn decode_config(data: &[u8]) -> Result<(SimConfig, String), Snapshot
         vcs_local: d.usize()?,
         vcs_global: d.usize()?,
         vcs_injection: d.usize()?,
-        vcs_ring: d.usize()?,
         buf_local: d.usize()?,
-        buf_global: d.usize()?,
         buf_injection: d.usize()?,
         buf_ring: d.usize()?,
-        lat_local: d.u64()?,
-        lat_global: d.u64()?,
-        alloc_iters: d.usize()?,
         ring: match d.u8()? {
             0 => RingMode::None,
             1 => RingMode::Physical,
@@ -501,8 +486,6 @@ pub(crate) fn decode_config(data: &[u8]) -> Result<(SimConfig, String), Snapshot
         escape_rings: d.usize()?,
         seed: d.u64()?,
         ber: d.f64()?,
-        llr_window: d.usize()?,
-        llr_timeout_slack: d.u64()?,
         llr_backoff_cap: d.u32()?,
         llr_retry_budget: d.u32()?,
         cm_enabled: match d.u8()? {
@@ -900,6 +883,15 @@ mod tests {
             config_fingerprint(&cfg, "OFAR"),
             config_fingerprint(&cfg, "MIN")
         );
+    }
+
+    /// The CONFIG section is the machine's identity: any change to its
+    /// bytes moves every fingerprint, so it must come with a
+    /// [`SNAPSHOT_VERSION`] bump and a new pin here.
+    #[test]
+    fn config_bytes_are_pinned() {
+        let bytes = encode_config(&SimConfig::paper(4), "OFAR");
+        assert_eq!((bytes.len(), crc32(&bytes)), (147, 3_994_990_923));
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! wheel exists.
 
 use crate::arena::{Pool, Tail, NIL};
+use crate::config::{LAT_GLOBAL, LAT_LOCAL};
 use crate::fabric::Fabric;
 use crate::packet::Packet;
 
@@ -170,15 +171,13 @@ pub(crate) struct Wheel {
 }
 
 impl Wheel {
-    /// An empty wheel for `fab`'s links whose next drained cycle is
-    /// `now`.
-    pub fn new(fab: &Fabric, now: u64) -> Self {
-        // Every link takes one of the two configured latencies, both
-        // validated to be at least one cycle.
-        Self::with_max_latency(fab.cfg().lat_local.max(fab.cfg().lat_global), now)
+    /// An empty wheel whose next drained cycle is `now`.
+    pub fn new(now: u64) -> Self {
+        // Every link takes one of the two link latencies.
+        Self::with_max_latency(LAT_LOCAL.max(LAT_GLOBAL), now)
     }
 
-    #[expect(clippy::expect_used, reason = "a validated latency fits usize")]
+    #[expect(clippy::expect_used, reason = "a link latency fits usize")]
     fn with_max_latency(max_latency: u64, now: u64) -> Self {
         // Two slots of room past the largest latency: an event filed
         // during cycle `now` lands by `now + max_latency`, and one
@@ -406,9 +405,8 @@ mod tests {
     }
 
     #[test]
-    fn slot_count_is_derived_from_the_fabric() {
-        let fab = Fabric::new(crate::SimConfig::paper(2));
-        let w = Wheel::new(&fab, 0);
+    fn slot_count_is_derived_from_the_link_latencies() {
+        let w = Wheel::new(0);
         assert_eq!(w.max_latency(), 100);
         assert_eq!(w.slots(), 128);
         assert_eq!(Wheel::with_max_latency(10, 0).slots(), 16);
@@ -454,7 +452,7 @@ mod tests {
     #[test]
     fn pending_events_are_listed_in_time_order() {
         let fab = Fabric::new(crate::SimConfig::paper(2));
-        let mut w = Wheel::new(&fab, 500);
+        let mut w = Wheel::new(500);
         let credit = |port: u16, vc: u8| Credit {
             router: 7,
             port,

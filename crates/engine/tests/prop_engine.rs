@@ -7,6 +7,7 @@
 mod common;
 
 use common::TestMin;
+use ofar_engine::config::BUF_GLOBAL;
 use ofar_engine::{Network, RingMode, SimConfig};
 use proptest::prelude::*;
 
@@ -75,7 +76,7 @@ proptest! {
         cfg.buf_local = buf;
         let valid = cfg.validate().is_ok();
         let expect = buf >= packet_size
-            && cfg.buf_global >= packet_size
+            && BUF_GLOBAL >= packet_size
             && cfg.buf_injection >= packet_size;
         prop_assert_eq!(valid, expect);
     }

@@ -6,6 +6,7 @@
 mod common;
 
 use common::TestMin;
+use ofar_engine::config::{LAT_GLOBAL, LAT_LOCAL};
 use ofar_engine::{InputCtx, Network, Packet, Policy, Request, RouterView, SimConfig};
 use ofar_topology::{Dragonfly, NodeId};
 
@@ -48,12 +49,12 @@ fn zero_load_latency_decomposes_by_hops() {
     assert!(local_1 < global_path);
     // one local hop adds ~lat_local (10) + serialization/arbitration
     assert!(
-        (local_1 - same_router) >= cfg.lat_local && (local_1 - same_router) <= cfg.lat_local + 16,
+        (local_1 - same_router) >= LAT_LOCAL && (local_1 - same_router) <= LAT_LOCAL + 16,
         "local hop delta {}",
         local_1 - same_router
     );
     // the l-g-l path adds ≥ one global latency over the local-only path
-    assert!(global_path - local_1 >= cfg.lat_global);
+    assert!(global_path - local_1 >= LAT_GLOBAL);
 }
 
 #[test]

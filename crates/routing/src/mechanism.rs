@@ -288,8 +288,8 @@ mod tests {
 
     /// Format pin: the POLICY section of every stateful mechanism after
     /// 300 cycles of a fixed h = 2 workload. The bytes are part of the
-    /// snapshot format (`SNAPSHOT_VERSION` 3, unchanged by v4, which
-    /// touched only the STATE section), so a codec refactor must
+    /// snapshot format (`SNAPSHOT_VERSION` 3, unchanged by v4 and v5,
+    /// which touched only the STATE and CONFIG sections), so a codec refactor must
     /// leave length and CRC-32 exactly as they are.
     #[test]
     fn save_state_bytes_are_pinned() {

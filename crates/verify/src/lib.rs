@@ -47,6 +47,7 @@ pub use report::{
 pub use ring_spec::RingSpec;
 
 use cdg::Cdg;
+use ofar_engine::config::VCS_RING;
 use ofar_engine::{ConfigError, RingMode, SimConfig};
 use ofar_routing::{DependencyDecl, EnumerablePolicy, MechanismDeps, MechanismKind};
 use ofar_topology::{Dragonfly, HamiltonianRing};
@@ -203,7 +204,7 @@ pub fn verify_decl(
     let nr = topo.num_routers();
     let (a, h) = (topo.params().a, topo.params().h);
     let lanes = match cfg.ring {
-        RingMode::Physical => cfg.vcs_ring,
+        RingMode::Physical => VCS_RING,
         RingMode::Embedded => 1,
         RingMode::None => 0,
     };

@@ -8,7 +8,7 @@
 //!   --load <f>            offered load, phits/(node·cycle)    [0.3]
 //!   --h <n>               Dragonfly h (balanced max-size)     [2]
 //!   --warmup <cycles>                                         [3000]
-//!   --measure <cycles>                                        [5000]
+//!   --measure <cycles>    ≥ 1                                 [5000]
 //!   --ring <none|physical|embedded>   escape model  [per mechanism]
 //!   --rings <k>           number of escape rings              [1]
 //!   --seed <n>                                                [42]
@@ -31,8 +31,9 @@
 //! length; `--burst` no `--load`, `--warmup` or `--measure`; `--cycles`
 //! needs `--replay`), and a value outside its range: an `ADV+<n>`
 //! offset outside `1..groups`, a load outside `0..=packet_size`, a
-//! `--ring` the mechanism does not run with, or `--rings` other than 1
-//! for a mechanism without a ring.
+//! `--measure` of 0, a `--ring` the mechanism does not run with, or
+//! `--rings` other than 1 for a mechanism without a ring. Every value
+//! is parsed before anything is printed or built.
 
 use ofar::prelude::*;
 use std::process::exit;
@@ -287,6 +288,15 @@ fn main() {
         eprintln!("invalid value for --load: {why}");
         exit(2);
     }
+    let burst_ppn: Option<usize> = args.has("--burst").then(|| args.parse("--burst", 0));
+    let opts = SteadyOpts {
+        warmup: args.parse("--warmup", 3_000),
+        measure: args.parse("--measure", 5_000),
+    };
+    if opts.measure == 0 {
+        eprintln!("invalid value for --measure: 0");
+        exit(2);
+    }
 
     eprintln!(
         "{} on h={h} ({} nodes), {} traffic, ring {:?} ×{}",
@@ -297,11 +307,7 @@ fn main() {
         cfg.escape_rings,
     );
 
-    if let Some(ppn) = args.get("--burst") {
-        let ppn: usize = ppn.parse().unwrap_or_else(|_| {
-            eprintln!("bad burst size");
-            exit(2);
-        });
+    if let Some(ppn) = burst_ppn {
         let r = burst(cfg, kind, &spec, ppn, seed);
         match r.cycles {
             Some(c) => {
@@ -330,10 +336,6 @@ fn main() {
         return;
     }
 
-    let opts = SteadyOpts {
-        warmup: args.parse("--warmup", 3_000),
-        measure: args.parse("--measure", 5_000),
-    };
     let p = steady_state(cfg, kind, &spec, load, opts, seed);
     println!(
         "offered {:.3}  accepted {:.4}  latency {:.1} cycles  hops {:.2}  misroutes/pkt {:.3}  ring entries {}",

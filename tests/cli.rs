@@ -111,6 +111,28 @@ fn an_out_of_range_pattern_or_load_is_refused() {
     }
 }
 
+/// A run-length or burst value that does not parse, and an empty
+/// measurement window, exit 2 naming the flag and the token before the
+/// banner is printed or anything is built.
+#[test]
+fn a_bad_run_length_or_burst_is_refused_before_the_banner() {
+    for args in [
+        &["--burst", "abc"][..],
+        &["--burst", "-1"][..],
+        &["--warmup", "x"][..],
+        &["--measure", "0"][..],
+    ] {
+        let out = ofar_sim(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must not simulate anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with(&format!("invalid value for {}: {}", args[0], args[1])),
+            "{args:?}: {err}"
+        );
+    }
+}
+
 /// A `--ring` the mechanism's adaptation would replace, or more than one
 /// ring for a mechanism without any, exits 2 naming the mechanism and
 /// the ring it runs with instead of simulating that ring silently.

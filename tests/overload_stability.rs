@@ -22,7 +22,6 @@ fn quick() -> OverloadOpts {
         },
         warmup: 800,
         measure: 2_500,
-        ..OverloadOpts::default()
     }
 }
 

@@ -5,6 +5,7 @@
 //! refused with a typed error, without panicking and without touching
 //! the network it was offered to.
 
+use ofar::engine::config::LAT_GLOBAL;
 use ofar::engine::crc32;
 use ofar::prelude::*;
 use proptest::prelude::*;
@@ -765,7 +766,7 @@ fn impossible_event_stamps_are_refused() {
         ("a stamp in the past", put(arrivals + 8, now - 1)),
         (
             "a stamp beyond the largest link latency",
-            put(arrivals + 8, now + h.net.cfg().lat_global + 1),
+            put(arrivals + 8, now + LAT_GLOBAL + 1),
         ),
         (
             "a stamp not after its predecessor",
