@@ -18,8 +18,7 @@
 //! * default — `h = 4` network, full curve shapes in minutes;
 //! * `OFAR_FULL=1` — the paper's `h = 6`, 5,256-node network;
 //! * `OFAR_QUICK=1` — `h = 2` smoke scale;
-//! * `OFAR_H=<n>` — override `h` explicitly;
-//! * `OFAR_CSV=<dir>` — additionally write each table as CSV.
+//! * `OFAR_H=<n>` — override `h` explicitly.
 //!
 //! A switch is on iff it is exactly `1`, and a value that does not parse
 //! stops the binary with exit status 2 (see [`ofar_core::env`]).
@@ -33,10 +32,8 @@ mod studies;
 
 pub use phases::PhaseTimer;
 
-use ofar_core::env::{self, EnvError};
-use ofar_core::{experiments, Scale, Table};
-use std::io::Write;
-use std::path::PathBuf;
+use ofar_core::env::EnvError;
+use ofar_core::{experiments, Scale, Table, SUITE_SEED};
 use std::process::ExitCode;
 use Kind::{Check, Figure, Study};
 
@@ -122,7 +119,8 @@ pub fn run(args: &[String]) -> ExitCode {
         eprintln!("usage: ofar-bench list | <experiment> [args]");
         return ExitCode::from(2);
     };
-    if name == "list" && rest.is_empty() {
+    if name == "list" {
+        no_args(name, rest);
         for e in EXPERIMENTS {
             println!("{}\t{}", e.name, e.kind.name());
         }
@@ -130,7 +128,7 @@ pub fn run(args: &[String]) -> ExitCode {
     }
     match EXPERIMENTS.iter().find(|e| e.name == name).map(|e| &e.run) {
         Some(Run::Table(table)) => {
-            emit(&table(&start(name, rest)));
+            println!("{}", table(&start(name, rest)));
             ExitCode::SUCCESS
         }
         Some(Run::Args(run)) => run(rest),
@@ -174,41 +172,14 @@ fn start(name: &str, args: &[String]) -> Scale {
         scale.cfg().params.nodes(),
         scale.steady.warmup,
         scale.steady.measure,
-        scale.seed,
+        SUITE_SEED,
     );
     scale
-}
-
-/// Print a table; if `OFAR_CSV` is set, also write `<dir>/<slug>.csv`.
-fn emit(table: &Table) {
-    println!("{table}");
-    if let Some(dir) = env_or_exit(env::parsed::<PathBuf>("OFAR_CSV")) {
-        let slug: String = table
-            .title
-            .chars()
-            .map(|c| if c.is_alphanumeric() { c } else { '_' })
-            .collect();
-        let path = dir.join(format!("{slug}.csv"));
-        if let Err(e) = std::fs::create_dir_all(&dir)
-            .and_then(|_| std::fs::File::create(&path))
-            .and_then(|mut f| f.write_all(table.to_csv().as_bytes()))
-        {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            eprintln!("wrote {}", path.display());
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn emit_prints_without_csv() {
-        let t = Table::new("smoke", &["a"]);
-        emit(&t); // must not panic without OFAR_CSV
-    }
 
     #[test]
     fn experiment_names_are_unique_and_not_list() {

@@ -6,7 +6,7 @@
     reason = "the host-time ruler: clock reads go to the printed table, never into simulated state"
 )]
 
-use crate::{emit, start};
+use crate::start;
 use ofar_core::engine::{Fabric, Hooks, Phase, RouteMark};
 use ofar_core::prelude::*;
 use std::process::ExitCode;
@@ -130,12 +130,12 @@ fn clock_read_cost() -> Duration {
 fn measure(scale: &Scale, kind: MechanismKind, point: Option<f64>) -> (u64, u64, PhaseTimer) {
     let cfg = kind.adapt_config(scale.cfg());
     let fab = Fabric::new(cfg);
-    let mut net = Network::with_hooks(fab, kind.build(&cfg, scale.seed), PhaseTimer::default());
+    let mut net = Network::with_hooks(fab, kind.build(&cfg, SUITE_SEED), PhaseTimer::default());
     let topo = *net.fabric().topo();
     let Some(load) = point else {
         // Closed burst: every node enqueues its packets at cycle 0.
         let (spec, packets) = (TrafficSpec::adversarial(1), scale.burst_packets);
-        OpenLoop::fill(&topo, spec, packets, scale.seed, |src, dst| {
+        OpenLoop::fill(&topo, spec, packets, SUITE_SEED, |src, dst| {
             net.generate(src, dst)
         });
         while !net.drained() {
@@ -150,7 +150,7 @@ fn measure(scale: &Scale, kind: MechanismKind, point: Option<f64>) -> (u64, u64,
         TrafficSpec::uniform(),
         load,
         cfg.packet_size,
-        scale.seed,
+        SUITE_SEED,
     );
     let mut delivered_at_warmup = 0;
     for cycle in 0..scale.steady.warmup + scale.steady.measure {
@@ -250,7 +250,7 @@ pub(crate) fn phases(args: &[String]) -> ExitCode {
             by_part.push(row);
         }
     }
-    emit(&by_phase);
-    emit(&by_part);
+    println!("{by_phase}");
+    println!("{by_part}");
     ExitCode::SUCCESS
 }

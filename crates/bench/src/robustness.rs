@@ -2,7 +2,7 @@
 //! (§VII), lossy links under the link-level retransmission layer, and
 //! post-saturation overload.
 
-use crate::{emit, start};
+use crate::start;
 use ofar_core::faults::{ber_sweep, degradation_sweep};
 use ofar_core::overload::{overload_sweep, OverloadOpts, OVERLOAD_FACTOR};
 use ofar_core::prelude::*;
@@ -56,7 +56,7 @@ pub(crate) fn link_failures(args: &[String]) -> ExitCode {
         scale.burst_packets,
         &ring_counts,
         &failure_counts,
-        scale.seed,
+        SUITE_SEED,
     );
 
     let mut t = Table::new(
@@ -88,7 +88,7 @@ pub(crate) fn link_failures(args: &[String]) -> ExitCode {
             outcome(&p.stall, "drained"),
         ]);
     }
-    emit(&t);
+    println!("{t}");
     ExitCode::SUCCESS
 }
 
@@ -121,7 +121,7 @@ pub(crate) fn ber(args: &[String]) -> ExitCode {
         &TrafficSpec::uniform(),
         scale.burst_packets,
         &bers,
-        scale.seed,
+        SUITE_SEED,
     );
 
     let mut t = Table::new(
@@ -168,7 +168,7 @@ pub(crate) fn ber(args: &[String]) -> ExitCode {
             outcome(&p.stall, "drained"),
         ]);
     }
-    emit(&t);
+    println!("{t}");
     ExitCode::SUCCESS
 }
 
@@ -217,7 +217,7 @@ pub(crate) fn overload(args: &[String]) -> ExitCode {
         ],
     );
     for spec in [TrafficSpec::uniform(), TrafficSpec::adversarial(1)] {
-        let pts = overload_sweep(cfg, &mechs, &spec, opts, scale.seed);
+        let pts = overload_sweep(cfg, &mechs, &spec, opts, SUITE_SEED);
         for p in &pts {
             t.push(vec![
                 p.mechanism.name().to_string(),
@@ -234,6 +234,6 @@ pub(crate) fn overload(args: &[String]) -> ExitCode {
             ]);
         }
     }
-    emit(&t);
+    println!("{t}");
     ExitCode::SUCCESS
 }

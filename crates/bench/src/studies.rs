@@ -77,7 +77,7 @@ pub(crate) fn ring_reliability(scale: &Scale) -> Table {
         ),
         &["rings deployed", "mean failures to outage", "p(survive h failures)"],
     );
-    let mut rng = StdRng::seed_from_u64(scale.seed);
+    let mut rng = StdRng::seed_from_u64(SUITE_SEED);
     let a = topo.routers_per_group();
     let h = scale.h;
     for k in 1..=all.len() {
@@ -135,7 +135,7 @@ fn score(
         .par_iter()
         .map(|&(&(ofar, pb), (spec, load))| {
             let (cfg, opts) = (scale.cfg(), scale.steady);
-            steady_state_tuned(cfg, kind, spec, *load, opts, scale.seed, ofar, pb)
+            steady_state_tuned(cfg, kind, spec, *load, opts, SUITE_SEED, ofar, pb)
         })
         .collect();
     results.chunks(2).map(|pair| [pair[0], pair[1]]).collect()

@@ -16,7 +16,10 @@ fn unknown_experiments_and_stray_arguments_are_refused() {
         (&["fig33"][..], "fig33"),
         (&["probe", "OFAR", "UN"][..], "probe"),
         (&["fig3", "--quick"][..], "--quick"),
-        (&["list", "figures"][..], "list"),
+        (
+            &["list", "figures"][..],
+            "list takes no arguments, got figures",
+        ),
         (&[][..], "usage"),
     ] {
         let out = ofar_bench(args);

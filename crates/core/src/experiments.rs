@@ -52,9 +52,10 @@ pub struct Scale {
     pub burst_packets: usize,
     /// Points per load sweep.
     pub sweep_points: usize,
-    /// Base RNG seed.
-    pub seed: u64,
 }
+
+/// Base RNG seed of every experiment in the suite, at every scale.
+pub const SUITE_SEED: u64 = 2012;
 
 impl Scale {
     /// Default bench scale: `h = 4` (1,056 nodes), full curve shapes in
@@ -75,7 +76,6 @@ impl Scale {
             },
             burst_packets: 50,
             sweep_points: 7,
-            seed: 2012,
         }
     }
 
@@ -96,7 +96,6 @@ impl Scale {
             },
             burst_packets: 2_000,
             sweep_points: 10,
-            seed: 2012,
         }
     }
 
@@ -117,7 +116,6 @@ impl Scale {
             },
             burst_packets: 5,
             sweep_points: 4,
-            seed: 2012,
         }
     }
 
@@ -139,7 +137,7 @@ impl Scale {
 
     /// Base simulator configuration at this scale.
     pub fn cfg(&self) -> SimConfig {
-        SimConfig::paper(self.h).with_seed(self.seed)
+        SimConfig::paper(self.h).with_seed(SUITE_SEED)
     }
 
     /// `n` evenly spaced loads in `(0, max]`.
@@ -153,7 +151,7 @@ impl Scale {
 /// long-format rows `(mech, load, latency, throughput, misroutes/pkt,
 /// ring entries)`. Every `(mechanism, load)` point is one item of one
 /// parallel map, and load `i` of every curve runs with the seed
-/// `point_seed(scale.seed, i)`, as in a plain one-mechanism sweep.
+/// `point_seed(SUITE_SEED, i)`, as in a plain one-mechanism sweep.
 fn sweep_table(
     title: &str,
     scale: &Scale,
@@ -187,7 +185,7 @@ fn sweep_table(
     let results: Vec<_> = points
         .par_iter()
         .map(|&(kind, i, load)| {
-            let seed = point_seed(scale.seed, i);
+            let seed = point_seed(SUITE_SEED, i);
             (
                 kind,
                 steady_state(cfg, kind, spec, load, scale.steady, seed),
@@ -232,7 +230,7 @@ pub fn fig2b(scale: &Scale) -> Table {
                 &TrafficSpec::adversarial(n),
                 1.0,
                 scale.steady,
-                scale.seed.wrapping_add(n as u64),
+                SUITE_SEED.wrapping_add(n as u64),
             );
             (n, p.throughput)
         })
@@ -352,7 +350,7 @@ pub fn fig6(scale: &Scale) -> Table {
                 after,
                 *load,
                 scale.transient,
-                scale.seed,
+                SUITE_SEED,
             );
             (*name, *mech, series)
         })
@@ -398,7 +396,7 @@ pub fn fig7(scale: &Scale) -> Table {
         .collect();
     let runs: Vec<_> = points
         .par_iter()
-        .map(|&(spec, kind)| burst(cfg, kind, spec, scale.burst_packets, scale.seed))
+        .map(|&(spec, kind)| burst(cfg, kind, spec, scale.burst_packets, SUITE_SEED))
         .collect();
     for (spec, runs) in patterns.iter().zip(runs.chunks(mechs.len())) {
         // `mechs` opens with PB, the reference of every pattern.
@@ -463,7 +461,7 @@ pub fn fig8(scale: &Scale) -> Table {
                 spec,
                 *load,
                 scale.steady,
-                scale.seed,
+                SUITE_SEED,
             );
             (*ring, spec.label(), p)
         })
@@ -486,7 +484,7 @@ pub fn fig8(scale: &Scale) -> Table {
 /// canonical network can congest and throughput collapses towards the
 /// ring capacity (§VII).
 pub fn fig9(scale: &Scale) -> Table {
-    let cfg = SimConfig::reduced_vcs(scale.h).with_seed(scale.seed);
+    let cfg = SimConfig::reduced_vcs(scale.h).with_seed(SUITE_SEED);
     let h = scale.h;
     let mut t = Table::new(
         format!("Fig 9: reduced VCs (2 local / 1 global), OFAR, h={h}"),
@@ -510,7 +508,7 @@ pub fn fig9(scale: &Scale) -> Table {
                 spec,
                 *load,
                 scale.steady,
-                scale.seed,
+                SUITE_SEED,
             );
             (spec.label(), p)
         })

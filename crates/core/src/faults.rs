@@ -41,13 +41,6 @@ pub struct DegradationPoint {
     pub stall: Option<StallKind>,
 }
 
-impl DegradationPoint {
-    /// True when every injected packet was delivered.
-    pub fn complete(&self) -> bool {
-        (self.delivered_fraction - 1.0).abs() < f64::EPSILON
-    }
-}
-
 /// Run one degradation point: a burst of `packets_per_node` per node
 /// under `spec`, with `failures` seeded-random global links failing at
 /// cycle [`FAIL_AT`] and `rings` escape rings configured.
@@ -179,13 +172,6 @@ pub struct BerPoint {
     pub stall: Option<StallKind>,
 }
 
-impl BerPoint {
-    /// True when every injected packet was delivered exactly once.
-    pub fn complete(&self) -> bool {
-        (self.delivered_fraction - 1.0).abs() < f64::EPSILON && self.duplicate_deliveries == 0
-    }
-}
-
 /// Run one BER point: a burst of `packets_per_node` per node under
 /// `spec`, every link suffering independent per-phit bit errors with
 /// probability `ber`. A nonzero `ber` auto-enables the link-level
@@ -267,7 +253,10 @@ mod tests {
             1,
             5,
         );
-        assert!(p.complete(), "OFAR must deliver everything: {p:?}");
+        assert_eq!(
+            p.delivered_fraction, 1.0,
+            "OFAR must deliver everything: {p:?}"
+        );
         assert!(p.stall.is_none());
         assert!(p.cycles.is_some());
         assert!(p.avg_latency > 0.0);
@@ -309,7 +298,8 @@ mod tests {
             1e-2,
             7,
         );
-        assert!(p.complete(), "lossy burst must fully drain: {p:?}");
+        let once = (p.delivered_fraction, p.duplicate_deliveries);
+        assert_eq!(once, (1.0, 0), "lossy burst must fully drain: {p:?}");
         assert!(p.retransmits > 0, "1% BER must force retries: {p:?}");
         assert_eq!(p.escalations, 0);
         assert_eq!(p.stall, None);
@@ -328,7 +318,7 @@ mod tests {
             0.0,
             3,
         );
-        assert!(p.complete());
+        assert_eq!((p.delivered_fraction, p.duplicate_deliveries), (1.0, 0));
         assert_eq!(p.retransmits, 0);
         assert_eq!(p.crc_drops + p.wire_drops, 0);
     }

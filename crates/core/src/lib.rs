@@ -44,7 +44,7 @@ pub mod table;
 pub mod theory;
 
 pub use checkpoint::{Checkpoint, CheckpointPolicy};
-pub use experiments::Scale;
+pub use experiments::{Scale, SUITE_SEED};
 pub use faults::{
     ber_burst, ber_sweep, degradation, degradation_sweep, BerPoint, DegradationPoint,
 };
@@ -69,7 +69,7 @@ pub use ofar_verify as verify;
 /// Everything needed for typical experiments.
 pub mod prelude {
     pub use crate::checkpoint::{Checkpoint, CheckpointPolicy};
-    pub use crate::experiments::{self, Scale};
+    pub use crate::experiments::{self, Scale, SUITE_SEED};
     pub use crate::faults::{
         ber_burst, ber_sweep, degradation, degradation_sweep, BerPoint, DegradationPoint,
     };
@@ -84,9 +84,8 @@ pub mod prelude {
     pub use crate::table::Table;
     pub use crate::theory;
     pub use ofar_engine::{
-        jain_index, random_global_links, source_histogram, AuditReport, AuditViolation, FaultKind,
-        FaultPlan, Network, Policy, Recorder, RingMode, SimConfig, SnapshotError, Stats,
-        StatsWindow,
+        jain_index, random_global_links, AuditReport, AuditViolation, FaultKind, FaultPlan,
+        Network, Policy, Recorder, RingMode, SimConfig, SnapshotError, Stats, StatsWindow,
     };
     pub use ofar_routing::{
         DependencyDecl, Mechanism, MechanismKind, MisrouteThreshold, OfarConfig, OfarPolicy,

@@ -24,9 +24,7 @@
 use crate::run::{
     derive_watchdog, ensure_certified, point_seed, steady_state, StallKind, SteadyOpts, Watchdog,
 };
-use ofar_engine::{
-    jain_index, source_histogram, Fabric, Network, Recorder, SimConfig, Stats, StatsWindow,
-};
+use ofar_engine::{jain_index, Fabric, Network, Recorder, SimConfig, Stats, StatsWindow};
 use ofar_routing::MechanismKind;
 use ofar_traffic::{OpenLoop, TrafficSpec};
 use rayon::prelude::*;
@@ -34,9 +32,6 @@ use rayon::prelude::*;
 /// Offered load of an overload run as a multiple of the measured
 /// saturation throughput (the paper's figures end at 1.0).
 pub const OVERLOAD_FACTOR: f64 = 2.0;
-
-/// Buckets of an overload point's per-source delivery histogram.
-const HISTOGRAM_BUCKETS: usize = 8;
 
 /// Run lengths of an overload run.
 #[derive(Clone, Copy, Debug)]
@@ -77,9 +72,6 @@ pub struct OverloadPoint {
     pub p99_latency: f64,
     /// Jain fairness index of per-source deliveries in the window.
     pub jain: f64,
-    /// Per-source delivery histogram over the window
-    /// (eight equal-width bins).
-    pub src_histogram: Vec<u64>,
     /// Packets delivered during the window.
     pub delivered: u64,
     /// NIC injections deferred by the token bucket during the window
@@ -169,7 +161,6 @@ pub fn overload_point(
         avg_latency: w.avg_latency(),
         p99_latency,
         jain: jain_index(&per_src),
-        src_histogram: source_histogram(&per_src, HISTOGRAM_BUCKETS),
         delivered: w.delivered_packets,
         throttle_deferrals: end.cm_throttle_deferrals - start.cm_throttle_deferrals,
         ring_entries: w.ring_entries,
@@ -239,7 +230,6 @@ mod tests {
             "CM-enabled OFAR must retain ≥90% of saturation at 2×: {p:?}"
         );
         assert!(p.jain > 0.0 && p.jain <= 1.0 + 1e-12);
-        assert_eq!(p.src_histogram.iter().sum::<u64>() as usize, 72);
     }
 
     #[test]

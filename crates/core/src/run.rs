@@ -23,15 +23,6 @@ pub struct SteadyOpts {
     pub measure: u64,
 }
 
-impl Default for SteadyOpts {
-    fn default() -> Self {
-        Self {
-            warmup: 20_000,
-            measure: 30_000,
-        }
-    }
-}
-
 /// One point of a steady-state curve.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SteadyPoint {
@@ -267,18 +258,6 @@ pub struct TransientOpts {
     pub drain: u64,
 }
 
-impl Default for TransientOpts {
-    fn default() -> Self {
-        Self {
-            warmup: 20_000,
-            post: 12_000,
-            pre_window: 2_000,
-            bucket: 200,
-            drain: 8_000,
-        }
-    }
-}
-
 /// One bucket of a transient latency series.
 #[derive(Clone, Copy, Debug)]
 pub struct TransientBucket {
@@ -460,11 +439,7 @@ pub struct BurstResult {
     pub p99_latency: Option<f64>,
     /// Escape-ring entries over the whole burst.
     pub ring_entries: u64,
-    /// Jain fairness index of per-source delivered packets (1.0 =
-    /// perfectly fair; 1/n = one source monopolizes the network).
-    pub jain_fairness: f64,
-    /// Packets delivered per source NIC, indexed by node id — the raw
-    /// distribution behind [`BurstResult::jain_fairness`].
+    /// Packets delivered per source NIC, indexed by node id.
     pub per_source_delivered: Vec<u64>,
     /// Why the watchdog fired (`None` when the burst drained).
     pub stall: Option<StallKind>,
@@ -556,7 +531,6 @@ pub fn burst_net<P: Policy, H: Hooks>(
         avg_latency: net.stats().avg_latency(),
         p99_latency: net.hooks().recorder().map(|r| r.percentile(99)),
         ring_entries: net.stats().ring_entries,
-        jain_fairness: net.jain_fairness(),
         per_source_delivered: net.per_source_delivered().to_vec(),
         stall,
         stats: net.stats().clone(),

@@ -64,11 +64,6 @@ impl ResultStore {
         self.index.is_empty()
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn object_path(&self, hash: u32) -> PathBuf {
         self.root.join("objects").join(format!("{hash:08x}.res"))
     }

@@ -1,4 +1,4 @@
-//! Minimal aligned-text / CSV table rendering for experiment reports.
+//! Minimal aligned-text table rendering for experiment reports.
 
 use std::fmt;
 
@@ -26,16 +26,6 @@ impl Table {
     /// Append a row.
     pub fn push(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
-    }
-
-    /// Render as CSV (title as a comment line).
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("# {}\n{}\n", self.title, self.headers.join(","));
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -91,7 +81,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_aligned_text_and_csv() {
+    fn renders_aligned_text() {
         let mut t = Table::new("Fig X", &["mech", "load", "thr"]);
         t.push(vec!["OFAR".into(), "0.10".into(), f4(0.0999)]);
         t.push(vec!["PB".into(), "0.10".into(), f4(0.08)]);
@@ -99,9 +89,7 @@ mod tests {
         assert!(s.contains("== Fig X =="));
         assert!(s.contains("OFAR"));
         assert!(s.contains("0.0999"));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("# Fig X\nmech,load,thr\n"));
-        assert!(csv.contains("PB,0.10,0.0800"));
+        assert!(s.contains("0.0800"));
     }
 
     #[test]

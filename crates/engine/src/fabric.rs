@@ -141,12 +141,6 @@ impl Fabric {
         Self::with_rings(cfg, rings)
     }
 
-    /// Build the wiring with one explicit ring (compatibility shortcut
-    /// for [`Self::with_rings`]).
-    pub fn with_ring(cfg: SimConfig, ring: Option<HamiltonianRing>) -> Self {
-        Self::with_rings(cfg, ring.into_iter().collect())
-    }
-
     /// Build the wiring with an explicit ring family (must be non-empty
     /// exactly when `cfg.ring != RingMode::None`). The rings must be
     /// pairwise edge-disjoint in the embedded model — each link can host

@@ -397,14 +397,6 @@ impl FaultState {
         None
     }
 
-    /// True when any transient wire-error state is active (pending
-    /// one-shots or BER overrides).
-    pub fn any_transient(&self) -> bool {
-        !self.pending_corrupt.is_empty()
-            || !self.pending_drop.is_empty()
-            || !self.link_ber_ppm.is_empty()
-    }
-
     /// Rebuild the derived per-port and per-ring liveness from the fault
     /// sets.
     fn recompute(&mut self, fab: &Fabric) {
@@ -734,7 +726,7 @@ mod tests {
             !s.any(),
             "transient faults must keep the fail-stop fast path"
         );
-        assert!(s.any_transient());
+        assert!(!s.pending_corrupt.is_empty());
         assert!(s.link_up(a.idx(), f.local_out(0)));
         assert!(
             (s.link_ber(b, a, 0.0) - 1e-3).abs() < 1e-12,
@@ -758,7 +750,7 @@ mod tests {
         assert_eq!(s.take_pending(b, a), Some(crate::llr::Fate::Drop));
         assert_eq!(s.take_pending(a, b), Some(crate::llr::Fate::Corrupt));
         assert_eq!(s.take_pending(a, b), None);
-        assert!(!s.any_transient());
+        assert!(s.pending_corrupt.is_empty() && s.pending_drop.is_empty());
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use snapshot::{
     config_fingerprint, diff_snapshots, peek_header, read_file, write_atomic, SectionDiff,
     SnapshotError, SnapshotHeader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use stats::{jain_index, source_histogram, Stats, StatsWindow, STATS_COUNTERS};
+pub use stats::{jain_index, Stats, StatsWindow, STATS_COUNTERS};
 
 /// A canary for each `clippy.toml` ban no crate has a live site for and
 /// whose path is easy to get wrong: a typo there leaves its `#[expect]`

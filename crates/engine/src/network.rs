@@ -239,13 +239,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         &self.delivered_per_src
     }
 
-    /// Jain's fairness index of per-source deliveries so far.
-    pub fn jain_fairness(&self) -> f64 {
-        crate::stats::jain_index(&self.delivered_per_src)
-    }
-
     /// Start recording one `(generation cycle, latency)` entry per
-    /// delivery (transient experiments, Fig. 6).
+    /// delivery: the exact log tests check a [`Recorder`](crate::Recorder)
+    /// against. No runner reads it; Fig. 6 reads the recorder's series.
     pub fn enable_delivery_log(&mut self) {
         self.delivered_log = Some(Vec::new());
     }

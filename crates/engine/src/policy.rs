@@ -131,13 +131,6 @@ impl<'a> RouterView<'a> {
             && (self.links[port].kind == PortKind::Node || self.credits(port, vc) >= need)
     }
 
-    /// Like [`Self::available`] but requiring space for two packets — the
-    /// bubble condition for entering the escape ring (§IV-C).
-    #[inline]
-    pub fn available_with_bubble(&self, port: usize, vc: usize) -> bool {
-        self.link_up(port) && self.grantable(port, vc, 2 * self.packet_phits())
-    }
-
     /// Whether output `port` is alive (not failed).
     #[inline]
     pub fn link_up(&self, port: usize) -> bool {

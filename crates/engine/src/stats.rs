@@ -152,24 +152,6 @@ pub fn jain_index(xs: &[u64]) -> f64 {
     (sum * sum) / (n as f64 * sq_sum)
 }
 
-/// Histogram of per-source delivery counts in `buckets` equal-width bins
-/// spanning `0..=max(xs)`. The shape of the post-saturation fairness
-/// story: with CM off the mass splits into starved and monopolizing
-/// sources; with CM on it concentrates in the middle bins.
-pub fn source_histogram(xs: &[u64], buckets: usize) -> Vec<u64> {
-    let mut hist = vec![0u64; buckets.max(1)];
-    let max = xs.iter().copied().max().unwrap_or(0);
-    for &x in xs {
-        let idx = if max == 0 {
-            0
-        } else {
-            (((x as u128 * hist.len() as u128) / (max as u128 + 1)) as usize).min(hist.len() - 1)
-        };
-        hist[idx] += 1;
-    }
-    hist
-}
-
 /// A measurement window: the delta of two [`Stats`] snapshots plus the
 /// elapsed cycles, exposing the paper's metrics.
 #[derive(Clone, Copy, Debug)]
@@ -293,20 +275,6 @@ mod tests {
         // Always in (0, 1].
         let j = jain_index(&[1, 2, 3, 4, 100]);
         assert!(j > 0.0 && j <= 1.0);
-    }
-
-    #[test]
-    fn source_histogram_buckets_by_share() {
-        let h = source_histogram(&[0, 0, 9, 9], 2);
-        assert_eq!(h, vec![2, 2]);
-        // All-zero population lands in the first bin.
-        assert_eq!(source_histogram(&[0, 0, 0], 4), vec![3, 0, 0, 0]);
-        // Total mass is preserved.
-        let xs = [3, 1, 4, 1, 5, 9, 2, 6];
-        assert_eq!(
-            source_histogram(&xs, 3).iter().sum::<u64>(),
-            xs.len() as u64
-        );
     }
 
     #[test]

@@ -191,13 +191,6 @@ impl Dragonfly {
         }
     }
 
-    /// The local port at the *other* end of local port `port` of `r`.
-    #[inline]
-    pub fn local_reverse_port(&self, r: RouterId, port: usize) -> usize {
-        let n = self.local_neighbor(r, port);
-        self.local_port_to(n, r)
-    }
-
     // ----- global links (palmtree arrangement) ------------------------
 
     /// Group offset (1-based, mod number of groups) served by global port
@@ -220,13 +213,6 @@ impl Dragonfly {
     #[inline]
     fn group_past(&self, r: RouterId, offset: usize) -> GroupId {
         GroupId::new(self.groups.rem(self.group_of(r).0 + narrow(offset)))
-    }
-
-    /// Group reached by global port `k` of router `r`.
-    #[inline]
-    pub fn global_neighbor_group(&self, r: RouterId, k: usize) -> GroupId {
-        debug_assert!(k < self.params.h);
-        self.group_past(r, self.offset_of_port(self.local_index(r), k))
     }
 
     /// Fully resolve global port `k` of router `r`: the remote router and
@@ -334,7 +320,7 @@ mod tests {
                     seen[topo.local_index(n)] = true;
                     // port mapping is its own inverse through the pair
                     assert_eq!(topo.local_port_to(r, n), port);
-                    let back = topo.local_reverse_port(r, port);
+                    let back = topo.local_port_to(n, r);
                     assert_eq!(topo.local_neighbor(n, back), r);
                 }
             }
@@ -392,7 +378,10 @@ mod tests {
                 }
                 let (router, port) = topo.global_link_from(GroupId::from(from), GroupId::from(to));
                 assert_eq!(topo.group_of(router).idx(), from);
-                assert_eq!(topo.global_neighbor_group(router, port).idx(), to);
+                assert_eq!(
+                    topo.group_of(topo.global_neighbor(router, port).0).idx(),
+                    to
+                );
             }
         }
     }
@@ -445,7 +434,7 @@ mod tests {
                 for k in 0..h {
                     let d = (r % a) * h + k + 1;
                     let to = (r / a + d) % groups;
-                    assert_eq!(topo.global_neighbor_group(rid, k).idx(), to);
+                    assert_eq!(topo.group_of(topo.global_neighbor(rid, k).0).idx(), to);
                     // Seen from `to`, the same link has offset `groups − d`.
                     let back = groups - d - 1;
                     assert_eq!(

@@ -70,27 +70,6 @@ impl DragonflyParams {
     pub fn ports_per_router(&self) -> usize {
         self.p + (self.a - 1) + self.h
     }
-
-    /// Number of unidirectional-pair (i.e., full-duplex) local links in the
-    /// network: one per router pair per group.
-    #[inline]
-    pub fn local_links(&self) -> usize {
-        self.groups() * self.a * (self.a - 1) / 2
-    }
-
-    /// Number of full-duplex global links: one per group pair.
-    #[inline]
-    pub fn global_links(&self) -> usize {
-        let g = self.groups();
-        g * (g - 1) / 2
-    }
-
-    /// Whether the network satisfies the paper's balance condition
-    /// `a = 2p = 2h`.
-    #[inline]
-    pub fn is_balanced(&self) -> bool {
-        self.a == 2 * self.p && self.a == 2 * self.h
-    }
 }
 
 #[cfg(test)]
@@ -106,9 +85,9 @@ mod tests {
         assert_eq!(p.routers(), 876);
         assert_eq!(p.nodes(), 5256);
         assert_eq!(p.ports_per_router(), 23);
-        assert_eq!(p.global_links(), 2628);
-        assert_eq!(p.local_links(), 4818);
-        assert!(p.is_balanced());
+        assert_eq!(p.groups() * (p.groups() - 1) / 2, 2628);
+        assert_eq!(p.groups() * p.a * (p.a - 1) / 2, 4818);
+        assert_eq!((p.a, p.p), (2 * p.h, p.h));
     }
 
     #[test]

@@ -95,7 +95,7 @@ fn main() {
         &[ofar_core::verify::RingSpec::from_ring(&topo2, &alt_ring)],
     )
     .expect("backup ring must be a spanning bubble-protected cycle");
-    let fab = Fabric::with_ring(cfg, Some(alt_ring));
+    let fab = Fabric::with_rings(cfg, vec![alt_ring]);
     let mut net = Network::with_fabric(fab, ofar_core::routing::OfarPolicy::new(&cfg, 3));
     let mut gen = TrafficGen::new(&topo2, TrafficSpec::adversarial(2), 5);
     for n in 0..net.num_nodes() {

@@ -13,7 +13,7 @@
 //!   --rings <k>           number of escape rings              [1]
 //!   --seed <n>                                                [42]
 //!   --ber <f>             per-phit link bit-error rate        [0]
-//!   --burst <pkts/node>   burst mode instead of steady state
+//!   --burst <pkts/node>   burst mode instead of steady state, ≥ 1
 //!   --conformance         run the routing-conformance checker and exit
 //!   --replay <snapshot>   restore a snapshot (e.g. a post-mortem stall
 //!                         dump) and trace its final cycles
@@ -31,9 +31,9 @@
 //! length; `--burst` no `--load`, `--warmup` or `--measure`; `--cycles`
 //! needs `--replay`), and a value outside its range: an `ADV+<n>`
 //! offset outside `1..groups`, a load outside `0..=packet_size`, a
-//! `--measure` of 0, a `--ring` the mechanism does not run with, or
-//! `--rings` other than 1 for a mechanism without a ring. Every value
-//! is parsed before anything is printed or built.
+//! `--measure` or `--burst` of 0, a `--ring` the mechanism does not run
+//! with, or `--rings` other than 1 for a mechanism without a ring. Every
+//! value is parsed before anything is printed or built.
 
 use ofar::prelude::*;
 use std::process::exit;
@@ -295,6 +295,10 @@ fn main() {
     };
     if opts.measure == 0 {
         eprintln!("invalid value for --measure: 0");
+        exit(2);
+    }
+    if burst_ppn == Some(0) {
+        eprintln!("invalid value for --burst: 0");
         exit(2);
     }
 

@@ -111,9 +111,9 @@ fn an_out_of_range_pattern_or_load_is_refused() {
     }
 }
 
-/// A run-length or burst value that does not parse, and an empty
-/// measurement window, exit 2 naming the flag and the token before the
-/// banner is printed or anything is built.
+/// A run-length or burst value that does not parse, an empty
+/// measurement window and an empty burst exit 2 naming the flag and the
+/// token before the banner is printed or anything is built.
 #[test]
 fn a_bad_run_length_or_burst_is_refused_before_the_banner() {
     for args in [
@@ -121,6 +121,7 @@ fn a_bad_run_length_or_burst_is_refused_before_the_banner() {
         &["--burst", "-1"][..],
         &["--warmup", "x"][..],
         &["--measure", "0"][..],
+        &["--burst", "0"][..],
     ] {
         let out = ofar_sim(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");

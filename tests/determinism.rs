@@ -292,7 +292,7 @@ fn a_figure_sweep_seeds_each_curve_like_load_sweep() {
     let (spec, loads) = (TrafficSpec::adversarial(2), scale.loads(0.55));
     let mut expected = Vec::new();
     for kind in mechs {
-        for p in load_sweep(scale.cfg(), kind, &spec, &loads, scale.steady, scale.seed) {
+        for p in load_sweep(scale.cfg(), kind, &spec, &loads, scale.steady, SUITE_SEED) {
             expected.push(vec![
                 kind.name().to_string(),
                 format!("{:.3}", p.load),
@@ -331,7 +331,7 @@ fn a_figure_burst_row_is_its_own_burst() {
                 (&row[0], &row[1]),
                 (&spec.label(), &kind.name().to_string())
             );
-            let r = burst(scale.cfg(), kind, spec, scale.burst_packets, scale.seed);
+            let r = burst(scale.cfg(), kind, spec, scale.burst_packets, SUITE_SEED);
             let cycles = r.cycles.expect("a two-packet burst drains");
             assert_eq!(row[2], cycles.to_string(), "{} {kind}", spec.label());
         }

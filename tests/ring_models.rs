@@ -74,7 +74,7 @@ fn every_disjoint_ring_serves_as_escape_network() {
     let topo = Dragonfly::new(cfg.params);
     for ring_idx in 0..cfg.params.h {
         let ring = HamiltonianRing::embedded(&topo, ring_idx);
-        let cycles = drain_burst_on(Fabric::with_ring(cfg, Some(ring)), 32);
+        let cycles = drain_burst_on(Fabric::with_rings(cfg, vec![ring]), 32);
         assert!(cycles > 0);
     }
 }
