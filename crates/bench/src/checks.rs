@@ -1,6 +1,5 @@
 //! The experiments whose exit status is the result: the golden
-//! signatures, the certification table, the mutation kill matrix and the
-//! kill-and-resume driver of the result store.
+//! signatures, the certification table and the mutation kill matrix.
 
 use crate::{env_or_exit, no_args, start};
 use ofar_core::prelude::*;
@@ -8,7 +7,7 @@ use ofar_core::verify::{verify_decl, RingSpec, VerifyError};
 use ofar_core::{env, golden as table};
 use ofar_mutate::{KillMatrix, MutationOp};
 use std::path::PathBuf;
-use std::process::{exit, ExitCode};
+use std::process::ExitCode;
 
 /// Golden signatures: the cross-build behaviour pin (ROADMAP 4a).
 ///
@@ -417,118 +416,4 @@ pub(crate) fn mutants(args: &[String]) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-fn sweep_spec() -> (SimConfig, MechanismKind, TrafficSpec, Vec<f64>, SteadyOpts) {
-    (
-        SimConfig::paper(2),
-        MechanismKind::Ofar,
-        TrafficSpec::adversarial(2),
-        vec![0.05, 0.15, 0.25, 0.35, 0.45, 0.55],
-        SteadyOpts {
-            warmup: 800,
-            measure: 1_200,
-        },
-    )
-}
-
-fn run_sweep(dir: &str, stop_after: Option<usize>) {
-    let (cfg, kind, spec, loads, opts) = sweep_spec();
-    let mut store = ResultStore::open(dir).unwrap_or_else(|e| {
-        eprintln!("cannot open result store {dir}: {e}");
-        exit(2);
-    });
-    let already = store.len();
-    let points = resumable_load_sweep(&mut store, cfg, kind, &spec, &loads, opts, 77, |i| {
-        eprintln!("point {}/{} recorded", i + 1, loads.len());
-        if stop_after == Some(i + 1) {
-            eprintln!("simulated crash after {} points", i + 1);
-            exit(3);
-        }
-    });
-    println!(
-        "sweep complete: {} points ({} resumed from {dir})",
-        points.len(),
-        already
-    );
-    for p in &points {
-        println!(
-            "  load {:.2}  accepted {:.4}  latency {:.1}",
-            p.load, p.throughput, p.avg_latency
-        );
-    }
-}
-
-/// Byte-compare the manifests and every referenced object of two stores.
-fn compare(a: &str, b: &str) -> bool {
-    let read = |root: &str, name: &str| std::fs::read(std::path::Path::new(root).join(name));
-    let (ma, mb) = (read(a, "MANIFEST"), read(b, "MANIFEST"));
-    let (ma, mb) = match (ma, mb) {
-        (Ok(ma), Ok(mb)) => (ma, mb),
-        _ => {
-            eprintln!("missing MANIFEST in {a} or {b}");
-            return false;
-        }
-    };
-    if ma != mb {
-        eprintln!("manifests differ");
-        return false;
-    }
-    let mut ok = true;
-    for line in String::from_utf8_lossy(&ma).lines() {
-        let Some((hash, key)) = line.split_once('\t') else {
-            continue;
-        };
-        let obj = format!("objects/{hash}.res");
-        match (read(a, &obj), read(b, &obj)) {
-            (Ok(x), Ok(y)) if x == y => {}
-            _ => {
-                eprintln!("object {hash} ({key}) differs or is missing");
-                ok = false;
-            }
-        }
-    }
-    ok
-}
-
-/// Kill-and-resume smoke driver for the crash-resilient result store
-/// (used by the CI `resume` job, runnable by hand):
-///
-/// ```text
-/// ofar-bench resume full <dir>           run the whole reference sweep into <dir>
-/// ofar-bench resume partial <dir> <k>    run the same sweep but exit(3) after k
-///                             points — a deliberate mid-suite "crash"
-/// ofar-bench resume continue <dir>       resume the sweep, re-running only the
-///                             missing points
-/// ofar-bench resume compare <a> <b>      byte-compare two result stores; exit 1
-///                             on any difference
-/// ```
-///
-/// The CI job runs `full` into one directory, `partial` + `continue`
-/// into another, then `compare`s them: an interrupted-and-resumed sweep
-/// must leave byte-identical manifests and result objects.
-pub(crate) fn resume(args: &[String]) -> ExitCode {
-    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        ["full", dir] => run_sweep(dir, None),
-        ["partial", dir, k] => {
-            let k: usize = k.parse().unwrap_or_else(|_| {
-                eprintln!("bad point count {k}");
-                exit(2);
-            });
-            run_sweep(dir, Some(k));
-        }
-        ["continue", dir] => run_sweep(dir, None),
-        ["compare", a, b] => {
-            if compare(a, b) {
-                println!("stores are byte-identical");
-            } else {
-                exit(1);
-            }
-        }
-        _ => {
-            eprintln!("usage: ofar-bench resume full|continue <dir> | partial <dir> <k> | compare <a> <b>");
-            exit(2);
-        }
-    }
-    ExitCode::SUCCESS
 }

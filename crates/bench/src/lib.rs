@@ -8,7 +8,7 @@
 //! |---|---|
 //! | `figure` — a table checked in under `results/` (`results/run_all.sh` regenerates exactly these) | `fig2b fig3 fig4 fig5 fig6 fig7 fig8 fig9` (the paper's figures), `theory` (§III bounds), `rings` (§VII ring reliability), `ablation_thresholds ablation_pb ablation_patience` |
 //! | `study` — a table that is not checked in | `faults` (§VII link failures), `ber` (lossy links), `overload` (2× saturation, CM off/on), `phases` (host µs per `step` phase) |
-//! | `check` — the exit status is the verdict | `golden [--emit FILE] [--verify FILE]`, `verify` (CDG certification + conformance), `mutants` (kill matrix), `resume full\|partial\|continue\|compare …` |
+//! | `check` — the exit status is the verdict | `golden [--emit FILE] [--verify FILE]`, `verify` (CDG certification + conformance), `mutants` (kill matrix) |
 //!
 //! An unknown experiment, or an argument to one that takes none, exits
 //! with status 2 naming the token.
@@ -19,6 +19,9 @@
 //! * `OFAR_FULL=1` — the paper's `h = 6`, 5,256-node network;
 //! * `OFAR_QUICK=1` — `h = 2` smoke scale;
 //! * `OFAR_H=<n>` — override `h` explicitly.
+//!
+//! Checkpoints (`OFAR_CHECKPOINT_EVERY`, `OFAR_CHECKPOINT_DIR`, see
+//! [`ofar_core::checkpoint`]) let a killed run resume where it stopped.
 //!
 //! A switch is on iff it is exactly `1`, and a value that does not parse
 //! stops the binary with exit status 2 (see [`ofar_core::env`]).
@@ -33,7 +36,7 @@ mod studies;
 pub use phases::PhaseTimer;
 
 use ofar_core::env::EnvError;
-use ofar_core::{experiments, Scale, Table, SUITE_SEED};
+use ofar_core::{experiments, CheckpointPolicy, Scale, Table, SUITE_SEED};
 use std::process::ExitCode;
 use Kind::{Check, Figure, Study};
 
@@ -109,7 +112,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
     row("golden", Check, checks::golden),
     row("verify", Check, checks::verify),
     row("mutants", Check, checks::mutants),
-    row("resume", Check, checks::resume),
 ];
 
 /// The whole command line (without `argv[0]`): `list`, or an experiment
@@ -119,6 +121,9 @@ pub fn run(args: &[String]) -> ExitCode {
         eprintln!("usage: ofar-bench list | <experiment> [args]");
         return ExitCode::from(2);
     };
+    // Every steady-state point reads the checkpoint knobs inside a
+    // worker; a bad one is refused here, before anything is printed.
+    env_or_exit(CheckpointPolicy::from_env());
     if name == "list" {
         no_args(name, rest);
         for e in EXPERIMENTS {

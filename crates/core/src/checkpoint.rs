@@ -18,14 +18,15 @@
 
 use ofar_engine::snapshot::{Dec, Enc};
 use ofar_engine::{
-    config_fingerprint, crc32, write_atomic, Hooks, Network, Policy, Recorder, SimConfig,
-    SnapshotError, Stats, STATS_COUNTERS,
+    crc32, write_atomic, Hooks, Network, Policy, Recorder, SimConfig, SnapshotError, Stats,
+    STATS_COUNTERS,
 };
 use ofar_traffic::{Bernoulli, TrafficGen, TrafficSpec};
 use std::path::PathBuf;
 
 use crate::env::{self, EnvError};
 use crate::run::SteadyOpts;
+use crate::store::point_key;
 use ofar_routing::MechanismKind;
 
 /// Checkpoint file magic (distinct from the engine snapshot's, which is
@@ -70,10 +71,20 @@ impl CheckpointPolicy {
 
     /// Read `OFAR_CHECKPOINT_EVERY` / `OFAR_CHECKPOINT_DIR` from the
     /// environment (see [`crate::env`]). An unset or zero `EVERY`
-    /// disables checkpointing; one that is not an integer is an error.
+    /// disables checkpointing; one that is not an integer is an error,
+    /// and so is an empty `DIR`, whose files would land in the working
+    /// directory where resume never looks.
     pub fn from_env() -> Result<Self, EnvError> {
         let every = env::parsed("OFAR_CHECKPOINT_EVERY")?.unwrap_or(0);
-        let dir = env::parsed("OFAR_CHECKPOINT_DIR")?.unwrap_or_else(|| Self::disabled().dir);
+        let dir: PathBuf =
+            env::parsed("OFAR_CHECKPOINT_DIR")?.unwrap_or_else(|| Self::disabled().dir);
+        if dir.as_os_str().is_empty() {
+            return Err(EnvError {
+                name: "OFAR_CHECKPOINT_DIR".to_string(),
+                value: String::new(),
+                expected: "non-empty directory path".to_string(),
+            });
+        }
         Ok(Self::every(every, dir))
     }
 
@@ -208,10 +219,10 @@ impl Checkpoint {
     }
 }
 
-/// Key identifying one steady-state run: every input that affects its
-/// trajectory, hashed to a u32 used in checkpoint file names. `tunables`
-/// carries the debug rendering of any mechanism tunables so an ablation
-/// run never resumes a differently-tuned checkpoint.
+/// Key identifying one steady-state run: its [`point_key`], hashed to a
+/// u32 used in checkpoint file names. `tunables` carries the debug
+/// rendering of any mechanism tunables so an ablation run never resumes
+/// a differently-tuned checkpoint.
 pub fn run_key(
     cfg: &SimConfig,
     kind: MechanismKind,
@@ -221,19 +232,8 @@ pub fn run_key(
     seed: u64,
     tunables: &str,
 ) -> u32 {
-    crc32(
-        format!(
-            "ckpt cfg={:08x} spec={} load={:016x} warmup={} measure={} seed={} tunables={}",
-            config_fingerprint(cfg, kind.name()),
-            spec.label(),
-            load.to_bits(),
-            opts.warmup,
-            opts.measure,
-            seed,
-            tunables
-        )
-        .as_bytes(),
-    )
+    let point = point_key(cfg, kind, spec, load, opts, seed);
+    crc32(format!("ckpt {point} tunables={tunables}").as_bytes())
 }
 
 /// Serialize a checkpoint: magic, version, run key, cycle, optional
@@ -524,6 +524,9 @@ mod tests {
             5,
             "None/None",
         );
+        // Pinned: a key that moves renames every checkpoint file, and a
+        // resume no longer finds the ones already on disk.
+        assert_eq!(key, 0x1459_08be);
         let (cycle, path) = policy.list(key).into_iter().next().expect("a checkpoint");
         let ck = decode(&std::fs::read(&path).unwrap(), key).unwrap();
         assert!(cycle > opts.warmup && ck.recorder.as_ref().unwrap().recorded() > 0);

@@ -54,9 +54,7 @@ pub use run::{
     steady_state_checkpointed, steady_state_tuned, transient, BurstResult, CycleTrace,
     ReplayReport, RunConfig, StallKind, SteadyOpts, SteadyPoint, TransientBucket, TransientOpts,
 };
-pub use store::{
-    point_from_line, point_key, point_to_line, resumable_load_sweep, write_atomic_text, ResultStore,
-};
+pub use store::{point_from_line, point_key, point_to_line, write_atomic_text, ResultStore};
 pub use table::Table;
 
 // Re-export the sub-crates so downstream users need a single dependency.
@@ -80,7 +78,7 @@ pub mod prelude {
         CycleTrace, ReplayReport, RunConfig, StallKind, SteadyOpts, SteadyPoint, TransientBucket,
         TransientOpts,
     };
-    pub use crate::store::{resumable_load_sweep, ResultStore};
+    pub use crate::store::ResultStore;
     pub use crate::table::Table;
     pub use crate::theory;
     pub use ofar_engine::{

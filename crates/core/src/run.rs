@@ -231,9 +231,9 @@ pub fn load_sweep(
 }
 
 /// The seed of point `i` of a sweep seeded `seed`: every sweep derives
-/// its per-point seeds here, so a resumed sweep
-/// ([`crate::resumable_load_sweep`]) re-runs exactly the points a plain
-/// one would have.
+/// its per-point seeds here, so a figure's point and a
+/// [`load_sweep`]'s with the same index are the same run (and resume
+/// from the same checkpoints).
 pub(crate) fn point_seed(seed: u64, i: usize) -> u64 {
     seed.wrapping_add(i as u64 * 7919)
 }

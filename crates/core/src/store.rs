@@ -1,15 +1,13 @@
-//! Crash-resilient experiment results: a content-addressed store with a
+//! Experiment results on disk: a content-addressed store with a
 //! manifest, written via atomic tmp-file + rename.
 //!
-//! A sweep writes each completed point as an *object* — a file named by
-//! the CRC-32 of its content under `objects/` — and records
-//! `content-hash → point-key` in a `MANIFEST` file, itself rewritten
-//! atomically on every update. A killed suite therefore leaves only
-//! whole files behind; resuming reads the manifest, verifies each
-//! object's checksum, and re-runs exactly the missing (or corrupt)
-//! points. Because every runner is deterministic in its key, the final
-//! result files of an interrupted-then-resumed sweep are byte-identical
-//! to an uninterrupted run — the CI kill-and-resume job asserts this.
+//! Each completed point is an *object* — a file named by the CRC-32 of
+//! its content under `objects/` — and the `MANIFEST` file maps
+//! `content-hash → point-key`, itself rewritten atomically on every
+//! update. A killed writer therefore leaves only whole files behind, and
+//! a reader verifies each object's checksum, so a torn object reads as
+//! missing. Its reader is `benchmark/`'s `sweep_grid` workload. A killed
+//! run resumes through [`crate::checkpoint`], not through this store.
 //!
 //! The store is deliberately dumb: string keys, string values, no
 //! background state. Point (de)serialization for [`SteadyPoint`] is
@@ -17,7 +15,7 @@
 //! exact bit patterns for the floating-point fields, so a stored point
 //! is the point, not a rounding of it.
 
-use crate::run::{point_seed, steady_state, SteadyOpts, SteadyPoint};
+use crate::run::{SteadyOpts, SteadyPoint};
 use ofar_engine::{config_fingerprint, crc32, SimConfig};
 use ofar_routing::MechanismKind;
 use ofar_traffic::TrafficSpec;
@@ -176,47 +174,6 @@ pub fn point_from_line(line: &str) -> Option<SteadyPoint> {
     })
 }
 
-/// [`crate::run::load_sweep`] with crash resilience: each completed
-/// point is recorded in `store` as it finishes, and points already
-/// recorded (from a previous, possibly killed, invocation) are loaded
-/// instead of re-simulated. Runs sequentially — resumability is about
-/// surviving kills deterministically, and the per-point seeds match
-/// [`crate::run::load_sweep`] exactly, so the numbers are identical to
-/// the parallel sweep's.
-///
-/// `after_each(i)` fires after point `i` is durably recorded; the CI
-/// kill-and-resume smoke job uses it to die mid-sweep on purpose.
-#[expect(clippy::too_many_arguments, reason = "each is an axis of the point")]
-pub fn resumable_load_sweep(
-    store: &mut ResultStore,
-    cfg: SimConfig,
-    kind: MechanismKind,
-    spec: &TrafficSpec,
-    loads: &[f64],
-    opts: SteadyOpts,
-    seed: u64,
-    mut after_each: impl FnMut(usize),
-) -> Vec<SteadyPoint> {
-    let mut out = Vec::with_capacity(loads.len());
-    for (i, &load) in loads.iter().enumerate() {
-        let seed = point_seed(seed, i);
-        let key = point_key(&cfg, kind, spec, load, opts, seed);
-        let point = match store.get(&key).and_then(|s| point_from_line(&s)) {
-            Some(p) => p,
-            None => {
-                let p = steady_state(cfg, kind, spec, load, opts, seed);
-                store
-                    .put(&key, &point_to_line(&p))
-                    .expect("result store write failed");
-                p
-            }
-        };
-        out.push(point);
-        after_each(i);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,29 +196,6 @@ mod tests {
         assert_eq!(s2.len(), 2);
         assert_eq!(s2.get("key b").as_deref(), Some("value b"));
         assert_eq!(s2.get("key c"), None);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The equality the sweep's docs promise: same per-point seeds, so
-    /// the same points bit for bit, and a second pass re-runs nothing.
-    #[test]
-    fn resumable_sweep_on_an_empty_store_equals_the_plain_sweep() {
-        let dir = tmpdir("sweep");
-        let mut store = ResultStore::open(&dir).unwrap();
-        let (cfg, kind) = (SimConfig::paper(2), MechanismKind::Ofar);
-        let spec = TrafficSpec::adversarial(1);
-        let loads = [0.1, 0.3, 0.5];
-        let opts = SteadyOpts {
-            warmup: 300,
-            measure: 500,
-        };
-        let plain = crate::run::load_sweep(cfg, kind, &spec, &loads, opts, 9);
-        let resumed = resumable_load_sweep(&mut store, cfg, kind, &spec, &loads, opts, 9, |_| {});
-        let lines = |ps: &[SteadyPoint]| ps.iter().map(point_to_line).collect::<Vec<_>>();
-        assert_eq!(lines(&plain), lines(&resumed));
-        assert_eq!(store.len(), loads.len());
-        let again = resumable_load_sweep(&mut store, cfg, kind, &spec, &loads, opts, 9, |_| {});
-        assert_eq!(lines(&plain), lines(&again));
         std::fs::remove_dir_all(&dir).ok();
     }
 

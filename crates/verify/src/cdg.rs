@@ -17,7 +17,6 @@ pub(crate) struct Cdg {
     /// Local then global class slots per router.
     vl: usize,
     vg: usize,
-    routers: usize,
     /// Adjacency: vertex → successor vertices.
     adj: Vec<Vec<u32>>,
 }
@@ -81,12 +80,7 @@ impl Cdg {
                 }
             }
         }
-        Self {
-            vl,
-            vg,
-            routers,
-            adj,
-        }
+        Self { vl, vg, adj }
     }
 
     /// Concrete dependency-edge count (for the certificate): each
@@ -292,12 +286,6 @@ impl Cdg {
             next += 1;
         }
         comp
-    }
-
-    /// Routers × classes vertex count (== concrete channel landing
-    /// groups; the concrete channel count is reported separately).
-    pub fn vertex_count(&self) -> usize {
-        self.routers * (self.vl + self.vg)
     }
 }
 

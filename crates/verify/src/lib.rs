@@ -48,39 +48,20 @@ pub use ring_spec::RingSpec;
 
 use cdg::Cdg;
 use ofar_engine::config::VCS_RING;
-use ofar_engine::{ConfigError, RingMode, SimConfig};
+use ofar_engine::{RingMode, SimConfig};
 use ofar_routing::{DependencyDecl, EnumerablePolicy, MechanismDeps, MechanismKind};
-use ofar_topology::{Dragonfly, HamiltonianRing};
+use ofar_topology::Dragonfly;
 use std::sync::Mutex;
 
-/// Certify one `(configuration, mechanism)` pair: validate the
-/// configuration, build the topology and its escape rings, and discharge
-/// the proof obligations described at the crate root.
+/// Certify one `(configuration, mechanism)` pair: [`certify_decl`] over
+/// the mechanism's own dependency declaration, discharging the proof
+/// obligations described at the crate root.
 ///
 /// Pass the configuration the network will actually run —
 /// [`MechanismKind::adapt_config`] is *not* applied here, so callers that
 /// adapt must certify the adapted configuration.
 pub fn certify(cfg: &SimConfig, kind: MechanismKind) -> Result<Certificate, VerifyError> {
-    cfg.validate().map_err(|e| match e {
-        // Surface as the verifier's own inequality so the report names
-        // the required depth.
-        ConfigError::RingBufferNoBubble { cap } => VerifyError::Bubble {
-            cap,
-            required: 2 * cfg.packet_size,
-        },
-        other => VerifyError::Config(other),
-    })?;
-    let topo = Dragonfly::new(cfg.params);
-    let rings: Vec<RingSpec> = if cfg.ring == RingMode::None {
-        Vec::new()
-    } else {
-        HamiltonianRing::embed_disjoint(&topo, cfg.escape_rings)
-            .iter()
-            .map(|r| RingSpec::from_ring(&topo, r))
-            .collect()
-    };
-    let decl = kind.dependency_decl(cfg);
-    verify_decl(&topo, cfg, &decl, &rings)
+    certify_decl(cfg, &kind.dependency_decl(cfg))
 }
 
 /// [`certify`] with a process-wide memo table keyed on the configuration
@@ -208,7 +189,6 @@ pub fn verify_decl(
         RingMode::Embedded => 1,
         RingMode::None => 0,
     };
-    let _ = graph.vertex_count();
     Ok(Certificate {
         mechanism: decl.mechanism,
         routers: nr,
@@ -225,7 +205,7 @@ pub fn verify_decl(
 mod tests {
     use super::*;
     use ofar_routing::{ClassEdge, ClassId, EdgeWhy};
-    use ofar_topology::RouterId;
+    use ofar_topology::{HamiltonianRing, RouterId};
 
     #[test]
     fn paper_set_certifies_at_paper_scale() {

@@ -83,6 +83,8 @@ impl<T, E: std::fmt::Display> From<Result<T, E>> for OracleVerdict {
 /// implies, and discharge the CDG proof obligations for `decl`.
 pub fn certify_decl(cfg: &SimConfig, decl: &MechanismDeps) -> Result<Certificate, VerifyError> {
     cfg.validate().map_err(|e| match e {
+        // Surface as the verifier's own inequality so the report names
+        // the required depth.
         ofar_engine::ConfigError::RingBufferNoBubble { cap } => VerifyError::Bubble {
             cap,
             required: 2 * cfg.packet_size,

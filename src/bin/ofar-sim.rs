@@ -33,7 +33,9 @@
 //! offset outside `1..groups`, a load outside `0..=packet_size`, a
 //! `--measure` or `--burst` of 0, a `--ring` the mechanism does not run
 //! with, or `--rings` other than 1 for a mechanism without a ring. Every
-//! value is parsed before anything is printed or built.
+//! value is parsed before anything is printed or built, the checkpoint
+//! knobs a steady-state run reads (`OFAR_CHECKPOINT_EVERY`,
+//! `OFAR_CHECKPOINT_DIR`) included.
 
 use ofar::prelude::*;
 use std::process::exit;
@@ -299,6 +301,10 @@ fn main() {
     }
     if burst_ppn == Some(0) {
         eprintln!("invalid value for --burst: 0");
+        exit(2);
+    }
+    if let Err(e) = CheckpointPolicy::from_env() {
+        eprintln!("error: {e}");
         exit(2);
     }
 

@@ -224,3 +224,31 @@ fn a_flag_the_mode_never_reads_is_refused() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// A checkpoint knob no run can use exits 2 naming the variable before
+/// the banner: it used to panic inside a worker (exit 101), or, for an
+/// empty directory, litter the working directory with checkpoints that
+/// resume never found.
+#[test]
+fn a_bad_checkpoint_knob_is_refused_before_the_banner() {
+    let cwd = std::env::temp_dir().join(format!("ofar-sim-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
+    for (name, value) in [
+        ("OFAR_CHECKPOINT_EVERY", "abc"),
+        ("OFAR_CHECKPOINT_DIR", ""),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ofar-sim"))
+            .args(["--warmup", "100", "--measure", "100"])
+            .env(name, value)
+            .current_dir(&cwd)
+            .output()
+            .expect("ofar-sim spawns");
+        assert_eq!(out.status.code(), Some(2), "{name}={value:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{name}={value:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(name) && !err.contains("panicked"), "{err}");
+    }
+    let left = std::fs::read_dir(&cwd).unwrap().count();
+    std::fs::remove_dir_all(&cwd).ok();
+    assert_eq!(left, 0, "a refused run wrote files");
+}

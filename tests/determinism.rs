@@ -1,6 +1,6 @@
 //! Reproducibility: the simulator is fully deterministic for a given
-//! seed, across every mechanism — a hard requirement for the resumable
-//! experiment harness and for debugging routing changes.
+//! seed, across every mechanism — a hard requirement for resuming a run
+//! from its checkpoints and for debugging routing changes.
 
 use ofar::prelude::*;
 
@@ -220,8 +220,8 @@ fn checkpointed_steady_state_resumes_to_identical_results() {
     // Run once with periodic checkpoints, then again against the same
     // directory: the second run resumes from the newest checkpoint and
     // must produce the bit-identical SteadyPoint of an uncheckpointed
-    // run. (This is the in-process version of the CI kill-and-resume
-    // smoke job.)
+    // run. (This is the in-process version of the CI job "Checkpointed
+    // figure resumes to the same table".)
     let dir = std::env::temp_dir().join(format!("ofar-ckpt-test-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let cfg = SimConfig::paper(2);
