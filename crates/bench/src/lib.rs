@@ -73,15 +73,15 @@ pub struct Experiment {
 }
 
 enum Run {
-    /// A checked-in table, by the function that computes it at a scale:
-    /// takes no arguments.
+    /// A table, by the function that computes it at a scale: takes no
+    /// arguments.
     Table(fn(&Scale) -> Table),
     /// Anything else, handed the arguments after its name.
     Args(fn(&[String]) -> ExitCode),
 }
 
-const fn figure(name: &'static str, table: fn(&Scale) -> Table) -> Experiment {
-    let (kind, run) = (Kind::Figure, Run::Table(table));
+const fn table(name: &'static str, kind: Kind, table: fn(&Scale) -> Table) -> Experiment {
+    let run = Run::Table(table);
     Experiment { name, kind, run }
 }
 
@@ -92,22 +92,22 @@ const fn row(name: &'static str, kind: Kind, run: fn(&[String]) -> ExitCode) -> 
 
 /// Every experiment the binary runs, in `ofar-bench list` order.
 pub static EXPERIMENTS: &[Experiment] = &[
-    figure("fig2b", experiments::fig2b),
-    figure("fig3", experiments::fig3),
-    figure("fig4", experiments::fig4),
-    figure("fig5", experiments::fig5),
-    figure("fig6", experiments::fig6),
-    figure("fig7", experiments::fig7),
-    figure("fig8", experiments::fig8),
-    figure("fig9", experiments::fig9),
+    table("fig2b", Figure, experiments::fig2b),
+    table("fig3", Figure, experiments::fig3),
+    table("fig4", Figure, experiments::fig4),
+    table("fig5", Figure, experiments::fig5),
+    table("fig6", Figure, experiments::fig6),
+    table("fig7", Figure, experiments::fig7),
+    table("fig8", Figure, experiments::fig8),
+    table("fig9", Figure, experiments::fig9),
     row("theory", Figure, studies::theory),
-    figure("rings", studies::ring_reliability),
-    figure("ablation_thresholds", studies::ablation_thresholds),
-    figure("ablation_pb", studies::ablation_pb),
-    figure("ablation_patience", studies::ablation_patience),
-    row("faults", Study, robustness::link_failures),
-    row("ber", Study, robustness::ber),
-    row("overload", Study, robustness::overload),
+    table("rings", Figure, studies::ring_reliability),
+    table("ablation_thresholds", Figure, studies::ablation_thresholds),
+    table("ablation_pb", Figure, studies::ablation_pb),
+    table("ablation_patience", Figure, studies::ablation_patience),
+    table("faults", Study, robustness::link_failures),
+    table("ber", Study, robustness::ber),
+    table("overload", Study, robustness::overload),
     row("phases", Study, phases::phases),
     row("golden", Check, checks::golden),
     row("verify", Check, checks::verify),

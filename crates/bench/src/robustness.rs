@@ -1,69 +1,102 @@
 //! Robustness studies beyond the paper's figures: live link failures
 //! (§VII), lossy links under the link-level retransmission layer, and
 //! post-saturation overload.
+//!
+//! Each study is one flat point list mapped by one `par_iter` over the
+//! runner it needs (a burst for `faults` and `ber`, [`overload_point`]
+//! for `overload`), and prints its table straight from the runner's
+//! result.
 
-use crate::start;
-use ofar_core::faults::{ber_sweep, degradation_sweep};
-use ofar_core::overload::{overload_sweep, OverloadOpts, OVERLOAD_FACTOR};
+use ofar_core::overload::{OverloadOpts, OVERLOAD_FACTOR};
 use ofar_core::prelude::*;
-use std::process::ExitCode;
+use ofar_core::run::point_seed;
+use rayon::prelude::*;
+
+/// Cycle at which the `faults` study's link failures strike: late enough
+/// that the burst is in full flight (buffers occupied, phits on the dead
+/// links), early enough that most of the drain happens degraded.
+const FAIL_AT: u64 = 200;
 
 /// The `outcome` column: `ok` for a run that finished, else the
 /// watchdog's diagnosis in brief.
 fn outcome(stall: &Option<StallKind>, ok: &str) -> String {
-    match stall {
-        None => ok.into(),
-        Some(StallKind::Partition { unreachable_pairs }) => {
-            format!("partition ({} pairs)", unreachable_pairs.len())
+    stall.as_ref().map_or(ok.into(), ToString::to_string)
+}
+
+/// The `delivered` column: delivered packets over the `injected` ones.
+fn delivered(r: &BurstResult, injected: usize) -> String {
+    format!("{:.1}%", r.delivered as f64 / injected as f64 * 100.0)
+}
+
+/// Throughput over a burst's drain: delivered phits per node-cycle, 0
+/// for a watchdog-aborted run (latency and delivered fraction carry the
+/// signal instead). Retransmitted phits do not count.
+fn drain_throughput(r: &BurstResult, cfg: &SimConfig) -> f64 {
+    match r.cycles {
+        Some(c) if c > 0 => {
+            (r.delivered * cfg.packet_size as u64) as f64 / (c as f64 * cfg.params.nodes() as f64)
         }
-        Some(StallKind::RetransmissionStorm { links, retransmits }) => {
-            format!("retx storm ({} links, {retransmits} retries)", links.len())
-        }
-        Some(StallKind::Deadlock { stalled_routers }) => {
-            format!("deadlock ({} routers)", stalled_routers.len())
-        }
-        Some(StallKind::Livelock { stalled_routers }) => {
-            format!("livelock ({} routers)", stalled_routers.len())
-        }
-        Some(StallKind::Saturation { backlog, .. }) => {
-            format!("saturation ({backlog} backlog)")
+        _ => 0.0,
+    }
+}
+
+/// The `faults` study's points, `(mechanism, escape rings, failed
+/// links)`: a mechanism without an escape ring runs at the first ring
+/// count only (the knob does not affect it).
+fn failure_points(
+    mechs: &[MechanismKind],
+    ring_counts: &[usize],
+    failure_counts: &[usize],
+) -> Vec<(MechanismKind, usize, usize)> {
+    let mut points = Vec::new();
+    for &kind in mechs {
+        let rings = if kind.needs_ring() {
+            ring_counts
+        } else {
+            &ring_counts[..1]
+        };
+        for &r in rings {
+            points.extend(failure_counts.iter().map(|&f| (kind, r, f)));
         }
     }
+    points
 }
 
 /// §VII degraded operation: burst delivery under live link failures.
 ///
 /// For every mechanism × escape-ring count × failure count, a burst is
 /// injected and a seeded fault plan kills that many random global links
-/// at cycle 200; the table reports the delivered fraction, drain time,
-/// latency and throughput, plus the watchdog's diagnosis for runs that
-/// could not finish (oblivious mechanisms on a severed minimal path, or
-/// genuinely partitioned networks).
-pub(crate) fn link_failures(args: &[String]) -> ExitCode {
-    let scale = start("faults", args);
+/// at cycle [`FAIL_AT`]; the table reports the delivered fraction, drain
+/// time, latency and throughput, plus the watchdog's diagnosis for runs
+/// that could not finish (oblivious mechanisms on a severed minimal
+/// path, or genuinely partitioned networks).
+pub(crate) fn link_failures(scale: &Scale) -> Table {
     let cfg = scale.cfg();
     let h = scale.h;
-
-    let mechs = MechanismKind::paper_set();
-    let ring_counts = [1, h];
+    let packets = scale.burst_packets;
     let mut failure_counts = vec![0, h.saturating_sub(1), h, 2 * h];
     failure_counts.dedup();
+    let points = failure_points(&MechanismKind::paper_set(), &[1, h], &failure_counts);
 
-    let pts = degradation_sweep(
-        cfg,
-        &mechs,
-        &TrafficSpec::adversarial(h),
-        scale.burst_packets,
-        &ring_counts,
-        &failure_counts,
-        SUITE_SEED,
-    );
+    let topo = Dragonfly::new(cfg.params);
+    let spec = TrafficSpec::adversarial(h);
+    let runs: Vec<BurstResult> = points
+        .par_iter()
+        .map(|&(kind, rings, failures)| {
+            // Keyed by failure count, not point index: one seed per
+            // column of the grid.
+            let seed = point_seed(SUITE_SEED, failures);
+            let plan = FaultPlan::random_global_failures(&topo, failures, FAIL_AT, seed ^ 0xFA17);
+            let mut cfg = cfg;
+            cfg.escape_rings = rings;
+            burst_faulted(cfg, kind, &spec, packets, seed, plan, RunConfig::default())
+        })
+        .collect();
 
     let mut t = Table::new(
         format!(
-            "Degraded operation under ADV+{h}: burst delivery vs failed global links (h={h}, {} nodes, {} pkts/node)",
-            cfg.params.nodes(),
-            scale.burst_packets,
+            "Degraded operation under ADV+{h}: burst delivery vs failed global links (h={h}, {} nodes, {packets} pkts/node)",
+            topo.num_nodes(),
         ),
         &[
             "mechanism",
@@ -76,20 +109,19 @@ pub(crate) fn link_failures(args: &[String]) -> ExitCode {
             "outcome",
         ],
     );
-    for p in &pts {
+    for (&(kind, rings, failures), r) in points.iter().zip(&runs) {
         t.push(vec![
-            p.mechanism.name().to_string(),
-            p.rings.to_string(),
-            p.failures.to_string(),
-            format!("{:.1}%", p.delivered_fraction * 100.0),
-            p.cycles.map_or("—".into(), |c| c.to_string()),
-            format!("{:.0}", p.avg_latency),
-            format!("{:.3}", p.throughput),
-            outcome(&p.stall, "drained"),
+            kind.name().to_string(),
+            rings.to_string(),
+            failures.to_string(),
+            delivered(r, topo.num_nodes() * packets),
+            r.cycles.map_or("—".into(), |c| c.to_string()),
+            format!("{:.0}", r.avg_latency),
+            format!("{:.3}", drain_throughput(r, &cfg)),
+            outcome(&r.stall, "drained"),
         ]);
     }
-    println!("{t}");
-    ExitCode::SUCCESS
+    t
 }
 
 /// Transient faults: burst delivery over lossy links, per mechanism and
@@ -102,11 +134,10 @@ pub(crate) fn link_failures(args: &[String]) -> ExitCode {
 /// table reports delivered fraction, goodput, mean and p99 latency, and
 /// the retry/drop counters — the latency tail is where the retransmit
 /// timeouts show up first.
-pub(crate) fn ber(args: &[String]) -> ExitCode {
-    let scale = start("ber", args);
+pub(crate) fn ber(scale: &Scale) -> Table {
     let cfg = scale.cfg();
     let h = scale.h;
-
+    let packets = scale.burst_packets;
     let mechs = [
         MechanismKind::Min,
         MechanismKind::Valiant,
@@ -114,21 +145,25 @@ pub(crate) fn ber(args: &[String]) -> ExitCode {
         MechanismKind::Ofar,
     ];
     let bers = [0.0, 1e-4, 1e-3, 1e-2];
+    let points: Vec<(MechanismKind, f64)> = mechs
+        .iter()
+        .flat_map(|&kind| bers.map(|b| (kind, b)))
+        .collect();
 
-    let pts = ber_sweep(
-        cfg,
-        &mechs,
-        &TrafficSpec::uniform(),
-        scale.burst_packets,
-        &bers,
-        SUITE_SEED,
-    );
+    let spec = TrafficSpec::uniform();
+    let runs: Vec<BurstResult> = points
+        .par_iter()
+        .enumerate()
+        .map(|(i, &(kind, ber))| {
+            let seed = point_seed(SUITE_SEED, i);
+            burst(cfg.with_ber(ber), kind, &spec, packets, seed)
+        })
+        .collect();
 
+    let nodes = cfg.params.nodes();
     let mut t = Table::new(
         format!(
-            "Burst delivery vs link bit-error rate under UN (h={h}, {} nodes, {} pkts/node)",
-            cfg.params.nodes(),
-            scale.burst_packets,
+            "Burst delivery vs link bit-error rate under UN (h={h}, {nodes} nodes, {packets} pkts/node)"
         ),
         &[
             "mechanism",
@@ -145,48 +180,45 @@ pub(crate) fn ber(args: &[String]) -> ExitCode {
             "outcome",
         ],
     );
-    for p in &pts {
+    for (&(kind, ber), r) in points.iter().zip(&runs) {
         assert_eq!(
-            p.duplicate_deliveries,
+            r.stats.duplicate_deliveries,
             0,
-            "link layer must dedup: {} at BER {}",
-            p.mechanism.name(),
-            p.ber
+            "link layer must dedup: {} at BER {ber}",
+            kind.name(),
         );
         t.push(vec![
-            p.mechanism.name().to_string(),
-            format!("{:.0e}", p.ber),
-            format!("{:.1}%", p.delivered_fraction * 100.0),
-            p.cycles.map_or("—".into(), |c| c.to_string()),
-            format!("{:.0}", p.avg_latency),
-            format!("{:.0}", p.p99_latency),
-            format!("{:.3}", p.throughput),
-            p.retransmits.to_string(),
-            p.crc_drops.to_string(),
-            p.wire_drops.to_string(),
-            p.escalations.to_string(),
-            outcome(&p.stall, "drained"),
+            kind.name().to_string(),
+            format!("{ber:.0e}"),
+            delivered(r, nodes * packets),
+            r.cycles.map_or("—".into(), |c| c.to_string()),
+            format!("{:.0}", r.avg_latency),
+            format!("{:.0}", r.p99_latency.expect("burst records latencies")),
+            format!("{:.3}", drain_throughput(r, &cfg)),
+            r.stats.llr_retransmits.to_string(),
+            r.stats.llr_crc_drops.to_string(),
+            r.stats.llr_wire_drops.to_string(),
+            r.stats.llr_escalations.to_string(),
+            outcome(&r.stall, "drained"),
         ]);
     }
-    println!("{t}");
-    ExitCode::SUCCESS
+    t
 }
 
 /// Post-saturation overload: throughput retention, latency tail and
 /// fairness at 2× each mechanism's saturation load, congestion
 /// management off vs on.
 ///
-/// For every mechanism × {CM off, CM on} × {UN, ADV+1}, the runner
-/// measures the mechanism's saturation throughput and then drives twice
-/// that load open-loop through the same configuration. The table
+/// For every pattern (UN, ADV+1) × mechanism × {CM off, CM on}, the
+/// runner measures the mechanism's saturation throughput and then drives
+/// twice that load open-loop through the same configuration. The table
 /// reports how much of the saturation throughput survives (`retention`,
 /// acceptance floor 0.9 with CM on), the p99 latency of delivered
 /// packets, the Jain fairness index over per-source deliveries, and the
 /// watchdog's diagnosis for runs that stopped making progress —
 /// including the `saturation` verdict that distinguishes diverging
 /// overload backlog from true routing livelock.
-pub(crate) fn overload(args: &[String]) -> ExitCode {
-    let scale = start("overload", args);
+pub(crate) fn overload(scale: &Scale) -> Table {
     let cfg = scale.cfg();
     let h = scale.h;
     let opts = OverloadOpts {
@@ -194,12 +226,31 @@ pub(crate) fn overload(args: &[String]) -> ExitCode {
         warmup: scale.steady.warmup,
         measure: scale.steady.measure,
     };
+    let specs = [TrafficSpec::uniform(), TrafficSpec::adversarial(1)];
+    // Seeded by the index within each pattern's (mechanism × CM) list.
+    let points: Vec<(&TrafficSpec, MechanismKind, bool, u64)> = specs
+        .iter()
+        .flat_map(|spec| {
+            MechanismKind::paper_set()
+                .into_iter()
+                .flat_map(|kind| [(kind, false), (kind, true)])
+                .enumerate()
+                .map(move |(i, (kind, cm))| (spec, kind, cm, point_seed(SUITE_SEED, i)))
+        })
+        .collect();
 
-    let mechs = MechanismKind::paper_set();
+    let runs: Vec<OverloadPoint> = points
+        .par_iter()
+        .map(|&(spec, kind, cm, seed)| {
+            let mut cfg = cfg;
+            cfg.cm_enabled = cm;
+            overload_point(cfg, kind, spec, opts, seed)
+        })
+        .collect();
+
     let mut t = Table::new(
         format!(
-            "Post-saturation overload at {:.1}× saturation (h={h}, {} nodes): CM off vs on",
-            OVERLOAD_FACTOR,
+            "Post-saturation overload at {OVERLOAD_FACTOR:.1}× saturation (h={h}, {} nodes): CM off vs on",
             cfg.params.nodes(),
         ),
         &[
@@ -216,24 +267,35 @@ pub(crate) fn overload(args: &[String]) -> ExitCode {
             "outcome",
         ],
     );
-    for spec in [TrafficSpec::uniform(), TrafficSpec::adversarial(1)] {
-        let pts = overload_sweep(cfg, &mechs, &spec, opts, SUITE_SEED);
-        for p in &pts {
-            t.push(vec![
-                p.mechanism.name().to_string(),
-                spec.label(),
-                if p.cm { "on" } else { "off" }.to_string(),
-                format!("{:.3}", p.saturation),
-                format!("{:.3}", p.offered),
-                format!("{:.3}", p.throughput),
-                format!("{:.2}", p.retention),
-                format!("{:.0}", p.p99_latency),
-                format!("{:.3}", p.jain),
-                p.throttle_deferrals.to_string(),
-                outcome(&p.stall, "stable"),
-            ]);
-        }
+    for (&(spec, ..), p) in points.iter().zip(&runs) {
+        t.push(vec![
+            p.mechanism.name().to_string(),
+            spec.label(),
+            if p.cm { "on" } else { "off" }.to_string(),
+            format!("{:.3}", p.saturation),
+            format!("{:.3}", p.offered),
+            format!("{:.3}", p.throughput),
+            format!("{:.2}", p.retention),
+            format!("{:.0}", p.p99_latency),
+            format!("{:.3}", p.jain),
+            p.throttle_deferrals.to_string(),
+            outcome(&p.stall, "stable"),
+        ]);
     }
-    println!("{t}");
-    ExitCode::SUCCESS
+    t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failure_points_cover_the_grid() {
+        let points = failure_points(&[MechanismKind::Min, MechanismKind::Ofar], &[1, 2], &[0, 1]);
+        // MIN runs at one ring count; OFAR at both.
+        assert_eq!(points.len(), 2 + 4);
+        assert!(points
+            .iter()
+            .all(|&(kind, rings, _)| kind == MechanismKind::Ofar || rings == 1));
+    }
 }

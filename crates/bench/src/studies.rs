@@ -15,6 +15,7 @@ use std::process::ExitCode;
 /// h = 6 and the PERCS-class h = 16.
 pub(crate) fn theory(args: &[String]) -> ExitCode {
     no_args("theory", args);
+    let scale = scale();
     let mut bounds = Table::new(
         "§III analytic throughput bounds (phits/node/cycle)",
         &[
@@ -39,7 +40,6 @@ pub(crate) fn theory(args: &[String]) -> ExitCode {
     }
     println!("{bounds}");
 
-    let scale = scale();
     let p = DragonflyParams::balanced(scale.h);
     let mut conc = Table::new(
         format!(

@@ -74,3 +74,24 @@ fn a_bad_checkpoint_knob_is_refused_before_the_banner() {
     std::fs::remove_dir_all(&cwd).ok();
     assert_eq!(left, 0, "a refused run wrote files");
 }
+
+/// Every experiment that reads the scale refuses an unusable `OFAR_H`
+/// before it prints anything (`golden`'s cells fix their own h).
+#[test]
+fn a_bad_h_is_refused_before_any_output() {
+    for e in ofar_bench::EXPERIMENTS
+        .iter()
+        .filter(|e| e.name != "golden")
+    {
+        let out = Command::new(env!("CARGO_BIN_EXE_ofar-bench"))
+            .arg(e.name)
+            .env("OFAR_QUICK", "1")
+            .env("OFAR_H", "abc")
+            .output()
+            .expect("ofar-bench spawns");
+        assert_eq!(out.status.code(), Some(2), "{}: {out:?}", e.name);
+        assert!(out.stdout.is_empty(), "{}: {out:?}", e.name);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("OFAR_H"), "{}: {err}", e.name);
+    }
+}

@@ -35,7 +35,6 @@
 pub mod checkpoint;
 pub mod env;
 pub mod experiments;
-pub mod faults;
 pub mod golden;
 pub mod overload;
 pub mod run;
@@ -45,10 +44,7 @@ pub mod theory;
 
 pub use checkpoint::{Checkpoint, CheckpointPolicy};
 pub use experiments::{Scale, SUITE_SEED};
-pub use faults::{
-    ber_burst, ber_sweep, degradation, degradation_sweep, BerPoint, DegradationPoint,
-};
-pub use overload::{overload_point, overload_sweep, OverloadOpts, OverloadPoint};
+pub use overload::{overload_point, OverloadOpts, OverloadPoint};
 pub use run::{
     burst, burst_faulted, burst_net, derive_watchdog, load_sweep, replay_snapshot, steady_state,
     steady_state_checkpointed, steady_state_tuned, transient, BurstResult, CycleTrace,
@@ -68,10 +64,7 @@ pub use ofar_verify as verify;
 pub mod prelude {
     pub use crate::checkpoint::{Checkpoint, CheckpointPolicy};
     pub use crate::experiments::{self, Scale, SUITE_SEED};
-    pub use crate::faults::{
-        ber_burst, ber_sweep, degradation, degradation_sweep, BerPoint, DegradationPoint,
-    };
-    pub use crate::overload::{overload_point, overload_sweep, OverloadOpts, OverloadPoint};
+    pub use crate::overload::{overload_point, OverloadOpts, OverloadPoint};
     pub use crate::run::{
         burst, burst_faulted, burst_net, derive_watchdog, load_sweep, replay_snapshot,
         steady_state, steady_state_checkpointed, steady_state_tuned, transient, BurstResult,

@@ -11,23 +11,21 @@
 //! trip no watchdog; with it disabled the same offered load documents
 //! the collapse baseline.
 //!
-//! Beyond throughput retention the sweep scores *fairness*: congestion
-//! trees starve sources unevenly, so each point carries the Jain index
-//! and a per-source delivery histogram over the measurement window.
+//! Beyond throughput retention each point scores *fairness*: congestion
+//! trees starve sources unevenly, so it carries the Jain index of
+//! per-source deliveries over the measurement window.
 //!
-//! Structured like [`crate::faults`]: one function per point, a
-//! parallel sweep over the mechanism × CM grid, and a [`StallKind`]
-//! diagnosis instead of a hang when a run stops making progress — with
-//! [`StallKind::Saturation`] naming diverging-backlog overload (healthy
-//! topology, nonzero drain) distinctly from true routing livelock.
+//! A run that stops making progress ends with a [`StallKind`] diagnosis
+//! instead of a hang, [`StallKind::Saturation`] naming diverging-backlog
+//! overload (healthy topology, nonzero drain) distinctly from true
+//! routing livelock.
 
 use crate::run::{
-    derive_watchdog, ensure_certified, point_seed, steady_state, StallKind, SteadyOpts, Watchdog,
+    derive_watchdog, ensure_certified, steady_state, StallKind, SteadyOpts, Watchdog,
 };
 use ofar_engine::{jain_index, Fabric, Network, Recorder, SimConfig, Stats, StatsWindow};
 use ofar_routing::MechanismKind;
 use ofar_traffic::{OpenLoop, TrafficSpec};
-use rayon::prelude::*;
 
 /// Offered load of an overload run as a multiple of the measured
 /// saturation throughput (the paper's figures end at 1.0).
@@ -168,39 +166,10 @@ pub fn overload_point(
     }
 }
 
-/// Full overload sweep: every mechanism × {CM off, CM on}, each point an
-/// independent seeded simulation, run in parallel. The CM-off half is
-/// the collapse baseline; the CM-on half carries the stability claim.
-pub fn overload_sweep(
-    cfg: SimConfig,
-    mechanisms: &[MechanismKind],
-    spec: &TrafficSpec,
-    opts: OverloadOpts,
-    seed: u64,
-) -> Vec<OverloadPoint> {
-    let mut jobs: Vec<(MechanismKind, bool)> = Vec::new();
-    for &kind in mechanisms {
-        jobs.push((kind, false));
-        jobs.push((kind, true));
-    }
-    jobs.par_iter()
-        .enumerate()
-        .map(|(i, &(kind, cm))| {
-            let c = if cm {
-                cfg.with_cm()
-            } else {
-                let mut c = cfg;
-                c.cm_enabled = false;
-                c
-            };
-            overload_point(c, kind, spec, opts, point_seed(seed, i))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::point_seed;
 
     fn quick() -> OverloadOpts {
         OverloadOpts {
@@ -233,22 +202,22 @@ mod tests {
     }
 
     #[test]
-    fn sweep_covers_the_cm_grid() {
+    fn cm_throttles_valiant_only_when_enabled() {
         // Valiant under uniform traffic congests its own randomized
-        // middle hops well past the sensing threshold, so the CM half
-        // of the grid must actually throttle. (MIN would not: its NIC
-        // serialization port, not any router buffer, is the
-        // bottleneck, and CM correctly leaves it alone.)
-        let pts = overload_sweep(
-            SimConfig::paper(2),
-            &[MechanismKind::Valiant],
-            &TrafficSpec::uniform(),
-            quick(),
-            3,
-        );
-        assert_eq!(pts.len(), 2);
-        assert!(!pts[0].cm && pts[1].cm);
-        assert!(pts[1].throttle_deferrals > 0, "2× load must throttle");
-        assert_eq!(pts[0].throttle_deferrals, 0);
+        // middle hops well past the sensing threshold, so CM must
+        // actually throttle. (MIN would not: its NIC serialization port,
+        // not any router buffer, is the bottleneck, and CM correctly
+        // leaves it alone.) Seeded by the index in its (mechanism ×
+        // CM) list, as the `overload` study seeds its points.
+        let [off, on] = [false, true].map(|cm| {
+            let mut cfg = SimConfig::paper(2);
+            cfg.cm_enabled = cm;
+            let seed = point_seed(3, usize::from(cm));
+            let spec = TrafficSpec::uniform();
+            overload_point(cfg, MechanismKind::Valiant, &spec, quick(), seed)
+        });
+        assert!(!off.cm && on.cm);
+        assert!(on.throttle_deferrals > 0, "2× load must throttle");
+        assert_eq!(off.throttle_deferrals, 0);
     }
 }

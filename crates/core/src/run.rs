@@ -12,6 +12,7 @@ use ofar_routing::MechanismKind;
 use ofar_topology::{NodeId, RouterId};
 use ofar_traffic::{OpenLoop, TrafficSpec};
 use rayon::prelude::*;
+use std::fmt;
 use std::path::Path;
 
 /// Warmup/measurement lengths for steady-state runs.
@@ -230,11 +231,11 @@ pub fn load_sweep(
         .collect()
 }
 
-/// The seed of point `i` of a sweep seeded `seed`: every sweep derives
-/// its per-point seeds here, so a figure's point and a
+/// The seed of point `i` of a sweep seeded `seed`: every sweep and
+/// study derives its per-point seeds here, so a figure's point and a
 /// [`load_sweep`]'s with the same index are the same run (and resume
 /// from the same checkpoints).
-pub(crate) fn point_seed(seed: u64, i: usize) -> u64 {
+pub fn point_seed(seed: u64, i: usize) -> u64 {
     seed.wrapping_add(i as u64 * 7919)
 }
 
@@ -375,7 +376,7 @@ pub enum StallKind {
     /// Post-saturation overload, not a routing defect: distinguishes
     /// over-saturation "livelock" (drain is nonzero) from true routing
     /// livelock (drain is zero). Diagnosed only by open-loop runners
-    /// that keep injecting (e.g. the overload sweep); a closed-loop
+    /// that keep injecting ([`crate::overload_point`]); a closed-loop
     /// burst that stopped delivering can never reach this arm.
     Saturation {
         /// Packets generated (offered demand, including NIC queues)
@@ -386,6 +387,32 @@ pub enum StallKind {
         /// Diverging backlog (`offered - delivered`).
         backlog: u64,
     },
+}
+
+/// The diagnosis in brief, as the study tables and the kill matrix print
+/// it: `{:?}` keeps the full router and pair lists.
+impl fmt::Display for StallKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Partition { unreachable_pairs } => {
+                write!(f, "partition ({} pairs)", unreachable_pairs.len())
+            }
+            Self::RetransmissionStorm { links, retransmits } => {
+                write!(
+                    f,
+                    "retx storm ({} links, {retransmits} retries)",
+                    links.len()
+                )
+            }
+            Self::Deadlock { stalled_routers } => {
+                write!(f, "deadlock ({} routers)", stalled_routers.len())
+            }
+            Self::Livelock { stalled_routers } => {
+                write!(f, "livelock ({} routers)", stalled_routers.len())
+            }
+            Self::Saturation { backlog, .. } => write!(f, "saturation ({backlog} backlog)"),
+        }
+    }
 }
 
 /// Retransmissions since the last delivery above which a stalled run is

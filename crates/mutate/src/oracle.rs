@@ -24,7 +24,7 @@
 
 use crate::operator::{MutationOp, OpCategory};
 use crate::MutantPolicy;
-use ofar_core::{burst_net, RunConfig, StallKind};
+use ofar_core::{burst_net, RunConfig};
 use ofar_engine::{Auditor, EngineMutation, Fabric, Hooks, Network, Policy, RingMode, SimConfig};
 use ofar_routing::{ClassEdge, ClassId, DependencyDecl, EdgeWhy, MechanismDeps, MechanismKind};
 use ofar_traffic::{OpenLoop, TrafficSpec};
@@ -206,7 +206,7 @@ fn dynamic_verdicts<P: Policy, H: Hooks>(
     let watchdog = match result.stall {
         None => OracleVerdict::Pass,
         Some(stall) => OracleVerdict::Fail {
-            witness: stall_witness(&stall, result.delivered),
+            witness: format!("{stall}, {} delivered", result.delivered),
         },
     };
     (audit, watchdog)
@@ -326,31 +326,6 @@ fn wave_admission_verdicts<P: Policy, H: Hooks>(
     }
     let audit = audit_verdict(net.take_audit_report().unwrap_or_default());
     (audit, watchdog)
-}
-
-/// Compact witness for a watchdog diagnosis (the raw `StallKind` drags
-/// whole router lists along).
-fn stall_witness(stall: &StallKind, delivered: u64) -> String {
-    match stall {
-        StallKind::Partition { unreachable_pairs } => format!(
-            "partition: {} unreachable pairs, {delivered} delivered",
-            unreachable_pairs.len()
-        ),
-        StallKind::RetransmissionStorm { retransmits, .. } => {
-            format!("retransmission storm: {retransmits} retransmits, {delivered} delivered")
-        }
-        StallKind::Deadlock { stalled_routers } => format!(
-            "deadlock: {} stalled routers, {delivered} delivered",
-            stalled_routers.len()
-        ),
-        StallKind::Livelock { stalled_routers } => format!(
-            "livelock: {} stalled routers, {delivered} delivered",
-            stalled_routers.len()
-        ),
-        StallKind::Saturation { backlog, .. } => {
-            format!("saturation: {backlog} backlog, {delivered} delivered")
-        }
-    }
 }
 
 /// Run one `(operator × mechanism)` mutant through its oracles.

@@ -36,6 +36,31 @@ fn ofar_delivers_fully_with_h_minus_one_failed_links() {
     }
 }
 
+/// A fault plan that kills no link is no fault at all: the faulted burst
+/// drains in exactly the cycles of the plain one.
+#[test]
+fn zero_failures_matches_plain_burst() {
+    let mut cfg = SimConfig::paper(2);
+    cfg.escape_rings = 1;
+    let topo = Dragonfly::new(cfg.params);
+    let (uniform, seed) = (TrafficSpec::uniform(), 9);
+    // Zero failures at the `faults` study's strike cycle, with its seed.
+    let plan = FaultPlan::random_global_failures(&topo, 0, 200, seed ^ 0xFA17);
+    let faulted = burst_faulted(
+        cfg,
+        MechanismKind::Ofar,
+        &uniform,
+        2,
+        seed,
+        plan,
+        RunConfig::default(),
+    );
+    let cfg = MechanismKind::Ofar.adapt_config(cfg);
+    let plain = burst(cfg, MechanismKind::Ofar, &uniform, 2, seed);
+    assert_eq!(faulted.cycles, plain.cycles);
+    assert_eq!(faulted.delivered, (topo.num_nodes() * 2) as u64);
+}
+
 /// Killing every global link of group 0 isolates it. The run must end
 /// with a `Partition` verdict naming undeliverable pairs — not hang, and
 /// not be written off as a routing deadlock.
@@ -133,6 +158,56 @@ fn hopeless_link_escalates_to_fail_stop_and_burst_drains() {
         "escalation must reach the fail-stop machinery"
     );
     assert_eq!(r.stats.duplicate_deliveries, 0);
+}
+
+/// A percent-level bit-error rate on every link: the link layer retries
+/// and every packet still arrives exactly once, each loss (wire drop or
+/// CRC discard) recovered by exactly one retransmission.
+#[test]
+fn ofar_delivers_fully_under_percent_level_ber() {
+    let cfg = SimConfig::paper(2).with_ber(1e-2);
+    let topo = Dragonfly::new(cfg.params);
+    let r = burst_faulted(
+        cfg,
+        MechanismKind::Ofar,
+        &TrafficSpec::uniform(),
+        2,
+        7,
+        FaultPlan::default(),
+        RunConfig::default(),
+    );
+    let s = &r.stats;
+    let once = (r.delivered, s.duplicate_deliveries);
+    assert_eq!(
+        once,
+        ((topo.num_nodes() * 2) as u64, 0),
+        "lossy burst must fully drain: {r:?}"
+    );
+    assert!(s.llr_retransmits > 0, "1% BER must force retries: {s:?}");
+    assert_eq!(s.llr_escalations, 0);
+    assert_eq!(r.stall, None);
+    assert_eq!(s.llr_retransmits, s.llr_wire_drops + s.llr_crc_drops);
+}
+
+/// A zero bit-error rate leaves the link layer idle: no retry, no drop.
+#[test]
+fn zero_ber_disables_the_link_layer() {
+    let cfg = SimConfig::paper(2).with_ber(0.0);
+    let topo = Dragonfly::new(cfg.params);
+    let r = burst_faulted(
+        cfg,
+        MechanismKind::Min,
+        &TrafficSpec::uniform(),
+        1,
+        3,
+        FaultPlan::default(),
+        RunConfig::default(),
+    );
+    let s = &r.stats;
+    let once = (r.delivered, s.duplicate_deliveries);
+    assert_eq!(once, (topo.num_nodes() as u64, 0));
+    assert_eq!(s.llr_retransmits, 0);
+    assert_eq!(s.llr_crc_drops + s.llr_wire_drops, 0);
 }
 
 /// A network-wide error rate so high that goodput collapses is a
