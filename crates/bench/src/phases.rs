@@ -7,7 +7,7 @@
 )]
 
 use crate::start;
-use ofar_core::engine::{Fabric, Hooks, Phase, RouteMark};
+use ofar_core::engine::{Phase, RouteMark};
 use ofar_core::prelude::*;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -125,49 +125,43 @@ fn clock_read_cost() -> Duration {
     gaps[gaps.len() / 2]
 }
 
-/// Drive one operating point and return (measured cycles, delivered
-/// packets, the timer).
-fn measure(scale: &Scale, kind: MechanismKind, point: Option<f64>) -> (u64, u64, PhaseTimer) {
-    let cfg = kind.adapt_config(scale.cfg());
-    let fab = Fabric::new(cfg);
-    let mut net = Network::with_hooks(fab, kind.build(&cfg, SUITE_SEED), PhaseTimer::default());
+/// Drive one operating point — UN at `load`, or a closed ADV+1 burst —
+/// and return (measured cycles, delivered packets, the timer). The loop
+/// is its own, not a runner's: it stops the timer after every step.
+fn measure(scale: &Scale, kind: MechanismKind, load: Option<f64>) -> (u64, u64, PhaseTimer) {
+    let (opts, packets) = (scale.steady, scale.burst_packets);
+    let (spec, shape) = match load {
+        Some(load) => (TrafficSpec::uniform(), Shape::Steady { load, opts }),
+        None => (TrafficSpec::adversarial(1), Shape::burst(packets)),
+    };
+    let point = Point::new(scale.cfg(), kind, &spec, SUITE_SEED, shape);
+    let mut net = network(&point, PhaseTimer::default());
     let topo = *net.fabric().topo();
-    let Some(load) = point else {
+    let Some(load) = load else {
         // Closed burst: every node enqueues its packets at cycle 0.
-        let (spec, packets) = (TrafficSpec::adversarial(1), scale.burst_packets);
         OpenLoop::fill(&topo, spec, packets, SUITE_SEED, |src, dst| {
             net.generate(src, dst)
         });
         while !net.drained() {
             net.step();
-            net.hooks_mut().stop();
+            net.hooks_mut().1.stop();
         }
         let delivered = net.stats().delivered_packets;
-        return (net.now(), delivered, std::mem::take(net.hooks_mut()));
+        return (net.now(), delivered, net.into_hooks().1);
     };
-    let mut source = OpenLoop::new(
-        &topo,
-        TrafficSpec::uniform(),
-        load,
-        cfg.packet_size,
-        SUITE_SEED,
-    );
+    let mut source = OpenLoop::new(&topo, spec, load, net.cfg().packet_size, SUITE_SEED);
     let mut delivered_at_warmup = 0;
-    for cycle in 0..scale.steady.warmup + scale.steady.measure {
-        if cycle == scale.steady.warmup {
-            *net.hooks_mut() = PhaseTimer::default(); // warm-up is not measured
+    for cycle in 0..opts.warmup + opts.measure {
+        if cycle == opts.warmup {
+            net.hooks_mut().1 = PhaseTimer::default(); // warm-up is not measured
             delivered_at_warmup = net.stats().delivered_packets;
         }
         source.cycle(|src, dst| net.generate(src, dst));
         net.step();
-        net.hooks_mut().stop();
+        net.hooks_mut().1.stop();
     }
     let delivered = net.stats().delivered_packets - delivered_at_warmup;
-    (
-        scale.steady.measure,
-        delivered,
-        std::mem::take(net.hooks_mut()),
-    )
+    (opts.measure, delivered, net.into_hooks().1)
 }
 
 /// Per-phase rows of the perf ledger (ROADMAP 1a): host µs per

@@ -89,7 +89,8 @@ pub(crate) fn link_failures(scale: &Scale) -> Table {
             let plan = FaultPlan::random_global_failures(&topo, failures, FAIL_AT, seed ^ 0xFA17);
             let mut cfg = cfg;
             cfg.escape_rings = rings;
-            burst_faulted(cfg, kind, &spec, packets, seed, plan, RunConfig::default())
+            let shape = Shape::Burst { packets, plan };
+            burst(&Point::new(cfg, kind, &spec, seed, shape), NoHooks).0
         })
         .collect();
 
@@ -156,7 +157,8 @@ pub(crate) fn ber(scale: &Scale) -> Table {
         .enumerate()
         .map(|(i, &(kind, ber))| {
             let seed = point_seed(SUITE_SEED, i);
-            burst(cfg.with_ber(ber), kind, &spec, packets, seed)
+            let point = Point::new(cfg.with_ber(ber), kind, &spec, seed, Shape::burst(packets));
+            burst(&point, NoHooks).0
         })
         .collect();
 
@@ -244,7 +246,8 @@ pub(crate) fn overload(scale: &Scale) -> Table {
         .map(|&(spec, kind, cm, seed)| {
             let mut cfg = cfg;
             cfg.cm_enabled = cm;
-            overload_point(cfg, kind, spec, opts, seed)
+            let shape = Shape::Overload { opts };
+            overload_point(&Point::new(cfg, kind, spec, seed, shape), NoHooks).0
         })
         .collect();
 

@@ -127,16 +127,24 @@ fn score(
     tunings: &[Tuning],
     probes: &[(TrafficSpec, f64); 2],
 ) -> Vec<[SteadyPoint; 2]> {
-    let points: Vec<(&Tuning, &(TrafficSpec, f64))> = tunings
+    let opts = scale.steady;
+    let points: Vec<Point> = tunings
         .iter()
-        .flat_map(|tuning| probes.iter().map(move |probe| (tuning, probe)))
+        .flat_map(|&(ofar, pb)| {
+            probes.iter().map(move |(spec, load)| {
+                let shape = Shape::Steady { load: *load, opts };
+                let point = Point::new(scale.cfg(), kind, spec, SUITE_SEED, shape);
+                Point {
+                    tunables: Tunables { ofar, pb },
+                    ..point
+                }
+            })
+        })
         .collect();
+    let ckpt = CheckpointPolicy::from_env().unwrap_or_else(|e| panic!("{e}"));
     let results: Vec<SteadyPoint> = points
         .par_iter()
-        .map(|&(&(ofar, pb), (spec, load))| {
-            let (cfg, opts) = (scale.cfg(), scale.steady);
-            steady_state_tuned(cfg, kind, spec, *load, opts, SUITE_SEED, ofar, pb)
-        })
+        .map(|point| steady(point, &ckpt, NoHooks).0)
         .collect();
     results.chunks(2).map(|pair| [pair[0], pair[1]]).collect()
 }

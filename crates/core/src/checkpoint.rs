@@ -13,21 +13,18 @@
 //! Enabled via the environment (`OFAR_CHECKPOINT_EVERY` = cycles between
 //! checkpoints, `OFAR_CHECKPOINT_DIR` = directory, default
 //! `results/checkpoints`) or programmatically with
-//! [`CheckpointPolicy::every`] — see
-//! [`crate::run::steady_state_checkpointed`].
+//! [`CheckpointPolicy::every`], passed to [`crate::run::steady`].
 
 use ofar_engine::snapshot::{Dec, Enc};
 use ofar_engine::{
-    crc32, write_atomic, Hooks, Network, Policy, Recorder, SimConfig, SnapshotError, Stats,
-    STATS_COUNTERS,
+    crc32, write_atomic, Hooks, Network, Policy, Recorder, SnapshotError, Stats, STATS_COUNTERS,
 };
-use ofar_traffic::{Bernoulli, TrafficGen, TrafficSpec};
+use ofar_traffic::{Bernoulli, TrafficGen};
 use std::path::PathBuf;
 
 use crate::env::{self, EnvError};
-use crate::run::SteadyOpts;
+use crate::run::{Point, Shape, Tunables};
 use crate::store::point_key;
-use ofar_routing::MechanismKind;
 
 /// Checkpoint file magic (distinct from the engine snapshot's, which is
 /// nested inside).
@@ -219,21 +216,21 @@ impl Checkpoint {
     }
 }
 
-/// Key identifying one steady-state run: its [`point_key`], hashed to a
-/// u32 used in checkpoint file names. `tunables` carries the debug
-/// rendering of any mechanism tunables so an ablation run never resumes
-/// a differently-tuned checkpoint.
-pub fn run_key(
-    cfg: &SimConfig,
-    kind: MechanismKind,
-    spec: &TrafficSpec,
-    load: f64,
-    opts: SteadyOpts,
-    seed: u64,
-    tunables: &str,
-) -> u32 {
-    let point = point_key(cfg, kind, spec, load, opts, seed);
-    crc32(format!("ckpt {point} tunables={tunables}").as_bytes())
+/// Key identifying one steady-state run: its [`point_key`] and the debug
+/// rendering of its [`Tunables`] (so an ablation run never resumes a
+/// differently-tuned checkpoint), hashed to a u32 used in checkpoint
+/// file names.
+///
+/// # Panics
+/// On a point that is not [`Shape::Steady`].
+pub fn run_key(point: &Point) -> u32 {
+    let Shape::Steady { load, opts } = point.shape else {
+        panic!("not a steady point: {:?}", point.shape);
+    };
+    let (cfg, kind, spec, seed) = (&point.cfg, point.kind, &point.traffic, point.seed);
+    let key = point_key(cfg, kind, spec, load, opts, seed);
+    let Tunables { ofar, pb } = point.tunables;
+    crc32(format!("ckpt {key} tunables={ofar:?}/{pb:?}").as_bytes())
 }
 
 /// Serialize a checkpoint: magic, version, run key, cycle, optional
@@ -330,7 +327,10 @@ fn decode(bytes: &[u8], expect_key: u32) -> Option<Checkpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::SteadyOpts;
     use ofar_engine::snapshot::Enc;
+    use ofar_engine::{NoHooks, SimConfig};
+    use ofar_routing::MechanismKind;
     use ofar_traffic::TrafficSpec;
 
     /// A recorder that has seen three packets, one per bucket.
@@ -514,16 +514,9 @@ mod tests {
         };
         let plain = crate::steady_state(cfg, kind, &spec, 0.3, opts, 5);
         let policy = CheckpointPolicy::every(400, &dir);
-        crate::steady_state_checkpointed(cfg, kind, &spec, 0.3, opts, 5, &policy);
-        let key = run_key(
-            &kind.adapt_config(cfg),
-            kind,
-            &spec,
-            0.3,
-            opts,
-            5,
-            "None/None",
-        );
+        let point = Point::new(cfg, kind, &spec, 5, Shape::Steady { load: 0.3, opts });
+        crate::run::steady(&point, &policy, NoHooks);
+        let key = run_key(&point);
         // Pinned: a key that moves renames every checkpoint file, and a
         // resume no longer finds the ones already on disk.
         assert_eq!(key, 0x1459_08be);
@@ -535,7 +528,7 @@ mod tests {
         }
         std::fs::write(&path, as_v1(&ck, key)).unwrap();
         assert!(policy.resume(key).is_none(), "a version 1 file decodes");
-        let resumed = crate::steady_state_checkpointed(cfg, kind, &spec, 0.3, opts, 5, &policy);
+        let (resumed, NoHooks) = crate::run::steady(&point, &policy, NoHooks);
         assert_eq!(resumed, plain);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -7,10 +7,12 @@
 //! the paper's `h = 6`, 5,256-node network and full run lengths.
 
 use crate::env::{self, EnvError};
-use crate::run::{burst, point_seed, steady_state, transient, SteadyOpts, TransientOpts};
+use crate::run::{
+    burst, point_seed, steady_state, transient, Point, Shape, SteadyOpts, TransientOpts,
+};
 use crate::table::{f1, f4, Table};
 use crate::theory;
-use ofar_engine::{ConfigError, RingMode, SimConfig};
+use ofar_engine::{ConfigError, NoHooks, RingMode, SimConfig};
 use ofar_routing::MechanismKind;
 use ofar_traffic::TrafficSpec;
 use rayon::prelude::*;
@@ -337,23 +339,17 @@ pub fn fig6(scale: &Scale) -> Table {
     let mut jobs = Vec::new();
     for (name, before, after, load) in &cases {
         for &mech in &mechs {
-            jobs.push((*name, mech, before.clone(), after.clone(), *load));
+            let shape = Shape::Transient {
+                after: after.clone(),
+                load: *load,
+                opts: scale.transient,
+            };
+            jobs.push((*name, Point::new(cfg, mech, before, SUITE_SEED, shape)));
         }
     }
     let results: Vec<_> = jobs
         .par_iter()
-        .map(|(name, mech, before, after, load)| {
-            let series = transient(
-                cfg,
-                *mech,
-                before,
-                after,
-                *load,
-                scale.transient,
-                SUITE_SEED,
-            );
-            (*name, *mech, series)
-        })
+        .map(|(name, point)| (*name, point.kind, transient(point, NoHooks).0))
         .collect();
     for (name, mech, series) in results {
         for b in series {
@@ -396,7 +392,10 @@ pub fn fig7(scale: &Scale) -> Table {
         .collect();
     let runs: Vec<_> = points
         .par_iter()
-        .map(|&(spec, kind)| burst(cfg, kind, spec, scale.burst_packets, SUITE_SEED))
+        .map(|&(spec, kind)| {
+            let shape = Shape::burst(scale.burst_packets);
+            burst(&Point::new(cfg, kind, spec, SUITE_SEED, shape), NoHooks).0
+        })
         .collect();
     for (spec, runs) in patterns.iter().zip(runs.chunks(mechs.len())) {
         // `mechs` opens with PB, the reference of every pattern.

@@ -14,54 +14,34 @@
 //! plus one lossy cell — OFAR on h=2 under UN at 0.3 with `ber` 1e-3 —
 //! so the link-level retransmission layer and its wire CRC are pinned too.
 
-use crate::run::{burst_net, RunConfig};
-use ofar_engine::{crc32, Network, SimConfig};
-use ofar_routing::{Mechanism, MechanismKind};
+use crate::run::{burst_net, network, Point, RunConfig, Shape, SteadyOpts};
+use ofar_engine::{crc32, NoHooks, SimConfig};
+use ofar_routing::MechanismKind;
 use ofar_traffic::{OpenLoop, TrafficSpec};
 use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// What one cell drives through the network.
-#[derive(Clone, Copy, Debug)]
-enum Drive {
-    /// Open loop: Bernoulli arrivals at `load` for `cycles` cycles.
-    Steady { load: f64, cycles: u64 },
-    /// Closed burst of `packets_per_node`, run until drained.
-    Burst { packets_per_node: usize },
-}
-
-/// One run of the table.
-#[derive(Clone, Debug)]
-struct Cell {
-    kind: MechanismKind,
-    spec: TrafficSpec,
-    h: usize,
-    seed: u64,
-    /// Per-phit bit-error rate of every link (0: the lossless fabric).
-    ber: f64,
-    drive: Drive,
-}
-
-impl Cell {
-    fn label(&self) -> String {
-        let drive = match self.drive {
-            Drive::Steady { load, cycles } => format!("load{load}/{cycles}c"),
-            Drive::Burst { packets_per_node } => format!("burst{packets_per_node}"),
-        };
-        let ber = if self.ber > 0.0 {
-            format!("/ber{}", self.ber)
-        } else {
-            String::new()
-        };
-        format!(
-            "{}/{}/h{}/seed{}/{drive}{ber}",
-            self.kind.name(),
-            self.spec.label(),
-            self.h,
-            self.seed
-        )
-    }
+/// A cell's name in the table: mechanism, pattern, scale, seed, drive
+/// and, on a lossy fabric, the bit-error rate.
+fn label(cell: &Point) -> String {
+    let drive = match &cell.shape {
+        Shape::Steady { load, opts } => format!("load{load}/{}c", opts.warmup + opts.measure),
+        Shape::Burst { packets, .. } => format!("burst{packets}"),
+        other => unreachable!("the table holds no {other:?} cell"),
+    };
+    let ber = if cell.cfg.ber > 0.0 {
+        format!("/ber{}", cell.cfg.ber)
+    } else {
+        String::new()
+    };
+    format!(
+        "{}/{}/h{}/seed{}/{drive}{ber}",
+        cell.kind.name(),
+        cell.traffic.label(),
+        cell.cfg.params.h,
+        cell.seed
+    )
 }
 
 /// The simulated outcome of one cell.
@@ -87,119 +67,75 @@ pub struct Signature {
     pub snapshot_crc32: u32,
 }
 
-fn cells() -> Vec<Cell> {
-    let six = [
-        MechanismKind::Min,
-        MechanismKind::Valiant,
-        MechanismKind::Pb,
-        MechanismKind::Par,
-        MechanismKind::Ofar,
-        MechanismKind::OfarL,
-    ];
+/// One cell: `kind` on `h` at `seed`, `shape` driven from the pattern
+/// `spec`, on the lossless fabric.
+fn cell(kind: MechanismKind, spec: &TrafficSpec, h: usize, seed: u64, shape: Shape) -> Point {
+    Point::new(SimConfig::paper(h).with_seed(seed), kind, spec, seed, shape)
+}
+
+/// Open loop: Bernoulli arrivals at `load` for `cycles` cycles.
+fn steady(load: f64, cycles: u64) -> Shape {
+    let opts = SteadyOpts {
+        warmup: 0,
+        measure: cycles,
+    };
+    Shape::Steady { load, opts }
+}
+
+fn cells() -> Vec<Point> {
+    use MechanismKind as K;
+    let (un, adv1) = (TrafficSpec::uniform(), TrafficSpec::adversarial(1));
     let mut cells = Vec::new();
-    for kind in six {
-        for spec in [TrafficSpec::uniform(), TrafficSpec::adversarial(1)] {
+    for kind in [K::Min, K::Valiant, K::Pb, K::Par, K::Ofar, K::OfarL] {
+        for spec in [&un, &adv1] {
             for seed in [1, 2012] {
-                cells.push(Cell {
-                    kind,
-                    spec: spec.clone(),
-                    h: 2,
-                    seed,
-                    ber: 0.0,
-                    drive: Drive::Steady {
-                        load: 0.3,
-                        cycles: 1_500,
-                    },
-                });
+                cells.push(cell(kind, spec, 2, seed, steady(0.3, 1_500)));
             }
         }
     }
-    for kind in [MechanismKind::Ofar, MechanismKind::Min] {
-        cells.push(Cell {
-            kind,
-            spec: TrafficSpec::uniform(),
-            h: 4,
-            seed: 2012,
-            ber: 0.0,
-            drive: Drive::Steady {
-                load: 0.1,
-                cycles: 2_000,
-            },
-        });
-        cells.push(Cell {
-            kind,
-            spec: TrafficSpec::adversarial(1),
-            h: 4,
-            seed: 2012,
-            ber: 0.0,
-            drive: Drive::Burst {
-                packets_per_node: 20,
-            },
-        });
+    for kind in [K::Ofar, K::Min] {
+        cells.push(cell(kind, &un, 4, 2012, steady(0.1, 2_000)));
+        cells.push(cell(kind, &adv1, 4, 2012, Shape::burst(20)));
     }
-    for kind in [
-        MechanismKind::Valiant,
-        MechanismKind::Pb,
-        MechanismKind::Par,
-        MechanismKind::OfarL,
-    ] {
-        cells.push(Cell {
-            kind,
-            spec: TrafficSpec::adversarial(1),
-            h: 4,
-            seed: 2012,
-            ber: 0.0,
-            drive: Drive::Burst {
-                packets_per_node: 10,
-            },
-        });
+    for kind in [K::Valiant, K::Pb, K::Par, K::OfarL] {
+        cells.push(cell(kind, &adv1, 4, 2012, Shape::burst(10)));
     }
-    cells.push(Cell {
-        kind: MechanismKind::Ofar,
-        spec: TrafficSpec::uniform(),
-        h: 2,
-        seed: 2012,
-        ber: 1e-3,
-        drive: Drive::Steady {
-            load: 0.3,
-            cycles: 1_500,
-        },
-    });
+    let mut lossy = cell(K::Ofar, &un, 2, 2012, steady(0.3, 1_500));
+    lossy.cfg.ber = 1e-3;
+    cells.push(lossy);
     cells
 }
 
-fn run_cell(cell: &Cell) -> Signature {
-    let cfg = cell.kind.adapt_config(
-        SimConfig::paper(cell.h)
-            .with_seed(cell.seed)
-            .with_ber(cell.ber),
-    );
-    let mut net: Network<Mechanism> = Network::new(cfg, cell.kind.build(&cfg, cell.seed));
-    match cell.drive {
-        Drive::Steady { load, cycles } => {
+/// Run one cell through its own loop (a steady cell has no measurement
+/// window: the signature is of the whole run) and sign the result.
+fn run_cell(cell: &Point) -> Signature {
+    let mut net = network(cell, NoHooks);
+    match cell.shape {
+        Shape::Steady { load, opts } => {
             let topo = *net.fabric().topo();
-            let mut source =
-                OpenLoop::new(&topo, cell.spec.clone(), load, cfg.packet_size, cell.seed);
-            for _ in 0..cycles {
+            let size = net.cfg().packet_size;
+            let mut source = OpenLoop::new(&topo, cell.traffic.clone(), load, size, cell.seed);
+            for _ in 0..opts.warmup + opts.measure {
                 source.cycle(|src, dst| net.generate(src, dst));
                 net.step();
             }
         }
-        Drive::Burst { packets_per_node } => {
+        Shape::Burst { packets, .. } => {
             let r = burst_net(
                 &mut net,
-                &cell.spec,
-                packets_per_node,
+                &cell.traffic,
+                packets,
                 cell.seed,
                 RunConfig::default(),
             );
-            assert!(r.stall.is_none(), "{}: burst stalled", cell.label());
+            assert!(r.stall.is_none(), "{}: burst stalled", label(cell));
         }
+        _ => unreachable!("the table holds steady and burst cells"),
     }
     let snap = net.save_snapshot();
     let s = net.stats();
     Signature {
-        cell: cell.label(),
+        cell: label(cell),
         cycles: net.now(),
         delivered: s.delivered_packets,
         latency_sum: s.latency_sum,
@@ -272,7 +208,7 @@ mod tests {
     fn table_shape_and_labels() {
         let cells = cells();
         assert_eq!(cells.len(), 6 * 2 * 2 + 4 + 4 + 1);
-        let mut labels: Vec<String> = cells.iter().map(Cell::label).collect();
+        let mut labels: Vec<String> = cells.iter().map(label).collect();
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), cells.len(), "labels must be unique");

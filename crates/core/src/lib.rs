@@ -23,12 +23,15 @@
 //! assert!(point.throughput > 0.15, "OFAR must sustain ADV+2 at 0.2");
 //! ```
 //!
-//! Every runner refuses to start a configuration that the static
+//! A run is a [`Point`] — configuration, mechanism, traffic, seed,
+//! tunables and [`Shape`] — and [`run::network`] is the one place its
+//! network is built. It refuses a configuration that the static
 //! channel-dependency-graph verifier ([`verify`]) does not certify as
-//! deadlock-free. To police the conservation laws at runtime as well,
-//! build the network with the engine's `Auditor` hook
-//! (`Network::with_hooks`) and drive it through [`run::burst_net`];
-//! [`run::replay_snapshot`] always does.
+//! deadlock-free, and hooks a `Recorder` beside the caller's `extra`
+//! hooks, which every runner hands back with its result. To police the
+//! conservation laws at runtime as well, pass the engine's `Auditor` as
+//! `extra` (`burst(&point, Auditor::new())`); [`run::replay_snapshot`]
+//! always does.
 
 #![warn(missing_docs)]
 
@@ -46,9 +49,9 @@ pub use checkpoint::{Checkpoint, CheckpointPolicy};
 pub use experiments::{Scale, SUITE_SEED};
 pub use overload::{overload_point, OverloadOpts, OverloadPoint};
 pub use run::{
-    burst, burst_faulted, burst_net, derive_watchdog, load_sweep, replay_snapshot, steady_state,
-    steady_state_checkpointed, steady_state_tuned, transient, BurstResult, CycleTrace,
-    ReplayReport, RunConfig, StallKind, SteadyOpts, SteadyPoint, TransientBucket, TransientOpts,
+    burst, burst_net, derive_watchdog, load_sweep, network, replay_snapshot, steady, steady_state,
+    transient, BurstResult, CycleTrace, Point, ReplayReport, RunConfig, Shape, StallKind,
+    SteadyOpts, SteadyPoint, TransientBucket, TransientOpts, Tunables,
 };
 pub use store::{point_from_line, point_key, point_to_line, write_atomic_text, ResultStore};
 pub use table::Table;
@@ -66,17 +69,17 @@ pub mod prelude {
     pub use crate::experiments::{self, Scale, SUITE_SEED};
     pub use crate::overload::{overload_point, OverloadOpts, OverloadPoint};
     pub use crate::run::{
-        burst, burst_faulted, burst_net, derive_watchdog, load_sweep, replay_snapshot,
-        steady_state, steady_state_checkpointed, steady_state_tuned, transient, BurstResult,
-        CycleTrace, ReplayReport, RunConfig, StallKind, SteadyOpts, SteadyPoint, TransientBucket,
-        TransientOpts,
+        burst, burst_net, derive_watchdog, load_sweep, network, replay_snapshot, steady,
+        steady_state, transient, BurstResult, CycleTrace, Point, ReplayReport, RunConfig, Shape,
+        StallKind, SteadyOpts, SteadyPoint, TransientBucket, TransientOpts, Tunables,
     };
     pub use crate::store::ResultStore;
     pub use crate::table::Table;
     pub use crate::theory;
     pub use ofar_engine::{
-        jain_index, random_global_links, AuditReport, AuditViolation, FaultKind, FaultPlan,
-        Network, Policy, Recorder, RingMode, SimConfig, SnapshotError, Stats, StatsWindow,
+        jain_index, random_global_links, AuditReport, AuditViolation, Auditor, FaultKind,
+        FaultPlan, Hooks, Network, NoHooks, Policy, Recorder, RingMode, SimConfig, SnapshotError,
+        Stats, StatsWindow,
     };
     pub use ofar_routing::{
         DependencyDecl, Mechanism, MechanismKind, MisrouteThreshold, OfarConfig, OfarPolicy,

@@ -20,12 +20,11 @@
 //! overload (healthy topology, nonzero drain) distinctly from true
 //! routing livelock.
 
-use crate::run::{
-    derive_watchdog, ensure_certified, steady_state, StallKind, SteadyOpts, Watchdog,
-};
-use ofar_engine::{jain_index, Fabric, Network, Recorder, SimConfig, Stats, StatsWindow};
+use crate::checkpoint::CheckpointPolicy;
+use crate::run::{derive_watchdog, network, steady, Point, Shape, StallKind, SteadyOpts, Watchdog};
+use ofar_engine::{jain_index, Hooks, NoHooks, Stats, StatsWindow};
 use ofar_routing::MechanismKind;
-use ofar_traffic::{OpenLoop, TrafficSpec};
+use ofar_traffic::OpenLoop;
 
 /// Offered load of an overload run as a multiple of the measured
 /// saturation throughput (the paper's figures end at 1.0).
@@ -90,27 +89,32 @@ impl OverloadPoint {
     }
 }
 
-/// Run one overload point: measure the mechanism's saturation
-/// throughput, then drive [`OVERLOAD_FACTOR`] times that load open-loop through the
-/// same configuration and measure what survives.
-pub fn overload_point(
-    cfg: SimConfig,
-    kind: MechanismKind,
-    spec: &TrafficSpec,
-    opts: OverloadOpts,
-    seed: u64,
-) -> OverloadPoint {
-    let cfg = kind.adapt_config(cfg);
-    ensure_certified(&cfg, kind);
-    let saturation = steady_state(cfg, kind, spec, 1.0, opts.sat, seed).throughput;
+/// Run one [`Shape::Overload`] point: measure the mechanism's saturation
+/// throughput with a steady probe of the same point at offered load 1.0,
+/// then drive [`OVERLOAD_FACTOR`] times that load open-loop through the
+/// same configuration; hand back what survives and `extra`.
+///
+/// # Panics
+/// On a point of another shape, or a configuration [`network`] refuses.
+pub fn overload_point<H: Hooks>(point: &Point, extra: H) -> (OverloadPoint, H) {
+    let Shape::Overload { opts } = point.shape else {
+        panic!("not an overload point: {:?}", point.shape);
+    };
+    let (load, sat) = (1.0, opts.sat);
+    let probe = Point {
+        shape: Shape::Steady { load, opts: sat },
+        ..point.clone()
+    };
+    let ckpt = CheckpointPolicy::from_env().unwrap_or_else(|e| panic!("{e}"));
+    let saturation = steady(&probe, &ckpt, NoHooks).0.throughput;
+    let (kind, seed) = (point.kind, point.seed);
+    let mut net = network(point, extra);
+    let cfg = *net.cfg();
     // Offered load is capped at 1 packet/node/cycle — the physical
     // injection-port limit (and `Bernoulli`'s own precondition).
     let offered = (OVERLOAD_FACTOR * saturation).min(cfg.packet_size as f64);
-
-    let recorder = Recorder::since(opts.warmup);
-    let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, seed), recorder);
     let topo = *net.fabric().topo();
-    let mut source = OpenLoop::new(&topo, spec.clone(), offered, cfg.packet_size, seed);
+    let mut source = OpenLoop::new(&topo, point.traffic.clone(), offered, cfg.packet_size, seed);
     let nodes = net.num_nodes();
     // The burst runner's watchdog, windows unchanged: overload
     // legitimately slows delivery down, so a stall here means *zero*
@@ -144,8 +148,8 @@ pub fn overload_point(
         .zip(&src_start)
         .map(|(&e, &s)| e - s)
         .collect();
-    let p99_latency = net.hooks().percentile(99);
-    OverloadPoint {
+    let (latencies, extra) = net.into_hooks();
+    let point = OverloadPoint {
         mechanism: kind,
         cm: cfg.cm_enabled,
         saturation,
@@ -157,19 +161,22 @@ pub fn overload_point(
             0.0
         },
         avg_latency: w.avg_latency(),
-        p99_latency,
+        p99_latency: latencies.percentile(99),
         jain: jain_index(&per_src),
         delivered: w.delivered_packets,
         throttle_deferrals: end.cm_throttle_deferrals - start.cm_throttle_deferrals,
         ring_entries: w.ring_entries,
         stall,
-    }
+    };
+    (point, extra)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::run::point_seed;
+    use ofar_engine::{NoHooks, SimConfig};
+    use ofar_traffic::TrafficSpec;
 
     fn quick() -> OverloadOpts {
         OverloadOpts {
@@ -184,13 +191,16 @@ mod tests {
 
     #[test]
     fn cm_on_retains_throughput_past_saturation() {
-        let p = overload_point(
+        let shape = Shape::Overload { opts: quick() };
+        let spec = TrafficSpec::uniform();
+        let point = Point::new(
             SimConfig::paper(2).with_cm(),
             MechanismKind::Ofar,
-            &TrafficSpec::uniform(),
-            quick(),
+            &spec,
             7,
+            shape,
         );
+        let (p, NoHooks) = overload_point(&point, NoHooks);
         assert!(p.cm);
         assert!(p.saturation > 0.0);
         assert!(p.offered > p.saturation);
@@ -214,7 +224,9 @@ mod tests {
             cfg.cm_enabled = cm;
             let seed = point_seed(3, usize::from(cm));
             let spec = TrafficSpec::uniform();
-            overload_point(cfg, MechanismKind::Valiant, &spec, quick(), seed)
+            let shape = Shape::Overload { opts: quick() };
+            let point = Point::new(cfg, MechanismKind::Valiant, &spec, seed, shape);
+            overload_point(&point, NoHooks).0
         });
         assert!(!off.cm && on.cm);
         assert!(on.throttle_deferrals > 0, "2× load must throttle");

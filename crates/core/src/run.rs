@@ -3,12 +3,13 @@
 
 use crate::checkpoint::CheckpointPolicy;
 use crate::env;
+use crate::overload::OverloadOpts;
 use ofar_engine::config::{LAT_GLOBAL, LAT_LOCAL};
 use ofar_engine::{
-    AuditReport, Auditor, Fabric, FaultPlan, Hooks, Network, Policy, Recorder, SimConfig,
+    AuditReport, Auditor, Fabric, FaultPlan, Hooks, Network, NoHooks, Policy, Recorder, SimConfig,
     SnapshotError, Stats, StatsWindow,
 };
-use ofar_routing::MechanismKind;
+use ofar_routing::{Mechanism, MechanismKind, OfarConfig, PbConfig};
 use ofar_topology::{NodeId, RouterId};
 use ofar_traffic::{OpenLoop, TrafficSpec};
 use rayon::prelude::*;
@@ -47,26 +48,141 @@ pub struct SteadyPoint {
     pub delivered: u64,
 }
 
-/// Refuse to start a configuration the static CDG verifier does not
-/// certify as deadlock-free. The proof is cached per distinct
-/// configuration, so sweeps pay it once; a rejection names the offending
-/// dependency cycle, ring defect or buffer inequality. (The
-/// routing-conformance model checker is not a gate: it runs through
-/// `ofar-bench verify` and `ofar-sim --conformance`.)
-pub(crate) fn ensure_certified(cfg: &SimConfig, kind: MechanismKind) {
-    if let Err(e) = ofar_verify::certify_cached(cfg, kind) {
-        panic!(
-            "refusing to start unverified configuration for {}: {e}",
-            kind.name()
-        );
+/// Mechanism tunables for the ablation studies (§V's "selection of this
+/// policy was empirical"); `None` is the paper's default.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Tunables {
+    /// OFAR / OFAR-L tunables.
+    pub ofar: Option<OfarConfig>,
+    /// PB tunables.
+    pub pb: Option<PbConfig>,
+}
+
+/// What a [`Point`] drives through its network: which runner runs it.
+#[derive(Clone, Debug)]
+pub enum Shape {
+    /// Open loop at `load`, measured after the warm-up: [`steady`].
+    Steady {
+        /// Offered load in phits/(node·cycle).
+        load: f64,
+        /// Warm-up and window lengths.
+        opts: SteadyOpts,
+    },
+    /// Open loop at `load`, switching from the point's traffic to
+    /// `after` at the end of the warm-up: [`transient`].
+    Transient {
+        /// The pattern after the switch.
+        after: TrafficSpec,
+        /// Offered load in phits/(node·cycle).
+        load: f64,
+        /// Run, window and bucket lengths.
+        opts: TransientOpts,
+    },
+    /// `packets` per node at cycle 0, drained under `plan`: [`burst`].
+    Burst {
+        /// Packets per node.
+        packets: usize,
+        /// Faults scheduled during the drain.
+        plan: FaultPlan,
+    },
+    /// Open loop past saturation: [`crate::overload_point`].
+    Overload {
+        /// Probe, warm-up and window lengths.
+        opts: OverloadOpts,
+    },
+}
+
+impl Shape {
+    /// A closed burst of `packets` per node on a fault-free network.
+    pub fn burst(packets: usize) -> Self {
+        Self::Burst {
+            packets,
+            plan: FaultPlan::default(),
+        }
     }
+}
+
+/// One run, built by [`network`] and run by the runner its [`Shape`]
+/// names.
+#[derive(Clone, Debug)]
+pub struct Point {
+    /// The base configuration; [`network`] adapts it to the mechanism.
+    pub cfg: SimConfig,
+    /// Routing mechanism.
+    pub kind: MechanismKind,
+    /// Destination pattern (before the switch, for a transient).
+    pub traffic: TrafficSpec,
+    /// Seed of the mechanism and of the traffic source.
+    pub seed: u64,
+    /// Mechanism tunables.
+    pub tunables: Tunables,
+    /// What is driven.
+    pub shape: Shape,
+}
+
+impl Point {
+    /// A point at the mechanism's default tunables.
+    pub fn new(
+        cfg: SimConfig,
+        kind: MechanismKind,
+        traffic: &TrafficSpec,
+        seed: u64,
+        shape: Shape,
+    ) -> Self {
+        Self {
+            cfg,
+            kind,
+            traffic: traffic.clone(),
+            seed,
+            tunables: Tunables::default(),
+            shape,
+        }
+    }
+}
+
+/// Build the network of `point`, the one place a run is made. The
+/// configuration is adapted to the mechanism (escape ring for the OFAR
+/// models, 4 local VCs for PAR) unless `cfg.ring` already picks a ring
+/// model. Its hooks are a [`Recorder`] over the shape's window beside
+/// the caller's `extra`, which the runners hand back; a burst's fault
+/// plan is installed.
+///
+/// # Panics
+/// On a configuration the static CDG verifier does not certify as
+/// deadlock-free (cached per configuration, so sweeps pay it once), with
+/// the offending cycle, ring defect or buffer inequality.
+pub fn network<H: Hooks>(point: &Point, extra: H) -> Network<Mechanism, (Recorder, H)> {
+    let kind = point.kind;
+    let cfg = kind.adapt_config(point.cfg);
+    ofar_verify::certify_cached(&cfg, kind)
+        .unwrap_or_else(|e| panic!("refusing to start unverified configuration for {kind}: {e}"));
+    // Latency percentiles are over the packets *generated* in the window
+    // (warmup stragglers delivered early in it are excluded).
+    let recorder = match &point.shape {
+        Shape::Steady { opts, .. } => Recorder::since(opts.warmup),
+        Shape::Transient { opts, .. } => {
+            let lo = opts.warmup.saturating_sub(opts.pre_window);
+            let buckets = (opts.warmup + opts.post - lo) / opts.bucket;
+            Recorder::since(lo).with_series(opts.bucket, buckets as usize)
+        }
+        Shape::Burst { .. } => Recorder::since(0),
+        Shape::Overload { opts } => Recorder::since(opts.warmup),
+    };
+    let Tunables { ofar, pb } = point.tunables;
+    let policy = kind.build_tuned(&cfg, point.seed, ofar, pb);
+    let mut net = Network::with_hooks(Fabric::new(cfg), policy, (recorder, extra));
+    if let Shape::Burst { plan, .. } = &point.shape {
+        net.set_fault_plan(plan.clone());
+    }
+    net
 }
 
 /// Run one steady-state simulation point.
 ///
-/// The configuration is adapted to the mechanism (escape ring for the
-/// OFAR models, 4 local VCs for PAR) unless `cfg.ring` already picks a
-/// ring model.
+/// # Panics
+/// Like a refused configuration, a malformed `OFAR_CHECKPOINT_*`
+/// variable (see [`CheckpointPolicy::from_env`]) stops the run before it
+/// starts.
 pub fn steady_state(
     cfg: SimConfig,
     kind: MechanismKind,
@@ -75,97 +191,34 @@ pub fn steady_state(
     opts: SteadyOpts,
     seed: u64,
 ) -> SteadyPoint {
-    steady_state_tuned(cfg, kind, spec, load, opts, seed, None, None)
+    let ckpt = CheckpointPolicy::from_env().unwrap_or_else(|e| panic!("{e}"));
+    steady(
+        &Point::new(cfg, kind, spec, seed, Shape::Steady { load, opts }),
+        &ckpt,
+        NoHooks,
+    )
+    .0
 }
 
-/// [`steady_state`] with explicit mechanism tunables — OFAR thresholds
-/// and patience, PB broadcast parameters — for the ablation studies
-/// (§V's "selection of this policy was empirical").
+/// The steady-state driver: run a [`Shape::Steady`] point and hand
+/// `extra` back with its result. One unified warmup+measure loop, so a
+/// run can be checkpointed under `ckpt` at any cycle and resumed from
+/// the newest valid checkpoint bit-exactly; with checkpointing disabled
+/// the loop is step-for-step the two-phase (warmup, then measure) run.
 ///
 /// # Panics
-/// Like a refused configuration, a malformed `OFAR_CHECKPOINT_*`
-/// variable (see [`CheckpointPolicy::from_env`]) stops the run before it
-/// starts.
-#[expect(clippy::too_many_arguments, reason = "each is an axis of the point")]
-pub fn steady_state_tuned(
-    cfg: SimConfig,
-    kind: MechanismKind,
-    spec: &TrafficSpec,
-    load: f64,
-    opts: SteadyOpts,
-    seed: u64,
-    ofar: Option<ofar_routing::OfarConfig>,
-    pb: Option<ofar_routing::PbConfig>,
-) -> SteadyPoint {
-    steady_state_resumable(
-        cfg,
-        kind,
-        spec,
-        load,
-        opts,
-        seed,
-        ofar,
-        pb,
-        &CheckpointPolicy::from_env().unwrap_or_else(|e| panic!("{e}")),
-    )
-}
-
-/// [`steady_state`] with an explicit [`CheckpointPolicy`] instead of the
-/// environment-derived one — the programmatic entry point for
-/// kill-and-resume harnesses and tests.
-pub fn steady_state_checkpointed(
-    cfg: SimConfig,
-    kind: MechanismKind,
-    spec: &TrafficSpec,
-    load: f64,
-    opts: SteadyOpts,
-    seed: u64,
-    ckpt: &CheckpointPolicy,
-) -> SteadyPoint {
-    steady_state_resumable(cfg, kind, spec, load, opts, seed, None, None, ckpt)
-}
-
-/// The single steady-state driver behind [`steady_state`],
-/// [`steady_state_tuned`] and [`steady_state_checkpointed`]: one unified
-/// warmup+measure loop so a run can be checkpointed at any cycle and
-/// resumed from the newest valid checkpoint bit-exactly. With
-/// checkpointing disabled the loop is step-for-step identical to the
-/// original two-phase (warmup, then measure) structure.
-#[expect(clippy::too_many_arguments, reason = "each is an axis of the point")]
-fn steady_state_resumable(
-    cfg: SimConfig,
-    kind: MechanismKind,
-    spec: &TrafficSpec,
-    load: f64,
-    opts: SteadyOpts,
-    seed: u64,
-    ofar: Option<ofar_routing::OfarConfig>,
-    pb: Option<ofar_routing::PbConfig>,
-    ckpt: &CheckpointPolicy,
-) -> SteadyPoint {
-    let cfg = kind.adapt_config(cfg);
-    ensure_certified(&cfg, kind);
-    // Latency percentiles are over the packets *generated* in the window
-    // (warmup stragglers delivered early in it are excluded).
-    let mut net = Network::with_hooks(
-        Fabric::new(cfg),
-        kind.build_tuned(&cfg, seed, ofar, pb),
-        Recorder::since(opts.warmup),
-    );
-    let topo = *net.fabric().topo();
-    let mut source = OpenLoop::new(&topo, spec.clone(), load, cfg.packet_size, seed);
+/// On a point of another shape, or a configuration [`network`] refuses.
+pub fn steady<H: Hooks>(point: &Point, ckpt: &CheckpointPolicy, extra: H) -> (SteadyPoint, H) {
+    let Shape::Steady { load, opts } = point.shape else {
+        panic!("not a steady point: {:?}", point.shape);
+    };
+    let mut net = network(point, extra);
+    let (topo, size) = (*net.fabric().topo(), net.cfg().packet_size);
+    let mut source = OpenLoop::new(&topo, point.traffic.clone(), load, size, point.seed);
     let nodes = net.num_nodes();
     let total = opts.warmup + opts.measure;
 
-    let key = crate::checkpoint::run_key(
-        &cfg,
-        kind,
-        spec,
-        load,
-        opts,
-        seed,
-        &format!("{ofar:?}/{pb:?}"),
-    );
+    let key = crate::checkpoint::run_key(point);
     let mut cycle = 0u64;
     let mut start: Option<Stats> = None;
     if let Some(resume) = ckpt.resume(key) {
@@ -199,8 +252,8 @@ fn steady_state_resumable(
     }
     let start = start.expect("warmup boundary is always crossed");
     let w = StatsWindow::between(&start, net.stats(), opts.measure, nodes);
-    let latencies = net.hooks();
-    SteadyPoint {
+    let (latencies, extra) = net.into_hooks();
+    let result = SteadyPoint {
         load,
         throughput: w.throughput(),
         avg_latency: w.avg_latency(),
@@ -210,7 +263,8 @@ fn steady_state_resumable(
         misroute_rate: w.misroute_rate(),
         ring_entries: w.ring_entries,
         delivered: w.delivered_packets,
-    }
+    };
+    (result, extra)
 }
 
 /// A whole latency/throughput curve for one mechanism: one
@@ -271,31 +325,24 @@ pub struct TransientBucket {
     pub sent: u64,
 }
 
-/// Latency-evolution experiment: warm up under `before`, switch to
-/// `after`, and report the average latency of the packets sent in each
-/// bucket around the switch — the paper's "latency of the packets that
-/// are sent each cycle" metric (§VI-B).
-pub fn transient(
-    cfg: SimConfig,
-    kind: MechanismKind,
-    before: &TrafficSpec,
-    after: &TrafficSpec,
-    load: f64,
-    opts: TransientOpts,
-    seed: u64,
-) -> Vec<TransientBucket> {
-    let cfg = kind.adapt_config(cfg);
-    ensure_certified(&cfg, kind);
+/// Latency-evolution experiment: warm up under the point's traffic,
+/// switch to the [`Shape::Transient`] `after`, and report the average
+/// latency of the packets sent in each bucket around the switch — the
+/// paper's "latency of the packets that are sent each cycle" metric
+/// (§VI-B). Hands `extra` back with the series.
+///
+/// # Panics
+/// On a point of another shape, or a configuration [`network`] refuses.
+pub fn transient<H: Hooks>(point: &Point, extra: H) -> (Vec<TransientBucket>, H) {
+    let Shape::Transient { after, load, opts } = &point.shape else {
+        panic!("not a transient point: {:?}", point.shape);
+    };
+    let mut net = network(point, extra);
+    let (topo, size) = (*net.fabric().topo(), net.cfg().packet_size);
+    let mut source = OpenLoop::new(&topo, point.traffic.clone(), *load, size, point.seed);
+
     // Deliveries bucketed by generation cycle, relative to the switch.
     let switch_at = opts.warmup;
-    let lo = switch_at.saturating_sub(opts.pre_window);
-    let hi = switch_at + opts.post;
-    let nbuckets = ((hi - lo) / opts.bucket) as usize;
-    let recorder = Recorder::since(lo).with_series(opts.bucket, nbuckets);
-    let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, seed), recorder);
-    let topo = *net.fabric().topo();
-    let mut source = OpenLoop::new(&topo, before.clone(), load, cfg.packet_size, seed);
-
     let total = opts.warmup + opts.post + opts.drain;
     for cycle in 0..total {
         if cycle == switch_at {
@@ -305,20 +352,19 @@ pub fn transient(
         net.step();
     }
 
-    net.hooks()
+    let lo = opts.warmup.saturating_sub(opts.pre_window);
+    let (recorder, extra) = net.into_hooks();
+    let series = recorder
         .series()
         .iter()
         .enumerate()
         .map(|(b, &(sum, sent))| TransientBucket {
             start: (lo + b as u64 * opts.bucket) as i64 - switch_at as i64,
-            avg_latency: if sent == 0 {
-                0.0
-            } else {
-                sum as f64 / sent as f64
-            },
+            avg_latency: sum as f64 / sent.max(1) as f64,
             sent,
         })
-        .collect()
+        .collect();
+    (series, extra)
 }
 
 // ---------------------------------------------------------------------
@@ -474,61 +520,38 @@ pub struct BurstResult {
     /// fault transitions and the LLR retry/drop/escalation counters.
     pub stats: Stats,
     /// What the network's hooks recorded over the burst: the runtime
-    /// invariant audit of a network built with an `Auditor` and driven
-    /// through [`burst_net`]; `None` from [`burst`], whose only hook is
-    /// a [`Recorder`].
+    /// invariant audit when they include an `Auditor` (as [`burst`]'s
+    /// `extra`, say), else `None`.
     pub audit: Option<AuditReport>,
 }
 
-/// Burst experiment (§VI-C): every node enqueues `packets_per_node`
-/// packets at cycle 0 (destinations drawn from `spec`) and injects as
-/// fast as possible; the result is the time to drain the network.
-pub fn burst(
-    cfg: SimConfig,
-    kind: MechanismKind,
-    spec: &TrafficSpec,
-    packets_per_node: usize,
-    seed: u64,
-) -> BurstResult {
-    burst_faulted(
-        cfg,
-        kind,
-        spec,
-        packets_per_node,
-        seed,
-        FaultPlan::default(),
-        RunConfig::default(),
-    )
-}
-
-/// [`burst`] under a scheduled [`FaultPlan`] (§VII degraded operation).
-/// Plan events fire at their scheduled cycles while the burst drains;
-/// if the surviving topology cannot deliver every packet the watchdog
-/// reports a structured [`StallKind`] instead of hanging.
-pub fn burst_faulted(
-    cfg: SimConfig,
-    kind: MechanismKind,
-    spec: &TrafficSpec,
-    packets_per_node: usize,
-    seed: u64,
-    plan: FaultPlan,
-    run: RunConfig,
-) -> BurstResult {
-    let cfg = kind.adapt_config(cfg);
-    ensure_certified(&cfg, kind);
-    let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, seed), Recorder::since(0));
-    net.set_fault_plan(plan);
-    burst_net(&mut net, spec, packets_per_node, seed, run)
+/// Burst experiment (§VI-C): every node enqueues the
+/// [`Shape::Burst`] packets at cycle 0 (destinations drawn from the
+/// point's traffic) and injects as fast as possible; the result is the
+/// time to drain the network. The plan's faults fire at their scheduled
+/// cycles while the burst drains (§VII degraded operation); if the
+/// surviving topology cannot deliver every packet the watchdog reports a
+/// structured [`StallKind`] instead of hanging. Hands `extra` back with
+/// the result, whose [`BurstResult::audit`] is its report if it audits.
+///
+/// # Panics
+/// On a point of another shape, or a configuration [`network`] refuses.
+pub fn burst<H: Hooks>(point: &Point, extra: H) -> (BurstResult, H) {
+    let Shape::Burst { packets, .. } = point.shape else {
+        panic!("not a burst point: {:?}", point.shape);
+    };
+    let mut net = network(point, extra);
+    let run = RunConfig::default();
+    let r = burst_net(&mut net, &point.traffic, packets, point.seed, run);
+    (r, net.into_hooks().1)
 }
 
 /// The policy-generic burst runner: drive a caller-built [`Network`]
 /// through a burst and diagnose stalls, without the certification gate
-/// or the mechanism registry. This is the entry point for the mutation
-/// harness, which must run *deliberately defective* policies (and
-/// engine-level fault seams, through the network's [`Hooks`]) that
-/// [`burst`] refuses by construction. Watchdog semantics, stall
-/// diagnosis and the result shape are identical to [`burst_faulted`],
-/// which delegates here; [`BurstResult::audit`] and
+/// or the mechanism registry. [`burst`] delegates here; so does a
+/// caller that wants its own watchdog window over a [`network`], and the
+/// mutation harness, which must run *deliberately defective* policies
+/// that are no [`Mechanism`]. [`BurstResult::audit`] and
 /// [`BurstResult::p99_latency`] are whatever the network's hooks recorded
 /// (`None` for [`ofar_engine::NoHooks`]).
 pub fn burst_net<P: Policy, H: Hooks>(
@@ -683,10 +706,13 @@ pub struct ReplayReport {
 
 /// Restore a snapshot file (e.g. a post-mortem stall dump) and re-run up
 /// to `cycles` further cycles with per-cycle tracing and no new
-/// injection. The embedded configuration is re-certified through the
-/// same CDG gate as a fresh run before a single cycle executes, and the
-/// replay always runs under the engine's `Auditor` (a few per cent of
-/// host time, well spent on a post-mortem).
+/// injection. The embedded configuration goes through [`network`] like
+/// a fresh run's — adapted to the named mechanism, then certified —
+/// before a single cycle executes, so a header pairing a mechanism with
+/// a configuration it cannot run is refused with
+/// [`SnapshotError::ConfigMismatch`]. The replay always runs under the
+/// engine's `Auditor` (a few per cent of host time, well spent on a
+/// post-mortem).
 ///
 /// The mechanism is rebuilt with its default tunables; its dynamic state
 /// (RNG streams, piggybacked congestion estimates) is restored from the
@@ -699,8 +725,15 @@ pub fn replay_snapshot(path: &Path, cycles: u64) -> Result<ReplayReport, Snapsho
         .parse()
         .map_err(|_| SnapshotError::Malformed("unknown mechanism name"))?;
     let cfg = header.config;
-    ensure_certified(&cfg, kind);
-    let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, cfg.seed), Auditor::new());
+    // No new injection: a burst of nothing, on the snapshot's own faults.
+    let point = Point::new(
+        cfg,
+        kind,
+        &TrafficSpec::uniform(),
+        cfg.seed,
+        Shape::burst(0),
+    );
+    let mut net = network(&point, Auditor::new());
     net.restore_snapshot(&bytes)?;
     let start_cycle = net.now();
     let mut trace = Vec::with_capacity(cycles.min(1 << 20) as usize);
@@ -865,15 +898,20 @@ mod tests {
             bucket: 250,
             drain: 2000,
         };
-        let series = transient(
+        let after = TrafficSpec::adversarial(2);
+        let shape = Shape::Transient {
+            after,
+            load: 0.08,
+            opts,
+        };
+        let point = Point::new(
             small(),
             MechanismKind::Ofar,
             &TrafficSpec::uniform(),
-            &TrafficSpec::adversarial(2),
-            0.08,
-            opts,
             3,
+            shape,
         );
+        let (series, NoHooks) = transient(&point, NoHooks);
         assert_eq!(series.len(), ((500 + 1500) / 250) as usize);
         assert_eq!(series[0].start, -500);
         assert!(series.iter().all(|b| b.sent > 0), "every bucket measured");
@@ -911,7 +949,9 @@ mod tests {
 
     #[test]
     fn burst_drains_and_reports_cycles() {
-        let r = burst(small(), MechanismKind::Ofar, &TrafficSpec::uniform(), 3, 9);
+        let spec = TrafficSpec::uniform();
+        let point = Point::new(small(), MechanismKind::Ofar, &spec, 9, Shape::burst(3));
+        let (r, NoHooks) = burst(&point, NoHooks);
         let cycles = r.cycles.expect("burst must drain");
         assert!(cycles > 0);
         // 3 packets * nodes delivered

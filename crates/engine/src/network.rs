@@ -266,6 +266,12 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         &mut self.hooks
     }
 
+    /// The hooks, giving up the network: how a runner hands its caller's
+    /// hooks back with its result.
+    pub fn into_hooks(self) -> H {
+        self.hooks
+    }
+
     /// The hooks' accumulated report plus a final deep pass run right
     /// now (regardless of cadence), resetting the accumulator; `None`
     /// when the hooks record nothing ([`NoHooks`]).

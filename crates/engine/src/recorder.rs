@@ -11,6 +11,7 @@
 //! Like every hook it is outside simulation snapshots. A checkpoint that
 //! must resume one carries its [`Recorder::encode`] bytes.
 
+use crate::audit::AuditViolation;
 use crate::hooks::Hooks;
 use crate::snapshot::{Dec, Enc, SnapshotError};
 
@@ -142,6 +143,13 @@ impl Recorder {
 }
 
 impl Hooks for Recorder {
+    /// No verdict of its own: the hooks beside it judge, so pairing a
+    /// recorder changes no run.
+    #[inline]
+    fn check(&mut self, _: impl FnOnce() -> bool, _: impl FnOnce() -> AuditViolation) -> bool {
+        true
+    }
+
     #[inline]
     #[expect(
         clippy::cast_possible_truncation,

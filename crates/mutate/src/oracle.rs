@@ -24,7 +24,7 @@
 
 use crate::operator::{MutationOp, OpCategory};
 use crate::MutantPolicy;
-use ofar_core::{burst_net, RunConfig};
+use ofar_core::{burst_net, network, Point, RunConfig, Shape, Tunables};
 use ofar_engine::{Auditor, EngineMutation, Fabric, Hooks, Network, Policy, RingMode, SimConfig};
 use ofar_routing::{ClassEdge, ClassId, DependencyDecl, EdgeWhy, MechanismDeps, MechanismKind};
 use ofar_traffic::{OpenLoop, TrafficSpec};
@@ -405,28 +405,25 @@ pub fn run_mutant(
             // the ring is the only relief valve). The default tuning
             // misroutes around congestion and never enters the ring at
             // this scale, leaving the seam unexercised.
-            let policy = if op == MutationOp::EngineRingBubbleSkip && kind.needs_ring() {
-                kind.build_tuned(
-                    &cfg,
-                    seed,
-                    Some(ofar_routing::OfarConfig {
-                        ring_patience: 0,
-                        threshold: ofar_routing::MisrouteThreshold::Static {
-                            th_min: 0.0,
-                            th_nonmin: -1.0,
-                        },
-                        ..ofar_routing::OfarConfig::base()
-                    }),
-                    None,
-                )
-            } else {
-                kind.build(&cfg, seed)
-            };
-            let hooks = (
+            let bubble_skip = op == MutationOp::EngineRingBubbleSkip && kind.needs_ring();
+            let ofar = bubble_skip.then(|| ofar_routing::OfarConfig {
+                ring_patience: 0,
+                threshold: ofar_routing::MisrouteThreshold::Static {
+                    th_min: 0.0,
+                    th_nonmin: -1.0,
+                },
+                ..ofar_routing::OfarConfig::base()
+            });
+            // The stage below drives the network: the point's shape only
+            // sets the recorder's window, cycle 0 for either stage.
+            let shape = Shape::burst(BURST_DEPTH);
+            let point = Point::new(cfg, kind, &TrafficSpec::adversarial(1), seed, shape);
+            let tunables = Tunables { ofar, pb: None };
+            let extra = (
                 Auditor::with_deep_interval(AUDIT_INTERVAL),
                 engine_mutation(op),
             );
-            let mut net = Network::with_hooks(Fabric::new(cfg), policy, hooks);
+            let mut net = network(&Point { tunables, ..point }, extra);
             // The token law only has something to say while buckets run
             // dry, which a drained burst stops exercising after a few
             // hundred cycles — the throttle seam gets the sustained

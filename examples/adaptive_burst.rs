@@ -35,7 +35,10 @@ fn main() {
     ];
     let results: Vec<_> = mechs
         .iter()
-        .map(|&kind| (kind, burst(cfg, kind, &spec, packets_per_node, 11)))
+        .map(|&kind| {
+            let point = Point::new(cfg, kind, &spec, 11, Shape::burst(packets_per_node));
+            (kind, burst(&point, NoHooks).0)
+        })
         .collect();
 
     let pb = results

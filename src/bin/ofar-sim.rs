@@ -318,7 +318,8 @@ fn main() {
     );
 
     if let Some(ppn) = burst_ppn {
-        let r = burst(cfg, kind, &spec, ppn, seed);
+        let point = Point::new(cfg, kind, &spec, seed, Shape::burst(ppn));
+        let (r, NoHooks) = burst(&point, NoHooks);
         match r.cycles {
             Some(c) => {
                 println!(

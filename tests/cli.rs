@@ -252,3 +252,43 @@ fn a_bad_checkpoint_knob_is_refused_before_the_banner() {
     std::fs::remove_dir_all(&cwd).ok();
     assert_eq!(left, 0, "a refused run wrote files");
 }
+
+/// A snapshot whose checksums hold but whose header names PAR over a
+/// MIN configuration (three local VCs) is refused with exit 1 and a
+/// `cannot replay` line: it used to panic building PAR (exit 101).
+#[test]
+fn a_replay_of_a_mechanism_its_config_cannot_run_exits_1() {
+    use ofar::engine::crc32;
+    use ofar::prelude::*;
+    let kind = MechanismKind::Min;
+    let cfg = kind.adapt_config(SimConfig::paper(2));
+    let mut net = Network::new(cfg, kind.build(&cfg, 1));
+    net.run(20);
+    let mut bytes = net.save_snapshot();
+    // CONFIG is the first section: tag, length, checksum, then the
+    // payload, which ends in the mechanism's name.
+    let len = u32::from_le_bytes(bytes[17..21].try_into().unwrap()) as usize;
+    let payload = 25..25 + len;
+    assert_eq!(&bytes[payload.end - 3..payload.end], b"MIN");
+    bytes[payload.end - 3..payload.end].copy_from_slice(b"PAR");
+    // Seal the three checksums again: the section's, the fingerprint
+    // (the same payload's) and the whole file's.
+    let crc = crc32(&bytes[payload]).to_le_bytes();
+    bytes[21..25].copy_from_slice(&crc);
+    bytes[12..16].copy_from_slice(&crc);
+    let body = bytes.len() - 4;
+    let file = crc32(&bytes[..body]).to_le_bytes();
+    bytes[body..].copy_from_slice(&file);
+    let path = std::env::temp_dir().join(format!("ofar-cli-par-{}.snap", std::process::id()));
+    ofar::engine::write_atomic(&path, &bytes).unwrap();
+
+    let out = ofar_sim(&["--replay", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    assert!(
+        err.starts_with("cannot replay ") && !err.contains("panicked"),
+        "{err}"
+    );
+}

@@ -84,7 +84,8 @@ fn overload_liveness_with_reduced_vcs() {
 fn burst_drains_for_every_mechanism() {
     for kind in MechanismKind::paper_set() {
         let cfg = kind.adapt_config(SimConfig::paper(2));
-        let r = burst(cfg, kind, &TrafficSpec::mix2(2), 10, 26);
+        let point = Point::new(cfg, kind, &TrafficSpec::mix2(2), 26, Shape::burst(10));
+        let (r, NoHooks) = burst(&point, NoHooks);
         assert!(
             r.cycles.is_some(),
             "{} stalled during burst consumption",

@@ -37,7 +37,7 @@ fn same_seed_same_history() {
 /// counters — for every mechanism under saturating adversarial traffic.
 #[test]
 fn hooks_are_invisible_to_the_simulation() {
-    use ofar::engine::{Auditor, Fabric, Hooks, NoHooks};
+    use ofar::engine::Fabric;
     fn run<H: Hooks>(kind: MechanismKind, hooks: H) -> (Vec<u8>, Vec<u64>, bool) {
         let seed = 41;
         let cfg = kind.adapt_config(SimConfig::paper(2).with_seed(seed));
@@ -74,6 +74,48 @@ fn hooks_are_invisible_to_the_simulation() {
     }
 }
 
+/// A runner hands its caller's hooks back: a phase-counting hook passed
+/// as the steady driver's `extra` saw all eight phases of every cycle,
+/// and riding along moved no bit of the point `steady_state` measures.
+#[test]
+fn a_runner_hands_its_hooks_back() {
+    use ofar::engine::Phase;
+    struct PhaseCount(u64);
+    impl Hooks for PhaseCount {
+        fn phase(&mut self, _: Phase) {
+            self.0 += 1;
+        }
+    }
+    let (cfg, kind, spec) = (
+        SimConfig::paper(2),
+        MechanismKind::Ofar,
+        TrafficSpec::uniform(),
+    );
+    let opts = SteadyOpts {
+        warmup: 300,
+        measure: 700,
+    };
+    let point = Point::new(cfg, kind, &spec, 5, Shape::Steady { load: 0.3, opts });
+    let (counted, PhaseCount(phases)) =
+        steady(&point, &CheckpointPolicy::disabled(), PhaseCount(0));
+    assert_eq!(phases, 8 * (opts.warmup + opts.measure));
+    let plain = steady_state(cfg, kind, &spec, 0.3, opts, 5);
+    let bits = |p: &SteadyPoint| {
+        let floats = [
+            p.load,
+            p.throughput,
+            p.avg_latency,
+            p.p50_latency,
+            p.p99_latency,
+            p.avg_hops,
+            p.misroute_rate,
+        ];
+        (floats.map(f64::to_bits), p.ring_entries, p.delivered)
+    };
+    assert!(plain.delivered > 0);
+    assert_eq!(bits(&counted), bits(&plain));
+}
+
 #[test]
 fn different_seeds_different_histories() {
     // Not a strict requirement packet-for-packet, but identical full
@@ -107,15 +149,12 @@ fn faulted_runs_are_reproducible() {
             r0,
             topo.global_neighbor(r0, 0).0,
         );
-        ofar::burst_faulted(
-            cfg,
-            kind,
-            &TrafficSpec::mix2(2),
-            3,
-            41,
-            plan,
-            ofar::RunConfig::default(),
+        let shape = Shape::Burst { packets: 3, plan };
+        burst(
+            &Point::new(cfg, kind, &TrafficSpec::mix2(2), 41, shape),
+            NoHooks,
         )
+        .0
     };
     for kind in [MechanismKind::Min, MechanismKind::Ofar] {
         let a = run(kind);
@@ -233,7 +272,8 @@ fn checkpointed_steady_state_resumes_to_identical_results() {
     };
     let plain = steady_state(cfg, kind, &spec, 0.25, opts, 11);
     let ckpt = CheckpointPolicy::every(500, &dir);
-    let first = steady_state_checkpointed(cfg, kind, &spec, 0.25, opts, 11, &ckpt);
+    let point = Point::new(cfg, kind, &spec, 11, Shape::Steady { load: 0.25, opts });
+    let (first, NoHooks) = steady(&point, &ckpt, NoHooks);
     assert_eq!(plain, first, "checkpointing perturbed the run");
     // The newest checkpoint, the one a resume starts from, lies inside
     // the measurement window: the resumed point's percentiles rest on
@@ -251,7 +291,7 @@ fn checkpointed_steady_state_resumes_to_identical_results() {
         opts.warmup < newest && newest < opts.warmup + opts.measure,
         "resume point {newest} is outside the window"
     );
-    let resumed = steady_state_checkpointed(cfg, kind, &spec, 0.25, opts, 11, &ckpt);
+    let (resumed, NoHooks) = steady(&point, &ckpt, NoHooks);
     assert_eq!(
         plain, resumed,
         "resumed run diverged from uninterrupted run"
@@ -331,7 +371,11 @@ fn a_figure_burst_row_is_its_own_burst() {
                 (&row[0], &row[1]),
                 (&spec.label(), &kind.name().to_string())
             );
-            let r = burst(scale.cfg(), kind, spec, scale.burst_packets, SUITE_SEED);
+            let shape = Shape::burst(scale.burst_packets);
+            let (r, NoHooks) = burst(
+                &Point::new(scale.cfg(), kind, spec, SUITE_SEED, shape),
+                NoHooks,
+            );
             let cycles = r.cycles.expect("a two-packet burst drains");
             assert_eq!(row[2], cycles.to_string(), "{} {kind}", spec.label());
         }

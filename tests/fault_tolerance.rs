@@ -17,14 +17,14 @@ fn ofar_delivers_fully_with_h_minus_one_failed_links() {
         let topo = Dragonfly::new(cfg.params);
         let packets_per_node = 3;
         let plan = FaultPlan::random_global_failures(&topo, h - 1, 150, 0xF00D + h as u64);
-        let r = burst_faulted(
-            cfg,
-            MechanismKind::Ofar,
-            &TrafficSpec::adversarial(h),
-            packets_per_node,
-            17,
+        let spec = TrafficSpec::adversarial(h);
+        let shape = Shape::Burst {
+            packets: packets_per_node,
             plan,
-            RunConfig::default(),
+        };
+        let (r, NoHooks) = burst(
+            &Point::new(cfg, MechanismKind::Ofar, &spec, 17, shape),
+            NoHooks,
         );
         assert_eq!(r.stall, None, "h={h}: watchdog fired: {:?}", r.stall);
         assert!(r.cycles.is_some(), "h={h}: burst did not drain");
@@ -46,17 +46,13 @@ fn zero_failures_matches_plain_burst() {
     let (uniform, seed) = (TrafficSpec::uniform(), 9);
     // Zero failures at the `faults` study's strike cycle, with its seed.
     let plan = FaultPlan::random_global_failures(&topo, 0, 200, seed ^ 0xFA17);
-    let faulted = burst_faulted(
-        cfg,
-        MechanismKind::Ofar,
-        &uniform,
-        2,
-        seed,
-        plan,
-        RunConfig::default(),
-    );
-    let cfg = MechanismKind::Ofar.adapt_config(cfg);
-    let plain = burst(cfg, MechanismKind::Ofar, &uniform, 2, seed);
+    let faulted = Point::new(cfg, MechanismKind::Ofar, &uniform, seed, Shape::burst(2));
+    let plain = burst(&faulted, NoHooks).0;
+    let faulted = Point {
+        shape: Shape::Burst { packets: 2, plan },
+        ..faulted
+    };
+    let faulted = burst(&faulted, NoHooks).0;
     assert_eq!(faulted.cycles, plain.cycles);
     assert_eq!(faulted.delivered, (topo.num_nodes() * 2) as u64);
 }
@@ -79,18 +75,15 @@ fn isolated_group_is_reported_as_partition() {
             plan = plan.fail_link_at(0, r, peer);
         }
     }
-    let r = burst_faulted(
-        cfg,
-        MechanismKind::Ofar,
-        &TrafficSpec::adversarial(h),
-        2,
-        23,
-        plan,
-        // small window: the verdict is the point, not the wait
-        RunConfig {
-            watchdog: Some(1_500),
-        },
+    let spec = TrafficSpec::adversarial(h);
+    let shape = Shape::Burst { packets: 2, plan };
+    let mut net = network(
+        &Point::new(cfg, MechanismKind::Ofar, &spec, 23, shape),
+        NoHooks,
     );
+    // small window: the verdict is the point, not the wait
+    let watchdog = Some(1_500);
+    let r = burst_net(&mut net, &spec, 2, 23, RunConfig { watchdog });
     assert_eq!(r.cycles, None, "a partitioned burst cannot drain");
     match r.stall {
         Some(StallKind::Partition {
@@ -133,14 +126,16 @@ fn hopeless_link_escalates_to_fail_stop_and_burst_drains() {
     let link = random_global_links(&topo, 1, 11)[0];
     // ppm = 1_000_000: every phit of every transfer on this link errors.
     let plan = FaultPlan::default().set_link_ber_at(0, link.0, link.1, 1_000_000);
-    let r = burst_faulted(
-        cfg,
-        MechanismKind::Ofar,
-        &TrafficSpec::adversarial(h),
-        3,
-        29,
-        plan,
-        RunConfig::default(),
+    let shape = Shape::Burst { packets: 3, plan };
+    let (r, NoHooks) = burst(
+        &Point::new(
+            cfg,
+            MechanismKind::Ofar,
+            &TrafficSpec::adversarial(h),
+            29,
+            shape,
+        ),
+        NoHooks,
     );
     assert_eq!(r.stall, None, "degraded routing must finish: {:?}", r.stall);
     assert_eq!(
@@ -167,14 +162,10 @@ fn hopeless_link_escalates_to_fail_stop_and_burst_drains() {
 fn ofar_delivers_fully_under_percent_level_ber() {
     let cfg = SimConfig::paper(2).with_ber(1e-2);
     let topo = Dragonfly::new(cfg.params);
-    let r = burst_faulted(
-        cfg,
-        MechanismKind::Ofar,
-        &TrafficSpec::uniform(),
-        2,
-        7,
-        FaultPlan::default(),
-        RunConfig::default(),
+    let shape = Shape::burst(2);
+    let (r, NoHooks) = burst(
+        &Point::new(cfg, MechanismKind::Ofar, &TrafficSpec::uniform(), 7, shape),
+        NoHooks,
     );
     let s = &r.stats;
     let once = (r.delivered, s.duplicate_deliveries);
@@ -194,14 +185,10 @@ fn ofar_delivers_fully_under_percent_level_ber() {
 fn zero_ber_disables_the_link_layer() {
     let cfg = SimConfig::paper(2).with_ber(0.0);
     let topo = Dragonfly::new(cfg.params);
-    let r = burst_faulted(
-        cfg,
-        MechanismKind::Min,
-        &TrafficSpec::uniform(),
-        1,
-        3,
-        FaultPlan::default(),
-        RunConfig::default(),
+    let shape = Shape::burst(1);
+    let (r, NoHooks) = burst(
+        &Point::new(cfg, MechanismKind::Min, &TrafficSpec::uniform(), 3, shape),
+        NoHooks,
     );
     let s = &r.stats;
     let once = (r.delivered, s.duplicate_deliveries);
@@ -222,18 +209,12 @@ fn network_wide_noise_is_diagnosed_as_retransmission_storm() {
     // no link escapes into fail-stop and the storm stays a storm.
     cfg.llr_retry_budget = 1_000_000;
     let topo = Dragonfly::new(cfg.params);
-    let r = burst_faulted(
-        cfg,
-        MechanismKind::Min,
-        &TrafficSpec::uniform(),
-        2,
-        37,
-        FaultPlan::default(),
-        // small window: the verdict is the point, not the wait
-        RunConfig {
-            watchdog: Some(2_000),
-        },
-    );
+    let spec = TrafficSpec::uniform();
+    let point = Point::new(cfg, MechanismKind::Min, &spec, 37, Shape::burst(2));
+    let mut net = network(&point, NoHooks);
+    // small window: the verdict is the point, not the wait
+    let watchdog = Some(2_000);
+    let r = burst_net(&mut net, &spec, 2, 37, RunConfig { watchdog });
     assert_eq!(r.cycles, None, "a 90% BER burst cannot drain");
     assert!(
         r.delivered < (topo.num_nodes() * 2) as u64,
@@ -265,14 +246,10 @@ fn transient_failure_heals_and_drains() {
     let topo = Dragonfly::new(cfg.params);
     let link = random_global_links(&topo, 1, 7)[0];
     let plan = FaultPlan::default().transient_link(100, 2_000, link.0, link.1);
-    let r = burst_faulted(
-        cfg,
-        MechanismKind::Min,
-        &TrafficSpec::uniform(),
-        2,
-        31,
-        plan,
-        RunConfig::default(),
+    let shape = Shape::Burst { packets: 2, plan };
+    let (r, NoHooks) = burst(
+        &Point::new(cfg, MechanismKind::Min, &TrafficSpec::uniform(), 31, shape),
+        NoHooks,
     );
     assert_eq!(r.stall, None, "repaired network must drain: {:?}", r.stall);
     assert_eq!(r.delivered, (topo.num_nodes() * 2) as u64);

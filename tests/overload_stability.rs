@@ -51,13 +51,16 @@ fn assert_stable(p: &OverloadPoint) {
 
 #[test]
 fn ofar_is_stable_2x_past_saturation_under_adversarial_traffic() {
-    let p = overload_point(
-        SimConfig::paper(2).with_cm(),
+    let cfg = SimConfig::paper(2).with_cm();
+    let shape = Shape::Overload { opts: quick() };
+    let point = Point::new(
+        cfg,
         MechanismKind::Ofar,
         &TrafficSpec::adversarial(1),
-        quick(),
         11,
+        shape,
     );
+    let (p, NoHooks) = overload_point(&point, NoHooks);
     assert_stable(&p);
     // ADV+1 pushes OFAR onto the escape ring; the guarded ring must
     // still be admitting (protection defers entry, never denies it).
@@ -66,13 +69,16 @@ fn ofar_is_stable_2x_past_saturation_under_adversarial_traffic() {
 
 #[test]
 fn pb_is_stable_2x_past_saturation_under_adversarial_traffic() {
-    let p = overload_point(
-        SimConfig::paper(2).with_cm(),
+    let cfg = SimConfig::paper(2).with_cm();
+    let shape = Shape::Overload { opts: quick() };
+    let point = Point::new(
+        cfg,
         MechanismKind::Pb,
         &TrafficSpec::adversarial(1),
-        quick(),
         13,
+        shape,
     );
+    let (p, NoHooks) = overload_point(&point, NoHooks);
     assert_stable(&p);
 }
 

@@ -32,7 +32,8 @@ impl Cell {
     fn burst_cycles(h: usize, kind: MechanismKind, spec: &TrafficSpec) -> Self {
         let drain = |seed| {
             let cfg = SimConfig::paper(h).with_seed(seed);
-            let r = burst(cfg, kind, spec, BURST_PACKETS, seed);
+            let shape = Shape::burst(BURST_PACKETS);
+            let (r, NoHooks) = burst(&Point::new(cfg, kind, spec, seed, shape), NoHooks);
             let stalled = || panic!("{kind} stalled on {} (seed {seed})", spec.label());
             r.cycles.unwrap_or_else(stalled) as f64
         };

@@ -4,7 +4,7 @@
 //! percentiles are what a selection over the filtered log gives, and its
 //! generation-cycle buckets hold the log's sums and counts.
 
-use ofar::engine::{Auditor, Fabric};
+use ofar::engine::Fabric;
 use ofar::prelude::*;
 
 const MECHANISMS: [MechanismKind; 6] = [
@@ -95,17 +95,16 @@ fn a_drained_burst_records_what_the_log_holds() {
     }
 }
 
-/// A `Recorder` composes with an `Auditor`: the burst is audited clean
-/// and reads the p99 a recorder alone reads.
+/// A runner's `Recorder` composes with an `Auditor` passed as its
+/// `extra`: the burst is audited clean and reads the p99 a recorder
+/// alone reads.
 #[test]
 fn a_recorder_beside_an_auditor_records_the_same() {
-    let kind = MechanismKind::Ofar;
-    let cfg = kind.adapt_config(SimConfig::paper(2).with_seed(3));
+    let cfg = SimConfig::paper(2).with_seed(3);
     let spec = TrafficSpec::adversarial(1);
-    let alone = burst(cfg, kind, &spec, 20, 3);
-    let hooks = (Auditor::new(), Recorder::since(0));
-    let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, 3), hooks);
-    let paired = burst_net(&mut net, &spec, 20, 3, RunConfig::default());
+    let point = Point::new(cfg, MechanismKind::Ofar, &spec, 3, Shape::burst(20));
+    let (alone, NoHooks) = burst(&point, NoHooks);
+    let (paired, _) = burst(&point, Auditor::new());
     assert!(paired.audit.expect("the auditor reports").is_clean());
     assert_eq!(paired.p99_latency, alone.p99_latency);
     assert!(alone.p99_latency.is_some_and(|p99| p99 > 0.0));

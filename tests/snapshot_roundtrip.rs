@@ -1296,3 +1296,47 @@ fn a_snapshot_replays_from_its_file_to_the_drained_end() {
         rep.audit
     );
 }
+
+/// A MIN snapshot whose CONFIG section names PAR, every checksum sealed
+/// again: a valid file that pairs a mechanism with a configuration it
+/// cannot run (PAR needs a fourth local VC).
+fn min_snapshot_naming_par() -> Vec<u8> {
+    let kind = MechanismKind::Min;
+    let cfg = kind.adapt_config(SimConfig::paper(H));
+    let mut net = Network::new(cfg, kind.build(&cfg, 1));
+    net.run(20);
+    let mut bytes = net.save_snapshot();
+    let (at, len) = sections(&bytes)[0];
+    assert_eq!(bytes[at], 1, "CONFIG is the first section");
+    let name = at + 9 + len - 3..at + 9 + len;
+    assert_eq!(&bytes[name.clone()], b"MIN");
+    bytes[name].copy_from_slice(b"PAR");
+    // The section checksum and the fingerprint are both the payload's.
+    let crc = crc32(&bytes[at + 9..at + 9 + len]).to_le_bytes();
+    bytes[at + 5..at + 9].copy_from_slice(&crc);
+    bytes[12..16].copy_from_slice(&crc);
+    reseal(&mut bytes);
+    bytes
+}
+
+/// Replay builds its network like a fresh run, adapting the file's
+/// configuration to the mechanism it names: a header pairing PAR with
+/// three local VCs no longer matches and is refused with a typed error,
+/// where building PAR on the file's configuration as it stands panicked.
+#[test]
+fn a_replay_pairing_a_mechanism_with_a_config_it_cannot_run_is_refused() {
+    let bytes = min_snapshot_naming_par();
+    let header = ofar::engine::peek_header(&bytes).expect("the checksums hold");
+    assert_eq!(
+        (header.mechanism.as_str(), header.config.vcs_local),
+        ("PAR", 3)
+    );
+    let path = std::env::temp_dir().join(format!("ofar-par-{}.snap", std::process::id()));
+    ofar::engine::write_atomic(&path, &bytes).unwrap();
+    let rep = replay_snapshot(&path, 100);
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(rep, Err(SnapshotError::ConfigMismatch { .. })),
+        "{rep:?}"
+    );
+}

@@ -5,7 +5,6 @@
 //! bounds — and rejects seeded mutant policies with named witnesses —
 //! and a full burst on a network built with the `Auditor` runs clean.
 
-use ofar::engine::{Auditor, Fabric};
 use ofar::prelude::*;
 
 /// Every shipped (mechanism × ring mode × ring count) combination at
@@ -62,7 +61,14 @@ fn reduced_vcs_split_the_mechanism_set() {
 fn runners_refuse_unverified_configurations() {
     let mut cfg = SimConfig::reduced_vcs(2);
     cfg.ring = RingMode::None; // VAL on a folded ladder with no escape
-    let _ = burst(cfg, MechanismKind::Valiant, &TrafficSpec::uniform(), 1, 7);
+    let point = Point::new(
+        cfg,
+        MechanismKind::Valiant,
+        &TrafficSpec::uniform(),
+        7,
+        Shape::burst(1),
+    );
+    let _ = burst(&point, NoHooks);
 }
 
 /// The certificate's numbers are internally consistent with the
@@ -87,16 +93,15 @@ fn certificate_counts_match_topology() {
     assert_eq!(cert.bubble_slack, Some(cfg.buf_ring - 2 * cfg.packet_size));
 }
 
-/// A full burst on every mechanism, its network built with the
-/// `Auditor`, completes with zero invariant violations — the runtime
-/// auditor agrees with the static proof.
+/// A full burst on every mechanism, the `Auditor` passed as its `extra`
+/// hooks, completes with zero invariant violations — the runtime auditor
+/// agrees with the static proof.
 #[test]
 fn audited_bursts_are_clean_for_every_mechanism() {
     for kind in MechanismKind::paper_set() {
-        let cfg = kind.adapt_config(SimConfig::paper(2));
-        let mut net = Network::with_hooks(Fabric::new(cfg), kind.build(&cfg, 11), Auditor::new());
         let spec = TrafficSpec::adversarial(2);
-        let r = burst_net(&mut net, &spec, 3, 11, RunConfig::default());
+        let point = Point::new(SimConfig::paper(2), kind, &spec, 11, Shape::burst(3));
+        let (r, _) = burst(&point, Auditor::new());
         assert!(r.cycles.is_some(), "{} burst must drain", kind.name());
         let audit = r
             .audit
@@ -106,17 +111,20 @@ fn audited_bursts_are_clean_for_every_mechanism() {
     }
 }
 
-/// `burst` builds its network with `NoHooks`: the audit slot is there
-/// but empty.
+/// `burst` with `NoHooks` as its `extra` builds its network with a
+/// `Recorder` beside them and no `Auditor`: the audit slot is there but
+/// empty.
 #[test]
 fn unaudited_bursts_report_no_audit() {
-    let r = burst(
+    let spec = TrafficSpec::uniform();
+    let point = Point::new(
         SimConfig::paper(2),
         MechanismKind::Min,
-        &TrafficSpec::uniform(),
-        1,
+        &spec,
         3,
+        Shape::burst(1),
     );
+    let (r, NoHooks) = burst(&point, NoHooks);
     assert!(r.cycles.is_some());
     assert!(r.audit.is_none());
 }
