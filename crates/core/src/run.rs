@@ -708,7 +708,8 @@ pub struct ReplayReport {
 /// to `cycles` further cycles with per-cycle tracing and no new
 /// injection. The embedded configuration goes through [`network`] like
 /// a fresh run's — adapted to the named mechanism, then certified —
-/// before a single cycle executes, so a header pairing a mechanism with
+/// before a single cycle executes: one the verifier refuses is
+/// [`SnapshotError::Uncertified`], and a header pairing a mechanism with
 /// a configuration it cannot run is refused with
 /// [`SnapshotError::ConfigMismatch`]. The replay always runs under the
 /// engine's `Auditor` (a few per cent of host time, well spent on a
@@ -725,6 +726,9 @@ pub fn replay_snapshot(path: &Path, cycles: u64) -> Result<ReplayReport, Snapsho
         .parse()
         .map_err(|_| SnapshotError::Malformed("unknown mechanism name"))?;
     let cfg = header.config;
+    // Certified here, so `network` below cannot refuse it with a panic.
+    ofar_verify::certify_cached(&kind.adapt_config(cfg), kind)
+        .map_err(|e| SnapshotError::Uncertified(e.to_string()))?;
     // No new injection: a burst of nothing, on the snapshot's own faults.
     let point = Point::new(
         cfg,

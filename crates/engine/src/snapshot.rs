@@ -142,6 +142,11 @@ pub enum SnapshotError {
     Malformed(&'static str),
     /// The policy rejected its saved state.
     Policy(String),
+    /// The configuration the file names is one the deadlock verifier
+    /// refuses to certify; the payload is its reason. Returned by
+    /// callers that gate a run on certification (`ofar-sim --replay`),
+    /// never by the codec.
+    Uncertified(String),
     /// An I/O error while reading or writing a snapshot file.
     Io(String),
 }
@@ -172,6 +177,7 @@ impl fmt::Display for SnapshotError {
             }
             Self::Malformed(what) => write!(f, "malformed snapshot: {what}"),
             Self::Policy(why) => write!(f, "policy state rejected: {why}"),
+            Self::Uncertified(why) => write!(f, "snapshot configuration not certified: {why}"),
             Self::Io(why) => write!(f, "snapshot I/O error: {why}"),
         }
     }
@@ -334,9 +340,17 @@ impl<'a> Dec<'a> {
 // Packet codec (shared by the router, queue and LLR sections)
 // ---------------------------------------------------------------------
 
+/// Bytes of a packet's encoding before its Valiant intermediate: `id`,
+/// `injected_at`, `src`, `dst` and the intermediate's tag.
+const PACKET_HEAD: usize = 25;
+
+/// Bytes of a packet's encoding after its Valiant intermediate: the six
+/// `u8` fields and `cur_group`.
+const PACKET_TAIL: usize = 10;
+
 /// Shortest encoding of one packet (no Valiant intermediate): what a
 /// count of packets is checked against by [`Dec::len`].
-pub(crate) const PACKET_MIN_BYTES: usize = 35;
+pub(crate) const PACKET_MIN_BYTES: usize = PACKET_HEAD + PACKET_TAIL;
 
 /// Append the full wire image of one packet header.
 pub(crate) fn encode_packet(e: &mut Enc, p: &crate::packet::Packet) {
@@ -374,30 +388,31 @@ pub(crate) fn encode_packet(e: &mut Enc, p: &crate::packet::Packet) {
     e.u32(cur_group.0);
 }
 
-/// Decode one packet header written by [`encode_packet`].
+/// Decode one packet header written by [`encode_packet`]: its head and
+/// tail are each one bounds-checked read.
 pub(crate) fn decode_packet(d: &mut Dec<'_>) -> Result<crate::packet::Packet, SnapshotError> {
-    let id = d.u64()?;
-    let injected_at = d.u64()?;
-    let src = ofar_topology::NodeId::new(d.u32()?);
-    let dst = ofar_topology::NodeId::new(d.u32()?);
-    let intermediate = match d.u8()? {
+    let u32_at = |s: &[u8], at: usize| u32::from_le_bytes(s[at..at + 4].try_into().unwrap());
+    let u64_at = |s: &[u8], at: usize| u64::from_le_bytes(s[at..at + 8].try_into().unwrap());
+    let h = d.bytes(PACKET_HEAD)?;
+    let intermediate = match h[PACKET_HEAD - 1] {
         0 => None,
         1 => Some(ofar_topology::GroupId::new(d.u32()?)),
         _ => return Err(SnapshotError::Malformed("bad Option tag in packet")),
     };
+    let t = d.bytes(PACKET_TAIL)?;
     Ok(crate::packet::Packet {
-        id,
-        injected_at,
-        src,
-        dst,
+        id: u64_at(h, 0),
+        injected_at: u64_at(h, 8),
+        src: ofar_topology::NodeId::new(u32_at(h, 16)),
+        dst: ofar_topology::NodeId::new(u32_at(h, 20)),
         intermediate,
-        flags: d.u8()?,
-        ring_exits_left: d.u8()?,
-        local_hops: d.u8()?,
-        global_hops: d.u8()?,
-        ring_hops: d.u8()?,
-        wait: d.u8()?,
-        cur_group: ofar_topology::GroupId::new(d.u32()?),
+        flags: t[0],
+        ring_exits_left: t[1],
+        local_hops: t[2],
+        global_hops: t[3],
+        ring_hops: t[4],
+        wait: t[5],
+        cur_group: ofar_topology::GroupId::new(u32_at(t, 6)),
     })
 }
 
@@ -809,6 +824,71 @@ mod tests {
         assert_eq!(
             parse_frame(&e.0).unwrap_err(),
             SnapshotError::Malformed("duplicate section")
+        );
+    }
+
+    /// One packet whose fields all differ, with or without a Valiant
+    /// intermediate.
+    fn packet(intermediate: Option<u32>) -> crate::packet::Packet {
+        crate::packet::Packet {
+            id: 0x0102_0304_0506_0708,
+            injected_at: 0x1112_1314_1516_1718,
+            src: ofar_topology::NodeId::new(0x2122_2324),
+            dst: ofar_topology::NodeId::new(0x3132_3334),
+            intermediate: intermediate.map(ofar_topology::GroupId::new),
+            flags: 0x41,
+            ring_exits_left: 0x42,
+            local_hops: 0x43,
+            global_hops: 0x44,
+            ring_hops: 0x45,
+            wait: 0x46,
+            cur_group: ofar_topology::GroupId::new(0x5152_5354),
+        }
+    }
+
+    fn encoded(p: &crate::packet::Packet) -> Vec<u8> {
+        let mut e = Enc::default();
+        encode_packet(&mut e, p);
+        e.0
+    }
+
+    #[test]
+    fn a_packet_round_trips_with_and_without_an_intermediate() {
+        for (g, len) in [
+            (None, PACKET_MIN_BYTES),
+            (Some(0x6162_6364), PACKET_MIN_BYTES + 4),
+        ] {
+            let p = packet(g);
+            let bytes = encoded(&p);
+            assert_eq!(bytes.len(), len);
+            let mut d = Dec::new(&bytes);
+            assert_eq!(decode_packet(&mut d), Ok(p));
+            assert!(d.is_empty());
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_packet_is_truncated() {
+        for g in [None, Some(7)] {
+            let bytes = encoded(&packet(g));
+            for n in 0..bytes.len() {
+                assert_eq!(
+                    decode_packet(&mut Dec::new(&bytes[..n])),
+                    Err(SnapshotError::Truncated),
+                    "{g:?}, {n} bytes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_intermediate_tag_of_2_is_malformed() {
+        let mut bytes = encoded(&packet(Some(7)));
+        assert_eq!(bytes[PACKET_HEAD - 1], 1, "the head ends in the tag");
+        bytes[PACKET_HEAD - 1] = 2;
+        assert_eq!(
+            decode_packet(&mut Dec::new(&bytes)),
+            Err(SnapshotError::Malformed("bad Option tag in packet"))
         );
     }
 

@@ -292,3 +292,30 @@ fn a_replay_of_a_mechanism_its_config_cannot_run_exits_1() {
         "{err}"
     );
 }
+
+/// A snapshot the verifier refuses to certify — VAL over two local VCs
+/// and one global, no ring, saved from a network built without the
+/// gate — is refused with exit 1 and the verifier's reason: replay used
+/// to panic in the builder (exit 101).
+#[test]
+fn a_replay_of_an_uncertifiable_config_exits_1() {
+    use ofar::prelude::*;
+    let kind = MechanismKind::Valiant;
+    let cfg = SimConfig::reduced_vcs(2).with_ring(RingMode::None);
+    let mut net = Network::new(cfg, kind.build(&cfg, 1));
+    net.run(20);
+    let path = std::env::temp_dir().join(format!("ofar-cli-val-{}.snap", std::process::id()));
+    ofar::engine::write_atomic(&path, &net.save_snapshot()).unwrap();
+
+    let out = ofar_sim(&["--replay", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    assert!(
+        err.starts_with("cannot replay ")
+            && err.contains("not certified: VAL: channel dependency cycle")
+            && !err.contains("panicked"),
+        "{err}"
+    );
+}
