@@ -7,23 +7,25 @@
 )]
 
 use crate::start;
-use ofar_core::engine::{Phase, RouteMark};
+use ofar_core::engine::{Phase, Tap};
 use ofar_core::prelude::*;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 /// [`Hooks`] that attribute host time to the eight phases of
 /// `Network::step` (the per-phase rows of the perf ledger): each
-/// [`Hooks::phase`] call closes the previous phase's span and opens the
+/// [`Tap::Phase`] closes the previous phase's span and opens the
 /// next. The driver calls [`Self::stop`] after every `step`, so the time
 /// it spends generating traffic is not charged to `policy_end`.
 ///
-/// Inside `route`, each [`Hooks::route_mark`] likewise closes one part
-/// of a router's turn and opens the next; the last part of a turn runs
-/// to the next router's first mark, so the loop's skip over routers with
+/// Inside `route`, each of the route marks [`Tap::Collect`],
+/// [`Tap::Allocate`] and [`Tap::Execute`] likewise closes one part of a
+/// router's turn and opens the next; the last part of a turn runs to the
+/// next router's first mark, so the loop's skip over routers with
 /// nothing buffered is charged to it. Every mark reads the clock once,
 /// inside the span it measures: `RouteParts::marks` counts them, so the
-/// timer's own share of `route` can be priced and taken off.
+/// timer's own share of `route` can be priced and taken off. The
+/// `Transmit` and `Delivered` taps read no clock.
 #[derive(Debug, Default)]
 pub struct PhaseTimer {
     open: Option<(Phase, Instant)>,
@@ -46,7 +48,8 @@ pub struct RouteParts {
     pub kept: u64,
     /// Requests the allocator matched.
     pub grants: u64,
-    /// [`Hooks::route_mark`] calls: clock reads charged to `route`.
+    /// `Collect`, `Allocate` and `Execute` taps: clock reads charged to
+    /// `route`.
     pub marks: u64,
 }
 
@@ -79,22 +82,18 @@ impl PhaseTimer {
 
 impl Hooks for PhaseTimer {
     #[inline]
-    fn phase(&mut self, phase: Phase) {
-        let now = Instant::now();
-        self.route.close(now);
-        if let Some((prev, since)) = self.open.replace((phase, now)) {
-            self.spent[prev as usize] += now - since;
-        }
-    }
-
-    #[inline]
-    fn route_mark(&mut self, mark: RouteMark) {
-        let now = Instant::now();
-        self.route.marks += 1;
-        self.route.close(now);
-        let part = match mark {
-            RouteMark::Collect => 0,
-            RouteMark::Allocate {
+    fn tap(&mut self, ev: Tap) {
+        let part = match ev {
+            Tap::Phase(phase) => {
+                let now = Instant::now();
+                self.route.close(now);
+                if let Some((prev, since)) = self.open.replace((phase, now)) {
+                    self.spent[prev as usize] += now - since;
+                }
+                return;
+            }
+            Tap::Collect => 0,
+            Tap::Allocate {
                 polled,
                 asked,
                 kept,
@@ -104,11 +103,15 @@ impl Hooks for PhaseTimer {
                 self.route.kept += kept as u64;
                 1
             }
-            RouteMark::Execute { grants } => {
+            Tap::Execute { grants } => {
                 self.route.grants += grants as u64;
                 2
             }
+            Tap::Transmit(..) | Tap::Delivered(..) => return,
         };
+        let now = Instant::now();
+        self.route.marks += 1;
+        self.route.close(now);
         self.route.open = Some((part, now));
     }
 }

@@ -329,7 +329,7 @@ mod tests {
     use super::*;
     use crate::run::SteadyOpts;
     use ofar_engine::snapshot::Enc;
-    use ofar_engine::{NoHooks, SimConfig};
+    use ofar_engine::{NoHooks, SimConfig, Tap};
     use ofar_routing::MechanismKind;
     use ofar_traffic::TrafficSpec;
 
@@ -337,7 +337,7 @@ mod tests {
     fn recorder() -> Recorder {
         let mut r = Recorder::since(4).with_series(10, 3);
         for (at, latency) in [(4, 30), (15, 31), (29, 90)] {
-            r.delivered(at, latency, 5);
+            r.tap(Tap::Delivered(at, latency));
         }
         r
     }

@@ -12,6 +12,7 @@ use crate::run::{
 };
 use crate::table::{f1, f4, Table};
 use crate::theory;
+use ofar_engine::config::MAX_PORTS;
 use ofar_engine::{ConfigError, NoHooks, RingMode, SimConfig};
 use ofar_routing::MechanismKind;
 use ofar_traffic::TrafficSpec;
@@ -19,10 +20,17 @@ use rayon::prelude::*;
 
 /// [`SimConfig::paper`] for an `h` from outside the program (`--h`,
 /// `OFAR_H`): the typed error where the constructor would panic (`h = 0`)
-/// or build what [`SimConfig::validate`] refuses.
+/// or overflow (`a = 2h`), or build what [`SimConfig::validate`] refuses.
 pub fn paper_config(h: usize) -> Result<SimConfig, ConfigError> {
     if h == 0 {
         return Err(ConfigError::RadixTooSmall { h });
+    }
+    if h > usize::MAX / 2 {
+        // The radix `4h - 1`, counted as `validate` counts it: saturated.
+        return Err(ConfigError::RadixTooLarge {
+            ports: usize::MAX,
+            max: MAX_PORTS,
+        });
     }
     let cfg = SimConfig::paper(h);
     cfg.validate().map(|()| cfg)

@@ -20,13 +20,14 @@
 //! * [`EngineMutation`](crate::mutation::EngineMutation) answers the four
 //!   perturbation points from one seeded defect; the mutation harness
 //!   pairs it with an `Auditor` that records what the defect breaks.
-//! * `ofar_bench::PhaseTimer` overrides [`Hooks::phase`] and
-//!   [`Hooks::route_mark`], the calls at the eight phase markers of `step`
-//!   and inside a router's `route` turn, to attribute host time (the wall
-//!   clock is banned from this crate; the timer lives with the bench driver).
-//! * `examples/local_saturation.rs` overrides [`Hooks::transmit`] to count
+//! * `ofar_bench::PhaseTimer` reads the [`Tap::Phase`] taps at the eight
+//!   phase markers of `step` and the [`Tap::Collect`], [`Tap::Allocate`]
+//!   and [`Tap::Execute`] taps inside a router's `route` turn, to
+//!   attribute host time (the wall clock is banned from this crate; the
+//!   timer lives with the bench driver).
+//! * `examples/local_saturation.rs` reads [`Tap::Transmit`] to count
 //!   phits per output port.
-//! * [`Recorder`] overrides [`Hooks::delivered`] to count latencies, and
+//! * [`Recorder`] reads [`Tap::Delivered`] to count latencies, and
 //!   answers [`Hooks::recorder`]: every runner of `ofar-core` reads its
 //!   percentiles and transient series from one.
 //! * A pair `(A, B)` of hooks is a hook: each observation reaches both
@@ -42,7 +43,7 @@ use ofar_topology::RouterId;
 use std::cell::LazyCell;
 
 /// The eight phases of [`Network::step`](crate::Network::step), in
-/// execution order: `step` opens each with one [`Hooks::phase`] call.
+/// execution order: `step` opens each with one [`Tap::Phase`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Scheduled fault transitions.
@@ -92,10 +93,15 @@ impl Phase {
     }
 }
 
-/// Where one router's turn in the `route` phase stands: each mark ends
-/// the part before it and starts the one it names.
+/// One event [`Network::step`](crate::Network::step) reports to
+/// [`Hooks::tap`]. The `route` phase reports `Collect`, `Allocate` and
+/// `Execute` in that order in each router's turn: each ends the part of
+/// the turn before it and starts the one it names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouteMark {
+pub enum Tap {
+    /// The phase is about to start (the previous one has ended), once
+    /// per phase per step: the per-phase ledger's timer hangs here.
+    Phase(Phase),
     /// Request collection: one `Policy::route` call per head-of-VC packet.
     Collect,
     /// The allocator's iterations, after collection polled `polled`
@@ -103,7 +109,7 @@ pub enum RouteMark {
     /// by that many of them (the policy said `Some`, the link is up and
     /// its replay buffer has room) and `kept` the requests the allocator
     /// can grant this cycle: output idle, downstream VC with room. A turn
-    /// that kept none ends at this mark.
+    /// that kept none ends at this tap.
     #[expect(missing_docs, reason = "the variant's doc names every field")]
     Allocate {
         polled: usize,
@@ -113,6 +119,15 @@ pub enum RouteMark {
     /// Grant execution, of the `grants` requests the allocator matched.
     #[expect(missing_docs, reason = "the variant's doc names every field")]
     Execute { grants: usize },
+    /// `(router, port, phits)`: output `port` of `router` started sending
+    /// `phits` phits, once per grant in `route` and once per LLR
+    /// retransmission in `llr_timers`. Summed per port it is the link
+    /// utilisation of §III.
+    Transmit(RouterId, usize, u32),
+    /// `(injected_at, latency)`: a packet generated at cycle
+    /// `injected_at` was delivered `latency` cycles later, once per
+    /// ejection grant in `route`.
+    Delivered(u64, u64),
 }
 
 /// Observation and perturbation points of [`Network::step`](crate::Network::step).
@@ -142,25 +157,9 @@ pub trait Hooks {
         true
     }
 
-    /// `phase` of the current step is about to start (the previous one
-    /// has ended) — the per-phase ledger's timer hangs here.
+    /// `ev` happened; see [`Tap`] for where `step` reports each event.
     #[inline]
-    fn phase(&mut self, _phase: Phase) {}
-
-    /// A router's `route` turn reached `mark`: the ledger's split of `route`.
-    #[inline]
-    fn route_mark(&mut self, _mark: RouteMark) {}
-
-    /// Output `port` of `router` started sending `phits` phits: a granted
-    /// packet, or an LLR retransmission. Summed per port it is the
-    /// link utilisation of §III.
-    #[inline]
-    fn transmit(&mut self, _router: RouterId, _port: usize, _phits: u32) {}
-
-    /// A packet generated at cycle `injected_at` was delivered `latency`
-    /// cycles later, after `hops` link hops (ring hops included).
-    #[inline]
-    fn delivered(&mut self, _injected_at: u64, _latency: u64, _hops: u32) {}
+    fn tap(&mut self, _ev: Tap) {}
 
     /// Whether the whole-network deep checks should run at the end of
     /// `cycle`.
@@ -256,27 +255,9 @@ impl<A: Hooks, B: Hooks> Hooks for (A, B) {
     }
 
     #[inline]
-    fn phase(&mut self, phase: Phase) {
-        self.0.phase(phase);
-        self.1.phase(phase);
-    }
-
-    #[inline]
-    fn route_mark(&mut self, mark: RouteMark) {
-        self.0.route_mark(mark);
-        self.1.route_mark(mark);
-    }
-
-    #[inline]
-    fn transmit(&mut self, router: RouterId, port: usize, phits: u32) {
-        self.0.transmit(router, port, phits);
-        self.1.transmit(router, port, phits);
-    }
-
-    #[inline]
-    fn delivered(&mut self, injected_at: u64, latency: u64, hops: u32) {
-        self.0.delivered(injected_at, latency, hops);
-        self.1.delivered(injected_at, latency, hops);
+    fn tap(&mut self, ev: Tap) {
+        self.0.tap(ev);
+        self.1.tap(ev);
     }
 
     #[inline]

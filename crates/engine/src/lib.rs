@@ -66,7 +66,7 @@ pub use config::{ConfigError, RingMode, SimConfig};
 pub use crc::{crc32, Crc32};
 pub use fabric::{EscapeOut, Fabric, InDesc, OutLink, PortKind};
 pub use fault::{random_global_links, FaultEvent, FaultKind, FaultPlan, FaultState};
-pub use hooks::{Hooks, NoHooks, Phase, RouteMark};
+pub use hooks::{Hooks, NoHooks, Phase, Tap};
 pub use llr::{Fate, Llr, RxVerdict};
 pub use mutation::EngineMutation;
 pub use network::Network;

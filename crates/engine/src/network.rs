@@ -21,7 +21,7 @@ use crate::audit::AuditReport;
 use crate::config::SimConfig;
 use crate::fabric::Fabric;
 use crate::fault::{FaultPlan, FaultState};
-use crate::hooks::{Hooks, NoHooks, Phase};
+use crate::hooks::{Hooks, NoHooks, Phase, Tap};
 use crate::llr::Llr;
 use crate::occupancy::Occupancy;
 use crate::packet::Request;
@@ -304,14 +304,15 @@ impl<P: Policy, H: Hooks> Network<P, H> {
 
     /// Advance the simulation by one cycle.
     ///
-    /// The body is eight phases, each opened by its [`Hooks::phase`]
-    /// call. `inject` and `route` walk the nodes and the routers in
+    /// The body is eight phases, each opened by one [`Tap::Phase`]; the
+    /// other [`Tap`]s come from inside `llr_timers` and `route`.
+    /// `inject` and `route` walk the nodes and the routers in
     /// index order; a `route` turn writes its own router's state, and
     /// files what lands elsewhere (arrivals, credits, LLR wire
     /// transfers) in place, stamped `now + 1` or later, so no phase of
     /// the current cycle reads it.
     pub fn step(&mut self) {
-        self.hooks.phase(Phase::FaultApply);
+        self.hooks.tap(Tap::Phase(Phase::FaultApply));
         // Apply scheduled fault transitions due at (or before) this
         // cycle, in plan order — before arrivals so the cycle already
         // sees the new liveness.
@@ -325,13 +326,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         }
         // Serial: draining the wheel's bucket is O(events landing), and
         // those land on arbitrary routers.
-        self.hooks.phase(Phase::Deliver);
+        self.hooks.tap(Tap::Phase(Phase::Deliver));
         self.deliver_events(now);
-        self.hooks.phase(Phase::LlrTimers);
+        self.hooks.tap(Tap::Phase(Phase::LlrTimers));
         if self.llr.is_some() {
             self.llr_phase(now);
         }
-        self.hooks.phase(Phase::CmSense);
+        self.hooks.tap(Tap::Phase(Phase::CmSense));
         // CM sensing and refill sweep every router's estimator and
         // every NIC's bucket from one loop — inherently cross-shard, so
         // it runs as its own commit phase rather than inside the
@@ -340,9 +341,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         if self.cm.is_some() {
             self.cm_sense_and_refill();
         }
-        self.hooks.phase(Phase::Inject);
+        self.hooks.tap(Tap::Phase(Phase::Inject));
         self.inject(now);
-        self.hooks.phase(Phase::Route);
+        self.hooks.tap(Tap::Phase(Phase::Route));
         let logged = self.delivered_log.as_ref().map_or(0, Vec::len);
         for r in 0..self.fab.topo().num_routers() {
             // A router with nothing buffered has no head to route.
@@ -357,12 +358,12 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         if let Some(log) = self.delivered_log.as_mut() {
             log[logged..].sort_unstable();
         }
-        self.hooks.phase(Phase::Audit);
+        self.hooks.tap(Tap::Phase(Phase::Audit));
         if self.hooks.deep_due(now) {
             let (checks, violations) = self.deep_audit(now);
             self.hooks.deep_report(checks, violations);
         }
-        self.hooks.phase(Phase::PolicyEnd);
+        self.hooks.tap(Tap::Phase(Phase::PolicyEnd));
         let snap = NetSnapshot {
             fab: &self.fab,
             now,

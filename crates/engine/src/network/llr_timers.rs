@@ -6,7 +6,7 @@
 use super::Network;
 use crate::fabric::PortKind;
 use crate::fault::FaultKind;
-use crate::hooks::Hooks;
+use crate::hooks::{Hooks, Tap};
 use crate::llr::{Fate, Llr};
 use crate::policy::Policy;
 use crate::wheel::Arrival;
@@ -136,7 +136,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 let (out_vc, pkt, wire_crc, fate) =
                     llr.record_retransmit(ridx, port, seq, now, fate);
                 self.stats.llr_retransmits += 1;
-                self.hooks.transmit(rid, port, size);
+                self.hooks.tap(Tap::Transmit(rid, port, size));
                 if fate == Fate::Drop {
                     self.stats.llr_wire_drops += 1;
                     continue;

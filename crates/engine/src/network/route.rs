@@ -7,7 +7,7 @@ use super::Network;
 use crate::audit::AuditViolation;
 use crate::config::ALLOC_ITERS;
 use crate::fabric::PortKind;
-use crate::hooks::{Hooks, RouteMark};
+use crate::hooks::{Hooks, Tap};
 use crate::llr::Fate;
 use crate::packet::{
     Packet, Request, RequestKind, FLAG_GLOBAL_MISROUTED, FLAG_LOCAL_MISROUTED, FLAG_ON_RING,
@@ -106,7 +106,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
 
         // --- collect one request per head-of-VC packet, keeping those
         //     the allocator could grant ---
-        self.hooks.route_mark(RouteMark::Collect);
+        self.hooks.tap(Tap::Collect);
         let (mut polled, mut asked) = (0, 0);
         self.reqs.clear();
         let (n_in, n_out) = (self.fab.n_in(), self.fab.n_out());
@@ -181,7 +181,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             }
         }
         let kept = self.reqs.len();
-        self.hooks.route_mark(RouteMark::Allocate {
+        self.hooks.tap(Tap::Allocate {
             polled,
             asked,
             kept,
@@ -201,7 +201,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
 
         // --- execute grants ---
         let grants = self.grants.len();
-        self.hooks.route_mark(RouteMark::Execute { grants });
+        self.hooks.tap(Tap::Execute { grants });
         for gi in 0..self.grants.len() {
             let (in_port, vc, req) = self.grants[gi];
             self.execute_grant(ridx, in_port as usize, vc as usize, req, now);
@@ -241,7 +241,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         self.arena.out_busy[ridx * n_out + out_port] = now + u64::from(size);
         self.stats.last_grant = now;
         self.router_last_grant[ridx] = now;
-        self.hooks.transmit(router, out_port, size);
+        self.hooks.tap(Tap::Transmit(router, out_port, size));
 
         // Credit return to the upstream router feeding this input.
         let desc = *self.fab.in_desc(router, in_port);
@@ -350,7 +350,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     + u32::from(pkt.global_hops)
                     + u32::from(pkt.ring_hops);
                 self.stats.hop_sum += u64::from(hops);
-                self.hooks.delivered(pkt.injected_at, latency, hops);
+                self.hooks.tap(Tap::Delivered(pkt.injected_at, latency));
                 self.stats.last_delivery = now;
                 if was_on_ring {
                     self.stats.ring_deliveries += 1;
@@ -735,16 +735,21 @@ mod tests {
     }
 
     #[derive(Default)]
-    struct Marks(Vec<RouteMark>);
+    struct Marks(Vec<Tap>);
 
     impl Hooks for Marks {
-        fn route_mark(&mut self, mark: RouteMark) {
-            self.0.push(mark);
+        fn tap(&mut self, ev: Tap) {
+            if matches!(
+                ev,
+                Tap::Collect | Tap::Allocate { .. } | Tap::Execute { .. }
+            ) {
+                self.0.push(ev);
+            }
         }
     }
 
     /// A turn whose only request cannot be granted ends at the
-    /// `Allocate` mark — no `Execute`, nothing pushed, `best_out` as it
+    /// `Allocate` tap — no `Execute`, nothing pushed, `best_out` as it
     /// was; once the output has room the lone request is granted.
     #[test]
     fn a_turn_of_ungrantable_requests_ends_before_allocation() {
@@ -754,12 +759,12 @@ mod tests {
         net.arena.credits[lane] = 0;
         net.generate(NodeId::new(0), NodeId::new(40));
         net.step();
-        let asked_one = |kept| RouteMark::Allocate {
+        let asked_one = |kept| Tap::Allocate {
             polled: 1,
             asked: 1,
             kept,
         };
-        assert_eq!(net.hooks.0, [RouteMark::Collect, asked_one(0)]);
+        assert_eq!(net.hooks.0, [Tap::Collect, asked_one(0)]);
         assert!(net.reqs.is_empty() && net.grants.is_empty());
         assert!(net.best_out.iter().all(|&b| b == (0, 0)));
         assert_eq!(net.stats.last_grant, 0);
@@ -767,11 +772,7 @@ mod tests {
         net.hooks.0.clear();
         net.arena.credits[lane] = cfg.packet_size as u32;
         net.step();
-        let granted = [
-            RouteMark::Collect,
-            asked_one(1),
-            RouteMark::Execute { grants: 1 },
-        ];
+        let granted = [Tap::Collect, asked_one(1), Tap::Execute { grants: 1 }];
         assert_eq!(net.hooks.0, granted);
         assert_eq!(net.stats.last_grant, 1);
         assert!(net.best_out.iter().all(|&b| b == (0, 0)));

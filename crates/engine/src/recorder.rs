@@ -1,7 +1,7 @@
 //! The latency recorder: the [`Hooks`] the experiment runners read their
 //! percentiles and transient series from.
 //!
-//! [`Recorder`] overrides [`Hooks::delivered`]. For the packets generated
+//! [`Recorder`] reads [`Tap::Delivered`]. For the packets generated
 //! at or after a cycle `since` it keeps one count per latency value, so
 //! a percentile is exact and its memory grows with the largest latency
 //! seen, not with the packets delivered. A transient run adds a series of
@@ -12,7 +12,7 @@
 //! must resume one carries its [`Recorder::encode`] bytes.
 
 use crate::audit::AuditViolation;
-use crate::hooks::Hooks;
+use crate::hooks::{Hooks, Tap};
 use crate::snapshot::{Dec, Enc, SnapshotError};
 
 /// Exact latency counts of the packets generated from one cycle on.
@@ -155,7 +155,10 @@ impl Hooks for Recorder {
         clippy::cast_possible_truncation,
         reason = "a latency is cycles of one run, far below usize::MAX"
     )]
-    fn delivered(&mut self, injected_at: u64, latency: u64, _hops: u32) {
+    fn tap(&mut self, ev: Tap) {
+        let Tap::Delivered(injected_at, latency) = ev else {
+            return;
+        };
         let Some(offset) = injected_at.checked_sub(self.since) else {
             return;
         };
@@ -191,7 +194,7 @@ mod tests {
 
     fn record(r: &mut Recorder, deliveries: &[(u64, u64)]) {
         for &(at, latency) in deliveries {
-            r.delivered(at, latency, 0);
+            r.tap(Tap::Delivered(at, latency));
         }
     }
 

@@ -81,7 +81,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OFARSNAP";
 ///
 /// v4: the STATE section no longer carries the per-port link phit
 /// counters (and their `Option` tag) after the delivery log; per-link
-/// counting is a [`crate::Hooks::transmit`] tap outside snapshots.
+/// counting is a [`crate::Tap::Transmit`] tap outside snapshots.
 ///
 /// v5: the CONFIG section no longer carries the seven model constants of
 /// [`crate::config`] (`LAT_LOCAL` … `LLR_TIMEOUT_SLACK`), 56 bytes; the

@@ -14,18 +14,20 @@
 //! ```
 
 use ofar::prelude::*;
-use ofar_core::engine::{Fabric, Hooks, PortKind};
+use ofar_core::engine::{Fabric, Hooks, PortKind, Tap};
 
 /// Phits sent by each output port (`router · n_out + port`), counted
-/// through [`Hooks::transmit`].
+/// through [`Tap::Transmit`].
 struct LinkPhits {
     n_out: usize,
     phits: Vec<u64>,
 }
 
 impl Hooks for LinkPhits {
-    fn transmit(&mut self, router: RouterId, port: usize, phits: u32) {
-        self.phits[router.idx() * self.n_out + port] += u64::from(phits);
+    fn tap(&mut self, ev: Tap) {
+        if let Tap::Transmit(router, port, phits) = ev {
+            self.phits[router.idx() * self.n_out + port] += u64::from(phits);
+        }
     }
 }
 

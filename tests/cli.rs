@@ -73,6 +73,7 @@ fn an_unusable_h_is_refused_before_anything_is_built() {
         ("0", "h = 0 is below the minimum"),
         ("1", "h = 1 is below the minimum"),
         ("40", "159 ports per router exceed"),
+        ("9223372036854775808", "ports per router exceed"),
     ] {
         let out = ofar_sim(&["--h", h]);
         assert_eq!(out.status.code(), Some(2), "--h {h} must exit 2");

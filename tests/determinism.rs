@@ -79,11 +79,13 @@ fn hooks_are_invisible_to_the_simulation() {
 /// and riding along moved no bit of the point `steady_state` measures.
 #[test]
 fn a_runner_hands_its_hooks_back() {
-    use ofar::engine::Phase;
+    use ofar::engine::Tap;
     struct PhaseCount(u64);
     impl Hooks for PhaseCount {
-        fn phase(&mut self, _: Phase) {
-            self.0 += 1;
+        fn tap(&mut self, ev: Tap) {
+            if let Tap::Phase(_) = ev {
+                self.0 += 1;
+            }
         }
     }
     let (cfg, kind, spec) = (

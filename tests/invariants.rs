@@ -2,9 +2,11 @@
 //! pattern or escape-ring model, the simulator must neither create nor
 //! destroy phits, and the credit ledger of every link must balance.
 
-use ofar::engine::{Fabric, Hooks, PortKind};
+use ofar::engine::{Fabric, Hooks, PortKind, Tap};
 use ofar::prelude::*;
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn drive(
     kind: MechanismKind,
@@ -142,8 +144,10 @@ fn draining_returns_every_packet() {
 struct PortPhits(Vec<u64>);
 
 impl Hooks for PortPhits {
-    fn transmit(&mut self, _router: RouterId, port: usize, phits: u32) {
-        self.0[port] += u64::from(phits);
+    fn tap(&mut self, ev: Tap) {
+        if let Tap::Transmit(_, port, phits) = ev {
+            self.0[port] += u64::from(phits);
+        }
     }
 }
 
@@ -182,6 +186,62 @@ fn the_transmit_tap_accounts_for_every_phit() {
         );
         assert_eq!(s.llr_retransmits > 0, ber > 0.0, "ber {ber}");
     }
+}
+
+/// One half of a pair: logs each tap it hears, tagged with its half,
+/// into a log both halves share.
+struct Half(u8, Rc<RefCell<Vec<(u8, Tap)>>>);
+
+impl Hooks for Half {
+    fn tap(&mut self, ev: Tap) {
+        self.1.borrow_mut().push((self.0, ev));
+    }
+}
+
+/// A pair hands every tap to `A`, then the same tap to `B`, before the
+/// next one; and a lossy OFAR burst emits every kind of tap, each as
+/// often as the counters say.
+#[test]
+fn both_halves_of_a_pair_hear_every_tap_in_order() {
+    let mut cfg = SimConfig::paper(2).with_seed(5);
+    cfg.ber = 1e-3;
+    let cfg = MechanismKind::Ofar.adapt_config(cfg);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let pair = (Half(0, Rc::clone(&log)), Half(1, Rc::clone(&log)));
+    let mut net = Network::with_hooks(Fabric::new(cfg), MechanismKind::Ofar.build(&cfg, 5), pair);
+    let spec = TrafficSpec::adversarial(1);
+    let r = burst_net(&mut net, &spec, 2, 5, RunConfig::default());
+    assert!(r.cycles.is_some(), "the burst must drain");
+    let log = log.take();
+    assert!(log.len() % 2 == 0);
+    // Slots: phase, collect, allocate, execute, transmit, delivered. The
+    // match is exhaustive, so a new variant is named here or fails to
+    // compile.
+    let (mut seen, mut grants) = ([0u64; 6], 0);
+    for two in log.chunks_exact(2) {
+        let [(0, ev), (1, again)] = two else {
+            panic!("halves out of order: {two:?}");
+        };
+        assert_eq!(ev, again);
+        let slot = match *ev {
+            Tap::Phase(_) => 0,
+            Tap::Collect => 1,
+            Tap::Allocate { .. } => 2,
+            Tap::Execute { grants: n } => {
+                grants += n as u64;
+                3
+            }
+            Tap::Transmit(..) => 4,
+            Tap::Delivered(..) => 5,
+        };
+        seen[slot] += 1;
+    }
+    let s = net.stats();
+    assert!(seen.iter().all(|&n| n > 0), "a tap never fired: {seen:?}");
+    assert_eq!(seen[0], 8 * net.now());
+    assert!(s.llr_retransmits > 0);
+    assert_eq!(seen[4], grants + s.llr_retransmits);
+    assert_eq!(seen[5], s.delivered_packets);
 }
 
 proptest! {
