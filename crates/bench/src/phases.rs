@@ -81,7 +81,7 @@ impl PhaseTimer {
 }
 
 impl Hooks for PhaseTimer {
-    #[inline]
+    #[inline(always)]
     fn tap(&mut self, ev: Tap) {
         let part = match ev {
             Tap::Phase(phase) => {

@@ -532,4 +532,57 @@ mod tests {
         assert_eq!(resumed, plain);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// A sound envelope around a snapshot this build does not read (a
+    /// version 5 one, from before the STATE section's varints): the
+    /// snapshot refuses to restore, so the run starts over to the
+    /// uninterrupted point.
+    #[test]
+    fn a_checkpoint_of_a_version_5_snapshot_is_ignored() {
+        let dir = std::env::temp_dir().join(format!("ofar-ckpt-v5-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (cfg, kind, spec) = (
+            SimConfig::paper(2),
+            MechanismKind::Ofar,
+            TrafficSpec::uniform(),
+        );
+        let opts = SteadyOpts {
+            warmup: 300,
+            measure: 900,
+        };
+        let plain = crate::steady_state(cfg, kind, &spec, 0.3, opts, 5);
+        let policy = CheckpointPolicy::every(400, &dir);
+        let point = Point::new(cfg, kind, &spec, 5, Shape::Steady { load: 0.3, opts });
+        crate::run::steady(&point, &policy, NoHooks);
+        let key = run_key(&point);
+        let (cycle, path) = policy.list(key).into_iter().next().expect("a checkpoint");
+        let ck = decode(&std::fs::read(&path).unwrap(), key).unwrap();
+        for (_, old) in policy.list(key) {
+            std::fs::remove_file(old).unwrap();
+        }
+        let mut snap = ck.snap.clone();
+        snap[8..12].copy_from_slice(&5u32.to_le_bytes());
+        let body = snap.len() - 4;
+        let sealed = crc32(&snap[..body]);
+        snap[body..].copy_from_slice(&sealed.to_le_bytes());
+        let file = encode(
+            key,
+            cycle,
+            ck.start.as_ref(),
+            ck.gen_rng,
+            ck.bern_rng,
+            ck.recorder.as_ref(),
+            &snap,
+        );
+        std::fs::write(&path, file).unwrap();
+        let found = policy.resume(key).expect("the envelope decodes");
+        let mut net = crate::run::network(&point, NoHooks);
+        assert_eq!(
+            net.restore_snapshot(&found.snap),
+            Err(SnapshotError::UnsupportedVersion { found: 5 })
+        );
+        let (resumed, NoHooks) = crate::run::steady(&point, &policy, NoHooks);
+        assert_eq!(resumed, plain);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -431,12 +431,24 @@ impl FaultState {
 use crate::snapshot::{Dec, Enc, SnapshotError};
 
 fn encode_pair(e: &mut Enc, (a, b): (RouterId, RouterId)) {
-    e.u32(a.0);
-    e.u32(b.0);
+    e.var(a.0.into());
+    e.var(b.0.into());
 }
 
 fn decode_pair(d: &mut Dec<'_>) -> Result<(RouterId, RouterId), SnapshotError> {
-    Ok((RouterId::new(d.u32()?), RouterId::new(d.u32()?)))
+    Ok((RouterId::new(d.var_u32()?), RouterId::new(d.var_u32()?)))
+}
+
+/// Refuse a key of an ordered set or map that does not come strictly
+/// after the one before it: the encoder writes them ascending, each
+/// once, so anything else would restore to a state that saves
+/// differently.
+fn ascending<K: Ord + Copy>(prev: &mut Option<K>, key: K) -> Result<K, SnapshotError> {
+    if prev.is_some_and(|p| key <= p) {
+        return Err(SnapshotError::Malformed("fault set keys not ascending"));
+    }
+    *prev = Some(key);
+    Ok(key)
 }
 
 /// A fault kind travels as its tag, then the one or two routers it
@@ -452,17 +464,17 @@ fn encode_kind(e: &mut Enc, kind: FaultKind) {
         FaultKind::SetLinkBer(a, b, ppm) => (6, a, Some(b), Some(ppm)),
     };
     e.u8(tag);
-    e.u32(a.0);
+    e.var(a.0.into());
     if let Some(b) = b {
-        e.u32(b.0);
+        e.var(b.0.into());
     }
     if let Some(ppm) = ppm {
-        e.u32(ppm);
+        e.var(ppm.into());
     }
 }
 
 fn decode_kind(d: &mut Dec<'_>) -> Result<FaultKind, SnapshotError> {
-    let router = |d: &mut Dec<'_>| d.u32().map(RouterId::new);
+    let router = |d: &mut Dec<'_>| d.var_u32().map(RouterId::new);
     // Arguments are read left to right, in wire order.
     Ok(match d.u8()? {
         0 => FaultKind::FailLink(router(d)?, router(d)?),
@@ -471,7 +483,7 @@ fn decode_kind(d: &mut Dec<'_>) -> Result<FaultKind, SnapshotError> {
         3 => FaultKind::RestoreRouter(router(d)?),
         4 => FaultKind::CorruptPhit(router(d)?, router(d)?),
         5 => FaultKind::DropPhit(router(d)?, router(d)?),
-        6 => FaultKind::SetLinkBer(router(d)?, router(d)?, d.u32()?),
+        6 => FaultKind::SetLinkBer(router(d)?, router(d)?, d.var_u32()?),
         _ => return Err(SnapshotError::Malformed("unknown fault kind")),
     })
 }
@@ -480,19 +492,20 @@ impl FaultPlan {
     /// Append the remaining schedule to a checkpoint.
     pub(crate) fn snap_encode(&self, e: &mut Enc) {
         let Self { events } = self;
-        e.usize(events.len());
+        e.var(events.len() as u64);
         for ev in events {
-            e.u64(ev.at);
+            e.var(ev.at);
             encode_kind(e, ev.kind);
         }
     }
 
     /// Rebuild a schedule written by [`FaultPlan::snap_encode`].
     pub(crate) fn snap_decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        let n = d.len(13, "fault plan size")?;
+        // A stamp, a tag and one router.
+        let n = d.len(3, "fault plan size")?;
         let mut events = Vec::with_capacity(n);
         for _ in 0..n {
-            let at = d.u64()?;
+            let at = d.var()?;
             let kind = decode_kind(d)?;
             events.push(FaultEvent { at, kind });
         }
@@ -522,19 +535,19 @@ impl FaultState {
             pending_drop,
             link_ber_ppm,
         } = self;
-        e.usize(failed_links.len());
+        e.var(failed_links.len() as u64);
         for &l in failed_links {
             encode_pair(e, l);
         }
-        e.usize(failed_routers.len());
+        e.var(failed_routers.len() as u64);
         for r in failed_routers {
-            e.u32(r.0);
+            e.var(r.0.into());
         }
         for map in [pending_corrupt, pending_drop, link_ber_ppm] {
-            e.usize(map.len());
+            e.var(map.len() as u64);
             for (&k, &v) in map {
                 encode_pair(e, k);
-                e.u32(v);
+                e.var(v.into());
             }
         }
     }
@@ -543,19 +556,24 @@ impl FaultState {
     /// re-deriving port and ring liveness from the restored sets.
     pub(crate) fn snap_decode(d: &mut Dec<'_>, fab: &Fabric) -> Result<Self, SnapshotError> {
         let mut state = Self::new(fab);
-        let n_links = d.len(8, "failed-link set size")?;
+        let n_links = d.len(2, "failed-link set size")?;
+        let mut prev = None;
         for _ in 0..n_links {
-            state.failed_links.insert(decode_pair(d)?);
+            let link = ascending(&mut prev, decode_pair(d)?)?;
+            state.failed_links.insert(link);
         }
-        let n_routers = d.len(4, "failed-router set size")?;
+        let n_routers = d.len(1, "failed-router set size")?;
+        let mut prev = None;
         for _ in 0..n_routers {
-            state.failed_routers.insert(RouterId::new(d.u32()?));
+            let router = ascending(&mut prev, RouterId::new(d.var_u32()?))?;
+            state.failed_routers.insert(router);
         }
         for map_idx in 0..3 {
-            let n = d.len(12, "transient fault map size")?;
+            let n = d.len(3, "transient fault map size")?;
+            let mut prev = None;
             for _ in 0..n {
-                let k = decode_pair(d)?;
-                let v = d.u32()?;
+                let k = ascending(&mut prev, decode_pair(d)?)?;
+                let v = d.var_u32()?;
                 // `take_pending` removes a one-shot entry as it reaches 0.
                 if map_idx < 2 && v == 0 {
                     return Err(SnapshotError::Malformed(
@@ -614,14 +632,16 @@ mod tests {
         for kind in kinds {
             encode_kind(&mut e, kind);
         }
+        // Routers and the BER are varints: 3 is one byte, 0x0102_0304
+        // four (seven bits at a time, low first).
         let want = [
-            &[0, 3, 0, 0, 0, 4, 3, 2, 1][..],
-            &[1, 3, 0, 0, 0, 4, 3, 2, 1],
-            &[2, 3, 0, 0, 0],
-            &[3, 4, 3, 2, 1],
-            &[4, 3, 0, 0, 0, 4, 3, 2, 1],
-            &[5, 3, 0, 0, 0, 4, 3, 2, 1],
-            &[6, 3, 0, 0, 0, 4, 3, 2, 1, 77, 0, 0, 0],
+            &[0, 3, 0x84, 0x86, 0x88, 0x08][..],
+            &[1, 3, 0x84, 0x86, 0x88, 0x08],
+            &[2, 3],
+            &[3, 0x84, 0x86, 0x88, 0x08],
+            &[4, 3, 0x84, 0x86, 0x88, 0x08],
+            &[5, 3, 0x84, 0x86, 0x88, 0x08],
+            &[6, 3, 0x84, 0x86, 0x88, 0x08, 77],
         ]
         .concat();
         assert_eq!(e.0, want);
@@ -631,7 +651,7 @@ mod tests {
         }
         assert!(d.is_empty());
         assert_eq!(
-            decode_kind(&mut Dec::new(&[7, 0, 0, 0, 0])),
+            decode_kind(&mut Dec::new(&[7, 0])),
             Err(SnapshotError::Malformed("unknown fault kind"))
         );
     }

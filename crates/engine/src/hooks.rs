@@ -254,7 +254,7 @@ impl<A: Hooks, B: Hooks> Hooks for (A, B) {
         a && b
     }
 
-    #[inline]
+    #[inline(always)]
     fn tap(&mut self, ev: Tap) {
         self.0.tap(ev);
         self.1.tap(ev);

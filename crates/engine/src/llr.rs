@@ -561,65 +561,69 @@ impl Llr {
             retx_per_link,
             delivered_ids,
         } = self;
-        e.usize(*n_out);
-        e.usize(*n_in);
-        e.usize(LLR_WINDOW);
-        e.u64(*rng);
-        e.usize(tx.len());
+        e.var(*n_out as u64);
+        e.var(*n_in as u64);
+        e.var(LLR_WINDOW as u64);
+        e.word(*rng);
+        e.var(tx.len() as u64);
         for tx in tx {
-            e.u32(tx.next_seq);
-            e.usize(tx.entries.len());
+            e.var(tx.next_seq.into());
+            e.var(tx.entries.len() as u64);
             for en in &tx.entries {
-                e.u32(en.seq);
+                e.var(en.seq.into());
                 e.u8(en.out_vc);
-                e.u32(en.retries);
-                e.u64(en.sent_at);
+                e.var(en.retries.into());
+                e.var(en.sent_at);
                 e.u8(u8::from(en.lost));
                 encode_packet(e, &en.pkt);
-                e.u32(en.crc);
+                e.var(en.crc.into());
             }
-            e.usize(tx.acks.len());
+            e.var(tx.acks.len() as u64);
             for a in &tx.acks {
-                e.u64(a.at);
-                e.u32(a.seq);
+                e.var(a.at);
+                e.var(a.seq.into());
                 e.u8(u8::from(a.ok));
             }
         }
-        e.usize(rx.len());
+        e.var(rx.len() as u64);
         for rx in rx {
-            e.u32(rx.base);
-            e.u64(rx.mask);
-            e.usize(rx.wire.len());
+            e.var(rx.base.into());
+            e.var(rx.mask);
+            e.var(rx.wire.len() as u64);
             for w in &rx.wire {
-                e.u32(w.seq);
-                e.u32(w.wire_crc);
+                e.var(w.seq.into());
+                e.var(w.wire_crc.into());
             }
         }
-        e.usize(retx_per_link.len());
-        e.u64s(retx_per_link);
-        e.usize(delivered_ids.len());
-        e.u64s(delivered_ids);
+        e.var(retx_per_link.len() as u64);
+        e.vars(retx_per_link);
+        // A bitmap of mostly all-ones words: eight bytes each as words,
+        // ten as varints.
+        e.var(delivered_ids.len() as u64);
+        delivered_ids.iter().for_each(|&w| e.word(w));
     }
 
     /// Rebuild the link-layer state written by [`Llr::snap_encode`],
     /// validating every dimension against the restoring fabric.
     pub(crate) fn snap_decode(d: &mut Dec<'_>, fab: &Fabric) -> Result<Self, SnapshotError> {
         let nr = fab.topo().num_routers();
-        let n_out = d.usize()?;
-        let n_in = d.usize()?;
-        let window = d.usize()?;
+        let n_out = d.var_usize()?;
+        let n_in = d.var_usize()?;
+        let window = d.var_usize()?;
         if n_out != fab.n_out() || n_in != fab.n_in() || window != LLR_WINDOW {
             return Err(SnapshotError::Malformed("LLR dimensions disagree"));
         }
         let rng = d.u64()?;
-        let ntx = d.len(20, "LLR tx count")?;
+        // A sender is at least its sequence number and two counts.
+        let ntx = d.len(3, "LLR tx count")?;
         if ntx != nr * n_out {
             return Err(SnapshotError::Malformed("LLR tx count disagrees"));
         }
         let mut tx = Vec::with_capacity(ntx);
         for i in 0..ntx {
-            let next_seq = d.u32()?;
-            let n_entries = d.len(22 + PACKET_MIN_BYTES, "LLR replay buffer size")?;
+            let next_seq = d.var_u32()?;
+            // Four varints, two flag bytes, the packet.
+            let n_entries = d.len(6 + PACKET_MIN_BYTES, "LLR replay buffer size")?;
             if n_entries > window {
                 return Err(SnapshotError::Malformed(
                     "LLR replay buffer overflows its window",
@@ -630,13 +634,13 @@ impl Llr {
                 // Fields in wire order (a struct literal evaluates in
                 // the order written).
                 let entry = LlrEntry {
-                    seq: d.u32()?,
+                    seq: d.var_u32()?,
                     out_vc: d.u8()?,
-                    retries: d.u32()?,
-                    sent_at: d.u64()?,
-                    lost: d.u8()? != 0,
+                    retries: d.var_u32()?,
+                    sent_at: d.var()?,
+                    lost: d.flag("bad LLR lost flag")?,
                     pkt: decode_packet(d)?,
-                    crc: d.u32()?,
+                    crc: d.var_u32()?,
                 };
                 if entry.out_vc >= fab.out_link(RouterId::from(i / n_out), i % n_out).vcs {
                     return Err(SnapshotError::Malformed(
@@ -645,12 +649,12 @@ impl Llr {
                 }
                 entries.push_back(entry);
             }
-            let n_acks = d.len(13, "LLR ack queue")?;
+            let n_acks = d.len(3, "LLR ack queue")?;
             let mut acks = VecDeque::with_capacity(n_acks);
             for _ in 0..n_acks {
-                let at = d.u64()?;
-                let seq = d.u32()?;
-                let ok = d.u8()? != 0;
+                let at = d.var()?;
+                let seq = d.var_u32()?;
+                let ok = d.flag("bad LLR ack flag")?;
                 acks.push_back(AckEvent { at, seq, ok });
             }
             tx.push(TxLink {
@@ -659,28 +663,32 @@ impl Llr {
                 acks,
             });
         }
-        let nrx = d.len(20, "LLR rx count")?;
+        // A receiver is at least its window base, mask and one count.
+        let nrx = d.len(3, "LLR rx count")?;
         if nrx != nr * n_in {
             return Err(SnapshotError::Malformed("LLR rx count disagrees"));
         }
         let mut rx = Vec::with_capacity(nrx);
         for _ in 0..nrx {
-            let base = d.u32()?;
-            let mask = d.u64()?;
-            let n_wire = d.len(8, "LLR wire queue")?;
+            let base = d.var_u32()?;
+            let mask = d.var()?;
+            let n_wire = d.len(2, "LLR wire queue")?;
             let mut wire = VecDeque::with_capacity(n_wire);
             for _ in 0..n_wire {
-                let seq = d.u32()?;
-                let wire_crc = d.u32()?;
+                let seq = d.var_u32()?;
+                let wire_crc = d.var_u32()?;
                 wire.push_back(WireMeta { seq, wire_crc });
             }
             rx.push(RxLink { base, mask, wire });
         }
-        let n_retx = d.len(8, "LLR retx counters")?;
+        let n_retx = d.len(1, "LLR retx counters")?;
         if n_retx != nr * n_out {
             return Err(SnapshotError::Malformed("LLR retx counter count disagrees"));
         }
-        let retx_per_link = d.u64s(n_retx)?;
+        let mut retx_per_link = Vec::with_capacity(n_retx);
+        for _ in 0..n_retx {
+            retx_per_link.push(d.var()?);
+        }
         let n_ids = d.len(8, "LLR delivered-id bitmap")?;
         let delivered_ids = d.u64s(n_ids)?;
         Ok(Self {

@@ -146,30 +146,30 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             grants: _,
             best_out: _,
         } = self;
-        e.u64(*now);
-        e.u64(*next_id);
+        e.var(*now);
+        e.var(*next_id);
         e.u8(u8::from(*faults_ever));
-        e.usize(*plan_cursor);
+        e.var(*plan_cursor as u64);
         plan.snap_encode(e);
         faults.snap_encode(e);
-        e.u64s(&stats.counters());
-        e.usize(self.num_nodes());
+        e.vars(&stats.counters());
+        e.var(self.num_nodes() as u64);
         for (node, &queued) in src_q.queued.iter().enumerate() {
-            e.usize(queued as usize);
+            e.var(queued.into());
             for p in src_q.iter(node) {
                 encode_packet(e, &p);
             }
         }
-        e.u64s(inj_busy);
-        e.u64s(router_last_grant);
+        e.vars(inj_busy);
+        e.vars(router_last_grant);
         match delivered_log {
             None => e.u8(0),
             Some(log) => {
                 e.u8(1);
-                e.usize(log.len());
+                e.var(log.len() as u64);
                 for &(at, lat) in log {
-                    e.u64(at);
-                    e.u32(lat);
+                    e.var(at);
+                    e.var(lat.into());
                 }
             }
         }
@@ -181,32 +181,32 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             let router = RouterId::from(ridx);
             for (port, desc) in fab.in_descs(router).iter().enumerate() {
                 for slot in desc.slots() {
-                    e.usize(arena.fifos.queued[slot] as usize);
+                    e.var(arena.fifos.queued[slot].into());
                     for p in arena.fifos.iter(slot) {
                         encode_packet(e, &p);
                     }
                 }
                 let arrivals = backlog.arrivals(ridx, port);
-                e.usize(arrivals.len());
+                e.var(arrivals.len() as u64);
                 for &(at, a) in arrivals {
-                    e.u64(at);
+                    e.var(at);
                     e.u8(a.vc);
                     encode_packet(e, &a.pkt);
                 }
-                e.u64(arena.in_busy[ridx * n_in + port]);
-                e.u64s(&arena.vc_served_at[desc.slots()]);
+                e.var(arena.in_busy[ridx * n_in + port]);
+                e.vars(&arena.vc_served_at[desc.slots()]);
             }
             for (port, link) in fab.out_links(router).iter().enumerate() {
-                e.u32s(&arena.credits[link.lanes()]);
+                e.vars(&arena.credits[link.lanes()]);
                 let credits = backlog.credits(ridx, port);
-                e.usize(credits.len());
+                e.var(credits.len() as u64);
                 for &(at, c) in credits {
-                    e.u64(at);
+                    e.var(at);
                     e.u8(c.vc);
-                    e.u32(c.phits);
+                    e.var(c.phits.into());
                 }
-                e.u64(arena.out_busy[ridx * n_out + port]);
-                e.u64s(&arena.in_served_at[(ridx * n_out + port) * n_in..][..n_in]);
+                e.var(arena.out_busy[ridx * n_out + port]);
+                e.vars(&arena.in_served_at[(ridx * n_out + port) * n_in..][..n_in]);
             }
         }
         match llr {
@@ -223,14 +223,14 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             None => e.u8(0),
             Some(cm) => {
                 e.u8(1);
-                e.u32s(&cm.tokens);
-                e.u32s(&cm.cong);
+                e.vars(&cm.tokens);
+                e.vars(&cm.cong);
                 for &t in &cm.throttled {
                     e.u8(u8::from(t));
                 }
             }
         }
-        e.u64s(delivered_per_src);
+        e.vars(delivered_per_src);
     }
 
     /// Decode the STATE section into temporaries without touching
@@ -248,18 +248,18 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         let words = |d: &mut Dec<'_>, l: &mut L, n: usize, name: &str| {
             let mut words = Vec::with_capacity(n);
             for i in 0..n {
-                words.push(d.u64()?);
+                words.push(d.var()?);
                 l.field(d, || format!("{name}[{i}]"));
             }
             Ok::<_, SnapshotError>(words)
         };
-        let now = d.u64()?;
+        let now = d.var()?;
         l.field(d, || "now".into());
-        let next_id = d.u64()?;
+        let next_id = d.var()?;
         l.field(d, || "next_id".into());
-        let faults_ever = d.u8()? != 0;
+        let faults_ever = d.flag("bad faults_ever flag")?;
         l.field(d, || "faults_ever".into());
-        let plan_cursor = d.usize()?;
+        let plan_cursor = d.var_usize()?;
         l.field(d, || "plan_cursor".into());
         let plan = FaultPlan::snap_decode(d)?;
         l.field(d, || "fault plan".into());
@@ -271,12 +271,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         let mut stats = Stats::default();
         let mut counters = [0u64; STATS_COUNTERS];
         for (c, name) in counters.iter_mut().zip(Stats::counter_names()) {
-            *c = d.u64()?;
+            *c = d.var()?;
             l.field(d, || format!("stats.{name}"));
         }
         stats.set_counters(&counters);
         let nodes = self.num_nodes();
-        let n_queues = d.len(8, "source-queue count")?;
+        // Each queue is at least its one-byte count.
+        let n_queues = d.len(1, "source-queue count")?;
         l.field(d, || "source-queue count".into());
         if n_queues != nodes {
             return malformed("source-queue count disagrees");
@@ -304,10 +305,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         let delivered_log = match d.u8()? {
             0 => None,
             1 => {
-                let n = d.len(12, "delivery log size")?;
+                let n = d.len(2, "delivery log size")?;
                 let mut log = Vec::with_capacity(n);
                 for _ in 0..n {
-                    log.push((d.u64()?, d.u32()?));
+                    log.push((d.var()?, d.var_u32()?));
                 }
                 Some(log)
             }
@@ -341,10 +342,10 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     }
                     l.field(d, || format!("router[{r}].input[{pi}].vc[{vi}].fifo"));
                 }
-                let n = d.len(9 + PACKET_MIN_BYTES, "arrival pipeline size")?;
+                let n = d.len(2 + PACKET_MIN_BYTES, "arrival pipeline size")?;
                 let mut prev = None;
                 for _ in 0..n {
-                    let at = d.u64()?;
+                    let at = d.var()?;
                     let vc = d.u8()?;
                     let pkt = decode_packet(d)?;
                     if vc >= desc.vcs {
@@ -365,28 +366,28 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     );
                 }
                 l.field(d, || format!("router[{r}].input[{pi}].arrivals"));
-                arena.in_busy[r * n_in + pi] = d.u64()?;
+                arena.in_busy[r * n_in + pi] = d.var()?;
                 l.field(d, || format!("router[{r}].input[{pi}].busy_until"));
                 for (vi, t) in arena.vc_served_at[desc.slots()].iter_mut().enumerate() {
-                    *t = d.u64()?;
+                    *t = d.var()?;
                     l.field(d, || format!("router[{r}].input[{pi}].vc_served_at[{vi}]"));
                 }
             }
             for (po, link) in self.fab.out_links(router).iter().enumerate() {
                 for (vi, lane) in link.lanes().enumerate() {
-                    let c = d.u32()?;
+                    let c = d.var_u32()?;
                     l.field(d, || format!("router[{r}].output[{po}].credits[{vi}]"));
                     if c > self.fab.lane_caps()[lane] {
                         return malformed("credits exceed downstream capacity");
                     }
                     arena.credits[lane] = c;
                 }
-                let n = d.len(13, "credit pipeline size")?;
+                let n = d.len(3, "credit pipeline size")?;
                 let mut prev = None;
                 for _ in 0..n {
-                    let at = d.u64()?;
+                    let at = d.var()?;
                     let vc = d.u8()?;
-                    let phits = d.u32()?;
+                    let phits = d.var_u32()?;
                     if vc >= link.vcs {
                         return malformed("credit event targets a VC out of range");
                     }
@@ -405,11 +406,11 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     );
                 }
                 l.field(d, || format!("router[{r}].output[{po}].credit_events"));
-                arena.out_busy[r * n_out + po] = d.u64()?;
+                arena.out_busy[r * n_out + po] = d.var()?;
                 l.field(d, || format!("router[{r}].output[{po}].busy_until"));
                 let stamps = &mut arena.in_served_at[(r * n_out + po) * n_in..][..n_in];
                 for (ii, t) in stamps.iter_mut().enumerate() {
-                    *t = d.u64()?;
+                    *t = d.var()?;
                     l.field(d, || format!("router[{r}].output[{po}].in_served_at[{ii}]"));
                 }
             }
@@ -440,7 +441,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 }
                 let mut cm = CmState::new(self.fab.cfg(), nodes, nr);
                 for (node, t) in cm.tokens.iter_mut().enumerate() {
-                    let v = d.u32()?;
+                    let v = d.var_u32()?;
                     l.field(d, || format!("cm.tokens[{node}]"));
                     if v > cm.cap {
                         return malformed("bucket level exceeds its capacity");
@@ -448,7 +449,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     *t = v;
                 }
                 for (r, c) in cm.cong.iter_mut().enumerate() {
-                    let v = d.u32()?;
+                    let v = d.var_u32()?;
                     l.field(d, || format!("cm.cong[{r}]"));
                     if v > CM_CONG_ONE {
                         return malformed("congestion estimate above 1.0");
@@ -456,13 +457,8 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     *c = v;
                 }
                 for (r, t) in cm.throttled.iter_mut().enumerate() {
-                    let v = d.u8()?;
+                    *t = d.flag("bad throttled flag")?;
                     l.field(d, || format!("cm.throttled[{r}]"));
-                    *t = match v {
-                        0 => false,
-                        1 => true,
-                        _ => return malformed("bad throttled flag"),
-                    };
                 }
                 // The incremental credit sums are derived state:
                 // recompute them from the just-decoded credits rather

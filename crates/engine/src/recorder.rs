@@ -113,9 +113,9 @@ impl Recorder {
     pub fn decode(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         let since = d.u64()?;
         let width = d.u64()?;
-        let n = d.len(8, "recorder latency count")?;
+        let n = d.fixed_len(8, "recorder latency count")?;
         let by_latency = d.u64s(n)?;
-        let buckets = d.len(16, "recorder bucket count")?;
+        let buckets = d.fixed_len(16, "recorder bucket count")?;
         let mut series = Vec::with_capacity(buckets);
         for _ in 0..buckets {
             series.push((d.u64()?, d.u64()?));

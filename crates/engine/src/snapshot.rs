@@ -13,7 +13,11 @@
 //!
 //! ## Layout
 //!
-//! All integers are little-endian.
+//! The frame, CONFIG and POLICY are fixed-width little-endian. Every
+//! integer of STATE is an unsigned LEB128 varint ([`Enc::var`]: seven
+//! bits a byte, one byte below 128, two below 16,384), but for the
+//! words of random or packed bits — the LLR's RNG state and its
+//! delivered-id bitmap — which stay eight bytes ([`Enc::word`]).
 //!
 //! ```text
 //! magic            8 B   b"OFARSNAP"
@@ -22,7 +26,7 @@
 //! section*               tag u8, len u32, crc u32, payload
 //!   CONFIG (1)           canonical SimConfig + mechanism name
 //!   POLICY (2)           opaque mechanism state (Policy::save_state)
-//!   STATE  (3)           routers, queues, stats, faults, LLR, RNGs
+//!   STATE  (3)           routers, queues, stats, faults, LLR (varints)
 //! file checksum    u32   CRC-32 of every preceding byte
 //! ```
 //!
@@ -38,13 +42,18 @@
 //!
 //! Every layout is written through one cursor, [`Enc`], and read through
 //! its counterpart, [`Dec`]. A new field of the STATE section
-//! (`network/state.rs`) is one `Enc` call in `encode_state`, one `Dec`
+//! (`network/state.rs`) is one `Enc` call in `encode_state` — an integer
+//! through [`Enc::var`], a flag or tag through [`Enc::u8`] — one `Dec`
 //! call in `decode_state` followed by `l.field(d, || label)`, and a
 //! [`SNAPSHOT_VERSION`] bump — nothing else. The label is what
-//! `Network::locate_state_field` prints; a
-//! count is read with [`Dec::len`], given the byte size of its smallest
-//! item; `labels_cover_the_state_section` (`tests/snapshot_roundtrip.rs`)
-//! fails if the announcement is forgotten.
+//! `Network::locate_state_field` prints; a count is read with
+//! [`Dec::len`], given the byte size of its smallest item, each varint
+//! counted at its one-byte floor; `labels_cover_the_state_section`
+//! (`tests/snapshot_roundtrip.rs`) fails if the announcement is
+//! forgotten. The decoder accepts only what the encoder writes —
+//! minimal varints, flags of 0 or 1, set keys ascending — so a file it
+//! restores saves back byte for byte
+//! (`crates/engine/tests/state_mutation.rs`).
 //!
 //! ## Bit-exactness guarantee
 //!
@@ -86,7 +95,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OFARSNAP";
 /// v5: the CONFIG section no longer carries the seven model constants of
 /// [`crate::config`] (`LAT_LOCAL` … `LLR_TIMEOUT_SLACK`), 56 bytes; the
 /// STATE section is unchanged.
-pub const SNAPSHOT_VERSION: u32 = 5;
+///
+/// v6: every integer of the STATE section is an unsigned LEB128 varint
+/// ([`Enc::var`]) but the RNG state and bitmap words ([`Enc::word`]);
+/// the header, the section headers, CONFIG and POLICY are unchanged.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Section tag: canonical configuration + mechanism name.
 pub(crate) const SEC_CONFIG: u8 = 1;
@@ -195,10 +208,11 @@ impl From<std::io::Error> for SnapshotError {
 // The byte cursor
 // ---------------------------------------------------------------------
 
-/// Little-endian byte sink: the one writer behind every binary layout
-/// of the workspace (the three snapshot sections, the mechanisms'
-/// `save_state`, the checkpoint envelope). It is the buffer it appends
-/// to: wrap one to continue it, take `.0` back when done.
+/// Byte sink, little-endian where fixed-width: the one writer behind
+/// every binary layout of the workspace (the three snapshot sections,
+/// the mechanisms' `save_state`, the checkpoint envelope). It is the
+/// buffer it appends to: wrap one to continue it, take `.0` back when
+/// done.
 #[derive(Debug, Default)]
 pub struct Enc(pub Vec<u8>);
 
@@ -223,10 +237,6 @@ impl Enc {
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
-    /// Each word as by [`Enc::u32`], no length prefix.
-    pub fn u32s(&mut self, vs: &[u32]) {
-        vs.iter().for_each(|&v| self.u32(v));
-    }
     /// Each word as by [`Enc::u64`], no length prefix.
     pub fn u64s(&mut self, vs: &[u64]) {
         vs.iter().for_each(|&v| self.u64(v));
@@ -235,6 +245,34 @@ impl Enc {
     pub fn bytes(&mut self, v: &[u8]) {
         self.0.extend_from_slice(v);
     }
+    /// An unsigned LEB128 varint: seven value bits per byte, low group
+    /// first, the high bit set on every byte but the last — one byte
+    /// below 2^7, two below 2^14, at most ten.
+    #[inline]
+    pub fn var(&mut self, v: u64) {
+        if v < 1 << 7 {
+            self.0.push(v as u8);
+        } else if v < 1 << 14 {
+            self.0.extend_from_slice(&[v as u8 | 0x80, (v >> 7) as u8]);
+        } else {
+            let mut v = v;
+            while v >= 0x80 {
+                self.0.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            self.0.push(v as u8);
+        }
+    }
+    /// Each value as by [`Enc::var`], no length prefix.
+    pub fn vars<T: Copy + Into<u64>>(&mut self, vs: &[T]) {
+        vs.iter().for_each(|&v| self.var(v.into()));
+    }
+    /// A word of bits rather than a count or a stamp — an RNG state, a
+    /// bitmap — as by [`Enc::u64`]: fixed eight bytes, where a varint of
+    /// a random or all-ones word would take nine or ten.
+    pub fn word(&mut self, v: u64) {
+        self.u64(v);
+    }
     /// A `u32` length, then the UTF-8 bytes.
     pub fn str(&mut self, v: &str) {
         self.u32(v.len() as u32);
@@ -242,9 +280,9 @@ impl Enc {
     }
 }
 
-/// Bounds-checked little-endian reader, the counterpart of [`Enc`]:
-/// every read can fail with [`SnapshotError::Truncated`] instead of
-/// panicking.
+/// Bounds-checked reader, the counterpart of [`Enc`]: every read can
+/// fail with [`SnapshotError::Truncated`] (or, for a varint, with
+/// [`SnapshotError::Malformed`]) instead of panicking.
 #[derive(Debug)]
 pub struct Dec<'a> {
     data: &'a [u8],
@@ -311,6 +349,64 @@ impl<'a> Dec<'a> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| SnapshotError::Malformed("usize overflow"))
     }
+    /// A varint written by [`Enc::var`]. Every value has exactly one
+    /// encoding: a run longer than ten bytes, a value past `u64::MAX` and
+    /// a zero last byte after the first (a value padded to more bytes
+    /// than it needs) are `Malformed`.
+    #[inline]
+    pub fn var(&mut self) -> Result<u64, SnapshotError> {
+        match self.data[self.pos..] {
+            [b0, ..] if b0 < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b0))
+            }
+            [b0, b1, ..] if (1..0x80).contains(&b1) => {
+                self.pos += 2;
+                Ok(u64::from(b0 & 0x7F) | u64::from(b1) << 7)
+            }
+            _ => self.var_long(),
+        }
+    }
+    /// [`Dec::var`] past its one- and two-byte fast paths.
+    fn var_long(&mut self) -> Result<u64, SnapshotError> {
+        let mut v = 0;
+        for i in 0..10 {
+            let b = *self
+                .data
+                .get(self.pos + i)
+                .ok_or(SnapshotError::Truncated)?;
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b < 0x80 {
+                if i == 9 && b > 1 {
+                    return Err(SnapshotError::Malformed("varint overflows u64"));
+                }
+                if b == 0 && i > 0 {
+                    return Err(SnapshotError::Malformed("varint is not minimal"));
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        Err(SnapshotError::Malformed("varint longer than ten bytes"))
+    }
+    /// A varint that must fit a `u32`.
+    #[inline]
+    pub fn var_u32(&mut self) -> Result<u32, SnapshotError> {
+        u32::try_from(self.var()?).map_err(|_| SnapshotError::Malformed("varint overflows u32"))
+    }
+    /// A varint that must fit this platform's `usize`.
+    #[inline]
+    pub fn var_usize(&mut self) -> Result<usize, SnapshotError> {
+        usize::try_from(self.var()?).map_err(|_| SnapshotError::Malformed("usize overflow"))
+    }
+    /// A flag byte: 0 or 1, anything else `Malformed(what)`.
+    pub fn flag(&mut self, what: &'static str) -> Result<bool, SnapshotError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(SnapshotError::Malformed(what)),
+        }
+    }
     /// An IEEE-754 bit pattern.
     pub fn f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.u64()?))
@@ -322,13 +418,31 @@ impl<'a> Dec<'a> {
         String::from_utf8(raw.to_vec()).map_err(|_| SnapshotError::Malformed("non-UTF-8 string"))
     }
 
-    /// Read the count of a sequence whose items take at least
+    /// Read the varint count of a sequence whose items take at least
     /// `item_bytes` each. Refused (`Malformed(what)`) when that many
     /// items cannot fit in the bytes that remain — so a hostile count is
     /// turned away before anything is allocated for it, and what a valid
     /// one reserves is proportional to the file.
     pub fn len(&mut self, item_bytes: usize, what: &'static str) -> Result<usize, SnapshotError> {
+        let n = self.var_usize()?;
+        self.fits(n, item_bytes, what)
+    }
+    /// [`Dec::len`] for a count written by [`Enc::usize`].
+    pub fn fixed_len(
+        &mut self,
+        item_bytes: usize,
+        what: &'static str,
+    ) -> Result<usize, SnapshotError> {
         let n = self.usize()?;
+        self.fits(n, item_bytes, what)
+    }
+    /// `n`, if `n` items of `item_bytes` fit in the bytes that remain.
+    fn fits(
+        &self,
+        n: usize,
+        item_bytes: usize,
+        what: &'static str,
+    ) -> Result<usize, SnapshotError> {
         if n.saturating_mul(item_bytes) > self.remaining() {
             return Err(SnapshotError::Malformed(what));
         }
@@ -340,19 +454,14 @@ impl<'a> Dec<'a> {
 // Packet codec (shared by the router, queue and LLR sections)
 // ---------------------------------------------------------------------
 
-/// Bytes of a packet's encoding before its Valiant intermediate: `id`,
-/// `injected_at`, `src`, `dst` and the intermediate's tag.
-const PACKET_HEAD: usize = 25;
+/// Shortest encoding of one packet: no Valiant intermediate, each of
+/// `id`, `injected_at`, `src`, `dst` and `cur_group` a one-byte varint,
+/// plus the intermediate's tag and the six `u8` fields. What a count of
+/// packets is checked against by [`Dec::len`].
+pub(crate) const PACKET_MIN_BYTES: usize = 12;
 
-/// Bytes of a packet's encoding after its Valiant intermediate: the six
-/// `u8` fields and `cur_group`.
-const PACKET_TAIL: usize = 10;
-
-/// Shortest encoding of one packet (no Valiant intermediate): what a
-/// count of packets is checked against by [`Dec::len`].
-pub(crate) const PACKET_MIN_BYTES: usize = PACKET_HEAD + PACKET_TAIL;
-
-/// Append the full wire image of one packet header.
+/// Append the full wire image of one packet header: its integers as
+/// varints, its tag and `u8` fields as bytes.
 pub(crate) fn encode_packet(e: &mut Enc, p: &crate::packet::Packet) {
     let crate::packet::Packet {
         id,
@@ -368,43 +477,45 @@ pub(crate) fn encode_packet(e: &mut Enc, p: &crate::packet::Packet) {
         wait,
         cur_group,
     } = *p;
-    e.u64(id);
-    e.u64(injected_at);
-    e.u32(src.0);
-    e.u32(dst.0);
+    e.var(id);
+    e.var(injected_at);
+    e.var(src.0.into());
+    e.var(dst.0.into());
     match intermediate {
         None => e.u8(0),
         Some(g) => {
             e.u8(1);
-            e.u32(g.0);
+            e.var(g.0.into());
         }
     }
-    e.u8(flags);
-    e.u8(ring_exits_left);
-    e.u8(local_hops);
-    e.u8(global_hops);
-    e.u8(ring_hops);
-    e.u8(wait);
-    e.u32(cur_group.0);
+    e.bytes(&[
+        flags,
+        ring_exits_left,
+        local_hops,
+        global_hops,
+        ring_hops,
+        wait,
+    ]);
+    e.var(cur_group.0.into());
 }
 
-/// Decode one packet header written by [`encode_packet`]: its head and
-/// tail are each one bounds-checked read.
+/// Decode one packet header written by [`encode_packet`].
 pub(crate) fn decode_packet(d: &mut Dec<'_>) -> Result<crate::packet::Packet, SnapshotError> {
-    let u32_at = |s: &[u8], at: usize| u32::from_le_bytes(s[at..at + 4].try_into().unwrap());
-    let u64_at = |s: &[u8], at: usize| u64::from_le_bytes(s[at..at + 8].try_into().unwrap());
-    let h = d.bytes(PACKET_HEAD)?;
-    let intermediate = match h[PACKET_HEAD - 1] {
+    let id = d.var()?;
+    let injected_at = d.var()?;
+    let src = ofar_topology::NodeId::new(d.var_u32()?);
+    let dst = ofar_topology::NodeId::new(d.var_u32()?);
+    let intermediate = match d.u8()? {
         0 => None,
-        1 => Some(ofar_topology::GroupId::new(d.u32()?)),
+        1 => Some(ofar_topology::GroupId::new(d.var_u32()?)),
         _ => return Err(SnapshotError::Malformed("bad Option tag in packet")),
     };
-    let t = d.bytes(PACKET_TAIL)?;
+    let t = d.bytes(6)?;
     Ok(crate::packet::Packet {
-        id: u64_at(h, 0),
-        injected_at: u64_at(h, 8),
-        src: ofar_topology::NodeId::new(u32_at(h, 16)),
-        dst: ofar_topology::NodeId::new(u32_at(h, 20)),
+        id,
+        injected_at,
+        src,
+        dst,
         intermediate,
         flags: t[0],
         ring_exits_left: t[1],
@@ -412,7 +523,7 @@ pub(crate) fn decode_packet(d: &mut Dec<'_>) -> Result<crate::packet::Packet, Sn
         global_hops: t[3],
         ring_hops: t[4],
         wait: t[5],
-        cur_group: ofar_topology::GroupId::new(u32_at(t, 6)),
+        cur_group: ofar_topology::GroupId::new(d.var_u32()?),
     })
 }
 
@@ -503,11 +614,7 @@ pub(crate) fn decode_config(data: &[u8]) -> Result<(SimConfig, String), Snapshot
         ber: d.f64()?,
         llr_backoff_cap: d.u32()?,
         llr_retry_budget: d.u32()?,
-        cm_enabled: match d.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Malformed("unknown cm_enabled flag")),
-        },
+        cm_enabled: d.flag("unknown cm_enabled flag")?,
         cm_target_occupancy: d.f64()?,
         cm_hysteresis: d.f64()?,
         cm_min_rate: d.f64()?,
@@ -854,10 +961,10 @@ mod tests {
 
     #[test]
     fn a_packet_round_trips_with_and_without_an_intermediate() {
-        for (g, len) in [
-            (None, PACKET_MIN_BYTES),
-            (Some(0x6162_6364), PACKET_MIN_BYTES + 4),
-        ] {
+        // `id` and `injected_at` are nine varint bytes each, the three
+        // 30-bit ids five each, then the tag and six `u8` fields; the
+        // group adds five.
+        for (g, len) in [(None, 40), (Some(0x6162_6364), 45)] {
             let p = packet(g);
             let bytes = encoded(&p);
             assert_eq!(bytes.len(), len);
@@ -865,6 +972,14 @@ mod tests {
             assert_eq!(decode_packet(&mut d), Ok(p));
             assert!(d.is_empty());
         }
+        // Every varint at its one-byte floor.
+        let mut small = packet(None);
+        small.id = 1;
+        small.injected_at = 2;
+        small.src = ofar_topology::NodeId::new(3);
+        small.dst = ofar_topology::NodeId::new(4);
+        small.cur_group = ofar_topology::GroupId::new(5);
+        assert_eq!(encoded(&small).len(), PACKET_MIN_BYTES);
     }
 
     #[test]
@@ -884,18 +999,88 @@ mod tests {
     #[test]
     fn an_intermediate_tag_of_2_is_malformed() {
         let mut bytes = encoded(&packet(Some(7)));
-        assert_eq!(bytes[PACKET_HEAD - 1], 1, "the head ends in the tag");
-        bytes[PACKET_HEAD - 1] = 2;
+        // The tag follows `id`, `injected_at` (nine bytes each), `src`
+        // and `dst` (five each).
+        let tag = 2 * 9 + 2 * 5;
+        assert_eq!(bytes[tag], 1);
+        bytes[tag] = 2;
         assert_eq!(
             decode_packet(&mut Dec::new(&bytes)),
             Err(SnapshotError::Malformed("bad Option tag in packet"))
         );
     }
 
+    /// The LEB128 image of `v`, spelled out byte by byte.
+    fn var_bytes(v: u64) -> Vec<u8> {
+        let mut e = Enc::default();
+        e.var(v);
+        e.0
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_length_boundary() {
+        for (v, len) in [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u64::from(u32::MAX), 5),
+            (1 << 63, 10),
+            (u64::MAX, 10),
+        ] {
+            let bytes = var_bytes(v);
+            assert_eq!(bytes.len(), len, "{v}");
+            let mut d = Dec::new(&bytes);
+            assert_eq!(d.var(), Ok(v));
+            assert!(d.is_empty(), "{v}: bytes left over");
+            for n in 0..len {
+                assert_eq!(
+                    Dec::new(&bytes[..n]).var(),
+                    Err(SnapshotError::Truncated),
+                    "{v}: {n}-byte prefix"
+                );
+            }
+        }
+        assert_eq!(var_bytes(300), [0xAC, 0x02]);
+        assert_eq!(var_bytes(u64::MAX)[9], 1);
+    }
+
+    #[test]
+    fn a_varint_has_exactly_one_encoding() {
+        let refused = |bytes: &[u8]| match Dec::new(bytes).var() {
+            Err(SnapshotError::Malformed(why)) => why,
+            other => panic!("{bytes:02x?}: {other:?}"),
+        };
+        // Padded: zero as two bytes, 1 as three, u64::MAX with an 11th.
+        assert_eq!(refused(&[0x80, 0x00]), "varint is not minimal");
+        assert_eq!(refused(&[0x81, 0x80, 0x00]), "varint is not minimal");
+        let mut eleven = var_bytes(u64::MAX);
+        eleven[9] |= 0x80;
+        eleven.push(0);
+        assert_eq!(refused(&eleven), "varint longer than ten bytes");
+        assert_eq!(refused(&[0x80; 11]), "varint longer than ten bytes");
+        // A tenth byte above 1 carries bits past 2^64.
+        for last in [2, 0x40, 0x7F] {
+            let mut over = vec![0xFF; 9];
+            over.push(last);
+            assert_eq!(refused(&over), "varint overflows u64");
+        }
+        // A narrower target refuses what does not fit it.
+        assert_eq!(
+            Dec::new(&var_bytes(1 << 32)).var_u32(),
+            Err(SnapshotError::Malformed("varint overflows u32"))
+        );
+        assert_eq!(
+            Dec::new(&var_bytes(u64::from(u32::MAX))).var_u32(),
+            Ok(u32::MAX)
+        );
+    }
+
     #[test]
     fn a_count_must_fit_the_bytes_that_remain() {
         let mut e = Enc::default();
-        e.usize(3);
+        e.var(3);
         e.bytes(&[0; 23]);
         // 3 × 8 > 23: refused by name before anything is read or reserved.
         assert_eq!(
@@ -904,11 +1089,19 @@ mod tests {
         );
         e.u8(0);
         assert_eq!(Dec::new(&e.0).len(8, "count"), Ok(3));
-        // A count whose byte size overflows is refused the same way.
+        // A count whose byte size overflows is refused the same way, as
+        // is a fixed-width one.
         let mut e = Enc::default();
-        e.u64(u64::MAX / 2);
+        e.var(u64::MAX / 2);
         assert_eq!(
-            Dec::new(&e.0).len(35, "count"),
+            Dec::new(&e.0).len(12, "count"),
+            Err(SnapshotError::Malformed("count"))
+        );
+        let mut e = Enc::default();
+        e.usize(2);
+        e.bytes(&[0; 15]);
+        assert_eq!(
+            Dec::new(&e.0).fixed_len(8, "count"),
             Err(SnapshotError::Malformed("count"))
         );
     }

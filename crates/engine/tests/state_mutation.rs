@@ -1,0 +1,139 @@
+//! Fail closed, by search: a real STATE section, mutated at random and
+//! sealed again so that every change reaches the decoder. Whatever the
+//! bytes, `restore_snapshot` returns rather than panics, and a file it
+//! accepts is one it writes back byte for byte — every value has one
+//! encoding, and the decoder takes nothing it would not save again.
+//!
+//! Run in the dev profile (`cargo test -p ofar-engine --tests`), where
+//! overflow checks are on.
+
+use ofar_engine::{crc32, Network, SimConfig};
+use ofar_routing::{Mechanism, MechanismKind};
+use ofar_topology::NodeId;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+const CASES: usize = 2_000;
+
+/// An h=2 OFAR network on lossy links (`ber > 0`, so the snapshot
+/// carries LLR replay buffers), built afresh for `seed`.
+fn network() -> Network<Mechanism> {
+    let kind = MechanismKind::Ofar;
+    let cfg = kind.adapt_config(SimConfig::paper(2).with_seed(7).with_ber(2e-3));
+    Network::new(cfg, kind.build(&cfg, 7))
+}
+
+/// A snapshot taken mid-run: 300 cycles of uniform random traffic at
+/// about 0.4 phits per node and cycle.
+fn mid_run_snapshot() -> Vec<u8> {
+    let mut net = network();
+    let nodes = net.num_nodes();
+    let mut rng = SmallRng::seed_from_u64(1);
+    for _ in 0..300 {
+        for src in 0..nodes {
+            if rng.gen_bool(0.05) {
+                let dst = (src + rng.gen_range(1..nodes)) % nodes;
+                net.generate(NodeId::from(src), NodeId::from(dst));
+            }
+        }
+        net.step();
+    }
+    net.save_snapshot()
+}
+
+/// Offset of the STATE section's header (tag 3) and its payload length.
+fn state_section(bytes: &[u8]) -> (usize, usize) {
+    let mut at = 16;
+    loop {
+        let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+        if bytes[at] == 3 {
+            return (at, len);
+        }
+        at += 9 + len;
+    }
+}
+
+/// `bytes` with the STATE payload replaced by `payload`, its length,
+/// section CRC and file checksum written to match.
+fn with_state(bytes: &[u8], payload: &[u8]) -> Vec<u8> {
+    let (at, len) = state_section(bytes);
+    let mut out = bytes[..at + 1].to_vec();
+    out.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&bytes[at + 9 + len..bytes.len() - 4]);
+    let sealed = crc32(&out);
+    out.extend_from_slice(&sealed.to_le_bytes());
+    out
+}
+
+/// One seeded mutation of a STATE payload: a byte flipped, the tail
+/// cut, a byte inserted, or a varint stretched (a byte below 0x80 — the
+/// last of a varint, where it is one — padded with a zero byte after
+/// it: the same value, not minimally encoded).
+fn mutate(rng: &mut SmallRng, payload: &mut Vec<u8>) -> &'static str {
+    match rng.gen_range(0..4u8) {
+        0 => {
+            let at = rng.gen_range(0..payload.len());
+            payload[at] ^= rng.gen_range(1..=255u8);
+            "flip"
+        }
+        1 => {
+            payload.truncate(rng.gen_range(0..payload.len()));
+            "cut"
+        }
+        2 => {
+            let at = rng.gen_range(0..=payload.len());
+            payload.insert(at, rng.gen_range(0..=255u8));
+            "insert"
+        }
+        _ => loop {
+            let at = rng.gen_range(0..payload.len());
+            if payload[at] < 0x80 {
+                payload[at] |= 0x80;
+                payload.insert(at + 1, 0);
+                break "stretch";
+            }
+        },
+    }
+}
+
+#[test]
+fn a_mutated_state_section_is_refused_or_saved_back_exactly() {
+    let clean = mid_run_snapshot();
+    let (at, len) = state_section(&clean);
+    let payload = &clean[at + 9..at + 9 + len];
+    assert_eq!(
+        with_state(&clean, payload),
+        clean,
+        "an identity edit re-seals"
+    );
+    let mut victim = network();
+    victim.restore_snapshot(&clean).unwrap();
+    let llr = victim.stats().llr_retransmits;
+    assert!(llr > 0, "the link layer has retransmitted nothing");
+
+    let mut rng = SmallRng::seed_from_u64(0x5EED);
+    let (mut accepted, mut refused) = (0, 0);
+    for case in 0..CASES {
+        let mut edited = payload.to_vec();
+        let how = mutate(&mut rng, &mut edited);
+        let bytes = with_state(&clean, &edited);
+        match victim.restore_snapshot(&bytes) {
+            Ok(()) => {
+                accepted += 1;
+                assert!(
+                    victim.save_snapshot() == bytes,
+                    "case {case} ({how}): accepted, but saves back other bytes"
+                );
+            }
+            Err(_) => refused += 1,
+        }
+    }
+    // Neither verdict may be vacuous: a flipped counter is another valid
+    // state, a stretched varint never is.
+    assert!(
+        accepted > 0 && refused > 0,
+        "{accepted} accepted, {refused} refused"
+    );
+}

@@ -7,6 +7,7 @@
 
 use ofar::engine::config::LAT_GLOBAL;
 use ofar::engine::crc32;
+use ofar::engine::snapshot::{Dec, Enc};
 use ofar::prelude::*;
 use proptest::prelude::*;
 
@@ -431,6 +432,22 @@ fn future_format_version_is_refused() {
     }
 }
 
+/// A v5 file (fixed-width STATE integers) is refused at its version
+/// check, before anything reads its sections.
+#[test]
+fn a_version_5_snapshot_is_refused() {
+    let mut h = Harness::new(MechanismKind::Ofar, 5, 0.0, false);
+    h.drive(100);
+    let mut bytes = h.net.save_snapshot();
+    assert_eq!(bytes[8..12], 6u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
+    reseal(&mut bytes);
+    assert_eq!(
+        h.net.restore_snapshot(&bytes),
+        Err(SnapshotError::UnsupportedVersion { found: 5 })
+    );
+}
+
 #[test]
 fn config_mismatch_is_refused() {
     let mut h = Harness::new(MechanismKind::Ofar, 5, 0.0, false);
@@ -552,23 +569,93 @@ fn source_queues_deeper_than_a_pool_chunk_round_trip() {
     assert_eq!(busy.save_snapshot(), deep.save_snapshot());
 }
 
+// ---------------------------------------------------------------------
+// Reading the STATE payload by hand: its integers are LEB128 varints.
+// ---------------------------------------------------------------------
+
+/// The varint written at `at`, and the offset just past it.
+fn var_at(payload: &[u8], at: usize) -> (u64, usize) {
+    let mut d = Dec::new(&payload[at..]);
+    let v = d.var().unwrap();
+    (v, payload.len() - d.remaining())
+}
+
+/// The varint image of `v`.
+fn leb(v: u64) -> Vec<u8> {
+    let mut e = Enc::default();
+    e.var(v);
+    e.0
+}
+
+/// Replace the varint at `at` in the STATE payload of `bytes` with `v`,
+/// whatever the two lengths, and re-seal the file.
+fn put_var(bytes: &[u8], at: usize, v: u64) -> Vec<u8> {
+    splice_section(bytes, 2, |p| {
+        let end = var_at(p, at).1;
+        p.splice(at..end, leb(v));
+    })
+}
+
+/// Offsets into the wire image of a packet: `id`, `injected_at`, `src`
+/// and `dst` as varints, the intermediate's `Option` tag (and group),
+/// the six `u8` fields from `tail` on, and `cur_group`.
+struct PacketAt {
+    src: usize,
+    tag: usize,
+    tail: usize,
+    end: usize,
+}
+
+fn packet_at(payload: &[u8], at: usize) -> PacketAt {
+    let src = var_at(payload, var_at(payload, at).1).1;
+    let tag = var_at(payload, var_at(payload, src).1).1;
+    let tail = match payload[tag] {
+        0 => tag + 1,
+        _ => var_at(payload, tag + 1).1,
+    };
+    PacketAt {
+        src,
+        tag,
+        tail,
+        end: var_at(payload, tail + 6).1,
+    }
+}
+
+/// A count is checked against the smallest item it could hold. 5,000
+/// packets generated at one node at cycle 0 take about 13 bytes each —
+/// small ids, stamp 0 — so a queue of them is refused by a fixed-width
+/// minimum (35 bytes) and must restore under the varint one.
+#[test]
+fn a_deep_source_queue_round_trips() {
+    let cfg = SimConfig::paper(H).with_seed(5);
+    let build = || Harness::on(cfg, MechanismKind::Ofar, 5, false).net;
+    let nodes = Dragonfly::new(cfg.params).num_nodes();
+    let mut net = build();
+    for i in 0..5_000 {
+        net.generate(NodeId::new(0), NodeId::from(1 + i % (nodes - 1)));
+    }
+    assert_eq!(net.now(), 0);
+    let bytes = net.save_snapshot();
+    let mut fresh = build();
+    fresh.restore_snapshot(&bytes).unwrap();
+    assert_eq!(fresh.save_snapshot(), bytes, "save → restore → save");
+}
+
 /// The packets of each source queue in a STATE payload: per node, the
-/// offset of each packet's wire image, head first. A packet is 35 bytes,
-/// 39 with an intermediate group (the `Option` tag at byte 24).
+/// offset of each packet's wire image, head first.
 fn source_queues(net: &Network<Mechanism>, payload: &[u8]) -> Vec<Vec<usize>> {
-    let mut at = (0..payload.len())
+    let at = (0..payload.len())
         .find(|&o| net.locate_state_field(payload, o) == "source-queue count")
         .unwrap();
-    let nodes = count_at(payload, at);
-    at += 8;
+    let (nodes, mut at) = var_at(payload, at);
     (0..nodes)
         .map(|_| {
-            let n = count_at(payload, at);
-            at += 8;
+            let (n, first) = var_at(payload, at);
+            at = first;
             (0..n)
                 .map(|_| {
                     let pkt = at;
-                    at += if payload[pkt + 24] == 0 { 35 } else { 39 };
+                    at = packet_at(payload, pkt).end;
                     pkt
                 })
                 .collect()
@@ -595,19 +682,21 @@ fn a_source_queue_tail_that_is_not_fresh_is_refused() {
         h.net.locate_state_field(&payload, tail),
         format!("src_q[{}]", node.idx())
     );
+    let pkt = packet_at(&payload, tail);
     let set = |at: usize, v: u8| edit_section(&clean, 2, |p| p[at] = v);
     let cases = [
-        ("a local hop taken", set(tail + 27, 1)),
-        ("a foreign source", set(tail + 16, 1)),
+        ("a local hop taken", set(pkt.tail + 2, 1)),
+        // Bit 0 of the first byte: another node, still one varint.
+        ("a foreign source", set(pkt.src, payload[pkt.src] ^ 1)),
         (
             "an intermediate group",
             splice_section(&clean, 2, |p| {
-                p.splice(tail + 24..tail + 25, [1, 3, 0, 0, 0]);
+                p.splice(pkt.tag..pkt.tag + 1, [1, 3]);
             }),
         ),
         (
             "a ring exit spent",
-            set(tail + 26, h.net.cfg().max_ring_exits - 1),
+            set(pkt.tail + 1, h.net.cfg().max_ring_exits - 1),
         ),
     ];
 
@@ -649,7 +738,7 @@ fn a_burst_with_edited_heads_round_trips() {
         edit_section(&bytes, 2, |p| payload = p.to_vec());
         let edited_heads = source_queues(&net, &payload)
             .iter()
-            .filter(|q| q.len() > 1 && payload[q[0] + 24] == 1)
+            .filter(|q| q.len() > 1 && payload[packet_at(&payload, q[0]).tag] == 1)
             .count();
         assert!(
             edited_heads > 0,
@@ -717,25 +806,20 @@ fn named_diff_resolves_a_state_flip_to_its_field() {
 // engine could not have produced must be refused, not filed.
 // ---------------------------------------------------------------------
 
-/// Offset, inside the STATE payload, of the first link pipeline whose
-/// field label ends with `suffix` (`.arrivals` / `.credit_events`) and
-/// that holds at least `min` entries. The pipeline starts with its
-/// `u64` entry count; entries follow, each led by its `u64` stamp.
+/// Offset, inside the STATE payload, of the first counted field whose
+/// label ends with `suffix` (`.arrivals`, `.credit_events`, `.fifo`, a
+/// source queue) and that holds at least `min` entries. The field
+/// starts with its varint entry count; entries follow, a link event
+/// led by its varint stamp.
 fn find_pipeline(net: &Network<Mechanism>, state: &[u8], suffix: &str, min: u64) -> usize {
-    // Every pipeline is at least its 8-byte count long, so a stride of
-    // 8 cannot step over one.
-    for probe in (0..state.len()).step_by(8) {
+    // An empty pipeline is its one-byte count: every offset is probed.
+    let mut last = String::new();
+    for probe in 0..state.len() {
         let label = net.locate_state_field(state, probe);
-        if !label.ends_with(suffix) {
-            continue;
+        if label != last && label.ends_with(suffix) && var_at(state, probe).0 >= min {
+            return probe;
         }
-        let mut start = probe;
-        while start > 0 && net.locate_state_field(state, start - 1) == label {
-            start -= 1;
-        }
-        if u64::from_le_bytes(state[start..start + 8].try_into().unwrap()) >= min {
-            return start;
-        }
+        last = label;
     }
     panic!("no {suffix} pipeline with {min} entries in this snapshot");
 }
@@ -753,24 +837,25 @@ fn impossible_event_stamps_are_refused() {
         "an identity edit re-seals to the same bytes"
     );
 
-    let arrivals = find_pipeline(&h.net, &payload, ".arrivals", 1);
-    // One entry of a credit pipeline: stamp u64, vc u8, phits u32.
-    let credits = find_pipeline(&h.net, &payload, ".credit_events", 2);
-    let put = |at: usize, v: u64| {
-        edit_section(&clean, 2, |p| {
-            p[at..at + 8].copy_from_slice(&v.to_le_bytes())
-        })
-    };
-    let first_credit = u64::from_le_bytes(payload[credits + 8..credits + 16].try_into().unwrap());
+    let arrival = var_at(&payload, find_pipeline(&h.net, &payload, ".arrivals", 1)).1;
+    // One entry of a credit pipeline: stamp, vc byte, phits.
+    let credit = var_at(
+        &payload,
+        find_pipeline(&h.net, &payload, ".credit_events", 2),
+    )
+    .1;
+    let (first_credit, vc) = var_at(&payload, credit);
+    let second_credit = var_at(&payload, vc + 1).1;
+    let put = |at: usize, v: u64| put_var(&clean, at, v);
     let cases = [
-        ("a stamp in the past", put(arrivals + 8, now - 1)),
+        ("a stamp in the past", put(arrival, now - 1)),
         (
             "a stamp beyond the largest link latency",
-            put(arrivals + 8, now + LAT_GLOBAL + 1),
+            put(arrival, now + LAT_GLOBAL + 1),
         ),
         (
             "a stamp not after its predecessor",
-            put(credits + 8 + 13, first_credit),
+            put(second_credit, first_credit),
         ),
     ];
 
@@ -833,9 +918,7 @@ fn hostile_length_prefix_is_refused_before_it_is_allocated_for() {
     victim.drive(100);
     let pristine = victim.net.save_snapshot();
     for (what, at) in counts {
-        let bytes = edit_section(&clean, 2, |p| {
-            p[at..at + 8].copy_from_slice(&bomb.to_le_bytes())
-        });
+        let bytes = put_var(&clean, at, bomb);
         match victim.net.restore_snapshot(&bytes) {
             Err(SnapshotError::Malformed(_)) => {}
             other => panic!("{what}: expected Malformed, got {other:?}"),
@@ -883,22 +966,17 @@ fn arena_bounds_are_enforced_on_restore() {
     // it with 64 copies of its head — no VC of the paper's
     // configuration holds more than 32.
     let fifo = find_pipeline(&h.net, &payload, ".fifo", 1);
-    let label = h.net.locate_state_field(&payload, fifo);
-    let end = (fifo..payload.len())
-        .find(|&o| h.net.locate_state_field(&payload, o) != label)
-        .unwrap();
-    let queued = u64::from_le_bytes(payload[fifo..fifo + 8].try_into().unwrap()) as usize;
-    let head = payload[fifo + 8..fifo + 8 + (end - fifo - 8) / queued].to_vec();
+    let (queued, first) = var_at(&payload, fifo);
+    let head = payload[first..packet_at(&payload, first).end].to_vec();
+    let end = (0..queued).fold(first, |at, _| packet_at(&payload, at).end);
     let over_full = splice_section(&clean, 2, |p| {
-        p.splice(
-            fifo..end,
-            [64u64.to_le_bytes().to_vec(), head.repeat(64)].concat(),
-        );
+        p.splice(fifo..end, [leb(64), head.repeat(64)].concat());
     });
 
-    // An arrival in flight: stamp u64, then the VC it lands in.
-    let arrivals = find_pipeline(&h.net, &payload, ".arrivals", 1);
-    let vc_out_of_range = edit_section(&clean, 2, |p| p[arrivals + 16] = 200);
+    // An arrival in flight: its stamp, then the VC it lands in.
+    let arrival = var_at(&payload, find_pipeline(&h.net, &payload, ".arrivals", 1)).1;
+    let vc = var_at(&payload, arrival).1;
+    let vc_out_of_range = edit_section(&clean, 2, |p| p[vc] = 200);
 
     let credits = (0..payload.len())
         .find(|&o| {
@@ -907,9 +985,7 @@ fn arena_bounds_are_enforced_on_restore() {
                 .ends_with(".credits[0]")
         })
         .unwrap();
-    let credits_above_capacity = edit_section(&clean, 2, |p| {
-        p[credits..credits + 4].copy_from_slice(&u32::MAX.to_le_bytes())
-    });
+    let credits_above_capacity = put_var(&clean, credits, u32::MAX.into());
 
     let mut victim = Harness::new(MechanismKind::Ofar, 9, 0.0, false);
     victim.drive(100);
@@ -940,19 +1016,18 @@ fn arena_bounds_are_enforced_on_restore() {
 // restores a state the live engine can never hold, so it is refused.
 // ---------------------------------------------------------------------
 
-/// The `u64` count written at `at`.
-fn count_at(payload: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(payload[at..at + 8].try_into().unwrap())
-}
-
 /// Offsets, inside the STATE payload, of the `out_vc` byte of the first
 /// LLR replay entry and of the count of the first non-empty receiver
 /// wire queue. Walks the `"llr"` field in the order the engine writes
-/// it: presence tag; `n_out`, `n_in`, window, RNG; each sender (next
-/// sequence number, replay entries, acks); each receiver (window base
-/// and mask, wire queue).
+/// it: presence tag; `n_out`, `n_in`, window, RNG word; each sender
+/// (next sequence number, replay entries, acks); each receiver (window
+/// base and mask, wire queue).
 fn llr_offsets(net: &Network<Mechanism>, payload: &[u8]) -> (usize, usize) {
-    let count = |at: usize| count_at(payload, at) as usize;
+    let next = |at: &mut usize| {
+        let (v, end) = var_at(payload, *at);
+        *at = end;
+        v
+    };
     // The field comes after every per-router one; each lookup decodes
     // the section up to its offset, so search rather than scan.
     let at_or_after_llr = |o: usize| {
@@ -970,32 +1045,38 @@ fn llr_offsets(net: &Network<Mechanism>, payload: &[u8]) -> (usize, usize) {
     }
     assert_eq!(net.locate_state_field(payload, lo), "llr");
     assert_eq!(payload[lo], 1, "LLR is on");
-    let mut at = lo + 1 + 4 * 8;
-    let mut first_vc = None;
-    let senders = count(at);
-    at += 8;
-    for _ in 0..senders {
-        let entries = count(at + 4);
-        at += 12;
-        for _ in 0..entries {
-            first_vc.get_or_insert(at + 4);
-            // seq, out_vc, retries, sent_at, lost; the packet's ids,
-            // stamp and endpoints; its optional intermediate group.
-            at += 18 + 24;
-            at += if payload[at] == 1 { 5 } else { 1 };
-            // flags and hop counters, current group, CRC.
-            at += 6 + 4 + 4;
-        }
-        at += 8 + 13 * count(at);
+    let mut at = lo + 1;
+    for _ in 0..3 {
+        next(&mut at);
     }
-    let receivers = count(at);
     at += 8;
-    for _ in 0..receivers {
-        at += 12;
-        if count(at) > 0 {
+    let mut first_vc = None;
+    for _ in 0..next(&mut at) {
+        next(&mut at);
+        for _ in 0..next(&mut at) {
+            // seq, out_vc, retries, sent_at, lost, the packet, its CRC.
+            next(&mut at);
+            first_vc.get_or_insert(at);
+            at += 1;
+            next(&mut at);
+            next(&mut at);
+            at = packet_at(payload, at + 1).end;
+            next(&mut at);
+        }
+        for _ in 0..next(&mut at) {
+            // stamp, seq, ok.
+            next(&mut at);
+            next(&mut at);
+            at += 1;
+        }
+    }
+    for _ in 0..next(&mut at) {
+        next(&mut at);
+        next(&mut at);
+        if var_at(payload, at).0 > 0 {
             return (first_vc.expect("a replay entry"), at);
         }
-        at += 8;
+        next(&mut at);
     }
     panic!("no wire metadata in flight in this snapshot");
 }
@@ -1012,9 +1093,10 @@ fn link_and_fault_states_the_engine_cannot_hold_are_refused() {
     // One wire-metadata entry (sequence number, CRC) spliced out of its
     // queue: the arrival it travelled with would land with none.
     let wire_short = splice_section(&clean, 2, |p| {
-        let n = count_at(p, wire);
-        p[wire..wire + 8].copy_from_slice(&(n - 1).to_le_bytes());
-        p.drain(wire + 8..wire + 16);
+        let (n, entry) = var_at(p, wire);
+        let entry_end = var_at(p, var_at(p, entry).1).1;
+        p.drain(entry..entry_end);
+        p.splice(wire..entry, leb(n - 1));
     });
     let replay_vc_out_of_range = edit_section(&clean, 2, |p| p[out_vc] = 200);
 
@@ -1034,11 +1116,9 @@ fn link_and_fault_states_the_engine_cannot_hold_are_refused() {
     let fault_state = (0..idle_payload.len())
         .find(|&o| idle.net.locate_state_field(&idle_payload, o) == "fault state")
         .unwrap();
-    let one_shot = fault_state + 4 * 8;
-    assert_eq!(idle_payload[one_shot..one_shot + 4], 1u32.to_le_bytes());
-    let zero_pending = edit_section(&pending, 2, |p| {
-        p[one_shot..one_shot + 4].copy_from_slice(&0u32.to_le_bytes())
-    });
+    let one_shot = (0..5).fold(fault_state, |at, _| var_at(&idle_payload, at).1);
+    assert_eq!(var_at(&idle_payload, one_shot), (1, one_shot + 1));
+    let zero_pending = edit_section(&pending, 2, |p| p[one_shot] = 0);
 
     let mut victim = Harness::on(cfg, MechanismKind::Ofar, 9, false);
     victim.drive(100);
@@ -1139,10 +1219,12 @@ fn schema_key(label: &str) -> Vec<usize> {
     key
 }
 
-/// Encoded width of a fixed-size field, `None` for the ones that carry a
-/// count or an `Option` tag. A field read without being announced would
-/// pass for part of the next one; this is what gives it away.
-fn fixed_width(label: &str) -> Option<usize> {
+/// Encoded width of a field that is one value, `None` for the ones that
+/// carry a count or an `Option` tag: a byte, or the one varint `bytes`
+/// (the payload from the field's first byte on) begins with. A field
+/// read without being announced would pass for part of the next one;
+/// this is what gives it away.
+fn width(label: &str, bytes: &[u8]) -> Option<usize> {
     let stem = label.trim_end_matches(|c: char| c.is_ascii_digit() || c == '[' || c == ']');
     let is = |names: &[&str]| names.iter().any(|n| stem.ends_with(n));
     if is(&[
@@ -1158,10 +1240,8 @@ fn fixed_width(label: &str) -> Option<usize> {
         None
     } else if is(&["faults_ever", "cm presence tag", "cm.throttled"]) {
         Some(1)
-    } else if is(&[".credits", "cm.tokens", "cm.cong"]) {
-        Some(4)
     } else {
-        Some(8)
+        Some(var_at(bytes, 0).1)
     }
 }
 
@@ -1206,7 +1286,7 @@ fn labels_cover_the_state_section() {
         edit_section(&clean, 2, |p| state = p.to_vec());
 
         // Every byte maps to a field...
-        let mut runs: Vec<(String, usize)> = Vec::new();
+        let mut runs: Vec<(String, usize, usize)> = Vec::new();
         for offset in 0..state.len() {
             let label = h.net.locate_state_field(&state, offset);
             assert!(
@@ -1215,8 +1295,8 @@ fn labels_cover_the_state_section() {
                 state.len()
             );
             match runs.last_mut() {
-                Some((last, len)) if *last == label => *len += 1,
-                _ => runs.push((label, 1)),
+                Some((last, _, len)) if *last == label => *len += 1,
+                _ => runs.push((label, offset, 1)),
             }
         }
         // ...the walk ends exactly where the section does...
@@ -1227,9 +1307,9 @@ fn labels_cover_the_state_section() {
         );
         // ...and each field is one contiguous run of its own width, in
         // schema order.
-        for (label, len) in &runs {
+        for (label, start, len) in &runs {
             assert!(
-                fixed_width(label).is_none_or(|w| w == *len),
+                width(label, &state[*start..]).is_none_or(|w| w == *len),
                 "{what}: {label} spans {len} bytes"
             );
         }
@@ -1243,12 +1323,12 @@ fn labels_cover_the_state_section() {
         }
         let stats: Vec<&str> = runs
             .iter()
-            .filter_map(|(label, _)| label.strip_prefix("stats."))
+            .filter_map(|(label, _, _)| label.strip_prefix("stats."))
             .collect();
         assert_eq!(stats, ofar::engine::Stats::counter_names(), "{what}");
         // More than the one-byte "absent" tag an unused part leaves.
         assert!(
-            runs.iter().any(|(l, len)| l == filled && *len > 1),
+            runs.iter().any(|(l, _, len)| l == filled && *len > 1),
             "{what}: {filled} is absent"
         );
     }
