@@ -560,11 +560,16 @@ mod tests {
         for (_, old) in policy.list(key) {
             std::fs::remove_file(old).unwrap();
         }
+        let le = |v: u32| {
+            let mut e = Enc(Vec::new());
+            e.u32(v);
+            e.0
+        };
         let mut snap = ck.snap.clone();
-        snap[8..12].copy_from_slice(&5u32.to_le_bytes());
+        snap[8..12].copy_from_slice(&le(5));
         let body = snap.len() - 4;
         let sealed = crc32(&snap[..body]);
-        snap[body..].copy_from_slice(&sealed.to_le_bytes());
+        snap[body..].copy_from_slice(&le(sealed));
         let file = encode(
             key,
             cycle,

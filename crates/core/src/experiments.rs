@@ -8,7 +8,8 @@
 
 use crate::env::{self, EnvError};
 use crate::run::{
-    burst, point_seed, steady_state, transient, Point, Shape, SteadyOpts, TransientOpts,
+    burst, longest_first, point_seed, steady_state, transient, Point, Shape, SteadyOpts,
+    TransientOpts,
 };
 use crate::table::{f1, f4, Table};
 use crate::theory;
@@ -160,8 +161,9 @@ impl Scale {
 /// Sweep several mechanisms over a load range under one traffic spec,
 /// long-format rows `(mech, load, latency, throughput, misroutes/pkt,
 /// ring entries)`. Every `(mechanism, load)` point is one item of one
-/// parallel map, and load `i` of every curve runs with the seed
-/// `point_seed(SUITE_SEED, i)`, as in a plain one-mechanism sweep.
+/// parallel map, highest loads first, and load `i` of every curve runs
+/// with the seed `point_seed(SUITE_SEED, i)`, as in a plain
+/// one-mechanism sweep.
 fn sweep_table(
     title: &str,
     scale: &Scale,
@@ -192,16 +194,17 @@ fn sweep_table(
                 .map(move |(i, &load)| (kind, i, load))
         })
         .collect();
-    let results: Vec<_> = points
-        .par_iter()
-        .map(|&(kind, i, load)| {
+    let results = longest_first(
+        &points,
+        |&(_, _, load)| load,
+        |_, &(kind, i, load)| {
             let seed = point_seed(SUITE_SEED, i);
             (
                 kind,
                 steady_state(cfg, kind, spec, load, scale.steady, seed),
             )
-        })
-        .collect();
+        },
+    );
     for (kind, p) in results {
         t.push(vec![
             kind.name().to_string(),

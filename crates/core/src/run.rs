@@ -269,7 +269,7 @@ pub fn steady<H: Hooks>(point: &Point, ckpt: &CheckpointPolicy, extra: H) -> (St
 
 /// A whole latency/throughput curve for one mechanism: one
 /// [`SteadyPoint`] per offered load, simulated in parallel (each point is
-/// an independent simulation).
+/// an independent simulation), the highest loads started first.
 pub fn load_sweep(
     cfg: SimConfig,
     kind: MechanismKind,
@@ -278,11 +278,28 @@ pub fn load_sweep(
     opts: SteadyOpts,
     seed: u64,
 ) -> Vec<SteadyPoint> {
-    loads
-        .par_iter()
-        .enumerate()
-        .map(|(i, &load)| steady_state(cfg, kind, spec, load, opts, point_seed(seed, i)))
-        .collect()
+    longest_first(
+        loads,
+        |&load| load,
+        |i, &load| steady_state(cfg, kind, spec, load, opts, point_seed(seed, i)),
+    )
+}
+
+/// `run(i, &points[i])` for every point, in parallel, handed to the
+/// workers in descending `cost` (ties in input order) and returned in
+/// input order. A sweep's cost is its offered load: the loaded points
+/// run longest, and started last they would leave the other workers
+/// idle at the end.
+pub(crate) fn longest_first<T: Sync, R: Send>(
+    points: &[T],
+    cost: impl Fn(&T) -> f64,
+    run: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    order.sort_by(|&a, &b| cost(&points[b]).total_cmp(&cost(&points[a])));
+    let mut done: Vec<(usize, R)> = order.par_iter().map(|&i| (i, run(i, &points[i]))).collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The seed of point `i` of a sweep seeded `seed`: every sweep and

@@ -544,7 +544,7 @@ impl Llr {
 // Checkpoint codec (see crate::snapshot)
 // ---------------------------------------------------------------------
 
-use crate::snapshot::{decode_packet, encode_packet, Dec, Enc, SnapshotError, PACKET_MIN_BYTES};
+use crate::snapshot::{decode_packet_in, encode_packet, Dec, Enc, SnapshotError, PACKET_MIN_BYTES};
 use ofar_topology::RouterId;
 
 impl Llr {
@@ -639,7 +639,7 @@ impl Llr {
                     retries: d.var_u32()?,
                     sent_at: d.var()?,
                     lost: d.flag("bad LLR lost flag")?,
-                    pkt: decode_packet(d)?,
+                    pkt: decode_packet_in(d, fab.topo())?,
                     crc: d.var_u32()?,
                 };
                 if entry.out_vc >= fab.out_link(RouterId::from(i / n_out), i % n_out).vcs {

@@ -20,7 +20,7 @@ use crate::llr::Llr;
 use crate::occupancy::Occupancy;
 use crate::policy::Policy;
 use crate::snapshot::{
-    self, decode_packet, encode_packet, Dec, Enc, SnapshotError, PACKET_MIN_BYTES,
+    self, decode_packet_in, encode_packet, Dec, Enc, SnapshotError, PACKET_MIN_BYTES,
 };
 use crate::stats::{Stats, STATS_COUNTERS};
 use crate::wheel::{Arrival, Credit, Wheel};
@@ -289,7 +289,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         );
         for node in 0..nodes {
             for i in 0..d.len(PACKET_MIN_BYTES, "source queue size")? {
-                let pkt = decode_packet(d)?;
+                let pkt = decode_packet_in(d, self.fab.topo())?;
                 // Only the head has been offered to `on_inject`; a packet
                 // behind it is still as `generate` made it.
                 if i > 0 && !src_q.keeps(node, pkt) {
@@ -334,7 +334,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                     let capacity = self.fab.slot_caps()[slot];
                     let n = d.len(PACKET_MIN_BYTES, "VC buffer size")?;
                     for _ in 0..n {
-                        let pkt = decode_packet(d)?;
+                        let pkt = decode_packet_in(d, self.fab.topo())?;
                         if !arena.fifos.fits(slot, capacity) {
                             return malformed("VC buffer overflows its capacity");
                         }
@@ -347,7 +347,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 for _ in 0..n {
                     let at = d.var()?;
                     let vc = d.u8()?;
-                    let pkt = decode_packet(d)?;
+                    let pkt = decode_packet_in(d, self.fab.topo())?;
                     if vc >= desc.vcs {
                         return malformed("arrival targets a VC out of range");
                     }

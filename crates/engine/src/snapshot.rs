@@ -527,6 +527,25 @@ pub(crate) fn decode_packet(d: &mut Dec<'_>) -> Result<crate::packet::Packet, Sn
     })
 }
 
+/// [`decode_packet`] for a packet of `topo`'s network: one that names a
+/// node or group outside it is `Malformed`, not restored for the
+/// resumed run to index its tables with.
+pub(crate) fn decode_packet_in(
+    d: &mut Dec<'_>,
+    topo: &ofar_topology::Dragonfly,
+) -> Result<crate::packet::Packet, SnapshotError> {
+    let p = decode_packet(d)?;
+    let node = |n: ofar_topology::NodeId| n.idx() < topo.num_nodes();
+    let group = |g: ofar_topology::GroupId| g.idx() < topo.num_groups();
+    if node(p.src) && node(p.dst) && group(p.cur_group) && p.intermediate.is_none_or(group) {
+        Ok(p)
+    } else {
+        Err(SnapshotError::Malformed(
+            "packet names a node or group outside the network",
+        ))
+    }
+}
+
 // ---------------------------------------------------------------------
 // Canonical configuration encoding (the machine identity)
 // ---------------------------------------------------------------------

@@ -7,7 +7,8 @@
 //! Run in the dev profile (`cargo test -p ofar-engine --tests`), where
 //! overflow checks are on.
 
-use ofar_engine::{crc32, Network, SimConfig};
+use ofar_engine::snapshot::{Dec, Enc};
+use ofar_engine::{crc32, Network, SimConfig, SnapshotError};
 use ofar_routing::{Mechanism, MechanismKind};
 use ofar_topology::NodeId;
 use rand::rngs::SmallRng;
@@ -136,4 +137,45 @@ fn a_mutated_state_section_is_refused_or_saved_back_exactly() {
         accepted > 0 && refused > 0,
         "{accepted} accepted, {refused} refused"
     );
+}
+
+/// The varint at `at` in `payload`: its value and the offset past it.
+fn var_at(payload: &[u8], at: usize) -> (u64, usize) {
+    let mut d = Dec::new(&payload[at..]);
+    let v = d.var().unwrap();
+    (v, payload.len() - d.remaining())
+}
+
+/// A packet whose destination lies outside the network is refused on
+/// restore, not handed to the resumed run to route by.
+#[test]
+fn a_packet_naming_a_node_outside_the_network_is_refused() {
+    let clean = mid_run_snapshot();
+    let (at, len) = state_section(&clean);
+    let payload = &clean[at + 9..at + 9 + len];
+    let mut victim = network();
+    // The first VC FIFO holding a packet: the field starts where its
+    // label first appears, with its varint packet count.
+    let mut last = String::new();
+    let fifo = (0..payload.len())
+        .find(|&o| {
+            let label = victim.locate_state_field(payload, o);
+            let start = label != last;
+            last = label;
+            start && last.ends_with(".fifo") && var_at(payload, o).0 > 0
+        })
+        .expect("a mid-run snapshot has a queued packet");
+    // The packet follows its count: `id`, `injected_at`, `src`, then `dst`.
+    let dst = (0..3).fold(var_at(payload, fifo).1, |o, _| var_at(payload, o).1);
+    let mut far = Enc::default();
+    far.var(1_000_000);
+    let mut edited = payload.to_vec();
+    edited.splice(dst..var_at(payload, dst).1, far.0);
+    assert_eq!(
+        victim.restore_snapshot(&with_state(&clean, &edited)),
+        Err(SnapshotError::Malformed(
+            "packet names a node or group outside the network"
+        ))
+    );
+    victim.restore_snapshot(&clean).unwrap();
 }

@@ -46,7 +46,7 @@ pub use report::{
 };
 pub use ring_spec::RingSpec;
 
-use cdg::Cdg;
+use cdg::Drained;
 use ofar_engine::config::VCS_RING;
 use ofar_engine::{RingMode, SimConfig};
 use ofar_routing::{DependencyDecl, EnumerablePolicy, MechanismDeps, MechanismKind};
@@ -137,6 +137,20 @@ pub fn verify_decl(
     decl: &MechanismDeps,
     rings: &[RingSpec],
 ) -> Result<Certificate, VerifyError> {
+    escape_layer(topo, cfg, decl, rings)?;
+    let drained = cdg::check(topo, cfg.vcs_local, cfg.vcs_global, decl)?;
+    Ok(certificate(topo, cfg, decl, rings, &drained))
+}
+
+/// The escape-layer obligations of [`verify_decl`]: each ring is a
+/// spanning cycle over real links, the bubble fits, and an escape
+/// mechanism has a ring to escape to.
+fn escape_layer(
+    topo: &Dragonfly,
+    cfg: &SimConfig,
+    decl: &MechanismDeps,
+    rings: &[RingSpec],
+) -> Result<(), VerifyError> {
     // Escape layer: each ring is a spanning cycle over real links…
     for ring in rings {
         ring.check(topo)?;
@@ -153,52 +167,35 @@ pub fn verify_decl(
             mechanism: decl.mechanism,
         });
     }
+    Ok(())
+}
 
-    // Canonical subgraph: find every cyclic SCC.
-    let (vl, vg) = (cfg.vcs_local, cfg.vcs_global);
-    let graph = Cdg::build(topo, vl, vg, decl);
-    let sccs = graph.cyclic_sccs();
-    if !decl.uses_escape {
-        if let Some(scc) = sccs.first() {
-            return Err(VerifyError::DependencyCycle {
-                mechanism: decl.mechanism,
-                cycle: scc.cycle.clone(),
-            });
-        }
-    } else {
-        // Duato drain: every class inside a cycle must be able to leave
-        // the cyclic dependency in one transition into the (acyclic +
-        // bubble-protected) escape layer.
-        for scc in &sccs {
-            for &class in &scc.classes {
-                if !decl.drains_to_escape(class) {
-                    return Err(VerifyError::NoEscapeDrain {
-                        mechanism: decl.mechanism,
-                        class,
-                        cycle: graph.cycle_through(scc, class),
-                    });
-                }
-            }
-        }
-    }
-
+/// The certificate of a declaration whose obligations all held.
+fn certificate(
+    topo: &Dragonfly,
+    cfg: &SimConfig,
+    decl: &MechanismDeps,
+    rings: &[RingSpec],
+    drained: &Drained,
+) -> Certificate {
     let nr = topo.num_routers();
     let (a, h) = (topo.params().a, topo.params().h);
+    let (vl, vg) = (cfg.vcs_local, cfg.vcs_global);
     let lanes = match cfg.ring {
         RingMode::Physical => VCS_RING,
         RingMode::Embedded => 1,
         RingMode::None => 0,
     };
-    Ok(Certificate {
+    Certificate {
         mechanism: decl.mechanism,
         routers: nr,
         channels: nr * (a - 1) * vl + nr * h * vg,
-        dependencies: graph.concrete_dependencies(topo),
+        dependencies: drained.dependencies,
         escape_channels: rings.len() * nr * lanes.max(usize::from(!rings.is_empty())),
         rings: rings.len(),
-        cycles_drained: sccs.len(),
+        cycles_drained: drained.cycles,
         bubble_slack: (!rings.is_empty()).then(|| cfg.buf_ring - 2 * cfg.packet_size),
-    })
+    }
 }
 
 #[cfg(test)]

@@ -316,6 +316,36 @@ fn tiny_scale() -> Scale {
     }
 }
 
+/// `load_sweep` starts its highest loads first, but each point keeps the
+/// seed of its own index and lands in its own slot: the sweep is the
+/// in-order sequential map of `steady_state`.
+#[test]
+fn a_load_sweep_is_the_in_order_map_of_steady_state() {
+    let scale = tiny_scale();
+    let (cfg, kind, spec) = (
+        scale.cfg(),
+        MechanismKind::Ofar,
+        TrafficSpec::adversarial(2),
+    );
+    let loads = [0.3, 0.1, 0.5, 0.1];
+    let expected: Vec<_> = (loads.iter().enumerate())
+        .map(|(i, &load)| {
+            steady_state(
+                cfg,
+                kind,
+                &spec,
+                load,
+                scale.steady,
+                ofar::run::point_seed(7, i),
+            )
+        })
+        .collect();
+    assert_eq!(
+        load_sweep(cfg, kind, &spec, &loads, scale.steady, 7),
+        expected
+    );
+}
+
 /// A figure runs its points as one flat list, but each point keeps the
 /// seed of its own curve: Fig. 4's rows for a mechanism are the rows of
 /// that mechanism's plain `load_sweep`, load `i` seeded by its index in
