@@ -6,8 +6,8 @@ use crate::env;
 use crate::overload::OverloadOpts;
 use ofar_engine::config::{LAT_GLOBAL, LAT_LOCAL};
 use ofar_engine::{
-    AuditReport, Auditor, Fabric, FaultPlan, Hooks, Network, NoHooks, Policy, Recorder, SimConfig,
-    SnapshotError, Stats, StatsWindow,
+    AuditReport, Auditor, Fabric, FaultPlan, Hooks, Network, NoHooks, PastLastCycle, Policy,
+    Recorder, SimConfig, SnapshotError, Stats, StatsWindow,
 };
 use ofar_routing::{Mechanism, MechanismKind, OfarConfig, PbConfig};
 use ofar_topology::{NodeId, RouterId};
@@ -23,6 +23,14 @@ pub struct SteadyOpts {
     pub warmup: u64,
     /// Cycles measured.
     pub measure: u64,
+}
+
+impl SteadyOpts {
+    /// `Ok` when the warm-up and the window together end at or before
+    /// [`ofar_engine::LAST_CYCLE`].
+    pub fn check(&self) -> Result<(), PastLastCycle> {
+        PastLastCycle::check(self.warmup, self.measure)
+    }
 }
 
 /// One point of a steady-state curve.
@@ -93,6 +101,20 @@ pub enum Shape {
 }
 
 impl Shape {
+    /// `Ok` when the cycles the shape's runner steps end at or before
+    /// [`ofar_engine::LAST_CYCLE`]. A burst runs until it drains or its
+    /// watchdog fires, so only the engine's own bound limits it.
+    pub fn check(&self) -> Result<(), PastLastCycle> {
+        match self {
+            Shape::Steady { opts, .. } => opts.check(),
+            Shape::Transient { opts, .. } => {
+                PastLastCycle::check(opts.warmup, opts.post.saturating_add(opts.drain))
+            }
+            Shape::Burst { .. } => Ok(()),
+            Shape::Overload { opts } => PastLastCycle::check(opts.warmup, opts.measure),
+        }
+    }
+
     /// A closed burst of `packets` per node on a fault-free network.
     pub fn burst(packets: usize) -> Self {
         Self::Burst {
@@ -150,8 +172,13 @@ impl Point {
 /// # Panics
 /// On a configuration the static CDG verifier does not certify as
 /// deadlock-free (cached per configuration, so sweeps pay it once), with
-/// the offending cycle, ring defect or buffer inequality.
+/// the offending cycle, ring defect or buffer inequality; and on a shape
+/// that would run past [`ofar_engine::LAST_CYCLE`] ([`Shape::check`]),
+/// before anything is built.
 pub fn network<H: Hooks>(point: &Point, extra: H) -> Network<Mechanism, (Recorder, H)> {
+    if let Err(past) = point.shape.check() {
+        panic!("refusing to start a run that {past}");
+    }
     let kind = point.kind;
     let cfg = kind.adapt_config(point.cfg);
     ofar_verify::certify_cached(&cfg, kind)
@@ -723,7 +750,9 @@ pub struct ReplayReport {
 
 /// Restore a snapshot file (e.g. a post-mortem stall dump) and re-run up
 /// to `cycles` further cycles with per-cycle tracing and no new
-/// injection. The embedded configuration goes through [`network`] like
+/// injection. Cycles that would run past [`ofar_engine::LAST_CYCLE`]
+/// are refused up front with [`SnapshotError::PastLastCycle`], drained
+/// or not. The embedded configuration goes through [`network`] like
 /// a fresh run's — adapted to the named mechanism, then certified —
 /// before a single cycle executes: one the verifier refuses is
 /// [`SnapshotError::Uncertified`], and a header pairing a mechanism with
@@ -757,6 +786,7 @@ pub fn replay_snapshot(path: &Path, cycles: u64) -> Result<ReplayReport, Snapsho
     let mut net = network(&point, Auditor::new());
     net.restore_snapshot(&bytes)?;
     let start_cycle = net.now();
+    PastLastCycle::check(start_cycle, cycles).map_err(SnapshotError::PastLastCycle)?;
     let mut trace = Vec::with_capacity(cycles.min(1 << 20) as usize);
     let mut prev_delivered = net.stats().delivered_packets;
     let mut prev_retx = net.stats().llr_retransmits;
@@ -966,6 +996,55 @@ mod tests {
         assert_eq!(w.observe(at + 4 * window, &stats(at + 4 * window, 1)), None);
         let now = at + 4 * window + 1;
         assert_eq!(w.observe(now, &stats(now, 1)), Some((false, 0)));
+    }
+
+    #[test]
+    fn a_shape_past_the_last_cycle_is_refused() {
+        use ofar_engine::LAST_CYCLE;
+        let steady = |warmup, measure| Shape::Steady {
+            load: 0.1,
+            opts: SteadyOpts { warmup, measure },
+        };
+        assert!(steady(LAST_CYCLE - 1, 1).check().is_ok());
+        assert_eq!(
+            steady(LAST_CYCLE, 1).check(),
+            Err(PastLastCycle {
+                from: LAST_CYCLE,
+                cycles: 1
+            })
+        );
+        assert!(steady(1, u64::MAX).check().is_err());
+        let transient = Shape::Transient {
+            after: TrafficSpec::uniform(),
+            load: 0.1,
+            opts: TransientOpts {
+                warmup: 1,
+                post: u64::MAX,
+                pre_window: 0,
+                bucket: 1,
+                drain: 1,
+            },
+        };
+        assert!(transient.check().is_err());
+        assert!(Shape::burst(1).check().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "refusing to start a run that 1 cycles from cycle 4294967295")]
+    fn network_refuses_a_shape_past_the_last_cycle() {
+        let opts = SteadyOpts {
+            warmup: ofar_engine::LAST_CYCLE,
+            measure: 1,
+        };
+        let shape = Shape::Steady { load: 0.1, opts };
+        let point = Point::new(
+            small(),
+            MechanismKind::Min,
+            &TrafficSpec::uniform(),
+            1,
+            shape,
+        );
+        network(&point, NoHooks);
     }
 
     #[test]

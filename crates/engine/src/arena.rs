@@ -21,8 +21,10 @@ pub(crate) struct Arena {
     /// Per input port: the crossbar input is busy until this cycle
     /// (exclusive).
     pub in_busy: Vec<u64>,
-    /// Per input slot: least-recently-served stamp of the input arbiter.
-    pub vc_served_at: Vec<u64>,
+    /// Per input slot: least-recently-served stamp of the input arbiter
+    /// (the cycle after the last grant; 0 = never), 32-bit under
+    /// [`crate::LAST_CYCLE`].
+    pub vc_served_at: Vec<u32>,
     /// The input VC FIFOs, per slot.
     pub fifos: Fifos,
     /// Per output port: the link is busy until this cycle (exclusive).
@@ -30,8 +32,8 @@ pub(crate) struct Arena {
     /// Per lane: available downstream space, in phits.
     pub credits: Vec<u32>,
     /// `[router × n_out × n_in]`: least-recently-served stamp of each
-    /// input at each output's arbiter.
-    pub in_served_at: Vec<u64>,
+    /// input at each output's arbiter, as `vc_served_at`.
+    pub in_served_at: Vec<u32>,
 }
 
 impl Arena {
@@ -85,12 +87,12 @@ impl Stow for Packet {
 /// as [`crate::Network::generate`] made it: only the head is offered to
 /// `Policy::on_inject`, the one call that may edit a queued packet, so
 /// everything but these three fields follows from the node (the slot).
-/// The two `u64` fields are kept as `[u32; 2]` words, so a tail aligns
-/// to 4 bytes and packs into 24 (see [`Tail`]).
+/// The `u64` id is kept as `[u32; 2]` words, so a tail aligns to 4 bytes
+/// and packs into 20 (see [`Tail`]).
 #[derive(Clone, Copy)]
 pub(crate) struct Queued {
     id: [u32; 2],
-    injected_at: [u32; 2],
+    injected_at: u32,
     dst: NodeId,
 }
 
@@ -137,7 +139,7 @@ impl Fresh {
     /// The packet generated at node `src` for `dst` with `id` at cycle
     /// `injected_at`, before anything has routed it.
     #[inline]
-    pub fn packet(self, id: u64, injected_at: u64, src: NodeId, dst: NodeId) -> Packet {
+    pub fn packet(self, id: u64, injected_at: u32, src: NodeId, dst: NodeId) -> Packet {
         Packet {
             id,
             injected_at,
@@ -161,14 +163,18 @@ impl Stow for Queued {
     fn stow(pkt: Packet) -> Self {
         Self {
             id: words(pkt.id),
-            injected_at: words(pkt.injected_at),
+            injected_at: pkt.injected_at,
             dst: pkt.dst,
         }
     }
     #[inline]
     fn unstow(self, ctx: Fresh, slot: usize) -> Packet {
-        let (id, injected_at) = (unwords(self.id), unwords(self.injected_at));
-        ctx.packet(id, injected_at, NodeId::from(slot), self.dst)
+        ctx.packet(
+            unwords(self.id),
+            self.injected_at,
+            NodeId::from(slot),
+            self.dst,
+        )
     }
 }
 
@@ -182,9 +188,9 @@ pub(crate) struct Tail<T> {
 }
 
 // A burst parks every packet it generates behind a source-queue head:
-// 24 bytes a packet (20 of `Queued`, 4 of link, no padding) and a pool
-// chunk of 24 KB, against 56 whole.
-const _: () = assert!(size_of::<Tail<Queued>>() <= 24);
+// 20 bytes a packet (16 of `Queued`, 4 of link, no padding) and a pool
+// chunk of 20 KB, against 44 whole.
+const _: () = assert!(size_of::<Tail<Queued>>() <= 20);
 
 /// Entries in the order they were first needed, addressed by a `u32` that
 /// stays good for the pool's life: it grows a `CHUNK` at a time and an
@@ -393,7 +399,7 @@ mod tests {
     fn pkt<T: Stow>(ctx: T::Ctx, slot: usize, id: u64) -> Packet {
         let made = Packet {
             id,
-            injected_at: id / 2,
+            injected_at: (id / 2) as u32,
             dst: NodeId::new(id as u32),
             ..Packet::default()
         };

@@ -137,6 +137,45 @@ pub const MAX_PORTS: usize = u64::BITS as usize;
 /// Most VCs a port may have: VC indices and counts travel as `u8`.
 pub const MAX_VCS: usize = u8::MAX as usize;
 
+/// The last cycle a run may reach: `Packet::injected_at` and the
+/// allocator's least-recently-served stamps (cycle + 1) are 32-bit, so
+/// [`crate::Network::step`] refuses to run the cycle whose stamp would
+/// not fit. 2³² − 1 cycles is about 54,000 times the paper's longest run.
+pub const LAST_CYCLE: u64 = u32::MAX as u64;
+
+/// A run of `cycles` cycles from cycle `from` would pass [`LAST_CYCLE`]:
+/// refused before it starts, by every surface that takes a run length.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PastLastCycle {
+    /// The cycle the run would start at.
+    pub from: u64,
+    /// The cycles asked for.
+    pub cycles: u64,
+}
+
+impl PastLastCycle {
+    /// `Ok` when `cycles` more cycles from cycle `from` end at or before
+    /// [`LAST_CYCLE`].
+    pub fn check(from: u64, cycles: u64) -> Result<(), Self> {
+        match from.checked_add(cycles) {
+            Some(end) if end <= LAST_CYCLE => Ok(()),
+            _ => Err(Self { from, cycles }),
+        }
+    }
+}
+
+impl fmt::Display for PastLastCycle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} cycles from cycle {} run past the last cycle {LAST_CYCLE} (cycle stamps are 32-bit)",
+            self.cycles, self.from
+        )
+    }
+}
+
+impl std::error::Error for PastLastCycle {}
+
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {

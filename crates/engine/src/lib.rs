@@ -62,7 +62,7 @@ pub mod stats;
 mod wheel;
 
 pub use audit::{AuditReport, AuditViolation, Auditor};
-pub use config::{ConfigError, RingMode, SimConfig};
+pub use config::{ConfigError, PastLastCycle, RingMode, SimConfig, LAST_CYCLE};
 pub use crc::{crc32, Crc32};
 pub use fabric::{EscapeOut, Fabric, InDesc, OutLink, PortKind};
 pub use fault::{random_global_links, FaultEvent, FaultKind, FaultPlan, FaultState};

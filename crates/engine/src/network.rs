@@ -18,7 +18,7 @@
 
 use crate::arena::{Arena, Fifos, Fresh, Queued};
 use crate::audit::AuditReport;
-use crate::config::SimConfig;
+use crate::config::{PastLastCycle, SimConfig, LAST_CYCLE};
 use crate::fabric::Fabric;
 use crate::fault::{FaultPlan, FaultState};
 use crate::hooks::{Hooks, NoHooks, Phase, Tap};
@@ -98,7 +98,7 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     grants: Vec<(u16, u8, Request)>,
     /// Per output, the allocator's best proposal of the current
     /// iteration; stale wherever that iteration proposed nothing.
-    best_out: Vec<(u64, u32)>,
+    best_out: Vec<(u32, u32)>,
 }
 
 impl<P: Policy> Network<P> {
@@ -295,7 +295,12 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// queue until the injection buffer accepts it.
     pub fn generate(&mut self, src: NodeId, dst: NodeId) {
         debug_assert_ne!(src, dst, "self-traffic is not meaningful");
-        let pkt = Fresh::of(&self.fab).packet(self.next_id, self.now, src, dst);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "`step` and the snapshot decoder keep `now` within LAST_CYCLE = u32::MAX"
+        )]
+        let now = self.now as u32;
+        let pkt = Fresh::of(&self.fab).packet(self.next_id, now, src, dst);
         self.next_id += 1;
         self.stats.generated_packets += 1;
         self.src_q.push_overflowing(src.idx(), pkt);
@@ -311,12 +316,25 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// files what lands elsewhere (arrivals, credits, LLR wire
     /// transfers) in place, stamped `now + 1` or later, so no phase of
     /// the current cycle reads it.
+    ///
+    /// # Panics
+    /// At [`LAST_CYCLE`]: the cycle's least-recently-served stamps would
+    /// not fit in 32 bits. Every runner and input surface refuses such a
+    /// run before it starts ([`PastLastCycle`]); this is the backstop.
     pub fn step(&mut self) {
+        let now = self.now;
+        assert!(
+            now < LAST_CYCLE,
+            "{}",
+            PastLastCycle {
+                from: now,
+                cycles: 1
+            }
+        );
         self.hooks.tap(Tap::Phase(Phase::FaultApply));
         // Apply scheduled fault transitions due at (or before) this
         // cycle, in plan order — before arrivals so the cycle already
         // sees the new liveness.
-        let now = self.now;
         while self.plan_cursor < self.plan.events().len()
             && self.plan.events()[self.plan_cursor].at <= now
         {
@@ -364,12 +382,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             self.hooks.deep_report(checks, violations);
         }
         self.hooks.tap(Tap::Phase(Phase::PolicyEnd));
-        let snap = NetSnapshot {
-            fab: &self.fab,
-            now,
-            credits: &self.arena.credits,
-            faults: &self.faults,
-        };
+        let snap = NetSnapshot::new(&self.fab, now, &self.arena.credits, &self.faults);
         self.policy.end_cycle(&snap);
         self.now = now + 1;
     }

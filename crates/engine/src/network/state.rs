@@ -14,6 +14,7 @@
 use super::cm_sense::{CmState, CM_CONG_ONE};
 use super::Network;
 use crate::arena::{Arena, Fifos, Fresh, Queued};
+use crate::config::LAST_CYCLE;
 use crate::fault::{FaultPlan, FaultState};
 use crate::hooks::Hooks;
 use crate::llr::Llr;
@@ -53,6 +54,11 @@ impl Labels for Probe {
             d.end();
         }
     }
+}
+
+/// A least-recently-served stamp: a cycle + 1 that fits in 32 bits.
+fn stamp(d: &mut Dec<'_>) -> Result<u32, SnapshotError> {
+    u32::try_from(d.var()?).map_err(|_| SnapshotError::Malformed("LRS stamp past the last cycle"))
 }
 
 impl<P: Policy, H: Hooks> Network<P, H> {
@@ -255,6 +261,9 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         };
         let now = d.var()?;
         l.field(d, || "now".into());
+        if now > LAST_CYCLE {
+            return malformed("now past the last cycle");
+        }
         let next_id = d.var()?;
         l.field(d, || "next_id".into());
         let faults_ever = d.flag("bad faults_ever flag")?;
@@ -369,7 +378,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 arena.in_busy[r * n_in + pi] = d.var()?;
                 l.field(d, || format!("router[{r}].input[{pi}].busy_until"));
                 for (vi, t) in arena.vc_served_at[desc.slots()].iter_mut().enumerate() {
-                    *t = d.var()?;
+                    *t = stamp(d)?;
                     l.field(d, || format!("router[{r}].input[{pi}].vc_served_at[{vi}]"));
                 }
             }
@@ -410,7 +419,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 l.field(d, || format!("router[{r}].output[{po}].busy_until"));
                 let stamps = &mut arena.in_served_at[(r * n_out + po) * n_in..][..n_in];
                 for (ii, t) in stamps.iter_mut().enumerate() {
-                    *t = d.var()?;
+                    *t = stamp(d)?;
                     l.field(d, || format!("router[{r}].output[{po}].in_served_at[{ii}]"));
                 }
             }

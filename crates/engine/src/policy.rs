@@ -38,8 +38,11 @@ pub struct RouterView<'a> {
 impl<'a> RouterView<'a> {
     /// The view of `router` over its own span of the arena: the busy
     /// times of its `n_out` outputs and the credits of its
-    /// [`Fabric::router_lanes`].
-    pub(crate) fn new(
+    /// [`Fabric::router_lanes`]. Public, but hidden, for one reader
+    /// outside the engine: the naive stepper of
+    /// `crates/engine/tests/naive`, which routes over arrays of its own.
+    #[doc(hidden)]
+    pub fn new(
         fab: &'a Fabric,
         router: RouterId,
         now: u64,
@@ -242,11 +245,25 @@ pub struct NetSnapshot<'a> {
     /// Current cycle.
     pub now: u64,
     /// Every credit lane of the network.
-    pub(crate) credits: &'a [u32],
-    pub(crate) faults: &'a FaultState,
+    credits: &'a [u32],
+    faults: &'a FaultState,
 }
 
 impl<'a> NetSnapshot<'a> {
+    /// The snapshot of the network at cycle `now` whose credit lanes
+    /// ([`Fabric::out_lane`]) hold `credits`. Public, but hidden, for
+    /// the naive stepper of `crates/engine/tests/naive`, as
+    /// [`RouterView::new`] is; `Network::step` builds its own here too.
+    #[doc(hidden)]
+    pub fn new(fab: &'a Fabric, now: u64, credits: &'a [u32], faults: &'a FaultState) -> Self {
+        Self {
+            fab,
+            now,
+            credits,
+            faults,
+        }
+    }
+
     /// Credit-estimated occupancy (in `[0, 1]`, aggregated over VCs) of
     /// global output `k` of `router`. This is the quantity each router
     /// would broadcast to its group under Piggybacking. A *failed*

@@ -160,6 +160,10 @@ pub enum SnapshotError {
     /// callers that gate a run on certification (`ofar-sim --replay`),
     /// never by the codec.
     Uncertified(String),
+    /// Running the file on for the cycles asked would pass
+    /// [`crate::LAST_CYCLE`]. Returned by callers that run a restored
+    /// network on (`ofar-sim --replay`), never by the codec.
+    PastLastCycle(crate::PastLastCycle),
     /// An I/O error while reading or writing a snapshot file.
     Io(String),
 }
@@ -191,6 +195,7 @@ impl fmt::Display for SnapshotError {
             Self::Malformed(what) => write!(f, "malformed snapshot: {what}"),
             Self::Policy(why) => write!(f, "policy state rejected: {why}"),
             Self::Uncertified(why) => write!(f, "snapshot configuration not certified: {why}"),
+            Self::PastLastCycle(past) => write!(f, "{past}"),
             Self::Io(why) => write!(f, "snapshot I/O error: {why}"),
         }
     }
@@ -478,7 +483,7 @@ pub(crate) fn encode_packet(e: &mut Enc, p: &crate::packet::Packet) {
         cur_group,
     } = *p;
     e.var(id);
-    e.var(injected_at);
+    e.var(injected_at.into());
     e.var(src.0.into());
     e.var(dst.0.into());
     match intermediate {
@@ -502,7 +507,8 @@ pub(crate) fn encode_packet(e: &mut Enc, p: &crate::packet::Packet) {
 /// Decode one packet header written by [`encode_packet`].
 pub(crate) fn decode_packet(d: &mut Dec<'_>) -> Result<crate::packet::Packet, SnapshotError> {
     let id = d.var()?;
-    let injected_at = d.var()?;
+    let injected_at = u32::try_from(d.var()?)
+        .map_err(|_| SnapshotError::Malformed("injected_at past the last cycle"))?;
     let src = ofar_topology::NodeId::new(d.var_u32()?);
     let dst = ofar_topology::NodeId::new(d.var_u32()?);
     let intermediate = match d.u8()? {
@@ -958,7 +964,7 @@ mod tests {
     fn packet(intermediate: Option<u32>) -> crate::packet::Packet {
         crate::packet::Packet {
             id: 0x0102_0304_0506_0708,
-            injected_at: 0x1112_1314_1516_1718,
+            injected_at: 0x1112_1314,
             src: ofar_topology::NodeId::new(0x2122_2324),
             dst: ofar_topology::NodeId::new(0x3132_3334),
             intermediate: intermediate.map(ofar_topology::GroupId::new),
@@ -980,10 +986,10 @@ mod tests {
 
     #[test]
     fn a_packet_round_trips_with_and_without_an_intermediate() {
-        // `id` and `injected_at` are nine varint bytes each, the three
-        // 30-bit ids five each, then the tag and six `u8` fields; the
-        // group adds five.
-        for (g, len) in [(None, 40), (Some(0x6162_6364), 45)] {
+        // `id` is nine varint bytes, `injected_at` and the three 30-bit
+        // ids five each, then the tag and six `u8` fields; the group adds
+        // five.
+        for (g, len) in [(None, 36), (Some(0x6162_6364), 41)] {
             let p = packet(g);
             let bytes = encoded(&p);
             assert_eq!(bytes.len(), len);
@@ -1018,9 +1024,9 @@ mod tests {
     #[test]
     fn an_intermediate_tag_of_2_is_malformed() {
         let mut bytes = encoded(&packet(Some(7)));
-        // The tag follows `id`, `injected_at` (nine bytes each), `src`
-        // and `dst` (five each).
-        let tag = 2 * 9 + 2 * 5;
+        // The tag follows `id` (nine bytes), `injected_at`, `src` and
+        // `dst` (five each).
+        let tag = 9 + 3 * 5;
         assert_eq!(bytes[tag], 1);
         bytes[tag] = 2;
         assert_eq!(

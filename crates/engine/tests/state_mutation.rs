@@ -167,10 +167,7 @@ fn a_packet_naming_a_node_outside_the_network_is_refused() {
         .expect("a mid-run snapshot has a queued packet");
     // The packet follows its count: `id`, `injected_at`, `src`, then `dst`.
     let dst = (0..3).fold(var_at(payload, fifo).1, |o, _| var_at(payload, o).1);
-    let mut far = Enc::default();
-    far.var(1_000_000);
-    let mut edited = payload.to_vec();
-    edited.splice(dst..var_at(payload, dst).1, far.0);
+    let edited = put_var(payload, dst, 1_000_000);
     assert_eq!(
         victim.restore_snapshot(&with_state(&clean, &edited)),
         Err(SnapshotError::Malformed(
@@ -178,4 +175,70 @@ fn a_packet_naming_a_node_outside_the_network_is_refused() {
         ))
     );
     victim.restore_snapshot(&clean).unwrap();
+}
+
+/// `payload` with the varint at `at` replaced by `v`.
+fn put_var(payload: &[u8], at: usize, v: u64) -> Vec<u8> {
+    let mut e = Enc::default();
+    e.var(v);
+    let mut edited = payload.to_vec();
+    edited.splice(at..var_at(payload, at).1, e.0);
+    edited
+}
+
+/// A cycle field at 2³², one past the last cycle the engine's 32-bit
+/// stamps hold, each edit sealed again: the clock, a least-recently-
+/// served stamp at either arbiter, and a buffered packet's generation
+/// cycle are each refused with their own `Malformed`, rather than
+/// restored for the resumed run to truncate.
+#[test]
+fn a_cycle_field_past_the_last_cycle_is_refused() {
+    let clean = mid_run_snapshot();
+    let (at, len) = state_section(&clean);
+    let payload = &clean[at + 9..at + 9 + len];
+    let mut victim = network();
+    // Where the first field whose label ends with each suffix starts —
+    // for the FIFO, the first that holds a packet.
+    let suffixes = ["vc_served_at[0]", "in_served_at[0]", ".fifo"];
+    let mut starts = [None; 3];
+    let mut last = String::new();
+    for o in 0..payload.len() {
+        let label = victim.locate_state_field(payload, o);
+        if label != last {
+            for (suffix, start) in suffixes.iter().zip(&mut starts) {
+                let queued = *suffix != ".fifo" || var_at(payload, o).0 > 0;
+                if start.is_none() && label.ends_with(suffix) && queued {
+                    *start = Some(o);
+                }
+            }
+            last = label;
+        }
+        if starts.iter().all(Option::is_some) {
+            break;
+        }
+    }
+    let [Some(vc), Some(input), Some(fifo)] = starts else {
+        panic!("a mid-run snapshot has every field: {starts:?}");
+    };
+    // The packet follows its count: `id`, then `injected_at`.
+    let injected_at = var_at(payload, var_at(payload, fifo).1).1;
+    let mut wrong = Vec::new();
+    for (field, offset, why) in [
+        ("now", 0, "now past the last cycle"),
+        ("vc_served_at", vc, "LRS stamp past the last cycle"),
+        ("in_served_at", input, "LRS stamp past the last cycle"),
+        (
+            "injected_at",
+            injected_at,
+            "injected_at past the last cycle",
+        ),
+    ] {
+        let edited = put_var(payload, offset, 1 << 32);
+        let got = victim.restore_snapshot(&with_state(&clean, &edited));
+        if got != Err(SnapshotError::Malformed(why)) {
+            wrong.push(format!("{field}: {got:?}"));
+        }
+        victim.restore_snapshot(&clean).unwrap();
+    }
+    assert!(wrong.is_empty(), "{wrong:#?}");
 }

@@ -31,7 +31,9 @@
 //! length; `--burst` no `--load`, `--warmup` or `--measure`; `--cycles`
 //! needs `--replay`), and a value outside its range: an `ADV+<n>`
 //! offset outside `1..groups`, a load outside `0..=packet_size`, a
-//! `--measure` or `--burst` of 0, a `--ring` the mechanism does not run
+//! `--measure` or `--burst` of 0, a `--warmup` plus `--measure` past the
+//! last cycle 2³² − 1 (the cycle stamps are 32-bit; `--replay` refuses
+//! `--cycles` past it with exit 1), a `--ring` the mechanism does not run
 //! with, or `--rings` other than 1 for a mechanism without a ring. Every
 //! value is parsed before anything is printed or built, the checkpoint
 //! knobs a steady-state run reads (`OFAR_CHECKPOINT_EVERY`,
@@ -297,6 +299,10 @@ fn main() {
     };
     if opts.measure == 0 {
         eprintln!("invalid value for --measure: 0");
+        exit(2);
+    }
+    if let Err(past) = opts.check() {
+        eprintln!("invalid value for --warmup plus --measure: {past}");
         exit(2);
     }
     if burst_ppn == Some(0) {

@@ -320,3 +320,55 @@ fn a_replay_of_an_uncertifiable_config_exits_1() {
         "{err}"
     );
 }
+
+/// A run whose cycle stamps would pass 2³² − 1, the last cycle the
+/// engine's 32-bit stamps hold, is refused with the typed bound before
+/// anything runs: a steady run's `--warmup` plus `--measure` exits 2, a
+/// replay's snapshot cycle plus `--cycles` exits 1 as every refused
+/// replay does. Neither may reach the engine's own assertion (exit 101).
+#[test]
+fn a_run_past_the_last_cycle_is_refused() {
+    use ofar::prelude::*;
+    let kind = MechanismKind::Min;
+    let cfg = kind.adapt_config(SimConfig::paper(2));
+    let mut net = Network::new(cfg, kind.build(&cfg, 1));
+    net.run(20);
+    let path = std::env::temp_dir().join(format!("ofar-cli-last-{}.snap", std::process::id()));
+    ofar::engine::write_atomic(&path, &net.save_snapshot()).unwrap();
+    let snap = path.to_str().unwrap();
+
+    let past = "run past the last cycle 4294967295 (cycle stamps are 32-bit)";
+    let rows: [(&[&str], i32, &str); 4] = [
+        (
+            &["--warmup", "4294967295", "--measure", "1"],
+            2,
+            "invalid value for --warmup plus --measure: 1 cycles from cycle 4294967295",
+        ),
+        (
+            &["--warmup", "1", "--measure", "18446744073709551615"],
+            2,
+            "invalid value for --warmup plus --measure: 18446744073709551615 cycles from cycle 1",
+        ),
+        (
+            &["--replay", snap, "--cycles", "4294967276"],
+            1,
+            "4294967276 cycles from cycle 20",
+        ),
+        (
+            &["--replay", snap, "--cycles", "18446744073709551615"],
+            1,
+            "18446744073709551615 cycles from cycle 20",
+        ),
+    ];
+    for (args, code, why) in rows {
+        let out = ofar_sim(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+        assert!(
+            err.contains(why) && err.contains(past) && !err.contains("panicked"),
+            "{args:?}: {err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -1377,6 +1377,32 @@ fn a_snapshot_replays_from_its_file_to_the_drained_end() {
     );
 }
 
+/// A replay whose snapshot cycle plus `cycles` passes the last cycle the
+/// engine's 32-bit stamps hold is refused before it steps, with the
+/// typed bound: one cycle fewer is replayed (here to the drained end).
+#[test]
+fn a_replay_past_the_last_cycle_is_refused_before_it_steps() {
+    use ofar::engine::{PastLastCycle, LAST_CYCLE};
+    let kind = MechanismKind::Min;
+    let cfg = kind.adapt_config(SimConfig::paper(H));
+    let mut net = Network::new(cfg, kind.build(&cfg, 1));
+    net.generate(NodeId::new(0), NodeId::new(40));
+    net.run(20);
+    let path = std::env::temp_dir().join(format!("ofar-last-{}.snap", std::process::id()));
+    ofar::engine::write_atomic(&path, &net.save_snapshot()).unwrap();
+    let past = replay_snapshot(&path, LAST_CYCLE - 19);
+    let within = replay_snapshot(&path, LAST_CYCLE - 20);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        past.unwrap_err(),
+        SnapshotError::PastLastCycle(PastLastCycle {
+            from: 20,
+            cycles: LAST_CYCLE - 19
+        })
+    );
+    assert!(within.unwrap().drained);
+}
+
 /// A MIN snapshot whose CONFIG section names PAR, every checksum sealed
 /// again: a valid file that pairs a mechanism with a configuration it
 /// cannot run (PAR needs a fourth local VC).
