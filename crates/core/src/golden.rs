@@ -12,7 +12,10 @@
 //! 2,000 cycles and under a closed ADV+1 burst of 20 packets per node,
 //! plus VAL, PB, PAR and OFAR-L on h=4 under a closed ADV+1 burst of 10,
 //! plus one lossy cell — OFAR on h=2 under UN at 0.3 with `ber` 1e-3 —
-//! so the link-level retransmission layer and its wire CRC are pinned too.
+//! so the link-level retransmission layer and its wire CRC are pinned too,
+//! plus one cell of half-size buffers — OFAR-L on h=2 under ADV+1 at 0.5
+//! with 16-phit local and ring buffers — where a ring entry is granted
+//! with between one and two packets of room, so the bubble is pinned.
 
 use crate::run::{burst_net, network, Point, RunConfig, Shape, SteadyOpts};
 use ofar_engine::{crc32, NoHooks, SimConfig};
@@ -23,7 +26,8 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// A cell's name in the table: mechanism, pattern, scale, seed, drive
-/// and, on a lossy fabric, the bit-error rate.
+/// and, where they are not the paper's, the bit-error rate and the
+/// buffer sizes.
 fn label(cell: &Point) -> String {
     let drive = match &cell.shape {
         Shape::Steady { load, opts } => format!("load{load}/{}c", opts.warmup + opts.measure),
@@ -35,8 +39,18 @@ fn label(cell: &Point) -> String {
     } else {
         String::new()
     };
+    let (cfg, paper) = (&cell.cfg, SimConfig::paper(cell.cfg.params.h));
+    let bufs: String = [
+        ("local", cfg.buf_local, paper.buf_local),
+        ("injection", cfg.buf_injection, paper.buf_injection),
+        ("ring", cfg.buf_ring, paper.buf_ring),
+    ]
+    .iter()
+    .filter(|(_, phits, paper)| phits != paper)
+    .map(|(buf, phits, _)| format!("/buf_{buf}{phits}"))
+    .collect();
     format!(
-        "{}/{}/h{}/seed{}/{drive}{ber}",
+        "{}/{}/h{}/seed{}/{drive}{ber}{bufs}",
         cell.kind.name(),
         cell.traffic.label(),
         cell.cfg.params.h,
@@ -103,6 +117,9 @@ fn cells() -> Vec<Point> {
     let mut lossy = cell(K::Ofar, &un, 2, 2012, steady(0.3, 1_500));
     lossy.cfg.ber = 1e-3;
     cells.push(lossy);
+    let mut bubble = cell(K::OfarL, &adv1, 2, 1, steady(0.5, 1_500));
+    (bubble.cfg.buf_local, bubble.cfg.buf_ring) = (16, 16);
+    cells.push(bubble);
     cells
 }
 
@@ -207,8 +224,9 @@ mod tests {
     #[test]
     fn table_shape_and_labels() {
         let cells = cells();
-        assert_eq!(cells.len(), 6 * 2 * 2 + 4 + 4 + 1);
+        assert_eq!(cells.len(), 6 * 2 * 2 + 4 + 4 + 1 + 1);
         let mut labels: Vec<String> = cells.iter().map(label).collect();
+        assert!(labels[cells.len() - 1].ends_with("/buf_local16/buf_ring16"));
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), cells.len(), "labels must be unique");

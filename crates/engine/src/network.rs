@@ -16,7 +16,7 @@
 //! `policy_end` is one call and has none), as inherent methods of
 //! `Network`; `diagnose` and `state` hold what runs between steps.
 
-use crate::arena::{Arena, Fifos, Fresh, Queued};
+use crate::arena::{Arena, Fresh, SrcQueues};
 use crate::audit::AuditReport;
 use crate::config::{PastLastCycle, SimConfig, LAST_CYCLE};
 use crate::fabric::Fabric;
@@ -56,7 +56,7 @@ pub struct Network<P: Policy, H: Hooks = NoHooks> {
     /// here, which is how saturation becomes visible in latency curves):
     /// one FIFO per node, the head `on_inject` re-offers every cycle by
     /// value, the packets behind it kept as the fresh ones they are.
-    src_q: Fifos<Queued>,
+    src_q: SrcQueues,
     /// Node→injection-buffer transfer is serialized at 1 phit/cycle.
     inj_busy: Vec<u64>,
     /// Every packet and credit in flight on a link, filed under its
@@ -151,11 +151,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
             policy,
             now: 0,
             next_id: 0,
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "a validated packet_size fits u32"
-            )]
-            src_q: Fifos::new(nodes, fab.cfg().packet_size as u32, Fresh::of(&fab)),
+            src_q: SrcQueues::new(nodes, Fresh::of(&fab)),
             inj_busy: vec![0; nodes],
             stats,
             delivered_log: None,
@@ -210,13 +206,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// Number of compute nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.src_q.queued.len()
+        self.src_q.queued().len()
     }
 
     /// Packets waiting in the source queue of `node`.
     #[inline]
     pub fn source_queue_len(&self, node: NodeId) -> usize {
-        self.src_q.queued[node.idx()] as usize
+        self.src_q.queued()[node.idx()] as usize
     }
 
     /// Packets generated but not yet delivered (anywhere: source queues,
@@ -303,7 +299,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         let pkt = Fresh::of(&self.fab).packet(self.next_id, now, src, dst);
         self.next_id += 1;
         self.stats.generated_packets += 1;
-        self.src_q.push_overflowing(src.idx(), pkt);
+        self.src_q.push(src.idx(), pkt);
         self.occ.src_pending[src.idx() / 64] |= 1 << (src.idx() % 64);
     }
 

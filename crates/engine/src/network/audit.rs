@@ -231,7 +231,13 @@ impl<P: Policy, H: Hooks> Network<P, H> {
     /// (phit conservation).
     pub fn phits_in_system(&self) -> u64 {
         let size = self.fab.cfg().packet_size as u64;
-        let src = self.src_q.queued.iter().map(|&n| u64::from(n)).sum::<u64>() * size;
+        let src = self
+            .src_q
+            .queued()
+            .iter()
+            .map(|&n| u64::from(n))
+            .sum::<u64>()
+            * size;
         let queued: u32 = self.arena.fifos.queued.iter().sum();
         let buffered = u64::from(queued) * size;
         if let Some(llr) = &self.llr {

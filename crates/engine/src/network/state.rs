@@ -13,7 +13,7 @@
 
 use super::cm_sense::{CmState, CM_CONG_ONE};
 use super::Network;
-use crate::arena::{Arena, Fifos, Fresh, Queued};
+use crate::arena::{Arena, Fresh, SrcQueues};
 use crate::config::LAST_CYCLE;
 use crate::fault::{FaultPlan, FaultState};
 use crate::hooks::Hooks;
@@ -160,7 +160,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         faults.snap_encode(e);
         e.vars(&stats.counters());
         e.var(self.num_nodes() as u64);
-        for (node, &queued) in src_q.queued.iter().enumerate() {
+        for (node, &queued) in src_q.queued().iter().enumerate() {
             e.var(queued.into());
             for p in src_q.iter(node) {
                 encode_packet(e, &p);
@@ -291,11 +291,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
         if n_queues != nodes {
             return malformed("source-queue count disagrees");
         }
-        let mut src_q = Fifos::new(
-            nodes,
-            self.fab.cfg().packet_size as u32,
-            Fresh::of(&self.fab),
-        );
+        let mut src_q = SrcQueues::new(nodes, Fresh::of(&self.fab));
         for node in 0..nodes {
             for i in 0..d.len(PACKET_MIN_BYTES, "source queue size")? {
                 let pkt = decode_packet_in(d, self.fab.topo())?;
@@ -304,7 +300,7 @@ impl<P: Policy, H: Hooks> Network<P, H> {
                 if i > 0 && !src_q.keeps(node, pkt) {
                     return malformed("source-queue tail is not a fresh packet of its node");
                 }
-                src_q.push_overflowing(node, pkt);
+                src_q.push(node, pkt);
             }
             l.field(d, || format!("src_q[{node}]"));
         }
@@ -554,7 +550,7 @@ struct DecodedState {
     plan: FaultPlan,
     faults: FaultState,
     stats: Stats,
-    src_q: Fifos<Queued>,
+    src_q: SrcQueues,
     inj_busy: Vec<u64>,
     router_last_grant: Vec<u64>,
     delivered_log: Option<Vec<(u64, u32)>>,

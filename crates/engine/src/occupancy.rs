@@ -9,11 +9,11 @@
 //!
 //! The index is derived state: `Network` updates it next to each of the
 //! places an arena FIFO ([`Fifos`]) is pushed or popped and a source
-//! queue fills or empties, [`Occupancy::recount`] rebuilds it from those
-//! structures (snapshot restore), and the deep audit checks the two
-//! agree. It is therefore outside snapshots.
+//! queue ([`SrcQueues`]) fills or empties, [`Occupancy::recount`]
+//! rebuilds it from those structures (snapshot restore), and the deep
+//! audit checks the two agree. It is therefore outside snapshots.
 
-use crate::arena::{Fifos, Queued};
+use crate::arena::{Fifos, SrcQueues};
 use crate::fabric::Fabric;
 
 /// Buffered-packet counts per input port, the set of occupied ports of
@@ -43,10 +43,10 @@ impl Occupancy {
     }
 
     /// Count `fifos`' packets per port of `fab` and `src_q`'s queues.
-    pub fn recount(fab: &Fabric, fifos: &Fifos, src_q: &Fifos<Queued>) -> Self {
+    pub fn recount(fab: &Fabric, fifos: &Fifos, src_q: &SrcQueues) -> Self {
         let nr = fab.topo().num_routers();
-        let mut occ = Self::empty(nr, fab.n_in(), src_q.queued.len());
-        for (node, &queued) in src_q.queued.iter().enumerate() {
+        let mut occ = Self::empty(nr, fab.n_in(), src_q.queued().len());
+        for (node, &queued) in src_q.queued().iter().enumerate() {
             if queued != 0 {
                 occ.src_pending[node / 64] |= 1 << (node % 64);
             }

@@ -4,7 +4,8 @@
 //! model and shares none of the engine's structure:
 //!
 //! * buffers: one `VecDeque` per input VC, by `[router][port][vc]`, and
-//!   one per source queue, in place of the arena's pooled `Fifos`;
+//!   one per source queue, in place of the arena's pooled `Fifos` and
+//!   `SrcQueues`;
 //! * links: one `Vec` of in-flight arrivals and credits, kept sorted by
 //!   landing cycle, in place of the timing wheel;
 //! * polling: every router, port, VC and node is scanned every cycle, in

@@ -529,12 +529,12 @@ fn equal_runs_and_roundtrips_diff_clean() {
     assert_eq!(diff_snapshots(&sa, &again).unwrap(), None);
 }
 
-/// Source queues are FIFOs of the arena whose tails sit in a pool that
-/// grows 1,024 entries at a time. One queue chained through five of
-/// those chunks, other nodes' packets linked in between and entries
-/// recycled by 200 cycles of injection, must encode the bytes it always
-/// did — whether it is restored into a fresh network or over one that
-/// already holds queued packets of its own.
+/// Source-queue tails sit in 32-byte blocks of a pool that grows 256
+/// blocks at a time. One queue chained through several of those chunks,
+/// other nodes' blocks linked in between and blocks recycled by 200
+/// cycles of injection, must encode the bytes it always did — whether it
+/// is restored into a fresh network or over one that already holds
+/// queued packets of its own.
 #[test]
 fn source_queues_deeper_than_a_pool_chunk_round_trip() {
     let cfg = SimConfig::paper(H).with_seed(5);
@@ -638,6 +638,39 @@ fn a_deep_source_queue_round_trips() {
     let bytes = net.save_snapshot();
     let mut fresh = build();
     fresh.restore_snapshot(&bytes).unwrap();
+    assert_eq!(fresh.save_snapshot(), bytes, "save → restore → save");
+}
+
+/// A source queue keeps each tail as deltas from the packet before it,
+/// taken and undone in wrapping arithmetic: a file whose queue holds
+/// fresh packets with ids and cycles that fall, jump by more than half
+/// the word or wrap (no run of this engine writes one) restores `Ok`
+/// and saves back byte for byte.
+#[test]
+fn a_source_queue_with_non_monotone_ids_round_trips() {
+    let cfg = SimConfig::paper(H).with_seed(5);
+    let build = || Harness::on(cfg, MechanismKind::Ofar, 5, false).net;
+    let mut net = build();
+    let node = NodeId::new(3);
+    for dst in [9, 10, 11, 12, 13, 14] {
+        net.generate(node, NodeId::new(dst));
+    }
+    let mut bytes = net.save_snapshot();
+    let mut payload = Vec::new();
+    edit_section(&bytes, 2, |p| payload = p.to_vec());
+    let queue = source_queues(&net, &payload)[node.idx()].clone();
+    let ids = [7, u64::MAX, 0, 1 << 63, 5, (1 << 63) - 1];
+    let ats = [0, u32::MAX, 3, 0, 1 << 31, u32::MAX - 1];
+    // Back to front, so that each edit leaves the offsets before it.
+    for (&at, (id, cycle)) in queue.iter().zip(ids.into_iter().zip(ats)).rev() {
+        let stamp = var_at(&payload, at).1;
+        bytes = put_var(&bytes, stamp, cycle.into());
+        bytes = put_var(&bytes, at, id);
+        edit_section(&bytes, 2, |p| payload = p.to_vec());
+    }
+    let mut fresh = build();
+    fresh.restore_snapshot(&bytes).unwrap();
+    assert_eq!(fresh.source_queue_len(node), ids.len());
     assert_eq!(fresh.save_snapshot(), bytes, "save → restore → save");
 }
 
